@@ -35,7 +35,7 @@ from .packing import (PackingCertificate, PairSlabs, SlabFamily,
                       certificate_to_json, family_from_arrangement,
                       lifted_packing_pipeline, slab_packing_check)
 from .polytopes import (ConvexPolytope, LowerDimensional, hull,
-                        interiors_disjoint, overlap_probe, shrink, volume)
+                        interiors_disjoint, shrink, volume)
 from .scalars import (Scalar, format_scalar, parse_scalar, set_tolerance,
                       tolerance)
 

@@ -233,15 +233,9 @@ def _float_key(dist: float, classes) -> float:
 
 def verify_chain(body: SymmetricBody, chain: ChainResult) -> bool:
     """Replay the chain property gauge(y_i - y_j) == lam_i for all i < j."""
-    n = len(chain.points)
-    if len(chain.lambdas) != max(n - 1, 0):
+    if len(chain.lambdas) != max(len(chain.points) - 1, 0):
         return False
-    for i in range(n):
-        for j in range(i + 1, n):
-            got = body.gauge(chain.points[i] - chain.points[j])
-            if not scalars.eq(got, chain.lambdas[i]):
-                return False
-    return True
+    return find_chain_violation(body, chain) is None
 
 
 def find_chain_violation(body: SymmetricBody,

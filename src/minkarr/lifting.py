@@ -3,7 +3,7 @@
 Geometry of the construction, for a fixed pair (i, j) of homothets in R^d:
 
 * the frame carries the boundary direction r (gauge-1 point toward the other
-  center) and a supporting hyperplane of the unit body at r;
+  center) and a supporting hyperplane a.z = c of the unit body at r;
 * projecting every member along that hyperplane's direction space onto the
   line through v_i with direction r turns each homothet into the interval
   [alpha_k - lam_k, alpha_k + lam_k] in r-units (the shadow), and pairwise
@@ -14,10 +14,13 @@ Geometry of the construction, for a fixed pair (i, j) of homothets in R^d:
   wedge hyperplanes built at x become a pair of parallel planes whose slab
   contains every y_k.
 
-The slab planes are computed by exact nullspace elimination in R^{d+2}; no
-symbolic point-at-infinity handling is needed.  The labeling convention is
-that k_ij comes from the wedge plane through the direction of the line
-(v_i + lam_i r, x_i) and the normal is oriented so that N.y_i <= N.y_j.
+The slab planes have a closed form: the shared normal is
+N = (a, -a.v_i - x*c) and the outer planes are N.y = -c and N.y = +c.
+Because a.(v_k - v_i) = alpha_k * c, every lifted point satisfies
+N.y_k = c*(alpha_k - x)/lam_k, so y_k lies in the slab exactly when x lies in
+shadow interval k.  The labeling convention is that k_ij is the outer plane
+on the i side (offset -c before orientation) and the normal is oriented so
+that N.y_i <= N.y_j.
 """
 
 from __future__ import annotations
@@ -25,12 +28,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from . import scalars
 from .arrangement import Arrangement
-from .linalg import Vector, hyperplane_directions, nullspace
+from .linalg import Vector
 from .scalars import Scalar, div
 
 
@@ -184,10 +186,11 @@ def unlift(y: Vector) -> Tuple[Vector, Scalar]:
 class SlabPair:
     """Parallel-plane data of one pair in the lifted space (dim d+1).
 
-    The normal is kept at its exact elimination scale rather than unit
-    Euclidean length; every check performed on a slab is a ratio of offsets
-    along the same normal, which is scale-invariant.  Orientation satisfies
-    normal . y_i <= normal . y_j.
+    The normal is the closed form (a, -a.v_i - x*c) of the module docstring,
+    possibly negated, at the scale of the supporting-plane offset c rather
+    than unit Euclidean length; every check performed on a slab is a ratio of
+    offsets along the same normal, which is scale-invariant.  Orientation
+    satisfies normal . y_i <= normal . y_j.
     """
     i: int
     j: int
@@ -200,83 +203,24 @@ class SlabPair:
     s_j: Vector         # line(y_i, y_j) meets the k_ji plane
 
 
-@lru_cache(maxsize=4096)
-def _wedge_space(f_normal_coords: tuple, dir_coords: tuple) -> Tuple[Vector, Vector]:
-    """Basis of the normals orthogonal to the wedge plane's direction space
-    (the supporting hyperplane directions plus one tilted line direction).
-    This part does not depend on the common point, so it is cached."""
-    f_normal = Vector(f_normal_coords)
-    rows = [w.extended(0, 0).coords for w in hyperplane_directions(f_normal)]
-    rows.append(dir_coords)
-    basis = nullspace(rows, len(dir_coords))
-    if len(basis) != 2:
-        raise DegenerateWedgeError("wedge directions are degenerate "
-                                   "(normal space dimension %d)" % len(basis))
-    return basis[0], basis[1]
-
-
-def _plane_normal(frame: ProjectionFrame, dir_vec: Vector,
-                  x_emb: Vector) -> Vector:
-    """Normal of the linear span of the wedge plane and the origin: the
-    member of the cached two-dimensional normal space that kills the common
-    point."""
-    b1, b2 = _wedge_space(frame.f_normal.coords, dir_vec.coords)
-    a = b1.dot(x_emb)
-    b = b2.dot(x_emb)
-    if scalars.eq(a, 0) and scalars.eq(b, 0):
-        raise DegenerateWedgeError("wedge plane through the common point "
-                                   "is not a hyperplane")
-    return b1 * b - b2 * a
-
-
-def _parallel_scale(u: Vector, v: Vector) -> Scalar:
-    """s with v == s*u; raises when the vectors are not parallel."""
-    s = None
-    for a, b in zip(u.coords, v.coords):
-        if not scalars.eq(a, 0):
-            s = div(b, a)
-            break
-    if s is None:
-        raise DegenerateWedgeError("zero slab normal")
-    for a, b in zip(u.coords, v.coords):
-        if not scalars.eq(b, a * s):
-            raise DegenerateWedgeError("wedge planes project to non-parallel "
-                                       "hyperplanes")
-    return s
-
-
 def slab_pair(arr: Arrangement, frame: ProjectionFrame,
               sd: ShadowData) -> SlabPair:
     """Build the parallel plane pair of the pair (i, j) from its shadow.
 
-    The wedge planes are spanned inside R^{d+2} by the supporting
-    hyperplane's direction space, the tilted line direction of the relevant
-    side, and the common point; their central projections are recovered by
-    exact nullspace computation and then restricted to the target flat.
+    For supporting data (a, c) at r and common point x the normal is
+    N = (a, -a.v_i - x*c) with outer offsets -c (i side) and +c (j side).
+    N.y_k = c*(alpha_k - x)/lam_k for every member k, so the slab contains
+    y_k exactly when x lies in shadow interval k.  The inner planes pass
+    through y_i and y_j; they coincide exactly when the width ratio's
+    denominator vanishes, and then no slab pair exists.
     """
-    d = arr.dim
+    a = frame.f_normal
+    c = frame.f_offset
     vi = arr.members[frame.i].center
-    x_point = vi + frame.r_vec * sd.x_coord
-    x_emb = x_point.extended(0, 1)
-    dir_i = (-frame.r_vec).extended(1, 0)
-    dir_j = frame.r_vec.extended(1, 0)
-    n_i = _plane_normal(frame, dir_i, x_emb)
-    n_j = _plane_normal(frame, dir_j, x_emb)
+    normal = a.extended(-a.dot(vi) - sd.x_coord * c)
+    c_k_ij, c_k_ji = -c, c
 
-    def restrict(n_full: Vector) -> Tuple[Vector, Scalar]:
-        # N=(n, n_{d+1}, n_{d+2}) cuts the flat {x_{d+1}=1} in the hyperplane
-        # (n, n_{d+2}) . y = -n_{d+1} of the (d+1)-dimensional coordinates
-        normal = Vector(n_full.coords[:d] + (n_full.coords[d + 1],))
-        return normal, -n_full.coords[d]
-
-    m_i, off_i = restrict(n_i)
-    m_j, off_j = restrict(n_j)
-    scale = _parallel_scale(m_i, m_j)
-    normal = m_i
-    c_k_ij = off_i
-    c_k_ji = div(off_j, scale)
-
-    y_i = _lift_point(arr.members[frame.i].center, arr.members[frame.i].ratio)
+    y_i = _lift_point(vi, arr.members[frame.i].ratio)
     y_j = _lift_point(arr.members[frame.j].center, arr.members[frame.j].ratio)
     c_g_ij = normal.dot(y_i)
     c_g_ji = normal.dot(y_j)
@@ -298,24 +242,36 @@ def slab_pair(arr: Arrangement, frame: ProjectionFrame,
                     c_g_ij, c_g_ji, s_i, s_j)
 
 
-def verify_slab(lifted: LiftedConfig, slab: SlabPair) -> Tuple[bool, Optional[int]]:
-    """Check that every lifted point lies between the two outer planes.
+def slab_offender(points: Sequence[Vector], normal: Vector,
+                  c_1: Scalar, c_2: Scalar) -> Optional[int]:
+    """Index of the first point outside the slab between normal . y = c_1
+    and normal . y = c_2, or None when the slab contains every point.
 
     Exact containment in rational mode; in floating mode the tolerance is
     applied to offsets normalized by the Euclidean length of the normal.
-    Returns (ok, offending index or None).
     """
-    values = [slab.normal.dot(y) for y in lifted.points]
-    lo = min(slab.c_k_ij, slab.c_k_ji, key=_key)
-    hi = max(slab.c_k_ij, slab.c_k_ji, key=_key)
+    values = [normal.dot(y) for y in points]
+    lo = min(c_1, c_2, key=_key)
+    hi = max(c_1, c_2, key=_key)
     if scalars.is_exact(lo, hi, *values):
         margin: Scalar = 0
     else:
-        margin = scalars.tolerance() * math.sqrt(float(slab.normal.norm_sq()))
+        margin = scalars.tolerance() * math.sqrt(float(normal.norm_sq()))
     for k, val in enumerate(values):
         if val < lo - margin or val > hi + margin:
-            return False, k
-    return True, None
+            return k
+    return None
+
+
+def verify_slab(lifted: LiftedConfig, slab: SlabPair) -> Tuple[bool, Optional[int]]:
+    """Check that every lifted point lies between the two outer planes.
+
+    Returns (ok, offending index or None); see slab_offender for the
+    tolerance rule.
+    """
+    offender = slab_offender(lifted.points, slab.normal,
+                             slab.c_k_ij, slab.c_k_ji)
+    return offender is None, offender
 
 
 def verify_ratio_identity(slab: SlabPair, y_i: Vector, y_j: Vector,
@@ -342,9 +298,6 @@ def verify_ratio_identity(slab: SlabPair, y_i: Vector, y_j: Vector,
     if scalars.sign(y_sq) == 0:
         raise ValueError("lifted points coincide")
     return scalars.eq_rel(div(s_sq, y_sq), expected * expected)
-
-
-INFINITY = math.inf
 
 
 def cross_ratio(x1, x2, x3, x4) -> Scalar:

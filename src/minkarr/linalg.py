@@ -1,4 +1,5 @@
-"""Vectors and small exact linear algebra (rank, nullspace, affine coordinates).
+"""Vectors and small exact linear algebra: rank, solving inside a span, and
+coordinates of points inside their affine hull.
 
 Everything here is dimension-generic and works on exact scalars; floating
 inputs degrade gracefully to tolerance-based pivoting.
@@ -137,23 +138,6 @@ def matrix_rank(rows: Sequence[Sequence[Scalar]]) -> int:
     return len(_rref(work, len(work[0])))
 
 
-def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int) -> List[Vector]:
-    """Basis of {x : R x = 0} for the row list R."""
-    work = [[_wrap(v) for v in row] for row in rows]
-    pivots = _rref(work, ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for free_col in range(ncols):
-        if free_col in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free_col] = Fraction(1)
-        for prow, pcol in enumerate(pivots):
-            vec[pcol] = -work[prow][free_col]
-        basis.append(Vector(vec))
-    return basis
-
-
 def solve_in_span(basis: Sequence[Vector], target: Vector) -> Optional[List[Scalar]]:
     """Coefficients c with sum(c_i * basis_i) == target, or None if outside
     the span.  The basis need not be independent; any valid witness is fine."""
@@ -197,23 +181,3 @@ def affine_coordinates(points: Sequence[Vector]):
             raise AssertionError("affine basis does not span input differences")
         coords.append(Vector(c))
     return coords, basis, origin
-
-
-def hyperplane_directions(normal: Vector) -> List[Vector]:
-    """A basis of {w : normal . w = 0}, built from coordinate directions."""
-    pivot = None
-    for idx, a in enumerate(normal.coords):
-        if not scalars.eq(a, 0):
-            pivot = idx
-            break
-    if pivot is None:
-        raise ValueError("zero normal has no hyperplane")
-    dirs = []
-    for idx in range(normal.dim):
-        if idx == pivot:
-            continue
-        coords = [Fraction(0)] * normal.dim
-        coords[idx] = _wrap(1)
-        coords[pivot] = -div(normal[idx], normal[pivot])
-        dirs.append(Vector(coords))
-    return dirs

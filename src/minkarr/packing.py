@@ -33,7 +33,7 @@ from .arrangement import (Arrangement, arrangement_size_bound,
                           find_intersection_violation,
                           find_minkowski_violation)
 from .lifting import (DegenerateWedgeError, build_frame, lift, ratio, shadow,
-                      slab_pair, verify_slab)
+                      slab_offender, slab_pair)
 from .linalg import Vector, affine_coordinates
 from .polytopes import (LowerDimensional, hull, interiors_disjoint,
                         shrink, volume)
@@ -109,11 +109,6 @@ class PackingCertificate:
         self.stages.append(Stage(name, True, detail))
 
 
-def _int_power_bound(lam: Scalar, exp: int) -> Scalar:
-    base = 1 + lam
-    return base ** exp
-
-
 def slab_packing_check(family: SlabFamily, lam: Scalar) -> PackingCertificate:
     """Verify the slab hypotheses and produce the volume-packing evidence.
 
@@ -150,21 +145,13 @@ def slab_packing_check(family: SlabFamily, lam: Scalar) -> PackingCertificate:
                               % (p.i, p.j, rho, lam), (p.i, p.j))
     cert._ok("slab_ratio", "%d pairs within ratio %s" % (len(family.pairs), lam))
 
-    # stage: every point inside every outer slab (float tolerances act on
-    # offsets normalized by the Euclidean length of the shared normal)
+    # stage: every point inside every outer slab
     for p in family.pairs:
-        lo = min(p.c_outer_i, p.c_outer_j)
-        hi = max(p.c_outer_i, p.c_outer_j)
-        values = [p.normal.dot(pt) for pt in family.points]
-        if scalars.is_exact(lo, hi, *values):
-            margin: Scalar = 0
-        else:
-            margin = scalars.tolerance() * math.sqrt(float(p.normal.norm_sq()))
-        for k, val in enumerate(values):
-            if val < lo - margin or val > hi + margin:
-                return cert._fail("slab_containment",
-                                  "point %d escapes the slab of pair (%d, %d)"
-                                  % (k, p.i, p.j), (p.i, p.j))
+        k = slab_offender(family.points, p.normal, p.c_outer_i, p.c_outer_j)
+        if k is not None:
+            return cert._fail("slab_containment",
+                              "point %d escapes the slab of pair (%d, %d)"
+                              % (k, p.i, p.j), (p.i, p.j))
     cert._ok("slab_containment")
 
     # reduce to exact coordinates inside the affine hull when degenerate
@@ -172,8 +159,8 @@ def slab_packing_check(family: SlabFamily, lam: Scalar) -> PackingCertificate:
     adim = len(basis)
     cert.affine_dim = adim
     cert.induction_branch = adim < ambient
-    cert.bound = _int_power_bound(lam, ambient)
-    cert.bound_effective = _int_power_bound(lam, max(adim, 0))
+    cert.bound = (1 + lam) ** ambient
+    cert.bound_effective = (1 + lam) ** max(adim, 0)
     if adim == 0:
         cert._ok("hull", "all points coincide; nothing to pack")
         cert._ok("cardinality", "1 <= %s" % cert.bound)
@@ -207,7 +194,7 @@ def slab_packing_check(family: SlabFamily, lam: Scalar) -> PackingCertificate:
     for v in cert.copy_volumes:
         total = total + v
     cert.volume_sum = total
-    shrink_factor = _int_power_bound(lam, adim)
+    shrink_factor = (1 + lam) ** adim
     for k, v in enumerate(cert.copy_volumes):
         if not scalars.eq(v * shrink_factor, cert.hull_volume):
             return cert._fail("volume",
@@ -229,7 +216,8 @@ def family_from_arrangement(arr: Arrangement) -> Tuple[SlabFamily,
     """Lift the arrangement and build every pair's slab from its shadow.
 
     Returns the family plus the per-pair width ratios computed from the
-    shadow data (before any packing stage runs).
+    shadow data (before any packing stage runs).  Slab containment is not
+    checked here: the slab_containment stage of slab_packing_check does it.
     """
     lifted = lift(arr)
     pairs = []
@@ -240,10 +228,6 @@ def family_from_arrangement(arr: Arrangement) -> Tuple[SlabFamily,
             frame = build_frame(arr, i, j)
             sd = shadow(arr, frame)
             slab = slab_pair(arr, frame, sd)
-            ok, offender = verify_slab(lifted, slab)
-            if not ok:
-                raise AssertionError("lifted point %d escaped the slab of "
-                                     "pair (%d, %d)" % (offender, i, j))
             pairs.append(PairSlabs(i, j, slab.normal, slab.c_k_ij,
                                    slab.c_k_ji, slab.c_g_ij, slab.c_g_ji))
             ratios.append((i, j, ratio(arr.members[i].ratio,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-import random
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple, Union
 
@@ -299,23 +298,3 @@ def _open_hpoly_nonempty(normals: Sequence[Vector], offs: Sequence[Scalar],
     value, _ = lp.simplex_max(obj, lp_rows, lp_rhs)
     t_star = t0 + value
     return scalars.gt(t_star, 0)
-
-
-def overlap_probe(p1: ConvexPolytope, p2: ConvexPolytope,
-                  samples: int = 100_000, seed: int = 0) -> int:
-    """Monte Carlo cross-check: count random points interior to both.
-
-    Samples the bounding box of p1; used only to corroborate the exact test.
-    """
-    rng = random.Random(seed)
-    lo = [min(float(v[i]) for v in p1.vertices) for i in range(p1.dim)]
-    hi = [max(float(v[i]) for v in p1.vertices) for i in range(p1.dim)]
-    f1 = [(a.as_floats(), float(c)) for a, c in p1.facets]
-    f2 = [(a.as_floats(), float(c)) for a, c in p2.facets]
-    hits = 0
-    for _ in range(samples):
-        pt = [rng.uniform(lo[i], hi[i]) for i in range(p1.dim)]
-        if all(sum(ai * xi for ai, xi in zip(a, pt)) < c for a, c in f1) and \
-           all(sum(ai * xi for ai, xi in zip(a, pt)) < c for a, c in f2):
-            hits += 1
-    return hits

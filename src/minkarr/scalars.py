@@ -90,10 +90,6 @@ def div(a: Scalar, b: Scalar) -> Scalar:
     return a / b
 
 
-def as_float(a: Scalar) -> float:
-    return float(a)
-
-
 def parse_scalar(value) -> Scalar:
     """Parse a JSON-level number.
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minkarr import (Arrangement, BallBody, Homothet,
+from minkarr import (Arrangement, BallBody, DegenerateWedgeError, Homothet,
                      ShadowIntersectionError, build_frame,
                      check_central_overlap_ratio, cross_ratio, cube_arrangement,
                      lift, linf_ball, pair_diagnostics, ratio, shadow,
@@ -170,6 +170,17 @@ def test_inner_planes_separate_distinct_lifts():
     fr = build_frame(arr, 0, 1)
     sp = slab_pair(arr, fr, shadow(arr, fr))
     assert sp.c_g_ij < sp.c_g_ji
+
+
+def test_slab_degenerate_at_infinite_ratio():
+    # u_i = -1/2, u_j = 3/2: lam_i*u_j + lam_j*u_i vanishes, so the lifted
+    # pair lies on one plane of the normal and the inner planes coincide
+    arr = arr_of(linf_ball(1), H((0,), 1), H((1,), 3))
+    fr = build_frame(arr, 0, 1)
+    sd = shadow_with_x(shadow(arr, fr), F(-1, 2))
+    assert ratio(F(1), F(3), sd.u_i, sd.u_j) == math.inf
+    with pytest.raises(DegenerateWedgeError):
+        slab_pair(arr, fr, sd)
 
 
 def test_verify_slab_all_cube_pairs():

@@ -2,8 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from minkarr.linalg import (Vector, affine_coordinates, hyperplane_directions,
-                            matrix_rank, nullspace, solve_in_span)
+from minkarr.linalg import Vector, affine_coordinates, solve_in_span
 from minkarr.lp import UnboundedLP, simplex_max
 
 
@@ -16,16 +15,6 @@ def test_vector_arithmetic_preserves_dim():
     assert a.dot(b) == F(1, 2) - 3
     with pytest.raises(ValueError):
         a + Vector((1, 2))
-
-
-def test_rank_and_nullspace():
-    rows = [(1, 0, 1), (0, 1, 1)]
-    assert matrix_rank(rows) == 2
-    basis = nullspace(rows, 3)
-    assert len(basis) == 1
-    v = basis[0]
-    for row in rows:
-        assert Vector(row).dot(v) == 0
 
 
 def test_solve_in_span():
@@ -46,15 +35,6 @@ def test_affine_coordinates_of_planar_points_in_3d():
         for coeff, b in zip(c, basis):
             rebuilt = rebuilt + b * coeff
         assert rebuilt == p
-
-
-def test_hyperplane_directions_orthogonal():
-    n = Vector((F(1, 2), -2, 3))
-    dirs = hyperplane_directions(n)
-    assert len(dirs) == 2
-    for d in dirs:
-        assert n.dot(d) == 0
-    assert matrix_rank([d.coords for d in dirs]) == 2
 
 
 def test_simplex_box_support():

@@ -5,11 +5,11 @@ import math
 import random
 from fractions import Fraction as F
 
-from minkarr import (build_frame, cross_ratio, lift, ratio, shadow,
-                     shadow_with_x, slab_pair)
+from minkarr import (Arrangement, Homothet, build_frame, cross_ratio, linf_ball,
+                     ratio, shadow, shadow_with_x, slab_pair)
 from minkarr.instances import (corpus_body, random_intersecting_arrangement,
                                random_minkowski_arrangement)
-from minkarr.linalg import Vector, cross3
+from minkarr.linalg import Vector, _rref, cross3, matrix_rank
 from minkarr.polytopes import ConvexPolytope, hull, volume
 
 
@@ -66,15 +66,106 @@ def test_width_ratio_against_cross_ratio_route():
     assert agree > 1500
 
 
-def closed_form_slab(arr, frame, sd):
-    """Slab planes written out by hand: for supporting data (a, c) at r and
-    common point x, the shared normal in the lifted coordinates is
-    (a, -a.v_i - x*c) and the outer planes sit at offsets -c and +c."""
-    a = frame.f_normal
-    c = frame.f_offset
+def nullspace(rows, ncols):
+    """Basis of {x : R x = 0} for the row list R."""
+    work = [[F(v) if isinstance(v, int) else v for v in row] for row in rows]
+    pivots = _rref(work, ncols)
+    basis = []
+    for free_col in range(ncols):
+        if free_col in pivots:
+            continue
+        vec = [F(0)] * ncols
+        vec[free_col] = F(1)
+        for prow, pcol in enumerate(pivots):
+            vec[pcol] = -work[prow][free_col]
+        basis.append(Vector(vec))
+    return basis
+
+
+def hyperplane_directions(normal):
+    """A basis of {w : normal . w = 0}, built from coordinate directions."""
+    pivot = next(k for k, a in enumerate(normal.coords) if a != 0)
+    dirs = []
+    for k in range(normal.dim):
+        if k == pivot:
+            continue
+        coords = [F(0)] * normal.dim
+        coords[k] = F(1)
+        coords[pivot] = -F(normal[k]) / normal[pivot]
+        dirs.append(Vector(coords))
+    return dirs
+
+
+def test_rank_and_nullspace():
+    rows = [(1, 0, 1), (0, 1, 1)]
+    assert matrix_rank(rows) == 2
+    basis = nullspace(rows, 3)
+    assert len(basis) == 1
+    v = basis[0]
+    for row in rows:
+        assert Vector(row).dot(v) == 0
+
+
+def test_hyperplane_directions_orthogonal():
+    n = Vector((F(1, 2), -2, 3))
+    dirs = hyperplane_directions(n)
+    assert len(dirs) == 2
+    for d in dirs:
+        assert n.dot(d) == 0
+    assert matrix_rank([d.coords for d in dirs]) == 2
+
+
+def nullspace_slab(arr, frame, sd):
+    """Slab planes by generic elimination in R^{d+2}, independent of the
+    closed form.  Each wedge plane's linear span with the origin is spanned by
+    the supporting hyperplane's directions (lifted with zero extra
+    coordinates), the tilted line direction of its side and the common point
+    x embedded at (x, 0, 1); its normal is a nullspace vector, and its cut
+    with the flat {x_{d+1} = 1} is a hyperplane of the lifted coordinates.
+
+    Returns the shared normal and the offsets (outer plane of the i side,
+    outer plane of the j side, inner plane through y_i, inner plane through
+    y_j), all at the normal's elimination scale and orientation.
+    """
+    d = arr.dim
     vi = arr.members[frame.i].center
-    normal = Vector(tuple(a.coords) + (-(a.dot(vi)) - sd.x_coord * c,))
-    return normal, -c, c
+    x_emb = (vi + frame.r_vec * sd.x_coord).extended(0, 1)
+    rows = [w.extended(0, 0).coords
+            for w in hyperplane_directions(frame.f_normal)]
+
+    def plane(line_dir):
+        basis = nullspace(rows + [line_dir.coords, x_emb.coords], d + 2)
+        assert len(basis) == 1, "wedge plane is not a hyperplane"
+        n_full = basis[0]
+        # N = (n, n_{d+1}, n_{d+2}) cuts {x_{d+1} = 1} in the hyperplane
+        # (n, n_{d+2}) . y = -n_{d+1}
+        return Vector(n_full.coords[:d] + (n_full.coords[d + 1],)), \
+            -n_full.coords[d]
+
+    normal, off_i = plane((-frame.r_vec).extended(1, 0))
+    normal_j, off_j = plane(frame.r_vec.extended(1, 0))
+    scale = next(v / u for u, v in zip(normal.coords, normal_j.coords)
+                 if u != 0)
+    assert normal_j == normal * scale, "wedge planes are not parallel"
+
+    def lifted(k):
+        h = arr.members[k]
+        return Vector(tuple(F(c) / h.ratio for c in h.center.coords)
+                      + (1 / F(h.ratio),))
+
+    return normal, (off_i, off_j / scale, normal.dot(lifted(frame.i)),
+                    normal.dot(lifted(frame.j)))
+
+
+def assert_same_planes(slab, normal, offsets):
+    """Production slab equals the oracle's planes up to one common nonzero
+    scale (sign included): the normal and all four offsets."""
+    scale = next(v / u for u, v in zip(normal.coords, slab.normal.coords)
+                 if u != 0)
+    assert scale != 0
+    assert slab.normal == normal * scale
+    assert (slab.c_k_ij, slab.c_k_ji, slab.c_g_ij, slab.c_g_ji) == \
+        tuple(o * scale for o in offsets)
 
 
 def test_slab_planes_against_closed_form():
@@ -86,22 +177,21 @@ def test_slab_planes_against_closed_form():
             for j in range(i + 1, n):
                 frame = build_frame(arr, i, j)
                 sd = shadow(arr, frame)
-                slab = slab_pair(arr, frame, sd)
-                normal, off_i, off_j = closed_form_slab(arr, frame, sd)
-                # same planes up to one common scale (sign included)
-                scale = None
-                for u, v in zip(normal.coords, slab.normal.coords):
-                    if u != 0:
-                        scale = v / u
-                        break
-                assert scale is not None and scale != 0
-                assert slab.normal == normal * scale
-                assert slab.c_k_ij == off_i * scale
-                assert slab.c_k_ji == off_j * scale
-                # the inner planes pass through the lifted pair
-                lifted = lift(arr)
-                assert slab.normal.dot(lifted.points[i]) == slab.c_g_ij
-                assert slab.normal.dot(lifted.points[j]) == slab.c_g_ji
+                assert_same_planes(slab_pair(arr, frame, sd),
+                                   *nullspace_slab(arr, frame, sd))
+
+
+def test_slab_planes_inverted_wedge():
+    # member 1 covers member 0's center; at x = -1 the width ratio's
+    # denominator is negative, so the closed form's orientation is flipped
+    arr = Arrangement(linf_ball(1), (Homothet(Vector((F(0),)), F(1)),
+                                     Homothet(Vector((F(1),)), F(3))))
+    frame = build_frame(arr, 0, 1)
+    sd = shadow_with_x(shadow(arr, frame), F(-1))
+    assert ratio(F(1), F(3), sd.u_i, sd.u_j) < 0
+    slab = slab_pair(arr, frame, sd)
+    assert slab.c_g_ij < slab.c_g_ji
+    assert_same_planes(slab, *nullspace_slab(arr, frame, sd))
 
 
 def origin_fan_volume(poly: ConvexPolytope):

@@ -6,6 +6,7 @@ import pytest
 
 from minkarr import (Arrangement, Homothet, cube_arrangement, linf_ball)
 from minkarr.instances import corpus_body, random_minkowski_arrangement
+from minkarr.lifting import slab_offender
 from minkarr.linalg import Vector
 from minkarr.packing import (PairSlabs, SlabFamily, certificate_to_json,
                              family_from_arrangement,
@@ -141,6 +142,9 @@ def test_family_from_arrangement_slabs_hold():
     family, ratios = family_from_arrangement(arr)
     assert len(family.pairs) == 36
     assert len(ratios) == 36
+    for p in family.pairs:
+        assert slab_offender(family.points, p.normal,
+                             p.c_outer_i, p.c_outer_j) is None
 
 
 def test_certificate_json():

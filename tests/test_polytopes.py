@@ -5,8 +5,7 @@ import pytest
 
 from minkarr.linalg import Vector
 from minkarr.polytopes import (ConvexPolytope, LowerDimensional, hull,
-                               interiors_disjoint, overlap_probe, shrink,
-                               volume)
+                               interiors_disjoint, shrink, volume)
 
 
 def V(*coords):
@@ -101,6 +100,26 @@ def test_interiors_disjoint_3d():
     c = hull([V(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
     d = shrink(c, V(1, 1, 1), F(1))
     assert not interiors_disjoint(c, d)
+
+
+def overlap_probe(p1: ConvexPolytope, p2: ConvexPolytope,
+                  samples: int = 100_000, seed: int = 0) -> int:
+    """Monte Carlo cross-check: count random points interior to both.
+
+    Samples the bounding box of p1; used only to corroborate the exact test.
+    """
+    rng = random.Random(seed)
+    lo = [min(float(v[i]) for v in p1.vertices) for i in range(p1.dim)]
+    hi = [max(float(v[i]) for v in p1.vertices) for i in range(p1.dim)]
+    f1 = [(a.as_floats(), float(c)) for a, c in p1.facets]
+    f2 = [(a.as_floats(), float(c)) for a, c in p2.facets]
+    hits = 0
+    for _ in range(samples):
+        pt = [rng.uniform(lo[i], hi[i]) for i in range(p1.dim)]
+        if all(sum(ai * xi for ai, xi in zip(a, pt)) < c for a, c in f1) and \
+           all(sum(ai * xi for ai, xi in zip(a, pt)) < c for a, c in f2):
+            hits += 1
+    return hits
 
 
 def test_disjointness_symmetric_and_probe_consistent():
