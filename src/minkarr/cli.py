@@ -6,8 +6,9 @@ verification, optional SVG), ``search`` (seeded local search for large
 arrangements), ``kdist`` (spectra, grids, greedy chains).
 
 Exit codes are a stable contract: 0 all checks pass, 1 a check failed, 2 the
-input could not be parsed or was otherwise invalid.  Every report prints the
-seed and scalar mode it ran under.
+input could not be parsed or was otherwise invalid (``verify`` also exits 2,
+with a one-line ``internal error`` message, when the packing pipeline
+raises).  Every report prints the seed and scalar mode it ran under.
 """
 
 from __future__ import annotations
@@ -80,13 +81,15 @@ def cmd_verify(args) -> int:
     failed = False
 
     violation = find_minkowski_violation(arr)
-    if violation is None:
+    minkowski_ok = violation is None
+    if minkowski_ok:
         print("minkowski-arrangement: PASS")
     else:
         print("minkowski-arrangement: FAIL at pair (%d, %d)" % violation)
         failed = True
     violation = find_intersection_violation(arr)
-    if violation is None:
+    intersecting_ok = violation is None
+    if intersecting_ok:
         print("pairwise-intersecting: PASS")
     else:
         print("pairwise-intersecting: FAIL at pair (%d, %d)" % violation)
@@ -94,7 +97,12 @@ def cmd_verify(args) -> int:
 
     cert_json = None
     if arr.dim == 2 and not failed:
-        cert = lifted_packing_pipeline(arr)
+        try:
+            cert = lifted_packing_pipeline(arr)
+        except Exception as exc:  # a bug, not a failed check: exit 2
+            print("internal error: %s: %s" % (type(exc).__name__, exc),
+                  file=sys.stderr)
+            return 2
         cert_json = certificate_to_json(cert)
         if cert.verdict:
             print("lifted-packing-certificate: PASS  %d <= %d"
@@ -109,9 +117,8 @@ def cmd_verify(args) -> int:
         print("lifted-packing-certificate: SKIP (needs a planar arrangement)")
 
     if args.certificate:
-        payload = {"checks": {"minkowski": find_minkowski_violation(arr) is None,
-                              "intersecting":
-                              find_intersection_violation(arr) is None},
+        payload = {"checks": {"minkowski": minkowski_ok,
+                              "intersecting": intersecting_ok},
                    "seed": args.seed, "mode": args.mode,
                    "certificate": cert_json}
         _dump_json(args.certificate, payload)

@@ -55,6 +55,16 @@ def test_verify_violating_file_exit_1(tmp_path, capsys):
     assert "FAIL at pair (0, 1)" in out
 
 
+def test_verify_internal_error_exit_2(cube_file, capsys, monkeypatch):
+    def broken(arr):
+        raise IndexError("list index out of range")
+    monkeypatch.setattr("minkarr.cli.lifted_packing_pipeline", broken)
+    code, _, err = run(capsys, "verify", cube_file)
+    assert code == 2
+    assert err == "internal error: IndexError: list index out of range\n"
+    assert "Traceback" not in err
+
+
 def test_lift_svg_and_dump(cube_file, capsys, tmp_path):
     svg = tmp_path / "pair.svg"
     dump = tmp_path / "pair.json"

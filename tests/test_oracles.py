@@ -10,7 +10,9 @@ from minkarr import (Arrangement, Homothet, build_frame, cross_ratio, linf_ball,
 from minkarr.instances import (corpus_body, random_intersecting_arrangement,
                                random_minkowski_arrangement)
 from minkarr.linalg import Vector, _rref, cross3, matrix_rank
-from minkarr.polytopes import ConvexPolytope, hull, volume
+from minkarr.packing import family_from_arrangement, lifted_packing_pipeline
+from minkarr.polytopes import (ConvexPolytope, hull, interiors_disjoint,
+                               shrink, volume)
 
 
 def cross_ratio_route(lam_i, lam_j, alpha_j, x):
@@ -217,3 +219,32 @@ def test_volume_against_origin_fan():
         if not isinstance(h, ConvexPolytope):
             continue
         assert volume(h) == origin_fan_volume(h)
+
+
+def test_slab_witness_against_lp_and_copy_volumes():
+    """The disjointness stage accepts a pair by its slab planes and takes
+    every copy volume as vol(P)/27; the shrunken copies, their exact volumes
+    and the LP separation test are the independent route."""
+    rng = random.Random(101)
+    for t in range(12):
+        arr = random_minkowski_arrangement(rng, body=corpus_body(rng, t),
+                                           full_lift=True)
+        family, _ = family_from_arrangement(arr)
+        body_hull = hull(family.points)
+        hull_volume = volume(body_hull)
+        copies = [shrink(body_hull, y, 2) for y in family.points]
+        for c in copies:
+            assert volume(c) == hull_volume / 27
+        accepted = 0
+        for p in family.pairs:
+            gap = p.normal.dot(family.points[p.j]) \
+                - p.normal.dot(family.points[p.i])
+            if abs(p.c_outer_i - p.c_outer_j) <= 2 * abs(gap):
+                accepted += 1
+                assert interiors_disjoint(copies[p.i], copies[p.j])
+        n = len(family.points)
+        assert accepted == n * (n - 1) // 2
+        cert = lifted_packing_pipeline(arr)
+        detail = [s.detail for s in cert.stages if s.name == "disjointness"]
+        assert detail == ["%d pairs checked: %d by slab planes, 0 by LP"
+                          % (accepted, accepted)]

@@ -53,6 +53,31 @@ def test_five_points_cannot_certify_at_lam_1():
     assert cert.offending_pair is not None
 
 
+def test_square_pair_without_slab_falls_back_to_lp():
+    pts = [V(0, 0), V(1, 0), V(0, 1), V(1, 1)]
+    family = antipodal_family(pts)
+    partial = SlabFamily(family.points,
+                         tuple(p for p in family.pairs if (p.i, p.j) != (0, 3)))
+    cert = slab_packing_check(partial, F(1))
+    assert cert.verdict
+    assert cert.disjoint_pairs_checked == 6
+    detail = [s.detail for s in cert.stages if s.name == "disjointness"]
+    assert detail == ["6 pairs checked: 5 by slab planes, 1 by LP"]
+
+
+def test_slab_witness_reads_points_not_inner_offsets():
+    # honest outer planes, inner offsets forged to the outer ones: the
+    # ratio stage passes, but the centre's copy overlaps the corners' copies
+    pts = [V(0, 0), V(1, 0), V(0, 1), V(1, 1), V(F(1, 2), F(1, 2))]
+    forged = tuple(PairSlabs(p.i, p.j, p.normal, p.c_outer_i, p.c_outer_j,
+                             p.c_outer_i, p.c_outer_j)
+                   for p in antipodal_family(pts).pairs)
+    cert = slab_packing_check(SlabFamily(tuple(pts), forged), F(1))
+    assert not cert.verdict
+    assert cert.failed_stage == "disjointness"
+    assert cert.offending_pair == (0, 4)
+
+
 def test_single_point_certificate():
     fam = SlabFamily((V(3, 4),), ())
     cert = slab_packing_check(fam, F(2))
