@@ -219,7 +219,8 @@ def _grid_fraction(rng: random.Random, lo: float, hi: float,
 def _feasible_ratio(body: SymmetricBody, members: List[Homothet],
                     center: Vector, rng: random.Random):
     """A ratio making the new member intersect everyone without breaking the
-    arrangement condition, or None when the center admits no such ratio.
+    arrangement condition, with the gauges gauge(c - v_j) it computed, or
+    None when the center admits no such ratio.
 
     Bounds: lam >= gauge(c - v_j) - lam_j for intersection, lam <= gauge for
     keeping v_j outside the interior, and the center itself must not lie in
@@ -227,15 +228,63 @@ def _feasible_ratio(body: SymmetricBody, members: List[Homothet],
     """
     low = Fraction(1, 8)
     high = None
+    gauges = []
     for h in members:
-        g = Fraction(body.gauge(center - h.center))
+        raw = body.gauge(center - h.center)
+        gauges.append(raw)
+        g = Fraction(raw)
         if g < h.ratio:  # center already interior to an existing member
             return None
         low = max(low, g - h.ratio)
         high = g if high is None else min(high, g)
     if high is None or low > high:
         return None
-    return low + (high - low) * Fraction(rng.randint(0, 8), 8)
+    return low + (high - low) * Fraction(rng.randint(0, 8), 8), gauges
+
+
+def _gauge_matrix(body: SymmetricBody, members: Sequence[Homothet]):
+    """G[i][j] = gauge(v_j - v_i), both orientations, 0 on the diagonal."""
+    return [[body.gauge(hj.center - hi.center) if i != j else 0
+             for j, hj in enumerate(members)]
+            for i, hi in enumerate(members)]
+
+
+def _append_member(gauges: List[List[Scalar]], row: Sequence[Scalar],
+                   col: Sequence[Scalar]) -> None:
+    """Grow G by a last member with row[j] = gauge(v_j - c) and
+    col[j] = gauge(c - v_j)."""
+    for grow, g in zip(gauges, col):
+        grow.append(g)
+    gauges.append(list(row) + [0])
+
+
+def _drop_member(gauges: List[List[Scalar]], k: int) -> None:
+    """Remove member k's row and column from G."""
+    del gauges[k]
+    for grow in gauges:
+        del grow[k]
+
+
+def _member_feasible(row: Sequence[Scalar], col: Sequence[Scalar],
+                     ratios: Sequence[Scalar], idx: int,
+                     ratio: Scalar) -> bool:
+    """Whether member idx with the given ratio keeps every relation with the
+    members j != idx, from cached gauges row[j] = gauge(v_j - v_idx) and
+    col[j] = gauge(v_idx - v_j); idx may be len(ratios), a new last member.
+
+    These are the comparisons the full predicate pass makes for the pairs
+    holding idx, on the same gauge values: neither center is interior to the
+    other member, and the pair meets, where intersection reads the gauge of
+    v_lower - v_higher as ``intersects`` does.
+    """
+    for j, rj in enumerate(ratios):
+        if j == idx:
+            continue
+        if scalars.lt(row[j], ratio) or scalars.lt(col[j], rj):
+            return False
+        if not scalars.le(col[j] if idx < j else row[j], ratio + rj):
+            return False
+    return True
 
 
 def search_arrangement(body: SymmetricBody, dim: int,
@@ -250,6 +299,15 @@ def search_arrangement(body: SymmetricBody, dim: int,
     Candidate moves are generated in a fixed per-iteration order and the
     first feasible one is taken, so a fixed seed fully determines the run.
     Only states passing both predicates are ever accepted.
+
+    The gauges between current members are cached in G[i][j] =
+    gauge(v_j - v_i), both orientations, so a move is checked in O(n) by
+    ``_member_feasible``: an insertion costs the n gauges of
+    ``_feasible_ratio`` plus the n reverse ones, a ratio move none, and a
+    drop removes a row and a column.  The accepted state always satisfies
+    both predicates, so checking the moved member's relations makes the
+    same decisions as a full pass over the candidate.  The warm start and
+    the result are checked by the full predicates.
     """
     if body.dim != dim:
         raise ValueError("body dimension does not match the search dimension")
@@ -261,6 +319,7 @@ def search_arrangement(body: SymmetricBody, dim: int,
         members = [Homothet(zero_vector(dim), Fraction(1))]
     if not _feasible(body, members):
         raise ValueError("warm start is not a valid arrangement")
+    gauges = _gauge_matrix(body, members)
     best = list(members)
     stagnation = 0
 
@@ -270,16 +329,19 @@ def search_arrangement(body: SymmetricBody, dim: int,
               for i in range(dim)]
         hi = [max(float(h.center[i]) for h in members) + 2 * max_ratio
               for i in range(dim)]
+        ratios = [h.ratio for h in members]
         inserted = False
         for _attempt in range(cfg.insert_attempts):
             center = Vector([_grid_fraction(rng, lo[i], hi[i])
                              for i in range(dim)])
-            ratio = _feasible_ratio(body, members, center, rng)
-            if ratio is None:
+            found = _feasible_ratio(body, members, center, rng)
+            if found is None:
                 continue
-            candidate = members + [Homothet(center, ratio)]
-            if _feasible(body, candidate):
-                members = candidate
+            ratio, col = found
+            row = [body.gauge(h.center - center) for h in members]
+            if _member_feasible(row, col, ratios, len(members), ratio):
+                _append_member(gauges, row, col)
+                members.append(Homothet(center, ratio))
                 inserted = True
                 break
         if inserted:
@@ -288,14 +350,15 @@ def search_arrangement(body: SymmetricBody, dim: int,
             idx = rng.randrange(len(members))
             step = cfg.ratio_steps[rng.randrange(len(cfg.ratio_steps))]
             h = members[idx]
-            candidate = list(members)
-            candidate[idx] = Homothet(h.center, h.ratio * step)
-            if _feasible(body, candidate):
-                members = candidate
+            moved = Homothet(h.center, h.ratio * step)
+            if _member_feasible(gauges[idx], [grow[idx] for grow in gauges],
+                                ratios, idx, moved.ratio):
+                members[idx] = moved
             stagnation += 1
             if stagnation >= cfg.stagnation_limit and len(members) > 1:
                 drop = rng.randrange(len(members))
-                members = members[:drop] + members[drop + 1:]
+                del members[drop]
+                _drop_member(gauges, drop)
                 stagnation = 0
         if len(members) > len(best):
             best = list(members)

@@ -5,7 +5,8 @@ lambda >= 0 with x in lambda*K.  Three variants are supported:
 
 * ``HPolytopeBody`` -- intersection of halfspaces a.x <= 1 (facets are stored
   in offset-1 canonical form), central symmetry means the facet list is
-  closed under normal negation;
+  closed under normal negation; with exact facets the gauge of an exact
+  vector is one integer pass (see ``HPolytopeBody.gauge``);
 * ``VPolytopeBody`` -- convex hull of a vertex list closed under negation;
 * ``BallBody`` -- the Euclidean unit ball (floating mode).
 
@@ -16,6 +17,7 @@ threads.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
@@ -90,6 +92,15 @@ class HPolytopeBody(SymmetricBody):
             normals.append(_canonical_facet(normal, offset))
         self.facets: Tuple[Vector, ...] = tuple(normals)
         self._validate()
+        # exact facets as integer rows over one common denominator
+        self._rows = None
+        if self.is_exact():
+            den = math.lcm(*(c.denominator
+                             for a in self.facets for c in a.coords))
+            self._rows = tuple(
+                tuple(c.numerator * (den // c.denominator) for c in a.coords)
+                for a in self.facets)
+            self._den = den
 
     def _validate(self) -> None:
         if not self.facets:
@@ -106,7 +117,21 @@ class HPolytopeBody(SymmetricBody):
         return all(scalars.is_exact(*f.coords) for f in self.facets)
 
     def gauge(self, x: Vector) -> Scalar:
+        """max(0, max_a a.x) over the canonical facets.
+
+        With exact facets and an exact x this is one integer pass: x is
+        scaled by the lcm q of its denominators and dotted with the integer
+        rows, and the top value over D*q (D the rows' common denominator)
+        is the same Fraction the loop below returns (int 0 when no facet is
+        positive).  Any float facet or coordinate takes the loop unchanged.
+        """
         self._check_dim(x)
+        coords = x.coords
+        if self._rows is not None and scalars.is_exact(*coords):
+            q = math.lcm(*(c.denominator for c in coords))
+            p = [c.numerator * (q // c.denominator) for c in coords]
+            top = max(sum(map(operator.mul, row, p)) for row in self._rows)
+            return Fraction(top, self._den * q) if top > 0 else 0
         best: Scalar = 0
         for a in self.facets:
             v = a.dot(x)

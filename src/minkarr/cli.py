@@ -6,9 +6,10 @@ verification, optional SVG), ``search`` (seeded local search for large
 arrangements), ``kdist`` (spectra, grids, greedy chains).
 
 Exit codes are a stable contract: 0 all checks pass, 1 a check failed, 2 the
-input could not be parsed or was otherwise invalid (``verify`` also exits 2,
-with a one-line ``internal error`` message, when the packing pipeline
-raises).  Every report prints the seed and scalar mode it ran under.
+input could not be parsed or was otherwise invalid.  Any other exception
+raised by a subcommand is a bug, not a failed check: it also exits 2, with
+one ``internal error: <Type>: <message>`` line on stderr and no traceback.
+Every report prints the seed and scalar mode it ran under.
 """
 
 from __future__ import annotations
@@ -97,12 +98,7 @@ def cmd_verify(args) -> int:
 
     cert_json = None
     if arr.dim == 2 and not failed:
-        try:
-            cert = lifted_packing_pipeline(arr)
-        except Exception as exc:  # a bug, not a failed check: exit 2
-            print("internal error: %s: %s" % (type(exc).__name__, exc),
-                  file=sys.stderr)
-            return 2
+        cert = lifted_packing_pipeline(arr)
         cert_json = certificate_to_json(cert)
         if cert.verdict:
             print("lifted-packing-certificate: PASS  %d <= %d"
@@ -312,6 +308,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)
+        return 2
+    except Exception as exc:  # a bug, not a failed check: exit 2
+        print("internal error: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
         return 2
 
 

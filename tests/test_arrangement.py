@@ -14,6 +14,8 @@ from minkarr import (Arrangement, ChainPropertyError, Homothet, SearchConfig,
                      is_minkowski_arrangement, is_pairwise_intersecting,
                      linf_ball, l1_ball, partition_classes,
                      search_arrangement)
+from minkarr.arrangement import (_append_member, _drop_member, _gauge_matrix,
+                                 _member_feasible)
 from minkarr.bodies import BallBody
 from minkarr.linalg import Vector
 
@@ -178,6 +180,88 @@ def test_search_deterministic():
     assert arrangement_to_json(a) == arrangement_to_json(b)
     c = search_arrangement(DIAMOND, 2, SearchConfig(seed=5, iterations=60))
     assert len(c) >= 1
+
+
+# three squares with slack: centers (0, 0), (3/2, 0), (0, 3/2), ratio 1
+TRIO = [H((0, 0), 1), H((F(3, 2), 0), 1), H((0, F(3, 2)), 1)]
+
+
+def member_check(members, idx, ratio):
+    """The cached-matrix decision for member idx taking the given ratio."""
+    g = _gauge_matrix(SQUARE, members)
+    return _member_feasible(g[idx], [row[idx] for row in g],
+                            [h.ratio for h in members], idx, ratio)
+
+
+def full_check(members, idx, ratio):
+    moved = list(members)
+    moved[idx] = Homothet(members[idx].center, ratio)
+    arr = Arrangement(SQUARE, tuple(moved))
+    return is_minkowski_arrangement(arr) and is_pairwise_intersecting(arr)
+
+
+def test_member_check_rejects_shrink_breaking_intersection():
+    # gauge(v_1 - v_0) = 3/2 > 1/3 + 1: members 0 and 1 no longer meet
+    assert not member_check(TRIO, 0, F(1, 3))
+    assert not full_check(TRIO, 0, F(1, 3))
+
+
+def test_member_check_rejects_growth_swallowing_center():
+    # member 0 at ratio 2 holds v_1 and v_2 (gauge 3/2) in its interior
+    assert not member_check(TRIO, 0, F(2))
+    assert not full_check(TRIO, 0, F(2))
+
+
+def test_member_check_accepts_harmless_step():
+    for idx in range(3):
+        for ratio in (F(3, 4), F(6, 5), F(3, 2), F(1, 2)):
+            assert member_check(TRIO, idx, ratio)
+            assert full_check(TRIO, idx, ratio)
+
+
+def test_member_check_new_member_both_directions():
+    ratios = [h.ratio for h in TRIO]
+    cases = (((F(1, 2), F(1, 2)), F(1, 4), False),  # inside member 0
+             ((F(3, 2), F(3, 2)), F(2), False),     # holds v_1 and v_2
+             ((F(3, 2), F(3, 2)), F(1), True))
+    for center, ratio, ok in cases:
+        c = Vector(center)
+        row = [SQUARE.gauge(h.center - c) for h in TRIO]
+        col = [SQUARE.gauge(c - h.center) for h in TRIO]
+        assert _member_feasible(row, col, ratios, 3, ratio) is ok
+        arr = Arrangement(SQUARE, tuple(TRIO) + (Homothet(c, ratio),))
+        assert (is_minkowski_arrangement(arr)
+                and is_pairwise_intersecting(arr)) is ok
+
+
+def test_member_check_reads_intersection_as_the_predicate_does():
+    # intersects() reads gauge(v_lower - v_higher); here only that
+    # orientation meets: col[1] = gauge(v_0 - v_1) = 2, row[1] = 3
+    assert _member_feasible([0, 3], [0, 2], [F(1), F(1)], 0, F(1))
+    assert _member_feasible([2, 0], [3, 0], [F(1), F(1)], 1, F(1))
+    assert not _member_feasible([0, 2], [0, 3], [F(1), F(1)], 0, F(1))
+
+
+class Skewed:
+    """Gauge of the square [-1, 1/2]^2: gauge(x) != gauge(-x)."""
+    dim = 2
+
+    def gauge(self, x):
+        return max(max(2 * c, -c) for c in x.coords)
+
+
+def test_gauge_matrix_drop_and_append_match_recompute():
+    body = Skewed()
+    members = TRIO + [H((F(-1, 4), F(5, 3)), F(1, 2))]
+    for drop in range(len(members)):
+        g = _gauge_matrix(body, members)
+        _drop_member(g, drop)
+        assert g == _gauge_matrix(body, members[:drop] + members[drop + 1:])
+    g = _gauge_matrix(body, members[:3])
+    c = members[3].center
+    _append_member(g, [body.gauge(h.center - c) for h in members[:3]],
+                   [body.gauge(c - h.center) for h in members[:3]])
+    assert g == _gauge_matrix(body, members)
 
 
 def test_arrangement_json_roundtrip():

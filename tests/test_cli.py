@@ -122,6 +122,19 @@ def test_search_with_warm_start(tmp_path, capsys, cube_file):
     assert size >= 9
 
 
+def test_search_internal_error_exit_2(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("search produced an invalid arrangement")
+    monkeypatch.setattr("minkarr.cli.search_arrangement", broken)
+    body_file = tmp_path / "body.json"
+    body_file.write_text(json.dumps(body_to_json(linf_ball(2))))
+    code, _, err = run(capsys, "search", str(body_file), "--iters", "5")
+    assert code == 2
+    assert err == ("internal error: AssertionError: "
+                   "search produced an invalid arrangement\n")
+    assert "Traceback" not in err
+
+
 def test_kdist_grid_spectrum_chain(tmp_path, capsys):
     pts_file = tmp_path / "grid.json"
     code, out, _ = run(capsys, "kdist", "grid", "--d", "2", "--k", "3",

@@ -5,11 +5,15 @@ import math
 import random
 from fractions import Fraction as F
 
-from minkarr import (Arrangement, Homothet, build_frame, cross_ratio, linf_ball,
-                     ratio, shadow, shadow_with_x, slab_pair)
+from minkarr import (Arrangement, BallBody, Homothet, SearchConfig,
+                     arrangement_to_json, body_from_json, build_frame,
+                     cross_ratio, cube_arrangement, l1_ball, linf_ball, ratio,
+                     search_arrangement, shadow, shadow_with_x, slab_pair)
+from minkarr.arrangement import _feasible, _feasible_ratio, _grid_fraction
 from minkarr.instances import (corpus_body, random_intersecting_arrangement,
-                               random_minkowski_arrangement)
-from minkarr.linalg import Vector, _rref, cross3, matrix_rank
+                               random_minkowski_arrangement,
+                               random_symmetric_hexagon)
+from minkarr.linalg import Vector, _rref, cross3, matrix_rank, zero_vector
 from minkarr.packing import family_from_arrangement, lifted_packing_pipeline
 from minkarr.polytopes import (ConvexPolytope, hull, interiors_disjoint,
                                shrink, volume)
@@ -248,3 +252,115 @@ def test_slab_witness_against_lp_and_copy_volumes():
         detail = [s.detail for s in cert.stages if s.name == "disjointness"]
         assert detail == ["%d pairs checked: %d by slab planes, 0 by LP"
                           % (accepted, accepted)]
+
+
+def loop_gauge(body, x):
+    """The facet loop: max(0, max_a a.x), the int 0 when no facet is
+    positive."""
+    top = max(a.dot(x) for a in body.facets)
+    return top if top > 0 else 0
+
+
+def test_integer_gauge_kernel_against_facet_loop():
+    rng = random.Random(404)
+    bodies = [linf_ball(2), l1_ball(2), linf_ball(3), l1_ball(3)]
+    for _ in range(6):
+        hexa = random_symmetric_hexagon(rng)
+        bodies.append(hexa._hform)
+    assert any(body._den > 1 for body in bodies), "no non-integer facets"
+    for body in bodies:
+        d = body.dim
+        vectors = [zero_vector(d)]
+        for _ in range(40):
+            vectors.append(Vector(rng.randint(-9, 9) for _ in range(d)))
+            vectors.append(Vector(F(rng.randint(-30, 30), rng.randint(1, 12))
+                                  for _ in range(d)))
+            vectors.append(Vector([rng.randint(-5, 5)] + [
+                F(rng.randint(-30, 30), rng.choice((3, 7, 16)))
+                for _ in range(d - 1)]))
+        for x in vectors + [-v for v in vectors]:
+            got, want = body.gauge(x), loop_gauge(body, x)
+            assert got == want and type(got) is type(want), (body, x)
+    assert type(linf_ball(2).gauge(zero_vector(2))) is int
+
+
+def full_pass_search(body, dim, config, warm_start=None):
+    """Search with every candidate checked by the full predicate pass: the
+    route the cached gauge matrix replaced, with the same moves and rng
+    stream."""
+    rng = random.Random(config.seed)
+    members = list(warm_start.members) if warm_start is not None \
+        else [Homothet(zero_vector(dim), F(1))]
+    assert _feasible(body, members)
+    best = list(members)
+    stagnation = 0
+    for _ in range(config.iterations):
+        max_ratio = max(float(h.ratio) for h in members)
+        lo = [min(float(h.center[i]) for h in members) - 2 * max_ratio
+              for i in range(dim)]
+        hi = [max(float(h.center[i]) for h in members) + 2 * max_ratio
+              for i in range(dim)]
+        inserted = False
+        for _attempt in range(config.insert_attempts):
+            center = Vector([_grid_fraction(rng, lo[i], hi[i])
+                             for i in range(dim)])
+            found = _feasible_ratio(body, members, center, rng)
+            if found is None:
+                continue
+            candidate = members + [Homothet(center, found[0])]
+            if _feasible(body, candidate):
+                members = candidate
+                inserted = True
+                break
+        if inserted:
+            stagnation = 0
+        else:
+            idx = rng.randrange(len(members))
+            step = config.ratio_steps[rng.randrange(len(config.ratio_steps))]
+            h = members[idx]
+            candidate = list(members)
+            candidate[idx] = Homothet(h.center, h.ratio * step)
+            if _feasible(body, candidate):
+                members = candidate
+            stagnation += 1
+            if stagnation >= config.stagnation_limit and len(members) > 1:
+                drop = rng.randrange(len(members))
+                members = members[:drop] + members[drop + 1:]
+                stagnation = 0
+        if len(members) > len(best):
+            best = list(members)
+    return Arrangement(body, tuple(best))
+
+
+class SkewGauge:
+    """Test double: the gauge of the square [-1, 1/2]^2, so gauge(x) and
+    gauge(-x) differ and every orientation the search reads is visible."""
+
+    dim = 2
+
+    def gauge(self, x):
+        return max(max(2 * c, -c) for c in x.coords)
+
+    def to_json(self):
+        return {"dim": 2, "type": "skew"}
+
+
+def test_search_against_full_pass():
+    rng = random.Random(77)
+    float_body = body_from_json({"dim": 2, "type": "hpoly", "facets": [
+        {"normal": [1.0, 0.25], "offset": 1.5},
+        {"normal": [-1.0, -0.25], "offset": 1.5},
+        {"normal": [0.1, 1.0], "offset": 1.0},
+        {"normal": [-0.1, -1.0], "offset": 1.0}]})
+    assert not float_body.is_exact()
+    cases = [(linf_ball(2), None), (l1_ball(2), None), (linf_ball(3), None),
+             (linf_ball(2), cube_arrangement(2)), (BallBody(2), None),
+             (float_body, None), (SkewGauge(), None)]
+    cases += [(random_symmetric_hexagon(rng), None) for _ in range(3)]
+    for body, warm in cases:
+        for seed in range(3):
+            cfg = SearchConfig(seed=seed, iterations=60, stagnation_limit=6)
+            got = search_arrangement(body, body.dim, cfg, warm_start=warm)
+            want = full_pass_search(body, body.dim, cfg, warm_start=warm)
+            assert arrangement_to_json(got) == arrangement_to_json(want), \
+                (body, seed)
