@@ -31,11 +31,10 @@ from .lifting import (DegenerateWedgeError, LiftedConfig, ProjectionFrame,
                       slab_pair, trapezoid_combine, unlift,
                       verify_ratio_identity, verify_slab)
 from .linalg import Vector
-from .packing import (PackingCertificate, PairSlabs, SlabFamily,
-                      certificate_to_json, family_from_arrangement,
-                      lifted_packing_pipeline, slab_packing_check)
-from .polytopes import (ConvexPolytope, LowerDimensional, hull,
-                        interiors_disjoint, shrink, volume)
+from .packing import (PackingCertificate, SlabFamily, certificate_to_json,
+                      family_from_arrangement, lifted_packing_pipeline,
+                      slab_packing_check)
+from .polytopes import ConvexPolytope, LowerDimensional, hull, volume
 from .scalars import (Scalar, format_scalar, parse_scalar, set_tolerance,
                       tolerance)
 

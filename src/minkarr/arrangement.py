@@ -230,9 +230,8 @@ def _feasible_ratio(body: SymmetricBody, members: List[Homothet],
     high = None
     gauges = []
     for h in members:
-        raw = body.gauge(center - h.center)
-        gauges.append(raw)
-        g = Fraction(raw)
+        g = body.gauge(center - h.center)
+        gauges.append(g)
         if g < h.ratio:  # center already interior to an existing member
             return None
         low = max(low, g - h.ratio)

@@ -87,14 +87,13 @@ def build_frame(arr: Arrangement, i: int, j: int) -> ProjectionFrame:
     return ProjectionFrame(i, j, r_vec, f_normal, f_offset)
 
 
-def shadow(arr: Arrangement, frame: ProjectionFrame,
-           x_coord: Optional[Scalar] = None) -> ShadowData:
+def shadow(arr: Arrangement, frame: ProjectionFrame) -> ShadowData:
     """Project every member onto the frame's line, in r-units.
 
     The shadow of v_k + lam_k K is exactly [alpha_k - lam_k, alpha_k + lam_k]
     because K lies between the supporting hyperplanes at r and -r and both
-    endpoints are attained.  The common point defaults to the midpoint of the
-    interval intersection; any point of the intersection may be supplied.
+    endpoints are attained.  The common point is the midpoint of the interval
+    intersection; shadow_with_x moves it to any other point of it.
     """
     vi = arr.members[frame.i].center
     denom = frame.f_normal.dot(frame.r_vec)
@@ -110,10 +109,7 @@ def shadow(arr: Arrangement, frame: ProjectionFrame,
     hi = intervals[hi_idx][1]
     if scalars.gt(lo, hi):
         raise ShadowIntersectionError((lo_idx, hi_idx))
-    if x_coord is None:
-        x_coord = div(lo + hi, 2)
-    elif scalars.lt(x_coord, lo) or scalars.gt(x_coord, hi):
-        raise ValueError("x_coord lies outside the interval intersection")
+    x_coord = div(lo + hi, 2)
     u_i = x_coord - alphas[frame.i]
     u_j = alphas[frame.j] - x_coord
     return ShadowData(frame.i, frame.j, tuple(alphas), tuple(intervals),
@@ -199,8 +195,6 @@ class SlabPair:
     c_k_ji: Scalar      # outer plane from the wedge plane at the j side
     c_g_ij: Scalar      # inner plane through y_i
     c_g_ji: Scalar      # inner plane through y_j
-    s_i: Vector         # line(y_i, y_j) meets the k_ij plane
-    s_j: Vector         # line(y_i, y_j) meets the k_ji plane
 
 
 def slab_pair(arr: Arrangement, frame: ProjectionFrame,
@@ -229,17 +223,10 @@ def slab_pair(arr: Arrangement, frame: ProjectionFrame,
         c_k_ij, c_k_ji = -c_k_ij, -c_k_ji
         c_g_ij, c_g_ji = -c_g_ij, -c_g_ji
 
-    direction = c_g_ji - c_g_ij
-    if scalars.eq(direction, 0):
+    if scalars.eq(c_g_ji - c_g_ij, 0):
         raise DegenerateWedgeError("projected pair lies on one hyperplane; "
                                    "the inner planes coincide")
-    t_i = div(c_k_ij - c_g_ij, direction)
-    t_j = div(c_k_ji - c_g_ij, direction)
-    step = y_j - y_i
-    s_i = y_i + step * t_i
-    s_j = y_i + step * t_j
-    return SlabPair(frame.i, frame.j, normal, c_k_ij, c_k_ji,
-                    c_g_ij, c_g_ji, s_i, s_j)
+    return SlabPair(frame.i, frame.j, normal, c_k_ij, c_k_ji, c_g_ij, c_g_ji)
 
 
 def slab_offender(points: Sequence[Vector], normal: Vector,
@@ -279,7 +266,8 @@ def verify_ratio_identity(slab: SlabPair, y_i: Vector, y_j: Vector,
     """Both equalities of the width-ratio identity, against |expected|.
 
     Route one compares the offset gaps of the outer and inner planes; route
-    two compares the squared Euclidean lengths of s_i - s_j and y_i - y_j.
+    two compares the squared Euclidean lengths of s_i - s_j and y_i - y_j,
+    where line(y_i, y_j) meets the outer planes k_ij and k_ji at s_i and s_j.
     Distances are nonnegative, so a signed expected value is checked through
     its absolute value.  Exact in rational mode, relative 1e-9 otherwise.
     """
@@ -293,7 +281,11 @@ def verify_ratio_identity(slab: SlabPair, y_i: Vector, y_j: Vector,
     route_offsets = abs(div(gap_k, gap_g))
     if not scalars.eq_rel(route_offsets, expected):
         return False
-    s_sq = (slab.s_i - slab.s_j).norm_sq()
+    direction = slab.c_g_ji - slab.c_g_ij
+    step = y_j - y_i
+    s_i = y_i + step * div(slab.c_k_ij - slab.c_g_ij, direction)
+    s_j = y_i + step * div(slab.c_k_ji - slab.c_g_ij, direction)
+    s_sq = (s_i - s_j).norm_sq()
     y_sq = (y_i - y_j).norm_sq()
     if scalars.sign(y_sq) == 0:
         raise ValueError("lifted points coincide")
@@ -363,12 +355,11 @@ def check_central_overlap_ratio(sd: ShadowData, lam_i: Scalar,
     return scalars.le(value, 2)
 
 
-def pair_diagnostics(arr: Arrangement, i: int, j: int,
-                     x_coord: Optional[Scalar] = None) -> dict:
+def pair_diagnostics(arr: Arrangement, i: int, j: int) -> dict:
     """JSON-ready dump of the whole per-pair construction."""
     from .scalars import format_scalar
     frame = build_frame(arr, i, j)
-    sd = shadow(arr, frame, x_coord)
+    sd = shadow(arr, frame)
     lam_i = arr.members[i].ratio
     lam_j = arr.members[j].ratio
     rho = ratio(lam_i, lam_j, sd.u_i, sd.u_j)

@@ -21,12 +21,12 @@ lower-dimensional bound (certificates record this as the induction branch).
 Disjointness of the shrunken copies uses the witness the argument names: the
 copy toward y projects along a pair's normal N onto
 [N.y + (lo - N.y)/(1+lam), N.y + (hi - N.y)/(1+lam)], so the copies toward
-y_a and y_b meet at most in a plane N.z = t whenever
-hi - lo <= lam |N.y_b - N.y_a|.  N.y is read from the points, never from the
-family's inner offsets.  A pair with no slab in the family, or whose slab
-fails that test, falls back to an exact LP on the two copies, which are built
-only then.  Every copy's volume is vol(P)/(1+lam)^m by construction, so the
-hull volume is the only one computed.
+y_a and y_b meet at most in a plane N.z = t exactly when the width ratio
+|hi - lo| / |N.y_b - N.y_a| is at most lam.  The slab_ratio stage tests that
+once per pair, reading N.y from the points, never from the family's inner
+offsets; the disjointness stage only requires every pair to have a slab.
+Every copy's volume is vol(P)/(1+lam)^m by construction, so the hull volume
+is the only one computed.
 """
 
 from __future__ import annotations
@@ -39,31 +39,19 @@ from . import scalars
 from .arrangement import (Arrangement, arrangement_size_bound,
                           find_intersection_violation,
                           find_minkowski_violation)
-from .lifting import (DegenerateWedgeError, build_frame, lift, ratio, shadow,
-                      slab_offender, slab_pair)
+from .lifting import (DegenerateWedgeError, SlabPair, build_frame, lift,
+                      ratio, shadow, slab_offender, slab_pair)
 from .linalg import Vector, affine_coordinates
-from .polytopes import (ConvexPolytope, hull, interiors_disjoint, shrink,
-                        volume)
+from .polytopes import ConvexPolytope, hull, volume
 from .scalars import Scalar, div, format_scalar
 
 
 @dataclass(frozen=True)
-class PairSlabs:
-    """Slab data of one unordered pair: a shared normal, the two outer plane
-    offsets and the two inner offsets (planes through the pair's points)."""
-    i: int
-    j: int
-    normal: Vector
-    c_outer_i: Scalar
-    c_outer_j: Scalar
-    c_inner_i: Scalar
-    c_inner_j: Scalar
-
-
-@dataclass(frozen=True)
 class SlabFamily:
+    """Points plus slab planes for pairs of them; the packing check reads a
+    pair's normal and outer offsets and takes N.y from the points."""
     points: Tuple[Vector, ...]
-    pairs: Tuple[PairSlabs, ...]
+    pairs: Tuple[SlabPair, ...]
 
     def __post_init__(self):
         n = len(self.points)
@@ -123,9 +111,10 @@ def slab_packing_check(family: SlabFamily, lam: Scalar) -> PackingCertificate:
     points, exact hull (with affine-hull reduction when the points are
     degenerate), shrunken copies, pairwise interior-disjointness, volume
     additivity, and the cardinality bound.  The certificate stops at the
-    first failing stage and records the offending pair.  The disjointness
-    detail counts the pairs decided by their slab planes and by the LP
-    fallback (see the module docstring).
+    first failing stage and records the offending pair.  The width ratio is
+    the one per-pair test: a ratio at most lam says that the pair's slab
+    planes separate its two copies (module docstring), so the disjointness
+    stage fails only a pair with no slab in the family.
     """
     n = len(family.points)
     ambient = family.points[0].dim if n else 0
@@ -134,10 +123,11 @@ def slab_packing_check(family: SlabFamily, lam: Scalar) -> PackingCertificate:
         raise ValueError("the packing hypothesis needs lam >= 1")
     cert.bound = None
 
-    # stage: width ratios (the per-pair hypothesis)
+    # stage: width ratios (the per-pair hypothesis and separation witness)
     for p in family.pairs:
-        gap_outer = p.c_outer_i - p.c_outer_j
-        gap_inner = p.c_inner_i - p.c_inner_j
+        gap_outer = p.c_k_ij - p.c_k_ji
+        gap_inner = p.normal.dot(family.points[p.i]) \
+            - p.normal.dot(family.points[p.j])
         if scalars.sign(gap_outer) == 0:
             return cert._fail("slab_ratio",
                               "outer planes of pair (%d, %d) coincide"
@@ -156,7 +146,7 @@ def slab_packing_check(family: SlabFamily, lam: Scalar) -> PackingCertificate:
 
     # stage: every point inside every outer slab
     for p in family.pairs:
-        k = slab_offender(family.points, p.normal, p.c_outer_i, p.c_outer_j)
+        k = slab_offender(family.points, p.normal, p.c_k_ij, p.c_k_ji)
         if k is not None:
             return cert._fail("slab_containment",
                               "point %d escapes the slab of pair (%d, %d)"
@@ -183,40 +173,24 @@ def slab_packing_check(family: SlabFamily, lam: Scalar) -> PackingCertificate:
     if adim > 3:
         raise ValueError("exact volumes are implemented for affine dimension "
                          "<= 3 (got %d)" % adim)
-    points = list(family.points)
     if cert.induction_branch:
-        points = coords
-        body_hull = hull(points)
+        body_hull = hull(coords)
     if not isinstance(body_hull, ConvexPolytope):  # excluded by the reduction
         raise AssertionError("affine reduction left a degenerate hull")
     cert._ok("hull", "affine dimension %d, %d hull vertices"
              % (adim, len(body_hull.vertices)))
     cert._ok("shrink", "%d homothetic copies at ratio 1/(1+%s)" % (n, lam))
 
-    # pairs whose own slab separates their copies (module docstring)
-    by_slab = set()
-    for p in family.pairs:
-        normal = p.normal
-        gap = normal.dot(family.points[p.j]) - normal.dot(family.points[p.i])
-        if scalars.le(abs(p.c_outer_i - p.c_outer_j), lam * abs(gap)):
-            by_slab.add((min(p.i, p.j), max(p.i, p.j)))
-    copies = {}
-
-    def copy(k: int) -> ConvexPolytope:
-        if k not in copies:
-            copies[k] = shrink(body_hull, points[k], lam)
-        return copies[k]
-
+    # every pair's copies are separated by its slab planes (slab_ratio stage)
+    slabbed = {(min(p.i, p.j), max(p.i, p.j)) for p in family.pairs}
     for a in range(n):
         for b in range(a + 1, n):
             cert.disjoint_pairs_checked += 1
-            if (a, b) not in by_slab and \
-                    not interiors_disjoint(copy(a), copy(b)):
+            if (a, b) not in slabbed:
                 return cert._fail("disjointness",
-                                  "copies %d and %d overlap" % (a, b), (a, b))
-    checked = cert.disjoint_pairs_checked
-    cert._ok("disjointness", "%d pairs checked: %d by slab planes, %d by LP"
-             % (checked, len(by_slab), checked - len(by_slab)))
+                                  "pair (%d, %d) has no slab" % (a, b), (a, b))
+    cert._ok("disjointness", "%d pairs separated by their slab planes"
+             % cert.disjoint_pairs_checked)
 
     cert.hull_volume = volume(body_hull)
     cert.copy_volumes = [div(cert.hull_volume, (1 + lam) ** adim)] * n
@@ -251,9 +225,7 @@ def family_from_arrangement(arr: Arrangement) -> Tuple[SlabFamily,
         for j in range(i + 1, n):
             frame = build_frame(arr, i, j)
             sd = shadow(arr, frame)
-            slab = slab_pair(arr, frame, sd)
-            pairs.append(PairSlabs(i, j, slab.normal, slab.c_k_ij,
-                                   slab.c_k_ji, slab.c_g_ij, slab.c_g_ji))
+            pairs.append(slab_pair(arr, frame, sd))
             ratios.append((i, j, ratio(arr.members[i].ratio,
                                        arr.members[j].ratio,
                                        sd.u_i, sd.u_j)))

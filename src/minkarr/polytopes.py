@@ -1,4 +1,4 @@
-"""Exact convex hulls, volumes and homothetic copies in dimension <= 3.
+"""Exact convex hulls and volumes in dimension <= 3.
 
 Hulls are computed with exact orientation predicates (rational inputs stay
 rational throughout).  Degenerate inputs are reported through
@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple, Union
 
-from . import lp, scalars
+from . import scalars
 from .linalg import Vector, affine_coordinates, cross3
 from .scalars import Scalar, div
 
@@ -30,10 +30,6 @@ class ConvexPolytope:
     dim: int
     vertices: Tuple[Vector, ...]
     facets: Tuple[Tuple[Vector, Scalar], ...]
-
-    def contains(self, p: Vector, strict: bool = False) -> bool:
-        cmp = scalars.lt if strict else scalars.le
-        return all(cmp(a.dot(p), c) for a, c in self.facets)
 
 
 def _dedupe(points: Sequence[Vector]) -> List[Vector]:
@@ -239,62 +235,3 @@ def _volume_3d(poly: ConvexPolytope) -> Scalar:
                 .dot(center - ring[0])
             total = total + abs(det)
     return div(total, 6)
-
-
-def shrink(poly: ConvexPolytope, x: Vector, lam: Scalar) -> ConvexPolytope:
-    """The homothetic copy x + (P - x)/(1 + lam), kept in facet+vertex form.
-
-    Requires lam >= 1 (the packing hypothesis) and x in P; containment of the
-    copy in P is re-verified on the way out.
-    """
-    if scalars.lt(lam, 1):
-        raise ValueError("shrink needs lam >= 1")
-    if not poly.contains(x):
-        raise ValueError("homothety center lies outside the polytope")
-    rho = div(1, 1 + lam)
-    verts = tuple(x + (v - x) * rho for v in poly.vertices)
-    facets = tuple((a, rho * c + (1 - rho) * a.dot(x)) for a, c in poly.facets)
-    copy = ConvexPolytope(poly.dim, verts, facets)
-    for v in copy.vertices:
-        if not poly.contains(v):
-            raise AssertionError("shrunken copy escaped the hull")
-    return copy
-
-
-def interiors_disjoint(p1: ConvexPolytope, p2: ConvexPolytope) -> bool:
-    """Exact separation test: do the two polytopes share no interior point?
-
-    Maximizes the common slack t over points satisfying every facet of both
-    with margin t; the interiors intersect exactly when the optimum is
-    positive.  Homothetic copies share facet normals, in which case the two
-    constraint sets collapse into one with componentwise-minimal offsets.
-    """
-    same_normals = len(p1.facets) == len(p2.facets) and \
-        all(a1 is a2 for (a1, _), (a2, _) in zip(p1.facets, p2.facets))
-    if same_normals:
-        normals = [a for a, _ in p1.facets]
-        offs = [c1 if scalars.le(c1, c2) else c2
-                for (_, c1), (_, c2) in zip(p1.facets, p2.facets)]
-    else:
-        normals = [a for a, _ in p1.facets] + [a for a, _ in p2.facets]
-        offs = [c for _, c in p1.facets] + [c for _, c in p2.facets]
-    return not _open_hpoly_nonempty(normals, offs, p1.vertices)
-
-
-def _open_hpoly_nonempty(normals: Sequence[Vector], offs: Sequence[Scalar],
-                         hint_points: Sequence[Vector]) -> bool:
-    """Is {z : a.z < c for all rows} nonempty?  Margin LP, exact."""
-    x0 = hint_points[0]
-    for v in hint_points[1:]:
-        x0 = x0 + v
-    x0 = x0 / len(hint_points)
-    slacks = [c - a.dot(x0) for a, c in zip(normals, offs)]
-    t0 = min(slacks)
-    # shift to (x0, t0) so the simplex can start at the origin
-    n = x0.dim
-    lp_rows = [list(a.coords) + [1] for a in normals]
-    lp_rhs = [s - t0 for s in slacks]
-    obj = [0] * n + [1]
-    value, _ = lp.simplex_max(obj, lp_rows, lp_rhs)
-    t_star = t0 + value
-    return scalars.gt(t_star, 0)

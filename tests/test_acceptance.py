@@ -25,8 +25,9 @@ from minkarr.cli import main as cli_main
 from minkarr.instances import (corpus_body, random_intersecting_arrangement,
                                random_minkowski_arrangement)
 from minkarr.kdistance import _chain_bound_floor_at
+from minkarr.lifting import SlabPair
 from minkarr.linalg import Vector
-from minkarr.packing import PairSlabs, SlabFamily, slab_packing_check
+from minkarr.packing import SlabFamily, slab_packing_check
 
 
 def _report(num, text):
@@ -153,9 +154,9 @@ def _width_family(points):
         for j in range(i + 1, n):
             normal = points[j] - points[i]
             values = [normal.dot(p) for p in points]
-            pairs.append(PairSlabs(i, j, normal, min(values), max(values),
-                                   normal.dot(points[i]),
-                                   normal.dot(points[j])))
+            pairs.append(SlabPair(i, j, normal, min(values), max(values),
+                                  normal.dot(points[i]),
+                                  normal.dot(points[j])))
     return SlabFamily(tuple(points), tuple(pairs))
 
 

@@ -182,6 +182,18 @@ def test_search_deterministic():
     assert len(c) >= 1
 
 
+def test_search_ball_ratios_are_short_floats():
+    # the ball's float gauges bound the drawn ratio as computed; turning them
+    # into Fractions first wrote ratios like 660509949703278461/2^57
+    arr = search_arrangement(BallBody(2), 2, SearchConfig(
+        seed=0, iterations=150, stagnation_limit=10))
+    assert len(arr) > 1
+    assert is_minkowski_arrangement(arr) and is_pairwise_intersecting(arr)
+    ratios = [h["ratio"] for h in arrangement_to_json(arr)["homothets"]]
+    assert any(isinstance(r, float) for r in ratios)
+    assert all(isinstance(r, float) or F(r).denominator <= 64 for r in ratios)
+
+
 # three squares with slack: centers (0, 0), (3/2, 0), (0, 3/2), ratio 1
 TRIO = [H((0, 0), 1), H((F(3, 2), 0), 1), H((0, F(3, 2)), 1)]
 

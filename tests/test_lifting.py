@@ -143,7 +143,6 @@ def test_slab_touching_line_full_construction():
     rho = ratio(F(1), F(1), sd.u_i, sd.u_j)
     assert rho == 1
     assert verify_ratio_identity(sp, y1, y2, rho)
-    assert sp.s_i == y1 and sp.s_j == y2
 
 
 def test_slab_symmetric_pair():

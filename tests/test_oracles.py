@@ -5,6 +5,8 @@ import math
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from minkarr import (Arrangement, BallBody, Homothet, SearchConfig,
                      arrangement_to_json, body_from_json, build_frame,
                      cross_ratio, cube_arrangement, l1_ball, linf_ball, ratio,
@@ -14,9 +16,9 @@ from minkarr.instances import (corpus_body, random_intersecting_arrangement,
                                random_minkowski_arrangement,
                                random_symmetric_hexagon)
 from minkarr.linalg import Vector, _rref, cross3, matrix_rank, zero_vector
+from minkarr import lp, scalars
 from minkarr.packing import family_from_arrangement, lifted_packing_pipeline
-from minkarr.polytopes import (ConvexPolytope, hull, interiors_disjoint,
-                               shrink, volume)
+from minkarr.polytopes import ConvexPolytope, hull, volume
 
 
 def cross_ratio_route(lam_i, lam_j, alpha_j, x):
@@ -225,10 +227,116 @@ def test_volume_against_origin_fan():
         assert volume(h) == origin_fan_volume(h)
 
 
+def contains(poly: ConvexPolytope, p: Vector) -> bool:
+    return all(scalars.le(a.dot(p), c) for a, c in poly.facets)
+
+
+def shrink(poly: ConvexPolytope, x: Vector, lam) -> ConvexPolytope:
+    """The homothetic copy x + (P - x)/(1 + lam), kept in facet+vertex form.
+
+    Requires lam >= 1 (the packing hypothesis) and x in P; containment of the
+    copy in P is re-verified on the way out.
+    """
+    if scalars.lt(lam, 1):
+        raise ValueError("shrink needs lam >= 1")
+    if not contains(poly, x):
+        raise ValueError("homothety center lies outside the polytope")
+    rho = scalars.div(1, 1 + lam)
+    verts = tuple(x + (v - x) * rho for v in poly.vertices)
+    facets = tuple((a, rho * c + (1 - rho) * a.dot(x)) for a, c in poly.facets)
+    copy = ConvexPolytope(poly.dim, verts, facets)
+    for v in copy.vertices:
+        if not contains(poly, v):
+            raise AssertionError("shrunken copy escaped the hull")
+    return copy
+
+
+def interiors_disjoint(p1: ConvexPolytope, p2: ConvexPolytope) -> bool:
+    """Exact separation test: do the two polytopes share no interior point?
+
+    Maximizes the common slack t over points satisfying every facet of both
+    with margin t; the interiors intersect exactly when the optimum is
+    positive.  Homothetic copies share facet normals, in which case the two
+    constraint sets collapse into one with componentwise-minimal offsets.
+    """
+    same_normals = len(p1.facets) == len(p2.facets) and \
+        all(a1 is a2 for (a1, _), (a2, _) in zip(p1.facets, p2.facets))
+    if same_normals:
+        normals = [a for a, _ in p1.facets]
+        offs = [c1 if scalars.le(c1, c2) else c2
+                for (_, c1), (_, c2) in zip(p1.facets, p2.facets)]
+    else:
+        normals = [a for a, _ in p1.facets] + [a for a, _ in p2.facets]
+        offs = [c for _, c in p1.facets] + [c for _, c in p2.facets]
+    return not open_hpoly_nonempty(normals, offs, p1.vertices)
+
+
+def open_hpoly_nonempty(normals, offs, hint_points) -> bool:
+    """Is {z : a.z < c for all rows} nonempty?  Margin LP, exact."""
+    x0 = hint_points[0]
+    for v in hint_points[1:]:
+        x0 = x0 + v
+    x0 = x0 / len(hint_points)
+    slacks = [c - a.dot(x0) for a, c in zip(normals, offs)]
+    t0 = min(slacks)
+    # shift to (x0, t0) so the simplex can start at the origin
+    n = x0.dim
+    lp_rows = [list(a.coords) + [1] for a in normals]
+    lp_rhs = [s - t0 for s in slacks]
+    obj = [0] * n + [1]
+    value, _ = lp.simplex_max(obj, lp_rows, lp_rhs)
+    return scalars.gt(t0 + value, 0)
+
+
+def V(*coords):
+    return Vector([F(c) for c in coords])
+
+
+def square(a, b):
+    """Axis box [a,b]^2 as a hull."""
+    return hull([V(a, a), V(a, b), V(b, a), V(b, b)])
+
+
+def test_shrink_examples():
+    h = square(0, 2)
+    copy = shrink(h, V(0, 0), F(1))
+    assert volume(copy) == 1  # [0,1]^2
+    assert all(contains(h, v) for v in copy.vertices)
+    assert any(v == V(0, 0) for v in copy.vertices)  # shares the center vertex
+    assert volume(copy) == volume(h) / (1 + 1) ** 2
+
+
+def test_shrink_validates_inputs():
+    h = square(0, 1)
+    with pytest.raises(ValueError):
+        shrink(h, V(5, 5), F(1))
+    with pytest.raises(ValueError):
+        shrink(h, V(0, 0), F(1, 2))
+
+
+def test_interiors_disjoint_examples():
+    a = square(0, 1)
+    b = square(1, 2)
+    assert interiors_disjoint(a, b)       # shared edge only
+    c = square(0, 2)
+    d = hull([V(1, 1), V(1, 3), V(3, 1), V(3, 3)])
+    assert not interiors_disjoint(c, d)
+
+
+def test_interiors_disjoint_3d():
+    a = hull([V(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+    b = hull([V(x, y, z) for x in (1, 2) for y in (0, 1) for z in (0, 1)])
+    assert interiors_disjoint(a, b)
+    c = hull([V(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+    d = shrink(c, V(1, 1, 1), F(1))
+    assert not interiors_disjoint(c, d)
+
+
 def test_slab_witness_against_lp_and_copy_volumes():
-    """The disjointness stage accepts a pair by its slab planes and takes
-    every copy volume as vol(P)/27; the shrunken copies, their exact volumes
-    and the LP separation test are the independent route."""
+    """The slab_ratio stage accepts a pair when its slab planes separate the
+    pair's copies, and every copy volume is taken as vol(P)/27; the shrunken
+    copies, their exact volumes and the LP separation test are the
+    independent route."""
     rng = random.Random(101)
     for t in range(12):
         arr = random_minkowski_arrangement(rng, body=corpus_body(rng, t),
@@ -243,15 +351,14 @@ def test_slab_witness_against_lp_and_copy_volumes():
         for p in family.pairs:
             gap = p.normal.dot(family.points[p.j]) \
                 - p.normal.dot(family.points[p.i])
-            if abs(p.c_outer_i - p.c_outer_j) <= 2 * abs(gap):
+            if abs(p.c_k_ij - p.c_k_ji) <= 2 * abs(gap):
                 accepted += 1
                 assert interiors_disjoint(copies[p.i], copies[p.j])
         n = len(family.points)
         assert accepted == n * (n - 1) // 2
         cert = lifted_packing_pipeline(arr)
         detail = [s.detail for s in cert.stages if s.name == "disjointness"]
-        assert detail == ["%d pairs checked: %d by slab planes, 0 by LP"
-                          % (accepted, accepted)]
+        assert detail == ["%d pairs separated by their slab planes" % accepted]
 
 
 def loop_gauge(body, x):

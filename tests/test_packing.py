@@ -6,9 +6,9 @@ import pytest
 
 from minkarr import (Arrangement, Homothet, cube_arrangement, linf_ball)
 from minkarr.instances import corpus_body, random_minkowski_arrangement
-from minkarr.lifting import slab_offender
+from minkarr.lifting import SlabPair, slab_offender
 from minkarr.linalg import Vector
-from minkarr.packing import (PairSlabs, SlabFamily, certificate_to_json,
+from minkarr.packing import (SlabFamily, certificate_to_json,
                              family_from_arrangement,
                              lifted_packing_pipeline, slab_packing_check)
 
@@ -22,8 +22,8 @@ def width_slabs(points, i, j):
     point set along the direction j - i, inner planes through the points."""
     normal = points[j] - points[i]
     values = [normal.dot(p) for p in points]
-    return PairSlabs(i, j, normal, min(values), max(values),
-                     normal.dot(points[i]), normal.dot(points[j]))
+    return SlabPair(i, j, normal, min(values), max(values),
+                    normal.dot(points[i]), normal.dot(points[j]))
 
 
 def antipodal_family(points):
@@ -53,28 +53,32 @@ def test_five_points_cannot_certify_at_lam_1():
     assert cert.offending_pair is not None
 
 
-def test_square_pair_without_slab_falls_back_to_lp():
+def test_square_pair_without_slab_fails_disjointness():
     pts = [V(0, 0), V(1, 0), V(0, 1), V(1, 1)]
     family = antipodal_family(pts)
     partial = SlabFamily(family.points,
                          tuple(p for p in family.pairs if (p.i, p.j) != (0, 3)))
     cert = slab_packing_check(partial, F(1))
-    assert cert.verdict
-    assert cert.disjoint_pairs_checked == 6
-    detail = [s.detail for s in cert.stages if s.name == "disjointness"]
-    assert detail == ["6 pairs checked: 5 by slab planes, 1 by LP"]
+    assert not cert.verdict
+    assert cert.failed_stage == "disjointness"
+    assert cert.offending_pair == (0, 3)
+    assert cert.stages[-1].detail == "pair (0, 3) has no slab"
+    full = slab_packing_check(family, F(1))
+    detail = [s.detail for s in full.stages if s.name == "disjointness"]
+    assert detail == ["6 pairs separated by their slab planes"]
 
 
 def test_slab_witness_reads_points_not_inner_offsets():
-    # honest outer planes, inner offsets forged to the outer ones: the
-    # ratio stage passes, but the centre's copy overlaps the corners' copies
+    # honest outer planes, inner offsets forged to the outer ones: read from
+    # the offsets every ratio would be 1, but the centre's copy overlaps the
+    # corners' copies, and the ratio read from the points says so
     pts = [V(0, 0), V(1, 0), V(0, 1), V(1, 1), V(F(1, 2), F(1, 2))]
-    forged = tuple(PairSlabs(p.i, p.j, p.normal, p.c_outer_i, p.c_outer_j,
-                             p.c_outer_i, p.c_outer_j)
+    forged = tuple(SlabPair(p.i, p.j, p.normal, p.c_k_ij, p.c_k_ji,
+                            p.c_k_ij, p.c_k_ji)
                    for p in antipodal_family(pts).pairs)
     cert = slab_packing_check(SlabFamily(tuple(pts), forged), F(1))
     assert not cert.verdict
-    assert cert.failed_stage == "disjointness"
+    assert cert.failed_stage == "slab_ratio"
     assert cert.offending_pair == (0, 4)
 
 
@@ -97,7 +101,7 @@ def test_segment_family_induction_branch():
 def test_ratio_stage_rejects_wide_slab():
     pts = [V(0, 0), V(1, 0)]
     bad = SlabFamily(tuple(pts),
-                     (PairSlabs(0, 1, V(1, 0), F(-5), F(5), F(0), F(1)),))
+                     (SlabPair(0, 1, V(1, 0), F(-5), F(5), F(0), F(1)),))
     cert = slab_packing_check(bad, F(1))
     assert not cert.verdict and cert.failed_stage == "slab_ratio"
 
@@ -105,7 +109,7 @@ def test_ratio_stage_rejects_wide_slab():
 def test_containment_stage_rejects_escaping_point():
     pts = [V(0, 0), V(1, 0), V(5, 0)]
     fam = SlabFamily(tuple(pts),
-                     (PairSlabs(0, 1, V(1, 0), F(0), F(1), F(0), F(1)),))
+                     (SlabPair(0, 1, V(1, 0), F(0), F(1), F(0), F(1)),))
     cert = slab_packing_check(fam, F(1))
     assert not cert.verdict and cert.failed_stage == "slab_containment"
 
@@ -169,7 +173,7 @@ def test_family_from_arrangement_slabs_hold():
     assert len(ratios) == 36
     for p in family.pairs:
         assert slab_offender(family.points, p.normal,
-                             p.c_outer_i, p.c_outer_j) is None
+                             p.c_k_ij, p.c_k_ji) is None
 
 
 def test_certificate_json():

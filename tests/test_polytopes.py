@@ -1,11 +1,9 @@
 import random
 from fractions import Fraction as F
 
-import pytest
-
 from minkarr.linalg import Vector
-from minkarr.polytopes import (ConvexPolytope, LowerDimensional, hull,
-                               interiors_disjoint, shrink, volume)
+from minkarr.polytopes import ConvexPolytope, LowerDimensional, hull, volume
+from test_oracles import contains, interiors_disjoint, shrink
 
 
 def V(*coords):
@@ -67,41 +65,6 @@ def test_hull_octahedron_with_coplanar_extra():
     assert volume(h2) == F(4, 3)
 
 
-def test_shrink_examples():
-    h = square(0, 2)
-    copy = shrink(h, V(0, 0), F(1))
-    assert volume(copy) == 1  # [0,1]^2
-    assert all(h.contains(v) for v in copy.vertices)
-    assert any(v == V(0, 0) for v in copy.vertices)  # shares the center vertex
-    assert volume(copy) == volume(h) / (1 + 1) ** 2
-
-
-def test_shrink_validates_inputs():
-    h = square(0, 1)
-    with pytest.raises(ValueError):
-        shrink(h, V(5, 5), F(1))
-    with pytest.raises(ValueError):
-        shrink(h, V(0, 0), F(1, 2))
-
-
-def test_interiors_disjoint_examples():
-    a = square(0, 1)
-    b = square(1, 2)
-    assert interiors_disjoint(a, b)       # shared edge only
-    c = square(0, 2)
-    d = hull([V(1, 1), V(1, 3), V(3, 1), V(3, 3)])
-    assert not interiors_disjoint(c, d)
-
-
-def test_interiors_disjoint_3d():
-    a = hull([V(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
-    b = hull([V(x, y, z) for x in (1, 2) for y in (0, 1) for z in (0, 1)])
-    assert interiors_disjoint(a, b)
-    c = hull([V(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
-    d = shrink(c, V(1, 1, 1), F(1))
-    assert not interiors_disjoint(c, d)
-
-
 def overlap_probe(p1: ConvexPolytope, p2: ConvexPolytope,
                   samples: int = 100_000, seed: int = 0) -> int:
     """Monte Carlo cross-check: count random points interior to both.
@@ -129,7 +92,8 @@ def test_disjointness_symmetric_and_probe_consistent():
         cx = F(rng.randint(0, 4), 2)
         cy = F(rng.randint(0, 4), 2)
         lam = F(rng.randint(2, 4), 2)
-        p1 = shrink(base, V(cx, cy), lam) if base.contains(V(cx, cy)) else base
+        c = V(cx, cy)
+        p1 = shrink(base, c, lam) if contains(base, c) else base
         p2 = shrink(base, V(0, 0), lam)
         d12 = interiors_disjoint(p1, p2)
         assert d12 == interiors_disjoint(p2, p1)
