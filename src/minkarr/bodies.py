@@ -52,6 +52,11 @@ class SymmetricBody:
     def supporting_hyperplane(self, p: Vector) -> Tuple[Vector, Scalar]:
         raise NotImplementedError
 
+    def boundary_frame(self, u: Vector) -> Tuple[Vector, Vector, Scalar]:
+        """boundary_point(u) and a supporting hyperplane of the body there."""
+        r_vec = self.boundary_point(u)
+        return (r_vec,) + tuple(self.supporting_hyperplane(r_vec))
+
     def is_exact(self) -> bool:
         return False
 
@@ -93,14 +98,10 @@ class HPolytopeBody(SymmetricBody):
         self.facets: Tuple[Vector, ...] = tuple(normals)
         self._validate()
         # exact facets as integer rows over one common denominator
-        self._rows = None
-        if self.is_exact():
-            den = math.lcm(*(c.denominator
-                             for a in self.facets for c in a.coords))
-            self._rows = tuple(
-                tuple(c.numerator * (den // c.denominator) for c in a.coords)
-                for a in self.facets)
-            self._den = den
+        flat = scalars.int_form([c for a in self.facets for c in a.coords])
+        self._rows = flat and tuple(tuple(flat[0][k:k + dim])
+                                    for k in range(0, len(flat[0]), dim))
+        self._den = flat and flat[1]
 
     def _validate(self) -> None:
         if not self.facets:
@@ -126,10 +127,9 @@ class HPolytopeBody(SymmetricBody):
         positive).  Any float facet or coordinate takes the loop unchanged.
         """
         self._check_dim(x)
-        coords = x.coords
-        if self._rows is not None and scalars.is_exact(*coords):
-            q = math.lcm(*(c.denominator for c in coords))
-            p = [c.numerator * (q // c.denominator) for c in coords]
+        form = self._rows and scalars.int_form(x.coords)
+        if form:
+            p, q = form
             top = max(sum(map(operator.mul, row, p)) for row in self._rows)
             return Fraction(top, self._den * q) if top > 0 else 0
         best: Scalar = 0
@@ -156,6 +156,19 @@ class HPolytopeBody(SymmetricBody):
         # deterministic tie-break at vertices: lexicographically least normal
         best = min(active, key=lambda a: a.coords)
         return best, 1
+
+    def boundary_frame(self, u: Vector) -> Tuple[Vector, Vector, Scalar]:
+        """One integer pass for exact facets and u = p/q != 0: u/gauge(u) is
+        p*D/top, and its active facets are the rows whose dot with p is top."""
+        self._check_dim(u)
+        form = self._rows and scalars.int_form(u.coords)
+        if not form or not any(form[0]):
+            return super().boundary_frame(u)
+        dots = [sum(map(operator.mul, row, form[0])) for row in self._rows]
+        top = max(dots)
+        best = min((a for a, t in zip(self.facets, dots) if t == top),
+                   key=lambda a: a.coords)
+        return Vector(Fraction(c * self._den, top) for c in form[0]), best, 1
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "type": "hpoly",
@@ -239,6 +252,9 @@ class VPolytopeBody(SymmetricBody):
             raise NotImplementedError("supporting hyperplanes need the facet "
                                       "form, unavailable beyond dimension 3")
         return self._hform.supporting_hyperplane(p)
+
+    def boundary_frame(self, u: Vector) -> Tuple[Vector, Vector, Scalar]:
+        return (self._hform or super()).boundary_frame(u)
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "type": "vpoly",

@@ -109,6 +109,14 @@ def random_intersecting_arrangement(rng: random.Random,
     return arr
 
 
+# attempts at the floor (box span 2, n at its floor) before giving up a body
+FLOOR_ATTEMPTS = 20_000
+
+
+class NoArrangementFound(ValueError):
+    """The body admitted no family within FLOOR_ATTEMPTS floor attempts."""
+
+
 def random_minkowski_arrangement(rng: random.Random,
                                  body: Optional[SymmetricBody] = None,
                                  n: Optional[int] = None,
@@ -123,7 +131,7 @@ def random_minkowski_arrangement(rng: random.Random,
     fgauge = _float_gauge(body)
     n_floor = 4 if full_lift else 3
     span = 4
-    attempts = 0
+    attempts = floor_attempts = 0
     while True:
         attempts += 1
         if attempts % 200 == 0:
@@ -134,6 +142,9 @@ def random_minkowski_arrangement(rng: random.Random,
                 span -= 1
             elif n > n_floor:
                 n -= 1
+        floor_attempts += span == 2 and n <= n_floor
+        if floor_attempts > FLOOR_ATTEMPTS:
+            raise NoArrangementFound("no family of %d members found" % n)
         centers = _random_centers(rng, n, body.dim, span=span)
         # float pre-screen: the ratio polytope is nonempty iff every pair
         # distance is at most the sum of the two nearest-neighbor distances

@@ -21,19 +21,26 @@ N.y_k = c*(alpha_k - x)/lam_k, so y_k lies in the slab exactly when x lies in
 shadow interval k.  The labeling convention is that k_ij is the outer plane
 on the i side (offset -c before orientation) and the normal is oriented so
 that N.y_i <= N.y_j.
+
+Exact input runs on integer forms: y_k = Y_k/w_k with w_k > 0 (for
+(v_k, lam_k) = (P, r)/L, Y_k = (P, L) and w_k = r), a normal with its offsets
+is (M, lo, hi) over one denominator, so y_k lies in the slab exactly when
+lo*w_k <= M.Y_k <= hi*w_k, and the ratio identity is two integer equalities.
+A float anywhere keeps the tolerance loops below.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from . import scalars
 from .arrangement import Arrangement
 from .linalg import Vector
-from .scalars import Scalar, div
+from .scalars import Scalar, div, format_scalar as fmt, int_form
 
 
 @dataclass(frozen=True)
@@ -77,14 +84,10 @@ class DegenerateWedgeError(ValueError):
 
 def build_frame(arr: Arrangement, i: int, j: int) -> ProjectionFrame:
     """Frame for the pair (i, j); the centers must differ."""
-    vi = arr.members[i].center
-    vj = arr.members[j].center
-    diff = vj - vi
+    diff = arr.members[j].center - arr.members[i].center
     if diff.is_zero():
         raise ValueError("coincident centers: members %d and %d" % (i, j))
-    r_vec = arr.body.boundary_point(diff)
-    f_normal, f_offset = arr.body.supporting_hyperplane(r_vec)
-    return ProjectionFrame(i, j, r_vec, f_normal, f_offset)
+    return ProjectionFrame(i, j, *arr.body.boundary_frame(diff))
 
 
 def shadow(arr: Arrangement, frame: ProjectionFrame) -> ShadowData:
@@ -95,18 +98,21 @@ def shadow(arr: Arrangement, frame: ProjectionFrame) -> ShadowData:
     endpoints are attained.  The common point is the midpoint of the interval
     intersection; shadow_with_x moves it to any other point of it.
     """
-    vi = arr.members[frame.i].center
-    denom = frame.f_normal.dot(frame.r_vec)
-    alphas = []
-    intervals = []
-    for h in arr.members:
-        alpha = div(frame.f_normal.dot(h.center - vi), denom)
-        alphas.append(alpha)
-        intervals.append((alpha - h.ratio, alpha + h.ratio))
-    lo_idx = max(range(len(intervals)), key=lambda k: _key(intervals[k][0]))
-    hi_idx = min(range(len(intervals)), key=lambda k: _key(intervals[k][1]))
-    lo = intervals[lo_idx][0]
-    hi = intervals[hi_idx][1]
+    a, d = frame.f_normal, frame.f_normal.dim
+    form = int_form(a.coords + frame.r_vec.coords
+                     + tuple(c for h in arr.members for c in h.center.coords))
+    if form:  # alpha_k = a.(v_k - v_i) / a.r = (A.P_k - A.P_i) / A.R
+        z = form[0]
+        t = [_dot(z[:d], z[k:k + d]) for k in range(d, len(z), d)]
+        alphas = [Fraction(t_k - t[frame.i + 1], t[0]) for t_k in t[1:]]
+    else:
+        vi, denom = arr.members[frame.i].center, a.dot(frame.r_vec)
+        alphas = [div(a.dot(h.center - vi), denom) for h in arr.members]
+    intervals = [(alpha - h.ratio, alpha + h.ratio)
+                 for alpha, h in zip(alphas, arr.members)]
+    lo_idx = max(range(len(intervals)), key=lambda k: intervals[k][0])
+    hi_idx = min(range(len(intervals)), key=lambda k: intervals[k][1])
+    lo, hi = intervals[lo_idx][0], intervals[hi_idx][1]
     if scalars.gt(lo, hi):
         raise ShadowIntersectionError((lo_idx, hi_idx))
     x_coord = div(lo + hi, 2)
@@ -123,10 +129,6 @@ def shadow_with_x(sd: ShadowData, x_coord: Scalar) -> ShadowData:
     return replace(sd, x_coord=x_coord,
                    u_i=x_coord - sd.alphas[sd.i],
                    u_j=sd.alphas[sd.j] - x_coord)
-
-
-def _key(v: Scalar):
-    return Fraction(v) if scalars.is_exact(v) else v
 
 
 def ratio(lam_i: Scalar, lam_j: Scalar, u_i: Scalar, u_j: Scalar) -> Scalar:
@@ -147,19 +149,31 @@ def ratio(lam_i: Scalar, lam_j: Scalar, u_i: Scalar, u_j: Scalar) -> Scalar:
     return div(2 * lam_i * lam_j, denom)
 
 
+def _dot(a, b):
+    return sum(map(operator.mul, a, b))
+
+
+def _lift_form(center: Vector, lam: Scalar):
+    form = int_form(center.coords + (lam,))
+    return form and (form[0][:-1] + [form[1]], form[0][-1])
+
+
 @dataclass(frozen=True)
 class LiftedConfig:
     """Images y_k = (v_k / lam_k, 1 / lam_k) of the members in dim d+1."""
     points: Tuple[Vector, ...]
+    forms: Optional[tuple] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        forms = tuple(int_form(y.coords) for y in self.points)
+        object.__setattr__(self, "forms", None if None in forms else forms)
 
 
 def _lift_point(center: Vector, lam: Scalar) -> Vector:
-    # explicit homogeneous route: embed as (v, lam, 1) in R^{d+2}, divide by
-    # the coordinate the central projection normalizes, drop the constant slot
-    homogeneous = center.extended(lam, 1)
-    w = homogeneous[center.dim]
-    projected = homogeneous / w
-    return Vector(projected.coords[:center.dim] + (projected.coords[-1],))
+    form = _lift_form(center, lam)
+    if form is None:
+        return Vector([div(c, lam) for c in center.coords] + [div(1, lam)])
+    return Vector(Fraction(c, form[1]) for c in form[0])
 
 
 def lift(arr: Arrangement) -> LiftedConfig:
@@ -173,9 +187,7 @@ def unlift(y: Vector) -> Tuple[Vector, Scalar]:
     s = y[-1]
     if scalars.le(s, 0):
         raise ValueError("lifted points have positive last coordinate")
-    lam = div(1, s)
-    center = Vector(div(c, s) for c in y.coords[:-1])
-    return center, lam
+    return Vector(div(c, s) for c in y.coords[:-1]), div(1, s)
 
 
 @dataclass(frozen=True)
@@ -210,20 +222,26 @@ def slab_pair(arr: Arrangement, frame: ProjectionFrame,
     """
     a = frame.f_normal
     c = frame.f_offset
-    vi = arr.members[frame.i].center
-    normal = a.extended(-a.dot(vi) - sd.x_coord * c)
+    h_i, h_j = arr.members[frame.i], arr.members[frame.j]
     c_k_ij, c_k_ji = -c, c
-
-    y_i = _lift_point(vi, arr.members[frame.i].ratio)
-    y_j = _lift_point(arr.members[frame.j].center, arr.members[frame.j].ratio)
-    c_g_ij = normal.dot(y_i)
-    c_g_ji = normal.dot(y_j)
+    form = int_form(a.coords + (c, sd.x_coord) + h_i.center.coords)
+    lifts = [_lift_form(h.center, h.ratio) for h in (h_i, h_j)]
+    if form and all(lifts):  # N = (A*q, -A.P - X*C)/q^2
+        (coef, q), d = form, a.dim
+        m = [v * q for v in coef[:d]]
+        m.append(-_dot(coef[:d], coef[d + 2:]) - coef[d] * coef[d + 1])
+        normal = a.extended(Fraction(m[-1], q * q))
+        c_g_ij, c_g_ji = (Fraction(_dot(m, y), q * q * w) for y, w in lifts)
+    else:
+        normal = a.extended(-a.dot(h_i.center) - sd.x_coord * c)
+        c_g_ij, c_g_ji = (normal.dot(_lift_point(h.center, h.ratio))
+                          for h in (h_i, h_j))
     if scalars.gt(c_g_ij, c_g_ji):
         normal = -normal
         c_k_ij, c_k_ji = -c_k_ij, -c_k_ji
         c_g_ij, c_g_ji = -c_g_ij, -c_g_ji
 
-    if scalars.eq(c_g_ji - c_g_ij, 0):
+    if scalars.eq(c_g_ji, c_g_ij):
         raise DegenerateWedgeError("projected pair lies on one hyperplane; "
                                    "the inner planes coincide")
     return SlabPair(frame.i, frame.j, normal, c_k_ij, c_k_ji, c_g_ij, c_g_ji)
@@ -237,15 +255,22 @@ def slab_offender(points: Sequence[Vector], normal: Vector,
     Exact containment in rational mode; in floating mode the tolerance is
     applied to offsets normalized by the Euclidean length of the normal.
     """
-    values = [normal.dot(y) for y in points]
-    lo = min(c_1, c_2, key=_key)
-    hi = max(c_1, c_2, key=_key)
-    if scalars.is_exact(lo, hi, *values):
-        margin: Scalar = 0
-    else:
-        margin = scalars.tolerance() * math.sqrt(float(normal.norm_sq()))
-    for k, val in enumerate(values):
-        if val < lo - margin or val > hi + margin:
+    return _slab_offender(points, LiftedConfig(tuple(points)).forms,
+                          normal, c_1, c_2)
+
+
+def _slab_offender(points, forms, normal, c_1, c_2):
+    plane = forms and int_form(normal.coords + (c_1, c_2))
+    if plane:
+        *m, lo, hi = plane[0]
+        lo, hi = sorted((lo, hi))
+        return next((k for k, (y, w) in enumerate(forms)
+                     if not lo * w <= _dot(m, y) <= hi * w), None)
+    margin = scalars.tolerance() * math.sqrt(float(normal.norm_sq()))
+    lo, hi = min(c_1, c_2) - margin, max(c_1, c_2) + margin
+    for k, y in enumerate(points):
+        val = normal.dot(y)
+        if val < lo or val > hi:
             return k
     return None
 
@@ -256,8 +281,8 @@ def verify_slab(lifted: LiftedConfig, slab: SlabPair) -> Tuple[bool, Optional[in
     Returns (ok, offending index or None); see slab_offender for the
     tolerance rule.
     """
-    offender = slab_offender(lifted.points, slab.normal,
-                             slab.c_k_ij, slab.c_k_ji)
+    offender = _slab_offender(lifted.points, lifted.forms, slab.normal,
+                              slab.c_k_ij, slab.c_k_ji)
     return offender is None, offender
 
 
@@ -274,6 +299,24 @@ def verify_ratio_identity(slab: SlabPair, y_i: Vector, y_j: Vector,
     if isinstance(expected, float) and not math.isfinite(expected):
         raise ValueError("expected ratio is not finite")
     expected = abs(expected)
+    offsets = int_form((slab.c_k_ij, slab.c_k_ji, slab.c_g_ij, slab.c_g_ji,
+                         expected))
+    forms = LiftedConfig((y_i, y_j)).forms
+    if offsets and forms:
+        (k_ij, k_ji, g_ij, g_ji, e), q = offsets
+        (p_i, w_i), (p_j, w_j) = forms
+        if g_ij == g_ji:
+            raise ValueError("inner planes coincide; the ratio is undefined")
+        if abs(k_ij - k_ji) * q != e * abs(g_ij - g_ji):
+            return False
+        t = g_ji - g_ij  # s_i, s_j times w_i*w_j*t, y_j - y_i times w_i*w_j
+        step = [b * w_i - a * w_j for a, b in zip(p_i, p_j)]
+        s_i, s_j = ([a * w_j * t + (k - g_ij) * b for a, b in zip(p_i, step)]
+                    for k in (k_ij, k_ji))
+        if not any(step):
+            raise ValueError("lifted points coincide")
+        s_sq = sum((a - b) * (a - b) for a, b in zip(s_i, s_j))
+        return s_sq * q * q == (e * t) ** 2 * _dot(step, step)
     gap_k = slab.c_k_ij - slab.c_k_ji
     gap_g = slab.c_g_ij - slab.c_g_ji
     if scalars.sign(gap_g) == 0:
@@ -331,19 +374,15 @@ def trapezoid_combine(theta1: Scalar, theta2: Scalar,
     total = theta1 + theta2
     if scalars.sign(total) == 0:
         raise ValueError("theta1 + theta2 must be nonzero")
-    w1 = div(theta1, total)
-    w2 = div(theta2, total)
-    return (b1 - a1) * w1 + (b3 - a3) * w2
+    return (b1 - a1) * div(theta1, total) + (b3 - a3) * div(theta2, total)
 
 
 def check_central_overlap_ratio(sd: ShadowData, lam_i: Scalar,
                                 lam_j: Scalar) -> bool:
     """If the two shadow intervals meet only between the centers then the
     width ratio is at most 2; returns whether that implication held."""
-    lo_i, hi_i = sd.intervals[sd.i]
-    lo_j, hi_j = sd.intervals[sd.j]
-    lo = max(lo_i, lo_j, key=_key)
-    hi = min(hi_i, hi_j, key=_key)
+    (lo_i, hi_i), (lo_j, hi_j) = sd.intervals[sd.i], sd.intervals[sd.j]
+    lo, hi = max(lo_i, lo_j), min(hi_i, hi_j)
     premise = (not scalars.gt(lo, hi)
                and scalars.ge(lo, 0)
                and scalars.le(hi, sd.alphas[sd.j]))
@@ -357,16 +396,12 @@ def check_central_overlap_ratio(sd: ShadowData, lam_i: Scalar,
 
 def pair_diagnostics(arr: Arrangement, i: int, j: int) -> dict:
     """JSON-ready dump of the whole per-pair construction."""
-    from .scalars import format_scalar
     frame = build_frame(arr, i, j)
     sd = shadow(arr, frame)
-    lam_i = arr.members[i].ratio
-    lam_j = arr.members[j].ratio
-    rho = ratio(lam_i, lam_j, sd.u_i, sd.u_j)
+    rho = ratio(arr.members[i].ratio, arr.members[j].ratio, sd.u_i, sd.u_j)
     slab = slab_pair(arr, frame, sd)
     lifted = lift(arr)
     ok, offender = verify_slab(lifted, slab)
-    fmt = format_scalar
     return {
         "pair": [i, j],
         "frame": {"r_vec": [fmt(c) for c in frame.r_vec],

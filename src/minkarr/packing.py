@@ -39,8 +39,8 @@ from . import scalars
 from .arrangement import (Arrangement, arrangement_size_bound,
                           find_intersection_violation,
                           find_minkowski_violation)
-from .lifting import (DegenerateWedgeError, SlabPair, build_frame, lift,
-                      ratio, shadow, slab_offender, slab_pair)
+from .lifting import (DegenerateWedgeError, LiftedConfig, SlabPair,
+                      build_frame, lift, ratio, shadow, slab_pair, verify_slab)
 from .linalg import Vector, affine_coordinates
 from .polytopes import ConvexPolytope, hull, volume
 from .scalars import Scalar, div, format_scalar
@@ -121,7 +121,6 @@ def slab_packing_check(family: SlabFamily, lam: Scalar) -> PackingCertificate:
     cert = PackingCertificate(lam=lam, n=n, ambient_dim=ambient)
     if scalars.lt(lam, 1):
         raise ValueError("the packing hypothesis needs lam >= 1")
-    cert.bound = None
 
     # stage: width ratios (the per-pair hypothesis and separation witness)
     for p in family.pairs:
@@ -144,10 +143,12 @@ def slab_packing_check(family: SlabFamily, lam: Scalar) -> PackingCertificate:
                               % (p.i, p.j, rho, lam), (p.i, p.j))
     cert._ok("slab_ratio", "%d pairs within ratio %s" % (len(family.pairs), lam))
 
-    # stage: every point inside every outer slab
+    # stage: every point inside every outer slab; the points' integer forms
+    # are derived once, for all pairs
+    lifted = LiftedConfig(family.points)
     for p in family.pairs:
-        k = slab_offender(family.points, p.normal, p.c_k_ij, p.c_k_ji)
-        if k is not None:
+        ok, k = verify_slab(lifted, p)
+        if not ok:
             return cert._fail("slab_containment",
                               "point %d escapes the slab of pair (%d, %d)"
                               % (k, p.i, p.j), (p.i, p.j))
@@ -218,8 +219,7 @@ def family_from_arrangement(arr: Arrangement) -> Tuple[SlabFamily,
     checked here: the slab_containment stage of slab_packing_check does it.
     """
     lifted = lift(arr)
-    pairs = []
-    ratios = []
+    pairs, ratios = [], []
     n = len(arr.members)
     for i in range(n):
         for j in range(i + 1, n):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple, Union
 
 from . import scalars
-from .linalg import Vector, affine_coordinates, cross3
+from .linalg import Vector, affine_coordinates, cross3, matrix_rank
 from .scalars import Scalar, div
 
 
@@ -51,8 +51,9 @@ def hull(points: Sequence[Vector]) -> Union[ConvexPolytope, LowerDimensional]:
     dim = pts[0].dim
     if dim > 3:
         raise ValueError("exact hulls are implemented for dimension <= 3")
-    _, basis, _ = affine_coordinates(pts)
-    adim = len(basis)
+    exact = scalars.is_exact(*(c for p in pts for c in p.coords))
+    adim = (matrix_rank([(p - pts[0]).coords for p in pts[1:]]) if exact
+            else len(affine_coordinates(pts)[1]))
     if adim < dim:
         return LowerDimensional(adim)
     if dim == 1:

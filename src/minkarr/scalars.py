@@ -8,6 +8,7 @@ participates in floating-mode comparison as soon as one operand is a float.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Union
 
@@ -88,6 +89,16 @@ def div(a: Scalar, b: Scalar) -> Scalar:
     if is_exact(a, b):
         return Fraction(a) / Fraction(b)
     return a / b
+
+
+def int_form(values):
+    """(P, q) with values == P/q entrywise, integers P and q > 0 the lcm of
+    the denominators; None when a value is a float."""
+    if float in map(type, values):
+        return None
+    dens = [v.denominator for v in values]
+    q = math.lcm(*dens)
+    return [v.numerator * (q // d) for v, d in zip(values, dens)], q
 
 
 def parse_scalar(value) -> Scalar:

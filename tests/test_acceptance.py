@@ -55,25 +55,22 @@ N_IDENTITY_INSTANCES = 1000
 X_CHOICES = 10
 
 
-@pytest.fixture(scope="session")
-def identity_corpus():
-    """1000 rational pairwise-intersecting planar families over the three
-    corpus body kinds; per pair, the identity and the slab containment are
-    checked at the midpoint and at 10 random common points."""
+def identity_cases(count):
+    """The first ``count`` families of the identity corpus: 1000 rational
+    pairwise-intersecting planar families over the three corpus body kinds.
+    Yields (arr, cases) per family, with one (i, j, frame, sd0, xs) case
+    per pair; xs holds the midpoint and 10 random common points (empty when
+    the pair's single common point is the degenerate position)."""
     rng = random.Random(20240)
-    identity_failures = []
-    slab_failures = []
-    pairs_checked = 0
-    for t in range(N_IDENTITY_INSTANCES):
+    for t in range(count):
         arr = random_intersecting_arrangement(rng, body=corpus_body(rng, t),
                                               n=3 + t % 3)
-        lifted = lift(arr)
+        cases = []
         n = len(arr)
         for i in range(n):
             for j in range(i + 1, n):
                 frame = build_frame(arr, i, j)
                 sd0 = shadow(arr, frame)
-                pairs_checked += 1
                 span = sd0.inter_hi - sd0.inter_lo
                 xs = []
                 # midpoint plus 10 random common points; the measure-zero
@@ -84,7 +81,9 @@ def identity_corpus():
                 if not (isinstance(mid_rho, float) and math.isinf(mid_rho)):
                     xs.append(sd0.x_coord)
                 elif span == 0:
-                    continue  # single common point, degenerate: no slab exists
+                    # single common point, degenerate: no slab exists
+                    cases.append((i, j, frame, sd0, xs))
+                    continue
                 for _ in range(X_CHOICES):
                     denom = 16
                     while True:
@@ -98,17 +97,32 @@ def identity_corpus():
                             xs.append(x)
                             break
                         denom += 1  # degenerate wedge reported; redraw
-                for x in xs:
-                    sd = shadow_with_x(sd0, x)
-                    rho = ratio(arr.members[i].ratio, arr.members[j].ratio,
-                                sd.u_i, sd.u_j)
-                    slab = slab_pair(arr, frame, sd)
-                    if not verify_ratio_identity(slab, lifted.points[i],
-                                                 lifted.points[j], rho):
-                        identity_failures.append((t, i, j, x))
-                    ok, offender = verify_slab(lifted, slab)
-                    if not ok:
-                        slab_failures.append((t, i, j, offender))
+                cases.append((i, j, frame, sd0, xs))
+        yield arr, cases
+
+
+@pytest.fixture(scope="session")
+def identity_corpus():
+    """Per pair of the identity corpus, the identity and the slab
+    containment are checked at every common point of identity_cases."""
+    identity_failures = []
+    slab_failures = []
+    pairs_checked = 0
+    for t, (arr, cases) in enumerate(identity_cases(N_IDENTITY_INSTANCES)):
+        lifted = lift(arr)
+        for i, j, frame, sd0, xs in cases:
+            pairs_checked += 1
+            for x in xs:
+                sd = shadow_with_x(sd0, x)
+                rho = ratio(arr.members[i].ratio, arr.members[j].ratio,
+                            sd.u_i, sd.u_j)
+                slab = slab_pair(arr, frame, sd)
+                if not verify_ratio_identity(slab, lifted.points[i],
+                                             lifted.points[j], rho):
+                    identity_failures.append((t, i, j, x))
+                ok, offender = verify_slab(lifted, slab)
+                if not ok:
+                    slab_failures.append((t, i, j, offender))
     return {"identity": identity_failures, "slab": slab_failures,
             "pairs": pairs_checked}
 

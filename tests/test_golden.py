@@ -1,0 +1,60 @@
+"""Golden bytes: exact-mode ``verify --certificate`` payloads and
+``lift --dump`` output for committed inputs, compared byte for byte.
+
+The files in tests/golden/ were written by the command line itself; the
+three seeded inputs are ``random_minkowski_arrangement(full_lift=True)``
+families, one per corpus body kind.  Rewrite a golden file only for a
+deliberate certificate or dump format change, and say so.
+"""
+
+import json
+import os
+import random
+
+import pytest
+
+from minkarr import arrangement_to_json
+from minkarr.cli import main
+from minkarr.instances import corpus_body, random_minkowski_arrangement
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+INPUTS = ["cube2", "minkowski1", "minkowski2", "minkowski3"]
+LIFTS = [("cube2", 0, 4), ("minkowski3", 1, 3)]
+
+
+def golden(name):
+    return os.path.join(GOLDEN, name)
+
+
+def read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_verify_certificate_bytes(name, tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    code = main(["verify", golden(name + ".json"), "--certificate", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert out.read_bytes() == read_bytes(golden(name + ".cert.json"))
+
+
+@pytest.mark.parametrize("name,i,j", LIFTS)
+def test_lift_dump_bytes(name, i, j, tmp_path, capsys):
+    out = tmp_path / "dump.json"
+    code = main(["lift", golden(name + ".json"), "--pair", str(i), str(j),
+                 "--dump", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert out.read_bytes() == read_bytes(
+        golden("%s.lift%d%d.json" % (name, i, j)))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_seeded_inputs_regenerate(seed):
+    rng = random.Random("golden/%d" % seed)
+    arr = random_minkowski_arrangement(rng, body=corpus_body(rng, seed - 1),
+                                       full_lift=True)
+    with open(golden("minkowski%d.json" % seed), encoding="utf-8") as fh:
+        assert arrangement_to_json(arr) == json.load(fh)

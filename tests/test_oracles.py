@@ -1,6 +1,7 @@
 """Dual-route checks: every production computation with an independent
 derivation gets compared against it on random rational instances."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction as F
@@ -15,10 +16,14 @@ from minkarr.arrangement import _feasible, _feasible_ratio, _grid_fraction
 from minkarr.instances import (corpus_body, random_intersecting_arrangement,
                                random_minkowski_arrangement,
                                random_symmetric_hexagon)
-from minkarr.linalg import Vector, _rref, cross3, matrix_rank, zero_vector
+from minkarr.lifting import (DegenerateWedgeError, LiftedConfig,
+                             ProjectionFrame, ShadowData, SlabPair, lift,
+                             slab_offender, verify_ratio_identity, verify_slab)
+from minkarr.linalg import (Vector, _rref, affine_coordinates, cross3,
+                            matrix_rank, zero_vector)
 from minkarr import lp, scalars
 from minkarr.packing import family_from_arrangement, lifted_packing_pipeline
-from minkarr.polytopes import ConvexPolytope, hull, volume
+from minkarr.polytopes import ConvexPolytope, LowerDimensional, hull, volume
 
 
 def cross_ratio_route(lam_i, lam_j, alpha_j, x):
@@ -471,3 +476,344 @@ def test_search_against_full_pass():
             want = full_pass_search(body, body.dim, cfg, warm_start=warm)
             assert arrangement_to_json(got) == arrangement_to_json(want), \
                 (body, seed)
+
+
+# ------------------------------------------------- the Fraction lift route --
+# The per-pair layer in scalar arithmetic: every value a Fraction (or a
+# float), every check a comparison of two of them.  The integer forms in
+# minkarr.lifting must give the same values of the same types, and float
+# input must take this route there.
+
+def homogeneous_lift(center, lam):
+    """y = (v/lam, 1/lam): embed as (v, lam, 1), divide by the coordinate
+    the central projection normalizes, drop the constant slot."""
+    homogeneous = center.extended(lam, 1)
+    projected = homogeneous / homogeneous[center.dim]
+    return Vector(projected.coords[:center.dim] + (projected.coords[-1],))
+
+
+def two_call_frame(arr, i, j):
+    diff = arr.members[j].center - arr.members[i].center
+    r_vec = arr.body.boundary_point(diff)
+    f_normal, f_offset = arr.body.supporting_hyperplane(r_vec)
+    return ProjectionFrame(i, j, r_vec, f_normal, f_offset)
+
+
+def _key(v):
+    return F(v) if scalars.is_exact(v) else v
+
+
+def loop_shadow(arr, frame):
+    vi = arr.members[frame.i].center
+    denom = frame.f_normal.dot(frame.r_vec)
+    alphas, intervals = [], []
+    for h in arr.members:
+        alpha = scalars.div(frame.f_normal.dot(h.center - vi), denom)
+        alphas.append(alpha)
+        intervals.append((alpha - h.ratio, alpha + h.ratio))
+    lo_idx = max(range(len(intervals)), key=lambda k: _key(intervals[k][0]))
+    hi_idx = min(range(len(intervals)), key=lambda k: _key(intervals[k][1]))
+    lo, hi = intervals[lo_idx][0], intervals[hi_idx][1]
+    x_coord = scalars.div(lo + hi, 2)
+    return ShadowData(frame.i, frame.j, tuple(alphas), tuple(intervals),
+                      lo, hi, x_coord, x_coord - alphas[frame.i],
+                      alphas[frame.j] - x_coord)
+
+
+def fraction_slab_pair(arr, frame, sd):
+    a, c = frame.f_normal, frame.f_offset
+    vi = arr.members[frame.i].center
+    normal = a.extended(-a.dot(vi) - sd.x_coord * c)
+    c_k_ij, c_k_ji = -c, c
+    y_i = homogeneous_lift(vi, arr.members[frame.i].ratio)
+    y_j = homogeneous_lift(arr.members[frame.j].center,
+                           arr.members[frame.j].ratio)
+    c_g_ij, c_g_ji = normal.dot(y_i), normal.dot(y_j)
+    if scalars.gt(c_g_ij, c_g_ji):
+        normal = -normal
+        c_k_ij, c_k_ji = -c_k_ij, -c_k_ji
+        c_g_ij, c_g_ji = -c_g_ij, -c_g_ji
+    if scalars.eq(c_g_ji - c_g_ij, 0):
+        raise DegenerateWedgeError("inner planes coincide")
+    return SlabPair(frame.i, frame.j, normal, c_k_ij, c_k_ji, c_g_ij, c_g_ji)
+
+
+def fraction_slab_offender(points, normal, c_1, c_2):
+    values = [normal.dot(y) for y in points]
+    lo, hi = min(c_1, c_2, key=_key), max(c_1, c_2, key=_key)
+    if scalars.is_exact(lo, hi, *values):
+        margin = 0
+    else:
+        margin = scalars.tolerance() * math.sqrt(float(normal.norm_sq()))
+    for k, val in enumerate(values):
+        if val < lo - margin or val > hi + margin:
+            return k
+    return None
+
+
+def fraction_ratio_identity(slab, y_i, y_j, expected):
+    expected = abs(expected)
+    gap_k = slab.c_k_ij - slab.c_k_ji
+    gap_g = slab.c_g_ij - slab.c_g_ji
+    if scalars.sign(gap_g) == 0:
+        raise ValueError("inner planes coincide; the ratio is undefined")
+    if not scalars.eq_rel(abs(scalars.div(gap_k, gap_g)), expected):
+        return False
+    direction = slab.c_g_ji - slab.c_g_ij
+    step = y_j - y_i
+    s_i = y_i + step * scalars.div(slab.c_k_ij - slab.c_g_ij, direction)
+    s_j = y_i + step * scalars.div(slab.c_k_ji - slab.c_g_ij, direction)
+    y_sq = (y_i - y_j).norm_sq()
+    if scalars.sign(y_sq) == 0:
+        raise ValueError("lifted points coincide")
+    return scalars.eq_rel(scalars.div((s_i - s_j).norm_sq(), y_sq),
+                          expected * expected)
+
+
+def typed(value):
+    """The value with the type of every scalar in it: Fraction(2) and 2
+    compare equal but are different certificate bytes."""
+    if isinstance(value, Vector):
+        return typed(value.coords)
+    if isinstance(value, (tuple, list)):
+        return tuple(typed(v) for v in value)
+    if dataclasses.is_dataclass(value):
+        return typed([getattr(value, f.name)
+                      for f in dataclasses.fields(value)])
+    return type(value).__name__, value
+
+
+def same(got, want):
+    assert typed(got) == typed(want)
+
+
+def check_both_routes(arr, xs_per_pair=(), seed=0):
+    """Every pair of arr against the Fraction route, at the shadow midpoint
+    and at the given fractions of the shadow intersection; the ratio
+    identity also at a wrong ratio.  Returns the number of slabs compared."""
+    lifted = lift(arr)
+    same(lifted.points, [homogeneous_lift(h.center, h.ratio)
+                         for h in arr.members])
+    compared = 0
+    n = len(arr)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            frame = build_frame(arr, i, j)
+            same(frame, two_call_frame(arr, i, j))
+            sd0 = shadow(arr, frame)
+            same(sd0, loop_shadow(arr, frame))
+            for t in (None,) + tuple(xs_per_pair):
+                sd = sd0 if t is None else shadow_with_x(
+                    sd0, sd0.inter_lo + (sd0.inter_hi - sd0.inter_lo) * t)
+                try:
+                    want = fraction_slab_pair(arr, frame, sd)
+                except DegenerateWedgeError:
+                    with pytest.raises(DegenerateWedgeError):
+                        slab_pair(arr, frame, sd)
+                    continue
+                slab = slab_pair(arr, frame, sd)
+                same(slab, want)
+                args = (slab.normal, slab.c_k_ij, slab.c_k_ji)
+                same(slab_offender(lifted.points, *args),
+                     fraction_slab_offender(lifted.points, *args))
+                same(verify_slab(lifted, slab),
+                     (fraction_slab_offender(lifted.points, *args) is None,
+                      fraction_slab_offender(lifted.points, *args)))
+                rho = ratio(arr.members[i].ratio, arr.members[j].ratio,
+                            sd.u_i, sd.u_j)
+                y_i, y_j = lifted.points[i], lifted.points[j]
+                for expected in (rho, rho * F(7, 8) if not isinstance(
+                        rho, float) else rho * 0.875):
+                    same(verify_ratio_identity(slab, y_i, y_j, expected),
+                         fraction_ratio_identity(slab, y_i, y_j, expected))
+                compared += 1
+    return compared
+
+
+def test_integer_lift_layer_on_identity_corpus_slice():
+    from test_acceptance import identity_cases
+    compared = 0
+    for arr, cases in identity_cases(30):
+        lifted = lift(arr)
+        same(lifted.points, [homogeneous_lift(h.center, h.ratio)
+                             for h in arr.members])
+        for i, j, frame, sd0, xs in cases:
+            same(frame, two_call_frame(arr, i, j))
+            same(sd0, loop_shadow(arr, frame))
+            for x in xs:
+                sd = shadow_with_x(sd0, x)
+                slab = slab_pair(arr, frame, sd)
+                same(slab, fraction_slab_pair(arr, frame, sd))
+                args = (slab.normal, slab.c_k_ij, slab.c_k_ji)
+                want = fraction_slab_offender(lifted.points, *args)
+                same(slab_offender(lifted.points, *args), want)
+                same(verify_slab(lifted, slab), (want is None, want))
+                rho = ratio(arr.members[i].ratio, arr.members[j].ratio,
+                            sd.u_i, sd.u_j)
+                for expected in (rho, -rho, rho + F(1, 10 ** 9)):
+                    args = (slab, lifted.points[i], lifted.points[j],
+                            expected)
+                    same(verify_ratio_identity(*args),
+                         fraction_ratio_identity(*args))
+                compared += 1
+    assert compared > 1500
+
+
+def test_integer_lift_layer_int_and_mixed_denominators():
+    square, hexagon = linf_ball(2), random_symmetric_hexagon(
+        random.Random(5))
+    ints = (Homothet(Vector((0, 0)), 3), Homothet(Vector((2, 1)), 4),
+            Homothet(Vector((1, 2)), 3))
+    mixed = (Homothet(Vector((F(1, 3), 0)), F(25, 7)),
+             Homothet(Vector((1, F(2, 9))), 4),
+             Homothet(Vector((F(-3, 8), F(5, 6))), F(47, 12)))
+    compared = 0
+    for body in (square, l1_ball(2), hexagon):
+        for members in (ints, mixed, ints[:2] + mixed[2:]):
+            compared += check_both_routes(Arrangement(body, members),
+                                          (F(0), F(1, 3), F(1)))
+    assert compared > 100
+    assert all(type(c) is int for c in ints[0].center.coords)
+
+
+def test_integer_lift_layer_on_corpus_bodies():
+    rng = random.Random(606)
+    for t in range(9):
+        arr = random_minkowski_arrangement(rng, body=corpus_body(rng, t))
+        check_both_routes(arr, (F(1, 4), F(5, 7)))
+
+
+def test_integer_slab_pair_inverted_wedge():
+    # the common point beyond both centers: the width ratio is negative
+    # and the closed form's orientation is flipped
+    arr = Arrangement(linf_ball(1), (Homothet(Vector((F(0),)), F(1)),
+                                     Homothet(Vector((F(1),)), F(3))))
+    frame = build_frame(arr, 0, 1)
+    sd = shadow_with_x(shadow(arr, frame), F(-1))
+    rho = ratio(F(1), F(3), sd.u_i, sd.u_j)
+    assert rho < 0
+    slab = slab_pair(arr, frame, sd)
+    same(slab, fraction_slab_pair(arr, frame, sd))
+    assert slab.normal[0] < 0                      # negated closed form
+    y = lift(arr).points
+    assert verify_ratio_identity(slab, y[0], y[1], rho) is True
+    assert fraction_ratio_identity(slab, y[0], y[1], rho) is True
+
+
+def test_integer_containment_on_and_beyond_an_outer_plane():
+    normal = Vector((F(2, 3), F(-1, 5), F(1, 7)))
+    c_1, c_2 = F(1, 2), F(-3, 4)
+    on_plane = normal * (c_1 / normal.norm_sq())    # normal . y == c_1
+    inside = normal * (F(-1, 9) / normal.norm_sq())
+    step = normal * F(1, 10 ** 12)
+    assert normal.dot(on_plane) == c_1
+    cases = [
+        ([inside, on_plane], None),
+        ([inside, on_plane + step], 1),             # a rational step outside
+        ([on_plane - step, inside], None),          # a step back inside
+        ([inside, Vector((0, 0, 0)), normal * (c_2 / normal.norm_sq())],
+         None),                                     # int coords, other plane
+        ([inside, normal * (c_2 / normal.norm_sq()) - step], 1),
+    ]
+    for points, want in cases:
+        for ends in ((c_1, c_2), (c_2, c_1)):
+            same(slab_offender(points, normal, *ends), want)
+            same(fraction_slab_offender(points, normal, *ends), want)
+            lifted = LiftedConfig(tuple(points))
+            slab = SlabPair(0, 1, normal, *ends, F(0), F(1))
+            same(verify_slab(lifted, slab), (want is None, want))
+
+
+def test_integer_checks_on_arbitrary_normals():
+    """Criterion-5-style families: each pair's normal is the difference of
+    its two points, the outer offsets are the extremes of the family."""
+    rng = random.Random(55)
+    for _ in range(20):
+        pts = [Vector((F(rng.randint(-9, 9), rng.randint(1, 6)),
+                       rng.randint(-4, 4))) for _ in range(5)]
+        for i in range(5):
+            for j in range(5):
+                normal = pts[j] - pts[i]
+                if i == j or normal.is_zero():
+                    continue
+                values = [normal.dot(p) for p in pts]
+                lo, hi = min(values), max(values)
+                for c_1, c_2 in ((lo, hi), (lo, hi - F(1, 3)),
+                                 (lo + 1, hi)):
+                    same(slab_offender(pts, normal, c_1, c_2),
+                         fraction_slab_offender(pts, normal, c_1, c_2))
+                slab = SlabPair(i, j, normal, lo, hi, values[i], values[j])
+                rho = abs((hi - lo) / (values[j] - values[i]))
+                for expected in (rho, -rho, rho + F(1, 7)):
+                    args = (slab, pts[i].extended(1), pts[j].extended(1),
+                            expected)
+                    same(verify_ratio_identity(*args),
+                         fraction_ratio_identity(*args))
+                    assert verify_ratio_identity(*args) is (expected != rho + F(1, 7))
+
+
+def test_degenerate_cases_raise_on_both_routes():
+    # u_i = -1/2, u_j = 3/2: the width ratio's denominator vanishes
+    arr = Arrangement(linf_ball(1), (Homothet(Vector((F(0),)), F(1)),
+                                     Homothet(Vector((F(1),)), F(3))))
+    frame = build_frame(arr, 0, 1)
+    sd = shadow_with_x(shadow(arr, frame), F(-1, 2))
+    for route in (slab_pair, fraction_slab_pair):
+        with pytest.raises(DegenerateWedgeError):
+            route(arr, frame, sd)
+    y = Vector((F(1), F(1, 2)))
+    flat = SlabPair(0, 1, Vector((1, 0)), -1, 1, F(1, 3), F(1, 3))
+    same_point = SlabPair(0, 1, Vector((1, 0)), -1, 1, 0, 1)
+    for route in (verify_ratio_identity, fraction_ratio_identity):
+        with pytest.raises(ValueError, match="inner planes coincide"):
+            route(flat, y, y + Vector((1, 0)), 2)
+        with pytest.raises(ValueError, match="lifted points coincide"):
+            route(same_point, y, y, 2)
+
+
+def test_float_input_takes_the_tolerance_route():
+    arr = Arrangement(BallBody(2), (Homothet(Vector((0.0, 0.0)), 1.0),
+                                    Homothet(Vector((1.5, 0.5)), 1.25),
+                                    Homothet(Vector((0.5, 1.0)), 1.0)))
+    check_both_routes(arr, (0.25, 0.75))
+    # float centers on an exact body, and a float ratio among exact centers
+    mixed = Arrangement(linf_ball(2), (Homothet(Vector((0.0, 0.5)), 1),
+                                       Homothet(Vector((F(3, 2), 0)), 1.25),
+                                       Homothet(Vector((1, 1)), F(1))))
+    check_both_routes(mixed, (0.5,))
+    # the tolerance loop accepts a point a hair outside; exact input does not
+    normal = Vector((F(1), F(0), F(0)))
+    exact = [Vector((F(0), F(0), F(1))), Vector((1 + F(1, 10 ** 12), 0, 1))]
+    floats = [Vector(float(c) for c in p) for p in exact]
+    assert slab_offender(exact, normal, -1, 1) == 1
+    assert slab_offender(floats, normal, -1, 1) is None
+    assert fraction_slab_offender(floats, normal, -1, 1) is None
+    assert verify_slab(LiftedConfig(tuple(floats)),
+                       SlabPair(0, 1, normal, -1, 1, 0, 1)) == (True, None)
+    assert LiftedConfig(tuple(floats)).forms is None
+    assert verify_ratio_identity(SlabPair(0, 1, normal, -1, 1, 0.0, 1.0),
+                                 floats[0], floats[1], 2 + 1e-12)
+
+
+def test_hull_rank_against_affine_coordinates():
+    rng = random.Random(8)
+    for dim in (1, 2, 3):
+        for rank in range(dim + 1):
+            for _ in range(10):
+                base = [Vector(F(rng.randint(-6, 6), rng.randint(1, 3))
+                               for _ in range(dim)) for _ in range(rank)]
+                origin = Vector(rng.randint(-3, 3) for _ in range(dim))
+                pts = [origin]
+                for _ in range(6):
+                    p = origin
+                    for b in base:
+                        p = p + b * F(rng.randint(-4, 4), rng.randint(1, 4))
+                    pts.append(p)
+                got = hull(pts)
+                adim = len(affine_coordinates(pts)[1])
+                if adim < dim:
+                    assert got == LowerDimensional(adim)
+                else:
+                    assert isinstance(got, ConvexPolytope)
