@@ -160,7 +160,7 @@ def _lift_form(center: Vector, lam: Scalar):
 
 @dataclass(frozen=True)
 class LiftedConfig:
-    """Images y_k = (v_k / lam_k, 1 / lam_k) of the members in dim d+1."""
+    """Points y_k = (v_k/lam_k, 1/lam_k); forms: (Y_k, w_k) each, or None."""
     points: Tuple[Vector, ...]
     forms: Optional[tuple] = field(init=False, repr=False, compare=False)
 

@@ -587,7 +587,7 @@ def same(got, want):
     assert typed(got) == typed(want)
 
 
-def check_both_routes(arr, xs_per_pair=(), seed=0):
+def check_both_routes(arr, xs_per_pair=()):
     """Every pair of arr against the Fraction route, at the shadow midpoint
     and at the given fractions of the shadow intersection; the ratio
     identity also at a wrong ratio.  Returns the number of slabs compared."""
@@ -751,7 +751,8 @@ def test_integer_checks_on_arbitrary_normals():
                             expected)
                     same(verify_ratio_identity(*args),
                          fraction_ratio_identity(*args))
-                    assert verify_ratio_identity(*args) is (expected != rho + F(1, 7))
+                    wrong = expected == rho + F(1, 7)
+                    assert verify_ratio_identity(*args) is not wrong
 
 
 def test_degenerate_cases_raise_on_both_routes():
