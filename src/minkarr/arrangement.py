@@ -142,9 +142,11 @@ def partition_classes(lambdas: Sequence[Scalar], dim: int) -> List[PartitionLabe
     A ratio belongs to class l and block k when it lies in
     (mu^((k-1)d + l), mu^((k-1)d + l - 1)] for mu = 2^(-1/(d-1)).  Inputs
     with maximum above 1 are first divided by that maximum; inputs already in
-    (0, 1] are taken as normalized and labeled as given.  Labels are computed
-    with base-mu logarithms; values within the run tolerance of an interval
-    endpoint snap to the endpoint (intervals are right-closed).
+    (0, 1] are taken as normalized and labeled as given.  Exact ratios are
+    labeled exactly: x = lam/top lies in (mu^e, mu^(e-1)] exactly when
+    2^(-e) < x^(d-1) <= 2^(-(e-1)), an integer comparison.  Float ratios are
+    labeled with base-mu logarithms; values within the run tolerance of an
+    interval endpoint snap to the endpoint (intervals are right-closed).
     """
     if dim < 2:
         raise ValueError("the partition needs dimension >= 2")
@@ -158,14 +160,21 @@ def partition_classes(lambdas: Sequence[Scalar], dim: int) -> List[PartitionLabe
     log_mu = math.log(mu)
     labels = []
     for lam in lambdas:
-        x = float(div(lam, top))
-        t = math.log(x) / log_mu if x != 1.0 else 0.0
-        nearest = round(t)
-        if abs(t - nearest) <= scalars.tolerance():
-            t = float(nearest)
-        exponent = math.floor(t) + 1  # lam in (mu^exponent, mu^(exponent-1)]
-        if exponent < 1:
-            exponent = 1
+        # exponent: lam/top in (mu^exponent, mu^(exponent-1)]
+        if scalars.is_exact(lam, top):
+            # (lam/top)^(d-1) = p/q <= 1, and exponent - 1 = floor(log2(q/p))
+            # is b or b - 1 for b the difference of the bit lengths
+            y = (Fraction(lam) / top) ** (dim - 1)
+            p, q = y.numerator, y.denominator
+            b = q.bit_length() - p.bit_length()
+            exponent = b + 1 if q >= p << b else b
+        else:
+            x = float(div(lam, top))
+            t = math.log(x) / log_mu if x != 1.0 else 0.0
+            nearest = round(t)
+            if abs(t - nearest) <= scalars.tolerance():
+                t = float(nearest)
+            exponent = max(math.floor(t) + 1, 1)
         labels.append(PartitionLabel(l=(exponent - 1) % dim + 1,
                                      k=(exponent - 1) // dim + 1))
     return labels

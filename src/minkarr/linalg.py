@@ -1,4 +1,4 @@
-"""Vectors and small exact linear algebra: rank, solving inside a span, and
+"""Vectors and small exact linear algebra: row reduction, rank, and
 coordinates of points inside their affine hull.
 
 Everything here is dimension-generic and works on exact scalars; floating
@@ -7,8 +7,7 @@ inputs degrade gracefully to tolerance-based pivoting.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 from . import scalars
 from .scalars import Scalar, div
@@ -98,15 +97,11 @@ def cross3(a: Vector, b: Vector) -> Vector:
                    a[0] * b[1] - a[1] * b[0]))
 
 
-def _wrap(v: Scalar) -> Scalar:
-    # ints become Fractions so that elimination divides exactly
-    if isinstance(v, int) and not isinstance(v, bool):
-        return Fraction(v)
-    return v
-
-
 def _rref(rows: List[List[Scalar]], ncols: int):
-    """In-place reduced row echelon form; returns the pivot column list."""
+    """In-place reduced row echelon form; returns the pivot column list.
+
+    Pivot rows are divided with ``div``, so exact entries come out as
+    Fractions whatever their input type."""
     pivots: List[int] = []
     r = 0
     for c in range(ncols):
@@ -134,26 +129,7 @@ def _rref(rows: List[List[Scalar]], ncols: int):
 def matrix_rank(rows: Sequence[Sequence[Scalar]]) -> int:
     if not rows:
         return 0
-    work = [[_wrap(v) for v in row] for row in rows]
-    return len(_rref(work, len(work[0])))
-
-
-def solve_in_span(basis: Sequence[Vector], target: Vector) -> Optional[List[Scalar]]:
-    """Coefficients c with sum(c_i * basis_i) == target, or None if outside
-    the span.  The basis need not be independent; any valid witness is fine."""
-    if not basis:
-        return [] if target.is_zero() else None
-    m = len(basis)
-    rows = [[_wrap(b[r]) for b in basis] + [_wrap(target[r])]
-            for r in range(target.dim)]
-    pivots = _rref(rows, m)
-    for row in rows:
-        if all(scalars.eq(x, 0) for x in row[:m]) and not scalars.eq(row[m], 0):
-            return None
-    coeffs: List[Scalar] = [Fraction(0)] * m
-    for prow, pcol in enumerate(pivots):
-        coeffs[pcol] = rows[prow][m]
-    return coeffs
+    return len(_rref([list(row) for row in rows], len(rows[0])))
 
 
 def affine_coordinates(points: Sequence[Vector]):
@@ -161,23 +137,18 @@ def affine_coordinates(points: Sequence[Vector]):
 
     Returns (coords, basis, origin): origin is points[0], basis is an
     independent list of difference vectors, and coords[i] are the coefficients
-    of points[i] - origin in that basis (a Vector of length len(basis), or an
-    empty tuple list when all points coincide).
+    of points[i] - origin in that basis (a Vector of length len(basis)), or
+    (None, [], origin) when all points coincide.
+
+    One row reduction of the difference columns gives both: the pivot
+    columns are the basis, and the reduced columns are the coordinates.
     """
     origin = points[0]
-    basis: List[Vector] = []
-    for p in points[1:]:
-        d = p - origin
-        if d.is_zero():
-            continue
-        if solve_in_span(basis, d) is None:
-            basis.append(d)
-    if not basis:  # every point coincides with the origin
+    diffs = [p - origin for p in points]
+    rows = [[d[r] for d in diffs] for r in range(origin.dim)]
+    pivots = _rref(rows, len(diffs))
+    if not pivots:
         return None, [], origin
-    coords = []
-    for p in points:
-        c = solve_in_span(basis, p - origin)
-        if c is None:  # cannot happen: basis spans all differences
-            raise AssertionError("affine basis does not span input differences")
-        coords.append(Vector(c))
-    return coords, basis, origin
+    coords = [Vector(row[c] for row in rows[:len(pivots)])
+              for c in range(len(diffs))]
+    return coords, [diffs[c] for c in pivots], origin

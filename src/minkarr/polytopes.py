@@ -4,17 +4,20 @@ Hulls are computed with exact orientation predicates (rational inputs stay
 rational throughout).  Degenerate inputs are reported through
 ``LowerDimensional`` rather than an exception so callers can take the
 affine-hull reduction branch.
+
+Each incidence is decided once: a 3D facet is the set of points its plane's
+sign test puts on the plane, and the volume takes each facet's area from the
+planar hull of those points projected onto two coordinate axes.
 """
 
 from __future__ import annotations
 
-import functools
-import math
+import itertools
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple, Union
 
 from . import scalars
-from .linalg import Vector, affine_coordinates, cross3, matrix_rank
+from .linalg import Vector, affine_coordinates, cross3
 from .scalars import Scalar, div
 
 
@@ -43,7 +46,10 @@ def _dedupe(points: Sequence[Vector]) -> List[Vector]:
 def hull(points: Sequence[Vector]) -> Union[ConvexPolytope, LowerDimensional]:
     """Convex hull of the points, exact in rational mode.
 
-    Returns LowerDimensional(r) when the affine hull has dimension r < d.
+    Returns LowerDimensional(r) when ``affine_coordinates`` finds an affine
+    hull of dimension r < d.  A 3D facet keeps the outward (normal, offset)
+    of the first point triple that finds it; the vertices are the points on
+    at least three facets, in input order.
     """
     pts = _dedupe(points)
     if not pts:
@@ -51,9 +57,7 @@ def hull(points: Sequence[Vector]) -> Union[ConvexPolytope, LowerDimensional]:
     dim = pts[0].dim
     if dim > 3:
         raise ValueError("exact hulls are implemented for dimension <= 3")
-    exact = scalars.is_exact(*(c for p in pts for c in p.coords))
-    adim = (matrix_rank([(p - pts[0]).coords for p in pts[1:]]) if exact
-            else len(affine_coordinates(pts)[1]))
+    adim = len(affine_coordinates(pts)[1])
     if adim < dim:
         return LowerDimensional(adim)
     if dim == 1:
@@ -75,7 +79,8 @@ def _orient2(o: Vector, a: Vector, b: Vector) -> int:
                         - (a[1] - o[1]) * (b[0] - o[0]))
 
 
-def _hull_2d(pts: List[Vector]) -> ConvexPolytope:
+def _monotone_chain(pts: Sequence[Vector]) -> List[Vector]:
+    """Vertices of the hull of planar points, counterclockwise."""
     spts = sorted(pts, key=lambda p: (p[0], p[1]))
     lower: List[Vector] = []
     for p in spts:
@@ -87,7 +92,11 @@ def _hull_2d(pts: List[Vector]) -> ConvexPolytope:
         while len(upper) >= 2 and _orient2(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    verts = lower[:-1] + upper[:-1]  # counterclockwise
+    return lower[:-1] + upper[:-1]
+
+
+def _hull_2d(pts: List[Vector]) -> ConvexPolytope:
+    verts = _monotone_chain(pts)
     facets = []
     for i, v in enumerate(verts):
         w = verts[(i + 1) % len(verts)]
@@ -97,52 +106,32 @@ def _hull_2d(pts: List[Vector]) -> ConvexPolytope:
     return ConvexPolytope(2, tuple(verts), tuple(facets))
 
 
-def _canonical_plane(normal: Vector, offset: Scalar):
-    for c in normal.coords:
-        if not scalars.eq(c, 0):
-            s = abs(c)
-            key_n = tuple(div(v, s) for v in normal.coords)
-            return key_n, div(offset, s)
-    raise AssertionError("zero normal")
-
-
 def _hull_3d(pts: List[Vector]) -> ConvexPolytope:
-    n = len(pts)
     planes = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                normal = cross3(pts[j] - pts[i], pts[k] - pts[i])
-                if normal.is_zero():
-                    continue
-                offset = normal.dot(pts[i])
-                side_pos = side_neg = False
-                for p in pts:
-                    s = scalars.sign(normal.dot(p) - offset)
-                    if s > 0:
-                        side_pos = True
-                    elif s < 0:
-                        side_neg = True
-                    if side_pos and side_neg:
-                        break
-                if side_pos and side_neg:
-                    continue
-                if side_pos:
-                    normal, offset = -normal, -offset
-                key_n, key_c = _canonical_plane(normal, offset)
-                planes[(key_n, key_c)] = (Vector(key_n), key_c)
-    facets = tuple(planes[k] for k in sorted(planes,
-                                             key=lambda kc: (kc[0], kc[1])))
-    verts = []
-    for p in pts:
-        incident = sum(1 for a, c in facets if scalars.eq(a.dot(p), c))
-        if incident >= 3:
-            verts.append(p)
-    return ConvexPolytope(3, tuple(verts), facets)
+    for i, j, k in itertools.combinations(range(len(pts)), 3):
+        normal = cross3(pts[j] - pts[i], pts[k] - pts[i])
+        if normal.is_zero():
+            continue
+        offset = normal.dot(pts[i])
+        signs = [scalars.sign(normal.dot(p) - offset) for p in pts]
+        if 1 in signs and -1 in signs:
+            continue
+        key = tuple(m for m, s in enumerate(signs) if s == 0)
+        if key not in planes:
+            planes[key] = (-normal, -offset) if 1 in signs else (normal, offset)
+    verts = tuple(p for m, p in enumerate(pts)
+                  if sum(m in key for key in planes) >= 3)
+    return ConvexPolytope(3, verts, tuple(planes.values()))
 
 
 def volume(poly: ConvexPolytope) -> Scalar:
-    """Exact volume by fan triangulation from an interior point."""
+    """Exact volume of a full-dimensional hull.
+
+    In dimension 3 it is a third of the sum over facets a.x <= c of
+    (c - a.m) * area(F) / |a|, m the vertex centroid.  Projected along the
+    axis k of the largest |a_k|, a facet's vertices (a.p == c) have a planar
+    hull of area area(F) * |a_k| / |a|, so no square root is taken.
+    """
     if isinstance(poly, LowerDimensional):
         raise ValueError("volume needs a full-dimensional polytope; the "
                          "input spans only an affine %d-flat" % poly.affine_dim)
@@ -163,66 +152,6 @@ def _area_2d(verts: Sequence[Vector]) -> Scalar:
     return abs(div(total, 2))
 
 
-def _facet_vertices(poly: ConvexPolytope, normal: Vector, offset: Scalar):
-    return [p for p in poly.vertices if scalars.eq(normal.dot(p), offset)]
-
-
-def _order_facet(verts: List[Vector], normal: Vector) -> List[Vector]:
-    """Order the vertices of a convex facet polygon around its centroid.
-
-    A float angular sort does the work; the result is verified with exact
-    triple products (consistent turning around the ring) and falls back to a
-    fully exact comparator when the float ordering cannot be trusted.
-    """
-    center = verts[0]
-    for v in verts[1:]:
-        center = center + v
-    center = center / len(verts)
-
-    fc = center.as_floats()
-    fn = normal.as_floats()
-    ref = verts[0].as_floats()
-    e1 = tuple(r - c for r, c in zip(ref, fc))
-    e2 = (fn[1] * e1[2] - fn[2] * e1[1],
-          fn[2] * e1[0] - fn[0] * e1[2],
-          fn[0] * e1[1] - fn[1] * e1[0])
-
-    def angle(p: Vector) -> float:
-        d = tuple(a - c for a, c in zip(p.as_floats(), fc))
-        return math.atan2(sum(a * b for a, b in zip(d, e2)),
-                          sum(a * b for a, b in zip(d, e1)))
-
-    ring = sorted(verts, key=angle)
-    k = len(ring)
-    turns = set()
-    for idx in range(k):
-        u = ring[idx] - center
-        w = ring[(idx + 1) % k] - center
-        turns.add(scalars.sign(cross3(u, w).dot(normal)))
-    if 0 not in turns and len(turns) == 1:
-        return ring
-    return _order_facet_exact(verts, center, normal)
-
-
-def _order_facet_exact(verts: List[Vector], center: Vector,
-                       normal: Vector) -> List[Vector]:
-    ref = verts[0] - center
-
-    def half(u: Vector) -> int:
-        s = scalars.sign(cross3(ref, u).dot(normal))
-        if s != 0:
-            return 0 if s > 0 else 1
-        return 0 if scalars.sign(ref.dot(u)) > 0 else 1
-
-    def cmp(p: Vector, q: Vector) -> int:
-        u, w = p - center, q - center
-        hu, hw = half(u), half(w)
-        if hu != hw:
-            return -1 if hu < hw else 1
-        return -scalars.sign(cross3(u, w).dot(normal))
-    return sorted(verts, key=functools.cmp_to_key(cmp))
-
-
 def _volume_3d(poly: ConvexPolytope) -> Scalar:
     center = poly.vertices[0]
     for v in poly.vertices[1:]:
@@ -230,9 +159,10 @@ def _volume_3d(poly: ConvexPolytope) -> Scalar:
     center = center / len(poly.vertices)
     total: Scalar = 0
     for normal, offset in poly.facets:
-        ring = _order_facet(_facet_vertices(poly, normal, offset), normal)
-        for i in range(1, len(ring) - 1):
-            det = cross3(ring[i] - ring[0], ring[i + 1] - ring[0]) \
-                .dot(center - ring[0])
-            total = total + abs(det)
-    return div(total, 6)
+        k = max(range(3), key=lambda i: abs(normal[i]))
+        face = [Vector(p[i] for i in range(3) if i != k)
+                for p in poly.vertices if scalars.eq(normal.dot(p), offset)]
+        area = _area_2d(_monotone_chain(face))
+        total = total + div((offset - normal.dot(center)) * area,
+                            abs(normal[k]))
+    return div(total, 3)

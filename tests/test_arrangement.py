@@ -105,6 +105,13 @@ def test_partition_examples():
     assert (lab.l, lab.k) == (3, 1)
 
 
+def test_partition_exact_near_grid_points():
+    # mu = 2^(-1/2) for d = 3: just above mu is class 1, and just above
+    # mu^2 = 1/2 is class 2; float logarithms snap both onto the grid point
+    assert partition_classes([F(70710678118656, 10 ** 14)], 3)[0].l == 1
+    assert partition_classes([F(1, 2) + F(1, 10 ** 15)], 3)[0].l == 2
+
+
 def test_partition_rescales_when_needed():
     labels = partition_classes([F(4), F(2)], 2)
     # after dividing by 4 the values are 1 and 1/2

@@ -1,4 +1,6 @@
 import json
+import math
+import random
 
 import pytest
 
@@ -53,6 +55,34 @@ def test_verify_violating_file_exit_1(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 1
     assert "FAIL at pair (0, 1)" in out
+
+
+def disc_hexagon(centre_ratio):
+    """Unit discs on the vertices of a unit regular hexagon and one disc of
+    the given ratio at its centre."""
+    homothets = [{"center": [0.0, 0.0], "ratio": centre_ratio}]
+    for k in range(6):
+        phi = k * math.pi / 3
+        homothets.append({"center": [math.cos(phi), math.sin(phi)],
+                          "ratio": 1.0})
+    return {"body": {"dim": 2, "type": "ball"}, "homothets": homothets}
+
+
+def test_float_verify_near_degenerate_sweep(tmp_path, capsys):
+    # a centre ratio of 1 - delta makes the lifted centre nearly coplanar
+    # with a facet of the lifted hull; 6.43e-9 is a disc hexagon that once
+    # crashed the hull volume with an IndexError
+    rng = random.Random(11)
+    deltas = [10 ** (-12 + (k + rng.random()) / 2) for k in range(18)]
+    path = tmp_path / "near.json"
+    for delta in deltas + [1e-12, 1e-3, 6.43e-9]:
+        cube = arrangement_to_json(cube_arrangement(2))
+        cube["homothets"][4]["ratio"] = 1 - delta
+        for obj in (cube, disc_hexagon(1 - delta)):
+            path.write_text(json.dumps(obj))
+            code, out, err = run(capsys, "--mode", "float", "verify",
+                                 str(path))
+            assert (code, "verdict: PASS" in out) == (0, True), (delta, err)
 
 
 def test_verify_internal_error_exit_2(cube_file, capsys, monkeypatch):

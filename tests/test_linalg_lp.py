@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from minkarr.linalg import Vector, affine_coordinates, solve_in_span
+from minkarr.linalg import Vector, affine_coordinates
 from minkarr.lp import UnboundedLP, simplex_max
 
 
@@ -15,13 +15,6 @@ def test_vector_arithmetic_preserves_dim():
     assert a.dot(b) == F(1, 2) - 3
     with pytest.raises(ValueError):
         a + Vector((1, 2))
-
-
-def test_solve_in_span():
-    basis = [Vector((1, 0, 0)), Vector((1, 1, 0))]
-    coeffs = solve_in_span(basis, Vector((3, 2, 0)))
-    assert coeffs == [1, 2]
-    assert solve_in_span(basis, Vector((0, 0, 1))) is None
 
 
 def test_affine_coordinates_of_planar_points_in_3d():

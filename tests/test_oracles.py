@@ -2,6 +2,7 @@
 derivation gets compared against it on random rational instances."""
 
 import dataclasses
+import functools
 import math
 import random
 from fractions import Fraction as F
@@ -23,7 +24,8 @@ from minkarr.linalg import (Vector, _rref, affine_coordinates, cross3,
                             matrix_rank, zero_vector)
 from minkarr import lp, scalars
 from minkarr.packing import family_from_arrangement, lifted_packing_pipeline
-from minkarr.polytopes import ConvexPolytope, LowerDimensional, hull, volume
+from minkarr.polytopes import (ConvexPolytope, LowerDimensional, _dedupe, hull,
+                               volume)
 
 
 def cross_ratio_route(lam_i, lam_j, alpha_j, x):
@@ -207,18 +209,153 @@ def test_slab_planes_inverted_wedge():
     assert_same_planes(slab, *nullspace_slab(arr, frame, sd))
 
 
+def facet_vertices(poly: ConvexPolytope, normal: Vector, offset):
+    return [p for p in poly.vertices if scalars.eq(normal.dot(p), offset)]
+
+
+def order_facet(verts, normal):
+    """Order the vertices of a convex facet polygon around its centroid.
+
+    A float angular sort does the work; the result is verified with exact
+    triple products (consistent turning around the ring) and falls back to a
+    fully exact comparator when the float ordering cannot be trusted.
+    """
+    center = verts[0]
+    for v in verts[1:]:
+        center = center + v
+    center = center / len(verts)
+
+    fc = center.as_floats()
+    fn = normal.as_floats()
+    ref = verts[0].as_floats()
+    e1 = tuple(r - c for r, c in zip(ref, fc))
+    e2 = (fn[1] * e1[2] - fn[2] * e1[1],
+          fn[2] * e1[0] - fn[0] * e1[2],
+          fn[0] * e1[1] - fn[1] * e1[0])
+
+    def angle(p):
+        d = tuple(a - c for a, c in zip(p.as_floats(), fc))
+        return math.atan2(sum(a * b for a, b in zip(d, e2)),
+                          sum(a * b for a, b in zip(d, e1)))
+
+    ring = sorted(verts, key=angle)
+    k = len(ring)
+    turns = set()
+    for idx in range(k):
+        u = ring[idx] - center
+        w = ring[(idx + 1) % k] - center
+        turns.add(scalars.sign(cross3(u, w).dot(normal)))
+    if 0 not in turns and len(turns) == 1:
+        return ring
+    return order_facet_exact(verts, center, normal)
+
+
+def order_facet_exact(verts, center, normal):
+    ref = verts[0] - center
+
+    def half(u):
+        s = scalars.sign(cross3(ref, u).dot(normal))
+        if s != 0:
+            return 0 if s > 0 else 1
+        return 0 if scalars.sign(ref.dot(u)) > 0 else 1
+
+    def cmp(p, q):
+        u, w = p - center, q - center
+        hu, hw = half(u), half(w)
+        if hu != hw:
+            return -1 if hu < hw else 1
+        return -scalars.sign(cross3(u, w).dot(normal))
+    return sorted(verts, key=functools.cmp_to_key(cmp))
+
+
 def origin_fan_volume(poly: ConvexPolytope):
-    """Signed origin-based tetrahedron sum over facet fans; independent of
-    the interior-centroid fan used by the production volume."""
-    from minkarr.polytopes import _facet_vertices, _order_facet
+    """Signed origin-based tetrahedron sum over facet fans, each facet's
+    vertices ordered by angle; independent of the projected facet areas
+    used by the production volume."""
     total = F(0)
     for normal, offset in poly.facets:
-        ring = _order_facet(_facet_vertices(poly, normal, offset), normal)
+        ring = order_facet(facet_vertices(poly, normal, offset), normal)
         for idx in range(1, len(ring) - 1):
             q0, q1, q2 = ring[0], ring[idx], ring[idx + 1]
             det = cross3(q1 - q0, q2 - q0).dot(-q0)
             total += F(det)
     return abs(total) / 6
+
+
+def canonical_plane(normal, offset):
+    for c in normal.coords:
+        if not scalars.eq(c, 0):
+            s = abs(c)
+            key_n = tuple(scalars.div(v, s) for v in normal.coords)
+            return key_n, scalars.div(offset, s)
+    raise AssertionError("zero normal")
+
+
+def canonical_hull_3d(pts) -> ConvexPolytope:
+    """3D hull with facets deduplicated by their planes scaled to a first
+    nonzero entry of +-1, and vertices found by a second incidence pass over
+    those planes."""
+    n = len(pts)
+    planes = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                normal = cross3(pts[j] - pts[i], pts[k] - pts[i])
+                if normal.is_zero():
+                    continue
+                offset = normal.dot(pts[i])
+                signs = {scalars.sign(normal.dot(p) - offset) for p in pts}
+                if {1, -1} <= signs:
+                    continue
+                if 1 in signs:
+                    normal, offset = -normal, -offset
+                key_n, key_c = canonical_plane(normal, offset)
+                planes[(key_n, key_c)] = (Vector(key_n), key_c)
+    facets = tuple(planes[k] for k in sorted(planes))
+    verts = [p for p in pts
+             if sum(1 for a, c in facets if scalars.eq(a.dot(p), c)) >= 3]
+    return ConvexPolytope(3, tuple(verts), facets)
+
+
+def solve_in_span(basis, target):
+    """Coefficients c with sum(c_i * basis_i) == target, or None if outside
+    the span.  The basis need not be independent; any valid witness is fine."""
+    if not basis:
+        return [] if target.is_zero() else None
+    m = len(basis)
+    rows = [[b[r] for b in basis] + [target[r]]
+            for r in range(target.dim)]
+    pivots = _rref(rows, m)
+    for row in rows:
+        if all(scalars.eq(x, 0) for x in row[:m]) and not scalars.eq(row[m], 0):
+            return None
+    coeffs = [F(0)] * m
+    for prow, pcol in enumerate(pivots):
+        coeffs[pcol] = rows[prow][m]
+    return coeffs
+
+
+def greedy_affine_coordinates(points):
+    """affine_coordinates by greedy span tests: each difference joins the
+    basis when it is outside the span of the ones before it, and every
+    point's coordinates come from one more span solve."""
+    origin = points[0]
+    basis = []
+    for p in points[1:]:
+        d = p - origin
+        if not d.is_zero() and solve_in_span(basis, d) is None:
+            basis.append(d)
+    if not basis:
+        return None, [], origin
+    return [Vector(solve_in_span(basis, p - origin)) for p in points], \
+        basis, origin
+
+
+def test_solve_in_span():
+    basis = [Vector((1, 0, 0)), Vector((1, 1, 0))]
+    coeffs = solve_in_span(basis, Vector((3, 2, 0)))
+    assert coeffs == [1, 2]
+    assert solve_in_span(basis, Vector((0, 0, 1))) is None
 
 
 def test_volume_against_origin_fan():
@@ -813,8 +950,61 @@ def test_hull_rank_against_affine_coordinates():
                         p = p + b * F(rng.randint(-4, 4), rng.randint(1, 4))
                     pts.append(p)
                 got = hull(pts)
-                adim = len(affine_coordinates(pts)[1])
+                adim = len(greedy_affine_coordinates(pts)[1])
                 if adim < dim:
                     assert got == LowerDimensional(adim)
                 else:
                     assert isinstance(got, ConvexPolytope)
+
+
+def lattice_points(rng, dim, rank, count):
+    """Points on a small lattice of a random rank-r flat, so that hull
+    facets carry coplanar extras and hull edges collinear ones, plus the
+    midpoint of two of them and the centroid of three.  The lattice points
+    are plain ints or Fractions."""
+    base = [Vector(rng.randint(-6, 6) for _ in range(dim))
+            for _ in range(rank)]
+    origin = Vector(rng.randint(-6, 6) for _ in range(dim))
+    step = rng.choice((1, F(1, 2)))
+    pts = [origin]
+    for _ in range(count):
+        p = origin
+        for b in base:
+            p = p + b * (rng.randint(-2, 2) * step)
+        pts.append(p)
+    a, b, c = (rng.choice(pts) for _ in range(3))
+    return pts + [(a + b) / 2, (a + b + c) / 3]
+
+
+def same_planes(got, want):
+    """Each facet list, scaled to a first nonzero entry of +-1, is the same
+    set; a positive scale keeps each plane's outward side."""
+    keys = [canonical_plane(a, c) for a, c in got]
+    return len(set(keys)) == len(keys) and \
+        set(keys) == set(canonical_plane(a, c) for a, c in want)
+
+
+def test_hull_volume_and_coordinates_against_oracles():
+    rng = random.Random(2024)
+    for dim in (1, 2, 3, 4):
+        for rank in range(dim + 1):
+            for _ in range(30 if rank == 3 else 8):
+                pts = lattice_points(rng, dim, rank, rng.randint(3, 8))
+                got = affine_coordinates(pts)
+                same(got, greedy_affine_coordinates(pts))
+                # plain int input too comes out as Fraction coordinates
+                assert all(type(c) is F for v in got[0] or () for c in v)
+                if dim > 3:
+                    continue
+                h = hull(pts)
+                if len(got[1]) < dim:
+                    assert h == LowerDimensional(len(got[1]))
+                    continue
+                if dim < 3:
+                    assert volume(h) > 0
+                    continue
+                oracle = canonical_hull_3d(_dedupe(pts))
+                assert h.vertices == oracle.vertices
+                assert same_planes(h.facets, oracle.facets)
+                assert volume(h) == origin_fan_volume(oracle) \
+                    == origin_fan_volume(h)

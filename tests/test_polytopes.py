@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 
+from minkarr import Arrangement, Homothet, l1_ball, lift
 from minkarr.linalg import Vector
 from minkarr.polytopes import ConvexPolytope, LowerDimensional, hull, volume
 from test_oracles import contains, interiors_disjoint, shrink
@@ -63,6 +64,19 @@ def test_hull_octahedron_with_coplanar_extra():
     h2 = hull(pts2)
     assert len(h2.vertices) == 6
     assert volume(h2) == F(4, 3)
+
+
+def test_float_hull_of_a_lift_has_one_facet_per_plane():
+    # in floats, the triples of one facet give planes that differ in the
+    # last bits; keyed by those planes, facets were counted twice and the
+    # volume came out as 1/60
+    members = [((-1.5, -1.0), 1.0), ((0.5, 2.0), 4.0), ((1.5, -1.0), 3.0),
+               ((-2.0, -0.5), 1.0), ((-1.0, -1.5), 1.0)]
+    arr = Arrangement(l1_ball(2), tuple(Homothet(Vector(c), r)
+                                        for c, r in members))
+    h = hull(lift(arr).points)
+    assert (len(h.vertices), len(h.facets)) == (4, 4)
+    assert abs(volume(h) - 1 / 72) <= 1e-12 / 72
 
 
 def overlap_probe(p1: ConvexPolytope, p2: ConvexPolytope,
