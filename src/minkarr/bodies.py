@@ -1,13 +1,18 @@
-"""Origin-symmetric convex bodies and their gauge machinery.
+"""Origin-symmetric convex bodies: the gauge and the boundary frame.
 
 A body is the unit ball of the norm it induces: the gauge of x is the least
-lambda >= 0 with x in lambda*K.  Three variants are supported:
+lambda >= 0 with x in lambda*K.  The arrangement predicates read the gauge;
+the shadow and the lift read the boundary frame toward u != 0, the gauge-1
+point r = u/gauge(u) with a supporting hyperplane of K at r, which each body
+answers in one pass.  Three variants are supported:
 
 * ``HPolytopeBody`` -- intersection of halfspaces a.x <= 1 (facets are stored
   in offset-1 canonical form), central symmetry means the facet list is
   closed under normal negation; with exact facets the gauge of an exact
   vector is one integer pass (see ``HPolytopeBody.gauge``);
 * ``VPolytopeBody`` -- convex hull of a vertex list closed under negation;
+  up to dimension 3 it answers through its facet form, beyond that the
+  gauge is the polar LP and the frame is not available;
 * ``BallBody`` -- the Euclidean unit ball (floating mode).
 
 All bodies are immutable after construction and safe to share between
@@ -31,34 +36,17 @@ class BodyError(ValueError):
 
 
 class SymmetricBody:
-    """Common interface; concrete bodies implement the four primitives."""
+    """Common interface: ``gauge`` and ``boundary_frame``."""
 
     dim: int
 
     def gauge(self, x: Vector) -> Scalar:
         raise NotImplementedError
 
-    def support(self, a: Vector) -> Scalar:
-        raise NotImplementedError
-
-    def boundary_point(self, u: Vector) -> Vector:
-        """The boundary point in direction u, i.e. u scaled to gauge 1."""
-        self._check_dim(u)
-        g = self.gauge(u)
-        if scalars.eq(g, 0):
-            raise ValueError("boundary_point needs a nonzero direction")
-        return u / g
-
-    def supporting_hyperplane(self, p: Vector) -> Tuple[Vector, Scalar]:
-        raise NotImplementedError
-
     def boundary_frame(self, u: Vector) -> Tuple[Vector, Vector, Scalar]:
-        """boundary_point(u) and a supporting hyperplane of the body there."""
-        r_vec = self.boundary_point(u)
-        return (r_vec,) + tuple(self.supporting_hyperplane(r_vec))
-
-    def is_exact(self) -> bool:
-        return False
+        """(r, a, c): r = u/gauge(u) on the boundary toward u != 0, and a
+        supporting hyperplane a.z = c of the body at r."""
+        raise NotImplementedError
 
     def _check_dim(self, x: Vector) -> None:
         if x.dim != self.dim:
@@ -67,6 +55,14 @@ class SymmetricBody:
 
     def to_json(self) -> dict:
         raise NotImplementedError
+
+
+def _to_boundary(body: SymmetricBody, u: Vector) -> Vector:
+    """u scaled to gauge 1."""
+    g = body.gauge(u)
+    if scalars.eq(g, 0):
+        raise ValueError("a boundary frame needs a nonzero direction")
+    return u / g
 
 
 def _canonical_facet(normal: Vector, offset: Scalar) -> Vector:
@@ -114,9 +110,6 @@ class HPolytopeBody(SymmetricBody):
             raise BodyError("facet normals do not span the space; "
                             "body would be unbounded")
 
-    def is_exact(self) -> bool:
-        return all(scalars.is_exact(*f.coords) for f in self.facets)
-
     def gauge(self, x: Vector) -> Scalar:
         """max(0, max_a a.x) over the canonical facets.
 
@@ -139,36 +132,24 @@ class HPolytopeBody(SymmetricBody):
                 best = v
         return best if scalars.gt(best, 0) else 0
 
-    def support(self, a: Vector) -> Scalar:
-        self._check_dim(a)
-        if a.is_zero():
-            raise ValueError("support direction must be nonzero")
-        value, _ = lp.simplex_max(list(a.coords),
-                                  [f.coords for f in self.facets],
-                                  [1] * len(self.facets))
-        return value
-
-    def supporting_hyperplane(self, p: Vector) -> Tuple[Vector, Scalar]:
-        self._check_dim(p)
-        if not scalars.eq(self.gauge(p), 1):
-            raise ValueError("point is not on the boundary (gauge != 1)")
-        active = [a for a in self.facets if scalars.eq(a.dot(p), 1)]
-        # deterministic tie-break at vertices: lexicographically least normal
-        best = min(active, key=lambda a: a.coords)
-        return best, 1
-
     def boundary_frame(self, u: Vector) -> Tuple[Vector, Vector, Scalar]:
-        """One integer pass for exact facets and u = p/q != 0: u/gauge(u) is
-        p*D/top, and its active facets are the rows whose dot with p is top."""
+        """r = u/gauge(u) and the lexicographically least facet active at r
+        (a vertex tie breaks the same way every run), offset 1.  Exact facets
+        and u = p/q take one integer pass: r is p*D/top and the active facets
+        are the rows whose dot with p is top.  A float computes the gauge once
+        and takes the facets with a.r == 1 within the run's tolerance."""
         self._check_dim(u)
         form = self._rows and scalars.int_form(u.coords)
-        if not form or not any(form[0]):
-            return super().boundary_frame(u)
-        dots = [sum(map(operator.mul, row, form[0])) for row in self._rows]
-        top = max(dots)
-        best = min((a for a, t in zip(self.facets, dots) if t == top),
+        if form and any(form[0]):
+            dots = [sum(map(operator.mul, row, form[0])) for row in self._rows]
+            top = max(dots)
+            best = min((a for a, t in zip(self.facets, dots) if t == top),
+                       key=lambda a: a.coords)
+            return Vector(Fraction(c * self._den, top) for c in form[0]), best, 1
+        r_vec = _to_boundary(self, u)
+        best = min((a for a in self.facets if scalars.eq(a.dot(r_vec), 1)),
                    key=lambda a: a.coords)
-        return Vector(Fraction(c * self._den, top) for c in form[0]), best, 1
+        return r_vec, best, 1
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "type": "hpoly",
@@ -209,9 +190,6 @@ class VPolytopeBody(SymmetricBody):
             raise BodyError("vertices do not span the space; "
                             "body would have empty interior")
 
-    def is_exact(self) -> bool:
-        return all(scalars.is_exact(*v.coords) for v in self.vertices)
-
     def as_hpolytope(self) -> HPolytopeBody:
         """Facet form of the same body; only available for dim <= 3."""
         if self.dim > 3:
@@ -236,25 +214,11 @@ class VPolytopeBody(SymmetricBody):
             return self._hform.gauge(x)
         return self.gauge_lp(x)
 
-    def support(self, a: Vector) -> Scalar:
-        self._check_dim(a)
-        if a.is_zero():
-            raise ValueError("support direction must be nonzero")
-        best = None
-        for v in self.vertices:
-            val = a.dot(v)
-            if best is None or scalars.gt(val, best):
-                best = val
-        return best
-
-    def supporting_hyperplane(self, p: Vector) -> Tuple[Vector, Scalar]:
+    def boundary_frame(self, u: Vector) -> Tuple[Vector, Vector, Scalar]:
         if self._hform is None:
             raise NotImplementedError("supporting hyperplanes need the facet "
                                       "form, unavailable beyond dimension 3")
-        return self._hform.supporting_hyperplane(p)
-
-    def boundary_frame(self, u: Vector) -> Tuple[Vector, Vector, Scalar]:
-        return (self._hform or super()).boundary_frame(u)
+        return self._hform.boundary_frame(u)
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "type": "vpoly",
@@ -277,17 +241,10 @@ class BallBody(SymmetricBody):
         self._check_dim(x)
         return math.sqrt(float(x.norm_sq()))
 
-    def support(self, a: Vector) -> float:
-        self._check_dim(a)
-        if a.is_zero():
-            raise ValueError("support direction must be nonzero")
-        return math.sqrt(float(a.norm_sq()))
-
-    def supporting_hyperplane(self, p: Vector) -> Tuple[Vector, Scalar]:
-        self._check_dim(p)
-        if not scalars.eq(self.gauge(p), 1):
-            raise ValueError("point is not on the boundary (gauge != 1)")
-        return Vector(float(c) for c in p.coords), 1
+    def boundary_frame(self, u: Vector) -> Tuple[Vector, Vector, Scalar]:
+        """r = u/|u|, whose supporting hyperplane is r.z = 1 (in floats)."""
+        r_vec = _to_boundary(self, u)
+        return r_vec, Vector(float(c) for c in r_vec.coords), 1
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "type": "ball"}

@@ -6,7 +6,9 @@ verification, optional SVG), ``search`` (seeded local search for large
 arrangements), ``kdist`` (spectra, grids, greedy chains).
 
 Exit codes are a stable contract: 0 all checks pass, 1 a check failed, 2 the
-input could not be parsed or was otherwise invalid.  Any other exception
+input could not be parsed or was otherwise invalid, an unwritable output
+path included.  Subcommands raise ``InputError`` for those, and ``main``
+prints it as one ``input error: <message>`` line.  Any other exception
 raised by a subcommand is a bug, not a failed check: it also exits 2, with
 one ``internal error: <Type>: <message>`` line on stderr and no traceback.
 Every report prints the seed and scalar mode it ran under.
@@ -26,7 +28,7 @@ from .arrangement import (Arrangement, Homothet, SearchConfig,
                           arrangement_to_json, find_intersection_violation,
                           find_minkowski_violation, search_arrangement)
 from .bodies import body_from_json
-from .diagram import DiagramSpec, render_projection_plane
+from .diagram import render_projection_plane
 from .kdistance import (chain_to_json, grid_set, greedy_chain,
                         pointset_from_json, pointset_to_json, spectrum,
                         verify_chain)
@@ -48,10 +50,16 @@ def _load_json(path: str) -> dict:
         raise InputError("cannot read %s: %s" % (path, exc)) from exc
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError("cannot write %s: %s" % (path, exc)) from exc
+
+
 def _dump_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _float_arrangement(arr: Arrangement) -> Arrangement:
@@ -75,9 +83,8 @@ def _banner(args) -> None:
 def cmd_verify(args) -> int:
     try:
         arr = _apply_mode(args, arrangement_from_json(_load_json(args.arrangement)))
-    except (InputError, ValueError) as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return 2
+    except ValueError as exc:
+        raise InputError(exc) from exc
     _banner(args)
     failed = False
 
@@ -130,9 +137,8 @@ def cmd_lift(args) -> int:
         if not (0 <= i < len(arr) and 0 <= j < len(arr)) or i == j:
             raise InputError("pair (%d, %d) is out of range for %d members"
                              % (i, j, len(arr)))
-    except (InputError, ValueError) as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return 2
+    except ValueError as exc:
+        raise InputError(exc) from exc
     _banner(args)
     try:
         diag = pair_diagnostics(arr, i, j)
@@ -155,9 +161,7 @@ def cmd_lift(args) -> int:
     if args.svg:
         frame = build_frame(arr, i, j)
         sd = shadow(arr, frame)
-        svg = render_projection_plane(arr, frame, sd, DiagramSpec(pair=(i, j)))
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(svg)
+        _write_text(args.svg, render_projection_plane(arr, frame, sd))
         print("diagram written to %s" % args.svg)
     return 0 if ok else 1
 
@@ -169,9 +173,8 @@ def cmd_search(args) -> int:
         warm = None
         if args.init:
             warm = arrangement_from_json(_load_json(args.init))
-    except (InputError, ValueError) as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return 2
+    except ValueError as exc:
+        raise InputError(exc) from exc
     _banner(args)
     cfg = SearchConfig(seed=args.seed, iterations=args.iters)
     arr = search_arrangement(body, body.dim, cfg, warm_start=warm)
@@ -187,21 +190,22 @@ def cmd_search(args) -> int:
 
 
 def cmd_kdist(args) -> int:
-    scalars.set_tolerance(args.eps)
+    try:
+        scalars.set_tolerance(args.eps)
+        if args.kdist_cmd == "grid":
+            pts = grid_set(args.d, args.k)
+        else:
+            pts = pointset_from_json(_load_json(args.points))
+            body = _choose_body(args, pts.dim)
+    except ValueError as exc:
+        raise InputError(exc) from exc
+
     if args.kdist_cmd == "grid":
-        pts = grid_set(args.d, args.k)
         print("grid {0..%d}^%d: %d points" % (args.k, args.d, len(pts)))
         if args.out:
             _dump_json(args.out, pointset_to_json(pts))
             print("point set written to %s" % args.out)
         return 0
-
-    try:
-        pts = pointset_from_json(_load_json(args.points))
-        body = _choose_body(args, pts.dim)
-    except (InputError, ValueError) as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return 2
 
     if args.kdist_cmd == "spectrum":
         spec = spectrum(body, pts)
@@ -218,8 +222,7 @@ def cmd_kdist(args) -> int:
     try:
         chain = greedy_chain(body, pts, args.k, target)
     except ValueError as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return 2
+        raise InputError(exc) from exc
     verified = verify_chain(body, chain)
     print("chain length %d of target %d (guaranteed: %s)"
           % (len(chain), target, chain.guaranteed))

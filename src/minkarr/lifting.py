@@ -25,7 +25,7 @@ that N.y_i <= N.y_j.
 Exact input runs on integer forms: y_k = Y_k/w_k with w_k > 0 (for
 (v_k, lam_k) = (P, r)/L, Y_k = (P, L) and w_k = r), a normal with its offsets
 is (M, lo, hi) over one denominator, so y_k lies in the slab exactly when
-lo*w_k <= M.Y_k <= hi*w_k, and the ratio identity is two integer equalities.
+lo*w_k <= M.Y_k <= hi*w_k, and the ratio identity is one integer equality.
 A float anywhere keeps the tolerance loops below.
 """
 
@@ -288,51 +288,34 @@ def verify_slab(lifted: LiftedConfig, slab: SlabPair) -> Tuple[bool, Optional[in
 
 def verify_ratio_identity(slab: SlabPair, y_i: Vector, y_j: Vector,
                           expected: Scalar) -> bool:
-    """Both equalities of the width-ratio identity, against |expected|.
+    """The width-ratio identity |k_ij - k_ji| / |g_ij - g_ji| = |expected|.
 
-    Route one compares the offset gaps of the outer and inner planes; route
-    two compares the squared Euclidean lengths of s_i - s_j and y_i - y_j,
-    where line(y_i, y_j) meets the outer planes k_ij and k_ji at s_i and s_j.
-    Distances are nonnegative, so a signed expected value is checked through
-    its absolute value.  Exact in rational mode, relative 1e-9 otherwise.
+    line(y_i, y_j) meets the outer planes at s_i and s_j with s_i - s_j =
+    (y_j - y_i)(k_ij - k_ji)/(g_ji - g_ij), so the distance ratio
+    |s_i - s_j| / |y_i - y_j| is this offset ratio whenever y_i != y_j: one
+    equality is the whole identity.  A signed expected value is checked
+    through its absolute value.  Exact in rational mode, relative 1e-9
+    otherwise.
     """
     if isinstance(expected, float) and not math.isfinite(expected):
         raise ValueError("expected ratio is not finite")
     expected = abs(expected)
     offsets = int_form((slab.c_k_ij, slab.c_k_ji, slab.c_g_ij, slab.c_g_ji,
                          expected))
-    forms = LiftedConfig((y_i, y_j)).forms
-    if offsets and forms:
+    if offsets:
         (k_ij, k_ji, g_ij, g_ji, e), q = offsets
-        (p_i, w_i), (p_j, w_j) = forms
         if g_ij == g_ji:
             raise ValueError("inner planes coincide; the ratio is undefined")
-        if abs(k_ij - k_ji) * q != e * abs(g_ij - g_ji):
-            return False
-        t = g_ji - g_ij  # s_i, s_j times w_i*w_j*t, y_j - y_i times w_i*w_j
-        step = [b * w_i - a * w_j for a, b in zip(p_i, p_j)]
-        s_i, s_j = ([a * w_j * t + (k - g_ij) * b for a, b in zip(p_i, step)]
-                    for k in (k_ij, k_ji))
-        if not any(step):
-            raise ValueError("lifted points coincide")
-        s_sq = sum((a - b) * (a - b) for a, b in zip(s_i, s_j))
-        return s_sq * q * q == (e * t) ** 2 * _dot(step, step)
-    gap_k = slab.c_k_ij - slab.c_k_ji
-    gap_g = slab.c_g_ij - slab.c_g_ji
-    if scalars.sign(gap_g) == 0:
-        raise ValueError("inner planes coincide; the ratio is undefined")
-    route_offsets = abs(div(gap_k, gap_g))
-    if not scalars.eq_rel(route_offsets, expected):
-        return False
-    direction = slab.c_g_ji - slab.c_g_ij
-    step = y_j - y_i
-    s_i = y_i + step * div(slab.c_k_ij - slab.c_g_ij, direction)
-    s_j = y_i + step * div(slab.c_k_ji - slab.c_g_ij, direction)
-    s_sq = (s_i - s_j).norm_sq()
-    y_sq = (y_i - y_j).norm_sq()
-    if scalars.sign(y_sq) == 0:
+        holds = abs(k_ij - k_ji) * q == e * abs(g_ij - g_ji)
+    else:
+        gap_g = slab.c_g_ij - slab.c_g_ji
+        if scalars.sign(gap_g) == 0:
+            raise ValueError("inner planes coincide; the ratio is undefined")
+        holds = scalars.eq_rel(abs(div(slab.c_k_ij - slab.c_k_ji, gap_g)),
+                               expected)
+    if holds and y_i == y_j:
         raise ValueError("lifted points coincide")
-    return scalars.eq_rel(div(s_sq, y_sq), expected * expected)
+    return holds
 
 
 def cross_ratio(x1, x2, x3, x4) -> Scalar:

@@ -26,34 +26,35 @@ def test_gauge_known_values():
     assert BALL.gauge(Vector((3, 4))) == pytest.approx(5.0)
 
 
-def test_support_known_values():
-    assert SQUARE.support(Vector((1, 0))) == 1
-    assert DIAMOND.support(Vector((1, 1))) == 1
-    assert BALL.support(Vector((3, 4))) == pytest.approx(5.0)
-    with pytest.raises(ValueError):
-        SQUARE.support(Vector((0, 0)))
-
-
 def test_boundary_point_known_values():
-    assert SQUARE.boundary_point(Vector((2, 1))) == Vector((1, F(1, 2)))
-    assert DIAMOND.boundary_point(Vector((1, 1))) == Vector((F(1, 2), F(1, 2)))
-    b = BALL.boundary_point(Vector((3, 4)))
+    assert SQUARE.boundary_frame(Vector((2, 1)))[0] == Vector((1, F(1, 2)))
+    assert DIAMOND.boundary_frame(Vector((1, 1)))[0] == \
+        Vector((F(1, 2), F(1, 2)))
+    b = BALL.boundary_frame(Vector((3, 4)))[0]
     assert b.as_floats() == pytest.approx((0.6, 0.8))
-    with pytest.raises(ValueError):
-        SQUARE.boundary_point(Vector((0, 0)))
+    for body in (SQUARE, DIAMOND, BALL):
+        with pytest.raises(ValueError):
+            body.boundary_frame(Vector((0, 0)))
+        # a float direction within the tolerance of 0 has no frame either
+        with pytest.raises(ValueError):
+            body.boundary_frame(Vector((1e-12, 0.0)))
 
 
 def test_supporting_hyperplane_facet_and_vertex():
-    normal, offset = SQUARE.supporting_hyperplane(Vector((1, F(1, 2))))
+    _, normal, offset = SQUARE.boundary_frame(Vector((1, F(1, 2))))
     assert (normal, offset) == (Vector((1, 0)), 1)
     # at the corner both facets are admissible; the lexicographically
-    # smaller normal wins
-    normal, offset = SQUARE.supporting_hyperplane(Vector((1, 1)))
-    assert (normal, offset) == (Vector((0, 1)), 1)
-    normal, offset = BALL.supporting_hyperplane(Vector((0.6, 0.8)))
+    # smaller normal wins, for exact and for float directions
+    for corner in (Vector((1, 1)), Vector((1.0, 1.0)), Vector((2.5, 2.5))):
+        r_vec, normal, offset = SQUARE.boundary_frame(corner)
+        assert r_vec == Vector((1, 1))
+        assert (normal, offset) == (Vector((0, 1)), 1)
+    _, normal, offset = BALL.boundary_frame(Vector((0.6, 0.8)))
     assert normal.as_floats() == pytest.approx((0.6, 0.8))
-    with pytest.raises(ValueError):
-        SQUARE.supporting_hyperplane(Vector((2, 0)))
+    assert offset == 1
+    # a direction off the boundary is scaled onto it first
+    assert SQUARE.boundary_frame(Vector((2, 0))) == \
+        SQUARE.boundary_frame(Vector((1, 0)))
 
 
 @given(x=vectors2, y=vectors2, t=rationals)
@@ -69,9 +70,10 @@ def test_gauge_axioms_exact(x, y, t):
 @given(x=vectors2)
 @settings(max_examples=60, deadline=None)
 def test_gauge_support_duality(x):
+    # a canonical facet a.z <= 1 has support value 1, so a.x <= gauge(x)
     for body in (SQUARE, DIAMOND):
         for a in body.facets:
-            assert a.dot(x) <= body.support(a) * body.gauge(x)
+            assert a.dot(x) <= body.gauge(x)
 
 
 @given(u=vectors2)
@@ -80,9 +82,9 @@ def test_boundary_point_idempotent(u):
     if u.is_zero():
         return
     for body in (SQUARE, DIAMOND):
-        b = body.boundary_point(u)
-        assert body.gauge(b) == 1
-        assert body.boundary_point(b) == b
+        frame = body.boundary_frame(u)
+        assert body.gauge(frame[0]) == 1
+        assert body.boundary_frame(frame[0]) == frame
 
 
 def test_supporting_hyperplane_certificate():
@@ -92,8 +94,8 @@ def test_supporting_hyperplane_certificate():
         u = Vector((F(rng.randint(-8, 8), 3), F(rng.randint(-8, 8), 3)))
         if u.is_zero():
             continue
-        p = hexa.boundary_point(u)
-        normal, offset = hexa.supporting_hyperplane(p)
+        p, normal, offset = hexa.boundary_frame(u)
+        assert hexa.gauge(p) == 1
         assert normal.dot(p) == offset
         for v in hexa.vertices:
             assert normal.dot(v) <= offset
@@ -107,10 +109,9 @@ def test_vpolytope_gauge_routes_agree():
         assert hexa.gauge(x) == hexa.gauge_lp(x)
 
 
-def test_vpolytope_support_is_vertex_max():
+def test_vpolytope_gauge_known_value():
     diamond_v = VPolytopeBody(2, (Vector((1, 0)), Vector((-1, 0)),
                                   Vector((0, 1)), Vector((0, -1))))
-    assert diamond_v.support(Vector((1, 1))) == 1
     assert diamond_v.gauge(Vector((1, 1))) == 2
 
 
@@ -168,4 +169,4 @@ def test_facet_enumeration_out_of_scope_beyond_3d():
     with pytest.raises(NotImplementedError):
         cross4.as_hpolytope()
     with pytest.raises(NotImplementedError):
-        cross4.supporting_hyperplane(Vector((1, 0, 0, 0)))
+        cross4.boundary_frame(Vector((1, 0, 0, 0)))

@@ -95,6 +95,42 @@ def test_verify_internal_error_exit_2(cube_file, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.fixture
+def square_body_file(tmp_path):
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(body_to_json(linf_ball(2))))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--eps", "0", "kdist", "grid", "--d", "2", "--k", "2"],
+    ["kdist", "grid", "--d", "0", "--k", "2"],
+    ["kdist", "grid", "--d", "2", "--k", "-1"],
+], ids=["eps-zero", "d-zero", "k-negative"])
+def test_kdist_bad_flags_exit_2_as_input_errors(argv, capsys):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("input error: "), err
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("search", "--out"), ("verify", "--certificate"),
+    ("lift", "--dump"), ("lift", "--svg"),
+])
+def test_unwritable_output_exit_2_as_input_error(command, flag, cube_file,
+                                                 square_body_file, tmp_path,
+                                                 capsys):
+    target = str(tmp_path / "missing" / "out")
+    argv = {"search": ["search", square_body_file, "--iters", "5"],
+            "verify": ["verify", cube_file],
+            "lift": ["lift", cube_file, "--pair", "0", "1"]}[command]
+    code, _, err = run(capsys, *argv, flag, target)
+    assert code == 2
+    assert err.startswith("input error: cannot write %s: " % target), err
+    assert "internal error" not in err
+
+
 def test_lift_svg_and_dump(cube_file, capsys, tmp_path):
     svg = tmp_path / "pair.svg"
     dump = tmp_path / "pair.json"

@@ -1,5 +1,6 @@
-"""Golden bytes: exact-mode ``verify --certificate`` payloads and
-``lift --dump`` output for committed inputs, compared byte for byte.
+"""Golden bytes: exact-mode ``verify --certificate`` payloads, ``lift
+--dump`` output and one ``lift --svg`` diagram for committed inputs,
+compared byte for byte.
 
 The files in tests/golden/ were written by the command line itself; the
 three seeded inputs are ``random_minkowski_arrangement(full_lift=True)``
@@ -49,6 +50,15 @@ def test_lift_dump_bytes(name, i, j, tmp_path, capsys):
     assert code == 0
     assert out.read_bytes() == read_bytes(
         golden("%s.lift%d%d.json" % (name, i, j)))
+
+
+def test_lift_svg_bytes(tmp_path, capsys):
+    out = tmp_path / "pair.svg"
+    code = main(["lift", golden("cube2.json"), "--pair", "0", "4",
+                 "--svg", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert out.read_bytes() == read_bytes(golden("cube2.lift04.svg"))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -594,14 +594,19 @@ class SkewGauge:
         return {"dim": 2, "type": "skew"}
 
 
-def test_search_against_full_pass():
-    rng = random.Random(77)
-    float_body = body_from_json({"dim": 2, "type": "hpoly", "facets": [
+def float_facet_body():
+    """A skewed parallelogram whose canonical facets are floats."""
+    return body_from_json({"dim": 2, "type": "hpoly", "facets": [
         {"normal": [1.0, 0.25], "offset": 1.5},
         {"normal": [-1.0, -0.25], "offset": 1.5},
         {"normal": [0.1, 1.0], "offset": 1.0},
         {"normal": [-0.1, -1.0], "offset": 1.0}]})
-    assert not float_body.is_exact()
+
+
+def test_search_against_full_pass():
+    rng = random.Random(77)
+    float_body = float_facet_body()
+    assert all(type(c) is float for a in float_body.facets for c in a.coords)
     cases = [(linf_ball(2), None), (l1_ball(2), None), (linf_ball(3), None),
              (linf_ball(2), cube_arrangement(2)), (BallBody(2), None),
              (float_body, None), (SkewGauge(), None)]
@@ -630,10 +635,19 @@ def homogeneous_lift(center, lam):
 
 
 def two_call_frame(arr, i, j):
+    """The frame in two gauge calls: the boundary point u/gauge(u), checked
+    to have gauge 1, then the lexicographically least facet a with a.r == 1
+    (r itself, in floats, for the ball)."""
+    body = arr.body
     diff = arr.members[j].center - arr.members[i].center
-    r_vec = arr.body.boundary_point(diff)
-    f_normal, f_offset = arr.body.supporting_hyperplane(r_vec)
-    return ProjectionFrame(i, j, r_vec, f_normal, f_offset)
+    r_vec = diff / body.gauge(diff)
+    assert scalars.eq(body.gauge(r_vec), 1)
+    if isinstance(body, BallBody):
+        return ProjectionFrame(i, j, r_vec, Vector(map(float, r_vec)), 1)
+    facets = getattr(body, "_hform", body).facets
+    f_normal = min((a for a in facets if scalars.eq(a.dot(r_vec), 1)),
+                   key=lambda a: a.coords)
+    return ProjectionFrame(i, j, r_vec, f_normal, 1)
 
 
 def _key(v):
@@ -921,6 +935,36 @@ def test_float_input_takes_the_tolerance_route():
                                        Homothet(Vector((F(3, 2), 0)), 1.25),
                                        Homothet(Vector((1, 1)), F(1))))
     check_both_routes(mixed, (0.5,))
+    # float facets, and float directions at vertices of the square (facet
+    # ties, broken toward the lexicographically least normal)
+    skew = Arrangement(float_facet_body(),
+                       (Homothet(Vector((0.0, 0.0)), 1.0),
+                        Homothet(Vector((1.0, 0.5)), 1.0),
+                        Homothet(Vector((-1.5, 0.5)), 1.0),
+                        Homothet(Vector((0.25, 1.0)), 0.75)))
+    assert check_both_routes(skew, (0.25, 0.75)) > 0
+    # toward (-1.5, 0.5) no facet dots r to exactly 1.0: the tolerance
+    # decides the active facet
+    frame = build_frame(skew, 0, 2)
+    assert all(a.dot(frame.r_vec) != 1 for a in skew.body.facets)
+    corner = Arrangement(linf_ball(2), (Homothet(Vector((0.0, 0.0)), 1.0),
+                                        Homothet(Vector((1.5, 1.5)), 1.0),
+                                        Homothet(Vector((0.0, 1.5)), 1.0)))
+    assert check_both_routes(corner, (0.25, 0.75)) > 0
+    assert build_frame(corner, 0, 1).f_normal == Vector((0, 1))
+    assert build_frame(corner, 1, 0).f_normal == Vector((-1, 0))
+    # the inverted wedge in floats: a negative width ratio, checked through
+    # its absolute value on the tolerance route
+    inverted = Arrangement(linf_ball(1), (Homothet(Vector((0.0,)), 1.0),
+                                          Homothet(Vector((1.0,)), 3.0)))
+    frame = build_frame(inverted, 0, 1)
+    sd = shadow_with_x(shadow(inverted, frame), -1.0)
+    rho = ratio(1.0, 3.0, sd.u_i, sd.u_j)
+    assert rho < 0
+    slab = slab_pair(inverted, frame, sd)
+    y = lift(inverted).points
+    assert verify_ratio_identity(slab, y[0], y[1], rho) is True
+    assert fraction_ratio_identity(slab, y[0], y[1], rho) is True
     # the tolerance loop accepts a point a hair outside; exact input does not
     normal = Vector((F(1), F(0), F(0)))
     exact = [Vector((F(0), F(0), F(1))), Vector((1 + F(1, 10 ** 12), 0, 1))]
