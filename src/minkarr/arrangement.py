@@ -204,13 +204,15 @@ def chain_cardinality_bound(dim: int) -> float:
 class SearchConfig:
     seed: int = 0
     iterations: int = 200
-    insert_attempts: int = 4
-    stagnation_limit: int = 25
-    ratio_steps: Tuple[Fraction, ...] = (Fraction(3, 4), Fraction(5, 6),
-                                         Fraction(6, 5), Fraction(4, 3))
 
 
-def _feasible(body: SymmetricBody, members: List[Homothet]) -> bool:
+# center draws per insertion, iterations without one before a drop, ratio steps
+INSERT_ATTEMPTS = 4
+STAGNATION_LIMIT = 25
+RATIO_STEPS = (Fraction(3, 4), Fraction(5, 6), Fraction(6, 5), Fraction(4, 3))
+
+
+def _feasible(body: SymmetricBody, members: Sequence[Homothet]) -> bool:
     arr = Arrangement(body, tuple(members))
     return (find_minkowski_violation(arr) is None
             and find_intersection_violation(arr) is None)
@@ -250,29 +252,6 @@ def _feasible_ratio(body: SymmetricBody, members: List[Homothet],
     return low + (high - low) * Fraction(rng.randint(0, 8), 8), gauges
 
 
-def _gauge_matrix(body: SymmetricBody, members: Sequence[Homothet]):
-    """G[i][j] = gauge(v_j - v_i), both orientations, 0 on the diagonal."""
-    return [[body.gauge(hj.center - hi.center) if i != j else 0
-             for j, hj in enumerate(members)]
-            for i, hi in enumerate(members)]
-
-
-def _append_member(gauges: List[List[Scalar]], row: Sequence[Scalar],
-                   col: Sequence[Scalar]) -> None:
-    """Grow G by a last member with row[j] = gauge(v_j - c) and
-    col[j] = gauge(c - v_j)."""
-    for grow, g in zip(gauges, col):
-        grow.append(g)
-    gauges.append(list(row) + [0])
-
-
-def _drop_member(gauges: List[List[Scalar]], k: int) -> None:
-    """Remove member k's row and column from G."""
-    del gauges[k]
-    for grow in gauges:
-        del grow[k]
-
-
 def _member_feasible(row: Sequence[Scalar], col: Sequence[Scalar],
                      ratios: Sequence[Scalar], idx: int,
                      ratio: Scalar) -> bool:
@@ -295,6 +274,40 @@ def _member_feasible(row: Sequence[Scalar], col: Sequence[Scalar],
     return True
 
 
+class _GaugeCache:
+    """Search moves decided from the cached gauges G[i][j] = gauge(v_j - v_i)
+    between current members, both orientations, 0 on the diagonal: an
+    insertion costs n gauges besides the ``col`` of ``_feasible_ratio``, a
+    rescaling none, and a drop removes a row and a column."""
+
+    def __init__(self, body: SymmetricBody, members: Sequence[Homothet]):
+        self.body = body
+        self.g = [[body.gauge(hj.center - hi.center) if i != j else 0
+                   for j, hj in enumerate(members)]
+                  for i, hi in enumerate(members)]
+
+    def insert(self, members: Sequence[Homothet], ratios: Sequence[Scalar],
+               new: Homothet, col: Sequence[Scalar]) -> bool:
+        """Check a new last member, col[j] = gauge(c - v_j); grow G if ok."""
+        row = [self.body.gauge(h.center - new.center) for h in members]
+        if not _member_feasible(row, col, ratios, len(members), new.ratio):
+            return False
+        for grow, g in zip(self.g, col):
+            grow.append(g)
+        self.g.append(row + [0])
+        return True
+
+    def rescale(self, members: Sequence[Homothet], ratios: Sequence[Scalar],
+                idx: int, ratio: Scalar) -> bool:
+        return _member_feasible(self.g[idx], [grow[idx] for grow in self.g],
+                                ratios, idx, ratio)
+
+    def drop(self, k: int) -> None:
+        del self.g[k]
+        for grow in self.g:
+            del grow[k]
+
+
 def search_arrangement(body: SymmetricBody, dim: int,
                        config: Optional[SearchConfig] = None,
                        warm_start: Optional[Arrangement] = None) -> Arrangement:
@@ -302,32 +315,35 @@ def search_arrangement(body: SymmetricBody, dim: int,
     arrangements.
 
     Moves: insert a random homothet inside the bounding box of the current
-    centers padded by twice the largest ratio, perturb one ratio
-    multiplicatively, and drop a random member after prolonged stagnation.
+    centers padded by twice the largest ratio (``INSERT_ATTEMPTS`` draws),
+    else rescale one ratio by a step of ``RATIO_STEPS``, and drop a random
+    member after ``STAGNATION_LIMIT`` iterations without an insertion.
     Candidate moves are generated in a fixed per-iteration order and the
     first feasible one is taken, so a fixed seed fully determines the run.
     Only states passing both predicates are ever accepted.
 
-    The gauges between current members are cached in G[i][j] =
-    gauge(v_j - v_i), both orientations, so a move is checked in O(n) by
-    ``_member_feasible``: an insertion costs the n gauges of
-    ``_feasible_ratio`` plus the n reverse ones, a ratio move none, and a
-    drop removes a row and a column.  The accepted state always satisfies
-    both predicates, so checking the moved member's relations makes the
-    same decisions as a full pass over the candidate.  The warm start and
-    the result are checked by the full predicates.
+    A move is checked in O(n) against the gauges ``_GaugeCache`` keeps
+    between the current members.  The accepted state always satisfies both
+    predicates, so checking the moved member's relations makes the same
+    decisions as a full pass over the candidate.  The warm start and the
+    result are checked by the full predicates.
     """
+    return _search(body, dim, config or SearchConfig(), warm_start,
+                   _GaugeCache)
+
+
+def _search(body: SymmetricBody, dim: int, cfg: SearchConfig,
+            warm_start: Optional[Arrangement], make_state) -> Arrangement:
+    """The move loop; ``make_state(body, members)`` gives the ``insert``,
+    ``rescale`` and ``drop`` that decide moves and follow the members."""
     if body.dim != dim:
         raise ValueError("body dimension does not match the search dimension")
-    cfg = config or SearchConfig()
     rng = random.Random(cfg.seed)
-    if warm_start is not None:
-        members = list(warm_start.members)
-    else:
-        members = [Homothet(zero_vector(dim), Fraction(1))]
+    members = list(warm_start.members) if warm_start is not None \
+        else [Homothet(zero_vector(dim), Fraction(1))]
     if not _feasible(body, members):
         raise ValueError("warm start is not a valid arrangement")
-    gauges = _gauge_matrix(body, members)
+    state = make_state(body, members)
     best = list(members)
     stagnation = 0
 
@@ -338,48 +354,39 @@ def search_arrangement(body: SymmetricBody, dim: int,
         hi = [max(float(h.center[i]) for h in members) + 2 * max_ratio
               for i in range(dim)]
         ratios = [h.ratio for h in members]
-        inserted = False
-        for _attempt in range(cfg.insert_attempts):
+        for _attempt in range(INSERT_ATTEMPTS):
             center = Vector([_grid_fraction(rng, lo[i], hi[i])
                              for i in range(dim)])
             found = _feasible_ratio(body, members, center, rng)
             if found is None:
                 continue
-            ratio, col = found
-            row = [body.gauge(h.center - center) for h in members]
-            if _member_feasible(row, col, ratios, len(members), ratio):
-                _append_member(gauges, row, col)
-                members.append(Homothet(center, ratio))
-                inserted = True
+            new = Homothet(center, found[0])
+            if state.insert(members, ratios, new, found[1]):
+                members.append(new)
+                stagnation = 0
                 break
-        if inserted:
-            stagnation = 0
-        else:
+        else:  # no insertion: rescale one member, and drop one when stuck
             idx = rng.randrange(len(members))
-            step = cfg.ratio_steps[rng.randrange(len(cfg.ratio_steps))]
-            h = members[idx]
-            moved = Homothet(h.center, h.ratio * step)
-            if _member_feasible(gauges[idx], [grow[idx] for grow in gauges],
-                                ratios, idx, moved.ratio):
-                members[idx] = moved
+            step = RATIO_STEPS[rng.randrange(len(RATIO_STEPS))]
+            ratio = members[idx].ratio * step
+            if state.rescale(members, ratios, idx, ratio):
+                members[idx] = Homothet(members[idx].center, ratio)
             stagnation += 1
-            if stagnation >= cfg.stagnation_limit and len(members) > 1:
+            if stagnation >= STAGNATION_LIMIT and len(members) > 1:
                 drop = rng.randrange(len(members))
                 del members[drop]
-                _drop_member(gauges, drop)
+                state.drop(drop)
                 stagnation = 0
         if len(members) > len(best):
             best = list(members)
 
-    result = Arrangement(body, tuple(best))
     # re-verify with an independent pass; a failure here would be a bug
-    if find_minkowski_violation(result) is not None \
-            or find_intersection_violation(result) is not None:
+    if not _feasible(body, best):
         raise AssertionError("search produced an invalid arrangement")
-    if len(result) > arrangement_size_bound(dim):
+    if len(best) > arrangement_size_bound(dim):
         raise AssertionError("search exceeded the 3^(d+1) bound; "
                              "this would falsify the packing argument")
-    return result
+    return Arrangement(body, tuple(best))
 
 
 def arrangement_to_json(arr: Arrangement) -> dict:

@@ -20,7 +20,6 @@ import argparse
 import json
 import math
 import sys
-from typing import Optional
 
 from . import scalars
 from .arrangement import (Arrangement, Homothet, SearchConfig,
@@ -68,11 +67,8 @@ def _float_arrangement(arr: Arrangement) -> Arrangement:
     return Arrangement(arr.body, members)
 
 
-def _apply_mode(args, arr: Optional[Arrangement]) -> Optional[Arrangement]:
-    scalars.set_tolerance(args.eps)
-    if arr is not None and args.mode == "float":
-        return _float_arrangement(arr)
-    return arr
+def _apply_mode(args, arr: Arrangement) -> Arrangement:
+    return _float_arrangement(arr) if args.mode == "float" else arr
 
 
 def _banner(args) -> None:
@@ -141,7 +137,9 @@ def cmd_lift(args) -> int:
         raise InputError(exc) from exc
     _banner(args)
     try:
-        diag = pair_diagnostics(arr, i, j)
+        frame = build_frame(arr, i, j)
+        sd = shadow(arr, frame)
+        diag = pair_diagnostics(arr, frame, sd)
     except ValueError as exc:
         print("construction failed: %s" % exc, file=sys.stderr)
         return 1
@@ -159,8 +157,6 @@ def cmd_lift(args) -> int:
         _dump_json(args.dump, diag)
         print("diagnostics written to %s" % args.dump)
     if args.svg:
-        frame = build_frame(arr, i, j)
-        sd = shadow(arr, frame)
         _write_text(args.svg, render_projection_plane(arr, frame, sd))
         print("diagram written to %s" % args.svg)
     return 0 if ok else 1
@@ -169,7 +165,6 @@ def cmd_lift(args) -> int:
 def cmd_search(args) -> int:
     try:
         body = body_from_json(_load_json(args.body))
-        scalars.set_tolerance(args.eps)
         warm = None
         if args.init:
             warm = arrangement_from_json(_load_json(args.init))
@@ -191,7 +186,6 @@ def cmd_search(args) -> int:
 
 def cmd_kdist(args) -> int:
     try:
-        scalars.set_tolerance(args.eps)
         if args.kdist_cmd == "grid":
             pts = grid_set(args.d, args.k)
         else:
@@ -308,6 +302,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        try:  # the one place the run tolerance is set
+            scalars.set_tolerance(args.eps)
+        except ValueError as exc:
+            raise InputError(exc) from exc
         return args.func(args)
     except InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)

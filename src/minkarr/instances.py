@@ -25,6 +25,7 @@ from . import scalars
 from .arrangement import (Arrangement, Homothet, find_intersection_violation,
                           find_minkowski_violation)
 from .bodies import SymmetricBody, VPolytopeBody, l1_ball, linf_ball
+from .lifting import lift
 from .linalg import Vector, matrix_rank
 
 
@@ -124,7 +125,7 @@ def random_minkowski_arrangement(rng: random.Random,
     """A pairwise intersecting Minkowski arrangement with rational data.
 
     With ``full_lift`` the ratios are re-drawn until the lifted image spans
-    dimension 3 affinely (needed by the full-dimensional packing runs).
+    dimension d + 1 affinely (needed by the full-dimensional packing runs).
     """
     body = body or corpus_body(rng, rng.randrange(3))
     n = n or rng.randint(4, 6)
@@ -167,18 +168,17 @@ def random_minkowski_arrangement(rng: random.Random,
                 low = max(g[i][j] - lams[j] for j in range(n) if j != i)
                 low = max(low, min(caps[i], Fraction(1, 16)))
                 lams[i] = _rational_between(rng, low, caps[i])
-            if full_lift and not _spans_lifted_space(centers, lams):
-                continue
             arr = Arrangement(body, tuple(Homothet(c, l)
                                           for c, l in zip(centers, lams)))
+            if full_lift and not _spans_lifted_space(arr):
+                continue
             if find_minkowski_violation(arr) is not None \
                     or find_intersection_violation(arr) is not None:
                 raise AssertionError("generator violated its own invariants")
             return arr
 
 
-def _spans_lifted_space(centers: List[Vector], lams: List[Fraction]) -> bool:
-    lifted = [Vector((c[0] / l, c[1] / l, 1 / l))
-              for c, l in zip(centers, lams)]
-    diffs = [p - lifted[0] for p in lifted[1:]]
-    return matrix_rank([d.coords for d in diffs]) == 3
+def _spans_lifted_space(arr: Arrangement) -> bool:
+    points = lift(arr).points
+    return matrix_rank([(p - points[0]).coords
+                        for p in points[1:]]) == arr.dim + 1

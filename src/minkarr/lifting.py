@@ -377,16 +377,16 @@ def check_central_overlap_ratio(sd: ShadowData, lam_i: Scalar,
     return scalars.le(value, 2)
 
 
-def pair_diagnostics(arr: Arrangement, i: int, j: int) -> dict:
-    """JSON-ready dump of the whole per-pair construction."""
-    frame = build_frame(arr, i, j)
-    sd = shadow(arr, frame)
-    rho = ratio(arr.members[i].ratio, arr.members[j].ratio, sd.u_i, sd.u_j)
+def pair_diagnostics(arr: Arrangement, frame: ProjectionFrame,
+                     sd: ShadowData) -> dict:
+    """JSON-ready dump of the per-pair construction from frame and shadow."""
+    rho = ratio(arr.members[frame.i].ratio, arr.members[frame.j].ratio,
+                sd.u_i, sd.u_j)
     slab = slab_pair(arr, frame, sd)
     lifted = lift(arr)
     ok, offender = verify_slab(lifted, slab)
     return {
-        "pair": [i, j],
+        "pair": [frame.i, frame.j],
         "frame": {"r_vec": [fmt(c) for c in frame.r_vec],
                   "f_normal": [fmt(c) for c in frame.f_normal],
                   "f_offset": fmt(frame.f_offset)},

@@ -41,8 +41,8 @@ from .arrangement import (Arrangement, arrangement_size_bound,
                           find_minkowski_violation)
 from .lifting import (DegenerateWedgeError, LiftedConfig, SlabPair,
                       build_frame, lift, ratio, shadow, slab_pair, verify_slab)
-from .linalg import Vector, affine_coordinates
-from .polytopes import ConvexPolytope, hull, volume
+from .linalg import Vector
+from .polytopes import ConvexPolytope, LowerDimensional, hull, volume
 from .scalars import Scalar, div, format_scalar
 
 
@@ -154,14 +154,12 @@ def slab_packing_check(family: SlabFamily, lam: Scalar) -> PackingCertificate:
                               % (k, p.i, p.j), (p.i, p.j))
     cert._ok("slab_containment")
 
-    # reduce to exact coordinates inside the affine hull when degenerate; in
-    # dimension <= 3 the hull's own rank test decides whether that is needed
-    body_hull = hull(family.points) if ambient <= 3 else None
-    if isinstance(body_hull, ConvexPolytope):
-        adim = ambient
-    else:
-        coords, basis, _ = affine_coordinates(list(family.points))
-        adim = len(basis)
+    # the hull's rank test decides whether to reduce to exact coordinates
+    # inside the affine hull, which it returns with the flag
+    body_hull = hull(family.points)
+    adim = ambient
+    if isinstance(body_hull, LowerDimensional):
+        adim = body_hull.affine_dim
     cert.affine_dim = adim
     cert.induction_branch = adim < ambient
     cert.bound = (1 + lam) ** ambient
@@ -171,11 +169,8 @@ def slab_packing_check(family: SlabFamily, lam: Scalar) -> PackingCertificate:
         cert._ok("cardinality", "1 <= %s" % cert.bound)
         cert.verdict = True
         return cert
-    if adim > 3:
-        raise ValueError("exact volumes are implemented for affine dimension "
-                         "<= 3 (got %d)" % adim)
     if cert.induction_branch:
-        body_hull = hull(coords)
+        body_hull = hull(body_hull.coords)
     if not isinstance(body_hull, ConvexPolytope):  # excluded by the reduction
         raise AssertionError("affine reduction left a degenerate hull")
     cert._ok("hull", "affine dimension %d, %d hull vertices"

@@ -13,8 +13,8 @@ planar hull of those points projected onto two coordinate axes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import List, Optional, Sequence, Tuple, Union
 
 from . import scalars
 from .linalg import Vector, affine_coordinates, cross3
@@ -23,8 +23,10 @@ from .scalars import Scalar, div
 
 @dataclass(frozen=True)
 class LowerDimensional:
-    """Flag returned when the input points span a proper affine subspace."""
+    """Flag returned when the input points span a proper affine subspace,
+    with the distinct points' coordinates in it (None if they coincide)."""
     affine_dim: int
+    coords: Optional[List[Vector]] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -46,20 +48,20 @@ def _dedupe(points: Sequence[Vector]) -> List[Vector]:
 def hull(points: Sequence[Vector]) -> Union[ConvexPolytope, LowerDimensional]:
     """Convex hull of the points, exact in rational mode.
 
-    Returns LowerDimensional(r) when ``affine_coordinates`` finds an affine
-    hull of dimension r < d.  A 3D facet keeps the outward (normal, offset)
-    of the first point triple that finds it; the vertices are the points on
-    at least three facets, in input order.
+    Returns LowerDimensional(r, coords) when ``affine_coordinates`` finds
+    an affine hull of dimension r < d, in any dimension d.  A 3D facet keeps
+    the outward (normal, offset) of the first point triple that finds it;
+    the vertices are the points on at least three facets, in input order.
     """
     pts = _dedupe(points)
     if not pts:
         raise ValueError("hull of an empty point set")
     dim = pts[0].dim
+    coords, basis, _ = affine_coordinates(pts)
+    if len(basis) < dim:
+        return LowerDimensional(len(basis), coords)
     if dim > 3:
         raise ValueError("exact hulls are implemented for dimension <= 3")
-    adim = len(affine_coordinates(pts)[1])
-    if adim < dim:
-        return LowerDimensional(adim)
     if dim == 1:
         return _hull_1d(pts)
     if dim == 2:

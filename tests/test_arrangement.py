@@ -14,8 +14,8 @@ from minkarr import (Arrangement, ChainPropertyError, Homothet, SearchConfig,
                      is_minkowski_arrangement, is_pairwise_intersecting,
                      linf_ball, l1_ball, partition_classes,
                      search_arrangement)
-from minkarr.arrangement import (_append_member, _drop_member, _gauge_matrix,
-                                 _member_feasible)
+from minkarr import arrangement
+from minkarr.arrangement import _GaugeCache, _member_feasible
 from minkarr.bodies import BallBody
 from minkarr.linalg import Vector
 
@@ -189,11 +189,12 @@ def test_search_deterministic():
     assert len(c) >= 1
 
 
-def test_search_ball_ratios_are_short_floats():
+def test_search_ball_ratios_are_short_floats(monkeypatch):
     # the ball's float gauges bound the drawn ratio as computed; turning them
     # into Fractions first wrote ratios like 660509949703278461/2^57
-    arr = search_arrangement(BallBody(2), 2, SearchConfig(
-        seed=0, iterations=150, stagnation_limit=10))
+    monkeypatch.setattr(arrangement, "STAGNATION_LIMIT", 10)
+    arr = search_arrangement(BallBody(2), 2, SearchConfig(seed=0,
+                                                          iterations=150))
     assert len(arr) > 1
     assert is_minkowski_arrangement(arr) and is_pairwise_intersecting(arr)
     ratios = [h["ratio"] for h in arrangement_to_json(arr)["homothets"]]
@@ -206,10 +207,9 @@ TRIO = [H((0, 0), 1), H((F(3, 2), 0), 1), H((0, F(3, 2)), 1)]
 
 
 def member_check(members, idx, ratio):
-    """The cached-matrix decision for member idx taking the given ratio."""
-    g = _gauge_matrix(SQUARE, members)
-    return _member_feasible(g[idx], [row[idx] for row in g],
-                            [h.ratio for h in members], idx, ratio)
+    """The cached-gauge decision for member idx taking the given ratio."""
+    return _GaugeCache(SQUARE, members).rescale(
+        members, [h.ratio for h in members], idx, ratio)
 
 
 def full_check(members, idx, ratio):
@@ -271,16 +271,20 @@ class Skewed:
 
 def test_gauge_matrix_drop_and_append_match_recompute():
     body = Skewed()
-    members = TRIO + [H((F(-1, 4), F(5, 3)), F(1, 2))]
+    ratios = [h.ratio for h in TRIO]
+    # member 3 keeps its relations with TRIO; (1/4, 0) lies inside member 0
+    members = TRIO + [H((F(3, 4), 1), F(3, 4))]
     for drop in range(len(members)):
-        g = _gauge_matrix(body, members)
-        _drop_member(g, drop)
-        assert g == _gauge_matrix(body, members[:drop] + members[drop + 1:])
-    g = _gauge_matrix(body, members[:3])
-    c = members[3].center
-    _append_member(g, [body.gauge(h.center - c) for h in members[:3]],
-                   [body.gauge(c - h.center) for h in members[:3]])
-    assert g == _gauge_matrix(body, members)
+        cache = _GaugeCache(body, members)
+        cache.drop(drop)
+        rest = members[:drop] + members[drop + 1:]
+        assert cache.g == _GaugeCache(body, rest).g
+    cache = _GaugeCache(body, TRIO)
+    for new, ok in ((H((F(1, 4), 0), F(1, 8)), False), (members[3], True)):
+        col = [body.gauge(new.center - h.center) for h in TRIO]
+        assert cache.insert(TRIO, ratios, new, col) is ok
+    assert cache.g == _GaugeCache(body, members).g
+    assert cache.g[0][3] != cache.g[3][0]
 
 
 def test_arrangement_json_roundtrip():

@@ -8,6 +8,7 @@ from minkarr import (Homothet, Arrangement, arrangement_to_json,
                      body_to_json, cube_arrangement, linf_ball)
 from minkarr.cli import main
 from minkarr.linalg import Vector
+from minkarr.packing import lifted_packing_pipeline
 
 
 @pytest.fixture
@@ -55,6 +56,43 @@ def test_verify_violating_file_exit_1(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 1
     assert "FAIL at pair (0, 1)" in out
+
+
+def test_verify_non_intersecting_file_exit_1(tmp_path, capsys):
+    arr = Arrangement(linf_ball(2),
+                      (Homothet(Vector((0, 0)), 1), Homothet(Vector((3, 0)), 1)))
+    path = tmp_path / "apart.json"
+    path.write_text(json.dumps(arrangement_to_json(arr)))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 1
+    assert "minkowski-arrangement: PASS" in out
+    assert "pairwise-intersecting: FAIL at pair (0, 1)" in out
+    assert "verdict: FAIL" in out
+
+
+def test_verify_non_planar_skips_certificate(tmp_path, capsys):
+    path = tmp_path / "cube3.json"
+    path.write_text(json.dumps(arrangement_to_json(cube_arrangement(3))))
+    cert = tmp_path / "cert.json"
+    code, out, _ = run(capsys, "verify", str(path), "--certificate", str(cert))
+    assert code == 0
+    assert "lifted-packing-certificate: SKIP" in out
+    assert "verdict: PASS" in out
+    payload = json.loads(cert.read_text())
+    assert payload["certificate"] is None
+    assert payload["checks"] == {"minkowski": True, "intersecting": True}
+
+
+def test_verify_failing_certificate_exit_1(cube_file, capsys, monkeypatch):
+    def failing(arr):
+        cert = lifted_packing_pipeline(arr)
+        return cert._fail("disjointness", "forged", (2, 5))
+    monkeypatch.setattr("minkarr.cli.lifted_packing_pipeline", failing)
+    code, out, _ = run(capsys, "verify", cube_file)
+    assert code == 1
+    assert "lifted-packing-certificate: FAIL stage disjointness at pair " \
+        "(2, 5)" in out
+    assert "verdict: FAIL" in out
 
 
 def disc_hexagon(centre_ratio):
@@ -106,12 +144,19 @@ def square_body_file(tmp_path):
     ["--eps", "0", "kdist", "grid", "--d", "2", "--k", "2"],
     ["kdist", "grid", "--d", "0", "--k", "2"],
     ["kdist", "grid", "--d", "2", "--k", "-1"],
-], ids=["eps-zero", "d-zero", "k-negative"])
-def test_kdist_bad_flags_exit_2_as_input_errors(argv, capsys):
-    code, _, err = run(capsys, *argv)
+    ["--eps", "0", "verify", "{cube}"],
+    ["--eps", "0", "lift", "{cube}", "--pair", "0", "1"],
+    ["--eps", "0", "search", "{square}", "--iters", "5"],
+], ids=["eps-zero", "d-zero", "k-negative", "eps-zero-verify",
+        "eps-zero-lift", "eps-zero-search"])
+def test_kdist_bad_flags_exit_2_as_input_errors(argv, cube_file,
+                                                square_body_file, capsys):
+    argv = [a.format(cube=cube_file, square=square_body_file) for a in argv]
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("input error: "), err
     assert "internal error" not in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("command,flag", [

@@ -1,6 +1,6 @@
 """Golden bytes: exact-mode ``verify --certificate`` payloads, ``lift
---dump`` output and one ``lift --svg`` diagram for committed inputs,
-compared byte for byte.
+--dump`` output, one ``lift --svg`` diagram for committed inputs and one
+``search --out`` arrangement, compared byte for byte.
 
 The files in tests/golden/ were written by the command line itself; the
 three seeded inputs are ``random_minkowski_arrangement(full_lift=True)``
@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from minkarr import arrangement_to_json
+from minkarr import arrangement_to_json, body_to_json, linf_ball
 from minkarr.cli import main
 from minkarr.instances import corpus_body, random_minkowski_arrangement
 
@@ -59,6 +59,18 @@ def test_lift_svg_bytes(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert out.read_bytes() == read_bytes(golden("cube2.lift04.svg"))
+
+
+def test_search_out_bytes(tmp_path, capsys):
+    # the command CI's console-script step runs, on the same square
+    body = tmp_path / "square.json"
+    body.write_text(json.dumps(body_to_json(linf_ball(2))))
+    out = tmp_path / "search.json"
+    code = main(["--seed", "9", "search", str(body), "--iters", "120",
+                 "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert out.read_bytes() == read_bytes(golden("square.search9.json"))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

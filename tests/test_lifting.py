@@ -366,7 +366,8 @@ def test_central_overlap_large_ratio_gap():
 def test_pair_diagnostics_serializable():
     import json
     arr = arr_of(SQUARE, H((0, 0), 1), H((2, 0), 1), H((1, 1), 1))
-    diag = pair_diagnostics(arr, 0, 1)
+    frame = build_frame(arr, 0, 1)
+    diag = pair_diagnostics(arr, frame, shadow(arr, frame))
     blob = json.dumps(diag, sort_keys=True)
     assert "\"ratio\"" in blob
     assert diag["slab_contains_all"] is True

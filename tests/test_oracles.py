@@ -13,7 +13,7 @@ from minkarr import (Arrangement, BallBody, Homothet, SearchConfig,
                      arrangement_to_json, body_from_json, build_frame,
                      cross_ratio, cube_arrangement, l1_ball, linf_ball, ratio,
                      search_arrangement, shadow, shadow_with_x, slab_pair)
-from minkarr.arrangement import _feasible, _feasible_ratio, _grid_fraction
+from minkarr.arrangement import _feasible, _search
 from minkarr.instances import (corpus_body, random_intersecting_arrangement,
                                random_minkowski_arrangement,
                                random_symmetric_hexagon)
@@ -22,7 +22,7 @@ from minkarr.lifting import (DegenerateWedgeError, LiftedConfig,
                              slab_offender, verify_ratio_identity, verify_slab)
 from minkarr.linalg import (Vector, _rref, affine_coordinates, cross3,
                             matrix_rank, zero_vector)
-from minkarr import lp, scalars
+from minkarr import arrangement, lp, scalars
 from minkarr.packing import family_from_arrangement, lifted_packing_pipeline
 from minkarr.polytopes import (ConvexPolytope, LowerDimensional, _dedupe, hull,
                                volume)
@@ -533,52 +533,33 @@ def test_integer_gauge_kernel_against_facet_loop():
     assert type(linf_ball(2).gauge(zero_vector(2))) is int
 
 
+class FullPass:
+    """Search state that decides every move by the full predicate pass over
+    the candidate member list: the route the cached gauges replaced.  It
+    keeps no gauges, so a drop only counts."""
+
+    def __init__(self, body):
+        self.body = body
+        self.drops = 0
+
+    def insert(self, members, ratios, new, col):
+        return _feasible(self.body, members + [new])
+
+    def rescale(self, members, ratios, idx, ratio):
+        candidate = list(members)
+        candidate[idx] = Homothet(members[idx].center, ratio)
+        return _feasible(self.body, candidate)
+
+    def drop(self, k):
+        self.drops += 1
+
+
 def full_pass_search(body, dim, config, warm_start=None):
-    """Search with every candidate checked by the full predicate pass: the
-    route the cached gauge matrix replaced, with the same moves and rng
-    stream."""
-    rng = random.Random(config.seed)
-    members = list(warm_start.members) if warm_start is not None \
-        else [Homothet(zero_vector(dim), F(1))]
-    assert _feasible(body, members)
-    best = list(members)
-    stagnation = 0
-    for _ in range(config.iterations):
-        max_ratio = max(float(h.ratio) for h in members)
-        lo = [min(float(h.center[i]) for h in members) - 2 * max_ratio
-              for i in range(dim)]
-        hi = [max(float(h.center[i]) for h in members) + 2 * max_ratio
-              for i in range(dim)]
-        inserted = False
-        for _attempt in range(config.insert_attempts):
-            center = Vector([_grid_fraction(rng, lo[i], hi[i])
-                             for i in range(dim)])
-            found = _feasible_ratio(body, members, center, rng)
-            if found is None:
-                continue
-            candidate = members + [Homothet(center, found[0])]
-            if _feasible(body, candidate):
-                members = candidate
-                inserted = True
-                break
-        if inserted:
-            stagnation = 0
-        else:
-            idx = rng.randrange(len(members))
-            step = config.ratio_steps[rng.randrange(len(config.ratio_steps))]
-            h = members[idx]
-            candidate = list(members)
-            candidate[idx] = Homothet(h.center, h.ratio * step)
-            if _feasible(body, candidate):
-                members = candidate
-            stagnation += 1
-            if stagnation >= config.stagnation_limit and len(members) > 1:
-                drop = rng.randrange(len(members))
-                members = members[:drop] + members[drop + 1:]
-                stagnation = 0
-        if len(members) > len(best):
-            best = list(members)
-    return Arrangement(body, tuple(best))
+    """The search loop run with FullPass: the same moves and rng stream.
+    Returns the result and the number of drops."""
+    state = FullPass(body)
+    arr = _search(body, dim, config, warm_start, lambda *_: state)
+    return arr, state.drops
 
 
 class SkewGauge:
@@ -603,7 +584,7 @@ def float_facet_body():
         {"normal": [-0.1, -1.0], "offset": 1.0}]})
 
 
-def test_search_against_full_pass():
+def test_search_against_full_pass(monkeypatch):
     rng = random.Random(77)
     float_body = float_facet_body()
     assert all(type(c) is float for a in float_body.facets for c in a.coords)
@@ -611,13 +592,18 @@ def test_search_against_full_pass():
              (linf_ball(2), cube_arrangement(2)), (BallBody(2), None),
              (float_body, None), (SkewGauge(), None)]
     cases += [(random_symmetric_hexagon(rng), None) for _ in range(3)]
+    monkeypatch.setattr(arrangement, "STAGNATION_LIMIT", 6)
+    drops = 0
     for body, warm in cases:
         for seed in range(3):
-            cfg = SearchConfig(seed=seed, iterations=60, stagnation_limit=6)
+            cfg = SearchConfig(seed=seed, iterations=60)
             got = search_arrangement(body, body.dim, cfg, warm_start=warm)
-            want = full_pass_search(body, body.dim, cfg, warm_start=warm)
+            want, dropped = full_pass_search(body, body.dim, cfg,
+                                             warm_start=warm)
             assert arrangement_to_json(got) == arrangement_to_json(want), \
                 (body, seed)
+            drops += dropped
+    assert drops > 0
 
 
 # ------------------------------------------------- the Fraction lift route --

@@ -98,6 +98,18 @@ def test_segment_family_induction_branch():
     assert cert.bound_effective == 2
 
 
+def test_plane_family_in_r4_takes_induction_branch():
+    # the unit square's corners on a 2-flat of R^4: the hull's rank test
+    # reduces the family to its plane coordinates, where it certifies
+    o, b1, b2 = V(2, -1, 0, 3), V(1, 0, 1, 0), V(0, 1, 0, -1)
+    pts = [o + b1 * s + b2 * t for s, t in ((0, 0), (1, 0), (0, 1), (1, 1))]
+    cert = slab_packing_check(antipodal_family(pts), F(1))
+    assert cert.verdict
+    assert cert.ambient_dim == 4 and cert.bound == 16
+    assert cert.induction_branch and cert.affine_dim == 2
+    assert cert.bound_effective == 4 and cert.hull_volume == 1
+
+
 def test_ratio_stage_rejects_wide_slab():
     pts = [V(0, 0), V(1, 0)]
     bad = SlabFamily(tuple(pts),

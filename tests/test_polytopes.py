@@ -36,6 +36,7 @@ def test_hull_collinear_flag():
     flag = hull([V(0, 0), V(1, 1), V(2, 2)])
     assert isinstance(flag, LowerDimensional)
     assert flag.affine_dim == 1
+    assert flag.coords == [V(0), V(1), V(2)]
 
 
 def test_hull_cube_and_simplex_volumes():
