@@ -25,7 +25,7 @@ from . import scalars
 from .arrangement import (Arrangement, Homothet, find_intersection_violation,
                           find_minkowski_violation)
 from .bodies import SymmetricBody, VPolytopeBody, l1_ball, linf_ball
-from .lifting import lift
+from .lifting import _lift_point
 from .linalg import Vector, matrix_rank
 
 
@@ -179,6 +179,6 @@ def random_minkowski_arrangement(rng: random.Random,
 
 
 def _spans_lifted_space(arr: Arrangement) -> bool:
-    points = lift(arr).points
+    points = [_lift_point(h.center, h.ratio) for h in arr.members]
     return matrix_rank([(p - points[0]).coords
                         for p in points[1:]]) == arr.dim + 1

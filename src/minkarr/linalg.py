@@ -1,8 +1,9 @@
 """Vectors and small exact linear algebra: row reduction, rank, and
 coordinates of points inside their affine hull.
 
-Everything here is dimension-generic and works on exact scalars; floating
-inputs degrade gracefully to tolerance-based pivoting.
+Everything here is dimension-generic and works on exact scalars; the rank
+of exact rows is fraction-free integer elimination, and floating inputs
+degrade gracefully to tolerance-based pivoting.
 """
 
 from __future__ import annotations
@@ -127,9 +128,34 @@ def _rref(rows: List[List[Scalar]], ncols: int):
 
 
 def matrix_rank(rows: Sequence[Sequence[Scalar]]) -> int:
+    """Rank of the rows.
+
+    Exact rows are scaled once to integers over one common denominator and
+    reduced by fraction-free (Bareiss) elimination: each step replaces a row
+    r by (p*r - f*top) / prev, p the pivot, f the row's entry in the pivot
+    column and prev the previous pivot, a division that is always exact.
+    Rows with a float keep the tolerance pivoting of ``_rref``."""
     if not rows:
         return 0
-    return len(_rref([list(row) for row in rows], len(rows[0])))
+    scaled = scalars.int_rows(rows)
+    if scaled is None:
+        return len(_rref([list(row) for row in rows], len(rows[0])))
+    m = scaled[0]
+    rank, prev = 0, 1
+    for c in range(len(rows[0])):
+        pivot_row = next((r for r in range(rank, len(m)) if m[r][c]), None)
+        if pivot_row is None:
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        top = m[rank]
+        p = top[c]
+        for r in range(rank + 1, len(m)):
+            f = m[r][c]
+            m[r] = [(p * x - f * y) // prev for x, y in zip(m[r], top)]
+        prev, rank = p, rank + 1
+        if rank == len(m):
+            break
+    return rank
 
 
 def affine_coordinates(points: Sequence[Vector]):

@@ -1,23 +1,29 @@
 """Exact convex hulls and volumes in dimension <= 3.
 
-Hulls are computed with exact orientation predicates (rational inputs stay
-rational throughout).  Degenerate inputs are reported through
+Hulls are computed with exact orientation predicates.  Exact input is scaled
+once to integer points over one positive common denominator q; a positive
+scale changes no sign, so the rank test, the orientation and plane sign tests
+and the volume all run on integers, and every stored facet (normal, offset)
+and vertex is still the rational one.  Float input takes the same loops with
+the run tolerance in place of zero.  Degenerate inputs are reported through
 ``LowerDimensional`` rather than an exception so callers can take the
 affine-hull reduction branch.
 
 Each incidence is decided once: a 3D facet is the set of points its plane's
-sign test puts on the plane, and the volume takes each facet's area from the
-planar hull of those points projected onto two coordinate axes.
+sign test puts on the plane, and the volume reads the facet's vertices from
+that incidence.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from . import scalars
-from .linalg import Vector, affine_coordinates, cross3
+from .linalg import Vector, affine_coordinates, cross3, matrix_rank
 from .scalars import Scalar, div
 
 
@@ -31,10 +37,13 @@ class LowerDimensional:
 
 @dataclass(frozen=True)
 class ConvexPolytope:
-    """Full-dimensional polytope as hull vertices plus facets a.x <= c."""
+    """Full-dimensional polytope as hull vertices plus facets a.x <= c; in
+    dimension 3, incidence[f] lists the indices of the vertices on facet f."""
     dim: int
     vertices: Tuple[Vector, ...]
     facets: Tuple[Tuple[Vector, Scalar], ...]
+    incidence: Tuple[Tuple[int, ...], ...] = field(default=(), compare=False,
+                                                   repr=False)
 
 
 def _dedupe(points: Sequence[Vector]) -> List[Vector]:
@@ -48,25 +57,38 @@ def _dedupe(points: Sequence[Vector]) -> List[Vector]:
 def hull(points: Sequence[Vector]) -> Union[ConvexPolytope, LowerDimensional]:
     """Convex hull of the points, exact in rational mode.
 
-    Returns LowerDimensional(r, coords) when ``affine_coordinates`` finds
-    an affine hull of dimension r < d, in any dimension d.  A 3D facet keeps
-    the outward (normal, offset) of the first point triple that finds it;
-    the vertices are the points on at least three facets, in input order.
+    Returns LowerDimensional(r, coords) when the points' affine hull has
+    dimension r < d, in any dimension d.  For exact points the rank is the
+    fraction-free ``matrix_rank`` of the integer difference rows, and
+    ``affine_coordinates`` runs only when the rank falls short; float points
+    keep the tolerance rank of ``affine_coordinates``.  A 3D facet keeps the
+    outward (normal, offset) of the first point triple that finds it; the
+    vertices are the points on at least three facets, in input order.
     """
     pts = _dedupe(points)
     if not pts:
         raise ValueError("hull of an empty point set")
     dim = pts[0].dim
-    coords, basis, _ = affine_coordinates(pts)
-    if len(basis) < dim:
-        return LowerDimensional(len(basis), coords)
+    rows = [p.coords for p in pts]
+    scaled = scalars.int_rows(rows)
+    if scaled is None:
+        coords, basis, _ = affine_coordinates(pts)
+        if len(basis) < dim:
+            return LowerDimensional(len(basis), coords)
+        tol = scalars.tolerance()
+    else:
+        rows, tol = scaled[0], 0
+        rank = matrix_rank([[a - b for a, b in zip(r, rows[0])]
+                            for r in rows[1:]])
+        if rank < dim:
+            return LowerDimensional(rank, affine_coordinates(pts)[0])
     if dim > 3:
         raise ValueError("exact hulls are implemented for dimension <= 3")
     if dim == 1:
         return _hull_1d(pts)
     if dim == 2:
-        return _hull_2d(pts)
-    return _hull_3d(pts)
+        return _hull_2d(pts, rows, tol)
+    return _hull_3d(pts, rows, tol)
 
 
 def _hull_1d(pts: List[Vector]) -> ConvexPolytope:
@@ -76,29 +98,28 @@ def _hull_1d(pts: List[Vector]) -> ConvexPolytope:
     return ConvexPolytope(1, (lo, hi), facets)
 
 
-def _orient2(o: Vector, a: Vector, b: Vector) -> int:
-    return scalars.sign((a[0] - o[0]) * (b[1] - o[1])
-                        - (a[1] - o[1]) * (b[0] - o[0]))
+def _monotone_chain(rows: Sequence[Sequence[Scalar]], tol) -> List[int]:
+    """Indices of the hull vertices of planar points, counterclockwise; a
+    turn counts as a left turn when its cross product exceeds tol."""
+    def right_or_straight(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) \
+            - (a[1] - o[1]) * (b[0] - o[0]) <= tol
+
+    order = sorted(range(len(rows)), key=lambda m: (rows[m][0], rows[m][1]))
+    chains = []
+    for seq in (order, order[::-1]):
+        chain: List[int] = []
+        for m in seq:
+            while len(chain) >= 2 and right_or_straight(
+                    rows[chain[-2]], rows[chain[-1]], rows[m]):
+                chain.pop()
+            chain.append(m)
+        chains.append(chain[:-1])
+    return chains[0] + chains[1]
 
 
-def _monotone_chain(pts: Sequence[Vector]) -> List[Vector]:
-    """Vertices of the hull of planar points, counterclockwise."""
-    spts = sorted(pts, key=lambda p: (p[0], p[1]))
-    lower: List[Vector] = []
-    for p in spts:
-        while len(lower) >= 2 and _orient2(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: List[Vector] = []
-    for p in reversed(spts):
-        while len(upper) >= 2 and _orient2(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
-def _hull_2d(pts: List[Vector]) -> ConvexPolytope:
-    verts = _monotone_chain(pts)
+def _hull_2d(pts: List[Vector], rows, tol) -> ConvexPolytope:
+    verts = [pts[m] for m in _monotone_chain(rows, tol)]
     facets = []
     for i, v in enumerate(verts):
         w = verts[(i + 1) % len(verts)]
@@ -108,63 +129,102 @@ def _hull_2d(pts: List[Vector]) -> ConvexPolytope:
     return ConvexPolytope(2, tuple(verts), tuple(facets))
 
 
-def _hull_3d(pts: List[Vector]) -> ConvexPolytope:
+def _hull_3d(pts: List[Vector], rows, tol) -> ConvexPolytope:
     planes = {}
     for i, j, k in itertools.combinations(range(len(pts)), 3):
-        normal = cross3(pts[j] - pts[i], pts[k] - pts[i])
-        if normal.is_zero():
+        (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = rows[i], rows[j], rows[k]
+        ux, uy, uz = x1 - x0, y1 - y0, z1 - z0
+        vx, vy, vz = x2 - x0, y2 - y0, z2 - z0
+        a, b, c = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+        if max(abs(a), abs(b), abs(c)) <= tol:
             continue
-        offset = normal.dot(pts[i])
-        signs = [scalars.sign(normal.dot(p) - offset) for p in pts]
-        if 1 in signs and -1 in signs:
+        off = a * x0 + b * y0 + c * z0
+        vals = [a * x + b * y + c * z - off for x, y, z in rows]
+        above = max(vals) > tol
+        if above and min(vals) < -tol:
             continue
-        key = tuple(m for m, s in enumerate(signs) if s == 0)
+        key = tuple(m for m, s in enumerate(vals) if -tol <= s <= tol)
         if key not in planes:
-            planes[key] = (-normal, -offset) if 1 in signs else (normal, offset)
-    verts = tuple(p for m, p in enumerate(pts)
-                  if sum(m in key for key in planes) >= 3)
-    return ConvexPolytope(3, verts, tuple(planes.values()))
+            normal = cross3(pts[j] - pts[i], pts[k] - pts[i])
+            offset = normal.dot(pts[i])
+            planes[key] = (-normal, -offset) if above else (normal, offset)
+    hits = Counter(m for key in planes for m in key)
+    index = {m: t for t, m in enumerate(m for m in range(len(pts))
+                                        if hits[m] >= 3)}
+    incidence = tuple(tuple(index[m] for m in key if m in index)
+                      for key in planes)
+    return ConvexPolytope(3, tuple(pts[m] for m in index),
+                          tuple(planes.values()), incidence)
 
 
 def volume(poly: ConvexPolytope) -> Scalar:
     """Exact volume of a full-dimensional hull.
 
-    In dimension 3 it is a third of the sum over facets a.x <= c of
-    (c - a.m) * area(F) / |a|, m the vertex centroid.  Projected along the
-    axis k of the largest |a_k|, a facet's vertices (a.p == c) have a planar
-    hull of area area(F) * |a_k| / |a|, so no square root is taken.
+    In dimension 3 it is the sum over facets F of the pyramids over F with
+    apex m, the vertex centroid.  For exact vertices, scaled to integer points
+    P over q with M their sum and nv their count, a pyramid is
+    |S.(nv*P_0 - M)| / (6*nv*q^3), where S is the sum of P_t x P_{t+1} around
+    the facet (in the order of the planar hull of its vertices projected along
+    the normal's largest axis) and P_0 any vertex of F; the sum is divided
+    once.  Float vertices take the facet areas from that planar hull and sum
+    (c - a.m) * area / (3*|a_k|), k that axis, so no square root is taken.
     """
     if isinstance(poly, LowerDimensional):
         raise ValueError("volume needs a full-dimensional polytope; the "
                          "input spans only an affine %d-flat" % poly.affine_dim)
     if poly.dim == 1:
         return poly.vertices[1][0] - poly.vertices[0][0]
+    if poly.dim > 3:
+        raise ValueError("volumes are implemented for dimension <= 3")
+    scaled = scalars.int_rows([v.coords for v in poly.vertices])
+    if scaled is None:
+        return _float_volume(poly)
+    rows, q = scaled
     if poly.dim == 2:
-        return _area_2d(poly.vertices)
-    if poly.dim == 3:
-        return _volume_3d(poly)
-    raise ValueError("volumes are implemented for dimension <= 3")
+        return Fraction(abs(_shoelace(rows)), 2 * q * q)
+    nv = len(rows)
+    mx, my, mz = (sum(col) for col in zip(*rows))
+    total = 0
+    for (normal, _), face in zip(poly.facets, poly.incidence, strict=True):
+        k = max(range(3), key=lambda i: abs(normal[i]))
+        ring = [rows[face[t]] for t in _monotone_chain(
+            [rows[m][:k] + rows[m][k + 1:] for m in face], 0)]
+        sx = sy = sz = 0
+        for (x1, y1, z1), (x2, y2, z2) in zip(ring, ring[1:] + ring[:1]):
+            sx += y1 * z2 - z1 * y2
+            sy += z1 * x2 - x1 * z2
+            sz += x1 * y2 - y1 * x2
+        x0, y0, z0 = ring[0]
+        total += abs(sx * (nv * x0 - mx) + sy * (nv * y0 - my)
+                     + sz * (nv * z0 - mz))
+    return Fraction(total, 6 * nv * q ** 3)
 
 
-def _area_2d(verts: Sequence[Vector]) -> Scalar:
+def _shoelace(rows: Sequence[Sequence[Scalar]]) -> Scalar:
+    """Twice the signed area of the polygon with these vertices in order."""
     total: Scalar = 0
-    for i, v in enumerate(verts):
-        w = verts[(i + 1) % len(verts)]
+    for i, v in enumerate(rows):
+        w = rows[(i + 1) % len(rows)]
         total = total + (v[0] * w[1] - w[0] * v[1])
-    return abs(div(total, 2))
+    return total
 
 
-def _volume_3d(poly: ConvexPolytope) -> Scalar:
+def _float_volume(poly: ConvexPolytope) -> Scalar:
+    if poly.dim == 2:
+        return abs(div(_shoelace(poly.vertices), 2))
     center = poly.vertices[0]
     for v in poly.vertices[1:]:
         center = center + v
     center = center / len(poly.vertices)
+    tol = scalars.tolerance()
     total: Scalar = 0
-    for normal, offset in poly.facets:
+    for (normal, offset), face in zip(poly.facets, poly.incidence,
+                                         strict=True):
         k = max(range(3), key=lambda i: abs(normal[i]))
-        face = [Vector(p[i] for i in range(3) if i != k)
-                for p in poly.vertices if scalars.eq(normal.dot(p), offset)]
-        area = _area_2d(_monotone_chain(face))
+        flat = [tuple(poly.vertices[m][i] for i in range(3) if i != k)
+                for m in face]
+        area = abs(div(_shoelace([flat[t] for t in
+                                  _monotone_chain(flat, tol)]), 2))
         total = total + div((offset - normal.dot(center)) * area,
                             abs(normal[k]))
     return div(total, 3)

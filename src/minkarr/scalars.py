@@ -101,6 +101,17 @@ def int_form(values):
     return [v.numerator * (q // d) for v, d in zip(values, dens)], q
 
 
+def int_rows(rows):
+    """(R, q) with rows == R/q entrywise, R integer tuples and q > 0 the lcm
+    of all the denominators; None when a value is a float."""
+    form = int_form([x for row in rows for x in row])
+    if form is None:
+        return None
+    flat, q = form
+    n = len(rows[0])
+    return [tuple(flat[t:t + n]) for t in range(0, len(flat), n)], q
+
+
 def parse_scalar(value) -> Scalar:
     """Parse a JSON-level number.
 

@@ -6,6 +6,7 @@ import pytest
 
 from minkarr import (Homothet, Arrangement, arrangement_to_json,
                      body_to_json, cube_arrangement, linf_ball)
+from minkarr import cli, packing
 from minkarr.cli import main
 from minkarr.linalg import Vector
 from minkarr.packing import lifted_packing_pipeline
@@ -93,6 +94,28 @@ def test_verify_failing_certificate_exit_1(cube_file, capsys, monkeypatch):
     assert "lifted-packing-certificate: FAIL stage disjointness at pair " \
         "(2, 5)" in out
     assert "verdict: FAIL" in out
+
+
+def test_verify_runs_each_predicate_once(cube_file, capsys, monkeypatch,
+                                         tmp_path):
+    """verify reads the two predicates from the planar pipeline's first
+    stages instead of running them a second time."""
+    calls = []
+    for module in (cli, packing):
+        for name in ("find_minkowski_violation",
+                     "find_intersection_violation"):
+            def counted(arr, _real=getattr(module, name), _name=name):
+                calls.append(_name)
+                return _real(arr)
+            monkeypatch.setattr(module, name, counted)
+    cert = tmp_path / "cert.json"
+    code, _, _ = run(capsys, "verify", cube_file, "--certificate", str(cert))
+    assert code == 0
+    assert sorted(calls) == ["find_intersection_violation",
+                             "find_minkowski_violation"]
+    stages = json.loads(cert.read_text())["certificate"]["stages"]
+    assert [(s["name"], s["passed"]) for s in stages[:2]] == \
+        [("minkowski_property", True), ("pairwise_intersecting", True)]
 
 
 def disc_hexagon(centre_ratio):

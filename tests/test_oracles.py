@@ -3,6 +3,7 @@ derivation gets compared against it on random rational instances."""
 
 import dataclasses
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -386,7 +387,7 @@ def shrink(poly: ConvexPolytope, x: Vector, lam) -> ConvexPolytope:
     rho = scalars.div(1, 1 + lam)
     verts = tuple(x + (v - x) * rho for v in poly.vertices)
     facets = tuple((a, rho * c + (1 - rho) * a.dot(x)) for a, c in poly.facets)
-    copy = ConvexPolytope(poly.dim, verts, facets)
+    copy = dataclasses.replace(poly, vertices=verts, facets=facets)
     for v in copy.vertices:
         if not contains(poly, v):
             raise AssertionError("shrunken copy escaped the hull")
@@ -1038,3 +1039,195 @@ def test_hull_volume_and_coordinates_against_oracles():
                 assert same_planes(h.facets, oracle.facets)
                 assert volume(h) == origin_fan_volume(oracle) \
                     == origin_fan_volume(h)
+
+
+# The Fraction hull, volume and rank: the route the integer kernel of
+# polytopes.hull, polytopes.volume and linalg.matrix_rank replaced.  Every
+# sign test here is on the rational points themselves.
+
+def fraction_rank(rows):
+    """Rank by Fraction row reduction."""
+    return len(_rref([list(r) for r in rows], len(rows[0]))) if rows else 0
+
+
+def fraction_chain(pts):
+    """Counterclockwise hull vertices of planar points, Fraction turns."""
+    def turn(o, a, b):
+        return scalars.sign((a[0] - o[0]) * (b[1] - o[1])
+                            - (a[1] - o[1]) * (b[0] - o[0]))
+    spts = sorted(pts, key=lambda p: (p[0], p[1]))
+    lower, upper = [], []
+    for chain, seq in ((lower, spts), (upper, spts[::-1])):
+        for p in seq:
+            while len(chain) >= 2 and turn(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+    return lower[:-1] + upper[:-1]
+
+
+def fraction_area(verts):
+    total = 0
+    for i, v in enumerate(verts):
+        w = verts[(i + 1) % len(verts)]
+        total = total + (v[0] * w[1] - w[0] * v[1])
+    return abs(scalars.div(total, 2))
+
+
+def fraction_hull(points):
+    """The hull with the rank of ``affine_coordinates``; a 3D facet is the
+    set of points its plane's sign test puts on it, with the plane of the
+    first triple that finds it, and a vertex is on three facets."""
+    pts = _dedupe(points)
+    dim = pts[0].dim
+    coords, basis, _ = affine_coordinates(pts)
+    if len(basis) < dim:
+        return LowerDimensional(len(basis), coords)
+    if dim == 1:
+        lo, hi = min(pts, key=lambda p: p[0]), max(pts, key=lambda p: p[0])
+        return ConvexPolytope(1, (lo, hi), ((Vector([1]), hi[0]),
+                                            (Vector([-1]), -lo[0])))
+    if dim == 2:
+        verts = fraction_chain(pts)
+        facets = []
+        for v, w in zip(verts, verts[1:] + verts[:1]):
+            normal = Vector((w[1] - v[1], v[0] - w[0]))
+            facets.append((normal, normal.dot(v)))
+        return ConvexPolytope(2, tuple(verts), tuple(facets))
+    planes = {}
+    for i, j, k in itertools.combinations(range(len(pts)), 3):
+        normal = cross3(pts[j] - pts[i], pts[k] - pts[i])
+        if normal.is_zero():
+            continue
+        offset = normal.dot(pts[i])
+        signs = [scalars.sign(normal.dot(p) - offset) for p in pts]
+        if 1 in signs and -1 in signs:
+            continue
+        key = tuple(m for m, s in enumerate(signs) if s == 0)
+        if key not in planes:
+            planes[key] = (-normal, -offset) if 1 in signs else (normal, offset)
+    verts = tuple(p for m, p in enumerate(pts)
+                  if sum(m in key for key in planes) >= 3)
+    return ConvexPolytope(3, verts, tuple(planes.values()))
+
+
+def fraction_volume(poly):
+    """Length, area, or a third of the sum over facets a.x <= c of
+    (c - a.m) * area / |a_k|, the facet's vertices (a.p == c) projected
+    along the axis k of the largest |a_k|, m the vertex centroid."""
+    if poly.dim == 1:
+        return poly.vertices[1][0] - poly.vertices[0][0]
+    if poly.dim == 2:
+        return fraction_area(poly.vertices)
+    center = poly.vertices[0]
+    for v in poly.vertices[1:]:
+        center = center + v
+    center = center / len(poly.vertices)
+    total = 0
+    for normal, offset in poly.facets:
+        k = max(range(3), key=lambda i: abs(normal[i]))
+        face = [Vector(p[i] for i in range(3) if i != k)
+                for p in poly.vertices if scalars.eq(normal.dot(p), offset)]
+        area = fraction_area(fraction_chain(face))
+        total = total + scalars.div((offset - normal.dot(center)) * area,
+                                    abs(normal[k]))
+    return scalars.div(total, 3)
+
+
+def assert_same_hull(pts):
+    """Both routes on pts: the same flag and coordinates, or the same
+    vertices, facet planes and volume, in value and in type."""
+    got, want = hull(pts), fraction_hull(pts)
+    assert type(got) is type(want)
+    if isinstance(want, LowerDimensional):
+        assert got == want
+        same(got.coords, want.coords)
+    else:
+        same(got.vertices, want.vertices)
+        same(got.facets, want.facets)
+        same(volume(got), fraction_volume(want))
+    return got
+
+
+def mixed_points(rng, dim, rank, count):
+    """Points of a random flat of rank at most r: a lattice with steps of
+    mixed denominators around a negative-or-positive fractional origin, so
+    hull facets carry extra points and hull edges collinear ones."""
+    base = [Vector(F(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+                   for _ in range(dim)) for _ in range(rank)]
+    origin = Vector(F(rng.randint(-9, 9), rng.choice((1, 2, 5, 7)))
+                    for _ in range(dim))
+    pts = [origin]
+    for _ in range(count):
+        p = origin
+        for b in base:
+            p = p + b * rng.randint(-2, 2)
+        pts.append(p)
+    return pts
+
+
+def on_faces(rng, poly):
+    """A point inside a facet (the centroid of its vertices) and, in 3D, a
+    point on an edge (the midpoint of two vertices on two common facets)."""
+    normal, offset = rng.choice(poly.facets)
+    face = [p for p in poly.vertices if normal.dot(p) == offset]
+    inside = face[0]
+    for p in face[1:]:
+        inside = inside + p
+    if poly.dim < 3:
+        return [inside / len(face)]
+    edges = [(p, w) for p, w in itertools.combinations(poly.vertices, 2)
+             if sum(a.dot(p) == c and a.dot(w) == c
+                    for a, c in poly.facets) >= 2]
+    p, w = rng.choice(edges)
+    return [inside / len(face), (p + w) / 2]
+
+
+def test_integer_rank_against_fraction_rank():
+    rng = random.Random(4242)
+    for dim in (1, 2, 3, 4):
+        for rank in range(dim + 1):
+            for _ in range(12):
+                pts = mixed_points(rng, dim, rank, rng.randint(2, 7))
+                rows = [(p - pts[0]).coords for p in pts[1:]]
+                assert matrix_rank(rows) == fraction_rank(rows)
+                # the points' own rows, one made zero, one column zeroed
+                rows = [p.coords for p in pts] + [(0,) * dim]
+                col = rng.randrange(dim)
+                rows += [tuple(0 if c == col else x
+                               for c, x in enumerate(p.coords)) for p in pts]
+                assert matrix_rank(rows) == fraction_rank(rows)
+
+
+def test_integer_hull_and_volume_against_fraction_route():
+    rng = random.Random(4243)
+    full = 0
+    for dim in (1, 2, 3, 4):
+        for rank in range(dim + 1):
+            for _ in range(40 if rank == dim == 3 else 6):
+                pts = mixed_points(rng, dim, rank, rng.randint(3, 9))
+                if dim > 3:
+                    adim = fraction_rank([(p - pts[0]).coords
+                                          for p in pts[1:]])
+                    if adim < dim:
+                        assert hull(pts) == LowerDimensional(adim)
+                    else:
+                        with pytest.raises(ValueError):
+                            hull(pts)
+                    continue
+                h = assert_same_hull(pts)
+                if isinstance(h, ConvexPolytope):
+                    full += dim == 3
+                    assert_same_hull(pts + on_faces(rng, h))
+    assert full >= 30
+
+
+def test_integer_hull_on_criterion_4_lifts():
+    """The lifted points of the criterion-4 corpus, exact and as floats;
+    the float route keeps the tolerance sign tests bit for bit."""
+    rng = random.Random(77001)
+    for t in range(100):
+        arr = random_minkowski_arrangement(rng, body=corpus_body(rng, t),
+                                           full_lift=True)
+        pts = lift(arr).points
+        assert isinstance(assert_same_hull(pts), ConvexPolytope)
+        assert_same_hull([Vector(float(c) for c in p) for p in pts])
