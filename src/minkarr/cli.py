@@ -17,6 +17,7 @@ Every report prints the seed and scalar mode it ran under.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -239,7 +240,10 @@ def _choose_body(args, dim: int):
     return BallBody(dim)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    ``main`` call in the process (parsing leaves no state in it)."""
     parser = argparse.ArgumentParser(
         prog="minkarr",
         description="Verification toolkit for pairwise intersecting "

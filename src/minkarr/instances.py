@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import mul, sub
 from typing import List, Optional
 
 from . import scalars
@@ -58,6 +59,9 @@ def corpus_body(rng: random.Random, index: int) -> SymmetricBody:
 
 def _random_centers(rng: random.Random, n: int, dim: int,
                     span: int = 4) -> List[Vector]:
+    if n > (2 * span + 1) ** dim:
+        raise ValueError("no %d distinct centers in a box of span %d"
+                         % (n, span))
     centers: List[Vector] = []
     while len(centers) < n:
         c = Vector([Fraction(rng.randint(-span, span), 2) for _ in range(dim)])
@@ -76,12 +80,16 @@ def _gauge_matrix(body: SymmetricBody, centers: List[Vector]):
 
 
 def _float_gauge(body: SymmetricBody):
-    """Cheap float gauge closure used only to pre-screen random centers."""
+    """Cheap float gauge closure used only to pre-screen random centers; it
+    reads the body's facets, in any dimension."""
     hform = getattr(body, "_hform", None) or body
+    if not hasattr(hform, "facets"):
+        raise ValueError("the generator needs a body with a facet form, "
+                         "not %r" % body)
     normals = [a.as_floats() for a in hform.facets]
 
-    def gauge(dx, dy):
-        return max(nx * dx + ny * dy for nx, ny in normals)
+    def gauge(d):
+        return max(sum(map(mul, a, d)) for a in normals)
     return gauge
 
 
@@ -125,21 +133,23 @@ def random_minkowski_arrangement(rng: random.Random,
     """A pairwise intersecting Minkowski arrangement with rational data.
 
     With ``full_lift`` the ratios are re-drawn until the lifted image spans
-    dimension d + 1 affinely (needed by the full-dimensional packing runs).
+    dimension d + 1 affinely (needed by the full-dimensional packing runs),
+    which takes at least d + 2 members.  The body needs a facet form.
     """
     body = body or corpus_body(rng, rng.randrange(3))
-    n = n or rng.randint(4, 6)
+    n_floor = body.dim + 2 if full_lift else 3
+    n = n or max(rng.randint(4, 6), n_floor)
     fgauge = _float_gauge(body)
-    n_floor = 4 if full_lift else 3
     span = 4
     attempts = floor_attempts = 0
     while True:
         attempts += 1
         if attempts % 200 == 0:
             # eccentric bodies make clustered center sets rare; tighten the
-            # box first, then settle for a smaller family (n=3 is feasible
-            # for every body by the gauge triangle inequality)
-            if span > 2:
+            # box first while it holds n distinct centers, then settle for a
+            # smaller family (n=3 is feasible for every body by the gauge
+            # triangle inequality; a full lift needs d + 2 members)
+            if span > 2 and (2 * span - 1) ** body.dim >= n:
                 span -= 1
             elif n > n_floor:
                 n -= 1
@@ -150,7 +160,7 @@ def random_minkowski_arrangement(rng: random.Random,
         # float pre-screen: the ratio polytope is nonempty iff every pair
         # distance is at most the sum of the two nearest-neighbor distances
         fpts = [c.as_floats() for c in centers]
-        fg = [[fgauge(fpts[i][0] - fpts[j][0], fpts[i][1] - fpts[j][1])
+        fg = [[fgauge(list(map(sub, fpts[i], fpts[j])))
                if i != j else 0.0 for j in range(n)] for i in range(n)]
         fcaps = [min(fg[i][j] for j in range(n) if j != i) for i in range(n)]
         if any(fcaps[i] + fcaps[j] < fg[i][j] - 1e-7

@@ -10,28 +10,27 @@ the hull.
 
 ``lifted_packing_pipeline`` wires this to planar arrangements: it lifts a
 pairwise intersecting Minkowski arrangement of the plane into dimension 3,
-derives every pair's slab from the shadow construction, checks the width
-ratios against 2 and emits the full certificate with the 3^(d+1) cardinality
-conclusion.
+derives every pair's slab from the shadow construction and runs the packing
+check at lam = 2, whose bound (1+2)^3 is the 3^(d+1) conclusion.
 
 A point set spanning a proper affine subspace is not an error: the checker
 drops to exact coordinates inside the affine hull and certifies the stronger
 lower-dimensional bound (certificates record this as the induction branch).
 
-Disjointness of the shrunken copies uses the witness the argument names: the
-copy toward y projects along a pair's normal N onto
+Each stage is the one place its check happens.  Disjointness of the shrunken
+copies uses the witness the argument names: the copy toward y projects along
+a pair's normal N onto
 [N.y + (lo - N.y)/(1+lam), N.y + (hi - N.y)/(1+lam)], so the copies toward
 y_a and y_b meet at most in a plane N.z = t exactly when the width ratio
 |hi - lo| / |N.y_b - N.y_a| is at most lam.  The slab_ratio stage tests that
 once per pair, reading N.y from the points, never from the family's inner
-offsets; the disjointness stage only requires every pair to have a slab.
-Every copy's volume is vol(P)/(1+lam)^m by construction, so the hull volume
-is the only one computed.
+offsets; the slab_containment stage checks that every point lies in every
+slab and that every pair has one.  Every copy's volume is vol(P)/(1+lam)^m
+by construction, so the hull volume is the only one computed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -40,7 +39,7 @@ from .arrangement import (Arrangement, arrangement_size_bound,
                           find_intersection_violation,
                           find_minkowski_violation)
 from .lifting import (DegenerateWedgeError, LiftedConfig, SlabPair,
-                      build_frame, lift, ratio, shadow, slab_pair, verify_slab)
+                      build_frame, lift, shadow, slab_pair, verify_slab)
 from .linalg import Vector
 from .polytopes import ConvexPolytope, LowerDimensional, hull, volume
 from .scalars import Scalar, div, format_scalar
@@ -80,9 +79,7 @@ class PackingCertificate:
     stages: List[Stage] = field(default_factory=list)
     pair_ratios: List[Tuple[int, int, Scalar]] = field(default_factory=list)
     hull_volume: Optional[Scalar] = None
-    copy_volumes: List[Scalar] = field(default_factory=list)
     volume_sum: Optional[Scalar] = None
-    disjoint_pairs_checked: int = 0
     offending_pair: Optional[Tuple[int, int]] = None
     verdict: bool = False
 
@@ -107,14 +104,14 @@ class PackingCertificate:
 def slab_packing_check(family: SlabFamily, lam: Scalar) -> PackingCertificate:
     """Verify the slab hypotheses and produce the volume-packing evidence.
 
-    Stage order: per-pair width ratios against lam, slab containment of all
-    points, exact hull (with affine-hull reduction when the points are
-    degenerate), shrunken copies, pairwise interior-disjointness, volume
-    additivity, and the cardinality bound.  The certificate stops at the
-    first failing stage and records the offending pair.  The width ratio is
-    the one per-pair test: a ratio at most lam says that the pair's slab
-    planes separate its two copies (module docstring), so the disjointness
-    stage fails only a pair with no slab in the family.
+    Stage order: ``slab_ratio`` (every pair's width ratio against lam),
+    ``slab_containment`` (every point inside every slab, and a slab for
+    every pair), ``hull`` (with affine-hull reduction when the points are
+    degenerate), ``volume`` (the n copies of volume vol(P)/(1+lam)^m fit
+    in the hull) and ``cardinality`` (n <= (1+lam)^m).  The certificate
+    stops at the first failing stage and records the offending pair.  The
+    width ratio is the one per-pair test: a ratio at most lam says that the
+    pair's slab planes separate its two copies (module docstring).
     """
     n = len(family.points)
     ambient = family.points[0].dim if n else 0
@@ -143,8 +140,8 @@ def slab_packing_check(family: SlabFamily, lam: Scalar) -> PackingCertificate:
                               % (p.i, p.j, rho, lam), (p.i, p.j))
     cert._ok("slab_ratio", "%d pairs within ratio %s" % (len(family.pairs), lam))
 
-    # stage: every point inside every outer slab; the points' integer forms
-    # are derived once, for all pairs
+    # stage: every point inside every outer slab, and every pair with a
+    # slab; the points' integer forms are derived once, for all pairs
     lifted = LiftedConfig(family.points)
     for p in family.pairs:
         ok, k = verify_slab(lifted, p)
@@ -152,6 +149,12 @@ def slab_packing_check(family: SlabFamily, lam: Scalar) -> PackingCertificate:
             return cert._fail("slab_containment",
                               "point %d escapes the slab of pair (%d, %d)"
                               % (k, p.i, p.j), (p.i, p.j))
+    slabbed = {(min(p.i, p.j), max(p.i, p.j)) for p in family.pairs}
+    for a in range(n):
+        for b in range(a + 1, n):
+            if (a, b) not in slabbed:
+                return cert._fail("slab_containment",
+                                  "pair (%d, %d) has no slab" % (a, b), (a, b))
     cert._ok("slab_containment")
 
     # the hull's rank test decides whether to reduce to exact coordinates
@@ -175,25 +178,11 @@ def slab_packing_check(family: SlabFamily, lam: Scalar) -> PackingCertificate:
         raise AssertionError("affine reduction left a degenerate hull")
     cert._ok("hull", "affine dimension %d, %d hull vertices"
              % (adim, len(body_hull.vertices)))
-    cert._ok("shrink", "%d homothetic copies at ratio 1/(1+%s)" % (n, lam))
 
-    # every pair's copies are separated by its slab planes (slab_ratio stage)
-    slabbed = {(min(p.i, p.j), max(p.i, p.j)) for p in family.pairs}
-    for a in range(n):
-        for b in range(a + 1, n):
-            cert.disjoint_pairs_checked += 1
-            if (a, b) not in slabbed:
-                return cert._fail("disjointness",
-                                  "pair (%d, %d) has no slab" % (a, b), (a, b))
-    cert._ok("disjointness", "%d pairs separated by their slab planes"
-             % cert.disjoint_pairs_checked)
-
+    # every pair's copies are separated by its slab planes (slab_ratio
+    # stage), and each copy has volume vol(P)/(1+lam)^m
     cert.hull_volume = volume(body_hull)
-    cert.copy_volumes = [div(cert.hull_volume, (1 + lam) ** adim)] * n
-    total: Scalar = 0
-    for v in cert.copy_volumes:
-        total = total + v
-    cert.volume_sum = total
+    total = cert.volume_sum = div(n * cert.hull_volume, (1 + lam) ** adim)
     if not scalars.le(total, cert.hull_volume):
         return cert._fail("volume", "copy volumes exceed the hull volume")
     cert._ok("volume", "sum %s <= hull %s" % (total, cert.hull_volume))
@@ -205,35 +194,31 @@ def slab_packing_check(family: SlabFamily, lam: Scalar) -> PackingCertificate:
     return cert
 
 
-def family_from_arrangement(arr: Arrangement) -> Tuple[SlabFamily,
-                                                       List[Tuple[int, int, Scalar]]]:
+def family_from_arrangement(arr: Arrangement) -> SlabFamily:
     """Lift the arrangement and build every pair's slab from its shadow.
 
-    Returns the family plus the per-pair width ratios computed from the
-    shadow data (before any packing stage runs).  Slab containment is not
-    checked here: the slab_containment stage of slab_packing_check does it.
+    No check runs here: the width ratios and slab containment are stages of
+    slab_packing_check.
     """
-    lifted = lift(arr)
-    pairs, ratios = [], []
+    points = lift(arr).points
+    pairs = []
     n = len(arr.members)
     for i in range(n):
         for j in range(i + 1, n):
             frame = build_frame(arr, i, j)
-            sd = shadow(arr, frame)
-            pairs.append(slab_pair(arr, frame, sd))
-            ratios.append((i, j, ratio(arr.members[i].ratio,
-                                       arr.members[j].ratio,
-                                       sd.u_i, sd.u_j)))
-    return SlabFamily(lifted.points, tuple(pairs)), ratios
+            pairs.append(slab_pair(arr, frame, shadow(arr, frame)))
+    return SlabFamily(points, tuple(pairs))
 
 
 def lifted_packing_pipeline(arr: Arrangement) -> PackingCertificate:
     """End-to-end certificate for a planar arrangement.
 
     Requires dim 2 (the lifted points live in dimension 3, inside the exact
-    volume range).  Checks the two arrangement predicates, lifts, verifies
-    every pair's width ratio is at most 2, runs the packing check with
-    lam = 2 and concludes n <= 27.
+    volume range).  Checks the two arrangement predicates, lifts, and runs
+    the packing check with lam = 2, whose slab_ratio stage tests every
+    pair's width ratio against 2 and whose cardinality stage concludes
+    n <= 27 = 3^(d+1) (n <= 3^m at affine dimension m < 3).  A pair whose
+    inner slab planes coincide fails at the ``lifting`` stage.
     """
     if arr.dim != 2:
         raise ValueError("the pipeline is implemented for planar arrangements")
@@ -255,57 +240,33 @@ def lifted_packing_pipeline(arr: Arrangement) -> PackingCertificate:
     pre._ok("pairwise_intersecting")
 
     try:
-        family, shadow_ratios = family_from_arrangement(arr)
+        family = family_from_arrangement(arr)
     except DegenerateWedgeError as exc:
         return pre._fail("lifting", str(exc))
-    for i, j, rho in shadow_ratios:
-        if isinstance(rho, float) and not math.isfinite(rho):
-            return pre._fail("pair_ratio_bound",
-                             "pair (%d, %d) has an unbounded width ratio"
-                             % (i, j), (i, j))
-        if not scalars.le(rho, 2):
-            return pre._fail("pair_ratio_bound",
-                             "pair (%d, %d) has width ratio %s > 2; the "
-                             "family cannot be a Minkowski arrangement"
-                             % (i, j, rho), (i, j))
-    pre._ok("pair_ratio_bound", "%d pairs within ratio 2" % len(shadow_ratios))
-
     cert = slab_packing_check(family, 2)
     cert.stages = pre.stages + cert.stages
-    cert.bound = arrangement_size_bound(arr.dim)
-    if cert.verdict and n > cert.bound:
-        return cert._fail("cardinality_3_to_d_plus_1",
-                          "%d > %d" % (n, cert.bound))
-    if cert.verdict:
-        cert._ok("cardinality_3_to_d_plus_1", "%d <= %d" % (n, cert.bound))
     return cert
 
 
-def _fmt(v) -> object:
-    if isinstance(v, float) and math.isinf(v):
-        return "infinite"
-    return format_scalar(v)
+def _optional(v) -> object:
+    return None if v is None else format_scalar(v)
 
 
 def certificate_to_json(cert: PackingCertificate) -> dict:
     return {
-        "lam": _fmt(cert.lam),
+        "lam": format_scalar(cert.lam),
         "n": cert.n,
         "ambient_dim": cert.ambient_dim,
         "affine_dim": cert.affine_dim,
         "induction_branch": cert.induction_branch,
-        "bound": None if cert.bound is None else _fmt(cert.bound),
-        "bound_effective": None if cert.bound_effective is None
-        else _fmt(cert.bound_effective),
+        "bound": _optional(cert.bound),
+        "bound_effective": _optional(cert.bound_effective),
         "stages": [{"name": s.name, "passed": s.passed, "detail": s.detail}
                    for s in cert.stages],
-        "pair_ratios": [[i, j, _fmt(r)] for i, j, r in cert.pair_ratios],
-        "hull_volume": None if cert.hull_volume is None
-        else _fmt(cert.hull_volume),
-        "copy_volumes": [_fmt(v) for v in cert.copy_volumes],
-        "volume_sum": None if cert.volume_sum is None
-        else _fmt(cert.volume_sum),
-        "disjoint_pairs_checked": cert.disjoint_pairs_checked,
+        "pair_ratios": [[i, j, format_scalar(r)]
+                        for i, j, r in cert.pair_ratios],
+        "hull_volume": _optional(cert.hull_volume),
+        "volume_sum": _optional(cert.volume_sum),
         "offending_pair": list(cert.offending_pair)
         if cert.offending_pair else None,
         "failed_stage": cert.failed_stage,

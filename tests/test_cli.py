@@ -303,3 +303,22 @@ def test_float_mode_flag(cube_file, capsys):
     assert code == 0
     assert "mode: float" in out
     assert "eps: 1e-07" in out
+
+
+def test_parser_state_does_not_leak_between_calls(cube_file, capsys):
+    # one parser serves every in-process call; each call's flags and
+    # defaults are its own
+    assert cli.build_parser() is cli.build_parser()
+    code, out, _ = run(capsys, "--mode", "float", "--eps", "1e-6",
+                       "verify", cube_file)
+    assert code == 0 and "mode: float  eps: 1e-06" in out
+    code, out, _ = run(capsys, "verify", cube_file)
+    assert code == 0 and "mode: exact  eps: 1e-09" in out
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", cube_file, "--no-such-flag"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, "--seed", "3", "verify", cube_file)
+    assert code == 0
+    assert "seed: 3" in out and "mode: exact  eps: 1e-09" in out
+    assert "verdict: PASS" in out

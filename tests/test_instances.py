@@ -3,9 +3,15 @@ import time
 
 import pytest
 
+from minkarr import (BallBody, arrangement_to_json, l1_ball, lift,
+                     linf_ball)
+from minkarr.arrangement import (find_intersection_violation,
+                                 find_minkowski_violation)
 from minkarr.bodies import body_from_json
 from minkarr.instances import (FLOOR_ATTEMPTS, NoArrangementFound,
+                               random_intersecting_arrangement,
                                random_minkowski_arrangement)
+from minkarr.linalg import matrix_rank
 
 # a thin random hexagon of the benchmark's verify_exact inputs (seed 13,
 # input 32); from rng seed 1 no full-lift family on it turns up, and the
@@ -27,3 +33,40 @@ def test_full_lift_gives_up_on_a_thin_hexagon():
     # so a caller that caps one call at 50,000 draws always stops it first
     assert FLOOR_ATTEMPTS * 8 > 50_000
 
+
+def _seeded_families(dim, body, full_lift):
+    rng = random.Random("instances/%d" % dim)
+    return [random_minkowski_arrangement(rng, body=body, full_lift=full_lift)
+            for _ in range(2)] + [random_intersecting_arrangement(rng, body)]
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_generators_in_every_dimension(dim):
+    # the float pre-screen reads every coordinate; in d = 1 at most three
+    # members fit, so the generator settles for n = 3
+    for body in (linf_ball(dim), l1_ball(dim)):
+        for full_lift in (False, True):
+            families = _seeded_families(dim, body, full_lift)
+            again = _seeded_families(dim, body, full_lift)
+            assert [arrangement_to_json(a) for a in families] \
+                == [arrangement_to_json(a) for a in again]
+            for arr in families[:2]:
+                assert arr.dim == dim
+                assert find_minkowski_violation(arr) is None
+                if full_lift:
+                    points = lift(arr).points
+                    assert matrix_rank([(p - points[0]).coords
+                                        for p in points[1:]]) == dim + 1
+            for arr in families:
+                assert find_intersection_violation(arr) is None
+
+
+def test_generator_needs_a_facet_form():
+    with pytest.raises(ValueError, match="facet form"):
+        random_minkowski_arrangement(random.Random(1), body=BallBody(2))
+
+
+def test_generator_rejects_more_centers_than_the_box_holds():
+    with pytest.raises(ValueError, match="distinct centers"):
+        random_minkowski_arrangement(random.Random(1), body=linf_ball(1),
+                                     n=10)

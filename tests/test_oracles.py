@@ -475,6 +475,28 @@ def test_interiors_disjoint_3d():
     assert not interiors_disjoint(c, d)
 
 
+def test_slab_ratio_against_shadow_ratio_route():
+    """Every certificate pair ratio, read from the slab planes and the
+    lifted points, equals |ratio(lam_i, lam_j, u_i, u_j)| from the pair's
+    shadow: the width-ratio formula is the independent route."""
+    rng = random.Random(101)
+    arrangements = [cube_arrangement(2)]
+    for t in range(12):
+        arrangements.append(random_minkowski_arrangement(
+            rng, body=corpus_body(rng, t), full_lift=True))
+    for arr in arrangements:
+        cert = lifted_packing_pipeline(arr)
+        assert cert.verdict, cert.failed_stage
+        n = len(arr.members)
+        assert len(cert.pair_ratios) == n * (n - 1) // 2
+        for i, j, rho in cert.pair_ratios:
+            sd = shadow(arr, build_frame(arr, i, j))
+            shadow_rho = ratio(arr.members[i].ratio, arr.members[j].ratio,
+                               sd.u_i, sd.u_j)
+            assert type(rho) is F
+            assert rho == abs(shadow_rho), (i, j)
+
+
 def test_slab_witness_against_lp_and_copy_volumes():
     """The slab_ratio stage accepts a pair when its slab planes separate the
     pair's copies, and every copy volume is taken as vol(P)/27; the shrunken
@@ -484,7 +506,7 @@ def test_slab_witness_against_lp_and_copy_volumes():
     for t in range(12):
         arr = random_minkowski_arrangement(rng, body=corpus_body(rng, t),
                                            full_lift=True)
-        family, _ = family_from_arrangement(arr)
+        family = family_from_arrangement(arr)
         body_hull = hull(family.points)
         hull_volume = volume(body_hull)
         copies = [shrink(body_hull, y, 2) for y in family.points]
@@ -500,8 +522,8 @@ def test_slab_witness_against_lp_and_copy_volumes():
         n = len(family.points)
         assert accepted == n * (n - 1) // 2
         cert = lifted_packing_pipeline(arr)
-        detail = [s.detail for s in cert.stages if s.name == "disjointness"]
-        assert detail == ["%d pairs separated by their slab planes" % accepted]
+        detail = [s.detail for s in cert.stages if s.name == "slab_ratio"]
+        assert detail == ["%d pairs within ratio 2" % accepted]
 
 
 def loop_gauge(body, x):

@@ -53,19 +53,20 @@ def test_five_points_cannot_certify_at_lam_1():
     assert cert.offending_pair is not None
 
 
-def test_square_pair_without_slab_fails_disjointness():
+def test_square_pair_without_slab_fails_slab_containment():
     pts = [V(0, 0), V(1, 0), V(0, 1), V(1, 1)]
     family = antipodal_family(pts)
     partial = SlabFamily(family.points,
                          tuple(p for p in family.pairs if (p.i, p.j) != (0, 3)))
     cert = slab_packing_check(partial, F(1))
     assert not cert.verdict
-    assert cert.failed_stage == "disjointness"
+    assert cert.failed_stage == "slab_containment"
     assert cert.offending_pair == (0, 3)
     assert cert.stages[-1].detail == "pair (0, 3) has no slab"
     full = slab_packing_check(family, F(1))
-    detail = [s.detail for s in full.stages if s.name == "disjointness"]
-    assert detail == ["6 pairs separated by their slab planes"]
+    assert full.verdict
+    assert [s.name for s in full.stages] == [
+        "slab_ratio", "slab_containment", "hull", "volume", "cardinality"]
 
 
 def test_slab_witness_reads_points_not_inner_offsets():
@@ -88,6 +89,15 @@ def test_single_point_certificate():
     assert cert.verdict
     assert cert.affine_dim == 0
     assert cert.bound == 9
+
+
+def test_coinciding_points_without_a_slab_fail():
+    # no slab can separate two equal points, so the hypothesis fails before
+    # the hull finds affine dimension 0
+    cert = slab_packing_check(SlabFamily((V(1, 2), V(1, 2)), ()), F(2))
+    assert not cert.verdict
+    assert cert.failed_stage == "slab_containment"
+    assert cert.offending_pair == (0, 1)
 
 
 def test_segment_family_induction_branch():
@@ -134,6 +144,9 @@ def test_lam_below_one_rejected():
 def test_pipeline_cube():
     cert = lifted_packing_pipeline(cube_arrangement(2))
     assert cert.verdict
+    assert [s.name for s in cert.stages] == [
+        "minkowski_property", "pairwise_intersecting", "slab_ratio",
+        "slab_containment", "hull", "volume", "cardinality"]
     assert cert.n == 9 and cert.bound == 27
     assert cert.affine_dim == 2 and cert.induction_branch
     # equal ratios flatten the lift; the packing is tight in the plane
@@ -180,9 +193,8 @@ def test_pipeline_requires_planar_input():
 
 def test_family_from_arrangement_slabs_hold():
     arr = cube_arrangement(2)
-    family, ratios = family_from_arrangement(arr)
+    family = family_from_arrangement(arr)
     assert len(family.pairs) == 36
-    assert len(ratios) == 36
     for p in family.pairs:
         assert slab_offender(family.points, p.normal,
                              p.c_k_ij, p.c_k_ji) is None
@@ -195,6 +207,8 @@ def test_certificate_json():
     assert blob["verdict"] == "pass"
     assert blob["failed_stage"] is None
     assert "stages" in blob and text.count("passed") >= 5
+    assert "copy_volumes" not in blob
+    assert "disjoint_pairs_checked" not in blob
     bad = lifted_packing_pipeline(
         Arrangement(linf_ball(2), (Homothet(V(0, 0), F(2)),
                                    Homothet(V(1, 0), F(1)))))
