@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import List, Optional, Sequence, Tuple
@@ -37,6 +37,8 @@ class Homothet:
 class Arrangement:
     body: SymmetricBody
     members: Tuple[Homothet, ...]
+    # (rows, q) with (v_k, lam_k) = rows[k]/q; None if any value is a float
+    form: Optional[tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.members:
@@ -44,6 +46,8 @@ class Arrangement:
         for h in self.members:
             if h.center.dim != self.body.dim:
                 raise ValueError("homothet center dimension mismatch")
+        object.__setattr__(self, "form", scalars.int_rows(
+            [h.center.coords + (h.ratio,) for h in self.members]))
 
     def __len__(self) -> int:
         return len(self.members)

@@ -26,7 +26,7 @@ from . import scalars
 from .arrangement import (Arrangement, Homothet, find_intersection_violation,
                           find_minkowski_violation)
 from .bodies import SymmetricBody, VPolytopeBody, l1_ball, linf_ball
-from .lifting import _lift_point
+from .lifting import lift
 from .linalg import Vector, matrix_rank
 
 
@@ -134,11 +134,16 @@ def random_minkowski_arrangement(rng: random.Random,
 
     With ``full_lift`` the ratios are re-drawn until the lifted image spans
     dimension d + 1 affinely (needed by the full-dimensional packing runs),
-    which takes at least d + 2 members.  The body needs a facet form.
+    which takes at least d + 2 members.  The body needs a facet form.  On a
+    line n <= 3, as v_n - v_1 <= lam_1 + lam_n <= v_2 - v_1 + v_n - v_{n-1}.
     """
     body = body or corpus_body(rng, rng.randrange(3))
     n_floor = body.dim + 2 if full_lift else 3
+    if body.dim == 1 and (n or 0) > 3:
+        raise ValueError("no %d members fit on a line; at most 3 do" % n)
     n = n or max(rng.randint(4, 6), n_floor)
+    if body.dim == 1:
+        n = min(n, 3)
     fgauge = _float_gauge(body)
     span = 4
     attempts = floor_attempts = 0
@@ -189,6 +194,6 @@ def random_minkowski_arrangement(rng: random.Random,
 
 
 def _spans_lifted_space(arr: Arrangement) -> bool:
-    points = [_lift_point(h.center, h.ratio) for h in arr.members]
+    points = lift(arr).points
     return matrix_rank([(p - points[0]).coords
                         for p in points[1:]]) == arr.dim + 1

@@ -22,18 +22,22 @@ shadow interval k.  The labeling convention is that k_ij is the outer plane
 on the i side (offset -c before orientation) and the normal is oriented so
 that N.y_i <= N.y_j.
 
-Exact input runs on integer forms: y_k = Y_k/w_k with w_k > 0 (for
-(v_k, lam_k) = (P, r)/L, Y_k = (P, L) and w_k = r), a normal with its offsets
-is (M, lo, hi) over one denominator, so y_k lies in the slab exactly when
-lo*w_k <= M.Y_k <= hi*w_k, and the ratio identity is one integer equality.
-A float anywhere keeps the tolerance loops below.
+Exact input runs on integer forms, each derived once and handed on.  The
+arrangement's centers and ratios over one denominator, (v_k, lam_k) =
+(P_k, s_k)/q, give y_k = Y_k/w_k with Y_k = (P_k, q) and w_k = s_k > 0; the
+shadow puts every alpha_k -+ lam_k over one denominator; a slab's plane
+(M, k_ij, k_ji, g_ij, g_ji) is its normal and offsets over one positive
+denominator, so y_k lies in the slab exactly when lo*w_k <= M.Y_k <= hi*w_k
+(lo <= hi the outer offsets) and the ratio identity is one integer equality.
+Objects built by hand derive their forms; a float anywhere keeps the
+tolerance loops below.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
@@ -96,39 +100,43 @@ def shadow(arr: Arrangement, frame: ProjectionFrame) -> ShadowData:
     The shadow of v_k + lam_k K is exactly [alpha_k - lam_k, alpha_k + lam_k]
     because K lies between the supporting hyperplanes at r and -r and both
     endpoints are attained.  The common point is the midpoint of the interval
-    intersection; shadow_with_x moves it to any other point of it.
+    intersection (the first largest low end and the first smallest high
+    end); shadow_with_x moves it to any other point of it.
     """
-    a, d = frame.f_normal, frame.f_normal.dim
-    form = int_form(a.coords + frame.r_vec.coords
-                     + tuple(c for h in arr.members for c in h.center.coords))
-    if form:  # alpha_k = a.(v_k - v_i) / a.r = (A.P_k - A.P_i) / A.R
-        z = form[0]
-        t = [_dot(z[:d], z[k:k + d]) for k in range(d, len(z), d)]
-        alphas = [Fraction(t_k - t[frame.i + 1], t[0]) for t_k in t[1:]]
+    a, d, i, j = frame.f_normal, frame.f_normal.dim, frame.i, frame.j
+    form = arr.form and int_form(a.coords + frame.r_vec.coords)
+    if form:  # (a, r) = (A, R)/f: alpha_k = (A.P_k - A.P_i)*f/(q*A.R)
+        (z, f), (rows, q) = form, arr.form
+        t = [_dot(z[:d], row) for row in rows]
+        t_r = _dot(z[:d], z[d:])
+        e, f = abs(t_r), (f if t_r > 0 else -f)
+        alphas = [(t_k - t[i]) * f for t_k in t]      # all over q*e
+        lams = [row[d] * e for row in rows]
     else:
-        vi, denom = arr.members[frame.i].center, a.dot(frame.r_vec)
+        vi, denom = arr.members[i].center, a.dot(frame.r_vec)
         alphas = [div(a.dot(h.center - vi), denom) for h in arr.members]
-    intervals = [(alpha - h.ratio, alpha + h.ratio)
-                 for alpha, h in zip(alphas, arr.members)]
-    lo_idx = max(range(len(intervals)), key=lambda k: intervals[k][0])
-    hi_idx = min(range(len(intervals)), key=lambda k: intervals[k][1])
-    lo, hi = intervals[lo_idx][0], intervals[hi_idx][1]
-    if scalars.gt(lo, hi):
+        lams = [h.ratio for h in arr.members]
+    lows = [al - lam for al, lam in zip(alphas, lams)]
+    highs = [al + lam for al, lam in zip(alphas, lams)]
+    lo_idx, hi_idx = lows.index(max(lows)), highs.index(min(highs))
+    if scalars.gt(lows[lo_idx], highs[hi_idx]):
         raise ShadowIntersectionError((lo_idx, hi_idx))
+    if form:
+        alphas, lows, highs = ([Fraction(v, q * e) for v in values]
+                               for values in (alphas, lows, highs))
+    lo, hi = lows[lo_idx], highs[hi_idx]
     x_coord = div(lo + hi, 2)
-    u_i = x_coord - alphas[frame.i]
-    u_j = alphas[frame.j] - x_coord
-    return ShadowData(frame.i, frame.j, tuple(alphas), tuple(intervals),
-                      lo, hi, x_coord, u_i, u_j)
+    return ShadowData(i, j, tuple(alphas), tuple(zip(lows, highs)), lo, hi,
+                      x_coord, x_coord - alphas[i], alphas[j] - x_coord)
 
 
 def shadow_with_x(sd: ShadowData, x_coord: Scalar) -> ShadowData:
     """The same shadow re-pointed at another common point of the intervals."""
     if scalars.lt(x_coord, sd.inter_lo) or scalars.gt(x_coord, sd.inter_hi):
         raise ValueError("x_coord lies outside the interval intersection")
-    return replace(sd, x_coord=x_coord,
-                   u_i=x_coord - sd.alphas[sd.i],
-                   u_j=sd.alphas[sd.j] - x_coord)
+    return ShadowData(sd.i, sd.j, sd.alphas, sd.intervals, sd.inter_lo,
+                      sd.inter_hi, x_coord, x_coord - sd.alphas[sd.i],
+                      sd.alphas[sd.j] - x_coord)
 
 
 def ratio(lam_i: Scalar, lam_j: Scalar, u_i: Scalar, u_j: Scalar) -> Scalar:
@@ -141,6 +149,9 @@ def ratio(lam_i: Scalar, lam_j: Scalar, u_i: Scalar, u_j: Scalar) -> Scalar:
     identity holds for the absolute value.  Whenever neither homothet center
     lies interior to the other (u_i, u_j >= 0), the denominator is positive.
     """
+    form = int_form((lam_i, lam_j, u_i, u_j))
+    if form:  # over one denominator, which cancels
+        lam_i, lam_j, u_i, u_j = form[0]
     if scalars.le(lam_i, 0) or scalars.le(lam_j, 0):
         raise ValueError("ratios must be positive")
     denom = lam_i * u_j + lam_j * u_i
@@ -150,36 +161,36 @@ def ratio(lam_i: Scalar, lam_j: Scalar, u_i: Scalar, u_j: Scalar) -> Scalar:
 
 
 def _dot(a, b):
+    """Dot product over the shorter of a and b: A reads a row's center."""
     return sum(map(operator.mul, a, b))
-
-
-def _lift_form(center: Vector, lam: Scalar):
-    form = int_form(center.coords + (lam,))
-    return form and (form[0][:-1] + [form[1]], form[0][-1])
 
 
 @dataclass(frozen=True)
 class LiftedConfig:
-    """Points y_k = (v_k/lam_k, 1/lam_k); forms: (Y_k, w_k) each, or None."""
+    """Points y_k = (v_k/lam_k, 1/lam_k) with forms (Y_k, w_k), or None."""
     points: Tuple[Vector, ...]
-    forms: Optional[tuple] = field(init=False, repr=False, compare=False)
+    forms: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        forms = tuple(int_form(y.coords) for y in self.points)
-        object.__setattr__(self, "forms", None if None in forms else forms)
+        if self.forms is None:
+            forms = tuple(int_form(y.coords) for y in self.points)
+            object.__setattr__(self, "forms",
+                               None if None in forms else forms)
 
 
 def _lift_point(center: Vector, lam: Scalar) -> Vector:
-    form = _lift_form(center, lam)
-    if form is None:
-        return Vector([div(c, lam) for c in center.coords] + [div(1, lam)])
-    return Vector(Fraction(c, form[1]) for c in form[0])
+    return Vector([div(c, lam) for c in center.coords] + [div(1, lam)])
 
 
 def lift(arr: Arrangement) -> LiftedConfig:
     """Central projection of the raised centers; exact for rational input."""
-    return LiftedConfig(tuple(_lift_point(h.center, h.ratio)
-                              for h in arr.members))
+    if arr.form is None:
+        return LiftedConfig(tuple(_lift_point(h.center, h.ratio)
+                                  for h in arr.members))
+    rows, q = arr.form
+    forms = tuple((row[:-1] + (q,), row[-1]) for row in rows)
+    return LiftedConfig(tuple(Vector(Fraction(c, w) for c in y)
+                              for y, w in forms), forms)
 
 
 def unlift(y: Vector) -> Tuple[Vector, Scalar]:
@@ -207,6 +218,14 @@ class SlabPair:
     c_k_ji: Scalar      # outer plane from the wedge plane at the j side
     c_g_ij: Scalar      # inner plane through y_i
     c_g_ji: Scalar      # inner plane through y_j
+    plane: Optional[tuple] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.plane is None:
+            form = int_form(self.normal.coords + (self.c_k_ij, self.c_k_ji,
+                                                  self.c_g_ij, self.c_g_ji))
+            object.__setattr__(self, "plane",
+                               form and (form[0][:-4], *form[0][-4:]))
 
 
 def slab_pair(arr: Arrangement, frame: ProjectionFrame,
@@ -220,31 +239,32 @@ def slab_pair(arr: Arrangement, frame: ProjectionFrame,
     through y_i and y_j; they coincide exactly when the width ratio's
     denominator vanishes, and then no slab pair exists.
     """
-    a = frame.f_normal
-    c = frame.f_offset
-    h_i, h_j = arr.members[frame.i], arr.members[frame.j]
-    c_k_ij, c_k_ji = -c, c
-    form = int_form(a.coords + (c, sd.x_coord) + h_i.center.coords)
-    lifts = [_lift_form(h.center, h.ratio) for h in (h_i, h_j)]
-    if form and all(lifts):  # N = (A*q, -A.P - X*C)/q^2
-        (coef, q), d = form, a.dim
-        m = [v * q for v in coef[:d]]
-        m.append(-_dot(coef[:d], coef[d + 2:]) - coef[d] * coef[d + 1])
-        normal = a.extended(Fraction(m[-1], q * q))
-        c_g_ij, c_g_ji = (Fraction(_dot(m, y), q * q * w) for y, w in lifts)
+    a, c, i, j = frame.f_normal, frame.f_offset, frame.i, frame.j
+    form = arr.form and int_form(a.coords + (c, sd.x_coord))
+    plane = None
+    if form:  # (a, c, x) = (A, C, X)/f: N = (A*f*q, -A.P_i*f - X*C*q)/f^2q
+        (coef, f), (rows, q), d = form, arr.form, a.dim
+        m = [v * f * q for v in coef[:d]]
+        m.append(-_dot(coef[:d], rows[i]) * f - coef[d] * coef[d + 1] * q)
+        den, s_i, s_j = f * f * q, rows[i][d], rows[j][d]
+        n_i, n_j = (_dot(m[:d], rows[k]) + m[d] * q for k in (i, j))  # M.Y
+        normal = a.extended(Fraction(m[-1], den))
+        c_g_ij, c_g_ji = Fraction(n_i, den * s_i), Fraction(n_j, den * s_j)
+        gi, gj, s = n_i * s_j, n_j * s_i, s_i * s_j   # over den*s
+        flip, flat = gi > gj, gi == gj
+        sg, k = -1 if flip else 1, coef[d] * f * q * s
+        plane = ([sg * v * s for v in m], -sg * k, sg * k, sg * gi, sg * gj)
     else:
-        normal = a.extended(-a.dot(h_i.center) - sd.x_coord * c)
+        normal = a.extended(-a.dot(arr.members[i].center) - sd.x_coord * c)
         c_g_ij, c_g_ji = (normal.dot(_lift_point(h.center, h.ratio))
-                          for h in (h_i, h_j))
-    if scalars.gt(c_g_ij, c_g_ji):
-        normal = -normal
-        c_k_ij, c_k_ji = -c_k_ij, -c_k_ji
-        c_g_ij, c_g_ji = -c_g_ij, -c_g_ji
-
-    if scalars.eq(c_g_ji, c_g_ij):
+                          for h in (arr.members[i], arr.members[j]))
+        flip, flat = scalars.gt(c_g_ij, c_g_ji), scalars.eq(c_g_ij, c_g_ji)
+    if flat:
         raise DegenerateWedgeError("projected pair lies on one hyperplane; "
                                    "the inner planes coincide")
-    return SlabPair(frame.i, frame.j, normal, c_k_ij, c_k_ji, c_g_ij, c_g_ji)
+    if flip:
+        normal, c, c_g_ij, c_g_ji = -normal, -c, -c_g_ij, -c_g_ji
+    return SlabPair(i, j, normal, -c, c, c_g_ij, c_g_ji, plane)
 
 
 def slab_offender(points: Sequence[Vector], normal: Vector,
@@ -255,20 +275,20 @@ def slab_offender(points: Sequence[Vector], normal: Vector,
     Exact containment in rational mode; in floating mode the tolerance is
     applied to offsets normalized by the Euclidean length of the normal.
     """
-    return _slab_offender(points, LiftedConfig(tuple(points)).forms,
+    form = int_form(normal.coords + (c_1, c_2))
+    return _slab_offender(LiftedConfig(tuple(points)),
+                          form and (form[0][:-2], *form[0][-2:]),
                           normal, c_1, c_2)
 
 
-def _slab_offender(points, forms, normal, c_1, c_2):
-    plane = forms and int_form(normal.coords + (c_1, c_2))
-    if plane:
-        *m, lo, hi = plane[0]
-        lo, hi = sorted((lo, hi))
-        return next((k for k, (y, w) in enumerate(forms)
+def _slab_offender(lifted, plane, normal, c_1, c_2):
+    if plane and lifted.forms:
+        m, lo, hi = plane[0], min(plane[1:3]), max(plane[1:3])
+        return next((k for k, (y, w) in enumerate(lifted.forms)
                      if not lo * w <= _dot(m, y) <= hi * w), None)
     margin = scalars.tolerance() * math.sqrt(float(normal.norm_sq()))
     lo, hi = min(c_1, c_2) - margin, max(c_1, c_2) + margin
-    for k, y in enumerate(points):
+    for k, y in enumerate(lifted.points):
         val = normal.dot(y)
         if val < lo or val > hi:
             return k
@@ -281,9 +301,21 @@ def verify_slab(lifted: LiftedConfig, slab: SlabPair) -> Tuple[bool, Optional[in
     Returns (ok, offending index or None); see slab_offender for the
     tolerance rule.
     """
-    offender = _slab_offender(lifted.points, lifted.forms, slab.normal,
+    offender = _slab_offender(lifted, slab.plane, slab.normal,
                               slab.c_k_ij, slab.c_k_ji)
     return offender is None, offender
+
+
+def width_gaps(slab: SlabPair, lifted: LiftedConfig) -> Tuple[Scalar, Scalar]:
+    """(k_ij - k_ji, N.y_i - N.y_j) with N.y read from the lifted points;
+    their quotient is the signed width ratio (integers for exact input)."""
+    if slab.plane and lifted.forms:
+        m, k_ij, k_ji = slab.plane[:3]
+        (y_i, w_i), (y_j, w_j) = lifted.forms[slab.i], lifted.forms[slab.j]
+        return ((k_ij - k_ji) * w_i * w_j,
+                _dot(m, y_i) * w_j - _dot(m, y_j) * w_i)
+    n, y = slab.normal, lifted.points
+    return slab.c_k_ij - slab.c_k_ji, n.dot(y[slab.i]) - n.dot(y[slab.j])
 
 
 def verify_ratio_identity(slab: SlabPair, y_i: Vector, y_j: Vector,
@@ -300,13 +332,12 @@ def verify_ratio_identity(slab: SlabPair, y_i: Vector, y_j: Vector,
     if isinstance(expected, float) and not math.isfinite(expected):
         raise ValueError("expected ratio is not finite")
     expected = abs(expected)
-    offsets = int_form((slab.c_k_ij, slab.c_k_ji, slab.c_g_ij, slab.c_g_ji,
-                         expected))
-    if offsets:
-        (k_ij, k_ji, g_ij, g_ji, e), q = offsets
+    if slab.plane and scalars.is_exact(expected):
+        _, k_ij, k_ji, g_ij, g_ji = slab.plane
         if g_ij == g_ji:
             raise ValueError("inner planes coincide; the ratio is undefined")
-        holds = abs(k_ij - k_ji) * q == e * abs(g_ij - g_ji)
+        holds = abs(k_ij - k_ji) * expected.denominator \
+            == expected.numerator * abs(g_ij - g_ji)
     else:
         gap_g = slab.c_g_ij - slab.c_g_ji
         if scalars.sign(gap_g) == 0:

@@ -39,7 +39,8 @@ from .arrangement import (Arrangement, arrangement_size_bound,
                           find_intersection_violation,
                           find_minkowski_violation)
 from .lifting import (DegenerateWedgeError, LiftedConfig, SlabPair,
-                      build_frame, lift, shadow, slab_pair, verify_slab)
+                      build_frame, lift, shadow, slab_pair, verify_slab,
+                      width_gaps)
 from .linalg import Vector
 from .polytopes import ConvexPolytope, LowerDimensional, hull, volume
 from .scalars import Scalar, div, format_scalar
@@ -119,11 +120,11 @@ def slab_packing_check(family: SlabFamily, lam: Scalar) -> PackingCertificate:
     if scalars.lt(lam, 1):
         raise ValueError("the packing hypothesis needs lam >= 1")
 
-    # stage: width ratios (the per-pair hypothesis and separation witness)
+    # stage: width ratios (the per-pair hypothesis and separation witness);
+    # the points' integer forms are derived once, for both pair stages
+    lifted = LiftedConfig(family.points)
     for p in family.pairs:
-        gap_outer = p.c_k_ij - p.c_k_ji
-        gap_inner = p.normal.dot(family.points[p.i]) \
-            - p.normal.dot(family.points[p.j])
+        gap_outer, gap_inner = width_gaps(p, lifted)
         if scalars.sign(gap_outer) == 0:
             return cert._fail("slab_ratio",
                               "outer planes of pair (%d, %d) coincide"
@@ -140,9 +141,7 @@ def slab_packing_check(family: SlabFamily, lam: Scalar) -> PackingCertificate:
                               % (p.i, p.j, rho, lam), (p.i, p.j))
     cert._ok("slab_ratio", "%d pairs within ratio %s" % (len(family.pairs), lam))
 
-    # stage: every point inside every outer slab, and every pair with a
-    # slab; the points' integer forms are derived once, for all pairs
-    lifted = LiftedConfig(family.points)
+    # stage: every point inside every outer slab, and every pair with a slab
     for p in family.pairs:
         ok, k = verify_slab(lifted, p)
         if not ok:

@@ -31,27 +31,29 @@ def tolerance() -> float:
     return _tolerance
 
 
+_EXACT = frozenset((int, Fraction))    # by type: a bool is not exact
+
+
 def is_exact(*values: Scalar) -> bool:
     """True when every value is an int or Fraction."""
-    return all(isinstance(v, (int, Fraction)) and not isinstance(v, bool)
-               for v in values)
+    return _EXACT.issuperset(map(type, values))
 
 
 def eq(a: Scalar, b: Scalar) -> bool:
-    if is_exact(a, b):
+    if type(a) in _EXACT and type(b) in _EXACT:
         return a == b
     return abs(a - b) <= _tolerance
 
 
 def le(a: Scalar, b: Scalar) -> bool:
-    if is_exact(a, b):
+    if type(a) in _EXACT and type(b) in _EXACT:
         return a <= b
     return a <= b + _tolerance
 
 
 def lt(a: Scalar, b: Scalar) -> bool:
     """Strict comparison; in floating mode strict means 'less by a margin'."""
-    if is_exact(a, b):
+    if type(a) in _EXACT and type(b) in _EXACT:
         return a < b
     return a < b - _tolerance
 
@@ -65,7 +67,7 @@ def gt(a: Scalar, b: Scalar) -> bool:
 
 
 def sign(a: Scalar) -> int:
-    if not is_exact(a):
+    if type(a) not in _EXACT:
         if abs(a) <= _tolerance:
             return 0
         return 1 if a > 0 else -1
@@ -78,7 +80,7 @@ def sign(a: Scalar) -> int:
 
 def eq_rel(a: Scalar, b: Scalar, rel: float = 1e-9) -> bool:
     """Relative comparison used for ratios of floating values."""
-    if is_exact(a, b):
+    if type(a) in _EXACT and type(b) in _EXACT:
         return a == b
     scale = max(1.0, abs(float(a)), abs(float(b)))
     return abs(a - b) <= rel * scale
@@ -86,8 +88,8 @@ def eq_rel(a: Scalar, b: Scalar, rel: float = 1e-9) -> bool:
 
 def div(a: Scalar, b: Scalar) -> Scalar:
     """Division that stays exact for exact operands (int/int included)."""
-    if is_exact(a, b):
-        return Fraction(a) / Fraction(b)
+    if type(a) in _EXACT and type(b) in _EXACT:
+        return Fraction(a, b)
     return a / b
 
 

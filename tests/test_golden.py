@@ -20,7 +20,10 @@ from minkarr.instances import corpus_body, random_minkowski_arrangement
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 INPUTS = ["cube2", "minkowski1", "minkowski2", "minkowski3"]
-LIFTS = [("cube2", 0, 4), ("minkowski3", 1, 3)]
+# the square (integer normals, minkowski1), the diamond (minkowski2), a
+# hexagon (minkowski3) and the cube family
+LIFTS = [("cube2", 0, 4), ("minkowski1", 0, 2), ("minkowski2", 1, 4),
+         ("minkowski3", 1, 3)]
 
 
 def golden(name):

@@ -67,6 +67,28 @@ def test_generator_needs_a_facet_form():
 
 
 def test_generator_rejects_more_centers_than_the_box_holds():
+    # the box of span 4 holds 9^2 = 81 distinct centers in the plane (on a
+    # line, n = 10 is refused earlier: see the d = 1 cap below)
     with pytest.raises(ValueError, match="distinct centers"):
-        random_minkowski_arrangement(random.Random(1), body=linf_ball(1),
-                                     n=10)
+        random_minkowski_arrangement(random.Random(1), body=linf_ball(2),
+                                     n=82)
+
+
+def test_generator_caps_n_at_three_on_a_line():
+    # sorted centers give v_n - v_1 <= lam_1 + lam_n
+    # <= (v_2 - v_1) + (v_n - v_{n-1}), so at most three members fit
+    for body in (linf_ball(1), l1_ball(1)):
+        for full_lift in (False, True):
+            rng = random.Random(7)
+            t0 = time.perf_counter()
+            sizes = [len(random_minkowski_arrangement(rng, body=body,
+                                                      full_lift=full_lift))
+                     for _ in range(5)]
+            assert sizes == [3] * 5
+            assert time.perf_counter() - t0 < 5
+        for n in (4, 6, 10):
+            with pytest.raises(ValueError, match="on a line"):
+                random_minkowski_arrangement(random.Random(1), body=body, n=n)
+        assert len(random_minkowski_arrangement(random.Random(1), body=body,
+                                                n=2)) == 2
+

@@ -11,7 +11,8 @@ from fractions import Fraction as F
 import pytest
 
 from minkarr import (Arrangement, BallBody, Homothet, SearchConfig,
-                     arrangement_to_json, body_from_json, build_frame,
+                     arrangement_from_json, arrangement_to_json,
+                     body_from_json, build_frame,
                      cross_ratio, cube_arrangement, l1_ball, linf_ball, ratio,
                      search_arrangement, shadow, shadow_with_x, slab_pair)
 from minkarr.arrangement import _feasible, _search
@@ -19,7 +20,8 @@ from minkarr.instances import (corpus_body, random_intersecting_arrangement,
                                random_minkowski_arrangement,
                                random_symmetric_hexagon)
 from minkarr.lifting import (DegenerateWedgeError, LiftedConfig,
-                             ProjectionFrame, ShadowData, SlabPair, lift,
+                             ProjectionFrame, ShadowData,
+                             ShadowIntersectionError, SlabPair, lift,
                              slab_offender, verify_ratio_identity, verify_slab)
 from minkarr.linalg import (Vector, _rref, affine_coordinates, cross3,
                             matrix_rank, zero_vector)
@@ -674,10 +676,25 @@ def loop_shadow(arr, frame):
     lo_idx = max(range(len(intervals)), key=lambda k: _key(intervals[k][0]))
     hi_idx = min(range(len(intervals)), key=lambda k: _key(intervals[k][1]))
     lo, hi = intervals[lo_idx][0], intervals[hi_idx][1]
+    if scalars.gt(lo, hi):
+        raise ShadowIntersectionError((lo_idx, hi_idx))
     x_coord = scalars.div(lo + hi, 2)
     return ShadowData(frame.i, frame.j, tuple(alphas), tuple(intervals),
                       lo, hi, x_coord, x_coord - alphas[frame.i],
                       alphas[frame.j] - x_coord)
+
+
+def fraction_shadow_with_x(sd, x_coord):
+    return dataclasses.replace(sd, x_coord=x_coord,
+                               u_i=x_coord - sd.alphas[sd.i],
+                               u_j=sd.alphas[sd.j] - x_coord)
+
+
+def fraction_ratio(lam_i, lam_j, u_i, u_j):
+    num, denom = 2 * lam_i * lam_j, lam_i * u_j + lam_j * u_i
+    if scalars.sign(denom) == 0:
+        return math.inf
+    return F(num) / F(denom) if scalars.is_exact(num, denom) else num / denom
 
 
 def fraction_slab_pair(arr, frame, sd):
@@ -732,14 +749,16 @@ def fraction_ratio_identity(slab, y_i, y_j, expected):
 
 def typed(value):
     """The value with the type of every scalar in it: Fraction(2) and 2
-    compare equal but are different certificate bytes."""
+    compare equal but are different certificate bytes.  A dataclass field
+    declared compare=False (an integer form kept beside the values, at
+    whatever scale its route chose) is skipped."""
     if isinstance(value, Vector):
         return typed(value.coords)
     if isinstance(value, (tuple, list)):
         return tuple(typed(v) for v in value)
     if dataclasses.is_dataclass(value):
         return typed([getattr(value, f.name)
-                      for f in dataclasses.fields(value)])
+                      for f in dataclasses.fields(value) if f.compare])
     return type(value).__name__, value
 
 
@@ -748,9 +767,11 @@ def same(got, want):
 
 
 def check_both_routes(arr, xs_per_pair=()):
-    """Every pair of arr against the Fraction route, at the shadow midpoint
-    and at the given fractions of the shadow intersection; the ratio
-    identity also at a wrong ratio.  Returns the number of slabs compared."""
+    """Every pair of arr against the Fraction route (lift, frame, shadow,
+    shadow_with_x, ratio, slab_pair, containment and the ratio identity), at
+    the shadow midpoint and at the given fractions of the shadow
+    intersection; the ratio identity also at a wrong ratio.  Returns the
+    number of slabs compared."""
     lifted = lift(arr)
     same(lifted.points, [homogeneous_lift(h.center, h.ratio)
                          for h in arr.members])
@@ -765,8 +786,13 @@ def check_both_routes(arr, xs_per_pair=()):
             sd0 = shadow(arr, frame)
             same(sd0, loop_shadow(arr, frame))
             for t in (None,) + tuple(xs_per_pair):
-                sd = sd0 if t is None else shadow_with_x(
-                    sd0, sd0.inter_lo + (sd0.inter_hi - sd0.inter_lo) * t)
+                x = sd0.x_coord if t is None else \
+                    sd0.inter_lo + (sd0.inter_hi - sd0.inter_lo) * t
+                sd = shadow_with_x(sd0, x)
+                same(sd, fraction_shadow_with_x(sd0, x))
+                lams = arr.members[i].ratio, arr.members[j].ratio
+                rho = ratio(*lams, sd.u_i, sd.u_j)
+                same(rho, fraction_ratio(*lams, sd.u_i, sd.u_j))
                 try:
                     want = fraction_slab_pair(arr, frame, sd)
                 except DegenerateWedgeError:
@@ -781,8 +807,6 @@ def check_both_routes(arr, xs_per_pair=()):
                 same(verify_slab(lifted, slab),
                      (fraction_slab_offender(lifted.points, *args) is None,
                       fraction_slab_offender(lifted.points, *args)))
-                rho = ratio(arr.members[i].ratio, arr.members[j].ratio,
-                            sd.u_i, sd.u_j)
                 y_i, y_j = lifted.points[i], lifted.points[j]
                 for expected in (rho, rho * F(7, 8) if not isinstance(
                         rho, float) else rho * 0.875):
@@ -836,6 +860,97 @@ def test_integer_lift_layer_int_and_mixed_denominators():
                                           (F(0), F(1, 3), F(1)))
     assert compared > 100
     assert all(type(c) is int for c in ints[0].center.coords)
+
+
+# a hexagon given by facets with fractional normals (the facet form of the
+# hull of +-(1, 0), +-(1/2, 3/4), +-(-1/3, 2/3))
+FRACTION_HEXAGON = {"dim": 2, "type": "hpoly", "facets": [
+    {"normal": [-1, "-2/3"], "offset": 1}, {"normal": ["1/7", "-10/7"],
+                                            "offset": 1},
+    {"normal": [1, -1], "offset": 1}, {"normal": [1, "2/3"], "offset": 1},
+    {"normal": ["-1/7", "10/7"], "offset": 1}, {"normal": [-1, 1],
+                                                "offset": 1}]}
+
+
+def test_integer_routes_on_criterion_4_corpus():
+    rng = random.Random(77001)
+    compared = 0
+    for t in range(100):
+        arr = random_minkowski_arrangement(rng, body=corpus_body(rng, t),
+                                           full_lift=True)
+        assert arr.form is not None
+        compared += check_both_routes(arr)
+    assert compared > 2000
+
+
+def test_integer_routes_on_json_ints_and_strings():
+    """JSON input parses to ints and Fractions: ints alone, and ints mixed
+    with "p/q" strings, on the square, the diamond and a hexagon whose facet
+    normals are fractions."""
+    ints = [{"center": [0, 0], "ratio": 3}, {"center": [2, 1], "ratio": 4},
+            {"center": [1, 2], "ratio": 3}, {"center": [-1, 1], "ratio": 2}]
+    mixed = [{"center": ["1/3", 0], "ratio": "25/7"},
+             {"center": [1, "2/9"], "ratio": 4},
+             {"center": ["-3/8", "5/6"], "ratio": "47/12"},
+             {"center": [2, -1], "ratio": 3}]
+    compared = 0
+    for body in (linf_ball(2).to_json(), l1_ball(2).to_json(),
+                 FRACTION_HEXAGON):
+        for homothets in (ints, mixed):
+            arr = arrangement_from_json({"body": body,
+                                         "homothets": homothets})
+            assert arr.form is not None
+            compared += check_both_routes(arr, (F(0), F(1, 3), F(1)))
+    assert compared > 250
+    assert {type(arr.members[k].ratio) for k in range(4)} == {int, F}
+    assert any(type(c) is F for a in body_from_json(FRACTION_HEXAGON).facets
+               for c in a.coords)
+
+
+def test_one_float_ratio_takes_the_float_route():
+    members = [Homothet(Vector((0, 0)), 1), Homothet(Vector((F(3, 2), 1)), 1),
+               Homothet(Vector((1, F(-1, 2))), F(5, 4))]
+    assert Arrangement(linf_ball(2), tuple(members)).form is not None
+    members[1] = Homothet(members[1].center, 1.25)
+    arr = Arrangement(linf_ball(2), tuple(members))
+    assert arr.form is None
+    assert lift(arr).forms is None
+    assert check_both_routes(arr, (F(1, 4), F(3, 4))) > 0
+
+
+def test_shadow_witness_against_fraction_route():
+    """Families with their ratios shrunk until some pairs no longer meet:
+    the integer shadow raises exactly when the Fraction route does, with
+    the same witness (first largest low end, first smallest high end)."""
+    rng = random.Random(4242)
+    raised = 0
+    for t in range(60):
+        body = corpus_body(rng, t)
+        arr = random_intersecting_arrangement(rng, body=body)
+        arr = Arrangement(body, tuple(
+            Homothet(h.center, h.ratio * F(rng.randint(1, 4), 8))
+            for h in arr.members))
+        for i, j in itertools.permutations(range(len(arr)), 2):
+            frame = build_frame(arr, i, j)
+            try:
+                want = loop_shadow(arr, frame)
+            except ShadowIntersectionError as exc:
+                with pytest.raises(ShadowIntersectionError) as got:
+                    shadow(arr, frame)
+                assert got.value.witness == exc.witness
+                raised += 1
+                continue
+            same(shadow(arr, frame), want)
+    assert raised > 100
+    # ties: members 2 and 3 share the largest low end, 4 and 5 the smallest
+    # high end, and the first of each is the witness
+    line = Arrangement(linf_ball(1), tuple(
+        Homothet(Vector((v,)), 1) for v in (0, 3, 6, 6, -3, -3)))
+    frame = build_frame(line, 0, 1)
+    for route in (shadow, loop_shadow):
+        with pytest.raises(ShadowIntersectionError) as got:
+            route(line, frame)
+        assert got.value.witness == (2, 4)
 
 
 def test_integer_lift_layer_on_corpus_bodies():

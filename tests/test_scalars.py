@@ -36,6 +36,22 @@ def test_exact_comparisons_are_exact():
     assert not is_exact(a, 0.5)
 
 
+def test_is_exact_by_type():
+    # int and Fraction are exact; float is not, and neither is bool, an int
+    # subclass, so booleans take the tolerance path of every comparison
+    assert is_exact(0, -7, Fraction(2, 3), Fraction(4, 2))
+    assert is_exact()
+    for other in (0.5, 1.0, True, False):
+        assert not is_exact(other)
+        assert not is_exact(1, other)
+        assert not is_exact(other, Fraction(1, 2))
+    assert type(div(True, 2)) is float
+    assert type(div(Fraction(1, 2), 3)) is Fraction
+    assert div(Fraction(3, 4), Fraction(3, 2)) == Fraction(1, 2)
+    with pytest.raises(ZeroDivisionError):
+        div(Fraction(1, 2), 0)
+
+
 def test_float_comparisons_use_tolerance():
     scalars.set_tolerance(1e-6)
     assert eq(1.0, 1.0 + 1e-9)
