@@ -17,8 +17,8 @@ from .arrangement import (Arrangement, ChainPropertyError, Homothet,
                           is_minkowski_arrangement, is_pairwise_intersecting,
                           partition_classes, search_arrangement)
 from .bodies import (BallBody, BodyError, HPolytopeBody, SymmetricBody,
-                     VPolytopeBody, body_from_json, body_to_json, l1_ball,
-                     linf_ball)
+                     VPolytopeBody, body_from_json, body_to_json,
+                     distance_table, l1_ball, linf_ball)
 from .kdistance import (UNDEFINED, ChainResult, DistanceSpectrum, PointSet,
                         chain_bound_floor, chain_to_json, find_chain_violation,
                         greedy_chain, grid_set, is_k_distance,

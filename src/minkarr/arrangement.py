@@ -4,7 +4,9 @@ A family {v_i + lam_i K} is a Minkowski arrangement when no member contains
 another member's center in its interior, and it is pairwise intersecting when
 every two members meet.  Closed bodies are used throughout, so touching
 counts as intersecting while a center sitting exactly on a boundary does not
-violate the arrangement condition.
+violate the arrangement condition.  Both conditions read one distance per
+pair, the centers' ``distance_table`` D: max(lam_i, lam_j) <= D[i][j] <=
+lam_i + lam_j.
 """
 
 from __future__ import annotations
@@ -13,11 +15,13 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import List, Optional, Sequence, Tuple
 
 from . import scalars
-from .bodies import SymmetricBody, body_from_json, body_to_json, linf_ball
+from .bodies import (SymmetricBody, body_from_json, body_to_json,
+                     distance_table, linf_ball)
 from .linalg import Vector, zero_vector
 from .scalars import Scalar, div, format_scalar, parse_scalar
 
@@ -56,6 +60,11 @@ class Arrangement:
     def dim(self) -> int:
         return self.body.dim
 
+    @cached_property
+    def distances(self) -> List[List[Scalar]]:
+        """The centers' ``distance_table``, computed on first use and kept."""
+        return distance_table(self.body, [h.center for h in self.members])
+
 
 def intersects(body: SymmetricBody, h1: Homothet, h2: Homothet) -> bool:
     """Closed homothets of a symmetric body meet iff the gauge distance of
@@ -70,10 +79,11 @@ def center_in_interior(body: SymmetricBody, owner: Homothet,
 
 
 def find_minkowski_violation(arr: Arrangement) -> Optional[Tuple[int, int]]:
-    """First (owner, center) index pair violating the arrangement condition."""
-    for i, hi in enumerate(arr.members):
-        for j, hj in enumerate(arr.members):
-            if i != j and center_in_interior(arr.body, hi, hj.center):
+    """First (owner, center) index pair violating the arrangement condition,
+    center j interior to member i: D[i][j] < lam_i."""
+    for i, (hi, row) in enumerate(zip(arr.members, arr.distances)):
+        for j, g in enumerate(row):
+            if i != j and scalars.lt(g, hi.ratio):
                 return (i, j)
     return None
 
@@ -83,10 +93,10 @@ def is_minkowski_arrangement(arr: Arrangement) -> bool:
 
 
 def find_intersection_violation(arr: Arrangement) -> Optional[Tuple[int, int]]:
-    n = len(arr.members)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not intersects(arr.body, arr.members[i], arr.members[j]):
+    """First pair i < j of members that do not meet: D[i][j] > lam_i + lam_j."""
+    for i, (hi, row) in enumerate(zip(arr.members, arr.distances)):
+        for j in range(i + 1, len(row)):
+            if not scalars.le(row[j], hi.ratio + arr.members[j].ratio):
                 return (i, j)
     return None
 
@@ -123,14 +133,14 @@ def chain_to_arrangement(points: Sequence[Vector], lambdas: Sequence[Scalar],
         raise ValueError("chains need at least two points")
     if len(lambdas) != n - 1:
         raise ValueError("expected %d lambdas, got %d" % (n - 1, len(lambdas)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            got = body.gauge(points[i] - points[j])
-            if not scalars.eq(got, lambdas[i]):
-                raise ChainPropertyError(i, j, got, lambdas[i])
     ratios = list(lambdas) + [lambdas[-1]]
-    return Arrangement(body, tuple(Homothet(p, r)
-                                   for p, r in zip(points, ratios)))
+    arr = Arrangement(body, tuple(Homothet(p, r)
+                                  for p, r in zip(points, ratios)))
+    for i, row in enumerate(arr.distances):
+        for j in range(i + 1, n):
+            if not scalars.eq(row[j], lambdas[i]):
+                raise ChainPropertyError(i, j, row[j], lambdas[i])
+    return arr
 
 
 @dataclass(frozen=True)
@@ -256,55 +266,41 @@ def _feasible_ratio(body: SymmetricBody, members: List[Homothet],
     return low + (high - low) * Fraction(rng.randint(0, 8), 8), gauges
 
 
-def _member_feasible(row: Sequence[Scalar], col: Sequence[Scalar],
-                     ratios: Sequence[Scalar], idx: int,
-                     ratio: Scalar) -> bool:
+def _member_feasible(dist: Sequence[Scalar], ratios: Sequence[Scalar],
+                     idx: int, ratio: Scalar) -> bool:
     """Whether member idx with the given ratio keeps every relation with the
-    members j != idx, from cached gauges row[j] = gauge(v_j - v_idx) and
-    col[j] = gauge(v_idx - v_j); idx may be len(ratios), a new last member.
-
-    These are the comparisons the full predicate pass makes for the pairs
-    holding idx, on the same gauge values: neither center is interior to the
-    other member, and the pair meets, where intersection reads the gauge of
-    v_lower - v_higher as ``intersects`` does.
-    """
+    members j != idx (idx may be len(ratios), a new last member): the full
+    predicate pass's comparisons of the pairs holding idx, read from its
+    distances dist[j] = D[idx][j]."""
     for j, rj in enumerate(ratios):
-        if j == idx:
-            continue
-        if scalars.lt(row[j], ratio) or scalars.lt(col[j], rj):
-            return False
-        if not scalars.le(col[j] if idx < j else row[j], ratio + rj):
+        if j != idx and (scalars.lt(dist[j], ratio) or scalars.lt(dist[j], rj)
+                         or not scalars.le(dist[j], ratio + rj)):
             return False
     return True
 
 
 class _GaugeCache:
-    """Search moves decided from the cached gauges G[i][j] = gauge(v_j - v_i)
-    between current members, both orientations, 0 on the diagonal: an
-    insertion costs n gauges besides the ``col`` of ``_feasible_ratio``, a
-    rescaling none, and a drop removes a row and a column."""
+    """Search moves decided from the ``distance_table`` G of the members: an
+    insertion appends the ``col`` of ``_feasible_ratio``, gauge(c - v_j) in
+    the table's orientation, and computes no gauge; a rescaling reads a row;
+    a drop removes a row and a column."""
 
     def __init__(self, body: SymmetricBody, members: Sequence[Homothet]):
-        self.body = body
-        self.g = [[body.gauge(hj.center - hi.center) if i != j else 0
-                   for j, hj in enumerate(members)]
-                  for i, hi in enumerate(members)]
+        self.g = distance_table(body, [h.center for h in members])
 
     def insert(self, members: Sequence[Homothet], ratios: Sequence[Scalar],
                new: Homothet, col: Sequence[Scalar]) -> bool:
         """Check a new last member, col[j] = gauge(c - v_j); grow G if ok."""
-        row = [self.body.gauge(h.center - new.center) for h in members]
-        if not _member_feasible(row, col, ratios, len(members), new.ratio):
+        if not _member_feasible(col, ratios, len(members), new.ratio):
             return False
         for grow, g in zip(self.g, col):
             grow.append(g)
-        self.g.append(row + [0])
+        self.g.append(list(col) + [0])
         return True
 
     def rescale(self, members: Sequence[Homothet], ratios: Sequence[Scalar],
                 idx: int, ratio: Scalar) -> bool:
-        return _member_feasible(self.g[idx], [grow[idx] for grow in self.g],
-                                ratios, idx, ratio)
+        return _member_feasible(self.g[idx], ratios, idx, ratio)
 
     def drop(self, k: int) -> None:
         del self.g[k]
@@ -326,7 +322,7 @@ def search_arrangement(body: SymmetricBody, dim: int,
     first feasible one is taken, so a fixed seed fully determines the run.
     Only states passing both predicates are ever accepted.
 
-    A move is checked in O(n) against the gauges ``_GaugeCache`` keeps
+    A move is checked in O(n) against the distances ``_GaugeCache`` keeps
     between the current members.  The accepted state always satisfies both
     predicates, so checking the moved member's relations makes the same
     decisions as a full pass over the candidate.  The warm start and the

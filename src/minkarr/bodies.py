@@ -1,10 +1,11 @@
 """Origin-symmetric convex bodies: the gauge and the boundary frame.
 
 A body is the unit ball of the norm it induces: the gauge of x is the least
-lambda >= 0 with x in lambda*K.  The arrangement predicates read the gauge;
-the shadow and the lift read the boundary frame toward u != 0, the gauge-1
-point r = u/gauge(u) with a supporting hyperplane of K at r, which each body
-answers in one pass.  Three variants are supported:
+lambda >= 0 with x in lambda*K, a norm; ``distance_table`` takes it once
+per pair of points for the predicates, the search, the generators and the
+chains.  The shadow and the lift read the boundary frame toward u != 0, the
+gauge-1 point r = u/gauge(u) with a supporting hyperplane of K at r, which
+each body answers in one pass.  Three variants are supported:
 
 * ``HPolytopeBody`` -- intersection of halfspaces a.x <= 1 (facets are stored
   in offset-1 canonical form), central symmetry means the facet list is
@@ -55,6 +56,17 @@ class SymmetricBody:
 
     def to_json(self) -> dict:
         raise NotImplementedError
+
+
+def distance_table(body: SymmetricBody,
+                   points: Sequence[Vector]) -> List[List[Scalar]]:
+    """D[i][j] = D[j][i] = gauge(p_j - p_i) for i < j, 0 on the diagonal:
+    one gauge per unordered pair, as gauge(-x) = gauge(x)."""
+    table: List[List[Scalar]] = [[0] * len(points) for _ in points]
+    for i, p in enumerate(points):
+        for j in range(i + 1, len(points)):
+            table[i][j] = table[j][i] = body.gauge(points[j] - p)
+    return table
 
 
 def _to_boundary(body: SymmetricBody, u: Vector) -> Vector:

@@ -144,6 +144,8 @@ def cmd_lift(args) -> int:
     except ValueError as exc:
         print("construction failed: %s" % exc, file=sys.stderr)
         return 1
+    except NotImplementedError as exc:  # no frame beyond dimension 3 (Limits)
+        raise InputError(exc) from exc
     print("alphas: %s" % diag["alphas"])
     print("intervals: %s" % diag["intervals"])
     print("x: %s  u_i: %s  u_j: %s" % (diag["x"], diag["u_i"], diag["u_j"]))
@@ -192,6 +194,14 @@ def cmd_kdist(args) -> int:
         else:
             pts = pointset_from_json(_load_json(args.points))
             body = _choose_body(args, pts.dim)
+        if args.kdist_cmd == "spectrum":
+            spec = spectrum(body, pts)
+        elif args.kdist_cmd == "chain":
+            target = args.target
+            if target is None:
+                target = max(1, math.ceil(math.log(len(pts), args.k))) + 1 \
+                    if args.k > 1 else len(pts)
+            chain = greedy_chain(body, pts, args.k, target)
     except ValueError as exc:
         raise InputError(exc) from exc
 
@@ -203,21 +213,11 @@ def cmd_kdist(args) -> int:
         return 0
 
     if args.kdist_cmd == "spectrum":
-        spec = spectrum(body, pts)
         print("distances: %d" % len(spec))
         for dist, mult in spec.entries:
             print("  %s  x%d" % (format_scalar(dist), mult))
         return 0
 
-    # chain
-    target = args.target
-    if target is None:
-        target = max(1, math.ceil(math.log(len(pts), args.k))) + 1 \
-            if args.k > 1 else len(pts)
-    try:
-        chain = greedy_chain(body, pts, args.k, target)
-    except ValueError as exc:
-        raise InputError(exc) from exc
     verified = verify_chain(body, chain)
     print("chain length %d of target %d (guaranteed: %s)"
           % (len(chain), target, chain.guaranteed))

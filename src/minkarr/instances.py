@@ -25,7 +25,8 @@ from typing import List, Optional
 from . import scalars
 from .arrangement import (Arrangement, Homothet, find_intersection_violation,
                           find_minkowski_violation)
-from .bodies import SymmetricBody, VPolytopeBody, l1_ball, linf_ball
+from .bodies import (SymmetricBody, VPolytopeBody, distance_table, l1_ball,
+                     linf_ball)
 from .lifting import lift
 from .linalg import Vector, matrix_rank
 
@@ -70,15 +71,6 @@ def _random_centers(rng: random.Random, n: int, dim: int,
     return centers
 
 
-def _gauge_matrix(body: SymmetricBody, centers: List[Vector]):
-    n = len(centers)
-    g = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            g[i][j] = g[j][i] = Fraction(body.gauge(centers[i] - centers[j]))
-    return g
-
-
 def _float_gauge(body: SymmetricBody):
     """Cheap float gauge closure used only to pre-screen random centers; it
     reads the body's facets, in any dimension."""
@@ -106,7 +98,7 @@ def random_intersecting_arrangement(rng: random.Random,
     body = body or corpus_body(rng, rng.randrange(3))
     n = n or rng.randint(3, 5)
     centers = _random_centers(rng, n, body.dim)
-    g = _gauge_matrix(body, centers)
+    g = [list(map(Fraction, row)) for row in distance_table(body, centers)]
     diameter = max(g[i][j] for i in range(n) for j in range(i + 1, n))
     members = []
     for i in range(n):
@@ -171,7 +163,8 @@ def random_minkowski_arrangement(rng: random.Random,
         if any(fcaps[i] + fcaps[j] < fg[i][j] - 1e-7
                for i in range(n) for j in range(i + 1, n)):
             continue
-        g = _gauge_matrix(body, centers)
+        g = [list(map(Fraction, row))
+             for row in distance_table(body, centers)]
         caps = [min(g[i][j] for j in range(n) if j != i) for i in range(n)]
         feasible = all(caps[i] + caps[j] >= g[i][j]
                        for i in range(n) for j in range(i + 1, n))

@@ -22,7 +22,7 @@ from itertools import product
 from typing import List, Optional, Tuple
 
 from . import scalars
-from .bodies import SymmetricBody
+from .bodies import SymmetricBody, distance_table
 from .linalg import Vector
 from .scalars import Scalar, format_scalar, parse_scalar
 
@@ -82,13 +82,13 @@ class DistanceSpectrum:
 def spectrum(body: SymmetricBody, pts: PointSet) -> DistanceSpectrum:
     """All pairwise gauge distances, exact keys in rational mode and
     tolerance-clustered in floating mode."""
-    if len(pts) < 2:
+    return _spectrum(distance_table(body, pts.points))
+
+
+def _spectrum(table) -> DistanceSpectrum:
+    if len(table) < 2:
         raise ValueError("spectra need at least two points")
-    dists = []
-    n = len(pts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            dists.append(body.gauge(pts.points[i] - pts.points[j]))
+    dists = [g for i, row in enumerate(table) for g in row[i + 1:]]
     if scalars.is_exact(*dists):
         counted = {}
         for d in dists:
@@ -196,17 +196,18 @@ def greedy_chain(body: SymmetricBody, pts: PointSet, k: int,
     """
     if target < 1:
         raise ValueError("target must be positive")
-    if not is_k_distance(body, pts, k):
+    table = distance_table(body, pts.points)
+    if len(_spectrum(table)) > k:
         raise ValueError("the point set realizes more than %d distances" % k)
     guaranteed = len(pts) >= k ** (target - 1)
     pool = list(range(len(pts)))
     chain_idx = [0]
     lambdas: List[Scalar] = []
     while len(chain_idx) < target:
-        head = pts.points[chain_idx[-1]]
+        head = table[chain_idx[-1]]
         classes = {}
         for idx in pool:
-            dist = body.gauge(head - pts.points[idx])
+            dist = head[idx]
             if scalars.eq(dist, 0):
                 continue
             key = Fraction(dist) if scalars.is_exact(dist) \
@@ -240,13 +241,11 @@ def verify_chain(body: SymmetricBody, chain: ChainResult) -> bool:
 
 def find_chain_violation(body: SymmetricBody,
                          chain: ChainResult) -> Optional[Tuple[int, int]]:
-    n = len(chain.points)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if i < len(chain.lambdas):
-                got = body.gauge(chain.points[i] - chain.points[j])
-                if not scalars.eq(got, chain.lambdas[i]):
-                    return (i, j)
+    table = distance_table(body, chain.points)
+    for i, lam in enumerate(chain.lambdas):
+        for j in range(i + 1, len(table)):
+            if not scalars.eq(table[i][j], lam):
+                return (i, j)
     return None
 
 

@@ -15,8 +15,9 @@ from minkarr import (Arrangement, ChainPropertyError, Homothet, SearchConfig,
                      linf_ball, l1_ball, partition_classes,
                      search_arrangement)
 from minkarr import arrangement
-from minkarr.arrangement import _GaugeCache, _member_feasible
-from minkarr.bodies import BallBody
+from minkarr.arrangement import _GaugeCache, _feasible_ratio, _member_feasible
+from minkarr.bodies import BallBody, HPolytopeBody
+from minkarr.packing import lifted_packing_pipeline
 from minkarr.linalg import Vector
 
 
@@ -245,20 +246,11 @@ def test_member_check_new_member_both_directions():
              ((F(3, 2), F(3, 2)), F(1), True))
     for center, ratio, ok in cases:
         c = Vector(center)
-        row = [SQUARE.gauge(h.center - c) for h in TRIO]
         col = [SQUARE.gauge(c - h.center) for h in TRIO]
-        assert _member_feasible(row, col, ratios, 3, ratio) is ok
+        assert _member_feasible(col, ratios, 3, ratio) is ok
         arr = Arrangement(SQUARE, tuple(TRIO) + (Homothet(c, ratio),))
         assert (is_minkowski_arrangement(arr)
                 and is_pairwise_intersecting(arr)) is ok
-
-
-def test_member_check_reads_intersection_as_the_predicate_does():
-    # intersects() reads gauge(v_lower - v_higher); here only that
-    # orientation meets: col[1] = gauge(v_0 - v_1) = 2, row[1] = 3
-    assert _member_feasible([0, 3], [0, 2], [F(1), F(1)], 0, F(1))
-    assert _member_feasible([2, 0], [3, 0], [F(1), F(1)], 1, F(1))
-    assert not _member_feasible([0, 2], [0, 3], [F(1), F(1)], 0, F(1))
 
 
 class Skewed:
@@ -273,7 +265,7 @@ def test_gauge_matrix_drop_and_append_match_recompute():
     body = Skewed()
     ratios = [h.ratio for h in TRIO]
     # member 3 keeps its relations with TRIO; (1/4, 0) lies inside member 0
-    members = TRIO + [H((F(3, 4), 1), F(3, 4))]
+    members = TRIO + [H((F(3, 4), 1), F(1))]
     for drop in range(len(members)):
         cache = _GaugeCache(body, members)
         cache.drop(drop)
@@ -284,7 +276,26 @@ def test_gauge_matrix_drop_and_append_match_recompute():
         col = [body.gauge(new.center - h.center) for h in TRIO]
         assert cache.insert(TRIO, ratios, new, col) is ok
     assert cache.g == _GaugeCache(body, members).g
-    assert cache.g[0][3] != cache.g[3][0]
+
+
+def test_one_gauge_per_pair_of_centers(monkeypatch):
+    calls = []
+    gauge = HPolytopeBody.gauge
+    monkeypatch.setattr(HPolytopeBody, "gauge",
+                        lambda body, x: calls.append(x) or gauge(body, x))
+    # both predicates read one table, one gauge per pair of the 9 centers
+    assert lifted_packing_pipeline(cube_arrangement(2)).verdict
+    assert len(calls) == 36
+    cache = _GaugeCache(SQUARE, TRIO)
+    ratios = [h.ratio for h in TRIO]
+    calls.clear()
+    center = Vector((F(3, 2), F(3, 2)))
+    found = _feasible_ratio(SQUARE, TRIO, center, random.Random(0))
+    assert len(calls) == len(TRIO)
+    assert cache.insert(TRIO, ratios, Homothet(center, found[0]), found[1])
+    assert cache.rescale(TRIO + [Homothet(center, found[0])],
+                         ratios + [found[0]], 0, F(6, 5))
+    assert len(calls) == len(TRIO)
 
 
 def test_arrangement_json_roundtrip():

@@ -297,6 +297,35 @@ def test_kdist_spectrum_two_points(tmp_path, capsys):
     assert "distances: 1" in out
 
 
+def test_kdist_spectrum_one_point_is_an_input_error(tmp_path, capsys):
+    pts_file = tmp_path / "one.json"
+    pts_file.write_text(json.dumps({"dim": 2, "points": [[0, 0]]}))
+    code, out, err = run(capsys, "kdist", "spectrum", str(pts_file))
+    assert code == 2
+    assert err == "input error: spectra need at least two points\n"
+    assert out == ""
+
+
+def test_lift_without_a_frame_is_an_input_error(tmp_path, capsys):
+    # the 4-D cross-polytope as a vertex list: the gauge is the polar LP,
+    # and no supporting hyperplane is available beyond dimension 3
+    vertices = [[s if k == i else 0 for k in range(4)]
+                for i in range(4) for s in (1, -1)]
+    path = tmp_path / "cross4.json"
+    path.write_text(json.dumps({
+        "body": {"dim": 4, "type": "vpoly", "vertices": vertices},
+        "homothets": [{"center": [0, 0, 0, 0], "ratio": 1},
+                      {"center": [1, 0, 0, 0], "ratio": 1}]}))
+    code, _, err = run(capsys, "lift", str(path), "--pair", "0", "1")
+    assert code == 2
+    assert err.startswith("input error: supporting hyperplanes need the "
+                          "facet form"), err
+    assert err.count("\n") == 1
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0
+    assert "lifted-packing-certificate: SKIP" in out
+
+
 def test_float_mode_flag(cube_file, capsys):
     code, out, _ = run(capsys, "--mode", "float", "--eps", "1e-7",
                        "verify", cube_file)

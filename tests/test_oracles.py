@@ -1,6 +1,7 @@
 """Dual-route checks: every production computation with an independent
 derivation gets compared against it on random rational instances."""
 
+import collections
 import dataclasses
 import functools
 import itertools
@@ -11,14 +12,18 @@ from fractions import Fraction as F
 import pytest
 
 from minkarr import (Arrangement, BallBody, Homothet, SearchConfig,
-                     arrangement_from_json, arrangement_to_json,
-                     body_from_json, build_frame,
-                     cross_ratio, cube_arrangement, l1_ball, linf_ball, ratio,
+                     VPolytopeBody, arrangement_from_json, arrangement_to_json,
+                     body_from_json, build_frame, center_in_interior,
+                     cross_ratio, cube_arrangement, distance_table,
+                     find_chain_violation, find_intersection_violation,
+                     find_minkowski_violation, greedy_chain, grid_set,
+                     intersects, l1_ball, linf_ball, ratio, spectrum,
                      search_arrangement, shadow, shadow_with_x, slab_pair)
 from minkarr.arrangement import _feasible, _search
 from minkarr.instances import (corpus_body, random_intersecting_arrangement,
                                random_minkowski_arrangement,
                                random_symmetric_hexagon)
+from minkarr.kdistance import ChainResult
 from minkarr.lifting import (DegenerateWedgeError, LiftedConfig,
                              ProjectionFrame, ShadowData,
                              ShadowIntersectionError, SlabPair, lift,
@@ -629,6 +634,137 @@ def test_search_against_full_pass(monkeypatch):
                 (body, seed)
             drops += dropped
     assert drops > 0
+
+
+# ------------------------------------------------ the pair-loop predicates --
+# The two predicates as they scanned before the distance table: every
+# ordered pair through center_in_interior and every unordered pair through
+# intersects, each pair taking gauges of its own.  The table scans must
+# return the same first pair.
+
+def loop_minkowski_violation(arr):
+    for i, hi in enumerate(arr.members):
+        for j, hj in enumerate(arr.members):
+            if i != j and center_in_interior(arr.body, hi, hj.center):
+                return (i, j)
+    return None
+
+
+def loop_intersection_violation(arr):
+    n = len(arr.members)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not intersects(arr.body, arr.members[i], arr.members[j]):
+                return (i, j)
+    return None
+
+
+@functools.cache
+def predicate_families():
+    """Seeded pairwise intersecting families, some of them Minkowski
+    arrangements, on the square, the diamond, random hexagons, the disc in
+    floats and the 4-D cross-polytope given by its vertices (whose gauge is
+    the polar LP)."""
+    rng = random.Random(1729)
+    families = [random_intersecting_arrangement(rng, body=corpus_body(rng, t))
+                for t in range(30)]
+    families += [random_minkowski_arrangement(rng, body=corpus_body(rng, t))
+                 for t in range(12)]
+    for k in range(2, 10):  # a disc and k discs of its radius around it
+        rho, turn = rng.uniform(0.5, 2), rng.uniform(0, math.pi)
+        angles = [turn + 2 * math.pi * m / k for m in range(k)]
+        families.append(Arrangement(BallBody(2), (
+            Homothet(Vector((0.0, 0.0)), rho),) + tuple(
+            Homothet(Vector((rho * math.cos(a), rho * math.sin(a))), rho)
+            for a in angles)))
+    cross = VPolytopeBody(4, [Vector(s if k == i else 0 for k in range(4))
+                              for i in range(4) for s in (1, -1)])
+    for _ in range(4):
+        centers = [Vector(F(rng.randint(-3, 3), 2) for _ in range(4))
+                   for _ in range(4)]
+        diameter = max(cross.gauge_lp(p - q) for p in centers for q in centers)
+        families.append(Arrangement(cross, tuple(
+            Homothet(c, diameter * F(rng.randint(4, 8), 8)) for c in centers)))
+    return families
+
+
+def test_distance_table_is_the_gauge_in_both_orientations():
+    for arr in predicate_families():
+        points = [h.center for h in arr.members]
+        table = distance_table(arr.body, points)
+        for i, p in enumerate(points):
+            assert table[i][i] == 0
+            for j, q in enumerate(points):
+                if i != j:
+                    for want in (arr.body.gauge(q - p), arr.body.gauge(p - q)):
+                        assert table[i][j] == want, (arr.body, i, j)
+                        assert type(table[i][j]) is type(want)
+
+
+def test_predicate_scans_against_pair_loops():
+    """Each family as drawn, with its ratios shrunk (pairs stop meeting) and
+    grown (centers fall inside other members), as in the shadow witness
+    test: the first violating pair of each predicate, or None, agrees."""
+    rng = random.Random(31)
+    outcomes = set()
+    for arr in predicate_families():
+        for step in (1, F(rng.randint(1, 4), 8), F(rng.randint(9, 24), 8)):
+            scaled = Arrangement(arr.body, tuple(
+                Homothet(h.center, h.ratio * step) for h in arr.members))
+            got = (find_minkowski_violation(scaled),
+                   find_intersection_violation(scaled))
+            assert got == (loop_minkowski_violation(scaled),
+                           loop_intersection_violation(scaled)), (arr, step)
+            outcomes.add((type(arr.body).__name__,
+                          got[0] is None, got[1] is None))
+    for kind in ("HPolytopeBody", "VPolytopeBody", "BallBody"):
+        assert {(kind, True, True), (kind, True, False),
+                (kind, False, True)} <= outcomes, kind
+
+
+def loop_chain_violation(body, chain):
+    n = len(chain.points)
+    for i in range(min(n, len(chain.lambdas))):
+        for j in range(i + 1, n):
+            got = body.gauge(chain.points[i] - chain.points[j])
+            if not scalars.eq(got, chain.lambdas[i]):
+                return (i, j)
+    return None
+
+
+def test_chain_routes_against_pair_loops():
+    """Spectra and chain checks read the table; the loops take
+    gauge(p_i - p_j) for each pair.  Every chain gets one lambda or one
+    point broken in turn, and the first violating pair agrees."""
+    for d, k in ((2, 2), (2, 3), (3, 2)):
+        pts = grid_set(d, k)
+        for body in (linf_ball(d), l1_ball(d), BallBody(d)):
+            dists = [body.gauge(p - q) for i, p in enumerate(pts.points)
+                     for q in pts.points[i + 1:]]
+            spec = spectrum(body, pts)
+            assert sum(m for _, m in spec.entries) == len(dists)
+            if isinstance(body, BallBody):
+                assert all(min(abs(g - e) for e in spec.distances) < 1e-9
+                           for g in dists)
+            else:
+                assert spec.entries == tuple(sorted(
+                    collections.Counter(map(F, dists)).items()))
+            chain = greedy_chain(body, pts, len(spec), 4)
+            assert find_chain_violation(body, chain) is None
+            far = Vector([F(9)] * d)
+            for t in range(len(chain)):
+                lambdas = list(chain.lambdas)
+                if t < len(lambdas):
+                    lambdas[t] += 1
+                points = list(chain.points)
+                for broken in (ChainResult((), tuple(points), tuple(lambdas),
+                                           4, False),
+                               ChainResult((), tuple(points[:t]) + (far,)
+                                           + tuple(points[t + 1:]),
+                                           chain.lambdas, 4, False)):
+                    got = find_chain_violation(body, broken)
+                    assert got == loop_chain_violation(body, broken)
+                    assert got is not None or t == len(chain) - 1
 
 
 # ------------------------------------------------- the Fraction lift route --
