@@ -22,6 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 from . import scalars
 from .bodies import (SymmetricBody, body_from_json, body_to_json,
                      distance_table, linf_ball)
+from .kdistance import chain_violation
 from .linalg import Vector, zero_vector
 from .scalars import Scalar, div, format_scalar, parse_scalar
 
@@ -136,10 +137,10 @@ def chain_to_arrangement(points: Sequence[Vector], lambdas: Sequence[Scalar],
     ratios = list(lambdas) + [lambdas[-1]]
     arr = Arrangement(body, tuple(Homothet(p, r)
                                   for p, r in zip(points, ratios)))
-    for i, row in enumerate(arr.distances):
-        for j in range(i + 1, n):
-            if not scalars.eq(row[j], lambdas[i]):
-                raise ChainPropertyError(i, j, row[j], lambdas[i])
+    pair = chain_violation(arr.distances, lambdas)
+    if pair is not None:
+        i, j = pair
+        raise ChainPropertyError(i, j, arr.distances[i][j], lambdas[i])
     return arr
 
 

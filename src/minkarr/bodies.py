@@ -106,10 +106,9 @@ class HPolytopeBody(SymmetricBody):
         self.facets: Tuple[Vector, ...] = tuple(normals)
         self._validate()
         # exact facets as integer rows over one common denominator
-        flat = scalars.int_form([c for a in self.facets for c in a.coords])
-        self._rows = flat and tuple(tuple(flat[0][k:k + dim])
-                                    for k in range(0, len(flat[0]), dim))
-        self._den = flat and flat[1]
+        form = scalars.int_rows([a.coords for a in self.facets])
+        self._rows = form and tuple(form[0])
+        self._den = form and form[1]
 
     def _validate(self) -> None:
         if not self.facets:

@@ -8,7 +8,8 @@ arrangements), ``kdist`` (spectra, grids, greedy chains).
 Exit codes are a stable contract: 0 all checks pass, 1 a check failed, 2 the
 input could not be parsed or was otherwise invalid, an unwritable output
 path included.  Subcommands raise ``InputError`` for those, and ``main``
-prints it as one ``input error: <message>`` line.  Any other exception
+prints it as one ``input error: <message>`` line; unusable input is found
+before the report starts, so it leaves stdout empty.  Any other exception
 raised by a subcommand is a bug, not a failed check: it also exits 2, with
 one ``internal error: <Type>: <message>`` line on stderr and no traceback.
 Every report prints the seed and scalar mode it ran under.
@@ -17,6 +18,7 @@ Every report prints the seed and scalar mode it ran under.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -27,11 +29,10 @@ from .arrangement import (Arrangement, Homothet, SearchConfig,
                           arrangement_from_json, arrangement_size_bound,
                           arrangement_to_json, find_intersection_violation,
                           find_minkowski_violation, search_arrangement)
-from .bodies import body_from_json
+from .bodies import BallBody, body_from_json, l1_ball, linf_ball
 from .diagram import render_projection_plane
 from .kdistance import (chain_to_json, grid_set, greedy_chain,
-                        pointset_from_json, pointset_to_json, spectrum,
-                        verify_chain)
+                        pointset_from_json, pointset_to_json, spectrum)
 from .lifting import build_frame, pair_diagnostics, shadow
 from .linalg import Vector
 from .packing import certificate_to_json, lifted_packing_pipeline
@@ -40,6 +41,16 @@ from .scalars import format_scalar
 
 class InputError(Exception):
     """Unusable input file or flag combination (exit code 2)."""
+
+
+@contextlib.contextmanager
+def _reading_input():
+    """A ``ValueError`` raised while the input is read and checked is an
+    ``InputError``; one raised later is a bug."""
+    try:
+        yield
+    except ValueError as exc:
+        raise InputError(exc) from exc
 
 
 def _load_json(path: str) -> dict:
@@ -62,26 +73,25 @@ def _dump_json(path: str, obj) -> None:
     _write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _float_arrangement(arr: Arrangement) -> Arrangement:
-    members = tuple(Homothet(Vector(float(c) for c in h.center),
-                             float(h.ratio)) for h in arr.members)
-    return Arrangement(arr.body, members)
-
-
-def _apply_mode(args, arr: Arrangement) -> Arrangement:
-    return _float_arrangement(arr) if args.mode == "float" else arr
+def _load_arrangement(args) -> Arrangement:
+    """The arrangement file of ``verify`` and ``lift``, its scalars coerced
+    to floats under ``--mode float``."""
+    with _reading_input():
+        arr = arrangement_from_json(_load_json(args.arrangement))
+        if args.mode == "float":
+            arr = Arrangement(arr.body, tuple(
+                Homothet(Vector(float(c) for c in h.center), float(h.ratio))
+                for h in arr.members))
+    return arr
 
 
 def _banner(args) -> None:
-    print("seed: %d" % getattr(args, "seed", 0))
+    print("seed: %d" % args.seed)
     print("mode: %s  eps: %g" % (args.mode, args.eps))
 
 
 def cmd_verify(args) -> int:
-    try:
-        arr = _apply_mode(args, arrangement_from_json(_load_json(args.arrangement)))
-    except ValueError as exc:
-        raise InputError(exc) from exc
+    arr = _load_arrangement(args)
     _banner(args)
     # in the plane the pipeline's first two stages are the two predicates,
     # so each runs once; one the pipeline did not reach runs here
@@ -128,24 +138,22 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lift(args) -> int:
-    try:
-        arr = _apply_mode(args, arrangement_from_json(_load_json(args.arrangement)))
-        i, j = args.pair
-        if not (0 <= i < len(arr) and 0 <= j < len(arr)) or i == j:
-            raise InputError("pair (%d, %d) is out of range for %d members"
-                             % (i, j, len(arr)))
-    except ValueError as exc:
-        raise InputError(exc) from exc
-    _banner(args)
+    arr = _load_arrangement(args)
+    i, j = args.pair
+    if not (0 <= i < len(arr) and 0 <= j < len(arr)) or i == j:
+        raise InputError("pair (%d, %d) is out of range for %d members"
+                         % (i, j, len(arr)))
     try:
         frame = build_frame(arr, i, j)
         sd = shadow(arr, frame)
         diag = pair_diagnostics(arr, frame, sd)
-    except ValueError as exc:
-        print("construction failed: %s" % exc, file=sys.stderr)
-        return 1
     except NotImplementedError as exc:  # no frame beyond dimension 3 (Limits)
         raise InputError(exc) from exc
+    except ValueError as exc:
+        _banner(args)
+        print("construction failed: %s" % exc, file=sys.stderr)
+        return 1
+    _banner(args)
     print("alphas: %s" % diag["alphas"])
     print("intervals: %s" % diag["intervals"])
     print("x: %s  u_i: %s  u_j: %s" % (diag["x"], diag["u_i"], diag["u_j"]))
@@ -166,13 +174,11 @@ def cmd_lift(args) -> int:
 
 
 def cmd_search(args) -> int:
-    try:
+    with _reading_input():
         body = body_from_json(_load_json(args.body))
         warm = None
         if args.init:
             warm = arrangement_from_json(_load_json(args.init))
-    except ValueError as exc:
-        raise InputError(exc) from exc
     _banner(args)
     cfg = SearchConfig(seed=args.seed, iterations=args.iters)
     arr = search_arrangement(body, body.dim, cfg, warm_start=warm)
@@ -187,57 +193,53 @@ def cmd_search(args) -> int:
     return 0
 
 
-def cmd_kdist(args) -> int:
-    try:
-        if args.kdist_cmd == "grid":
-            pts = grid_set(args.d, args.k)
-        else:
-            pts = pointset_from_json(_load_json(args.points))
-            body = _choose_body(args, pts.dim)
-        if args.kdist_cmd == "spectrum":
-            spec = spectrum(body, pts)
-        elif args.kdist_cmd == "chain":
-            target = args.target
-            if target is None:
-                target = max(1, math.ceil(math.log(len(pts), args.k))) + 1 \
-                    if args.k > 1 else len(pts)
-            chain = greedy_chain(body, pts, args.k, target)
-    except ValueError as exc:
-        raise InputError(exc) from exc
+def cmd_grid(args) -> int:
+    with _reading_input():
+        pts = grid_set(args.d, args.k)
+    print("grid {0..%d}^%d: %d points" % (args.k, args.d, len(pts)))
+    if args.out:
+        _dump_json(args.out, pointset_to_json(pts))
+        print("point set written to %s" % args.out)
+    return 0
 
-    if args.kdist_cmd == "grid":
-        print("grid {0..%d}^%d: %d points" % (args.k, args.d, len(pts)))
-        if args.out:
-            _dump_json(args.out, pointset_to_json(pts))
-            print("point set written to %s" % args.out)
-        return 0
 
-    if args.kdist_cmd == "spectrum":
-        print("distances: %d" % len(spec))
-        for dist, mult in spec.entries:
-            print("  %s  x%d" % (format_scalar(dist), mult))
-        return 0
+def _body_and_points(args):
+    """The point set of ``spectrum`` and ``chain``, read first, and the body
+    of ``--body``, else the unit ball of ``--norm`` in its dimension."""
+    pts = pointset_from_json(_load_json(args.points))
+    if args.body:
+        return body_from_json(_load_json(args.body)), pts
+    ball = {"linf": linf_ball, "l1": l1_ball, "l2": BallBody}[args.norm]
+    return ball(pts.dim), pts
 
-    verified = verify_chain(body, chain)
+
+def cmd_spectrum(args) -> int:
+    with _reading_input():
+        spec = spectrum(*_body_and_points(args))
+    print("distances: %d" % len(spec))
+    for dist, mult in spec.entries:
+        print("  %s  x%d" % (format_scalar(dist), mult))
+    return 0
+
+
+def cmd_chain(args) -> int:
+    with _reading_input():
+        body, pts = _body_and_points(args)
+        target = args.target
+        if target is None:
+            target = max(1, math.ceil(math.log(len(pts), args.k))) + 1 \
+                if args.k > 1 else len(pts)
+        chain = greedy_chain(body, pts, args.k, target)
+    payload = chain_to_json(body, chain)  # the one replay of the chain
     print("chain length %d of target %d (guaranteed: %s)"
           % (len(chain), target, chain.guaranteed))
-    print("lambdas: %s" % [format_scalar(l) for l in chain.lambdas])
-    print("chain verification: %s" % ("PASS" if verified else "FAIL"))
+    print("lambdas: %s" % payload["lambdas"])
+    print("chain verification: %s" % ("PASS" if payload["verified"]
+                                       else "FAIL"))
     if args.out:
-        _dump_json(args.out, chain_to_json(body, chain))
+        _dump_json(args.out, payload)
         print("chain written to %s" % args.out)
-    return 0 if verified else 1
-
-
-def _choose_body(args, dim: int):
-    from .bodies import l1_ball, linf_ball, BallBody
-    if args.body:
-        return body_from_json(_load_json(args.body))
-    if args.norm == "linf":
-        return linf_ball(dim)
-    if args.norm == "l1":
-        return l1_ball(dim)
-    return BallBody(dim)
+    return 0 if payload["verified"] else 1
 
 
 @functools.cache
@@ -285,12 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("points", help="point set JSON file")
     ps.add_argument("--body", help="body JSON file")
     ps.add_argument("--norm", choices=("linf", "l1", "l2"), default="linf")
-    ps.set_defaults(func=cmd_kdist)
+    ps.set_defaults(func=cmd_spectrum)
     pg = ksub.add_parser("grid")
     pg.add_argument("--d", type=int, required=True)
     pg.add_argument("--k", type=int, required=True)
     pg.add_argument("--out")
-    pg.set_defaults(func=cmd_kdist)
+    pg.set_defaults(func=cmd_grid)
     pc = ksub.add_parser("chain")
     pc.add_argument("points", help="point set JSON file")
     pc.add_argument("--k", type=int, required=True)
@@ -298,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--body", help="body JSON file")
     pc.add_argument("--norm", choices=("linf", "l1", "l2"), default="linf")
     pc.add_argument("--out")
-    pc.set_defaults(func=cmd_kdist)
+    pc.set_defaults(func=cmd_chain)
     return parser
 
 
@@ -306,10 +308,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        try:  # the one place the run tolerance is set
+        with _reading_input():  # the one place the run tolerance is set
             scalars.set_tolerance(args.eps)
-        except ValueError as exc:
-            raise InputError(exc) from exc
         return args.func(args)
     except InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)

@@ -101,19 +101,13 @@ def _spectrum(table) -> DistanceSpectrum:
 
 
 def _cluster(sorted_values: List[float]) -> Tuple[Tuple[float, int], ...]:
-    entries = []
-    anchor = None
-    count = 0
+    entries = []  # [anchor, count]: a value within tolerance joins the last
     for v in sorted_values:
-        if anchor is None or v - anchor > scalars.tolerance():
-            if anchor is not None:
-                entries.append((anchor, count))
-            anchor, count = v, 1
+        if entries and not v - entries[-1][0] > scalars.tolerance():
+            entries[-1][1] += 1
         else:
-            count += 1
-    if anchor is not None:
-        entries.append((anchor, count))
-    return tuple(entries)
+            entries.append([v, 1])
+    return tuple(map(tuple, entries))
 
 
 def is_k_distance(body: SymmetricBody, pts: PointSet, k: int) -> bool:
@@ -241,8 +235,13 @@ def verify_chain(body: SymmetricBody, chain: ChainResult) -> bool:
 
 def find_chain_violation(body: SymmetricBody,
                          chain: ChainResult) -> Optional[Tuple[int, int]]:
-    table = distance_table(body, chain.points)
-    for i, lam in enumerate(chain.lambdas):
+    return chain_violation(distance_table(body, chain.points), chain.lambdas)
+
+
+def chain_violation(table, lambdas) -> Optional[Tuple[int, int]]:
+    """First pair i < j of the points' ``distance_table`` breaking the chain
+    property table[i][j] == lam_i, or None."""
+    for i, lam in enumerate(lambdas):
         for j in range(i + 1, len(table)):
             if not scalars.eq(table[i][j], lam):
                 return (i, j)

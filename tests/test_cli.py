@@ -5,8 +5,9 @@ import random
 import pytest
 
 from minkarr import (Homothet, Arrangement, arrangement_to_json,
-                     body_to_json, cube_arrangement, linf_ball)
-from minkarr import cli, packing
+                     body_to_json, cube_arrangement, grid_set, linf_ball,
+                     pointset_to_json)
+from minkarr import cli, kdistance, packing
 from minkarr.cli import main
 from minkarr.linalg import Vector
 from minkarr.packing import lifted_packing_pipeline
@@ -289,6 +290,75 @@ def test_kdist_grid_spectrum_chain(tmp_path, capsys):
     assert blob["verified"] is True
 
 
+@pytest.fixture
+def grid_file(tmp_path):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(pointset_to_json(grid_set(2, 3))))
+    return str(path)
+
+
+# the square of half-width 2 as a body file: the max-norm distances halved
+SQUARE2 = {"dim": 2, "type": "hpoly",
+           "facets": [{"normal": n, "offset": 2}
+                      for n in ([1, 0], [-1, 0], [0, 1], [0, -1])]}
+
+
+@pytest.mark.parametrize("flags,k,spectrum_out,chain_out,chain_blob", [
+    (["--norm", "l1"], "6",
+     "distances: 6\n  1  x24\n  2  x34\n  3  x32\n  4  x20\n  5  x8\n"
+     "  6  x2\n",
+     "chain length 3 of target 3 (guaranteed: False)\nlambdas: [3, 2]\n",
+     {"indices": [0, 3, 6], "lambdas": [3, 2],
+      "points": [[0, 0], [0, 3], [1, 2]], "target": 3}),
+    (["--norm", "l2"], "9",
+     "distances: 9\n  1.0  x24\n  1.4142135623730951  x18\n  2.0  x16\n"
+     "  2.23606797749979  x24\n  2.8284271247461903  x8\n  3.0  x8\n"
+     "  3.1622776601683795  x12\n  3.605551275463989  x8\n"
+     "  4.242640687119285  x2\n",
+     "chain length 3 of target 3 (guaranteed: False)\n"
+     "lambdas: [1.0, 1.4142135623730951]\n",
+     {"indices": [0, 1, 4], "lambdas": [1.0, 1.4142135623730951],
+      "points": [[0, 0], [0, 1], [1, 0]], "target": 3}),
+    (["--body", "{square2}"], "3",
+     "distances: 3\n  1/2  x42\n  1  x48\n  3/2  x30\n",
+     "chain length 4 of target 4 (guaranteed: False)\n"
+     "lambdas: ['3/2', '3/2', '1/2']\n",
+     {"indices": [0, 3, 12, 13], "lambdas": ["3/2", "3/2", "1/2"],
+      "points": [[0, 0], [0, 3], [3, 0], [3, 1]], "target": 4}),
+], ids=["norm-l1", "norm-l2", "body-file"])
+def test_kdist_body_choice(flags, k, spectrum_out, chain_out, chain_blob,
+                           grid_file, tmp_path, capsys):
+    square2 = tmp_path / "square2.json"
+    square2.write_text(json.dumps(SQUARE2))
+    flags = [f.format(square2=square2) for f in flags]
+    assert run(capsys, "kdist", "spectrum", grid_file, *flags) == (
+        0, spectrum_out, "")
+    chain_file = tmp_path / "chain.json"
+    assert run(capsys, "kdist", "chain", grid_file, "--k", k,
+               "--out", str(chain_file), *flags) == (
+        0, chain_out + "chain verification: PASS\nchain written to %s\n"
+        % chain_file, "")
+    blob = dict(chain_blob, guaranteed=False, verified=True)
+    assert chain_file.read_text() == json.dumps(blob, sort_keys=True,
+                                                indent=2) + "\n"
+
+
+def test_kdist_chain_out_takes_one_table_of_the_chain_points(
+        grid_file, tmp_path, capsys, monkeypatch):
+    sizes = []
+    table = kdistance.distance_table
+
+    def counted(body, points):
+        sizes.append(len(points))
+        return table(body, points)
+    monkeypatch.setattr(kdistance, "distance_table", counted)
+    code, out, _ = run(capsys, "kdist", "chain", grid_file, "--k", "3",
+                       "--out", str(tmp_path / "chain.json"))
+    assert code == 0 and "chain length 4 of target 4" in out
+    # the whole set for the spectrum and the rounds, then the chain once
+    assert sizes == [16, 4]
+
+
 def test_kdist_spectrum_two_points(tmp_path, capsys):
     pts_file = tmp_path / "two.json"
     pts_file.write_text(json.dumps({"dim": 2, "points": [[0, 0], [2, 1]]}))
@@ -316,11 +386,12 @@ def test_lift_without_a_frame_is_an_input_error(tmp_path, capsys):
         "body": {"dim": 4, "type": "vpoly", "vertices": vertices},
         "homothets": [{"center": [0, 0, 0, 0], "ratio": 1},
                       {"center": [1, 0, 0, 0], "ratio": 1}]}))
-    code, _, err = run(capsys, "lift", str(path), "--pair", "0", "1")
+    code, out, err = run(capsys, "lift", str(path), "--pair", "0", "1")
     assert code == 2
     assert err.startswith("input error: supporting hyperplanes need the "
                           "facet form"), err
     assert err.count("\n") == 1
+    assert out == ""
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 0
     assert "lifted-packing-certificate: SKIP" in out
