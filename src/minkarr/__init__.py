@@ -10,9 +10,9 @@ ratio partition, and greedy chain extraction from k-distance sets.
 from .arrangement import (Arrangement, ChainPropertyError, Homothet,
                           PartitionLabel, SearchConfig,
                           arrangement_from_json, arrangement_size_bound,
-                          arrangement_to_json, chain_cardinality_bound,
-                          chain_to_arrangement, center_in_interior,
-                          cube_arrangement, find_intersection_violation,
+                          arrangement_to_json, chain_to_arrangement,
+                          center_in_interior, cube_arrangement,
+                          find_intersection_violation,
                           find_minkowski_violation, intersects,
                           is_minkowski_arrangement, is_pairwise_intersecting,
                           partition_classes, search_arrangement)
@@ -20,8 +20,9 @@ from .bodies import (BallBody, BodyError, HPolytopeBody, SymmetricBody,
                      VPolytopeBody, body_from_json, body_to_json,
                      distance_table, l1_ball, linf_ball)
 from .kdistance import (UNDEFINED, ChainResult, DistanceSpectrum, PointSet,
-                        chain_bound_floor, chain_to_json, find_chain_violation,
-                        greedy_chain, grid_set, is_k_distance,
+                        chain_bound_floor, chain_cardinality_bound,
+                        chain_to_json, find_chain_violation, greedy_chain,
+                        grid_set, guaranteed_length, is_k_distance,
                         kdistance_threshold, pointset_from_json,
                         pointset_to_json, spectrum, verify_chain)
 from .lifting import (DegenerateWedgeError, LiftedConfig, ProjectionFrame,

@@ -202,19 +202,6 @@ def arrangement_size_bound(dim: int) -> int:
     return 3 ** (dim + 1)
 
 
-def chain_cardinality_bound(dim: int) -> float:
-    """The chain cardinality bound d*(1 + 2/(2 - 2^(1/(d-1))))^(d+1).
-
-    For d = 2 the inner denominator vanishes and the value is genuinely
-    infinite; math.inf is returned explicitly, never a NaN or an exception.
-    """
-    if dim < 2:
-        raise ValueError("the bound needs dimension >= 2")
-    if dim == 2:
-        return math.inf
-    return dim * (1 + 2 / (2 - 2 ** (1 / (dim - 1)))) ** (dim + 1)
-
-
 @dataclass
 class SearchConfig:
     seed: int = 0
@@ -250,7 +237,8 @@ def _feasible_ratio(body: SymmetricBody, members: List[Homothet],
 
     Bounds: lam >= gauge(c - v_j) - lam_j for intersection, lam <= gauge for
     keeping v_j outside the interior, and the center itself must not lie in
-    any existing interior.
+    any existing interior.  They are every comparison the predicates make on
+    the pairs holding the new member, so the ratio decides the insertion.
     """
     low = Fraction(1, 8)
     high = None
@@ -289,15 +277,11 @@ class _GaugeCache:
     def __init__(self, body: SymmetricBody, members: Sequence[Homothet]):
         self.g = distance_table(body, [h.center for h in members])
 
-    def insert(self, members: Sequence[Homothet], ratios: Sequence[Scalar],
-               new: Homothet, col: Sequence[Scalar]) -> bool:
-        """Check a new last member, col[j] = gauge(c - v_j); grow G if ok."""
-        if not _member_feasible(col, ratios, len(members), new.ratio):
-            return False
+    def insert(self, col: Sequence[Scalar]) -> None:
+        """Grow G by a new last member, col[j] = gauge(c - v_j)."""
         for grow, g in zip(self.g, col):
             grow.append(g)
         self.g.append(list(col) + [0])
-        return True
 
     def rescale(self, members: Sequence[Homothet], ratios: Sequence[Scalar],
                 idx: int, ratio: Scalar) -> bool:
@@ -323,9 +307,10 @@ def search_arrangement(body: SymmetricBody, dim: int,
     first feasible one is taken, so a fixed seed fully determines the run.
     Only states passing both predicates are ever accepted.
 
-    A move is checked in O(n) against the distances ``_GaugeCache`` keeps
-    between the current members.  The accepted state always satisfies both
-    predicates, so checking the moved member's relations makes the same
+    A move is checked in O(n): an insertion by the bounds of
+    ``_feasible_ratio``, a rescaling against the distances ``_GaugeCache``
+    keeps between the current members.  The accepted state always satisfies
+    both predicates, so checking the moved member's relations makes the same
     decisions as a full pass over the candidate.  The warm start and the
     result are checked by the full predicates.
     """
@@ -335,8 +320,9 @@ def search_arrangement(body: SymmetricBody, dim: int,
 
 def _search(body: SymmetricBody, dim: int, cfg: SearchConfig,
             warm_start: Optional[Arrangement], make_state) -> Arrangement:
-    """The move loop; ``make_state(body, members)`` gives the ``insert``,
-    ``rescale`` and ``drop`` that decide moves and follow the members."""
+    """The move loop; ``make_state(body, members)`` gives the ``rescale``
+    that decides a rescaling, and the ``insert`` (called once the new member
+    is appended) and ``drop`` that follow the members."""
     if body.dim != dim:
         raise ValueError("body dimension does not match the search dimension")
     rng = random.Random(cfg.seed)
@@ -354,22 +340,20 @@ def _search(body: SymmetricBody, dim: int, cfg: SearchConfig,
               for i in range(dim)]
         hi = [max(float(h.center[i]) for h in members) + 2 * max_ratio
               for i in range(dim)]
-        ratios = [h.ratio for h in members]
         for _attempt in range(INSERT_ATTEMPTS):
             center = Vector([_grid_fraction(rng, lo[i], hi[i])
                              for i in range(dim)])
             found = _feasible_ratio(body, members, center, rng)
-            if found is None:
-                continue
-            new = Homothet(center, found[0])
-            if state.insert(members, ratios, new, found[1]):
-                members.append(new)
+            if found is not None:
+                members.append(Homothet(center, found[0]))
+                state.insert(found[1])
                 stagnation = 0
                 break
         else:  # no insertion: rescale one member, and drop one when stuck
             idx = rng.randrange(len(members))
             step = RATIO_STEPS[rng.randrange(len(RATIO_STEPS))]
             ratio = members[idx].ratio * step
+            ratios = [h.ratio for h in members]
             if state.rescale(members, ratios, idx, ratio):
                 members[idx] = Homothet(members[idx].center, ratio)
             stagnation += 1

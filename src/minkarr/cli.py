@@ -21,7 +21,6 @@ import argparse
 import contextlib
 import functools
 import json
-import math
 import sys
 
 from . import scalars
@@ -32,7 +31,8 @@ from .arrangement import (Arrangement, Homothet, SearchConfig,
 from .bodies import BallBody, body_from_json, l1_ball, linf_ball
 from .diagram import render_projection_plane
 from .kdistance import (chain_to_json, grid_set, greedy_chain,
-                        pointset_from_json, pointset_to_json, spectrum)
+                        guaranteed_length, pointset_from_json,
+                        pointset_to_json, spectrum)
 from .lifting import build_frame, pair_diagnostics, shadow
 from .linalg import Vector
 from .packing import certificate_to_json, lifted_packing_pipeline
@@ -225,10 +225,8 @@ def cmd_spectrum(args) -> int:
 def cmd_chain(args) -> int:
     with _reading_input():
         body, pts = _body_and_points(args)
-        target = args.target
-        if target is None:
-            target = max(1, math.ceil(math.log(len(pts), args.k))) + 1 \
-                if args.k > 1 else len(pts)
+        target = guaranteed_length(len(pts), args.k) \
+            if args.target is None else args.target
         chain = greedy_chain(body, pts, args.k, target)
     payload = chain_to_json(body, chain)  # the one replay of the chain
     print("chain length %d of target %d (guaranteed: %s)"
@@ -296,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc = ksub.add_parser("chain")
     pc.add_argument("points", help="point set JSON file")
     pc.add_argument("--k", type=int, required=True)
-    pc.add_argument("--target", type=int)
+    pc.add_argument("--target", type=int, help="default: guaranteed length")
     pc.add_argument("--body", help="body JSON file")
     pc.add_argument("--norm", choices=("linf", "l1", "l2"), default="linf")
     pc.add_argument("--out")

@@ -6,7 +6,7 @@ the most popular distance class from the newest chain point into the
 surviving pool and restricts the pool to that class, producing points
 y_1, ..., y_m with gauge(y_i - y_j) = lam_i for all i < j.  While the pool
 holds at least k^t points, each round keeps at least k^(t-1) of them, so a
-pool of k^(m-1) points guarantees a chain of length m.
+pool of k^(m-1) points guarantees a chain of length m (``guaranteed_length``).
 
 One quirk of the pool update is deliberate: the newest chain point stays in
 the pool until a nonzero class excludes it, and distance classes are always
@@ -15,6 +15,7 @@ collected over nonzero distances only.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -124,13 +125,27 @@ def grid_set(dim: int, k: int) -> PointSet:
     return PointSet(dim, points)
 
 
-def _chain_bound_floor_at(dim: int, digits: int) -> int:
+def _chain_bound(dim: int, digits: int) -> Decimal:
+    """d*(1 + 2/(2 - 2^(1/(d-1))))^(d+1) to ``digits`` significant digits,
+    infinite at d = 2 where the term 2 - 2^(1/(d-1)) vanishes."""
+    if dim < 2:
+        raise ValueError("the bound needs dimension >= 2")
+    if dim == 2:
+        return Decimal("Infinity")
     with localcontext() as ctx:
         ctx.prec = digits
         root = Decimal(2) ** (Decimal(1) / Decimal(dim - 1))
-        base = 1 + 2 / (2 - root)
-        value = dim * base ** (dim + 1)
-        return int(value)  # truncation == floor for positive values
+        return dim * (1 + 2 / (2 - root)) ** (dim + 1)
+
+
+def _chain_bound_floor_at(dim: int, digits: int) -> int:
+    return int(_chain_bound(dim, digits))  # truncation == floor, positive
+
+
+def chain_cardinality_bound(dim: int) -> float:
+    """The chain cardinality bound in floats: math.inf at d = 2, where it
+    is genuinely infinite, never a NaN or an exception."""
+    return float(_chain_bound(dim, 60))
 
 
 def chain_bound_floor(dim: int):
@@ -140,11 +155,9 @@ def chain_bound_floor(dim: int):
     value that flips would mean the expression sits on an integer boundary.
     Returns the UNDEFINED marker at d = 2 where the denominator vanishes.
     """
-    if dim < 2:
-        raise ValueError("the bound needs dimension >= 2")
-    if dim == 2:
-        return UNDEFINED
     digits = 60
+    if _chain_bound(dim, digits).is_infinite():
+        return UNDEFINED
     while digits <= 960:
         first = _chain_bound_floor_at(dim, digits)
         second = _chain_bound_floor_at(dim, digits * 2)
@@ -160,9 +173,18 @@ def kdistance_threshold(dim: int, k: int):
     if k < 1:
         raise ValueError("k must be positive")
     f = chain_bound_floor(dim)
-    if f is UNDEFINED:
-        return UNDEFINED
-    return k ** f
+    return UNDEFINED if f is UNDEFINED else k ** f
+
+
+def guaranteed_length(n: int, k: int) -> int:
+    """The chain length the pigeonhole argument guarantees in a k-distance
+    set of n points: the largest t with k^(t-1) <= n, never above n."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    t = 0
+    while t < n and k ** t <= n:
+        t += 1
+    return t
 
 
 @dataclass(frozen=True)
@@ -181,19 +203,22 @@ def greedy_chain(body: SymmetricBody, pts: PointSet, k: int,
                  target: int) -> ChainResult:
     """Extract a chain of up to ``target`` points from a k-distance set.
 
-    Each round groups the pool by its nonzero gauge distance from the newest
-    chain point, keeps a class of maximal cardinality (ties break toward the
+    Each round groups the pool by the spectrum class of its nonzero gauge
+    distance from the newest chain point, keyed by the class's spectrum
+    entry, keeps a class of maximal cardinality (ties break toward the
     smaller distance), and appends the first surviving point in input order.
-    With at least k^(target-1) points the full target length is guaranteed;
-    below that threshold the run is best-effort and flagged accordingly, and
-    it stops early if the pool empties.
+    A target up to ``guaranteed_length`` is reached in full; above it the
+    run is best-effort and flagged accordingly, and it stops early if the
+    pool empties.
     """
     if target < 1:
         raise ValueError("target must be positive")
     table = distance_table(body, pts.points)
-    if len(_spectrum(table)) > k:
+    anchors = _spectrum(table).distances
+    as_anchor = type(anchors[0])  # the spectrum's scalar: Fraction or float
+    if len(anchors) > k:
         raise ValueError("the point set realizes more than %d distances" % k)
-    guaranteed = len(pts) >= k ** (target - 1)
+    guaranteed = target <= guaranteed_length(len(pts), k)
     pool = list(range(len(pts)))
     chain_idx = [0]
     lambdas: List[Scalar] = []
@@ -204,8 +229,7 @@ def greedy_chain(body: SymmetricBody, pts: PointSet, k: int,
             dist = head[idx]
             if scalars.eq(dist, 0):
                 continue
-            key = Fraction(dist) if scalars.is_exact(dist) \
-                else _float_key(dist, classes)
+            key = anchors[bisect_right(anchors, as_anchor(dist)) - 1]
             classes.setdefault(key, []).append(idx)
         if not classes:
             break
@@ -217,13 +241,6 @@ def greedy_chain(body: SymmetricBody, pts: PointSet, k: int,
     points = tuple(pts.points[i] for i in chain_idx)
     return ChainResult(tuple(chain_idx), points, tuple(lambdas),
                        target, guaranteed)
-
-
-def _float_key(dist: float, classes) -> float:
-    for key in classes:
-        if abs(float(key) - dist) <= scalars.tolerance():
-            return key
-    return dist
 
 
 def verify_chain(body: SymmetricBody, chain: ChainResult) -> bool:

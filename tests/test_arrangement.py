@@ -263,7 +263,6 @@ class Skewed:
 
 def test_gauge_matrix_drop_and_append_match_recompute():
     body = Skewed()
-    ratios = [h.ratio for h in TRIO]
     # member 3 keeps its relations with TRIO; (1/4, 0) lies inside member 0
     members = TRIO + [H((F(3, 4), 1), F(1))]
     for drop in range(len(members)):
@@ -271,10 +270,11 @@ def test_gauge_matrix_drop_and_append_match_recompute():
         cache.drop(drop)
         rest = members[:drop] + members[drop + 1:]
         assert cache.g == _GaugeCache(body, rest).g
+    # (1/4, 0) admits no ratio, so only member 3 is appended
+    assert _feasible_ratio(body, TRIO, Vector((F(1, 4), 0)),
+                           random.Random(0)) is None
     cache = _GaugeCache(body, TRIO)
-    for new, ok in ((H((F(1, 4), 0), F(1, 8)), False), (members[3], True)):
-        col = [body.gauge(new.center - h.center) for h in TRIO]
-        assert cache.insert(TRIO, ratios, new, col) is ok
+    cache.insert([body.gauge(members[3].center - h.center) for h in TRIO])
     assert cache.g == _GaugeCache(body, members).g
 
 
@@ -292,7 +292,7 @@ def test_one_gauge_per_pair_of_centers(monkeypatch):
     center = Vector((F(3, 2), F(3, 2)))
     found = _feasible_ratio(SQUARE, TRIO, center, random.Random(0))
     assert len(calls) == len(TRIO)
-    assert cache.insert(TRIO, ratios, Homothet(center, found[0]), found[1])
+    cache.insert(found[1])
     assert cache.rescale(TRIO + [Homothet(center, found[0])],
                          ratios + [found[0]], 0, F(6, 5))
     assert len(calls) == len(TRIO)

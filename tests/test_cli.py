@@ -307,24 +307,23 @@ SQUARE2 = {"dim": 2, "type": "hpoly",
     (["--norm", "l1"], "6",
      "distances: 6\n  1  x24\n  2  x34\n  3  x32\n  4  x20\n  5  x8\n"
      "  6  x2\n",
-     "chain length 3 of target 3 (guaranteed: False)\nlambdas: [3, 2]\n",
-     {"indices": [0, 3, 6], "lambdas": [3, 2],
-      "points": [[0, 0], [0, 3], [1, 2]], "target": 3}),
+     "chain length 2 of target 2 (guaranteed: True)\nlambdas: [3]\n",
+     {"indices": [0, 3], "lambdas": [3],
+      "points": [[0, 0], [0, 3]], "target": 2}),
     (["--norm", "l2"], "9",
      "distances: 9\n  1.0  x24\n  1.4142135623730951  x18\n  2.0  x16\n"
      "  2.23606797749979  x24\n  2.8284271247461903  x8\n  3.0  x8\n"
      "  3.1622776601683795  x12\n  3.605551275463989  x8\n"
      "  4.242640687119285  x2\n",
-     "chain length 3 of target 3 (guaranteed: False)\n"
-     "lambdas: [1.0, 1.4142135623730951]\n",
-     {"indices": [0, 1, 4], "lambdas": [1.0, 1.4142135623730951],
-      "points": [[0, 0], [0, 1], [1, 0]], "target": 3}),
+     "chain length 2 of target 2 (guaranteed: True)\nlambdas: [1.0]\n",
+     {"indices": [0, 1], "lambdas": [1.0],
+      "points": [[0, 0], [0, 1]], "target": 2}),
     (["--body", "{square2}"], "3",
      "distances: 3\n  1/2  x42\n  1  x48\n  3/2  x30\n",
-     "chain length 4 of target 4 (guaranteed: False)\n"
-     "lambdas: ['3/2', '3/2', '1/2']\n",
-     {"indices": [0, 3, 12, 13], "lambdas": ["3/2", "3/2", "1/2"],
-      "points": [[0, 0], [0, 3], [3, 0], [3, 1]], "target": 4}),
+     "chain length 3 of target 3 (guaranteed: True)\n"
+     "lambdas: ['3/2', '3/2']\n",
+     {"indices": [0, 3, 12], "lambdas": ["3/2", "3/2"],
+      "points": [[0, 0], [0, 3], [3, 0]], "target": 3}),
 ], ids=["norm-l1", "norm-l2", "body-file"])
 def test_kdist_body_choice(flags, k, spectrum_out, chain_out, chain_blob,
                            grid_file, tmp_path, capsys):
@@ -338,7 +337,7 @@ def test_kdist_body_choice(flags, k, spectrum_out, chain_out, chain_blob,
                "--out", str(chain_file), *flags) == (
         0, chain_out + "chain verification: PASS\nchain written to %s\n"
         % chain_file, "")
-    blob = dict(chain_blob, guaranteed=False, verified=True)
+    blob = dict(chain_blob, guaranteed=True, verified=True)
     assert chain_file.read_text() == json.dumps(blob, sort_keys=True,
                                                 indent=2) + "\n"
 
@@ -354,9 +353,9 @@ def test_kdist_chain_out_takes_one_table_of_the_chain_points(
     monkeypatch.setattr(kdistance, "distance_table", counted)
     code, out, _ = run(capsys, "kdist", "chain", grid_file, "--k", "3",
                        "--out", str(tmp_path / "chain.json"))
-    assert code == 0 and "chain length 4 of target 4" in out
+    assert code == 0 and "chain length 3 of target 3" in out
     # the whole set for the spectrum and the rounds, then the chain once
-    assert sizes == [16, 4]
+    assert sizes == [16, 3]
 
 
 def test_kdist_spectrum_two_points(tmp_path, capsys):
@@ -373,6 +372,17 @@ def test_kdist_spectrum_one_point_is_an_input_error(tmp_path, capsys):
     code, out, err = run(capsys, "kdist", "spectrum", str(pts_file))
     assert code == 2
     assert err == "input error: spectra need at least two points\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("points", [[], [[0, 0]]], ids=["empty", "one"])
+def test_kdist_chain_without_a_pair_is_an_input_error(points, tmp_path,
+                                                      capsys):
+    pts_file = tmp_path / "pts.json"
+    pts_file.write_text(json.dumps({"dim": 2, "points": points}))
+    code, out, err = run(capsys, "kdist", "chain", str(pts_file), "--k", "3")
+    assert code == 2
+    assert err.startswith("input error: ") and err.count("\n") == 1, err
     assert out == ""
 
 

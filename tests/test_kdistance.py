@@ -8,7 +8,8 @@ import pytest
 from minkarr import (UNDEFINED, BallBody, PointSet, chain_bound_floor,
                      chain_to_arrangement, chain_to_json,
                      find_chain_violation, greedy_chain, grid_set,
-                     is_k_distance, is_pairwise_intersecting,
+                     guaranteed_length, is_k_distance,
+                     is_pairwise_intersecting,
                      kdistance_threshold, linf_ball,
                      pointset_from_json, pointset_to_json, spectrum,
                      verify_chain)
@@ -115,6 +116,57 @@ def test_greedy_chain_flags_no_guarantee():
     assert not chain.guaranteed
     assert verify_chain(LINF, chain)
     assert len(chain) <= 5
+
+
+def test_guaranteed_length_against_brute_force():
+    # the definition read off directly: the largest t <= n with
+    # k^(t-1) <= n; for k >= 2 it never exceeds 13 when n <= 5000
+    for k in range(2, 11):
+        for n in range(5001):
+            want = max((t for t in range(1, min(n, 13) + 1)
+                        if k ** (t - 1) <= n), default=0)
+            assert guaranteed_length(n, k) == want, (n, k)
+    assert [guaranteed_length(n, 1) for n in range(6)] == [0, 1, 2, 3, 4, 5]
+    # exact powers, where a floating logarithm falls just short
+    assert math.log(243, 3) < 5
+    assert guaranteed_length(243, 3) == 6
+    assert guaranteed_length(1000, 10) == 4
+    with pytest.raises(ValueError):
+        guaranteed_length(5, 0)
+
+
+def test_greedy_chain_one_distance_guarantees_n_points():
+    # an equilateral triple under the max norm: the whole set is the chain
+    pts = PointSet(2, (Vector((0, 0)), Vector((1, 0)), Vector((0, 1))))
+    assert greedy_chain(LINF, pts, 1, 3).guaranteed
+    chain = greedy_chain(LINF, pts, 1, 4)
+    assert len(chain) == 3
+    assert not chain.guaranteed
+
+
+def test_greedy_chain_keys_float_classes_by_the_spectrum():
+    # from the head, 1 + 0.6e-9 comes first: 1.0 and 1 + 0.6e-9 share a
+    # spectrum class (anchor 1.0), and 1 + 1.2e-9 starts its own
+    pts = PointSet(2, (Vector((0.0, 0.0)), Vector((1 + 0.6e-9, 0.0)),
+                       Vector((0.0, 1 + 1.2e-9)), Vector((-1.0, 0.0))))
+    spec = spectrum(LINF, pts)
+    assert spec.distances == (1.0, 1 + 1.2e-9, 2 + 0.6e-9)
+    for target in (2, 3):
+        chain = greedy_chain(LINF, pts, 3, target)
+        assert set(chain.lambdas) <= set(spec.distances)
+        assert verify_chain(LINF, chain)
+    assert greedy_chain(LINF, pts, 3, 2).indices == (0, 1)
+
+
+def test_greedy_chain_keys_mixed_distances_by_the_float_spectrum():
+    # one exact distance, 1/10, lies just below its float spectrum entry
+    pts = PointSet(2, (Vector((0, 0)), Vector((F(1, 10), 0)),
+                       Vector((0.7, 0.0))))
+    spec = spectrum(LINF, pts)
+    assert spec.distances == (0.1, 0.6, 0.7) and F(1, 10) < 0.1
+    chain = greedy_chain(LINF, pts, 3, 3)
+    assert chain.lambdas == (0.1,)
+    assert verify_chain(LINF, chain)
 
 
 def test_greedy_chain_rejects_non_kdistance():

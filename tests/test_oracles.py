@@ -564,16 +564,18 @@ def test_integer_gauge_kernel_against_facet_loop():
 
 
 class FullPass:
-    """Search state that decides every move by the full predicate pass over
-    the candidate member list: the route the cached gauges replaced.  It
-    keeps no gauges, so a drop only counts."""
+    """Search state that decides every rescaling by the full predicate pass
+    over the candidate member list, the route the cached gauges replaced,
+    and asserts that the full pass accepts every insertion.  It keeps no
+    gauges, so a drop only counts."""
 
-    def __init__(self, body):
+    def __init__(self, body, members):
         self.body = body
+        self.members = members  # the loop's list, the new member appended
         self.drops = 0
 
-    def insert(self, members, ratios, new, col):
-        return _feasible(self.body, members + [new])
+    def insert(self, col):
+        assert _feasible(self.body, self.members)
 
     def rescale(self, members, ratios, idx, ratio):
         candidate = list(members)
@@ -587,9 +589,13 @@ class FullPass:
 def full_pass_search(body, dim, config, warm_start=None):
     """The search loop run with FullPass: the same moves and rng stream.
     Returns the result and the number of drops."""
-    state = FullPass(body)
-    arr = _search(body, dim, config, warm_start, lambda *_: state)
-    return arr, state.drops
+    states = []
+
+    def make_state(body, members):
+        states.append(FullPass(body, members))
+        return states[0]
+    arr = _search(body, dim, config, warm_start, make_state)
+    return arr, states[0].drops
 
 
 class SkewGauge:
