@@ -283,9 +283,10 @@ class _GaugeCache:
             grow.append(g)
         self.g.append(list(col) + [0])
 
-    def rescale(self, members: Sequence[Homothet], ratios: Sequence[Scalar],
-                idx: int, ratio: Scalar) -> bool:
-        return _member_feasible(self.g[idx], ratios, idx, ratio)
+    def rescale(self, members: Sequence[Homothet], idx: int,
+                ratio: Scalar) -> bool:
+        return _member_feasible(self.g[idx], [h.ratio for h in members],
+                                idx, ratio)
 
     def drop(self, k: int) -> None:
         del self.g[k]
@@ -353,8 +354,7 @@ def _search(body: SymmetricBody, dim: int, cfg: SearchConfig,
             idx = rng.randrange(len(members))
             step = RATIO_STEPS[rng.randrange(len(RATIO_STEPS))]
             ratio = members[idx].ratio * step
-            ratios = [h.ratio for h in members]
-            if state.rescale(members, ratios, idx, ratio):
+            if state.rescale(members, idx, ratio):
                 members[idx] = Homothet(members[idx].center, ratio)
             stagnation += 1
             if stagnation >= STAGNATION_LIMIT and len(members) > 1:

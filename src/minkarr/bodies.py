@@ -3,17 +3,17 @@
 A body is the unit ball of the norm it induces: the gauge of x is the least
 lambda >= 0 with x in lambda*K, a norm; ``distance_table`` takes it once
 per pair of points for the predicates, the search, the generators and the
-chains.  The shadow and the lift read the boundary frame toward u != 0, the
-gauge-1 point r = u/gauge(u) with a supporting hyperplane of K at r, which
-each body answers in one pass.  Three variants are supported:
+chains.  The shadow and the lift read the boundary frame toward u != 0: the
+gauge-1 point r = u/gauge(u) and a supporting plane a.z = 1 of K at r, which
+every body answers in one pass, in every dimension.  Three variants:
 
 * ``HPolytopeBody`` -- intersection of halfspaces a.x <= 1 (facets are stored
   in offset-1 canonical form), central symmetry means the facet list is
   closed under normal negation; with exact facets the gauge of an exact
   vector is one integer pass (see ``HPolytopeBody.gauge``);
 * ``VPolytopeBody`` -- convex hull of a vertex list closed under negation;
-  up to dimension 3 it answers through its facet form, beyond that the
-  gauge is the polar LP and the frame is not available;
+  up to dimension 3 it answers through its facet form, beyond that through
+  the polar LP, whose maximiser is the supporting plane;
 * ``BallBody`` -- the Euclidean unit ball (floating mode).
 
 All bodies are immutable after construction and safe to share between
@@ -44,9 +44,9 @@ class SymmetricBody:
     def gauge(self, x: Vector) -> Scalar:
         raise NotImplementedError
 
-    def boundary_frame(self, u: Vector) -> Tuple[Vector, Vector, Scalar]:
-        """(r, a, c): r = u/gauge(u) on the boundary toward u != 0, and a
-        supporting hyperplane a.z = c of the body at r."""
+    def boundary_frame(self, u: Vector) -> Tuple[Vector, Vector]:
+        """(r, a): r = u/gauge(u) on the boundary toward u != 0 and a plane
+        a.z = 1 supporting the body at r: a.r = 1 and a.z <= 1 on the body."""
         raise NotImplementedError
 
     def _check_dim(self, x: Vector) -> None:
@@ -69,9 +69,8 @@ def distance_table(body: SymmetricBody,
     return table
 
 
-def _to_boundary(body: SymmetricBody, u: Vector) -> Vector:
-    """u scaled to gauge 1."""
-    g = body.gauge(u)
+def _to_boundary(u: Vector, g: Scalar) -> Vector:
+    """u scaled by its gauge g to gauge 1."""
     if scalars.eq(g, 0):
         raise ValueError("a boundary frame needs a nonzero direction")
     return u / g
@@ -143,9 +142,9 @@ class HPolytopeBody(SymmetricBody):
                 best = v
         return best if scalars.gt(best, 0) else 0
 
-    def boundary_frame(self, u: Vector) -> Tuple[Vector, Vector, Scalar]:
+    def boundary_frame(self, u: Vector) -> Tuple[Vector, Vector]:
         """r = u/gauge(u) and the lexicographically least facet active at r
-        (a vertex tie breaks the same way every run), offset 1.  Exact facets
+        (a vertex tie breaks the same way every run).  Exact facets
         and u = p/q take one integer pass: r is p*D/top and the active facets
         are the rows whose dot with p is top.  A float computes the gauge once
         and takes the facets with a.r == 1 within the run's tolerance."""
@@ -156,11 +155,11 @@ class HPolytopeBody(SymmetricBody):
             top = max(dots)
             best = min((a for a, t in zip(self.facets, dots) if t == top),
                        key=lambda a: a.coords)
-            return Vector(Fraction(c * self._den, top) for c in form[0]), best, 1
-        r_vec = _to_boundary(self, u)
+            return Vector(Fraction(c * self._den, top) for c in form[0]), best
+        r_vec = _to_boundary(u, self.gauge(u))
         best = min((a for a in self.facets if scalars.eq(a.dot(r_vec), 1)),
                    key=lambda a: a.coords)
-        return r_vec, best, 1
+        return r_vec, best
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "type": "hpoly",
@@ -174,8 +173,8 @@ class HPolytopeBody(SymmetricBody):
 class VPolytopeBody(SymmetricBody):
     """Symmetric polytope given as the hull of a vertex list.
 
-    The gauge is the solution of a small linear program over the polar body;
-    in dimension <= 3 a facet form is precomputed from the exact hull and
+    The gauge is a small linear program over the polar body, whose maximiser
+    supports the body; in dimension <= 3 a facet form from the exact hull is
     used instead (the two routes agree, see the test suite).
     """
 
@@ -212,24 +211,28 @@ class VPolytopeBody(SymmetricBody):
             raise BodyError("vertex hull is lower-dimensional")
         return HPolytopeBody(self.dim, h.facets)
 
-    def gauge_lp(self, x: Vector) -> Scalar:
-        """Gauge via the polar-body linear program max x.a s.t. a.v <= 1."""
+    def _polar_lp(self, x: Vector) -> Tuple[Scalar, List[Scalar]]:
+        """max x.a s.t. a.v <= 1: the gauge of x and a maximiser a."""
         self._check_dim(x)
-        value, _ = lp.simplex_max(list(x.coords),
-                                  [v.coords for v in self.vertices],
-                                  [1] * len(self.vertices))
-        return value
+        return lp.simplex_max(list(x.coords),
+                              [v.coords for v in self.vertices],
+                              [1] * len(self.vertices))
+
+    def gauge_lp(self, x: Vector) -> Scalar:
+        """Gauge via the polar-body linear program."""
+        return self._polar_lp(x)[0]
 
     def gauge(self, x: Vector) -> Scalar:
         if self._hform is not None:
             return self._hform.gauge(x)
         return self.gauge_lp(x)
 
-    def boundary_frame(self, u: Vector) -> Tuple[Vector, Vector, Scalar]:
-        if self._hform is None:
-            raise NotImplementedError("supporting hyperplanes need the facet "
-                                      "form, unavailable beyond dimension 3")
-        return self._hform.boundary_frame(u)
+    def boundary_frame(self, u: Vector) -> Tuple[Vector, Vector]:
+        """The facet form's frame up to dimension 3, else the polar LP's."""
+        if self._hform is not None:
+            return self._hform.boundary_frame(u)
+        g, a = self._polar_lp(u)
+        return _to_boundary(u, g), Vector(a)
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "type": "vpoly",
@@ -252,10 +255,10 @@ class BallBody(SymmetricBody):
         self._check_dim(x)
         return math.sqrt(float(x.norm_sq()))
 
-    def boundary_frame(self, u: Vector) -> Tuple[Vector, Vector, Scalar]:
-        """r = u/|u|, whose supporting hyperplane is r.z = 1 (in floats)."""
-        r_vec = _to_boundary(self, u)
-        return r_vec, Vector(float(c) for c in r_vec.coords), 1
+    def boundary_frame(self, u: Vector) -> Tuple[Vector, Vector]:
+        """r = u/|u|, whose supporting plane is r.z = 1 (in floats)."""
+        r_vec = _to_boundary(u, self.gauge(u))
+        return r_vec, Vector(float(c) for c in r_vec.coords)
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "type": "ball"}

@@ -147,8 +147,6 @@ def cmd_lift(args) -> int:
         frame = build_frame(arr, i, j)
         sd = shadow(arr, frame)
         diag = pair_diagnostics(arr, frame, sd)
-    except NotImplementedError as exc:  # no frame beyond dimension 3 (Limits)
-        raise InputError(exc) from exc
     except ValueError as exc:
         _banner(args)
         print("construction failed: %s" % exc, file=sys.stderr)

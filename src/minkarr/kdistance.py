@@ -211,10 +211,10 @@ def greedy_chain(body: SymmetricBody, pts: PointSet, k: int,
     run is best-effort and flagged accordingly, and it stops early if the
     pool empties.
     """
-    if target < 1:
-        raise ValueError("target must be positive")
     table = distance_table(body, pts.points)
     anchors = _spectrum(table).distances
+    if target < 1:
+        raise ValueError("target must be positive")
     as_anchor = type(anchors[0])  # the spectrum's scalar: Fraction or float
     if len(anchors) > k:
         raise ValueError("the point set realizes more than %d distances" % k)

@@ -3,7 +3,7 @@
 Geometry of the construction, for a fixed pair (i, j) of homothets in R^d:
 
 * the frame carries the boundary direction r (gauge-1 point toward the other
-  center) and a supporting hyperplane a.z = c of the unit body at r;
+  center) and a supporting plane a.z = 1 of the unit body at r, so a.r = 1;
 * projecting every member along that hyperplane's direction space onto the
   line through v_i with direction r turns each homothet into the interval
   [alpha_k - lam_k, alpha_k + lam_k] in r-units (the shadow), and pairwise
@@ -15,11 +15,11 @@ Geometry of the construction, for a fixed pair (i, j) of homothets in R^d:
   contains every y_k.
 
 The slab planes have a closed form: the shared normal is
-N = (a, -a.v_i - x*c) and the outer planes are N.y = -c and N.y = +c.
-Because a.(v_k - v_i) = alpha_k * c, every lifted point satisfies
-N.y_k = c*(alpha_k - x)/lam_k, so y_k lies in the slab exactly when x lies in
+N = (a, -a.v_i - x) and the outer planes are N.y = -1 and N.y = +1.
+Because a.(v_k - v_i) = alpha_k, every lifted point satisfies
+N.y_k = (alpha_k - x)/lam_k, so y_k lies in the slab exactly when x lies in
 shadow interval k.  The labeling convention is that k_ij is the outer plane
-on the i side (offset -c before orientation) and the normal is oriented so
+on the i side (offset -1 before orientation) and the normal is oriented so
 that N.y_i <= N.y_j.
 
 Exact input runs on integer forms, each derived once and handed on.  The
@@ -53,8 +53,7 @@ class ProjectionFrame:
     i: int
     j: int
     r_vec: Vector          # gauge-1 point of K toward v_j - v_i
-    f_normal: Vector       # supporting hyperplane of K at r_vec
-    f_offset: Scalar       # its offset: f_normal . r_vec = f_offset > 0
+    f_normal: Vector       # supporting plane f_normal . z = 1 of K at r_vec
 
 
 @dataclass(frozen=True)
@@ -104,14 +103,12 @@ def shadow(arr: Arrangement, frame: ProjectionFrame) -> ShadowData:
     end); shadow_with_x moves it to any other point of it.
     """
     a, d, i, j = frame.f_normal, frame.f_normal.dim, frame.i, frame.j
-    form = arr.form and int_form(a.coords + frame.r_vec.coords)
-    if form:  # (a, r) = (A, R)/f: alpha_k = (A.P_k - A.P_i)*f/(q*A.R)
+    form = arr.form and int_form(a.coords)
+    if form:  # a = A/f and a.r = 1: alpha_k = (A.P_k - A.P_i)/(f*q)
         (z, f), (rows, q) = form, arr.form
-        t = [_dot(z[:d], row) for row in rows]
-        t_r = _dot(z[:d], z[d:])
-        e, f = abs(t_r), (f if t_r > 0 else -f)
-        alphas = [(t_k - t[i]) * f for t_k in t]      # all over q*e
-        lams = [row[d] * e for row in rows]
+        t = [_dot(z, row) for row in rows]
+        alphas = [t_k - t[i] for t_k in t]      # all over f*q
+        lams = [row[d] * f for row in rows]
     else:
         vi, denom = arr.members[i].center, a.dot(frame.r_vec)
         alphas = [div(a.dot(h.center - vi), denom) for h in arr.members]
@@ -122,7 +119,7 @@ def shadow(arr: Arrangement, frame: ProjectionFrame) -> ShadowData:
     if scalars.gt(lows[lo_idx], highs[hi_idx]):
         raise ShadowIntersectionError((lo_idx, hi_idx))
     if form:
-        alphas, lows, highs = ([Fraction(v, q * e) for v in values]
+        alphas, lows, highs = ([Fraction(v, f * q) for v in values]
                                for values in (alphas, lows, highs))
     lo, hi = lows[lo_idx], highs[hi_idx]
     x_coord = div(lo + hi, 2)
@@ -205,11 +202,11 @@ def unlift(y: Vector) -> Tuple[Vector, Scalar]:
 class SlabPair:
     """Parallel-plane data of one pair in the lifted space (dim d+1).
 
-    The normal is the closed form (a, -a.v_i - x*c) of the module docstring,
-    possibly negated, at the scale of the supporting-plane offset c rather
-    than unit Euclidean length; every check performed on a slab is a ratio of
-    offsets along the same normal, which is scale-invariant.  Orientation
-    satisfies normal . y_i <= normal . y_j.
+    The normal is the closed form (a, -a.v_i - x) of the module docstring,
+    possibly negated, at the scale of the offset-1 supporting plane (outer
+    offsets -1 and +1) rather than unit Euclidean length; every check
+    performed on a slab is a ratio of offsets along the same normal, which
+    is scale-invariant.  Orientation satisfies normal . y_i <= normal . y_j.
     """
     i: int
     j: int
@@ -232,30 +229,30 @@ def slab_pair(arr: Arrangement, frame: ProjectionFrame,
               sd: ShadowData) -> SlabPair:
     """Build the parallel plane pair of the pair (i, j) from its shadow.
 
-    For supporting data (a, c) at r and common point x the normal is
-    N = (a, -a.v_i - x*c) with outer offsets -c (i side) and +c (j side).
-    N.y_k = c*(alpha_k - x)/lam_k for every member k, so the slab contains
+    For the supporting plane a.z = 1 at r and common point x the normal is
+    N = (a, -a.v_i - x) with outer offsets -1 (i side) and +1 (j side).
+    N.y_k = (alpha_k - x)/lam_k for every member k, so the slab contains
     y_k exactly when x lies in shadow interval k.  The inner planes pass
     through y_i and y_j; they coincide exactly when the width ratio's
     denominator vanishes, and then no slab pair exists.
     """
-    a, c, i, j = frame.f_normal, frame.f_offset, frame.i, frame.j
-    form = arr.form and int_form(a.coords + (c, sd.x_coord))
+    a, i, j = frame.f_normal, frame.i, frame.j
+    form = arr.form and int_form(a.coords + (sd.x_coord,))
     plane = None
-    if form:  # (a, c, x) = (A, C, X)/f: N = (A*f*q, -A.P_i*f - X*C*q)/f^2q
+    if form:  # (a, x) = (A, X)/f: N = (A*q, -A.P_i - X*q)/(f*q)
         (coef, f), (rows, q), d = form, arr.form, a.dim
-        m = [v * f * q for v in coef[:d]]
-        m.append(-_dot(coef[:d], rows[i]) * f - coef[d] * coef[d + 1] * q)
-        den, s_i, s_j = f * f * q, rows[i][d], rows[j][d]
+        m = [v * q for v in coef[:d]]
+        m.append(-_dot(coef[:d], rows[i]) - coef[d] * q)
+        den, s_i, s_j = f * q, rows[i][d], rows[j][d]
         n_i, n_j = (_dot(m[:d], rows[k]) + m[d] * q for k in (i, j))  # M.Y
         normal = a.extended(Fraction(m[-1], den))
         c_g_ij, c_g_ji = Fraction(n_i, den * s_i), Fraction(n_j, den * s_j)
         gi, gj, s = n_i * s_j, n_j * s_i, s_i * s_j   # over den*s
         flip, flat = gi > gj, gi == gj
-        sg, k = -1 if flip else 1, coef[d] * f * q * s
+        sg, k = -1 if flip else 1, den * s
         plane = ([sg * v * s for v in m], -sg * k, sg * k, sg * gi, sg * gj)
     else:
-        normal = a.extended(-a.dot(arr.members[i].center) - sd.x_coord * c)
+        normal = a.extended(-a.dot(arr.members[i].center) - sd.x_coord)
         c_g_ij, c_g_ji = (normal.dot(_lift_point(h.center, h.ratio))
                           for h in (arr.members[i], arr.members[j]))
         flip, flat = scalars.gt(c_g_ij, c_g_ji), scalars.eq(c_g_ij, c_g_ji)
@@ -263,7 +260,8 @@ def slab_pair(arr: Arrangement, frame: ProjectionFrame,
         raise DegenerateWedgeError("projected pair lies on one hyperplane; "
                                    "the inner planes coincide")
     if flip:
-        normal, c, c_g_ij, c_g_ji = -normal, -c, -c_g_ij, -c_g_ji
+        normal, c_g_ij, c_g_ji = -normal, -c_g_ij, -c_g_ji
+    c = -1 if flip else 1
     return SlabPair(i, j, normal, -c, c, c_g_ij, c_g_ji, plane)
 
 
@@ -420,7 +418,7 @@ def pair_diagnostics(arr: Arrangement, frame: ProjectionFrame,
         "pair": [frame.i, frame.j],
         "frame": {"r_vec": [fmt(c) for c in frame.r_vec],
                   "f_normal": [fmt(c) for c in frame.f_normal],
-                  "f_offset": fmt(frame.f_offset)},
+                  "f_offset": 1},
         "alphas": [fmt(a) for a in sd.alphas],
         "intervals": [[fmt(lo), fmt(hi)] for lo, hi in sd.intervals],
         "x": fmt(sd.x_coord),

@@ -209,8 +209,7 @@ TRIO = [H((0, 0), 1), H((F(3, 2), 0), 1), H((0, F(3, 2)), 1)]
 
 def member_check(members, idx, ratio):
     """The cached-gauge decision for member idx taking the given ratio."""
-    return _GaugeCache(SQUARE, members).rescale(
-        members, [h.ratio for h in members], idx, ratio)
+    return _GaugeCache(SQUARE, members).rescale(members, idx, ratio)
 
 
 def full_check(members, idx, ratio):
@@ -287,14 +286,12 @@ def test_one_gauge_per_pair_of_centers(monkeypatch):
     assert lifted_packing_pipeline(cube_arrangement(2)).verdict
     assert len(calls) == 36
     cache = _GaugeCache(SQUARE, TRIO)
-    ratios = [h.ratio for h in TRIO]
     calls.clear()
     center = Vector((F(3, 2), F(3, 2)))
     found = _feasible_ratio(SQUARE, TRIO, center, random.Random(0))
     assert len(calls) == len(TRIO)
     cache.insert(found[1])
-    assert cache.rescale(TRIO + [Homothet(center, found[0])],
-                         ratios + [found[0]], 0, F(6, 5))
+    assert cache.rescale(TRIO + [Homothet(center, found[0])], 0, F(6, 5))
     assert len(calls) == len(TRIO)
 
 

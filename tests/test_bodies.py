@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -41,17 +42,16 @@ def test_boundary_point_known_values():
 
 
 def test_supporting_hyperplane_facet_and_vertex():
-    _, normal, offset = SQUARE.boundary_frame(Vector((1, F(1, 2))))
-    assert (normal, offset) == (Vector((1, 0)), 1)
+    _, normal = SQUARE.boundary_frame(Vector((1, F(1, 2))))
+    assert normal == Vector((1, 0))
     # at the corner both facets are admissible; the lexicographically
     # smaller normal wins, for exact and for float directions
     for corner in (Vector((1, 1)), Vector((1.0, 1.0)), Vector((2.5, 2.5))):
-        r_vec, normal, offset = SQUARE.boundary_frame(corner)
+        r_vec, normal = SQUARE.boundary_frame(corner)
         assert r_vec == Vector((1, 1))
-        assert (normal, offset) == (Vector((0, 1)), 1)
-    _, normal, offset = BALL.boundary_frame(Vector((0.6, 0.8)))
+        assert normal == Vector((0, 1))
+    _, normal = BALL.boundary_frame(Vector((0.6, 0.8)))
     assert normal.as_floats() == pytest.approx((0.6, 0.8))
-    assert offset == 1
     # a direction off the boundary is scaled onto it first
     assert SQUARE.boundary_frame(Vector((2, 0))) == \
         SQUARE.boundary_frame(Vector((1, 0)))
@@ -94,11 +94,11 @@ def test_supporting_hyperplane_certificate():
         u = Vector((F(rng.randint(-8, 8), 3), F(rng.randint(-8, 8), 3)))
         if u.is_zero():
             continue
-        p, normal, offset = hexa.boundary_frame(u)
+        p, normal = hexa.boundary_frame(u)
         assert hexa.gauge(p) == 1
-        assert normal.dot(p) == offset
+        assert normal.dot(p) == 1
         for v in hexa.vertices:
-            assert normal.dot(v) <= offset
+            assert normal.dot(v) <= 1
 
 
 def test_vpolytope_gauge_routes_agree():
@@ -156,17 +156,50 @@ def test_dimension_mismatch():
         SQUARE.gauge(Vector((1, 2, 3)))
 
 
-def test_facet_enumeration_out_of_scope_beyond_3d():
-    verts = []
-    for i in range(4):
-        e = [0] * 4
-        e[i] = 1
-        verts.append(Vector(e))
-        verts.append(Vector([-c for c in e]))
-    cross4 = VPolytopeBody(4, tuple(verts))
-    # the polar LP still answers the gauge in any dimension
+def cross_vpoly(dim):
+    """The cross-polytope as a vertex list, +-e_i."""
+    return VPolytopeBody(dim, tuple(Vector([s if k == i else 0
+                                            for k in range(dim)])
+                                    for i in range(dim) for s in (1, -1)))
+
+
+def test_polar_lp_frames_beyond_3d_without_facet_enumeration():
+    cross4 = cross_vpoly(4)
+    # the polar LP answers the gauge and the frame in any dimension
     assert cross4.gauge(Vector((1, 1, 0, 0))) == 2
     with pytest.raises(NotImplementedError):
         cross4.as_hpolytope()
-    with pytest.raises(NotImplementedError):
-        cross4.boundary_frame(Vector((1, 0, 0, 0)))
+    r_vec, normal = cross4.boundary_frame(Vector((2, 0, 0, 0)))
+    assert r_vec == Vector((1, 0, 0, 0))
+    assert normal.dot(r_vec) == 1
+    assert all(normal.dot(v) <= 1 for v in cross4.vertices)
+    for body in (cross4, SQUARE):
+        with pytest.raises(ValueError):
+            body.boundary_frame(Vector((0,) * body.dim))
+
+
+def test_frame_contract_on_every_body():
+    # (r, a) with a.r == 1 and gauge(r) == 1 exactly, a.v <= 1 on every
+    # vertex v of the body, and the same frame on a repeated call; random
+    # directions, and two vertices, where several planes support the body
+    rng = random.Random(16)
+    cases = [(linf_ball(d), [Vector(s) for s in product((1, -1), repeat=d)])
+             for d in range(1, 5)]
+    cases += [(l1_ball(d), cross_vpoly(d).vertices) for d in range(1, 5)]
+    cases += [(hexa, hexa.vertices) for hexa in
+              (random_symmetric_hexagon(rng) for _ in range(6))]
+    cases += [(cross, cross.vertices) for cross in map(cross_vpoly, (4, 5))]
+    checked = 0
+    for body, vertices in cases:
+        directions = [Vector(F(rng.randint(-9, 9), rng.randint(1, 4))
+                             for _ in range(body.dim)) for _ in range(12)]
+        for u in directions + [v * 3 for v in vertices[:2]]:
+            if u.is_zero():
+                continue
+            r_vec, normal = frame = body.boundary_frame(u)
+            assert normal.dot(r_vec) == 1 and body.gauge(r_vec) == 1
+            assert r_vec * body.gauge(u) == u
+            assert all(normal.dot(v) <= 1 for v in vertices)
+            assert body.boundary_frame(u) == frame
+            checked += 1
+    assert checked > 200

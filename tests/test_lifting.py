@@ -12,6 +12,7 @@ from minkarr import (Arrangement, BallBody, DegenerateWedgeError, Homothet,
                      lift, linf_ball, pair_diagnostics, ratio, shadow,
                      shadow_with_x, slab_pair, trapezoid_combine, unlift,
                      verify_ratio_identity, verify_slab)
+from minkarr.bodies import VPolytopeBody, l1_ball
 from minkarr.instances import (corpus_body, random_intersecting_arrangement,
                                random_minkowski_arrangement)
 from minkarr.linalg import Vector
@@ -48,7 +49,6 @@ def test_frame_square():
     fr = build_frame(arr, 0, 1)
     assert fr.r_vec == Vector((1, F(1, 2)))
     assert fr.f_normal == Vector((1, 0))
-    assert fr.f_offset == 1
 
 
 def test_frame_ball():
@@ -57,6 +57,28 @@ def test_frame_ball():
     fr = build_frame(arr, 0, 1)
     assert fr.r_vec.as_floats() == pytest.approx((0.6, 0.8))
     assert fr.f_normal.as_floats() == pytest.approx((0.6, 0.8))
+
+
+@pytest.mark.parametrize("dim", [4, 5])
+def test_lp_frames_lift_the_vpoly_cross_polytope(dim):
+    # origin plus the 2d vertices, ratio 1: beyond dimension 3 the vpoly
+    # frame is the polar LP's maximiser, and every pair's slab holds every
+    # lifted point with the ratio the facet form of l1_ball gives
+    vertices = [Vector([s if k == i else 0 for k in range(dim)])
+                for i in range(dim) for s in (1, -1)]
+    members = tuple(Homothet(v, 1) for v in [Vector([0] * dim)] + vertices)
+    arr = Arrangement(VPolytopeBody(dim, vertices), members)
+    facet_arr = Arrangement(l1_ball(dim), members)
+    pairs = [(i, j) for i in range(len(members))
+             for j in range(i + 1, len(members))]
+    assert len(pairs) == (2 * dim + 1) * dim
+    for i, j in pairs:
+        frame = build_frame(arr, i, j)
+        diag = pair_diagnostics(arr, frame, shadow(arr, frame))
+        assert diag["slab_contains_all"], (i, j)
+        facet_frame = build_frame(facet_arr, i, j)
+        assert diag["ratio"] == pair_diagnostics(
+            facet_arr, facet_frame, shadow(facet_arr, facet_frame))["ratio"]
 
 
 def test_frame_coincident_centers():

@@ -577,7 +577,7 @@ class FullPass:
     def insert(self, col):
         assert _feasible(self.body, self.members)
 
-    def rescale(self, members, ratios, idx, ratio):
+    def rescale(self, members, idx, ratio):
         candidate = list(members)
         candidate[idx] = Homothet(members[idx].center, ratio)
         return _feasible(self.body, candidate)
@@ -796,11 +796,11 @@ def two_call_frame(arr, i, j):
     r_vec = diff / body.gauge(diff)
     assert scalars.eq(body.gauge(r_vec), 1)
     if isinstance(body, BallBody):
-        return ProjectionFrame(i, j, r_vec, Vector(map(float, r_vec)), 1)
+        return ProjectionFrame(i, j, r_vec, Vector(map(float, r_vec)))
     facets = getattr(body, "_hform", body).facets
     f_normal = min((a for a in facets if scalars.eq(a.dot(r_vec), 1)),
                    key=lambda a: a.coords)
-    return ProjectionFrame(i, j, r_vec, f_normal, 1)
+    return ProjectionFrame(i, j, r_vec, f_normal)
 
 
 def _key(v):
@@ -840,7 +840,7 @@ def fraction_ratio(lam_i, lam_j, u_i, u_j):
 
 
 def fraction_slab_pair(arr, frame, sd):
-    a, c = frame.f_normal, frame.f_offset
+    a, c = frame.f_normal, 1
     vi = arr.members[frame.i].center
     normal = a.extended(-a.dot(vi) - sd.x_coord * c)
     c_k_ij, c_k_ji = -c, c
