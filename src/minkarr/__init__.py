@@ -31,11 +31,11 @@ from .lifting import (DegenerateWedgeError, LiftedConfig, ProjectionFrame,
                       lift, pair_diagnostics, ratio, shadow, shadow_with_x,
                       slab_pair, trapezoid_combine, unlift,
                       verify_ratio_identity, verify_slab)
-from .linalg import Vector
+from .linalg import Vector, affine_rank
 from .packing import (PackingCertificate, SlabFamily, certificate_to_json,
                       family_from_arrangement, lifted_packing_pipeline,
                       slab_packing_check)
-from .polytopes import ConvexPolytope, LowerDimensional, hull, volume
+from .polytopes import ConvexPolytope, hull, volume
 from .scalars import (Scalar, format_scalar, parse_scalar, set_tolerance,
                       tolerance)
 

@@ -205,11 +205,8 @@ class VPolytopeBody(SymmetricBody):
         if self.dim > 3:
             raise NotImplementedError("facet enumeration is out of scope "
                                       "beyond dimension 3")
-        from .polytopes import hull, LowerDimensional
-        h = hull(list(self.vertices))
-        if isinstance(h, LowerDimensional):  # excluded by the rank check
-            raise BodyError("vertex hull is lower-dimensional")
-        return HPolytopeBody(self.dim, h.facets)
+        from .polytopes import hull
+        return HPolytopeBody(self.dim, hull(list(self.vertices)).facets)
 
     def _polar_lp(self, x: Vector) -> Tuple[Scalar, List[Scalar]]:
         """max x.a s.t. a.v <= 1: the gauge of x and a maximiser a."""

@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Subcommands: ``verify`` (arrangement predicates plus, in the plane, the full
-lifted packing certificate), ``lift`` (per-pair shadow diagnostics, slab
+Subcommands: ``verify`` (arrangement predicates plus, in dimension <= 2, the
+full lifted packing certificate), ``lift`` (per-pair shadow diagnostics, slab
 verification, optional SVG), ``search`` (seeded local search for large
 arrangements), ``kdist`` (spectra, grids, greedy chains).
 
@@ -93,9 +93,9 @@ def _banner(args) -> None:
 def cmd_verify(args) -> int:
     arr = _load_arrangement(args)
     _banner(args)
-    # in the plane the pipeline's first two stages are the two predicates,
-    # so each runs once; one the pipeline did not reach runs here
-    cert = lifted_packing_pipeline(arr) if arr.dim == 2 else None
+    # in dimension <= 2 the pipeline's first two stages are the two
+    # predicates, so each runs once; one the pipeline did not reach runs here
+    cert = lifted_packing_pipeline(arr) if arr.dim <= 2 else None
     passed = {s.name: s.passed for s in cert.stages} if cert else {}
     checks = {}
     for key, stage, label, find in (
@@ -125,7 +125,7 @@ def cmd_verify(args) -> int:
                   % (cert.failed_stage, where))
             failed = True
     elif cert is None:
-        print("lifted-packing-certificate: SKIP (needs a planar arrangement)")
+        print("lifted-packing-certificate: SKIP (needs dimension <= 2)")
 
     if args.certificate:
         payload = {"checks": checks,
@@ -255,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the arrangement predicates and, "
-                                      "for planar input, the packing certificate")
+                                      "in dimension <= 2, the packing "
+                                      "certificate")
     p.add_argument("arrangement", help="arrangement JSON file")
     p.add_argument("--certificate", help="write the full certificate JSON here")
     p.set_defaults(func=cmd_verify)

@@ -28,7 +28,7 @@ from .arrangement import (Arrangement, Homothet, find_intersection_violation,
 from .bodies import (SymmetricBody, VPolytopeBody, distance_table, l1_ball,
                      linf_ball)
 from .lifting import lift
-from .linalg import Vector, matrix_rank
+from .linalg import Vector, affine_rank
 
 
 def random_symmetric_hexagon(rng: random.Random) -> VPolytopeBody:
@@ -187,6 +187,4 @@ def random_minkowski_arrangement(rng: random.Random,
 
 
 def _spans_lifted_space(arr: Arrangement) -> bool:
-    points = lift(arr).points
-    return matrix_rank([(p - points[0]).coords
-                        for p in points[1:]]) == arr.dim + 1
+    return affine_rank(lift(arr).points) == arr.dim + 1

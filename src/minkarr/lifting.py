@@ -39,7 +39,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from . import scalars
 from .arrangement import Arrangement
@@ -265,42 +265,25 @@ def slab_pair(arr: Arrangement, frame: ProjectionFrame,
     return SlabPair(i, j, normal, -c, c, c_g_ij, c_g_ji, plane)
 
 
-def slab_offender(points: Sequence[Vector], normal: Vector,
-                  c_1: Scalar, c_2: Scalar) -> Optional[int]:
-    """Index of the first point outside the slab between normal . y = c_1
-    and normal . y = c_2, or None when the slab contains every point.
-
-    Exact containment in rational mode; in floating mode the tolerance is
-    applied to offsets normalized by the Euclidean length of the normal.
-    """
-    form = int_form(normal.coords + (c_1, c_2))
-    return _slab_offender(LiftedConfig(tuple(points)),
-                          form and (form[0][:-2], *form[0][-2:]),
-                          normal, c_1, c_2)
-
-
-def _slab_offender(lifted, plane, normal, c_1, c_2):
-    if plane and lifted.forms:
-        m, lo, hi = plane[0], min(plane[1:3]), max(plane[1:3])
-        return next((k for k, (y, w) in enumerate(lifted.forms)
-                     if not lo * w <= _dot(m, y) <= hi * w), None)
-    margin = scalars.tolerance() * math.sqrt(float(normal.norm_sq()))
-    lo, hi = min(c_1, c_2) - margin, max(c_1, c_2) + margin
-    for k, y in enumerate(lifted.points):
-        val = normal.dot(y)
-        if val < lo or val > hi:
-            return k
-    return None
-
-
 def verify_slab(lifted: LiftedConfig, slab: SlabPair) -> Tuple[bool, Optional[int]]:
     """Check that every lifted point lies between the two outer planes.
 
-    Returns (ok, offending index or None); see slab_offender for the
-    tolerance rule.
+    Returns (ok, index of the first point outside or None).  Exact
+    containment in rational mode, on the integer forms; in floating mode the
+    tolerance is applied to offsets normalized by the Euclidean length of
+    the normal.
     """
-    offender = _slab_offender(lifted, slab.plane, slab.normal,
-                              slab.c_k_ij, slab.c_k_ji)
+    if slab.plane and lifted.forms:
+        m, lo, hi = slab.plane[0], *sorted(slab.plane[1:3])
+        offender = next((k for k, (y, w) in enumerate(lifted.forms)
+                         if not lo * w <= _dot(m, y) <= hi * w), None)
+    else:
+        margin = scalars.tolerance() * math.sqrt(float(slab.normal.norm_sq()))
+        c_1, c_2 = slab.c_k_ij, slab.c_k_ji
+        lo, hi = min(c_1, c_2) - margin, max(c_1, c_2) + margin
+        offender = next((k for k, y in enumerate(lifted.points)
+                         if (val := slab.normal.dot(y)) < lo or val > hi),
+                        None)
     return offender is None, offender
 
 

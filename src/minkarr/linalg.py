@@ -1,5 +1,5 @@
-"""Vectors and small exact linear algebra: row reduction, rank, and
-coordinates of points inside their affine hull.
+"""Vectors and small exact linear algebra: row reduction, rank, the affine
+dimension of a point set, and coordinates of points inside their affine hull.
 
 Everything here is dimension-generic and works on exact scalars; the rank
 of exact rows is fraction-free integer elimination, and floating inputs
@@ -140,9 +140,13 @@ def matrix_rank(rows: Sequence[Sequence[Scalar]]) -> int:
     scaled = scalars.int_rows(rows)
     if scaled is None:
         return len(_rref([list(row) for row in rows], len(rows[0])))
-    m = scaled[0]
+    return _int_rank(scaled[0], len(rows[0]))
+
+
+def _int_rank(m: List[List[int]], ncols: int) -> int:
+    """Rank of integer rows by Bareiss elimination; reorders and rewrites m."""
     rank, prev = 0, 1
-    for c in range(len(rows[0])):
+    for c in range(ncols):
         pivot_row = next((r for r in range(rank, len(m)) if m[r][c]), None)
         if pivot_row is None:
             continue
@@ -156,6 +160,26 @@ def matrix_rank(rows: Sequence[Sequence[Scalar]]) -> int:
         if rank == len(m):
             break
     return rank
+
+
+def affine_rank(points: Sequence[Sequence[Scalar]]) -> int:
+    """Dimension of the affine hull of the points (coordinate rows or
+    Vectors); the one place an affine dimension is decided.
+
+    Exact points are scaled once to integers over one denominator, and the
+    rank is the fraction-free rank of their differences to the first point.
+    Points with a float take the tolerance rank of ``affine_coordinates``:
+    the same reduction of the difference columns, so the same pivots."""
+    if not points:
+        raise ValueError("affine rank of an empty point set")
+    scaled = scalars.int_rows(points)
+    if scaled is None:
+        origin = points[0]
+        rows = [[p[r] - origin[r] for p in points] for r in range(len(origin))]
+        return len(_rref(rows, len(points)))
+    first, *rest = scaled[0]
+    return _int_rank([[a - b for a, b in zip(r, first)] for r in rest],
+                     len(first))
 
 
 def affine_coordinates(points: Sequence[Vector]):

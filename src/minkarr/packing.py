@@ -8,13 +8,15 @@ homothetic copies of the hull shrunk by 1/(1+lam) toward each point must be
 pairwise interior-disjoint, so their exactly-equal volumes must fit inside
 the hull.
 
-``lifted_packing_pipeline`` wires this to planar arrangements: it lifts a
-pairwise intersecting Minkowski arrangement of the plane into dimension 3,
-derives every pair's slab from the shadow construction and runs the packing
-check at lam = 2, whose bound (1+2)^3 is the 3^(d+1) conclusion.
+``lifted_packing_pipeline`` wires this to arrangements on the line and in
+the plane: it lifts a pairwise intersecting Minkowski arrangement of R^d
+into dimension d + 1, derives every pair's slab from the shadow
+construction and runs the packing check at lam = 2, whose bound (1+2)^(d+1)
+is the 3^(d+1) conclusion.
 
-A point set spanning a proper affine subspace is not an error: the checker
-drops to exact coordinates inside the affine hull and certifies the stronger
+A point set spanning a proper affine subspace is not an error: its affine
+dimension m comes from ``linalg.affine_rank``, and the checker drops to exact
+coordinates inside the affine hull and certifies the stronger
 lower-dimensional bound (certificates record this as the induction branch).
 
 Each stage is the one place its check happens.  Disjointness of the shrunken
@@ -41,8 +43,8 @@ from .arrangement import (Arrangement, arrangement_size_bound,
 from .lifting import (DegenerateWedgeError, LiftedConfig, SlabPair,
                       build_frame, lift, shadow, slab_pair, verify_slab,
                       width_gaps)
-from .linalg import Vector
-from .polytopes import ConvexPolytope, LowerDimensional, hull, volume
+from .linalg import Vector, affine_coordinates, affine_rank
+from .polytopes import hull, volume
 from .scalars import Scalar, div, format_scalar
 
 
@@ -107,12 +109,13 @@ def slab_packing_check(family: SlabFamily, lam: Scalar) -> PackingCertificate:
 
     Stage order: ``slab_ratio`` (every pair's width ratio against lam),
     ``slab_containment`` (every point inside every slab, and a slab for
-    every pair), ``hull`` (with affine-hull reduction when the points are
-    degenerate), ``volume`` (the n copies of volume vol(P)/(1+lam)^m fit
-    in the hull) and ``cardinality`` (n <= (1+lam)^m).  The certificate
-    stops at the first failing stage and records the offending pair.  The
-    width ratio is the one per-pair test: a ratio at most lam says that the
-    pair's slab planes separate its two copies (module docstring).
+    every pair), ``hull`` (of the points' coordinates inside their affine
+    hull when their affine dimension m falls short), ``volume`` (the n
+    copies of volume vol(P)/(1+lam)^m fit in the hull) and ``cardinality``
+    (n <= (1+lam)^m).  The certificate stops at the first failing stage and
+    records the offending pair.  The width ratio is the one per-pair test: a
+    ratio at most lam says that the pair's slab planes separate its two
+    copies (module docstring).
     """
     n = len(family.points)
     ambient = family.points[0].dim if n else 0
@@ -156,25 +159,19 @@ def slab_packing_check(family: SlabFamily, lam: Scalar) -> PackingCertificate:
                                   "pair (%d, %d) has no slab" % (a, b), (a, b))
     cert._ok("slab_containment")
 
-    # the hull's rank test decides whether to reduce to exact coordinates
-    # inside the affine hull, which it returns with the flag
-    body_hull = hull(family.points)
-    adim = ambient
-    if isinstance(body_hull, LowerDimensional):
-        adim = body_hull.affine_dim
-    cert.affine_dim = adim
+    # the affine dimension decides whether to reduce to exact coordinates
+    # inside the affine hull
+    adim = cert.affine_dim = affine_rank(family.points)
     cert.induction_branch = adim < ambient
     cert.bound = (1 + lam) ** ambient
-    cert.bound_effective = (1 + lam) ** max(adim, 0)
+    cert.bound_effective = (1 + lam) ** adim
     if adim == 0:
         cert._ok("hull", "all points coincide; nothing to pack")
         cert._ok("cardinality", "1 <= %s" % cert.bound)
         cert.verdict = True
         return cert
-    if cert.induction_branch:
-        body_hull = hull(body_hull.coords)
-    if not isinstance(body_hull, ConvexPolytope):  # excluded by the reduction
-        raise AssertionError("affine reduction left a degenerate hull")
+    body_hull = hull(affine_coordinates(family.points)[0]
+                     if cert.induction_branch else family.points)
     cert._ok("hull", "affine dimension %d, %d hull vertices"
              % (adim, len(body_hull.vertices)))
 
@@ -210,19 +207,19 @@ def family_from_arrangement(arr: Arrangement) -> SlabFamily:
 
 
 def lifted_packing_pipeline(arr: Arrangement) -> PackingCertificate:
-    """End-to-end certificate for a planar arrangement.
+    """End-to-end certificate for an arrangement of dimension <= 2.
 
-    Requires dim 2 (the lifted points live in dimension 3, inside the exact
-    volume range).  Checks the two arrangement predicates, lifts, and runs
-    the packing check with lam = 2, whose slab_ratio stage tests every
-    pair's width ratio against 2 and whose cardinality stage concludes
-    n <= 27 = 3^(d+1) (n <= 3^m at affine dimension m < 3).  A pair whose
+    Requires d <= 2 (the lifted points live in dimension d + 1 <= 3, inside
+    the exact volume range).  Checks the two arrangement predicates, lifts,
+    and runs the packing check with lam = 2, whose slab_ratio stage tests
+    every pair's width ratio against 2 and whose cardinality stage concludes
+    n <= 3^(d+1) (n <= 3^m at affine dimension m < d + 1).  A pair whose
     inner slab planes coincide fails at the ``lifting`` stage.
     """
-    if arr.dim != 2:
-        raise ValueError("the pipeline is implemented for planar arrangements")
+    if arr.dim > 2:
+        raise ValueError("the pipeline is implemented for dimension <= 2")
     n = len(arr.members)
-    pre = PackingCertificate(lam=2, n=n, ambient_dim=3)
+    pre = PackingCertificate(lam=2, n=n, ambient_dim=arr.dim + 1)
     pre.bound = arrangement_size_bound(arr.dim)
 
     violation = find_minkowski_violation(arr)

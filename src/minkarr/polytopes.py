@@ -5,9 +5,9 @@ once to integer points over one positive common denominator q; a positive
 scale changes no sign, so the rank test, the orientation and plane sign tests
 and the volume all run on integers, and every stored facet (normal, offset)
 and vertex is still the rational one.  Float input takes the same loops with
-the run tolerance in place of zero.  Degenerate inputs are reported through
-``LowerDimensional`` rather than an exception so callers can take the
-affine-hull reduction branch.
+the run tolerance in place of zero.  The hull is of a full-dimensional set:
+a set spanning a proper affine subspace is a ``ValueError``; callers decide
+the affine dimension first with ``linalg.affine_rank``.
 
 Each incidence is decided once: a 3D facet is the set of points its plane's
 sign test puts on the plane, and the volume reads the facet's vertices from
@@ -20,19 +20,11 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 from . import scalars
-from .linalg import Vector, affine_coordinates, cross3, matrix_rank
+from .linalg import Vector, affine_rank, cross3
 from .scalars import Scalar, div
-
-
-@dataclass(frozen=True)
-class LowerDimensional:
-    """Flag returned when the input points span a proper affine subspace,
-    with the distinct points' coordinates in it (None if they coincide)."""
-    affine_dim: int
-    coords: Optional[List[Vector]] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -54,36 +46,29 @@ def _dedupe(points: Sequence[Vector]) -> List[Vector]:
     return out
 
 
-def hull(points: Sequence[Vector]) -> Union[ConvexPolytope, LowerDimensional]:
-    """Convex hull of the points, exact in rational mode.
+def hull(points: Sequence[Vector]) -> ConvexPolytope:
+    """Convex hull of full-dimensional points, exact in rational mode.
 
-    Returns LowerDimensional(r, coords) when the points' affine hull has
-    dimension r < d, in any dimension d.  For exact points the rank is the
-    fraction-free ``matrix_rank`` of the integer difference rows, and
-    ``affine_coordinates`` runs only when the rank falls short; float points
-    keep the tolerance rank of ``affine_coordinates``.  A 3D facet keeps the
-    outward (normal, offset) of the first point triple that finds it; the
-    vertices are the points on at least three facets, in input order.
+    Raises ValueError when the points' affine hull has dimension r < d; the
+    guard is ``affine_rank`` of the integer rows the sign tests run on (of
+    the points themselves for float input).  A 3D facet keeps the outward
+    (normal, offset) of the first point triple that finds it; the vertices
+    are the points on at least three facets, in input order.
     """
     pts = _dedupe(points)
     if not pts:
         raise ValueError("hull of an empty point set")
     dim = pts[0].dim
-    rows = [p.coords for p in pts]
-    scaled = scalars.int_rows(rows)
-    if scaled is None:
-        coords, basis, _ = affine_coordinates(pts)
-        if len(basis) < dim:
-            return LowerDimensional(len(basis), coords)
-        tol = scalars.tolerance()
-    else:
-        rows, tol = scaled[0], 0
-        rank = matrix_rank([[a - b for a, b in zip(r, rows[0])]
-                            for r in rows[1:]])
-        if rank < dim:
-            return LowerDimensional(rank, affine_coordinates(pts)[0])
     if dim > 3:
         raise ValueError("exact hulls are implemented for dimension <= 3")
+    rows = [p.coords for p in pts]
+    scaled = scalars.int_rows(rows)
+    rows, tol = (rows, scalars.tolerance()) if scaled is None \
+        else (scaled[0], 0)
+    rank = affine_rank(rows)
+    if rank < dim:
+        raise ValueError("hull needs points spanning dimension %d, not an "
+                         "affine %d-flat" % (dim, rank))
     if dim == 1:
         return _hull_1d(pts)
     if dim == 2:
@@ -169,9 +154,6 @@ def volume(poly: ConvexPolytope) -> Scalar:
     once.  Float vertices take the facet areas from that planar hull and sum
     (c - a.m) * area / (3*|a_k|), k that axis, so no square root is taken.
     """
-    if isinstance(poly, LowerDimensional):
-        raise ValueError("volume needs a full-dimensional polytope; the "
-                         "input spans only an affine %d-flat" % poly.affine_dim)
     if poly.dim == 1:
         return poly.vertices[1][0] - poly.vertices[0][0]
     if poly.dim > 3:

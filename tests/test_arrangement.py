@@ -113,6 +113,28 @@ def test_partition_exact_near_grid_points():
     assert partition_classes([F(1, 2) + F(1, 10 ** 15)], 3)[0].l == 2
 
 
+def test_float_partition_matches_exact_away_from_ends():
+    rng = random.Random(19)
+    for d in (2, 3, 4):
+        log_mu = math.log(2 ** (-1 / (d - 1)))
+        lams = [F(rng.randint(1, 4096), 4096) for _ in range(200)]
+        # an interval end is a value whose base-mu logarithm is an integer
+        logs = [math.log(x) / log_mu for x in lams]
+        away = [x for x, t in zip(lams, logs) if abs(t - round(t)) > 1e-6]
+        assert len(away) > 150
+        assert partition_classes([float(x) for x in away], d) \
+            == partition_classes(away, d)
+
+
+def test_float_partition_snaps_to_the_right_closed_end():
+    # 1/2 = mu^(d-1) closes its interval, for d = 2 and for d = 3
+    for d in (2, 3):
+        end = partition_classes([F(1, 2)], d)[0]
+        assert partition_classes([F(1, 2) + F(1, 10 ** 12)], d)[0] != end
+        for x in (0.5, 0.5 + 1e-12, 0.5 - 1e-12):
+            assert partition_classes([x], d)[0] == end
+
+
 def test_partition_rescales_when_needed():
     labels = partition_classes([F(4), F(2)], 2)
     # after dividing by 4 the values are 1 and 1/2

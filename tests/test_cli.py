@@ -7,7 +7,7 @@ import pytest
 from minkarr import (Homothet, Arrangement, arrangement_to_json,
                      body_to_json, cube_arrangement, grid_set, linf_ball,
                      pointset_to_json)
-from minkarr import cli, kdistance, packing
+from minkarr import cli, kdistance, packing, scalars
 from minkarr.cli import main
 from minkarr.linalg import Vector
 from minkarr.packing import lifted_packing_pipeline
@@ -78,11 +78,23 @@ def test_verify_non_planar_skips_certificate(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     code, out, _ = run(capsys, "verify", str(path), "--certificate", str(cert))
     assert code == 0
-    assert "lifted-packing-certificate: SKIP" in out
+    assert "lifted-packing-certificate: SKIP (needs dimension <= 2)\n" in out
     assert "verdict: PASS" in out
     payload = json.loads(cert.read_text())
     assert payload["certificate"] is None
     assert payload["checks"] == {"minkowski": True, "intersecting": True}
+
+
+def test_verify_certifies_on_the_line(tmp_path, capsys):
+    path = tmp_path / "cube1.json"
+    path.write_text(json.dumps(arrangement_to_json(cube_arrangement(1))))
+    cert = tmp_path / "cert.json"
+    code, out, _ = run(capsys, "verify", str(path), "--certificate", str(cert))
+    assert code == 0
+    assert "lifted-packing-certificate: PASS  3 <= 9\n" in out
+    payload = json.loads(cert.read_text())["certificate"]
+    assert (payload["ambient_dim"], payload["affine_dim"]) == (2, 1)
+    assert payload["verdict"] == "pass"
 
 
 def test_verify_failing_certificate_exit_1(cube_file, capsys, monkeypatch):
@@ -219,6 +231,23 @@ def test_lift_pair_out_of_range(cube_file, capsys):
     code, _, err = run(capsys, "lift", cube_file, "--pair", "0", "99")
     assert code == 2
     assert "out of range" in err
+
+
+@pytest.mark.parametrize("centers,message", [
+    ((0, 0), "coincident centers: members 0 and 1"),
+    ((0, 5), "shadow intervals of members 1 and 0 are disjoint; the family "
+             "is not pairwise intersecting"),
+], ids=["coincident", "disjoint"])
+def test_lift_construction_failure_exit_1(tmp_path, capsys, centers,
+                                          message):
+    arr = Arrangement(linf_ball(1), tuple(Homothet(Vector((c,)), 1)
+                                          for c in centers))
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(arrangement_to_json(arr)))
+    code, out, err = run(capsys, "lift", str(path), "--pair", "0", "1")
+    assert code == 1
+    assert out == "seed: 0\nmode: exact  eps: %g\n" % scalars.DEFAULT_TOLERANCE
+    assert err == "construction failed: %s\n" % message
 
 
 def test_lift_ratio_matches_identity(cube_file, capsys, tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minkarr import (Arrangement, BallBody, DegenerateWedgeError, Homothet,
-                     ShadowIntersectionError, build_frame,
+                     ShadowData, ShadowIntersectionError, build_frame,
                      check_central_overlap_ratio, cross_ratio, cube_arrangement,
                      lift, linf_ball, pair_diagnostics, ratio, shadow,
                      shadow_with_x, slab_pair, trapezoid_combine, unlift,
@@ -287,6 +287,18 @@ def test_cross_ratio_values():
         cross_ratio(0, 1, 1, 0)
 
 
+@pytest.mark.parametrize("which", range(4))
+def test_cross_ratio_at_infinity_is_the_finite_limit(which):
+    # the point at infinity in any place: the finite formula at a far point
+    # converges to the value with its two distances dropped
+    xs = [F(-3), F(1, 2), F(2), F(7, 3)]
+    at_inf, far = list(xs), list(xs)
+    at_inf[which], far[which] = math.inf, F(10 ** 30)
+    got = cross_ratio(*at_inf)
+    assert type(got) is F
+    assert abs(got - cross_ratio(*far)) < F(1, 10 ** 20)
+
+
 mobius = st.tuples(
     st.fractions(min_value=-5, max_value=5, max_denominator=6),
     st.fractions(min_value=-5, max_value=5, max_denominator=6),
@@ -347,6 +359,23 @@ def test_central_overlap_touching():
                  Homothet(Vector([F(2)]), F(1)))
     sd = shadow(arr, build_frame(arr, 0, 1))
     assert check_central_overlap_ratio(sd, F(1), F(1))
+
+
+def test_central_overlap_without_premise_holds_vacuously():
+    # the overlap [0, 2] reaches past the other center at 1: no claim, even
+    # though the width ratio at the midpoint is 6
+    arr = arr_of(linf_ball(1), Homothet(Vector([F(0)]), F(3)),
+                 Homothet(Vector([F(1)]), F(1)))
+    sd = shadow(arr, build_frame(arr, 0, 1))
+    assert ratio(F(3), F(1), sd.u_i, sd.u_j) == 6
+    assert check_central_overlap_ratio(sd, F(3), F(1)) is True
+
+
+def test_central_overlap_infinite_ratio_fails():
+    # premise met with u_i = u_j = 0: the width ratio's denominator vanishes
+    sd = ShadowData(0, 1, (0, 0), ((-1, 0), (0, 1)), 0, 0, 0, 0, 0)
+    assert ratio(1, 1, sd.u_i, sd.u_j) == math.inf
+    assert check_central_overlap_ratio(sd, 1, 1) is False
 
 
 def test_central_overlap_random_minkowski_pairs():

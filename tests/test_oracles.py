@@ -27,13 +27,12 @@ from minkarr.kdistance import ChainResult
 from minkarr.lifting import (DegenerateWedgeError, LiftedConfig,
                              ProjectionFrame, ShadowData,
                              ShadowIntersectionError, SlabPair, lift,
-                             slab_offender, verify_ratio_identity, verify_slab)
-from minkarr.linalg import (Vector, _rref, affine_coordinates, cross3,
-                            matrix_rank, zero_vector)
+                             verify_ratio_identity, verify_slab)
+from minkarr.linalg import (Vector, _rref, affine_coordinates, affine_rank,
+                            cross3, matrix_rank, zero_vector)
 from minkarr import arrangement, lp, scalars
 from minkarr.packing import family_from_arrangement, lifted_packing_pipeline
-from minkarr.polytopes import (ConvexPolytope, LowerDimensional, _dedupe, hull,
-                               volume)
+from minkarr.polytopes import ConvexPolytope, _dedupe, hull, volume
 
 
 def cross_ratio_route(lam_i, lam_j, alpha_j, x):
@@ -857,6 +856,13 @@ def fraction_slab_pair(arr, frame, sd):
     return SlabPair(frame.i, frame.j, normal, c_k_ij, c_k_ji, c_g_ij, c_g_ji)
 
 
+def slab_offender(points, normal, c_1, c_2):
+    """verify_slab's offender for the slab between normal . y = c_1 and
+    normal . y = c_2 over the points, through a hand-built SlabPair."""
+    slab = SlabPair(0, 1, normal, c_1, c_2, 0, 1)
+    return verify_slab(LiftedConfig(tuple(points)), slab)[1]
+
+
 def fraction_slab_offender(points, normal, c_1, c_2):
     values = [normal.dot(y) for y in points]
     lo, hi = min(c_1, c_2, key=_key), max(c_1, c_2, key=_key)
@@ -1238,6 +1244,11 @@ def test_float_input_takes_the_tolerance_route():
     assert slab_offender(exact, normal, -1, 1) == 1
     assert slab_offender(floats, normal, -1, 1) is None
     assert fraction_slab_offender(floats, normal, -1, 1) is None
+    # a float point beyond the margin, on either side, is an offender
+    for far in (1.5, -1.5):
+        points = floats + [Vector((far, 0.0, 1.0))]
+        assert slab_offender(points, normal, -1, 1) == 2
+        assert fraction_slab_offender(points, normal, -1, 1) == 2
     assert verify_slab(LiftedConfig(tuple(floats)),
                        SlabPair(0, 1, normal, -1, 1, 0, 1)) == (True, None)
     assert LiftedConfig(tuple(floats)).forms is None
@@ -1259,12 +1270,13 @@ def test_hull_rank_against_affine_coordinates():
                     for b in base:
                         p = p + b * F(rng.randint(-4, 4), rng.randint(1, 4))
                     pts.append(p)
-                got = hull(pts)
                 adim = len(greedy_affine_coordinates(pts)[1])
+                assert affine_rank(pts) == adim
                 if adim < dim:
-                    assert got == LowerDimensional(adim)
+                    with pytest.raises(ValueError):
+                        hull(pts)
                 else:
-                    assert isinstance(got, ConvexPolytope)
+                    assert isinstance(hull(pts), ConvexPolytope)
 
 
 def lattice_points(rng, dim, rank, count):
@@ -1302,14 +1314,16 @@ def test_hull_volume_and_coordinates_against_oracles():
                 pts = lattice_points(rng, dim, rank, rng.randint(3, 8))
                 got = affine_coordinates(pts)
                 same(got, greedy_affine_coordinates(pts))
+                assert affine_rank(pts) == len(got[1])
                 # plain int input too comes out as Fraction coordinates
                 assert all(type(c) is F for v in got[0] or () for c in v)
                 if dim > 3:
                     continue
-                h = hull(pts)
                 if len(got[1]) < dim:
-                    assert h == LowerDimensional(len(got[1]))
+                    with pytest.raises(ValueError):
+                        hull(pts)
                     continue
+                h = hull(pts)
                 if dim < 3:
                     assert volume(h) > 0
                     continue
@@ -1353,14 +1367,14 @@ def fraction_area(verts):
 
 
 def fraction_hull(points):
-    """The hull with the rank of ``affine_coordinates``; a 3D facet is the
-    set of points its plane's sign test puts on it, with the plane of the
-    first triple that finds it, and a vertex is on three facets."""
+    """The hull of a full-dimensional set, which the rank of
+    ``affine_coordinates`` decides; a 3D facet is the set of points its
+    plane's sign test puts on it, with the plane of the first triple that
+    finds it, and a vertex is on three facets."""
     pts = _dedupe(points)
     dim = pts[0].dim
-    coords, basis, _ = affine_coordinates(pts)
-    if len(basis) < dim:
-        return LowerDimensional(len(basis), coords)
+    if len(affine_coordinates(pts)[1]) < dim:
+        raise ValueError("the points span a proper affine subspace")
     if dim == 1:
         lo, hi = min(pts, key=lambda p: p[0]), max(pts, key=lambda p: p[0])
         return ConvexPolytope(1, (lo, hi), ((Vector([1]), hi[0]),
@@ -1413,17 +1427,21 @@ def fraction_volume(poly):
 
 
 def assert_same_hull(pts):
-    """Both routes on pts: the same flag and coordinates, or the same
-    vertices, facet planes and volume, in value and in type."""
+    """Both routes on pts: ``affine_rank`` is the rank of
+    ``affine_coordinates``; below full dimension both hulls raise, and
+    otherwise they give the same vertices, facet planes and volume, in value
+    and in type (returns the hull, or None)."""
+    rank = len(affine_coordinates(pts)[1])
+    assert affine_rank(pts) == rank
+    if rank < pts[0].dim:
+        for route in (hull, fraction_hull):
+            with pytest.raises(ValueError):
+                route(pts)
+        return None
     got, want = hull(pts), fraction_hull(pts)
-    assert type(got) is type(want)
-    if isinstance(want, LowerDimensional):
-        assert got == want
-        same(got.coords, want.coords)
-    else:
-        same(got.vertices, want.vertices)
-        same(got.facets, want.facets)
-        same(volume(got), fraction_volume(want))
+    same(got.vertices, want.vertices)
+    same(got.facets, want.facets)
+    same(volume(got), fraction_volume(want))
     return got
 
 
@@ -1468,7 +1486,8 @@ def test_integer_rank_against_fraction_rank():
             for _ in range(12):
                 pts = mixed_points(rng, dim, rank, rng.randint(2, 7))
                 rows = [(p - pts[0]).coords for p in pts[1:]]
-                assert matrix_rank(rows) == fraction_rank(rows)
+                assert matrix_rank(rows) == fraction_rank(rows) \
+                    == affine_rank(pts)
                 # the points' own rows, one made zero, one column zeroed
                 rows = [p.coords for p in pts] + [(0,) * dim]
                 col = rng.randrange(dim)
@@ -1485,16 +1504,13 @@ def test_integer_hull_and_volume_against_fraction_route():
             for _ in range(40 if rank == dim == 3 else 6):
                 pts = mixed_points(rng, dim, rank, rng.randint(3, 9))
                 if dim > 3:
-                    adim = fraction_rank([(p - pts[0]).coords
-                                          for p in pts[1:]])
-                    if adim < dim:
-                        assert hull(pts) == LowerDimensional(adim)
-                    else:
-                        with pytest.raises(ValueError):
-                            hull(pts)
+                    assert affine_rank(pts) == fraction_rank(
+                        [(p - pts[0]).coords for p in pts[1:]])
+                    with pytest.raises(ValueError):
+                        hull(pts)
                     continue
                 h = assert_same_hull(pts)
-                if isinstance(h, ConvexPolytope):
+                if h is not None:
                     full += dim == 3
                     assert_same_hull(pts + on_faces(rng, h))
     assert full >= 30

@@ -6,11 +6,12 @@ import pytest
 
 from minkarr import (Arrangement, Homothet, cube_arrangement, linf_ball)
 from minkarr.instances import corpus_body, random_minkowski_arrangement
-from minkarr.lifting import SlabPair, slab_offender
+from minkarr.lifting import SlabPair
 from minkarr.linalg import Vector
 from minkarr.packing import (SlabFamily, certificate_to_json,
                              family_from_arrangement,
                              lifted_packing_pipeline, slab_packing_check)
+from test_oracles import slab_offender
 
 
 def V(*coords):
@@ -136,9 +137,28 @@ def test_containment_stage_rejects_escaping_point():
     assert not cert.verdict and cert.failed_stage == "slab_containment"
 
 
+def test_ratio_stage_rejects_coinciding_planes():
+    pts = (V(0, 0), V(1, 0))
+    for slab, which in ((SlabPair(0, 1, V(1, 0), F(1), F(1), F(0), F(1)),
+                         "outer"),
+                        (SlabPair(0, 1, V(0, 1), F(-1), F(1), F(0), F(0)),
+                         "inner")):
+        cert = slab_packing_check(SlabFamily(pts, (slab,)), F(1))
+        assert not cert.verdict and cert.failed_stage == "slab_ratio"
+        assert cert.offending_pair == (0, 1)
+        assert cert.stages[-1].detail \
+            == "%s planes of pair (0, 1) coincide" % which
+        assert cert.pair_ratios == []
+
+
 def test_lam_below_one_rejected():
     with pytest.raises(ValueError):
         slab_packing_check(SlabFamily((V(0, 0),), ()), F(1, 2))
+
+
+def test_empty_family_raises():
+    with pytest.raises(ValueError, match="empty"):
+        slab_packing_check(SlabFamily((), ()), F(2))
 
 
 def test_pipeline_cube():
@@ -186,9 +206,32 @@ def test_pipeline_rejects_non_intersecting():
     assert cert.failed_stage == "pairwise_intersecting"
 
 
-def test_pipeline_requires_planar_input():
-    with pytest.raises(ValueError):
+def test_pipeline_requires_dimension_at_most_2():
+    with pytest.raises(ValueError, match="dimension <= 2"):
         lifted_packing_pipeline(cube_arrangement(3))
+
+
+def test_pipeline_cube_on_the_line():
+    # three unit intervals at -1, 0, 1 lift to a segment of the plane
+    cert = lifted_packing_pipeline(cube_arrangement(1))
+    assert cert.verdict
+    assert cert.ambient_dim == 2 and cert.bound == 9
+    assert cert.affine_dim == 1 and cert.induction_branch
+    assert cert.n == 3 and cert.bound_effective == 3
+    assert {r for _, _, r in cert.pair_ratios} == {1, 2}
+
+
+@pytest.mark.parametrize("full_lift", [False, True])
+def test_pipeline_seeded_families_on_the_line(full_lift):
+    for seed in range(20):
+        arr = random_minkowski_arrangement(random.Random(seed),
+                                           body=linf_ball(1),
+                                           full_lift=full_lift)
+        cert = lifted_packing_pipeline(arr)
+        assert cert.verdict, (seed, cert.failed_stage)
+        assert cert.ambient_dim == 2 and cert.n <= 9
+        if full_lift:
+            assert cert.affine_dim == 2
 
 
 def test_family_from_arrangement_slabs_hold():

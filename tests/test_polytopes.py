@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from minkarr import Arrangement, Homothet, l1_ball, lift
-from minkarr.linalg import Vector
-from minkarr.polytopes import ConvexPolytope, LowerDimensional, hull, volume
+from minkarr.linalg import Vector, affine_coordinates, affine_rank
+from minkarr.polytopes import ConvexPolytope, hull, volume
 from test_oracles import contains, interiors_disjoint, shrink
 
 
@@ -33,10 +35,15 @@ def test_hull_interior_point_dropped():
 
 
 def test_hull_collinear_flag():
-    flag = hull([V(0, 0), V(1, 1), V(2, 2)])
-    assert isinstance(flag, LowerDimensional)
-    assert flag.affine_dim == 1
-    assert flag.coords == [V(0), V(1), V(2)]
+    # the affine dimension is affine_rank's answer; the hull only hulls
+    pts = [V(0, 0), V(1, 1), V(2, 2)]
+    assert affine_rank(pts) == 1
+    assert affine_coordinates(pts)[0] == [V(0), V(1), V(2)]
+    with pytest.raises(ValueError, match="not an affine 1-flat"):
+        hull(pts)
+    assert affine_rank([V(1, 2)] * 3) == 0
+    with pytest.raises(ValueError, match="empty"):
+        affine_rank([])
 
 
 def test_hull_cube_and_simplex_volumes():
