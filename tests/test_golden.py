@@ -4,7 +4,9 @@
 
 The files in tests/golden/ were written by the command line itself; the
 three seeded inputs are ``random_minkowski_arrangement(full_lift=True)``
-families, one per corpus body kind.  Rewrite a golden file only for a
+families, one per corpus body kind, and ``cross4`` and ``disc`` are
+hand-picked pairwise intersecting families with rational centers on the
+4-D cross-polytope (a V-polytope) and on the Euclidean disc.  Rewrite a golden file only for a
 deliberate certificate or dump format change, and say so.
 """
 
@@ -21,9 +23,10 @@ from minkarr.instances import corpus_body, random_minkowski_arrangement
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 INPUTS = ["cube2", "minkowski1", "minkowski2", "minkowski3"]
 # the square (integer normals, minkowski1), the diamond (minkowski2), a
-# hexagon (minkowski3) and the cube family
+# hexagon (minkowski3), the cube family, the 4-D cross-polytope as a
+# V-polytope (polar LP frames) and discs with rational centers (float frames)
 LIFTS = [("cube2", 0, 4), ("minkowski1", 0, 2), ("minkowski2", 1, 4),
-         ("minkowski3", 1, 3)]
+         ("minkowski3", 1, 3), ("cross4", 2, 5), ("disc", 1, 2)]
 
 
 def golden(name):
