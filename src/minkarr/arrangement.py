@@ -63,8 +63,20 @@ class Arrangement:
 
     @cached_property
     def distances(self) -> List[List[Scalar]]:
-        """The centers' ``distance_table``, computed on first use and kept."""
-        return distance_table(self.body, [h.center for h in self.members])
+        """The centers' ``distance_table``, computed on first use and kept.
+
+        Exact centers on an exact body take it from the integer rows: the
+        gauge is a norm, so gauge(v_j - v_i) = gauge(P_j - P_i)/q.
+        """
+        if not (self.form and self.body.exact):
+            return distance_table(self.body, [h.center for h in self.members])
+        rows, q = self.form
+        table = distance_table(self.body, [Vector(row[:-1]) for row in rows])
+        if q > 1:
+            for row in table:
+                row[:] = [g and Fraction(g.numerator, g.denominator * q)
+                          for g in row]
+        return table
 
 
 def intersects(body: SymmetricBody, h1: Homothet, h2: Homothet) -> bool:

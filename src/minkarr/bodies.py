@@ -37,9 +37,15 @@ class BodyError(ValueError):
 
 
 class SymmetricBody:
-    """Common interface: ``gauge`` and ``boundary_frame``."""
+    """Common interface: ``gauge`` and ``boundary_frame``.
+
+    ``exact`` says that both are exact on exact vectors (no float facet or
+    vertex), so they scale with the vector exactly: gauge(q*u) = q*gauge(u)
+    and the frame of q*u is the frame of u for q > 0.
+    """
 
     dim: int
+    exact = False
 
     def gauge(self, x: Vector) -> Scalar:
         raise NotImplementedError
@@ -108,6 +114,7 @@ class HPolytopeBody(SymmetricBody):
         form = scalars.int_rows([a.coords for a in self.facets])
         self._rows = form and tuple(form[0])
         self._den = form and form[1]
+        self.exact = form is not None
 
     def _validate(self) -> None:
         if not self.facets:
@@ -187,6 +194,7 @@ class VPolytopeBody(SymmetricBody):
                 raise BodyError("vertex dimension mismatch")
         self.vertices: Tuple[Vector, ...] = tuple(vertices)
         self._validate()
+        self.exact = scalars.is_exact(*(c for v in self.vertices for c in v))
         self._hform = self.as_hpolytope() if dim <= 3 else None
 
     def _validate(self) -> None:

@@ -98,13 +98,11 @@ def random_intersecting_arrangement(rng: random.Random,
     body = body or corpus_body(rng, rng.randrange(3))
     n = n or rng.randint(3, 5)
     centers = _random_centers(rng, n, body.dim)
-    g = [list(map(Fraction, row)) for row in distance_table(body, centers)]
-    diameter = max(g[i][j] for i in range(n) for j in range(i + 1, n))
-    members = []
-    for i in range(n):
-        lam = _rational_between(rng, diameter / 2, diameter)
-        members.append(Homothet(centers[i], lam))
-    arr = Arrangement(body, tuple(members))
+    table = distance_table(body, centers)
+    diameter = max(Fraction(table[i][j])
+                   for i in range(n) for j in range(i + 1, n))
+    lams = [_rational_between(rng, diameter / 2, diameter) for _ in range(n)]
+    arr = _with_distances(body, centers, lams, table)
     if find_intersection_violation(arr) is not None:
         raise AssertionError("generator produced a non-intersecting family")
     return arr
@@ -163,8 +161,8 @@ def random_minkowski_arrangement(rng: random.Random,
         if any(fcaps[i] + fcaps[j] < fg[i][j] - 1e-7
                for i in range(n) for j in range(i + 1, n)):
             continue
-        g = [list(map(Fraction, row))
-             for row in distance_table(body, centers)]
+        table = distance_table(body, centers)
+        g = [list(map(Fraction, row)) for row in table]
         caps = [min(g[i][j] for j in range(n) if j != i) for i in range(n)]
         feasible = all(caps[i] + caps[j] >= g[i][j]
                        for i in range(n) for j in range(i + 1, n))
@@ -176,14 +174,23 @@ def random_minkowski_arrangement(rng: random.Random,
                 low = max(g[i][j] - lams[j] for j in range(n) if j != i)
                 low = max(low, min(caps[i], Fraction(1, 16)))
                 lams[i] = _rational_between(rng, low, caps[i])
-            arr = Arrangement(body, tuple(Homothet(c, l)
-                                          for c, l in zip(centers, lams)))
+            arr = _with_distances(body, centers, lams, table)
             if full_lift and not _spans_lifted_space(arr):
                 continue
             if find_minkowski_violation(arr) is not None \
                     or find_intersection_violation(arr) is not None:
                 raise AssertionError("generator violated its own invariants")
             return arr
+
+
+def _with_distances(body: SymmetricBody, centers: List[Vector],
+                    lams: List[Fraction], table) -> Arrangement:
+    """The family with its centers' distance table already taken: the
+    table is stored where the ``Arrangement.distances`` cached_property
+    keeps its value, so the predicates take no gauge of their own."""
+    arr = Arrangement(body, tuple(map(Homothet, centers, lams)))
+    vars(arr)["distances"] = table
+    return arr
 
 
 def _spans_lifted_space(arr: Arrangement) -> bool:

@@ -24,13 +24,16 @@ that N.y_i <= N.y_j.
 
 Exact input runs on integer forms, each derived once and handed on.  The
 arrangement's centers and ratios over one denominator, (v_k, lam_k) =
-(P_k, s_k)/q, give y_k = Y_k/w_k with Y_k = (P_k, q) and w_k = s_k > 0; the
-shadow puts every alpha_k -+ lam_k over one denominator; a slab's plane
-(M, k_ij, k_ji, g_ij, g_ji) is its normal and offsets over one positive
-denominator, so y_k lies in the slab exactly when lo*w_k <= M.Y_k <= hi*w_k
-(lo <= hi the outer offsets) and the ratio identity is one integer equality.
-Objects built by hand derive their forms; a float anywhere keeps the
-tolerance loops below.
+(P_k, s_k)/q, give y_k = Y_k/w_k with Y_k = (P_k, q) and w_k = s_k > 0.  On
+an exact body the frame is that of the integer difference P_j - P_i, and it
+carries its normal as a = A/f; the shadow keeps every alpha_k -+ lam_k as an
+integer over f*q; a slab's plane (M, k_ij, k_ji, g_ij, g_ji) is its normal
+and offsets over one positive denominator, so y_k lies in the slab exactly
+when lo*w_k <= M.Y_k <= hi*w_k (lo <= hi the outer offsets) and the ratio
+identity is one integer equality.  The public Fractions of a shadow and a
+slab are built from these integers only when read (dumps, the diagram,
+tests).  Objects built by hand derive their forms; a float anywhere, the
+ball's frame included, keeps the tolerance loops below.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Tuple
 
 from . import scalars
@@ -54,20 +58,75 @@ class ProjectionFrame:
     j: int
     r_vec: Vector          # gauge-1 point of K toward v_j - v_i
     f_normal: Vector       # supporting plane f_normal . z = 1 of K at r_vec
+    # (A, f) with f_normal = A/f, derived once; None for a float normal
+    a_form: Optional[tuple] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "a_form", int_form(self.f_normal.coords))
 
 
-@dataclass(frozen=True)
 class ShadowData:
-    """All members projected to r-units on the line through v_i and v_j."""
-    i: int
-    j: int
-    alphas: Tuple[Scalar, ...]                 # alpha_i = 0 by construction
-    intervals: Tuple[Tuple[Scalar, Scalar], ...]
-    inter_lo: Scalar
-    inter_hi: Scalar
-    x_coord: Scalar                            # common point, in r-units
-    u_i: Scalar                                # x - v_i = u_i * r
-    u_j: Scalar                                # v_j - x = u_j * r
+    """All members projected to r-units on the line through v_i and v_j.
+
+    Built from its public fields, which are then kept as given, or by
+    ``shadow`` from integers over one denominator: ``form`` holds the alphas
+    and interval ends over den and the indices of the intersection's ends,
+    and each public field but x is built from it when first read.
+    """
+
+    __match_args__ = ("i", "j", "alphas", "intervals", "inter_lo",
+                      "inter_hi", "x_coord", "u_i", "u_j")
+
+    def __init__(self, i: int, j: int, alphas: Tuple[Scalar, ...],
+                 intervals: Tuple[Tuple[Scalar, Scalar], ...],
+                 inter_lo: Scalar, inter_hi: Scalar, x_coord: Scalar,
+                 u_i: Scalar, u_j: Scalar):
+        self.i, self.j, self.form, self.x_coord = i, j, None, x_coord
+        # stored where cached_property keeps its values, so read as given
+        vars(self).update(alphas=alphas, intervals=intervals,
+                          inter_lo=inter_lo, inter_hi=inter_hi, u_i=u_i,
+                          u_j=u_j)
+
+    @classmethod
+    def _over(cls, i: int, j: int, form: tuple,
+              x_coord: Scalar) -> "ShadowData":
+        """The shadow with its integer form and common point x."""
+        sd = cls.__new__(cls)
+        sd.i, sd.j, sd.form, sd.x_coord = i, j, form, x_coord
+        return sd
+
+    @cached_property
+    def alphas(self) -> Tuple[Scalar, ...]:       # alpha_i = 0
+        alphas, _, _, den = self.form[:4]
+        return tuple(Fraction(v, den) for v in alphas)
+
+    @cached_property
+    def intervals(self) -> Tuple[Tuple[Scalar, Scalar], ...]:
+        _, lows, highs, den = self.form[:4]
+        return tuple((Fraction(lo, den), Fraction(hi, den))
+                     for lo, hi in zip(lows, highs))
+
+    @cached_property
+    def inter_lo(self) -> Scalar:
+        _, lows, _, den, lo_idx, _ = self.form
+        return Fraction(lows[lo_idx], den)
+
+    @cached_property
+    def inter_hi(self) -> Scalar:
+        _, _, highs, den, _, hi_idx = self.form
+        return Fraction(highs[hi_idx], den)
+
+    @cached_property
+    def u_i(self) -> Scalar:                      # x - v_i = u_i * r
+        x, alphas, den = self.x_coord, self.form[0], self.form[3]
+        return Fraction(x.numerator * den - alphas[self.i] * x.denominator,
+                        x.denominator * den)
+
+    @cached_property
+    def u_j(self) -> Scalar:                      # v_j - x = u_j * r
+        x, alphas, den = self.x_coord, self.form[0], self.form[3]
+        return Fraction(alphas[self.j] * x.denominator - x.numerator * den,
+                        x.denominator * den)
 
 
 class ShadowIntersectionError(ValueError):
@@ -86,8 +145,17 @@ class DegenerateWedgeError(ValueError):
 
 
 def build_frame(arr: Arrangement, i: int, j: int) -> ProjectionFrame:
-    """Frame for the pair (i, j); the centers must differ."""
-    diff = arr.members[j].center - arr.members[i].center
+    """Frame for the pair (i, j); the centers must differ.
+
+    Exact centers on an exact body take the frame of the integer difference
+    P_j - P_i = q*(v_j - v_i): r = u/gauge(u) and the active facet do not
+    change when u is scaled by q > 0.
+    """
+    if arr.form and arr.body.exact:
+        rows, d = arr.form[0], arr.dim
+        diff = Vector(map(operator.sub, rows[j][:d], rows[i][:d]))
+    else:
+        diff = arr.members[j].center - arr.members[i].center
     if diff.is_zero():
         raise ValueError("coincident centers: members %d and %d" % (i, j))
     return ProjectionFrame(i, j, *arr.body.boundary_frame(diff))
@@ -103,9 +171,9 @@ def shadow(arr: Arrangement, frame: ProjectionFrame) -> ShadowData:
     end); shadow_with_x moves it to any other point of it.
     """
     a, d, i, j = frame.f_normal, frame.f_normal.dim, frame.i, frame.j
-    form = arr.form and int_form(a.coords)
-    if form:  # a = A/f and a.r = 1: alpha_k = (A.P_k - A.P_i)/(f*q)
-        (z, f), (rows, q) = form, arr.form
+    exact = arr.form and frame.a_form
+    if exact:  # a = A/f and a.r = 1: alpha_k = (A.P_k - A.P_i)/(f*q)
+        (z, f), (rows, q) = frame.a_form, arr.form
         t = [_dot(z, row) for row in rows]
         alphas = [t_k - t[i] for t_k in t]      # all over f*q
         lams = [row[d] * f for row in rows]
@@ -116,12 +184,12 @@ def shadow(arr: Arrangement, frame: ProjectionFrame) -> ShadowData:
     lows = [al - lam for al, lam in zip(alphas, lams)]
     highs = [al + lam for al, lam in zip(alphas, lams)]
     lo_idx, hi_idx = lows.index(max(lows)), highs.index(min(highs))
-    if scalars.gt(lows[lo_idx], highs[hi_idx]):
-        raise ShadowIntersectionError((lo_idx, hi_idx))
-    if form:
-        alphas, lows, highs = ([Fraction(v, f * q) for v in values]
-                               for values in (alphas, lows, highs))
     lo, hi = lows[lo_idx], highs[hi_idx]
+    if scalars.gt(lo, hi):
+        raise ShadowIntersectionError((lo_idx, hi_idx))
+    if exact:
+        form = alphas, lows, highs, f * q, lo_idx, hi_idx
+        return ShadowData._over(i, j, form, Fraction(lo + hi, 2 * f * q))
     x_coord = div(lo + hi, 2)
     return ShadowData(i, j, tuple(alphas), tuple(zip(lows, highs)), lo, hi,
                       x_coord, x_coord - alphas[i], alphas[j] - x_coord)
@@ -129,6 +197,11 @@ def shadow(arr: Arrangement, frame: ProjectionFrame) -> ShadowData:
 
 def shadow_with_x(sd: ShadowData, x_coord: Scalar) -> ShadowData:
     """The same shadow re-pointed at another common point of the intervals."""
+    if sd.form and scalars.is_exact(x_coord):  # x = X/e against ends over den
+        (_, lows, highs, den, lo_idx, hi_idx), e = sd.form, x_coord.denominator
+        if not lows[lo_idx] * e <= x_coord.numerator * den <= highs[hi_idx] * e:
+            raise ValueError("x_coord lies outside the interval intersection")
+        return ShadowData._over(sd.i, sd.j, sd.form, x_coord)
     if scalars.lt(x_coord, sd.inter_lo) or scalars.gt(x_coord, sd.inter_hi):
         raise ValueError("x_coord lies outside the interval intersection")
     return ShadowData(sd.i, sd.j, sd.alphas, sd.intervals, sd.inter_lo,
@@ -198,7 +271,6 @@ def unlift(y: Vector) -> Tuple[Vector, Scalar]:
     return Vector(div(c, s) for c in y.coords[:-1]), div(1, s)
 
 
-@dataclass(frozen=True)
 class SlabPair:
     """Parallel-plane data of one pair in the lifted space (dim d+1).
 
@@ -207,22 +279,47 @@ class SlabPair:
     offsets -1 and +1) rather than unit Euclidean length; every check
     performed on a slab is a ratio of offsets along the same normal, which
     is scale-invariant.  Orientation satisfies normal . y_i <= normal . y_j.
-    """
-    i: int
-    j: int
-    normal: Vector
-    c_k_ij: Scalar      # outer plane from the wedge plane at the i side
-    c_k_ji: Scalar      # outer plane from the wedge plane at the j side
-    c_g_ij: Scalar      # inner plane through y_i
-    c_g_ji: Scalar      # inner plane through y_j
-    plane: Optional[tuple] = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.plane is None:
-            form = int_form(self.normal.coords + (self.c_k_ij, self.c_k_ji,
-                                                  self.c_g_ij, self.c_g_ji))
-            object.__setattr__(self, "plane",
-                               form and (form[0][:-4], *form[0][-4:]))
+    ``plane`` is (M, k_ij, k_ji, g_ij, g_ji): the normal and the four
+    offsets over one positive denominator, or None when a value is a float.
+    A slab built from its public fields keeps them as given and derives its
+    plane; ``slab_pair`` builds it from the plane, and the normal and the
+    inner offsets are then the plane divided by |k_ij|, built when first read.
+    """
+
+    __match_args__ = ("i", "j", "normal", "c_k_ij", "c_k_ji", "c_g_ij",
+                      "c_g_ji")
+
+    def __init__(self, i: int, j: int, normal: Vector, c_k_ij: Scalar,
+                 c_k_ji: Scalar, c_g_ij: Scalar, c_g_ji: Scalar):
+        self.i, self.j = i, j
+        self.c_k_ij = c_k_ij    # outer plane from the wedge plane at i
+        self.c_k_ji = c_k_ji    # outer plane from the wedge plane at j
+        # stored where cached_property keeps its values, so read as given
+        vars(self).update(normal=normal, c_g_ij=c_g_ij, c_g_ji=c_g_ji)
+        form = int_form(normal.coords + (c_k_ij, c_k_ji, c_g_ij, c_g_ji))
+        self.plane = form and (form[0][:-4], *form[0][-4:])
+
+    @classmethod
+    def _over(cls, i: int, j: int, plane: tuple) -> "SlabPair":
+        """The slab of a plane form; its outer offsets are -1 and +1."""
+        slab, k = cls.__new__(cls), abs(plane[1])
+        slab.i, slab.j, slab.plane = i, j, plane
+        slab.c_k_ij, slab.c_k_ji = plane[1] // k, plane[2] // k
+        return slab
+
+    @cached_property
+    def normal(self) -> Vector:
+        k = abs(self.plane[1])
+        return Vector(Fraction(v, k) for v in self.plane[0])
+
+    @cached_property
+    def c_g_ij(self) -> Scalar:     # inner plane through y_i
+        return Fraction(self.plane[3], abs(self.plane[1]))
+
+    @cached_property
+    def c_g_ji(self) -> Scalar:     # inner plane through y_j
+        return Fraction(self.plane[4], abs(self.plane[1]))
 
 
 def slab_pair(arr: Arrangement, frame: ProjectionFrame,
@@ -237,20 +334,20 @@ def slab_pair(arr: Arrangement, frame: ProjectionFrame,
     denominator vanishes, and then no slab pair exists.
     """
     a, i, j = frame.f_normal, frame.i, frame.j
-    form = arr.form and int_form(a.coords + (sd.x_coord,))
-    plane = None
-    if form:  # (a, x) = (A, X)/f: N = (A*q, -A.P_i - X*q)/(f*q)
-        (coef, f), (rows, q), d = form, arr.form, a.dim
-        m = [v * q for v in coef[:d]]
-        m.append(-_dot(coef[:d], rows[i]) - coef[d] * q)
+    exact = arr.form and frame.a_form and scalars.is_exact(sd.x_coord)
+    if exact:
+        # (a, x) = (A, X)/f over the lcm f of their denominators:
+        # N = (A*q, -A.P_i - X*q)/(f*q)
+        (coef, f_a), (rows, q), d = frame.a_form, arr.form, a.dim
+        x, e = sd.x_coord.numerator, sd.x_coord.denominator
+        f = math.lcm(f_a, e)
+        z = [v * (f // f_a) for v in coef]
+        m = [v * q for v in z]
+        m.append(-_dot(z, rows[i]) - x * (f // e) * q)
         den, s_i, s_j = f * q, rows[i][d], rows[j][d]
         n_i, n_j = (_dot(m[:d], rows[k]) + m[d] * q for k in (i, j))  # M.Y
-        normal = a.extended(Fraction(m[-1], den))
-        c_g_ij, c_g_ji = Fraction(n_i, den * s_i), Fraction(n_j, den * s_j)
         gi, gj, s = n_i * s_j, n_j * s_i, s_i * s_j   # over den*s
         flip, flat = gi > gj, gi == gj
-        sg, k = -1 if flip else 1, den * s
-        plane = ([sg * v * s for v in m], -sg * k, sg * k, sg * gi, sg * gj)
     else:
         normal = a.extended(-a.dot(arr.members[i].center) - sd.x_coord)
         c_g_ij, c_g_ji = (normal.dot(_lift_point(h.center, h.ratio))
@@ -259,10 +356,13 @@ def slab_pair(arr: Arrangement, frame: ProjectionFrame,
     if flat:
         raise DegenerateWedgeError("projected pair lies on one hyperplane; "
                                    "the inner planes coincide")
+    if exact:
+        sg, k = -1 if flip else 1, den * s
+        return SlabPair._over(i, j, ([sg * v * s for v in m], -sg * k,
+                                     sg * k, sg * gi, sg * gj))
     if flip:
-        normal, c_g_ij, c_g_ji = -normal, -c_g_ij, -c_g_ji
-    c = -1 if flip else 1
-    return SlabPair(i, j, normal, -c, c, c_g_ij, c_g_ji, plane)
+        return SlabPair(i, j, -normal, 1, -1, -c_g_ij, -c_g_ji)
+    return SlabPair(i, j, normal, -1, 1, c_g_ij, c_g_ji)
 
 
 def verify_slab(lifted: LiftedConfig, slab: SlabPair) -> Tuple[bool, Optional[int]]:

@@ -51,9 +51,12 @@ from .scalars import Scalar, div, format_scalar
 @dataclass(frozen=True)
 class SlabFamily:
     """Points plus slab planes for pairs of them; the packing check reads a
-    pair's normal and outer offsets and takes N.y from the points."""
+    pair's normal and outer offsets and takes N.y from the points.  ``forms``
+    are the points' integer forms as ``LiftedConfig`` keeps them, handed on
+    by the lift; a family built without them derives its own."""
     points: Tuple[Vector, ...]
     pairs: Tuple[SlabPair, ...]
+    forms: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.points)
@@ -124,8 +127,8 @@ def slab_packing_check(family: SlabFamily, lam: Scalar) -> PackingCertificate:
         raise ValueError("the packing hypothesis needs lam >= 1")
 
     # stage: width ratios (the per-pair hypothesis and separation witness);
-    # the points' integer forms are derived once, for both pair stages
-    lifted = LiftedConfig(family.points)
+    # the points' integer forms serve both pair stages
+    lifted = LiftedConfig(family.points, family.forms)
     for p in family.pairs:
         gap_outer, gap_inner = width_gaps(p, lifted)
         if scalars.sign(gap_outer) == 0:
@@ -196,14 +199,14 @@ def family_from_arrangement(arr: Arrangement) -> SlabFamily:
     No check runs here: the width ratios and slab containment are stages of
     slab_packing_check.
     """
-    points = lift(arr).points
+    lifted = lift(arr)
     pairs = []
     n = len(arr.members)
     for i in range(n):
         for j in range(i + 1, n):
             frame = build_frame(arr, i, j)
             pairs.append(slab_pair(arr, frame, shadow(arr, frame)))
-    return SlabFamily(points, tuple(pairs))
+    return SlabFamily(lifted.points, tuple(pairs), lifted.forms)
 
 
 def lifted_packing_pipeline(arr: Arrangement) -> PackingCertificate:

@@ -2,11 +2,12 @@
 --dump`` output, one ``lift --svg`` diagram for committed inputs and one
 ``search --out`` arrangement, compared byte for byte.
 
-The files in tests/golden/ were written by the command line itself; the
+The outputs in tests/golden/ were written by the command line itself; the
 three seeded inputs are ``random_minkowski_arrangement(full_lift=True)``
 families, one per corpus body kind, and ``cross4`` and ``disc`` are
-hand-picked pairwise intersecting families with rational centers on the
-4-D cross-polytope (a V-polytope) and on the Euclidean disc.  Rewrite a golden file only for a
+hand-picked pairwise intersecting Minkowski arrangements with rational
+centers on the 4-D cross-polytope given by its vertices (polar LP frames)
+and on the Euclidean disc (float frames).  Rewrite a golden file only for a
 deliberate certificate or dump format change, and say so.
 """
 

@@ -7,9 +7,9 @@ from minkarr import (BallBody, arrangement_to_json, l1_ball, lift,
                      linf_ball)
 from minkarr.arrangement import (find_intersection_violation,
                                  find_minkowski_violation)
-from minkarr.bodies import body_from_json
+from minkarr.bodies import HPolytopeBody, body_from_json
 from minkarr.instances import (FLOOR_ATTEMPTS, NoArrangementFound,
-                               random_intersecting_arrangement,
+                               corpus_body, random_intersecting_arrangement,
                                random_minkowski_arrangement)
 from minkarr.linalg import matrix_rank
 
@@ -92,3 +92,27 @@ def test_generator_caps_n_at_three_on_a_line():
         assert len(random_minkowski_arrangement(random.Random(1), body=body,
                                                 n=2)) == 2
 
+
+
+def test_generators_take_one_gauge_per_center_pair(monkeypatch):
+    # each draw's distance table serves both its ratios and the predicate
+    # checks of the family it returns (hexagons answer through their facet
+    # form, so every corpus gauge is an HPolytopeBody.gauge call)
+    calls = []
+    gauge = HPolytopeBody.gauge
+    monkeypatch.setattr(HPolytopeBody, "gauge",
+                        lambda body, x: calls.append(x) or gauge(body, x))
+    rng = random.Random(1)
+    pairs = 0
+    for t in range(30):
+        arr = random_minkowski_arrangement(rng, body=corpus_body(rng, t),
+                                           full_lift=True)
+        pairs += len(arr) * (len(arr) - 1) // 2
+    assert len(calls) == pairs == 277
+    calls.clear()
+    pairs = 0
+    for t in range(10):
+        arr = random_intersecting_arrangement(rng, body=corpus_body(rng, t))
+        assert find_intersection_violation(arr) is None
+        pairs += len(arr) * (len(arr) - 1) // 2
+    assert len(calls) == pairs

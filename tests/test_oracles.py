@@ -31,6 +31,7 @@ from minkarr.lifting import (DegenerateWedgeError, LiftedConfig,
 from minkarr.linalg import (Vector, _rref, affine_coordinates, affine_rank,
                             cross3, matrix_rank, zero_vector)
 from minkarr import arrangement, lp, scalars
+from minkarr.bodies import SymmetricBody
 from minkarr.packing import family_from_arrangement, lifted_packing_pipeline
 from minkarr.polytopes import ConvexPolytope, _dedupe, hull, volume
 
@@ -597,7 +598,7 @@ def full_pass_search(body, dim, config, warm_start=None):
     return arr, states[0].drops
 
 
-class SkewGauge:
+class SkewGauge(SymmetricBody):
     """Test double: the gauge of the square [-1, 1/2]^2, so gauge(x) and
     gauge(-x) differ and every orientation the search reads is visible."""
 
@@ -826,9 +827,9 @@ def loop_shadow(arr, frame):
 
 
 def fraction_shadow_with_x(sd, x_coord):
-    return dataclasses.replace(sd, x_coord=x_coord,
-                               u_i=x_coord - sd.alphas[sd.i],
-                               u_j=sd.alphas[sd.j] - x_coord)
+    return ShadowData(sd.i, sd.j, sd.alphas, sd.intervals, sd.inter_lo,
+                      sd.inter_hi, x_coord, x_coord - sd.alphas[sd.i],
+                      sd.alphas[sd.j] - x_coord)
 
 
 def fraction_ratio(lam_i, lam_j, u_i, u_j):
@@ -899,7 +900,9 @@ def typed(value):
     """The value with the type of every scalar in it: Fraction(2) and 2
     compare equal but are different certificate bytes.  A dataclass field
     declared compare=False (an integer form kept beside the values, at
-    whatever scale its route chose) is skipped."""
+    whatever scale its route chose) is skipped; a shadow or a slab is read
+    through its public fields (``__match_args__``), which builds the ones
+    its route left to be built on read."""
     if isinstance(value, Vector):
         return typed(value.coords)
     if isinstance(value, (tuple, list)):
@@ -907,6 +910,8 @@ def typed(value):
     if dataclasses.is_dataclass(value):
         return typed([getattr(value, f.name)
                       for f in dataclasses.fields(value) if f.compare])
+    if isinstance(value, (ShadowData, SlabPair)):
+        return typed([getattr(value, name) for name in value.__match_args__])
     return type(value).__name__, value
 
 
@@ -932,6 +937,9 @@ def check_both_routes(arr, xs_per_pair=()):
             frame = build_frame(arr, i, j)
             same(frame, two_call_frame(arr, i, j))
             sd0 = shadow(arr, frame)
+            if arr.form and frame.a_form:  # compared as built on read
+                assert vars(sd0).keys() & set(sd0.__match_args__) \
+                    == {"i", "j", "x_coord"}
             same(sd0, loop_shadow(arr, frame))
             for t in (None,) + tuple(xs_per_pair):
                 x = sd0.x_coord if t is None else \
@@ -948,6 +956,9 @@ def check_both_routes(arr, xs_per_pair=()):
                         slab_pair(arr, frame, sd)
                     continue
                 slab = slab_pair(arr, frame, sd)
+                if arr.form and frame.a_form:
+                    assert not vars(slab).keys() & {"normal", "c_g_ij",
+                                                    "c_g_ji"}
                 same(slab, want)
                 args = (slab.normal, slab.c_k_ij, slab.c_k_ji)
                 same(slab_offender(lifted.points, *args),
@@ -1099,6 +1110,65 @@ def test_shadow_witness_against_fraction_route():
         with pytest.raises(ShadowIntersectionError) as got:
             route(line, frame)
         assert got.value.witness == (2, 4)
+
+
+def test_frames_and_distances_from_integer_differences():
+    """Exact centers on an exact body: the frame of P_j - P_i equals the
+    frame of v_j - v_i, r and a in values and types, and the distance table
+    equals the Fraction centers' table; on the square, the diamond,
+    hexagons and the 4-D cross-polytope as a V-polytope (polar LP)."""
+    bodies = set()
+    for arr in predicate_families():
+        if not arr.body.exact:
+            continue
+        assert arr.form is not None
+        centers = [h.center for h in arr.members]
+        same(arr.distances, distance_table(arr.body, centers))
+        for i, j in itertools.permutations(range(len(arr)), 2):
+            if centers[i] != centers[j]:
+                same(build_frame(arr, i, j), ProjectionFrame(
+                    i, j, *arr.body.boundary_frame(centers[j] - centers[i])))
+        bodies.add((type(arr.body).__name__, arr.dim, arr.form[1] > 1))
+    assert {("HPolytopeBody", 2, True), ("VPolytopeBody", 2, True),
+            ("VPolytopeBody", 4, True)} <= bodies
+
+
+def test_disc_with_rational_centers_keeps_its_float_frames():
+    """The ball's gauge is a float, so its frames and distances stay on the
+    Fraction differences: the integer difference would move float bits."""
+    rim = ((F(3, 5), F(4, 5)), (F(-4, 5), F(3, 5)), (F(-3, 5), F(-4, 5)),
+           (F(4, 5), F(-3, 5)))
+    arr = Arrangement(BallBody(2), (Homothet(Vector((0, 0)), F(9, 10)),)
+                      + tuple(Homothet(Vector(c), 1) for c in rim))
+    assert arr.form is not None and not arr.body.exact
+    centers = [h.center for h in arr.members]
+    same(arr.distances, distance_table(arr.body, centers))
+    moved = 0
+    for i, j in itertools.permutations(range(len(arr)), 2):
+        frame = arr.body.boundary_frame(centers[j] - centers[i])
+        same(build_frame(arr, i, j), ProjectionFrame(i, j, *frame))
+        scaled = arr.body.boundary_frame((centers[j] - centers[i])
+                                         * arr.form[1])
+        moved += typed(scaled) != typed(frame)
+    assert moved > 0
+
+
+def test_shadow_with_x_takes_the_intersection_ends():
+    rng = random.Random(77001)
+    step = F(1, 10 ** 12)
+    for t in range(20):
+        arr = random_minkowski_arrangement(rng, body=corpus_body(rng, t),
+                                           full_lift=True)
+        for i, j in itertools.permutations(range(len(arr)), 2):
+            sd0 = shadow(arr, build_frame(arr, i, j))
+            assert sd0.form is not None
+            ends = [sd0.inter_lo, sd0.inter_hi]
+            ends += [int(x) for x in ends if x.denominator == 1]
+            for x in ends:
+                same(shadow_with_x(sd0, x), fraction_shadow_with_x(sd0, x))
+            for x in (sd0.inter_lo - step, sd0.inter_hi + step):
+                with pytest.raises(ValueError, match="outside"):
+                    shadow_with_x(sd0, x)
 
 
 def test_integer_lift_layer_on_corpus_bodies():

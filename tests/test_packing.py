@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from minkarr import (Arrangement, Homothet, cube_arrangement, linf_ball)
+from minkarr import (Arrangement, Homothet, cube_arrangement, lifting,
+                     linf_ball)
 from minkarr.instances import corpus_body, random_minkowski_arrangement
 from minkarr.lifting import SlabPair
 from minkarr.linalg import Vector
@@ -259,3 +260,19 @@ def test_certificate_json():
     assert blob2["verdict"] == "fail"
     assert blob2["failed_stage"] == "minkowski_property"
     assert blob2["offending_pair"] == [0, 1]
+
+
+def test_family_carries_the_lift_forms(monkeypatch):
+    arr = cube_arrangement(2)
+    family = family_from_arrangement(arr)
+    assert family.forms == lifting.lift(arr).forms
+    calls = []
+    int_form = lifting.int_form
+    monkeypatch.setattr(lifting, "int_form",
+                        lambda values: calls.append(values) or int_form(values))
+    cert = slab_packing_check(family, 2)
+    assert cert.verdict and calls == []
+    # a family built without the forms derives one per point
+    rebuilt = slab_packing_check(SlabFamily(family.points, family.pairs), 2)
+    assert len(calls) == len(family.points)
+    assert certificate_to_json(rebuilt) == certificate_to_json(cert)
