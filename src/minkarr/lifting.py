@@ -197,9 +197,10 @@ def shadow(arr: Arrangement, frame: ProjectionFrame) -> ShadowData:
 
 def shadow_with_x(sd: ShadowData, x_coord: Scalar) -> ShadowData:
     """The same shadow re-pointed at another common point of the intervals."""
-    if sd.form and scalars.is_exact(x_coord):  # x = X/e against ends over den
-        (_, lows, highs, den, lo_idx, hi_idx), e = sd.form, x_coord.denominator
-        if not lows[lo_idx] * e <= x_coord.numerator * den <= highs[hi_idx] * e:
+    if sd.form and scalars.is_exact(x_coord):  # x = X/e: lo*e <= X*den <= hi*e
+        _, lows, highs, den, lo_idx, hi_idx = sd.form
+        x, e = x_coord.numerator * den, x_coord.denominator
+        if not lows[lo_idx] * e <= x <= highs[hi_idx] * e:
             raise ValueError("x_coord lies outside the interval intersection")
         return ShadowData._over(sd.i, sd.j, sd.form, x_coord)
     if scalars.lt(x_coord, sd.inter_lo) or scalars.gt(x_coord, sd.inter_hi):

@@ -269,7 +269,7 @@ def test_family_carries_the_lift_forms(monkeypatch):
     calls = []
     int_form = lifting.int_form
     monkeypatch.setattr(lifting, "int_form",
-                        lambda values: calls.append(values) or int_form(values))
+                        lambda row: calls.append(row) or int_form(row))
     cert = slab_packing_check(family, 2)
     assert cert.verdict and calls == []
     # a family built without the forms derives one per point
