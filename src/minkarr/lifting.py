@@ -66,12 +66,13 @@ class ProjectionFrame:
 
 
 class ShadowData:
-    """All members projected to r-units on the line through v_i and v_j.
+    """All members projected to r-units on the line through v_i and v_j,
+    with the common point x_coord of their intervals.
 
     Built from its public fields, which are then kept as given, or by
     ``shadow`` from integers over one denominator: ``form`` holds the alphas
     and interval ends over den and the indices of the intersection's ends,
-    and each public field but x is built from it when first read.
+    and each public field but x_coord is built from it when first read.
     """
 
     __match_args__ = ("i", "j", "alphas", "intervals", "inter_lo",
