@@ -304,16 +304,25 @@ def body_from_json(obj: dict) -> SymmetricBody:
     if kind == "ball":
         return BallBody(dim)
     if kind == "hpoly":
-        facets = []
-        for f in obj.get("facets", []):
-            normal = Vector(parse_scalar(c) for c in f["normal"])
-            facets.append((normal, parse_scalar(f.get("offset", 1))))
-        return HPolytopeBody(dim, facets)
+        return HPolytopeBody(dim, _entries(obj, "facets", lambda f: (
+            _vector(f["normal"]), parse_scalar(f.get("offset", 1)))))
     if kind == "vpoly":
-        vertices = [Vector(parse_scalar(c) for c in v)
-                    for v in obj.get("vertices", [])]
-        return VPolytopeBody(dim, vertices)
+        return VPolytopeBody(dim, _entries(obj, "vertices", _vector))
     raise BodyError("unknown body type %r" % (kind,))
+
+
+def _vector(coords) -> Vector:
+    return Vector(parse_scalar(c) for c in coords)
+
+
+def _entries(obj: dict, key: str, parse) -> list:
+    """Every entry of obj[key] (none when absent) parsed; an entry of the
+    wrong shape is a BodyError."""
+    try:
+        return [parse(entry) for entry in obj.get(key, [])]
+    except (KeyError, TypeError) as exc:
+        raise BodyError("malformed %s list: %s: %s"
+                        % (key, type(exc).__name__, exc)) from exc
 
 
 def body_to_json(body: SymmetricBody) -> dict:

@@ -26,14 +26,15 @@ Exact input runs on integer forms, each derived once and handed on.  The
 arrangement's centers and ratios over one denominator, (v_k, lam_k) =
 (P_k, s_k)/q, give y_k = Y_k/w_k with Y_k = (P_k, q) and w_k = s_k > 0.  On
 an exact body the frame is that of the integer difference P_j - P_i, and it
-carries its normal as a = A/f; the shadow keeps every alpha_k -+ lam_k as an
-integer over f*q; a slab's plane (M, k_ij, k_ji, g_ij, g_ji) is its normal
-and offsets over one positive denominator, so y_k lies in the slab exactly
-when lo*w_k <= M.Y_k <= hi*w_k (lo <= hi the outer offsets) and the ratio
-identity is one integer equality.  The public Fractions of a shadow and a
-slab are built from these integers only when read (dumps, the diagram,
-tests).  Objects built by hand derive their forms; a float anywhere, the
-ball's frame included, keeps the tolerance loops below.
+carries its normal as a = A/f.  Each pair-layer object stores one form and
+reads its public values from it: a shadow keeps every alpha_k -+ lam_k over
+one denominator (integers over f*q, or the computed values over 1 when a
+float is involved), a slab its plane (M, k_ij, k_ji, g_ij, g_ji), the normal
+and offsets over one positive integer denominator (as computed when a value
+is a float).  So y_k lies in the slab exactly when lo*w_k <= M.Y_k <= hi*w_k
+(lo <= hi the outer offsets), and the ratio identity is one integer
+equality.  The float route reads each point as (y_k, 1) and folds the
+tolerance into the ends.
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from . import scalars
 from .arrangement import Arrangement
@@ -65,69 +65,55 @@ class ProjectionFrame:
         object.__setattr__(self, "a_form", int_form(self.f_normal.coords))
 
 
-class ShadowData:
+class ShadowData(NamedTuple):
     """All members projected to r-units on the line through v_i and v_j,
     with the common point x_coord of their intervals.
 
-    Built from its public fields, which are then kept as given, or by
-    ``shadow`` from integers over one denominator: ``form`` holds the alphas
-    and interval ends over den and the indices of the intersection's ends,
-    and each public field but x_coord is built from it when first read.
+    ``form`` is (alphas, lows, highs, den, lo_idx, hi_idx): the alphas and
+    interval ends over den (integers over f*q for exact input, the computed
+    values over 1 otherwise) and the indices of the intersection's ends.
+    Every public value but x_coord is read from it.
     """
+    i: int
+    j: int
+    form: tuple
+    x_coord: Scalar
 
-    __match_args__ = ("i", "j", "alphas", "intervals", "inter_lo",
-                      "inter_hi", "x_coord", "u_i", "u_j")
-
-    def __init__(self, i: int, j: int, alphas: Tuple[Scalar, ...],
-                 intervals: Tuple[Tuple[Scalar, Scalar], ...],
-                 inter_lo: Scalar, inter_hi: Scalar, x_coord: Scalar,
-                 u_i: Scalar, u_j: Scalar):
-        self.i, self.j, self.form, self.x_coord = i, j, None, x_coord
-        # stored where cached_property keeps its values, so read as given
-        vars(self).update(alphas=alphas, intervals=intervals,
-                          inter_lo=inter_lo, inter_hi=inter_hi, u_i=u_i,
-                          u_j=u_j)
-
-    @classmethod
-    def _over(cls, i: int, j: int, form: tuple,
-              x_coord: Scalar) -> "ShadowData":
-        """The shadow with its integer form and common point x."""
-        sd = cls.__new__(cls)
-        sd.i, sd.j, sd.form, sd.x_coord = i, j, form, x_coord
-        return sd
-
-    @cached_property
+    @property
     def alphas(self) -> Tuple[Scalar, ...]:       # alpha_i = 0
-        alphas, _, _, den = self.form[:4]
-        return tuple(Fraction(v, den) for v in alphas)
+        return tuple(div(v, self.form[3]) for v in self.form[0])
 
-    @cached_property
+    @property
     def intervals(self) -> Tuple[Tuple[Scalar, Scalar], ...]:
         _, lows, highs, den = self.form[:4]
-        return tuple((Fraction(lo, den), Fraction(hi, den))
+        return tuple((div(lo, den), div(hi, den))
                      for lo, hi in zip(lows, highs))
 
-    @cached_property
+    @property
     def inter_lo(self) -> Scalar:
         _, lows, _, den, lo_idx, _ = self.form
-        return Fraction(lows[lo_idx], den)
+        return div(lows[lo_idx], den)
 
-    @cached_property
+    @property
     def inter_hi(self) -> Scalar:
         _, _, highs, den, _, hi_idx = self.form
-        return Fraction(highs[hi_idx], den)
+        return div(highs[hi_idx], den)
 
-    @cached_property
+    @property
     def u_i(self) -> Scalar:                      # x - v_i = u_i * r
-        x, alphas, den = self.x_coord, self.form[0], self.form[3]
-        return Fraction(x.numerator * den - alphas[self.i] * x.denominator,
-                        x.denominator * den)
+        return _x_gap(self.x_coord, self.form[0][self.i], self.form[3], 1)
 
-    @cached_property
+    @property
     def u_j(self) -> Scalar:                      # v_j - x = u_j * r
-        x, alphas, den = self.x_coord, self.form[0], self.form[3]
-        return Fraction(alphas[self.j] * x.denominator - x.numerator * den,
-                        x.denominator * den)
+        return _x_gap(self.x_coord, self.form[0][self.j], self.form[3], -1)
+
+
+def _x_gap(x: Scalar, alpha: Scalar, den: int, sign: int) -> Scalar:
+    """sign * (x - alpha/den), built as one Fraction when both are exact."""
+    if scalars.is_exact(x, alpha):
+        e = x.denominator
+        return Fraction(sign * (x.numerator * den - alpha * e), e * den)
+    return x - div(alpha, den) if sign > 0 else div(alpha, den) - x
 
 
 class ShadowIntersectionError(ValueError):
@@ -171,44 +157,39 @@ def shadow(arr: Arrangement, frame: ProjectionFrame) -> ShadowData:
     intersection (the first largest low end and the first smallest high
     end); shadow_with_x moves it to any other point of it.
     """
-    a, d, i, j = frame.f_normal, frame.f_normal.dim, frame.i, frame.j
-    exact = arr.form and frame.a_form
-    if exact:  # a = A/f and a.r = 1: alpha_k = (A.P_k - A.P_i)/(f*q)
+    i, j = frame.i, frame.j
+    if arr.form and frame.a_form:
+        # a = A/f and a.r = 1: alpha_k = (A.P_k - A.P_i)/(f*q)
         (z, f), (rows, q) = frame.a_form, arr.form
         t = [_dot(z, row) for row in rows]
-        alphas = [t_k - t[i] for t_k in t]      # all over f*q
-        lams = [row[d] * f for row in rows]
+        alphas = [t_k - t[i] for t_k in t]
+        lams, den = [row[-1] * f for row in rows], f * q
     else:
-        vi, denom = arr.members[i].center, a.dot(frame.r_vec)
+        a, vi = frame.f_normal, arr.members[i].center
+        denom = a.dot(frame.r_vec)
         alphas = [div(a.dot(h.center - vi), denom) for h in arr.members]
-        lams = [h.ratio for h in arr.members]
+        lams, den = [h.ratio for h in arr.members], 1
     lows = [al - lam for al, lam in zip(alphas, lams)]
     highs = [al + lam for al, lam in zip(alphas, lams)]
     lo_idx, hi_idx = lows.index(max(lows)), highs.index(min(highs))
     lo, hi = lows[lo_idx], highs[hi_idx]
     if scalars.gt(lo, hi):
         raise ShadowIntersectionError((lo_idx, hi_idx))
-    if exact:
-        form = alphas, lows, highs, f * q, lo_idx, hi_idx
-        return ShadowData._over(i, j, form, Fraction(lo + hi, 2 * f * q))
-    x_coord = div(lo + hi, 2)
-    return ShadowData(i, j, tuple(alphas), tuple(zip(lows, highs)), lo, hi,
-                      x_coord, x_coord - alphas[i], alphas[j] - x_coord)
+    form = alphas, lows, highs, den, lo_idx, hi_idx
+    return ShadowData(i, j, form, div(lo + hi, 2 * den))
 
 
 def shadow_with_x(sd: ShadowData, x_coord: Scalar) -> ShadowData:
     """The same shadow re-pointed at another common point of the intervals."""
-    if sd.form and scalars.is_exact(x_coord):  # x = X/e: lo*e <= X*den <= hi*e
-        _, lows, highs, den, lo_idx, hi_idx = sd.form
+    _, lows, highs, den, lo_idx, hi_idx = sd.form
+    lo, hi = lows[lo_idx], highs[hi_idx]
+    if scalars.is_exact(x_coord, lo, hi):  # x = X/e: lo*e <= X*den <= hi*e
         x, e = x_coord.numerator * den, x_coord.denominator
-        if not lows[lo_idx] * e <= x <= highs[hi_idx] * e:
-            raise ValueError("x_coord lies outside the interval intersection")
-        return ShadowData._over(sd.i, sd.j, sd.form, x_coord)
-    if scalars.lt(x_coord, sd.inter_lo) or scalars.gt(x_coord, sd.inter_hi):
+    else:
+        x, e, lo, hi = x_coord, 1, div(lo, den), div(hi, den)
+    if not (scalars.le(lo * e, x) and scalars.le(x, hi * e)):
         raise ValueError("x_coord lies outside the interval intersection")
-    return ShadowData(sd.i, sd.j, sd.alphas, sd.intervals, sd.inter_lo,
-                      sd.inter_hi, x_coord, x_coord - sd.alphas[sd.i],
-                      sd.alphas[sd.j] - x_coord)
+    return ShadowData(sd.i, sd.j, sd.form, x_coord)
 
 
 def ratio(lam_i: Scalar, lam_j: Scalar, u_i: Scalar, u_j: Scalar) -> Scalar:
@@ -283,45 +264,48 @@ class SlabPair:
     is scale-invariant.  Orientation satisfies normal . y_i <= normal . y_j.
 
     ``plane`` is (M, k_ij, k_ji, g_ij, g_ji): the normal and the four
-    offsets over one positive denominator, or None when a value is a float.
-    A slab built from its public fields keeps them as given and derives its
-    plane; ``slab_pair`` builds it from the plane, and the normal and the
-    inner offsets are then the plane divided by |k_ij|, built when first read.
+    offsets over the positive integer ``den``, or the values as given with
+    den None when one of them is a float (``slab_pair``: on the tolerance
+    route).  The public values are read from it: over den, the normal and
+    the inner offsets are Fractions and the outer offsets are ints when den
+    divides them, so a slab from ``slab_pair`` has outer offsets -1 and +1.
     """
 
-    __match_args__ = ("i", "j", "normal", "c_k_ij", "c_k_ji", "c_g_ij",
-                      "c_g_ji")
+    __slots__ = ("i", "j", "plane", "den")
 
     def __init__(self, i: int, j: int, normal: Vector, c_k_ij: Scalar,
                  c_k_ji: Scalar, c_g_ij: Scalar, c_g_ji: Scalar):
-        self.i, self.j = i, j
-        self.c_k_ij = c_k_ij    # outer plane from the wedge plane at i
-        self.c_k_ji = c_k_ji    # outer plane from the wedge plane at j
-        # stored where cached_property keeps its values, so read as given
-        vars(self).update(normal=normal, c_g_ij=c_g_ij, c_g_ji=c_g_ji)
-        form = int_form(normal.coords + (c_k_ij, c_k_ji, c_g_ij, c_g_ji))
-        self.plane = form and (form[0][:-4], *form[0][-4:])
+        values = normal.coords + (c_k_ij, c_k_ji, c_g_ij, c_g_ji)
+        values, den = int_form(values) or (values, None)
+        self.i, self.j, self.den = i, j, den
+        self.plane = (tuple(values[:-4]), *values[-4:])
 
     @classmethod
-    def _over(cls, i: int, j: int, plane: tuple) -> "SlabPair":
-        """The slab of a plane form; its outer offsets are -1 and +1."""
-        slab, k = cls.__new__(cls), abs(plane[1])
-        slab.i, slab.j, slab.plane = i, j, plane
-        slab.c_k_ij, slab.c_k_ji = plane[1] // k, plane[2] // k
+    def _over(cls, i: int, j: int, plane: tuple,
+              den: Optional[int]) -> "SlabPair":
+        slab = cls.__new__(cls)
+        slab.i, slab.j, slab.plane, slab.den = i, j, plane, den
         return slab
 
-    @cached_property
-    def normal(self) -> Vector:
-        k = abs(self.plane[1])
-        return Vector(Fraction(v, k) for v in self.plane[0])
+    @property
+    def values(self) -> tuple:
+        """(normal coordinates, c_k_ij, c_k_ji, c_g_ij, c_g_ji)."""
+        den = self.den
+        if den is None:
+            return self.plane
+        m, k_ij, k_ji, g_ij, g_ji = self.plane
+        return (tuple(Fraction(v, den) for v in m),
+                *(k // den if k % den == 0 else Fraction(k, den)
+                  for k in (k_ij, k_ji)),
+                Fraction(g_ij, den), Fraction(g_ji, den))
 
-    @cached_property
-    def c_g_ij(self) -> Scalar:     # inner plane through y_i
-        return Fraction(self.plane[3], abs(self.plane[1]))
-
-    @cached_property
-    def c_g_ji(self) -> Scalar:     # inner plane through y_j
-        return Fraction(self.plane[4], abs(self.plane[1]))
+    normal = property(lambda self: Vector(self.values[0]))
+    # outer planes from the wedge planes at i and at j
+    c_k_ij = property(lambda self: self.values[1])
+    c_k_ji = property(lambda self: self.values[2])
+    # inner planes through y_i and through y_j
+    c_g_ij = property(lambda self: self.values[3])
+    c_g_ji = property(lambda self: self.values[4])
 
 
 def slab_pair(arr: Arrangement, frame: ProjectionFrame,
@@ -339,32 +323,38 @@ def slab_pair(arr: Arrangement, frame: ProjectionFrame,
     exact = arr.form and frame.a_form and scalars.is_exact(sd.x_coord)
     if exact:
         # (a, x) = (A, X)/f over the lcm f of their denominators:
-        # N = (A*q, -A.P_i - X*q)/(f*q)
-        (coef, f_a), (rows, q), d = frame.a_form, arr.form, a.dim
+        # M = (A*q, -A.P_i - X*q) is N over den = f*q
+        (coef, f_a), (rows, q) = frame.a_form, arr.form
         x, e = sd.x_coord.numerator, sd.x_coord.denominator
         f = math.lcm(f_a, e)
         z = [v * (f // f_a) for v in coef]
         m = [v * q for v in z]
         m.append(-_dot(z, rows[i]) - x * (f // e) * q)
-        den, s_i, s_j = f * q, rows[i][d], rows[j][d]
-        n_i, n_j = (_dot(m[:d], rows[k]) + m[d] * q for k in (i, j))  # M.Y
-        gi, gj, s = n_i * s_j, n_j * s_i, s_i * s_j   # over den*s
-        flip, flat = gi > gj, gi == gj
+        den = f * q
+        (y_i, w_i), (y_j, w_j) = ((rows[k][:-1] + (q,), rows[k][-1])
+                                  for k in (i, j))
     else:
-        normal = a.extended(-a.dot(arr.members[i].center) - sd.x_coord)
-        c_g_ij, c_g_ji = (normal.dot(_lift_point(h.center, h.ratio))
-                          for h in (arr.members[i], arr.members[j]))
-        flip, flat = scalars.gt(c_g_ij, c_g_ji), scalars.eq(c_g_ij, c_g_ji)
-    if flat:
+        m = a.extended(-a.dot(arr.members[i].center) - sd.x_coord).coords
+        den = 1
+        (y_i, w_i), (y_j, w_j) = ((_lift_point(h.center, h.ratio).coords, 1)
+                                  for h in (arr.members[i], arr.members[j]))
+    s = w_i * w_j                                  # g_i, g_j over den*s
+    gi, gj = _dot(m, y_i) * w_j, _dot(m, y_j) * w_i
+    if scalars.eq(gi, gj):
         raise DegenerateWedgeError("projected pair lies on one hyperplane; "
                                    "the inner planes coincide")
-    if exact:
-        sg, k = -1 if flip else 1, den * s
-        return SlabPair._over(i, j, ([sg * v * s for v in m], -sg * k,
-                                     sg * k, sg * gi, sg * gj))
-    if flip:
-        return SlabPair(i, j, -normal, 1, -1, -c_g_ij, -c_g_ji)
-    return SlabPair(i, j, normal, -1, 1, c_g_ij, c_g_ji)
+    sg, k = -1 if scalars.gt(gi, gj) else 1, den * s
+    plane = [sg * v * s for v in m], -sg * k, sg * k, sg * gi, sg * gj
+    return SlabPair._over(i, j, plane, k if exact else None)
+
+
+def _on_one_scale(slab: SlabPair, lifted: LiftedConfig):
+    """(plane, forms, exact): the slab's plane and the lifted points' forms
+    (Y, w) on one scale.  They are the integer forms when both are exact,
+    else the slab's values with each point read as (y, 1)."""
+    if slab.den and lifted.forms:
+        return slab.plane, lifted.forms, True
+    return slab.values, [(y.coords, 1) for y in lifted.points], False
 
 
 def verify_slab(lifted: LiftedConfig, slab: SlabPair) -> Tuple[bool, Optional[int]]:
@@ -372,33 +362,24 @@ def verify_slab(lifted: LiftedConfig, slab: SlabPair) -> Tuple[bool, Optional[in
 
     Returns (ok, index of the first point outside or None).  Exact
     containment in rational mode, on the integer forms; in floating mode the
-    tolerance is applied to offsets normalized by the Euclidean length of
-    the normal.
+    ends are widened by the tolerance times the Euclidean length of the
+    normal.
     """
-    if slab.plane and lifted.forms:
-        m, lo, hi = slab.plane[0], *sorted(slab.plane[1:3])
-        offender = next((k for k, (y, w) in enumerate(lifted.forms)
-                         if not lo * w <= _dot(m, y) <= hi * w), None)
-    else:
-        margin = scalars.tolerance() * math.sqrt(float(slab.normal.norm_sq()))
-        c_1, c_2 = slab.c_k_ij, slab.c_k_ji
-        lo, hi = min(c_1, c_2) - margin, max(c_1, c_2) + margin
-        offender = next((k for k, y in enumerate(lifted.points)
-                         if (val := slab.normal.dot(y)) < lo or val > hi),
-                        None)
+    (m, k_1, k_2, _, _), forms, exact = _on_one_scale(slab, lifted)
+    margin = 0 if exact else \
+        scalars.tolerance() * math.sqrt(float(_dot(m, m)))
+    lo, hi = min(k_1, k_2) - margin, max(k_1, k_2) + margin
+    offender = next((k for k, (y, w) in enumerate(forms)
+                     if not lo * w <= _dot(m, y) <= hi * w), None)
     return offender is None, offender
 
 
 def width_gaps(slab: SlabPair, lifted: LiftedConfig) -> Tuple[Scalar, Scalar]:
     """(k_ij - k_ji, N.y_i - N.y_j) with N.y read from the lifted points;
     their quotient is the signed width ratio (integers for exact input)."""
-    if slab.plane and lifted.forms:
-        m, k_ij, k_ji = slab.plane[:3]
-        (y_i, w_i), (y_j, w_j) = lifted.forms[slab.i], lifted.forms[slab.j]
-        return ((k_ij - k_ji) * w_i * w_j,
-                _dot(m, y_i) * w_j - _dot(m, y_j) * w_i)
-    n, y = slab.normal, lifted.points
-    return slab.c_k_ij - slab.c_k_ji, n.dot(y[slab.i]) - n.dot(y[slab.j])
+    (m, k_ij, k_ji, _, _), forms, _ = _on_one_scale(slab, lifted)
+    (y_i, w_i), (y_j, w_j) = forms[slab.i], forms[slab.j]
+    return (k_ij - k_ji) * w_i * w_j, _dot(m, y_i) * w_j - _dot(m, y_j) * w_i
 
 
 def verify_ratio_identity(slab: SlabPair, y_i: Vector, y_j: Vector,
@@ -415,18 +396,15 @@ def verify_ratio_identity(slab: SlabPair, y_i: Vector, y_j: Vector,
     if isinstance(expected, float) and not math.isfinite(expected):
         raise ValueError("expected ratio is not finite")
     expected = abs(expected)
-    if slab.plane and scalars.is_exact(expected):
-        _, k_ij, k_ji, g_ij, g_ji = slab.plane
-        if g_ij == g_ji:
-            raise ValueError("inner planes coincide; the ratio is undefined")
+    exact = slab.den and scalars.is_exact(expected)
+    _, k_ij, k_ji, g_ij, g_ji = slab.plane if exact else slab.values
+    if scalars.sign(g_ij - g_ji) == 0:
+        raise ValueError("inner planes coincide; the ratio is undefined")
+    if exact:
         holds = abs(k_ij - k_ji) * expected.denominator \
             == expected.numerator * abs(g_ij - g_ji)
     else:
-        gap_g = slab.c_g_ij - slab.c_g_ji
-        if scalars.sign(gap_g) == 0:
-            raise ValueError("inner planes coincide; the ratio is undefined")
-        holds = scalars.eq_rel(abs(div(slab.c_k_ij - slab.c_k_ji, gap_g)),
-                               expected)
+        holds = scalars.eq_rel(abs(div(k_ij - k_ji, g_ij - g_ji)), expected)
     if holds and y_i == y_j:
         raise ValueError("lifted points coincide")
     return holds
@@ -497,6 +475,7 @@ def pair_diagnostics(arr: Arrangement, frame: ProjectionFrame,
     rho = ratio(arr.members[frame.i].ratio, arr.members[frame.j].ratio,
                 sd.u_i, sd.u_j)
     slab = slab_pair(arr, frame, sd)
+    normal, c_k_ij, c_k_ji, c_g_ij, c_g_ji = slab.values
     lifted = lift(arr)
     ok, offender = verify_slab(lifted, slab)
     return {
@@ -511,9 +490,9 @@ def pair_diagnostics(arr: Arrangement, frame: ProjectionFrame,
         "u_j": fmt(sd.u_j),
         "ratio": fmt(rho) if not (isinstance(rho, float)
                                   and math.isinf(rho)) else "infinite",
-        "slab": {"normal": [fmt(c) for c in slab.normal],
-                 "c_k_ij": fmt(slab.c_k_ij), "c_k_ji": fmt(slab.c_k_ji),
-                 "c_g_ij": fmt(slab.c_g_ij), "c_g_ji": fmt(slab.c_g_ji)},
+        "slab": {"normal": [fmt(c) for c in normal],
+                 "c_k_ij": fmt(c_k_ij), "c_k_ji": fmt(c_k_ji),
+                 "c_g_ij": fmt(c_g_ij), "c_g_ji": fmt(c_g_ji)},
         "slab_contains_all": ok,
         "slab_offender": offender,
     }

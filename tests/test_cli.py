@@ -469,3 +469,27 @@ def test_parser_state_does_not_leak_between_calls(cube_file, capsys):
     assert code == 0
     assert "seed: 3" in out and "mode: exact  eps: 1e-09" in out
     assert "verdict: PASS" in out
+
+
+@pytest.mark.parametrize("body", [
+    {"dim": 2, "type": "hpoly", "facets": [{"offset": 1}]},
+    {"dim": 2, "type": "hpoly", "facets": ["x"]},
+    {"dim": 2, "type": "vpoly", "vertices": 5},
+], ids=["facet-without-normal", "facet-not-an-object", "vertices-not-a-list"])
+@pytest.mark.parametrize("command", ["search", "spectrum", "chain"])
+def test_malformed_body_entries_are_input_errors(body, command, tmp_path,
+                                                 capsys):
+    body_file = tmp_path / "body.json"
+    body_file.write_text(json.dumps(body))
+    pts_file = tmp_path / "pts.json"
+    pts_file.write_text(json.dumps({"dim": 2, "points": [[0, 0], [1, 0]]}))
+    argv = {"search": ["search", str(body_file), "--iters", "5"],
+            "spectrum": ["kdist", "spectrum", str(pts_file),
+                         "--body", str(body_file)],
+            "chain": ["kdist", "chain", str(pts_file), "--k", "2",
+                      "--body", str(body_file)]}[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("input error: malformed "), err
+    assert err.count("\n") == 1 and "internal error" not in err
+    assert out == ""

@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minkarr import (Arrangement, BallBody, DegenerateWedgeError, Homothet,
-                     ShadowData, ShadowIntersectionError, build_frame,
-                     check_central_overlap_ratio, cross_ratio, cube_arrangement,
-                     lift, linf_ball, pair_diagnostics, ratio, shadow,
-                     shadow_with_x, slab_pair, trapezoid_combine, unlift,
-                     verify_ratio_identity, verify_slab)
+                     ShadowData, ShadowIntersectionError, SlabPair,
+                     build_frame, check_central_overlap_ratio, cross_ratio,
+                     cube_arrangement, lift, linf_ball, pair_diagnostics,
+                     ratio, shadow, shadow_with_x, slab_pair,
+                     trapezoid_combine, unlift, verify_ratio_identity,
+                     verify_slab)
 from minkarr.bodies import VPolytopeBody, l1_ball
 from minkarr.instances import (corpus_body, random_intersecting_arrangement,
                                random_minkowski_arrangement)
@@ -165,6 +166,40 @@ def test_slab_touching_line_full_construction():
     rho = ratio(F(1), F(1), sd.u_i, sd.u_j)
     assert rho == 1
     assert verify_ratio_identity(sp, y1, y2, rho)
+
+
+def _public(slab):
+    """A slab's public values, flattened, each with its type."""
+    values = (*slab.normal.coords, slab.c_k_ij, slab.c_k_ji, slab.c_g_ij,
+              slab.c_g_ji)
+    return [(type(v), v) for v in values]
+
+
+def test_slab_pair_public_values_round_trip():
+    # exact values read back equal, over one integer denominator
+    normal = Vector((F(2, 3), -1, F(5)))
+    slab = SlabPair(0, 1, normal, F(-5, 2), 3, F(1, 7), 0)
+    assert slab.den == 42 and all(type(v) is int for v in slab.plane[0])
+    assert slab.normal == normal
+    assert (slab.c_k_ij, slab.c_k_ji, slab.c_g_ij, slab.c_g_ji) \
+        == (F(-5, 2), 3, F(1, 7), 0)
+    # float or mixed values read back as given, types included
+    for values in ((Vector((0.5, -1.0)), -1, 1, 0.25, 0.75),
+                   (Vector((F(1, 2), 2)), -1.0, F(1), 0, 0.5)):
+        slab = SlabPair(0, 1, *values)
+        assert slab.den is None
+        given = (*values[0].coords, *values[1:])
+        assert _public(slab) == [(type(v), v) for v in given]
+    # the outer offsets of a constructed slab are the ints -1 and +1
+    for arr in (arr_of(SQUARE, H((0, 0), 1), H((F(3, 2), F(1, 3)), F(3, 4))),
+                Arrangement(BallBody(2), (Homothet(Vector((0, 0)), F(1)),
+                                          Homothet(Vector((1, 1)), F(1)))),
+                Arrangement(SQUARE, (Homothet(Vector((0.0, 0.0)), 1.0),
+                                     Homothet(Vector((1.5, 0.5)), 1.0)))):
+        for i, j in ((0, 1), (1, 0)):
+            frame = build_frame(arr, i, j)
+            slab = slab_pair(arr, frame, shadow(arr, frame))
+            assert sorted(_public(slab)[-4:-2]) == [(int, -1), (int, 1)]
 
 
 def test_slab_symmetric_pair():
@@ -373,7 +408,9 @@ def test_central_overlap_without_premise_holds_vacuously():
 
 def test_central_overlap_infinite_ratio_fails():
     # premise met with u_i = u_j = 0: the width ratio's denominator vanishes
-    sd = ShadowData(0, 1, (0, 0), ((-1, 0), (0, 1)), 0, 0, 0, 0, 0)
+    # (alphas, lows, highs, den, lo_idx, hi_idx): intervals [-1, 0], [0, 1]
+    sd = ShadowData(0, 1, ((0, 0), (-1, 0), (0, 1), 1, 1, 0), 0)
+    assert sd.intervals == ((-1, 0), (0, 1)) and sd.u_i == sd.u_j == 0
     assert ratio(1, 1, sd.u_i, sd.u_j) == math.inf
     assert check_central_overlap_ratio(sd, 1, 1) is False
 

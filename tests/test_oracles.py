@@ -807,6 +807,13 @@ def _key(v):
     return F(v) if scalars.is_exact(v) else v
 
 
+# the public values of a shadow and of a slab, as the oracles compute them
+Shadow = collections.namedtuple(
+    "Shadow", "i j alphas intervals inter_lo inter_hi x_coord u_i u_j")
+Slab = collections.namedtuple(
+    "Slab", "i j normal c_k_ij c_k_ji c_g_ij c_g_ji")
+
+
 def loop_shadow(arr, frame):
     vi = arr.members[frame.i].center
     denom = frame.f_normal.dot(frame.r_vec)
@@ -821,15 +828,15 @@ def loop_shadow(arr, frame):
     if scalars.gt(lo, hi):
         raise ShadowIntersectionError((lo_idx, hi_idx))
     x_coord = scalars.div(lo + hi, 2)
-    return ShadowData(frame.i, frame.j, tuple(alphas), tuple(intervals),
-                      lo, hi, x_coord, x_coord - alphas[frame.i],
-                      alphas[frame.j] - x_coord)
+    return Shadow(frame.i, frame.j, tuple(alphas), tuple(intervals), lo, hi,
+                  x_coord, x_coord - alphas[frame.i],
+                  alphas[frame.j] - x_coord)
 
 
 def fraction_shadow_with_x(sd, x_coord):
-    return ShadowData(sd.i, sd.j, sd.alphas, sd.intervals, sd.inter_lo,
-                      sd.inter_hi, x_coord, x_coord - sd.alphas[sd.i],
-                      sd.alphas[sd.j] - x_coord)
+    return Shadow(sd.i, sd.j, sd.alphas, sd.intervals, sd.inter_lo,
+                  sd.inter_hi, x_coord, x_coord - sd.alphas[sd.i],
+                  sd.alphas[sd.j] - x_coord)
 
 
 def fraction_ratio(lam_i, lam_j, u_i, u_j):
@@ -854,7 +861,7 @@ def fraction_slab_pair(arr, frame, sd):
         c_g_ij, c_g_ji = -c_g_ij, -c_g_ji
     if scalars.eq(c_g_ji - c_g_ij, 0):
         raise DegenerateWedgeError("inner planes coincide")
-    return SlabPair(frame.i, frame.j, normal, c_k_ij, c_k_ji, c_g_ij, c_g_ji)
+    return Slab(frame.i, frame.j, normal, c_k_ij, c_k_ji, c_g_ij, c_g_ji)
 
 
 def slab_offender(points, normal, c_1, c_2):
@@ -901,8 +908,10 @@ def typed(value):
     compare equal but are different certificate bytes.  A dataclass field
     declared compare=False (an integer form kept beside the values, at
     whatever scale its route chose) is skipped; a shadow or a slab is read
-    through its public fields (``__match_args__``), which builds the ones
-    its route left to be built on read."""
+    through its public values, the fields of ``Shadow`` or ``Slab``."""
+    if isinstance(value, (ShadowData, SlabPair)):
+        names = (Shadow if isinstance(value, ShadowData) else Slab)._fields
+        return typed([getattr(value, name) for name in names])
     if isinstance(value, Vector):
         return typed(value.coords)
     if isinstance(value, (tuple, list)):
@@ -910,9 +919,17 @@ def typed(value):
     if dataclasses.is_dataclass(value):
         return typed([getattr(value, f.name)
                       for f in dataclasses.fields(value) if f.compare])
-    if isinstance(value, (ShadowData, SlabPair)):
-        return typed([getattr(value, name) for name in value.__match_args__])
     return type(value).__name__, value
+
+
+def all_ints(values):
+    return all(type(v) is int for v in values)
+
+
+def on_integers(sd):
+    """Whether the shadow's form holds only integers."""
+    alphas, lows, highs, den, _, _ = sd.form
+    return all_ints((*alphas, *lows, *highs, den))
 
 
 def same(got, want):
@@ -937,9 +954,8 @@ def check_both_routes(arr, xs_per_pair=()):
             frame = build_frame(arr, i, j)
             same(frame, two_call_frame(arr, i, j))
             sd0 = shadow(arr, frame)
-            if arr.form and frame.a_form:  # compared as built on read
-                assert vars(sd0).keys() & set(sd0.__match_args__) \
-                    == {"i", "j", "x_coord"}
+            # exact input takes the integer route
+            assert on_integers(sd0) == bool(arr.form and frame.a_form)
             same(sd0, loop_shadow(arr, frame))
             for t in (None,) + tuple(xs_per_pair):
                 x = sd0.x_coord if t is None else \
@@ -956,9 +972,11 @@ def check_both_routes(arr, xs_per_pair=()):
                         slab_pair(arr, frame, sd)
                     continue
                 slab = slab_pair(arr, frame, sd)
-                if arr.form and frame.a_form:
-                    assert not vars(slab).keys() & {"normal", "c_g_ij",
-                                                    "c_g_ji"}
+                if arr.form and frame.a_form and scalars.is_exact(x):
+                    assert type(slab.den) is int and slab.den > 0
+                    assert all_ints((*slab.plane[0], *slab.plane[1:]))
+                else:
+                    assert slab.den is None
                 same(slab, want)
                 args = (slab.normal, slab.c_k_ij, slab.c_k_ji)
                 same(slab_offender(lifted.points, *args),
@@ -1161,7 +1179,7 @@ def test_shadow_with_x_takes_the_intersection_ends():
                                            full_lift=True)
         for i, j in itertools.permutations(range(len(arr)), 2):
             sd0 = shadow(arr, build_frame(arr, i, j))
-            assert sd0.form is not None
+            assert on_integers(sd0)
             ends = [sd0.inter_lo, sd0.inter_hi]
             ends += [int(x) for x in ends if x.denominator == 1]
             for x in ends:
