@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import scalars
 from .bodies import (SymmetricBody, body_from_json, body_to_json,
-                     distance_table, linf_ball)
+                     distance_table, int_distance_table, linf_ball)
 from .kdistance import chain_violation
 from .linalg import Vector, zero_vector
 from .scalars import Scalar, div, format_scalar, parse_scalar
@@ -66,17 +66,15 @@ class Arrangement:
         """The centers' ``distance_table``, computed on first use and kept.
 
         Exact centers on an exact body take it from the integer rows: the
-        gauge is a norm, so gauge(v_j - v_i) = gauge(P_j - P_i)/q.
+        gauge is a norm, so gauge(v_j - v_i) = gauge(P_j - P_i)/q, one
+        ``int_gauge`` and one Fraction per pair (int 0 for a zero gauge).
         """
         if not (self.form and self.body.exact):
             return distance_table(self.body, [h.center for h in self.members])
         rows, q = self.form
-        table = distance_table(self.body, [Vector(row[:-1]) for row in rows])
-        if q > 1:
-            for row in table:
-                row[:] = [g and Fraction(g.numerator, g.denominator * q)
-                          for g in row]
-        return table
+        return [[Fraction(t, e) if t else 0 for t, e in row]
+                for row in int_distance_table(self.body,
+                                              [r[:-1] for r in rows], q)]
 
 
 def intersects(body: SymmetricBody, h1: Homothet, h2: Homothet) -> bool:
@@ -219,11 +217,21 @@ class SearchConfig:
     seed: int = 0
     iterations: int = 200
 
+    def __post_init__(self):
+        if self.iterations < 0:
+            raise ValueError("search iterations must be non-negative, got %d"
+                             % self.iterations)
 
-# center draws per insertion, iterations without one before a drop, ratio steps
+
+# center draws per insertion, iterations without one before a drop, ratio
+# steps, the least inserted ratio, and the grids of the drawn centers (1/4)
+# and of the weights placing a new ratio between its bounds (1/8)
 INSERT_ATTEMPTS = 4
 STAGNATION_LIMIT = 25
 RATIO_STEPS = (Fraction(3, 4), Fraction(5, 6), Fraction(6, 5), Fraction(4, 3))
+MIN_RATIO = Fraction(1, 8)
+CENTER_GRID = 4
+WEIGHT_GRID = 8
 
 
 def _feasible(body: SymmetricBody, members: Sequence[Homothet]) -> bool:
@@ -233,12 +241,14 @@ def _feasible(body: SymmetricBody, members: Sequence[Homothet]) -> bool:
 
 
 def _grid_fraction(rng: random.Random, lo: float, hi: float,
-                   denom: int = 4) -> Fraction:
+                   denom: int = CENTER_GRID) -> int:
+    """The numerator k of a grid point k/denom drawn in [lo, hi] (the first
+    grid point above lo when no grid point is in it)."""
     lo_n = math.ceil(lo * denom)
     hi_n = math.floor(hi * denom)
     if hi_n < lo_n:
         hi_n = lo_n
-    return Fraction(rng.randint(lo_n, hi_n), denom)
+    return rng.randint(lo_n, hi_n)
 
 
 def _feasible_ratio(body: SymmetricBody, members: List[Homothet],
@@ -251,8 +261,9 @@ def _feasible_ratio(body: SymmetricBody, members: List[Homothet],
     keeping v_j outside the interior, and the center itself must not lie in
     any existing interior.  They are every comparison the predicates make on
     the pairs holding the new member, so the ratio decides the insertion.
+    The ratio is low + (high - low)*k/8 for a drawn weight k in 0..8.
     """
-    low = Fraction(1, 8)
+    low = MIN_RATIO
     high = None
     gauges = []
     for h in members:
@@ -264,7 +275,8 @@ def _feasible_ratio(body: SymmetricBody, members: List[Homothet],
         high = g if high is None else min(high, g)
     if high is None or low > high:
         return None
-    return low + (high - low) * Fraction(rng.randint(0, 8), 8), gauges
+    weight = _grid_fraction(rng, 0, 1, WEIGHT_GRID)
+    return low + (high - low) * Fraction(weight, WEIGHT_GRID), gauges
 
 
 def _member_feasible(dist: Sequence[Scalar], ratios: Sequence[Scalar],
@@ -281,29 +293,149 @@ def _member_feasible(dist: Sequence[Scalar], ratios: Sequence[Scalar],
 
 
 class _GaugeCache:
-    """Search moves decided from the ``distance_table`` G of the members: an
-    insertion appends the ``col`` of ``_feasible_ratio``, gauge(c - v_j) in
-    the table's orientation, and computes no gauge; a rescaling reads a row;
-    a drop removes a row and a column."""
+    """Search moves decided on scalars, for any body and members.
 
-    def __init__(self, body: SymmetricBody, members: Sequence[Homothet]):
+    It follows the loop's list ``members`` and the ``distance_table`` G of
+    its centers: an insertion is decided by ``_feasible_ratio`` and appends
+    its gauges gauge(c - v_j) in the table's orientation, a rescaling reads
+    a row through ``_member_feasible``, and a drop removes a row and a
+    column.
+    """
+
+    def __init__(self, body: SymmetricBody, members: List[Homothet]):
+        self.body = body
+        self.members = members
         self.g = distance_table(body, [h.center for h in members])
 
-    def insert(self, col: Sequence[Scalar]) -> None:
-        """Grow G by a new last member, col[j] = gauge(c - v_j)."""
-        for grow, g in zip(self.g, col):
-            grow.append(g)
-        self.g.append(list(col) + [0])
+    def box(self) -> Tuple[List[float], List[float]]:
+        """The centers' float bounding box padded by twice the largest
+        ratio."""
+        pad = 2 * max(float(h.ratio) for h in self.members)
+        cols = list(zip(*(h.center.coords for h in self.members)))
+        return ([min(map(float, c)) - pad for c in cols],
+                [max(map(float, c)) + pad for c in cols])
 
-    def rescale(self, members: Sequence[Homothet], idx: int,
-                ratio: Scalar) -> bool:
-        return _member_feasible(self.g[idx], [h.ratio for h in members],
-                                idx, ratio)
+    def insert(self, grid: Sequence[int],
+               rng: random.Random) -> Optional[Homothet]:
+        """The member at the grid center, or None when it admits no ratio."""
+        center = Vector([Fraction(k, CENTER_GRID) for k in grid])
+        found = _feasible_ratio(self.body, self.members, center, rng)
+        if found is None:
+            return None
+        for grow, g in zip(self.g, found[1]):
+            grow.append(g)
+        self.g.append(found[1] + [0])
+        return Homothet(center, found[0])
+
+    def rescale(self, idx: int, step: Fraction) -> Optional[Scalar]:
+        """Member idx's ratio times step, or None when that breaks a
+        relation."""
+        ratio = self.members[idx].ratio * step
+        if _member_feasible(self.g[idx], [h.ratio for h in self.members],
+                            idx, ratio):
+            return ratio
+        return None
 
     def drop(self, k: int) -> None:
         del self.g[k]
         for grow in self.g:
             del grow[k]
+
+
+class _IntegerGauges:
+    """Search moves decided on integers, for exact members of an exact body.
+
+    The centers are integer rows P/q over q = lcm(4, start denominators),
+    so every grid center k/4 is the row k*q/4; a ratio is a pair (a, b)
+    with lam = a/b (the start ratios over q), and the table holds the
+    ``int_distance_table`` pairs (t, e) with D = t/e.  Every decision is a
+    cross-multiplied integer comparison of these, the same comparisons
+    ``_GaugeCache`` makes on Fractions; a Fraction is built only for a
+    drawn ratio, an accepted rescaling and the center of an accepted
+    member.
+    """
+
+    def __init__(self, body: SymmetricBody, rows: Sequence[Sequence[int]],
+                 q: int):
+        """From the start members' (center, ratio) rows over q."""
+        self.q = math.lcm(CENTER_GRID, q)
+        self.unit = self.q // CENTER_GRID
+        self.rows = [[c * (self.q // q) for c in row[:-1]] for row in rows]
+        self.lam = [(row[-1], q) for row in rows]
+        self.int_gauge = body.int_gauge
+        self.g = int_distance_table(body, self.rows, self.q)
+
+    def box(self) -> Tuple[List[float], List[float]]:
+        """``_GaugeCache.box`` read from the integers: int/int true division
+        is correctly rounded, as is float(Fraction)."""
+        pad = 2 * max(a / b for a, b in self.lam)
+        q = self.q
+        cols = list(zip(*self.rows))
+        return ([min(c) / q - pad for c in cols],
+                [max(c) / q + pad for c in cols])
+
+    def insert(self, grid: Sequence[int],
+               rng: random.Random) -> Optional[Homothet]:
+        """``_feasible_ratio`` on integers: with D_j = t/e and lam_j = a/b,
+        the center is interior when t*b < a*e, low is the running max of
+        ``MIN_RATIO`` and (t*b - a*e)/(e*b), and high the least t/e."""
+        center = [k * self.unit for k in grid]
+        q = self.q
+        ln, ld = MIN_RATIO.numerator, MIN_RATIO.denominator
+        hn, hd = None, 1
+        col = []
+        for row, (a, b) in zip(self.rows, self.lam):
+            t, e = self.int_gauge([c - v for c, v in zip(center, row)])
+            e *= q
+            if t * b < a * e:
+                return None
+            col.append((t, e))
+            n, d = t * b - a * e, e * b
+            if n * ld > ln * d:
+                ln, ld = n, d
+            if hn is None or t * hd < hn * e:
+                hn, hd = t, e
+        if ln * hd > hn * ld:
+            return None
+        weight = _grid_fraction(rng, 0, 1, WEIGHT_GRID)
+        ratio = Fraction(ln * hd * (WEIGHT_GRID - weight) + hn * ld * weight,
+                         ld * hd * WEIGHT_GRID)
+        for grow, g in zip(self.g, col):
+            grow.append(g)
+        self.g.append(col + [(0, 1)])
+        self.rows.append(center)
+        self.lam.append((ratio.numerator, ratio.denominator))
+        return Homothet(Vector([Fraction(k, CENTER_GRID) for k in grid]),
+                        ratio)
+
+    def rescale(self, idx: int, step: Fraction) -> Optional[Fraction]:
+        """``_member_feasible`` on integers, for lam = a/b and lam_j = c/f:
+        D < lam, D < lam_j and D > lam + lam_j, each cross-multiplied."""
+        a, b = self.lam[idx]
+        a *= step.numerator
+        b *= step.denominator
+        for j, ((t, e), (c, f)) in enumerate(zip(self.g[idx], self.lam)):
+            if j != idx and (t * b < a * e or t * f < c * e
+                             or t * b * f > (a * f + c * b) * e):
+                return None
+        ratio = Fraction(a, b)
+        self.lam[idx] = (ratio.numerator, ratio.denominator)
+        return ratio
+
+    def drop(self, k: int) -> None:
+        del self.g[k], self.rows[k], self.lam[k]
+        for grow in self.g:
+            del grow[k]
+
+
+def _search_state(body: SymmetricBody, members: List[Homothet]):
+    """The integer state for exact members of an exact body, else the
+    scalar one."""
+    form = body.exact and scalars.int_rows(
+        [h.center.coords + (h.ratio,) for h in members])
+    if form:
+        return _IntegerGauges(body, *form)
+    return _GaugeCache(body, members)
 
 
 def search_arrangement(body: SymmetricBody, dim: int,
@@ -320,22 +452,27 @@ def search_arrangement(body: SymmetricBody, dim: int,
     first feasible one is taken, so a fixed seed fully determines the run.
     Only states passing both predicates are ever accepted.
 
-    A move is checked in O(n): an insertion by the bounds of
-    ``_feasible_ratio``, a rescaling against the distances ``_GaugeCache``
-    keeps between the current members.  The accepted state always satisfies
-    both predicates, so checking the moved member's relations makes the same
+    A move is checked in O(n) against the distances the search state keeps
+    between the current members: an insertion by the bounds of
+    ``_feasible_ratio``, a rescaling by the comparisons of
+    ``_member_feasible``.  Exact members of an exact body take
+    ``_IntegerGauges``, which makes these comparisons on integers; any float
+    takes ``_GaugeCache``.  The accepted state always satisfies both
+    predicates, so checking the moved member's relations makes the same
     decisions as a full pass over the candidate.  The warm start and the
     result are checked by the full predicates.
     """
     return _search(body, dim, config or SearchConfig(), warm_start,
-                   _GaugeCache)
+                   _search_state)
 
 
 def _search(body: SymmetricBody, dim: int, cfg: SearchConfig,
             warm_start: Optional[Arrangement], make_state) -> Arrangement:
-    """The move loop; ``make_state(body, members)`` gives the ``rescale``
-    that decides a rescaling, and the ``insert`` (called once the new member
-    is appended) and ``drop`` that follow the members."""
+    """The move loop.  ``make_state(body, members)`` gives the state that
+    decides every move on the loop's list ``members``: ``box()`` the float
+    box the centers are drawn in, ``insert(grid, rng)`` the member at the
+    center grid/4 or None, ``rescale(idx, step)`` member idx's new ratio or
+    None, and ``drop(k)``."""
     if body.dim != dim:
         raise ValueError("body dimension does not match the search dimension")
     rng = random.Random(cfg.seed)
@@ -348,25 +485,19 @@ def _search(body: SymmetricBody, dim: int, cfg: SearchConfig,
     stagnation = 0
 
     for _ in range(cfg.iterations):
-        max_ratio = max(float(h.ratio) for h in members)
-        lo = [min(float(h.center[i]) for h in members) - 2 * max_ratio
-              for i in range(dim)]
-        hi = [max(float(h.center[i]) for h in members) + 2 * max_ratio
-              for i in range(dim)]
+        lo, hi = state.box()
         for _attempt in range(INSERT_ATTEMPTS):
-            center = Vector([_grid_fraction(rng, lo[i], hi[i])
-                             for i in range(dim)])
-            found = _feasible_ratio(body, members, center, rng)
-            if found is not None:
-                members.append(Homothet(center, found[0]))
-                state.insert(found[1])
+            member = state.insert([_grid_fraction(rng, lo[i], hi[i])
+                                   for i in range(dim)], rng)
+            if member is not None:
+                members.append(member)
                 stagnation = 0
                 break
         else:  # no insertion: rescale one member, and drop one when stuck
             idx = rng.randrange(len(members))
-            step = RATIO_STEPS[rng.randrange(len(RATIO_STEPS))]
-            ratio = members[idx].ratio * step
-            if state.rescale(members, idx, ratio):
+            ratio = state.rescale(
+                idx, RATIO_STEPS[rng.randrange(len(RATIO_STEPS))])
+            if ratio is not None:
                 members[idx] = Homothet(members[idx].center, ratio)
             stagnation += 1
             if stagnation >= STAGNATION_LIMIT and len(members) > 1:

@@ -3,14 +3,16 @@
 A body is the unit ball of the norm it induces: the gauge of x is the least
 lambda >= 0 with x in lambda*K, a norm; ``distance_table`` takes it once
 per pair of points for the predicates, the search, the generators and the
-chains.  The shadow and the lift read the boundary frame toward u != 0: the
-gauge-1 point r = u/gauge(u) and a supporting plane a.z = 1 of K at r, which
-every body answers in one pass, in every dimension.  Three variants:
+chains, and ``int_distance_table`` takes the integer gauge ``int_gauge``
+once per pair of integer points of an exact body.  The shadow and the lift
+read the boundary frame toward u != 0: the gauge-1 point r = u/gauge(u) and
+a supporting plane a.z = 1 of K at r, which every body answers in one pass,
+in every dimension.  Three variants:
 
 * ``HPolytopeBody`` -- intersection of halfspaces a.x <= 1 (facets are stored
   in offset-1 canonical form), central symmetry means the facet list is
-  closed under normal negation; with exact facets the gauge of an exact
-  vector is one integer pass (see ``HPolytopeBody.gauge``);
+  closed under normal negation; with exact facets the gauge of an integer
+  vector is one integer pass (see ``HPolytopeBody.int_gauge``);
 * ``VPolytopeBody`` -- convex hull of a vertex list closed under negation;
   up to dimension 3 it answers through its facet form, beyond that through
   the polar LP, whose maximiser is the supporting plane;
@@ -41,13 +43,19 @@ class SymmetricBody:
 
     ``exact`` says that both are exact on exact vectors (no float facet or
     vertex), so they scale with the vector exactly: gauge(q*u) = q*gauge(u)
-    and the frame of q*u is the frame of u for q > 0.
+    and the frame of q*u is the frame of u for q > 0.  An exact body also
+    answers ``int_gauge``.
     """
 
     dim: int
     exact = False
 
     def gauge(self, x: Vector) -> Scalar:
+        raise NotImplementedError
+
+    def int_gauge(self, p: Sequence[int]) -> Tuple[int, int]:
+        """(top, den) with gauge(p) = top/den, den > 0, for an integer
+        vector p; exact bodies only."""
         raise NotImplementedError
 
     def boundary_frame(self, u: Vector) -> Tuple[Vector, Vector]:
@@ -72,6 +80,20 @@ def distance_table(body: SymmetricBody,
     for i, p in enumerate(points):
         for j in range(i + 1, len(points)):
             table[i][j] = table[j][i] = body.gauge(points[j] - p)
+    return table
+
+
+def int_distance_table(body: SymmetricBody, rows: Sequence[Sequence[int]],
+                       q: int) -> List[List[Tuple[int, int]]]:
+    """``distance_table`` of the points rows[k]/q of an exact body as
+    integer pairs: D[i][j] = D[j][i] = (t, e) with gauge = t/e, one
+    ``int_gauge`` of the integer difference P_j - P_i per unordered pair,
+    (0, 1) on the diagonal."""
+    table = [[(0, 1)] * len(rows) for _ in rows]
+    for i, p in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            top, den = body.int_gauge(list(map(operator.sub, rows[j], p)))
+            table[i][j] = table[j][i] = (top, den * q)
     return table
 
 
@@ -127,21 +149,24 @@ class HPolytopeBody(SymmetricBody):
             raise BodyError("facet normals do not span the space; "
                             "body would be unbounded")
 
+    def int_gauge(self, p: Sequence[int]) -> Tuple[int, int]:
+        """max(0, max_k rows_k.p) over D, the rows' common denominator."""
+        return max(max(sum(map(operator.mul, row, p)) for row in self._rows),
+                   0), self._den
+
     def gauge(self, x: Vector) -> Scalar:
         """max(0, max_a a.x) over the canonical facets.
 
-        With exact facets and an exact x this is one integer pass: x is
-        scaled by the lcm q of its denominators and dotted with the integer
-        rows, and the top value over D*q (D the rows' common denominator)
-        is the same Fraction the loop below returns (int 0 when no facet is
-        positive).  Any float facet or coordinate takes the loop unchanged.
+        With exact facets and an exact x = p/q this is ``int_gauge(p)``
+        divided by q: the same Fraction the loop below returns (int 0 when
+        no facet is positive).  Any float facet or coordinate takes the loop
+        unchanged.
         """
         self._check_dim(x)
         form = self._rows and scalars.int_form(x.coords)
         if form:
-            p, q = form
-            top = max(sum(map(operator.mul, row, p)) for row in self._rows)
-            return Fraction(top, self._den * q) if top > 0 else 0
+            top, den = self.int_gauge(form[0])
+            return Fraction(top, den * form[1]) if top else 0
         best: Scalar = 0
         for a in self.facets:
             v = a.dot(x)
@@ -231,6 +256,13 @@ class VPolytopeBody(SymmetricBody):
         if self._hform is not None:
             return self._hform.gauge(x)
         return self.gauge_lp(x)
+
+    def int_gauge(self, p: Sequence[int]) -> Tuple[int, int]:
+        """The facet form's up to dimension 3, else the polar LP's value."""
+        if self._hform is not None:
+            return self._hform.int_gauge(p)
+        g = self.gauge_lp(Vector(p))
+        return g.numerator, g.denominator
 
     def boundary_frame(self, u: Vector) -> Tuple[Vector, Vector]:
         """The facet form's frame up to dimension 3, else the polar LP's."""

@@ -174,11 +174,11 @@ def cmd_lift(args) -> int:
 def cmd_search(args) -> int:
     with _reading_input():
         body = body_from_json(_load_json(args.body))
+        cfg = SearchConfig(seed=args.seed, iterations=args.iters)
         warm = None
         if args.init:
             warm = arrangement_from_json(_load_json(args.init))
     _banner(args)
-    cfg = SearchConfig(seed=args.seed, iterations=args.iters)
     arr = search_arrangement(body, body.dim, cfg, warm_start=warm)
     bound = arrangement_size_bound(body.dim)
     print("best size: %d (bound 3^(d+1) = %d)" % (len(arr), bound))

@@ -22,6 +22,8 @@ _tolerance = DEFAULT_TOLERANCE
 def set_tolerance(eps: float) -> None:
     """Set the run-wide absolute tolerance used for float comparisons."""
     global _tolerance
+    if not math.isfinite(eps):
+        raise ValueError("tolerance must be finite, got %r" % (eps,))
     if not eps > 0:
         raise ValueError("tolerance must be positive, got %r" % (eps,))
     _tolerance = float(eps)

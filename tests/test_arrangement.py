@@ -15,7 +15,8 @@ from minkarr import (Arrangement, ChainPropertyError, Homothet, SearchConfig,
                      linf_ball, l1_ball, partition_classes,
                      search_arrangement)
 from minkarr import arrangement
-from minkarr.arrangement import _GaugeCache, _feasible_ratio, _member_feasible
+from minkarr.arrangement import (_GaugeCache, _IntegerGauges, _feasible_ratio,
+                                 _member_feasible, _search_state)
 from minkarr.bodies import BallBody, HPolytopeBody
 from minkarr.packing import lifted_packing_pipeline
 from minkarr.linalg import Vector
@@ -230,8 +231,14 @@ TRIO = [H((0, 0), 1), H((F(3, 2), 0), 1), H((0, F(3, 2)), 1)]
 
 
 def member_check(members, idx, ratio):
-    """The cached-gauge decision for member idx taking the given ratio."""
-    return _GaugeCache(SQUARE, members).rescale(members, idx, ratio)
+    """The cached-gauge decision for member idx taking the given ratio, the
+    same on Fractions and on integers."""
+    step = ratio / members[idx].ratio
+    got = _GaugeCache(SQUARE, list(members)).rescale(idx, step)
+    state = _search_state(SQUARE, list(members))
+    assert isinstance(state, _IntegerGauges)
+    assert state.rescale(idx, step) == got
+    return got is not None
 
 
 def full_check(members, idx, ratio):
@@ -291,30 +298,58 @@ def test_gauge_matrix_drop_and_append_match_recompute():
         cache.drop(drop)
         rest = members[:drop] + members[drop + 1:]
         assert cache.g == _GaugeCache(body, rest).g
-    # (1/4, 0) admits no ratio, so only member 3 is appended
+    # (1/4, 0) admits no ratio, so only member 3's center is appended
     assert _feasible_ratio(body, TRIO, Vector((F(1, 4), 0)),
                            random.Random(0)) is None
-    cache = _GaugeCache(body, TRIO)
-    cache.insert([body.gauge(members[3].center - h.center) for h in TRIO])
+    cache = _GaugeCache(body, list(TRIO))
+    assert cache.insert((1, 0), random.Random(0)) is None
+    assert cache.insert((3, 4), random.Random(0)).center == members[3].center
     assert cache.g == _GaugeCache(body, members).g
 
 
 def test_one_gauge_per_pair_of_centers(monkeypatch):
-    calls = []
-    gauge = HPolytopeBody.gauge
+    calls, int_calls = [], []
+    gauge, int_gauge = HPolytopeBody.gauge, HPolytopeBody.int_gauge
     monkeypatch.setattr(HPolytopeBody, "gauge",
                         lambda body, x: calls.append(x) or gauge(body, x))
-    # both predicates read one table, one gauge per pair of the 9 centers
+    monkeypatch.setattr(HPolytopeBody, "int_gauge",
+                        lambda body, p: int_calls.append(p)
+                        or int_gauge(body, p))
+    # both predicates read one table, one integer gauge per pair of the 9
+    # centers
     assert lifted_packing_pipeline(cube_arrangement(2)).verdict
-    assert len(calls) == 36
-    cache = _GaugeCache(SQUARE, TRIO)
+    assert len(int_calls) == 36 and not calls
+    members = list(TRIO)
+    cache = _GaugeCache(SQUARE, members)
     calls.clear()
-    center = Vector((F(3, 2), F(3, 2)))
-    found = _feasible_ratio(SQUARE, TRIO, center, random.Random(0))
+    member = cache.insert((6, 6), random.Random(0))  # center (3/2, 3/2)
     assert len(calls) == len(TRIO)
-    cache.insert(found[1])
-    assert cache.rescale(TRIO + [Homothet(center, found[0])], 0, F(6, 5))
+    members.append(member)
+    assert cache.rescale(0, F(6, 5)) == F(6, 5)
     assert len(calls) == len(TRIO)
+
+
+def test_exact_search_takes_the_integer_route(monkeypatch):
+    counts = {"gauge": 0, "sub": 0, "int_gauge": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+    monkeypatch.setattr(HPolytopeBody, "gauge",
+                        counted("gauge", HPolytopeBody.gauge))
+    monkeypatch.setattr(HPolytopeBody, "int_gauge",
+                        counted("int_gauge", HPolytopeBody.int_gauge))
+    monkeypatch.setattr(Vector, "__sub__", counted("sub", Vector.__sub__))
+    for warm in (None, cube_arrangement(2)):
+        arr = search_arrangement(SQUARE, 2, SearchConfig(seed=3,
+                                                         iterations=60),
+                                 warm_start=warm)
+        assert len(arr) > 1
+    # the start table, every move and the final check read int_gauge only
+    assert counts["gauge"] == 0 and counts["sub"] == 0
+    assert counts["int_gauge"] > 0
 
 
 def test_arrangement_json_roundtrip():

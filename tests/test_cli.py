@@ -183,8 +183,9 @@ def square_body_file(tmp_path):
     ["--eps", "0", "verify", "{cube}"],
     ["--eps", "0", "lift", "{cube}", "--pair", "0", "1"],
     ["--eps", "0", "search", "{square}", "--iters", "5"],
+    ["search", "{square}", "--iters", "-5"],
 ], ids=["eps-zero", "d-zero", "k-negative", "eps-zero-verify",
-        "eps-zero-lift", "eps-zero-search"])
+        "eps-zero-lift", "eps-zero-search", "iters-negative"])
 def test_kdist_bad_flags_exit_2_as_input_errors(argv, cube_file,
                                                 square_body_file, capsys):
     argv = [a.format(cube=cube_file, square=square_body_file) for a in argv]
@@ -193,6 +194,16 @@ def test_kdist_bad_flags_exit_2_as_input_errors(argv, cube_file,
     assert err.startswith("input error: "), err
     assert "internal error" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("eps", ["inf", "-inf", "nan"])
+def test_non_finite_eps_is_its_own_input_error(eps, cube_file, capsys):
+    # inf once passed as a tolerance, and every float comparison then held
+    code, out, err = run(capsys, "--mode", "float", "--eps=" + eps,
+                         "verify", cube_file)
+    assert code == 2 and out == ""
+    assert err == "input error: tolerance must be finite, got %s\n" % eps
+    assert scalars.tolerance() == scalars.DEFAULT_TOLERANCE
 
 
 @pytest.mark.parametrize("command,flag", [

@@ -19,7 +19,7 @@ from minkarr import (Arrangement, BallBody, Homothet, SearchConfig,
                      find_minkowski_violation, greedy_chain, grid_set,
                      intersects, l1_ball, linf_ball, ratio, spectrum,
                      search_arrangement, shadow, shadow_with_x, slab_pair)
-from minkarr.arrangement import _feasible, _search
+from minkarr.arrangement import _feasible, _feasible_ratio, _search
 from minkarr.instances import (corpus_body, random_intersecting_arrangement,
                                random_minkowski_arrangement,
                                random_symmetric_hexagon)
@@ -563,24 +563,57 @@ def test_integer_gauge_kernel_against_facet_loop():
     assert type(linf_ball(2).gauge(zero_vector(2))) is int
 
 
+def test_int_gauge_is_the_gauge():
+    rng = random.Random(2020)
+    # on radii 1 every integer vector has an integer l1 gauge
+    bodies = [linf_ball(2), l1_ball(2), random_symmetric_hexagon(rng),
+              cross_polytope_4(), cross_polytope_4((1, 2, 3, 2))]
+    dens = set()
+    for body in bodies:
+        vectors = [[0] * body.dim] + [
+            [rng.randint(-12, 12) for _ in range(body.dim)] for _ in range(30)]
+        for p in vectors:
+            top, den = body.int_gauge(p)
+            assert type(top) is int and type(den) is int and den > 0
+            assert F(top, den) == body.gauge(Vector(p)), (body, p)
+            dens.add(den)
+    assert len(dens) > 2
+
+
 class FullPass:
     """Search state that decides every rescaling by the full predicate pass
     over the candidate member list, the route the cached gauges replaced,
-    and asserts that the full pass accepts every insertion.  It keeps no
-    gauges, so a drop only counts."""
+    takes the insertion ``_feasible_ratio`` draws on Fraction gauges and
+    asserts that the full pass accepts it, and reads the box from the
+    members' Fractions.  It keeps no gauges, so a drop only counts."""
 
     def __init__(self, body, members):
         self.body = body
-        self.members = members  # the loop's list, the new member appended
+        self.members = members  # the loop's list
         self.drops = 0
 
-    def insert(self, col):
-        assert _feasible(self.body, self.members)
+    def box(self):
+        max_ratio = max(float(h.ratio) for h in self.members)
+        dim = self.body.dim
+        return ([min(float(h.center[i]) for h in self.members) - 2 * max_ratio
+                 for i in range(dim)],
+                [max(float(h.center[i]) for h in self.members) + 2 * max_ratio
+                 for i in range(dim)])
 
-    def rescale(self, members, idx, ratio):
-        candidate = list(members)
-        candidate[idx] = Homothet(members[idx].center, ratio)
-        return _feasible(self.body, candidate)
+    def insert(self, grid, rng):
+        center = Vector([F(k, 4) for k in grid])
+        found = _feasible_ratio(self.body, self.members, center, rng)
+        if found is None:
+            return None
+        member = Homothet(center, found[0])
+        assert _feasible(self.body, self.members + [member])
+        return member
+
+    def rescale(self, idx, step):
+        ratio = self.members[idx].ratio * step
+        candidate = list(self.members)
+        candidate[idx] = Homothet(self.members[idx].center, ratio)
+        return ratio if _feasible(self.body, candidate) else None
 
     def drop(self, k):
         self.drops += 1
@@ -596,6 +629,13 @@ def full_pass_search(body, dim, config, warm_start=None):
         return states[0]
     arr = _search(body, dim, config, warm_start, make_state)
     return arr, states[0].drops
+
+
+def cross_polytope_4(radii=(1, 1, 1, 1)):
+    """The 4-D cross-polytope with vertices +-radii[i]*e_i, given by its
+    vertices: its gauge is the polar LP."""
+    return VPolytopeBody(4, [Vector(s * r if k == i else 0 for k in range(4))
+                             for i, r in enumerate(radii) for s in (1, -1)])
 
 
 class SkewGauge(SymmetricBody):
@@ -628,11 +668,27 @@ def test_search_against_full_pass(monkeypatch):
              (linf_ball(2), cube_arrangement(2)), (BallBody(2), None),
              (float_body, None), (SkewGauge(), None)]
     cases += [(random_symmetric_hexagon(rng), None) for _ in range(3)]
+    # centers over 3 and non-unit ratios, so the integer rows are over 12
+    thirds = Arrangement(linf_ball(2), (
+        Homothet(Vector((0, 0)), F(3, 2)),
+        Homothet(Vector((F(5, 3), F(1, 3))), F(5, 4)),
+        Homothet(Vector((F(1, 3), F(5, 3))), F(5, 4))))
+    cases += [(cross_polytope_4((1, 2, 3, 2)), None), (linf_ball(2), thirds),
+              (linf_ball(1), None)]
+    routes = [type(arrangement._search_state(
+        body, list(warm.members) if warm else [Homothet(zero_vector(
+            body.dim), F(1))])).__name__ for body, warm in cases]
+    assert routes == ["_IntegerGauges"] * 4 + ["_GaugeCache"] * 3 \
+        + ["_IntegerGauges"] * 6
+    assert arrangement._search_state(linf_ball(2), list(thirds.members)).q \
+        == 12
     monkeypatch.setattr(arrangement, "STAGNATION_LIMIT", 6)
     drops = 0
     for body, warm in cases:
         for seed in range(3):
-            cfg = SearchConfig(seed=seed, iterations=60)
+            # the 4-D body takes one polar LP per gauge
+            cfg = SearchConfig(seed=seed, iterations=20 if body.dim == 4
+                               else 60)
             got = search_arrangement(body, body.dim, cfg, warm_start=warm)
             want, dropped = full_pass_search(body, body.dim, cfg,
                                              warm_start=warm)
@@ -683,8 +739,7 @@ def predicate_families():
             Homothet(Vector((0.0, 0.0)), rho),) + tuple(
             Homothet(Vector((rho * math.cos(a), rho * math.sin(a))), rho)
             for a in angles)))
-    cross = VPolytopeBody(4, [Vector(s if k == i else 0 for k in range(4))
-                              for i in range(4) for s in (1, -1)])
+    cross = cross_polytope_4()
     for _ in range(4):
         centers = [Vector(F(rng.randint(-3, 3), 2) for _ in range(4))
                    for _ in range(4)]
