@@ -11,26 +11,22 @@ from .arrangement import (Arrangement, ChainPropertyError, Homothet,
                           PartitionLabel, SearchConfig,
                           arrangement_from_json, arrangement_size_bound,
                           arrangement_to_json, chain_to_arrangement,
-                          center_in_interior, cube_arrangement,
-                          find_intersection_violation,
-                          find_minkowski_violation, intersects,
-                          is_minkowski_arrangement, is_pairwise_intersecting,
-                          partition_classes, search_arrangement)
+                          cube_arrangement, find_intersection_violation,
+                          find_minkowski_violation, partition_classes,
+                          search_arrangement)
 from .bodies import (BallBody, BodyError, HPolytopeBody, SymmetricBody,
                      VPolytopeBody, body_from_json, body_to_json,
                      distance_table, l1_ball, linf_ball)
 from .kdistance import (UNDEFINED, ChainResult, DistanceSpectrum, PointSet,
-                        chain_bound_floor, chain_cardinality_bound,
-                        chain_to_json, find_chain_violation, greedy_chain,
-                        grid_set, guaranteed_length, is_k_distance,
-                        kdistance_threshold, pointset_from_json,
+                        chain_bound_floor, chain_to_json,
+                        find_chain_violation, greedy_chain, grid_set,
+                        guaranteed_length, pointset_from_json,
                         pointset_to_json, spectrum, verify_chain)
 from .lifting import (DegenerateWedgeError, LiftedConfig, ProjectionFrame,
                       ShadowData, ShadowIntersectionError, SlabPair,
-                      build_frame, check_central_overlap_ratio, cross_ratio,
-                      lift, pair_diagnostics, ratio, shadow, shadow_with_x,
-                      slab_pair, trapezoid_combine, unlift,
-                      verify_ratio_identity, verify_slab)
+                      build_frame, lift, pair_diagnostics, ratio, shadow,
+                      shadow_with_x, slab_pair, verify_ratio_identity,
+                      verify_slab)
 from .linalg import Vector, affine_rank
 from .packing import (PackingCertificate, SlabFamily, certificate_to_json,
                       family_from_arrangement, lifted_packing_pipeline,

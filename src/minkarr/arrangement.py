@@ -12,6 +12,7 @@ lam_i + lam_j.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -77,18 +78,6 @@ class Arrangement:
                                               [r[:-1] for r in rows], q)]
 
 
-def intersects(body: SymmetricBody, h1: Homothet, h2: Homothet) -> bool:
-    """Closed homothets of a symmetric body meet iff the gauge distance of
-    the centers is at most the ratio sum (touching counts)."""
-    return scalars.le(body.gauge(h1.center - h2.center), h1.ratio + h2.ratio)
-
-
-def center_in_interior(body: SymmetricBody, owner: Homothet,
-                       point: Vector) -> bool:
-    """Strict containment: boundary points are not interior."""
-    return scalars.lt(body.gauge(point - owner.center), owner.ratio)
-
-
 def find_minkowski_violation(arr: Arrangement) -> Optional[Tuple[int, int]]:
     """First (owner, center) index pair violating the arrangement condition,
     center j interior to member i: D[i][j] < lam_i."""
@@ -99,10 +88,6 @@ def find_minkowski_violation(arr: Arrangement) -> Optional[Tuple[int, int]]:
     return None
 
 
-def is_minkowski_arrangement(arr: Arrangement) -> bool:
-    return find_minkowski_violation(arr) is None
-
-
 def find_intersection_violation(arr: Arrangement) -> Optional[Tuple[int, int]]:
     """First pair i < j of members that do not meet: D[i][j] > lam_i + lam_j."""
     for i, (hi, row) in enumerate(zip(arr.members, arr.distances)):
@@ -110,10 +95,6 @@ def find_intersection_violation(arr: Arrangement) -> Optional[Tuple[int, int]]:
             if not scalars.le(row[j], hi.ratio + arr.members[j].ratio):
                 return (i, j)
     return None
-
-
-def is_pairwise_intersecting(arr: Arrangement) -> bool:
-    return find_intersection_violation(arr) is None
 
 
 def cube_arrangement(dim: int) -> Arrangement:
@@ -251,124 +232,57 @@ def _grid_fraction(rng: random.Random, lo: float, hi: float,
     return rng.randint(lo_n, hi_n)
 
 
-def _feasible_ratio(body: SymmetricBody, members: List[Homothet],
-                    center: Vector, rng: random.Random):
-    """A ratio making the new member intersect everyone without breaking the
-    arrangement condition, with the gauges gauge(c - v_j) it computed, or
-    None when the center admits no such ratio.
+class _SearchState:
+    """The distances and ratios that decide every search move.
 
-    Bounds: lam >= gauge(c - v_j) - lam_j for intersection, lam <= gauge for
-    keeping v_j outside the interior, and the center itself must not lie in
-    any existing interior.  They are every comparison the predicates make on
-    the pairs holding the new member, so the ratio decides the insertion.
-    The ratio is low + (high - low)*k/8 for a drawn weight k in 0..8.
-    """
-    low = MIN_RATIO
-    high = None
-    gauges = []
-    for h in members:
-        g = body.gauge(center - h.center)
-        gauges.append(g)
-        if g < h.ratio:  # center already interior to an existing member
-            return None
-        low = max(low, g - h.ratio)
-        high = g if high is None else min(high, g)
-    if high is None or low > high:
-        return None
-    weight = _grid_fraction(rng, 0, 1, WEIGHT_GRID)
-    return low + (high - low) * Fraction(weight, WEIGHT_GRID), gauges
+    A distance is a pair (t, e) with D = t/e and a ratio a pair (a, b)
+    with lam = a/b, and every decision is a cross-multiplied comparison of
+    these.  Exact members of an exact body take the exact route: the
+    centers are integer rows P/q over q = lcm(4, start denominators), so
+    every grid center k/4 is the row k*q/4, a distance is an ``int_gauge``
+    pair and a ratio a pair of integers; a Fraction is built only for a
+    drawn ratio, an accepted rescaling and the center of an accepted
+    member.  Any other body, or float members, take the scalar route: the
+    rows are the center coordinates with q = 1, a distance is
+    (gauge(c - v), 1) and a ratio (lam, 1).
 
-
-def _member_feasible(dist: Sequence[Scalar], ratios: Sequence[Scalar],
-                     idx: int, ratio: Scalar) -> bool:
-    """Whether member idx with the given ratio keeps every relation with the
-    members j != idx (idx may be len(ratios), a new last member): the full
-    predicate pass's comparisons of the pairs holding idx, read from its
-    distances dist[j] = D[idx][j]."""
-    for j, rj in enumerate(ratios):
-        if j != idx and (scalars.lt(dist[j], ratio) or scalars.lt(dist[j], rj)
-                         or not scalars.le(dist[j], ratio + rj)):
-            return False
-    return True
-
-
-class _GaugeCache:
-    """Search moves decided on scalars, for any body and members.
-
-    It follows the loop's list ``members`` and the ``distance_table`` G of
-    its centers: an insertion is decided by ``_feasible_ratio`` and appends
-    its gauges gauge(c - v_j) in the table's orientation, a rescaling reads
-    a row through ``_member_feasible``, and a drop removes a row and a
-    column.
+    The routes differ in three places, each decided by ``exact``, which the
+    constructor sets from the input: the gauge a candidate center's
+    distances take, the rounding of a drawn ratio (a float keeps
+    low + (high - low)*k/8), and how a rescaling step applies.  An
+    insertion compares with the plain operators on both routes, a
+    rescaling with ``scalars.lt``/``le``, which are the plain comparisons
+    on exact values.
     """
 
     def __init__(self, body: SymmetricBody, members: List[Homothet]):
-        self.body = body
-        self.members = members
-        self.g = distance_table(body, [h.center for h in members])
+        form = body.exact and scalars.int_rows(
+            [h.center.coords + (h.ratio,) for h in members])
+        self.exact = bool(form)
+        if form:
+            rows, q = form
+            self.q = math.lcm(CENTER_GRID, q)
+            self.unit = self.q // CENTER_GRID
+            self.rows = [[c * (self.q // q) for c in row[:-1]] for row in rows]
+            self.lam = [(row[-1], q) for row in rows]
+            self.g = int_distance_table(body, self.rows, self.q)
+            self._pair_gauge = body.int_gauge
+            self._lt, self._le = operator.lt, operator.le
+        else:
+            self.q = 1
+            self.unit = Fraction(1, CENTER_GRID)
+            self.rows = [h.center.coords for h in members]
+            self.lam = [(h.ratio, 1) for h in members]
+            self.g = [[(t, 1) for t in row] for row in distance_table(
+                body, [h.center for h in members])]
+            self._pair_gauge = lambda p: (body.gauge(Vector(p)), 1)
+            self._lt, self._le = scalars.lt, scalars.le
 
     def box(self) -> Tuple[List[float], List[float]]:
         """The centers' float bounding box padded by twice the largest
-        ratio."""
-        pad = 2 * max(float(h.ratio) for h in self.members)
-        cols = list(zip(*(h.center.coords for h in self.members)))
-        return ([min(map(float, c)) - pad for c in cols],
-                [max(map(float, c)) + pad for c in cols])
-
-    def insert(self, grid: Sequence[int],
-               rng: random.Random) -> Optional[Homothet]:
-        """The member at the grid center, or None when it admits no ratio."""
-        center = Vector([Fraction(k, CENTER_GRID) for k in grid])
-        found = _feasible_ratio(self.body, self.members, center, rng)
-        if found is None:
-            return None
-        for grow, g in zip(self.g, found[1]):
-            grow.append(g)
-        self.g.append(found[1] + [0])
-        return Homothet(center, found[0])
-
-    def rescale(self, idx: int, step: Fraction) -> Optional[Scalar]:
-        """Member idx's ratio times step, or None when that breaks a
-        relation."""
-        ratio = self.members[idx].ratio * step
-        if _member_feasible(self.g[idx], [h.ratio for h in self.members],
-                            idx, ratio):
-            return ratio
-        return None
-
-    def drop(self, k: int) -> None:
-        del self.g[k]
-        for grow in self.g:
-            del grow[k]
-
-
-class _IntegerGauges:
-    """Search moves decided on integers, for exact members of an exact body.
-
-    The centers are integer rows P/q over q = lcm(4, start denominators),
-    so every grid center k/4 is the row k*q/4; a ratio is a pair (a, b)
-    with lam = a/b (the start ratios over q), and the table holds the
-    ``int_distance_table`` pairs (t, e) with D = t/e.  Every decision is a
-    cross-multiplied integer comparison of these, the same comparisons
-    ``_GaugeCache`` makes on Fractions; a Fraction is built only for a
-    drawn ratio, an accepted rescaling and the center of an accepted
-    member.
-    """
-
-    def __init__(self, body: SymmetricBody, rows: Sequence[Sequence[int]],
-                 q: int):
-        """From the start members' (center, ratio) rows over q."""
-        self.q = math.lcm(CENTER_GRID, q)
-        self.unit = self.q // CENTER_GRID
-        self.rows = [[c * (self.q // q) for c in row[:-1]] for row in rows]
-        self.lam = [(row[-1], q) for row in rows]
-        self.int_gauge = body.int_gauge
-        self.g = int_distance_table(body, self.rows, self.q)
-
-    def box(self) -> Tuple[List[float], List[float]]:
-        """``_GaugeCache.box`` read from the integers: int/int true division
-        is correctly rounded, as is float(Fraction)."""
-        pad = 2 * max(a / b for a, b in self.lam)
+        ratio; int/int true division is correctly rounded, as is
+        float(Fraction)."""
+        pad = 2 * float(max(a / b for a, b in self.lam))
         q = self.q
         cols = list(zip(*self.rows))
         return ([min(c) / q - pad for c in cols],
@@ -376,16 +290,23 @@ class _IntegerGauges:
 
     def insert(self, grid: Sequence[int],
                rng: random.Random) -> Optional[Homothet]:
-        """``_feasible_ratio`` on integers: with D_j = t/e and lam_j = a/b,
-        the center is interior when t*b < a*e, low is the running max of
-        ``MIN_RATIO`` and (t*b - a*e)/(e*b), and high the least t/e."""
+        """The member at the center grid/4, or None when it admits no ratio.
+
+        With D_j = t/e and lam_j = a/b, the center is interior to member j
+        when t*b < a*e; the ratio is at least low, the running max of
+        ``MIN_RATIO`` and (t*b - a*e)/(e*b), for intersection, and at most
+        high, the least t/e, for keeping every v_j outside its interior.
+        These are every comparison the predicates make on the pairs holding
+        the new member, so they decide the insertion.  The ratio is
+        low + (high - low)*k/8 for a drawn weight k in 0..8.
+        """
         center = [k * self.unit for k in grid]
-        q = self.q
+        pair_gauge, q = self._pair_gauge, self.q
         ln, ld = MIN_RATIO.numerator, MIN_RATIO.denominator
         hn, hd = None, 1
         col = []
         for row, (a, b) in zip(self.rows, self.lam):
-            t, e = self.int_gauge([c - v for c, v in zip(center, row)])
+            t, e = pair_gauge([c - v for c, v in zip(center, row)])
             e *= q
             if t * b < a * e:
                 return None
@@ -398,44 +319,44 @@ class _IntegerGauges:
         if ln * hd > hn * ld:
             return None
         weight = _grid_fraction(rng, 0, 1, WEIGHT_GRID)
-        ratio = Fraction(ln * hd * (WEIGHT_GRID - weight) + hn * ld * weight,
-                         ld * hd * WEIGHT_GRID)
+        if self.exact:
+            ratio = Fraction(ln * hd * (WEIGHT_GRID - weight) + hn * ld * weight,
+                             ld * hd * WEIGHT_GRID)
+            self.lam.append((ratio.numerator, ratio.denominator))
+        else:
+            low = div(ln, ld)
+            ratio = low + (div(hn, hd) - low) * Fraction(weight, WEIGHT_GRID)
+            self.lam.append((ratio, 1))
         for grow, g in zip(self.g, col):
             grow.append(g)
         self.g.append(col + [(0, 1)])
         self.rows.append(center)
-        self.lam.append((ratio.numerator, ratio.denominator))
-        return Homothet(Vector([Fraction(k, CENTER_GRID) for k in grid]),
-                        ratio)
+        return Homothet(Vector([Fraction(k, CENTER_GRID) for k in grid]), ratio)
 
-    def rescale(self, idx: int, step: Fraction) -> Optional[Fraction]:
-        """``_member_feasible`` on integers, for lam = a/b and lam_j = c/f:
-        D < lam, D < lam_j and D > lam + lam_j, each cross-multiplied."""
+    def rescale(self, idx: int, step: Fraction) -> Optional[Scalar]:
+        """Member idx's ratio times step, or None when that breaks a
+        relation: for lam = a/b and lam_j = c/f, D < lam, D < lam_j or
+        D > lam + lam_j, each cross-multiplied."""
         a, b = self.lam[idx]
-        a *= step.numerator
-        b *= step.denominator
+        if self.exact:
+            a, b = a * step.numerator, b * step.denominator
+        else:
+            a *= step
+        lt, le = self._lt, self._le
         for j, ((t, e), (c, f)) in enumerate(zip(self.g[idx], self.lam)):
-            if j != idx and (t * b < a * e or t * f < c * e
-                             or t * b * f > (a * f + c * b) * e):
+            if j != idx and (lt(t * b, a * e) or lt(t * f, c * e)
+                             or not le(t * b * f, (a * f + c * b) * e)):
                 return None
-        ratio = Fraction(a, b)
-        self.lam[idx] = (ratio.numerator, ratio.denominator)
+        ratio = div(a, b)
+        if self.exact:
+            a, b = ratio.numerator, ratio.denominator
+        self.lam[idx] = (a, b)
         return ratio
 
     def drop(self, k: int) -> None:
         del self.g[k], self.rows[k], self.lam[k]
         for grow in self.g:
             del grow[k]
-
-
-def _search_state(body: SymmetricBody, members: List[Homothet]):
-    """The integer state for exact members of an exact body, else the
-    scalar one."""
-    form = body.exact and scalars.int_rows(
-        [h.center.coords + (h.ratio,) for h in members])
-    if form:
-        return _IntegerGauges(body, *form)
-    return _GaugeCache(body, members)
 
 
 def search_arrangement(body: SymmetricBody, dim: int,
@@ -452,18 +373,15 @@ def search_arrangement(body: SymmetricBody, dim: int,
     first feasible one is taken, so a fixed seed fully determines the run.
     Only states passing both predicates are ever accepted.
 
-    A move is checked in O(n) against the distances the search state keeps
-    between the current members: an insertion by the bounds of
-    ``_feasible_ratio``, a rescaling by the comparisons of
-    ``_member_feasible``.  Exact members of an exact body take
-    ``_IntegerGauges``, which makes these comparisons on integers; any float
-    takes ``_GaugeCache``.  The accepted state always satisfies both
-    predicates, so checking the moved member's relations makes the same
-    decisions as a full pass over the candidate.  The warm start and the
-    result are checked by the full predicates.
+    A move is checked in O(n) against the distances ``_SearchState`` keeps
+    between the current members, on integers for exact members of an exact
+    body.  The accepted state always satisfies both predicates, so checking
+    the moved member's relations makes the same decisions as a full pass
+    over the candidate.  The warm start and the result are checked by the
+    full predicates.
     """
     return _search(body, dim, config or SearchConfig(), warm_start,
-                   _search_state)
+                   _SearchState)
 
 
 def _search(body: SymmetricBody, dim: int, cfg: SearchConfig,

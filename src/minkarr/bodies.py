@@ -336,10 +336,15 @@ def body_from_json(obj: dict) -> SymmetricBody:
     if kind == "ball":
         return BallBody(dim)
     if kind == "hpoly":
-        return HPolytopeBody(dim, _entries(obj, "facets", lambda f: (
-            _vector(f["normal"]), parse_scalar(f.get("offset", 1)))))
+        facets = _entries(obj, "facets", lambda f: (
+            _vector(f["normal"]), parse_scalar(f.get("offset", 1))))
+        scalars.check_float_range([x for a, b in facets
+                                   for x in a.coords + (b,)])
+        return HPolytopeBody(dim, facets)
     if kind == "vpoly":
-        return VPolytopeBody(dim, _entries(obj, "vertices", _vector))
+        vertices = _entries(obj, "vertices", _vector)
+        scalars.check_float_range([x for v in vertices for x in v])
+        return VPolytopeBody(dim, vertices)
     raise BodyError("unknown body type %r" % (kind,))
 
 

@@ -73,11 +73,17 @@ def _dump_json(path: str, obj) -> None:
     _write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
+def _scalars(members):
+    return [x for h in members for x in h.center.coords + (h.ratio,)]
+
+
 def _load_arrangement(args) -> Arrangement:
     """The arrangement file of ``verify`` and ``lift``, its scalars coerced
     to floats under ``--mode float``."""
     with _reading_input():
         arr = arrangement_from_json(_load_json(args.arrangement))
+        scalars.check_float_range(_scalars(arr.members), args.mode == "float"
+                                  or not arr.body.exact)
         if args.mode == "float":
             arr = Arrangement(arr.body, tuple(
                 Homothet(Vector(float(c) for c in h.center), float(h.ratio))
@@ -178,6 +184,8 @@ def cmd_search(args) -> int:
         warm = None
         if args.init:
             warm = arrangement_from_json(_load_json(args.init))
+            # the search draws its centers in a float box around the members
+            scalars.check_float_range(_scalars(warm.members), True)
     _banner(args)
     arr = search_arrangement(body, body.dim, cfg, warm_start=warm)
     bound = arrangement_size_bound(body.dim)
@@ -206,9 +214,13 @@ def _body_and_points(args):
     of ``--body``, else the unit ball of ``--norm`` in its dimension."""
     pts = pointset_from_json(_load_json(args.points))
     if args.body:
-        return body_from_json(_load_json(args.body)), pts
-    ball = {"linf": linf_ball, "l1": l1_ball, "l2": BallBody}[args.norm]
-    return ball(pts.dim), pts
+        body = body_from_json(_load_json(args.body))
+    else:
+        body = {"linf": linf_ball, "l1": l1_ball, "l2": BallBody}[args.norm](
+            pts.dim)
+    scalars.check_float_range([x for p in pts.points for x in p],
+                              not body.exact)
+    return body, pts
 
 
 def cmd_spectrum(args) -> int:
@@ -249,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--mode", choices=("exact", "float"), default="exact",
                         help="keep rational scalars exact or coerce to floats")
     parser.add_argument("--eps", type=float, default=scalars.DEFAULT_TOLERANCE,
-                        help="absolute tolerance for floating comparisons")
+                        help="absolute tolerance for floating comparisons, "
+                             "at most %s" % scalars.MAX_TOLERANCE)
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for all randomized components")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -57,6 +57,8 @@ class PointSet:
         for p in self.points:
             if p.dim != self.dim:
                 raise ValueError("point dimension mismatch")
+        # with a float among them the points compare in floats
+        scalars.check_float_range([c for p in self.points for c in p])
         n = len(self.points)
         for i in range(n):
             for j in range(i + 1, n):
@@ -111,10 +113,6 @@ def _cluster(sorted_values: List[float]) -> Tuple[Tuple[float, int], ...]:
     return tuple(map(tuple, entries))
 
 
-def is_k_distance(body: SymmetricBody, pts: PointSet, k: int) -> bool:
-    return len(spectrum(body, pts)) <= k
-
-
 def grid_set(dim: int, k: int) -> PointSet:
     """The integer grid {0..k}^d: (k+1)^d points whose max-norm spectrum is
     exactly {1..k}."""
@@ -142,12 +140,6 @@ def _chain_bound_floor_at(dim: int, digits: int) -> int:
     return int(_chain_bound(dim, digits))  # truncation == floor, positive
 
 
-def chain_cardinality_bound(dim: int) -> float:
-    """The chain cardinality bound in floats: math.inf at d = 2, where it
-    is genuinely infinite, never a NaN or an exception."""
-    return float(_chain_bound(dim, 60))
-
-
 def chain_bound_floor(dim: int):
     """floor(d * (1 + 2/(2 - 2^(1/(d-1))))^(d+1)) in high-precision decimal.
 
@@ -165,15 +157,6 @@ def chain_bound_floor(dim: int):
             return first
         digits *= 4
     raise ArithmeticError("floor did not stabilize under precision doubling")
-
-
-def kdistance_threshold(dim: int, k: int):
-    """k to the power of the chain bound floor, as an exact big integer;
-    UNDEFINED at d = 2."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    f = chain_bound_floor(dim)
-    return UNDEFINED if f is UNDEFINED else k ** f
 
 
 def guaranteed_length(n: int, k: int) -> int:

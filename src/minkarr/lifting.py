@@ -246,14 +246,6 @@ def lift(arr: Arrangement) -> LiftedConfig:
                               for y, w in forms), forms)
 
 
-def unlift(y: Vector) -> Tuple[Vector, Scalar]:
-    """Recover (center, ratio) from a lifted point; exact in rational mode."""
-    s = y[-1]
-    if scalars.le(s, 0):
-        raise ValueError("lifted points have positive last coordinate")
-    return Vector(div(c, s) for c in y.coords[:-1]), div(1, s)
-
-
 class SlabPair:
     """Parallel-plane data of one pair in the lifted space (dim d+1).
 
@@ -408,65 +400,6 @@ def verify_ratio_identity(slab: SlabPair, y_i: Vector, y_j: Vector,
     if holds and y_i == y_j:
         raise ValueError("lifted points coincide")
     return holds
-
-
-def cross_ratio(x1, x2, x3, x4) -> Scalar:
-    """Cross-ratio (x1-x3)/(x2-x3) : (x1-x4)/(x2-x4) of collinear coordinates.
-
-    One argument may be the point at infinity (math.inf); the two distances
-    involving it are dropped from the formula.
-    """
-    args = [x1, x2, x3, x4]
-    infinite = [k for k, v in enumerate(args)
-                if isinstance(v, float) and math.isinf(v)]
-    if len(infinite) > 1:
-        raise ValueError("at most one point may be at infinity")
-    if not infinite:
-        num = (x1 - x3) * (x2 - x4)
-        den = (x2 - x3) * (x1 - x4)
-    else:
-        which = infinite[0]
-        if which == 0:
-            num, den = (x2 - x4), (x2 - x3)
-        elif which == 1:
-            num, den = (x1 - x3), (x1 - x4)
-        elif which == 2:
-            num, den = (x2 - x4), (x1 - x4)
-        else:
-            num, den = (x1 - x3), (x2 - x3)
-    if scalars.sign(den) == 0:
-        raise ZeroDivisionError("indeterminate cross-ratio (0/0 or x/0)")
-    return div(num, den)
-
-
-def trapezoid_combine(theta1: Scalar, theta2: Scalar,
-                      a1: Vector, a3: Vector,
-                      b1: Vector, b3: Vector) -> Vector:
-    """Predicted middle difference for points constrained by
-    theta1*(p1 - p2) = theta2*(p2 - p3) on both rails:
-    b2 - a2 = theta1/(theta1+theta2)*(b1-a1) + theta2/(theta1+theta2)*(b3-a3).
-    """
-    total = theta1 + theta2
-    if scalars.sign(total) == 0:
-        raise ValueError("theta1 + theta2 must be nonzero")
-    return (b1 - a1) * div(theta1, total) + (b3 - a3) * div(theta2, total)
-
-
-def check_central_overlap_ratio(sd: ShadowData, lam_i: Scalar,
-                                lam_j: Scalar) -> bool:
-    """If the two shadow intervals meet only between the centers then the
-    width ratio is at most 2; returns whether that implication held."""
-    (lo_i, hi_i), (lo_j, hi_j) = sd.intervals[sd.i], sd.intervals[sd.j]
-    lo, hi = max(lo_i, lo_j), min(hi_i, hi_j)
-    premise = (not scalars.gt(lo, hi)
-               and scalars.ge(lo, 0)
-               and scalars.le(hi, sd.alphas[sd.j]))
-    if not premise:
-        return True
-    value = ratio(lam_i, lam_j, sd.u_i, sd.u_j)
-    if isinstance(value, float) and not math.isfinite(value):
-        return False
-    return scalars.le(value, 2)
 
 
 def pair_diagnostics(arr: Arrangement, frame: ProjectionFrame,

@@ -9,23 +9,31 @@ participates in floating-mode comparison as soon as one operand is a float.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
 Scalar = Union[int, Fraction, float]
 
 DEFAULT_TOLERANCE = 1e-9
+# every golden arrangement passes float verify at this tolerance; at 0.2
+# two of them get false FAILs, and at 0.5 a shadow loses its common point
+MAX_TOLERANCE = 1e-3
 
 _tolerance = DEFAULT_TOLERANCE
 
 
 def set_tolerance(eps: float) -> None:
-    """Set the run-wide absolute tolerance used for float comparisons."""
+    """Set the run-wide absolute tolerance used for float comparisons, in
+    (0, ``MAX_TOLERANCE``]."""
     global _tolerance
     if not math.isfinite(eps):
         raise ValueError("tolerance must be finite, got %r" % (eps,))
     if not eps > 0:
         raise ValueError("tolerance must be positive, got %r" % (eps,))
+    if eps > MAX_TOLERANCE:
+        raise ValueError("tolerance must be at most %g, got %r"
+                         % (MAX_TOLERANCE, eps))
     _tolerance = float(eps)
 
 
@@ -60,10 +68,6 @@ def lt(a: Scalar, b: Scalar) -> bool:
     return a < b - _tolerance
 
 
-def ge(a: Scalar, b: Scalar) -> bool:
-    return le(b, a)
-
-
 def gt(a: Scalar, b: Scalar) -> bool:
     return lt(b, a)
 
@@ -93,6 +97,22 @@ def div(a: Scalar, b: Scalar) -> Scalar:
     if type(a) in _EXACT and type(b) in _EXACT:
         return Fraction(a, b)
     return a / b
+
+
+def check_float_range(values, float_route: bool = False) -> None:
+    """Exact values that a float route reads must have a float: a
+    ValueError names the first that has none.  The values are on a float
+    route when ``float_route`` says so or when a float is among them."""
+    if not (float_route or float in map(type, values)):
+        return
+    for v in values:
+        if type(v) in _EXACT:
+            try:
+                float(v)
+            except OverflowError:
+                value = Decimal(v.numerator) / v.denominator
+                raise ValueError("scalar %s is beyond the float range"
+                                 % format(value, ".6e")) from None
 
 
 def int_form(values):

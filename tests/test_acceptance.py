@@ -14,13 +14,12 @@ from fractions import Fraction as F
 import pytest
 
 from minkarr import (UNDEFINED, body_to_json,
-                     build_frame, chain_bound_floor, chain_cardinality_bound,
-                     chain_to_arrangement, cross_ratio, cube_arrangement,
-                     greedy_chain, grid_set, is_minkowski_arrangement,
-                     is_pairwise_intersecting, lift, lifted_packing_pipeline,
-                     linf_ball, partition_classes, ratio, shadow,
-                     shadow_with_x, slab_pair, trapezoid_combine,
-                     verify_chain, verify_ratio_identity, verify_slab)
+                     build_frame, chain_bound_floor, chain_to_arrangement,
+                     cube_arrangement, find_intersection_violation,
+                     find_minkowski_violation, greedy_chain, grid_set, lift,
+                     lifted_packing_pipeline, linf_ball, partition_classes,
+                     ratio, shadow, shadow_with_x, slab_pair, verify_chain,
+                     verify_ratio_identity, verify_slab)
 from minkarr.cli import main as cli_main
 from minkarr.instances import (corpus_body, random_intersecting_arrangement,
                                random_minkowski_arrangement)
@@ -28,6 +27,8 @@ from minkarr.kdistance import _chain_bound_floor_at
 from minkarr.lifting import SlabPair
 from minkarr.linalg import Vector
 from minkarr.packing import SlabFamily, slab_packing_check
+
+from test_oracles import chain_cardinality_bound, cross_ratio, trapezoid_combine
 
 
 def _report(num, text):
@@ -41,8 +42,8 @@ def test_criterion_1_cube_construction():
     for d in (1, 2, 3):
         arr = cube_arrangement(d)
         assert len(arr) == 3 ** d
-        assert is_minkowski_arrangement(arr)
-        assert is_pairwise_intersecting(arr)
+        assert find_minkowski_violation(arr) is None
+        assert find_intersection_violation(arr) is None
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0, "cube construction took %.2fs" % elapsed
     _report(1, "cube families of sizes 3, 9, 27 pass both predicates "
@@ -308,7 +309,7 @@ def test_criterion_9_greedy_chain_grids():
         # grids (k^(target-1) > n), so the run is flagged best-effort
         assert chain.guaranteed == (n >= k ** (target - 1))
         arr = chain_to_arrangement(chain.points, chain.lambdas, body)
-        assert is_pairwise_intersecting(arr)
+        assert find_intersection_violation(arr) is None
         elapsed = time.perf_counter() - t0
         assert elapsed < 5.0
     _report(9, "greedy chains on the three benchmark grids verify and "

@@ -7,19 +7,17 @@ import pytest
 
 from minkarr import (Arrangement, ChainPropertyError, Homothet, SearchConfig,
                      arrangement_from_json, arrangement_size_bound,
-                     arrangement_to_json, chain_cardinality_bound,
-                     chain_to_arrangement, center_in_interior,
+                     arrangement_to_json, chain_to_arrangement,
                      cube_arrangement, find_intersection_violation,
-                     find_minkowski_violation, intersects,
-                     is_minkowski_arrangement, is_pairwise_intersecting,
-                     linf_ball, l1_ball, partition_classes,
-                     search_arrangement)
+                     find_minkowski_violation, linf_ball, l1_ball,
+                     partition_classes, search_arrangement)
 from minkarr import arrangement
-from minkarr.arrangement import (_GaugeCache, _IntegerGauges, _feasible_ratio,
-                                 _member_feasible, _search_state)
+from minkarr.arrangement import _SearchState
 from minkarr.bodies import BallBody, HPolytopeBody
 from minkarr.packing import lifted_packing_pipeline
 from minkarr.linalg import Vector
+
+from test_oracles import FullPass, SkewGauge, chain_cardinality_bound
 
 
 SQUARE = linf_ball(2)
@@ -30,46 +28,51 @@ def H(center, ratio):
     return Homothet(Vector([F(c) for c in center]), F(ratio))
 
 
+def valid(arr):
+    return (find_minkowski_violation(arr) is None
+            and find_intersection_violation(arr) is None)
+
+
 def test_intersects_examples():
-    assert not intersects(SQUARE, H((0, 0), 1), H((3, 0), 1))
-    assert intersects(SQUARE, H((0, 0), 1), H((2, 0), 1))  # touching counts
-    assert intersects(DIAMOND, H((0, 0), 1), H((1, 1), 2))
+    def meet(body, *members):
+        return find_intersection_violation(Arrangement(body, members)) is None
+    assert not meet(SQUARE, H((0, 0), 1), H((3, 0), 1))
+    assert meet(SQUARE, H((0, 0), 1), H((2, 0), 1))  # touching counts
+    assert meet(DIAMOND, H((0, 0), 1), H((1, 1), 2))
 
 
 def test_center_in_interior_examples():
-    assert not center_in_interior(SQUARE, H((0, 0), 1), Vector((1, 0)))
-    assert center_in_interior(SQUARE, H((0, 0), 1), Vector((0, 0)))
-    assert center_in_interior(SQUARE, H((0, 0), 2), Vector((1, 1)))
+    def first(*members):
+        return find_minkowski_violation(Arrangement(SQUARE, members))
+    assert first(H((0, 0), 1), H((1, 0), 1)) is None  # boundary: not interior
+    assert first(H((0, 0), 1), H((0, 0), F(1, 2))) == (0, 1)
+    assert first(H((0, 0), 2), H((1, 1), 1)) == (0, 1)
 
 
 def test_minkowski_predicate():
     same = Arrangement(SQUARE, (H((0, 0), 1), H((0, 0), 1)))
     assert find_minkowski_violation(same) == (0, 1)
-    assert not is_minkowski_arrangement(same)
     single = Arrangement(SQUARE, (H((0, 0), 1),))
-    assert is_minkowski_arrangement(single)
-    assert is_pairwise_intersecting(single)
+    assert valid(single)
 
 
 def test_pairwise_intersecting_predicate():
     far = Arrangement(SQUARE, (H((0, 0), 1), H((5, 0), 1)))
     assert find_intersection_violation(far) == (0, 1)
-    assert not is_pairwise_intersecting(far)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_cube_arrangement(d):
     arr = cube_arrangement(d)
     assert len(arr) == 3 ** d
-    assert is_minkowski_arrangement(arr)
-    assert is_pairwise_intersecting(arr)
+    assert valid(arr)
 
 
 def test_chain_to_arrangement_line():
     seg = linf_ball(1)
     arr = chain_to_arrangement([Vector([0]), Vector([1])], [F(1)], seg)
     assert [m.ratio for m in arr.members] == [1, 1]
-    assert is_pairwise_intersecting(arr)
+    assert find_intersection_violation(arr) is None
 
 
 def test_chain_to_arrangement_triangle_l2():
@@ -77,7 +80,7 @@ def test_chain_to_arrangement_triangle_l2():
     pts = [Vector((0.0, 0.0)), Vector((1.0, 0.0)),
            Vector((0.5, math.sqrt(3) / 2))]
     arr = chain_to_arrangement(pts, [1.0, 1.0], ball)
-    assert is_pairwise_intersecting(arr)
+    assert find_intersection_violation(arr) is None
 
 
 def test_chain_property_violation_reports_pair():
@@ -95,7 +98,7 @@ def test_chain_output_always_intersects():
         lam = [F(rng.randint(2, 6), 2)]
         pts = [Vector((F(0), F(0))), Vector((lam[0], F(0)))]
         arr = chain_to_arrangement(pts, lam, SQUARE)
-        assert is_pairwise_intersecting(arr)
+        assert find_intersection_violation(arr) is None
 
 
 def test_partition_examples():
@@ -196,8 +199,7 @@ def test_search_warm_start_keeps_cube():
                              warm_start=cube_arrangement(2))
     assert len(arr) >= 9
     assert len(arr) <= arrangement_size_bound(2)
-    assert is_minkowski_arrangement(arr)
-    assert is_pairwise_intersecting(arr)
+    assert valid(arr)
 
 
 def test_search_zero_iterations_single_member():
@@ -220,7 +222,7 @@ def test_search_ball_ratios_are_short_floats(monkeypatch):
     arr = search_arrangement(BallBody(2), 2, SearchConfig(seed=0,
                                                           iterations=150))
     assert len(arr) > 1
-    assert is_minkowski_arrangement(arr) and is_pairwise_intersecting(arr)
+    assert valid(arr)
     ratios = [h["ratio"] for h in arrangement_to_json(arr)["homothets"]]
     assert any(isinstance(r, float) for r in ratios)
     assert all(isinstance(r, float) or F(r).denominator <= 64 for r in ratios)
@@ -230,81 +232,101 @@ def test_search_ball_ratios_are_short_floats(monkeypatch):
 TRIO = [H((0, 0), 1), H((F(3, 2), 0), 1), H((0, F(3, 2)), 1)]
 
 
+def floated(members):
+    """The members with float centers and ratios: the scalar route."""
+    return [Homothet(Vector(float(c) for c in h.center), float(h.ratio))
+            for h in members]
+
+
 def member_check(members, idx, ratio):
-    """The cached-gauge decision for member idx taking the given ratio, the
-    same on Fractions and on integers."""
+    """The search state's decision for member idx taking the given ratio,
+    on the exact route and on the scalar route, against the full predicate
+    pass."""
     step = ratio / members[idx].ratio
-    got = _GaugeCache(SQUARE, list(members)).rescale(idx, step)
-    state = _search_state(SQUARE, list(members))
-    assert isinstance(state, _IntegerGauges)
-    assert state.rescale(idx, step) == got
-    return got is not None
-
-
-def full_check(members, idx, ratio):
-    moved = list(members)
-    moved[idx] = Homothet(members[idx].center, ratio)
-    arr = Arrangement(SQUARE, tuple(moved))
-    return is_minkowski_arrangement(arr) and is_pairwise_intersecting(arr)
+    want = FullPass(SQUARE, list(members)).rescale(idx, step)
+    exact = _SearchState(SQUARE, list(members))
+    scalar = _SearchState(SQUARE, floated(members))
+    assert exact.exact and not scalar.exact
+    assert exact.rescale(idx, step) == want
+    got = scalar.rescale(idx, step)
+    assert got == (None if want is None else float(want))
+    return want is not None
 
 
 def test_member_check_rejects_shrink_breaking_intersection():
     # gauge(v_1 - v_0) = 3/2 > 1/3 + 1: members 0 and 1 no longer meet
     assert not member_check(TRIO, 0, F(1, 3))
-    assert not full_check(TRIO, 0, F(1, 3))
 
 
 def test_member_check_rejects_growth_swallowing_center():
     # member 0 at ratio 2 holds v_1 and v_2 (gauge 3/2) in its interior
     assert not member_check(TRIO, 0, F(2))
-    assert not full_check(TRIO, 0, F(2))
 
 
 def test_member_check_accepts_harmless_step():
     for idx in range(3):
         for ratio in (F(3, 4), F(6, 5), F(3, 2), F(1, 2)):
             assert member_check(TRIO, idx, ratio)
-            assert full_check(TRIO, idx, ratio)
 
 
 def test_member_check_new_member_both_directions():
-    ratios = [h.ratio for h in TRIO]
     cases = (((F(1, 2), F(1, 2)), F(1, 4), False),  # inside member 0
              ((F(3, 2), F(3, 2)), F(2), False),     # holds v_1 and v_2
              ((F(3, 2), F(3, 2)), F(1), True))
     for center, ratio, ok in cases:
-        c = Vector(center)
-        col = [SQUARE.gauge(c - h.center) for h in TRIO]
-        assert _member_feasible(col, ratios, 3, ratio) is ok
-        arr = Arrangement(SQUARE, tuple(TRIO) + (Homothet(c, ratio),))
-        assert (is_minkowski_arrangement(arr)
-                and is_pairwise_intersecting(arr)) is ok
-
-
-class Skewed:
-    """Gauge of the square [-1, 1/2]^2: gauge(x) != gauge(-x)."""
-    dim = 2
-
-    def gauge(self, x):
-        return max(max(2 * c, -c) for c in x.coords)
+        members = TRIO + [Homothet(Vector(center), ratio)]
+        assert member_check(members, 3, ratio) is ok
 
 
 def test_gauge_matrix_drop_and_append_match_recompute():
-    body = Skewed()
-    # member 3 keeps its relations with TRIO; (1/4, 0) lies inside member 0
-    members = TRIO + [H((F(3, 4), 1), F(1))]
-    for drop in range(len(members)):
-        cache = _GaugeCache(body, members)
-        cache.drop(drop)
-        rest = members[:drop] + members[drop + 1:]
-        assert cache.g == _GaugeCache(body, rest).g
-    # (1/4, 0) admits no ratio, so only member 3's center is appended
-    assert _feasible_ratio(body, TRIO, Vector((F(1, 4), 0)),
-                           random.Random(0)) is None
-    cache = _GaugeCache(body, list(TRIO))
-    assert cache.insert((1, 0), random.Random(0)) is None
-    assert cache.insert((3, 4), random.Random(0)).center == members[3].center
-    assert cache.g == _GaugeCache(body, members).g
+    def same(a, b):
+        assert (a.g, a.q) == (b.g, b.q)
+        assert list(map(list, a.rows)) == list(map(list, b.rows))
+        assert [F(r) / s for r, s in a.lam] == [F(r) / s for r, s in b.lam]
+    # member 3 keeps its relations with TRIO on both bodies; (1/4, 0) lies
+    # inside member 0
+    members = TRIO + [H((1, 1), 1)]
+    for body in (SkewGauge(), SQUARE):  # the scalar and the exact route
+        def state(members):
+            return _SearchState(body, list(members))
+        assert state(members).exact is (body is SQUARE)
+        for drop in range(len(members)):
+            cut = state(members)
+            cut.drop(drop)
+            same(cut, state(members[:drop] + members[drop + 1:]))
+        # (1/4, 0) admits no ratio, so only member 3's center is appended;
+        # its drawn ratio is then set to member 3's
+        grown = state(TRIO)
+        assert grown.insert((1, 0), random.Random(0)) is None
+        member = grown.insert((4, 4), random.Random(0))
+        assert member.center == members[3].center
+        assert grown.rescale(3, 1 / member.ratio) == 1
+        same(grown, state(members))
+
+
+def test_box_is_the_float_box_of_the_members():
+    # non-dyadic centers and ratios: the box is read in floats on both
+    # routes, as the full pass reads it
+    members = [H((0, 0), F(1, 3)), H((F(1, 3), F(2, 3)), F(2, 7))]
+    for body in (SkewGauge(), SQUARE):
+        got = _SearchState(body, list(members)).box()
+        assert got == FullPass(body, list(members)).box()
+        assert all(type(x) is float for x in got[0] + got[1])
+
+
+def test_scalar_route_takes_the_tolerance_only_when_rescaling():
+    # within the run tolerance of a boundary: a rescaling that makes two
+    # members touch up to 1e-12 is accepted, as by the full pass, while an
+    # insertion compares without the tolerance, so a center 1e-12 inside a
+    # member is interior
+    members = [Homothet(Vector((0.0, 0.0)), 1.0),
+               Homothet(Vector((2.0 + 1e-12, 0.0)), 1.0)]
+    state = _SearchState(SQUARE, list(members))
+    assert not state.exact
+    assert state.rescale(0, F(1)) == 1.0
+    assert FullPass(SQUARE, list(members)).rescale(0, F(1)) == 1.0
+    inside = _SearchState(SQUARE, [Homothet(Vector((0.0, 0.0)), 1 + 1e-12)])
+    assert inside.insert((4, 0), random.Random(0)) is None
 
 
 def test_one_gauge_per_pair_of_centers(monkeypatch):
@@ -319,14 +341,16 @@ def test_one_gauge_per_pair_of_centers(monkeypatch):
     # centers
     assert lifted_packing_pipeline(cube_arrangement(2)).verdict
     assert len(int_calls) == 36 and not calls
-    members = list(TRIO)
-    cache = _GaugeCache(SQUARE, members)
-    calls.clear()
-    member = cache.insert((6, 6), random.Random(0))  # center (3/2, 3/2)
-    assert len(calls) == len(TRIO)
-    members.append(member)
-    assert cache.rescale(0, F(6, 5)) == F(6, 5)
-    assert len(calls) == len(TRIO)
+    # a move takes one gauge per member it is checked against on the exact
+    # route, and on the scalar route, and a rescaling none
+    for members, counted in ((TRIO, int_calls), (floated(TRIO), calls)):
+        state = _SearchState(SQUARE, list(members))
+        calls.clear()
+        int_calls.clear()
+        assert state.insert((6, 6), random.Random(0))  # center (3/2, 3/2)
+        assert len(counted) == len(TRIO) and len(calls + int_calls) == 3
+        assert state.rescale(0, F(6, 5)) == members[0].ratio * F(6, 5)
+        assert len(calls + int_calls) == 3
 
 
 def test_exact_search_takes_the_integer_route(monkeypatch):
@@ -357,6 +381,6 @@ def test_arrangement_json_roundtrip():
     blob = json.dumps(arrangement_to_json(arr), sort_keys=True)
     back = arrangement_from_json(json.loads(blob))
     assert len(back) == 9
-    assert is_minkowski_arrangement(back)
+    assert find_minkowski_violation(back) is None
     with pytest.raises(ValueError):
         arrangement_from_json({"homothets": []})

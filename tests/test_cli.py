@@ -206,6 +206,54 @@ def test_non_finite_eps_is_its_own_input_error(eps, cube_file, capsys):
     assert scalars.tolerance() == scalars.DEFAULT_TOLERANCE
 
 
+@pytest.mark.parametrize("eps", ["0.5", "1e300"])
+def test_eps_above_the_limit_is_an_input_error(eps, cube_file, capsys):
+    # 0.5 once lost a shadow's common point (internal error), and 1e300
+    # failed a ratio stage; every golden arrangement passes at the limit
+    code, out, err = run(capsys, "--mode", "float", "--eps", eps,
+                         "verify", cube_file)
+    assert code == 2 and out == ""
+    assert err == "input error: tolerance must be at most 0.001, got %r\n" \
+        % float(eps)
+    code, out, _ = run(capsys, "--mode", "float", "--eps", "1e-3",
+                       "verify", cube_file)
+    assert code == 0 and "verdict: PASS" in out
+
+
+SQUARE_JSON = body_to_json(linf_ball(2))
+BEYOND_FLOATS = [{"center": [0, 0], "ratio": 1},
+                 {"center": [1, 0], "ratio": "1e999"}]
+
+
+@pytest.mark.parametrize("argv,payload", [
+    (["verify"], {"body": {"dim": 2, "type": "ball"},
+                  "homothets": BEYOND_FLOATS}),
+    (["--mode", "float", "verify"], {"body": SQUARE_JSON,
+                                     "homothets": BEYOND_FLOATS}),
+    (["kdist", "spectrum"], {"dim": 2,
+                             "points": [[0, 0], [1.5, 0], ["1e999", 1]]}),
+], ids=["ball", "float-mode", "float-point"])
+def test_exact_scalar_beyond_floats_on_a_float_route(argv, payload, tmp_path,
+                                                     capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert err == "input error: scalar 1.000000e+999 is beyond the float " \
+        "range\n"
+
+
+def test_exact_scalar_beyond_floats_stays_exact(tmp_path, capsys):
+    big = 10 ** 400
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"body": SQUARE_JSON, "homothets": [
+        {"center": [0, 0], "ratio": big}, {"center": [big, 0], "ratio": big},
+        {"center": [0, big], "ratio": big}]}))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0
+    assert "lifted-packing-certificate: PASS  3 <= 27" in out
+
+
 @pytest.mark.parametrize("command,flag", [
     ("search", "--out"), ("verify", "--certificate"),
     ("lift", "--dump"), ("lift", "--svg"),

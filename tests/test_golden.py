@@ -1,6 +1,7 @@
 """Golden bytes: exact-mode ``verify --certificate`` payloads, ``lift
---dump`` output, one ``lift --svg`` diagram for committed inputs and one
-``search --out`` arrangement, compared byte for byte.
+--dump`` output, one ``lift --svg`` diagram for committed inputs and two
+``search --out`` arrangements (the square's and the disc's), compared byte
+for byte.
 
 The outputs in tests/golden/ were written by the command line itself; the
 three seeded inputs are ``random_minkowski_arrangement(full_lift=True)``
@@ -17,7 +18,7 @@ import random
 
 import pytest
 
-from minkarr import arrangement_to_json, body_to_json, linf_ball
+from minkarr import BallBody, arrangement_to_json, body_to_json, linf_ball
 from minkarr.cli import main
 from minkarr.instances import corpus_body, random_minkowski_arrangement
 
@@ -68,16 +69,20 @@ def test_lift_svg_bytes(tmp_path, capsys):
     assert out.read_bytes() == read_bytes(golden("cube2.lift04.svg"))
 
 
-def test_search_out_bytes(tmp_path, capsys):
-    # the command CI's console-script step runs, on the same square
-    body = tmp_path / "square.json"
-    body.write_text(json.dumps(body_to_json(linf_ball(2))))
+@pytest.mark.parametrize("name,body", [("square", linf_ball(2)),
+                                       ("disc", BallBody(2))],
+                         ids=["square", "disc"])
+def test_search_out_bytes(name, body, tmp_path, capsys):
+    # the command CI's console-script step runs: the square's search decides
+    # its moves on integers, the disc's on floats with float ratios
+    path = tmp_path / "body.json"
+    path.write_text(json.dumps(body_to_json(body)))
     out = tmp_path / "search.json"
-    code = main(["--seed", "9", "search", str(body), "--iters", "120",
+    code = main(["--seed", "9", "search", str(path), "--iters", "120",
                  "--out", str(out)])
     capsys.readouterr()
     assert code == 0
-    assert out.read_bytes() == read_bytes(golden("square.search9.json"))
+    assert out.read_bytes() == read_bytes(golden(name + ".search9.json"))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

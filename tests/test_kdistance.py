@@ -7,10 +7,8 @@ import pytest
 
 from minkarr import (UNDEFINED, BallBody, PointSet, chain_bound_floor,
                      chain_to_arrangement, chain_to_json,
-                     find_chain_violation, greedy_chain, grid_set,
-                     guaranteed_length, is_k_distance,
-                     is_pairwise_intersecting,
-                     kdistance_threshold, linf_ball,
+                     find_chain_violation, find_intersection_violation,
+                     greedy_chain, grid_set, guaranteed_length, linf_ball,
                      pointset_from_json, pointset_to_json, spectrum,
                      verify_chain)
 from minkarr.kdistance import ChainResult
@@ -42,11 +40,11 @@ def test_spectrum_grid_3x3():
 
 
 def test_is_k_distance():
-    assert is_k_distance(LINF, grid_set(2, 3), 3)
-    assert not is_k_distance(LINF, grid_set(2, 3), 2)
+    # a k-distance set realizes at most k distances
+    assert len(spectrum(LINF, grid_set(2, 3))) == 3
     generic = PointSet(2, (Vector((F(0), F(0))), Vector((F(1), F(0))),
                            Vector((F(0), F(5, 7)))))
-    assert not is_k_distance(LINF, generic, 1)
+    assert len(spectrum(LINF, generic)) == 2
 
 
 def test_grid_set_counts():
@@ -75,6 +73,15 @@ def test_chain_bound_floor_values():
         chain_bound_floor(1)
 
 
+def kdistance_threshold(dim, k):
+    """k to the power of the chain bound floor, as an exact big integer;
+    UNDEFINED at d = 2."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    f = chain_bound_floor(dim)
+    return UNDEFINED if f is UNDEFINED else k ** f
+
+
 def test_kdistance_threshold():
     big = kdistance_threshold(3, 2)
     assert big == 2 ** 1139
@@ -93,7 +100,7 @@ def test_greedy_chain_grid_2_2():
     assert chain.guaranteed  # 9 >= 2^3
     assert verify_chain(LINF, chain)
     arr = chain_to_arrangement(chain.points, chain.lambdas, LINF)
-    assert is_pairwise_intersecting(arr)
+    assert find_intersection_violation(arr) is None
 
 
 def test_greedy_chain_equilateral_prefix():

@@ -8,15 +8,16 @@ from hypothesis import strategies as st
 
 from minkarr import (Arrangement, BallBody, DegenerateWedgeError, Homothet,
                      ShadowData, ShadowIntersectionError, SlabPair,
-                     build_frame, check_central_overlap_ratio, cross_ratio,
-                     cube_arrangement, lift, linf_ball, pair_diagnostics,
-                     ratio, shadow, shadow_with_x, slab_pair,
-                     trapezoid_combine, unlift, verify_ratio_identity,
-                     verify_slab)
+                     build_frame, cube_arrangement, lift, linf_ball,
+                     pair_diagnostics, ratio, shadow, shadow_with_x,
+                     slab_pair, verify_ratio_identity, verify_slab)
+from minkarr import scalars
 from minkarr.bodies import VPolytopeBody, l1_ball
 from minkarr.instances import (corpus_body, random_intersecting_arrangement,
                                random_minkowski_arrangement)
 from minkarr.linalg import Vector
+
+from test_oracles import cross_ratio, trapezoid_combine
 
 SQUARE = linf_ball(2)
 
@@ -135,6 +136,14 @@ def test_lift_divides_by_ratio():
     arr = arr_of(SQUARE, H((2, 0), 2), H((0, 0), 1))
     y = lift(arr).points[0]
     assert y == Vector((1, 0, F(1, 2)))
+
+
+def unlift(y):
+    """Recover (center, ratio) from a lifted point; exact in rational mode."""
+    s = y[-1]
+    if scalars.le(s, 0):
+        raise ValueError("lifted points have positive last coordinate")
+    return Vector(scalars.div(c, s) for c in y.coords[:-1]), scalars.div(1, s)
 
 
 def test_lift_roundtrip_exact():
@@ -387,6 +396,22 @@ def test_trapezoid_combine_random_constrained():
 
 
 # central overlap bound ------------------------------------------------
+
+def check_central_overlap_ratio(sd, lam_i, lam_j):
+    """If the two shadow intervals meet only between the centers then the
+    width ratio is at most 2; returns whether that implication held."""
+    (lo_i, hi_i), (lo_j, hi_j) = sd.intervals[sd.i], sd.intervals[sd.j]
+    lo, hi = max(lo_i, lo_j), min(hi_i, hi_j)
+    premise = (not scalars.gt(lo, hi)
+               and scalars.le(0, lo)
+               and scalars.le(hi, sd.alphas[sd.j]))
+    if not premise:
+        return True
+    value = ratio(lam_i, lam_j, sd.u_i, sd.u_j)
+    if isinstance(value, float) and not math.isfinite(value):
+        return False
+    return scalars.le(value, 2)
+
 
 def test_central_overlap_touching():
     seg = linf_ball(1)

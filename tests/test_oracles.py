@@ -13,17 +13,18 @@ import pytest
 
 from minkarr import (Arrangement, BallBody, Homothet, SearchConfig,
                      VPolytopeBody, arrangement_from_json, arrangement_to_json,
-                     body_from_json, build_frame, center_in_interior,
-                     cross_ratio, cube_arrangement, distance_table,
-                     find_chain_violation, find_intersection_violation,
-                     find_minkowski_violation, greedy_chain, grid_set,
-                     intersects, l1_ball, linf_ball, ratio, spectrum,
-                     search_arrangement, shadow, shadow_with_x, slab_pair)
-from minkarr.arrangement import _feasible, _feasible_ratio, _search
+                     body_from_json, build_frame, cube_arrangement,
+                     distance_table, find_chain_violation,
+                     find_intersection_violation, find_minkowski_violation,
+                     greedy_chain, grid_set, l1_ball, linf_ball, ratio,
+                     spectrum, search_arrangement, shadow, shadow_with_x,
+                     slab_pair)
+from minkarr.arrangement import (MIN_RATIO, WEIGHT_GRID, _SearchState,
+                                 _feasible, _grid_fraction, _search)
 from minkarr.instances import (corpus_body, random_intersecting_arrangement,
                                random_minkowski_arrangement,
                                random_symmetric_hexagon)
-from minkarr.kdistance import ChainResult
+from minkarr.kdistance import ChainResult, _chain_bound
 from minkarr.lifting import (DegenerateWedgeError, LiftedConfig,
                              ProjectionFrame, ShadowData,
                              ShadowIntersectionError, SlabPair, lift,
@@ -34,6 +35,57 @@ from minkarr import arrangement, lp, scalars
 from minkarr.bodies import SymmetricBody
 from minkarr.packing import family_from_arrangement, lifted_packing_pipeline
 from minkarr.polytopes import ConvexPolytope, _dedupe, hull, volume
+
+
+# ------------------------------------- formulas the program does not call --
+# The argument's cross-ratio and trapezoid rule and the chain bound in
+# floats: the tests check the construction against them.
+
+def cross_ratio(x1, x2, x3, x4):
+    """Cross-ratio (x1-x3)/(x2-x3) : (x1-x4)/(x2-x4) of collinear coordinates.
+
+    One argument may be the point at infinity (math.inf); the two distances
+    involving it are dropped from the formula.
+    """
+    args = [x1, x2, x3, x4]
+    infinite = [k for k, v in enumerate(args)
+                if isinstance(v, float) and math.isinf(v)]
+    if len(infinite) > 1:
+        raise ValueError("at most one point may be at infinity")
+    if not infinite:
+        num = (x1 - x3) * (x2 - x4)
+        den = (x2 - x3) * (x1 - x4)
+    else:
+        which = infinite[0]
+        if which == 0:
+            num, den = (x2 - x4), (x2 - x3)
+        elif which == 1:
+            num, den = (x1 - x3), (x1 - x4)
+        elif which == 2:
+            num, den = (x2 - x4), (x1 - x4)
+        else:
+            num, den = (x1 - x3), (x2 - x3)
+    if scalars.sign(den) == 0:
+        raise ZeroDivisionError("indeterminate cross-ratio (0/0 or x/0)")
+    return scalars.div(num, den)
+
+
+def trapezoid_combine(theta1, theta2, a1, a3, b1, b3):
+    """Predicted middle difference for points constrained by
+    theta1*(p1 - p2) = theta2*(p2 - p3) on both rails:
+    b2 - a2 = theta1/(theta1+theta2)*(b1-a1) + theta2/(theta1+theta2)*(b3-a3).
+    """
+    total = theta1 + theta2
+    if scalars.sign(total) == 0:
+        raise ValueError("theta1 + theta2 must be nonzero")
+    return (b1 - a1) * scalars.div(theta1, total) \
+        + (b3 - a3) * scalars.div(theta2, total)
+
+
+def chain_cardinality_bound(dim):
+    """The chain cardinality bound in floats: math.inf at d = 2, where it
+    is genuinely infinite, never a NaN or an exception."""
+    return float(_chain_bound(dim, 60))
 
 
 def cross_ratio_route(lam_i, lam_j, alpha_j, x):
@@ -580,12 +632,39 @@ def test_int_gauge_is_the_gauge():
     assert len(dens) > 2
 
 
+def _feasible_ratio(body, members, center, rng):
+    """A ratio making the new member intersect everyone without breaking the
+    arrangement condition, with the gauges gauge(c - v_j) it computed, or
+    None when the center admits no such ratio.
+
+    Bounds: lam >= gauge(c - v_j) - lam_j for intersection, lam <= gauge for
+    keeping v_j outside the interior, and the center itself must not lie in
+    any existing interior.  They are every comparison the predicates make on
+    the pairs holding the new member, so the ratio decides the insertion.
+    The ratio is low + (high - low)*k/8 for a drawn weight k in 0..8.
+    """
+    low = MIN_RATIO
+    high = None
+    gauges = []
+    for h in members:
+        g = body.gauge(center - h.center)
+        gauges.append(g)
+        if g < h.ratio:  # center already interior to an existing member
+            return None
+        low = max(low, g - h.ratio)
+        high = g if high is None else min(high, g)
+    if high is None or low > high:
+        return None
+    weight = _grid_fraction(rng, 0, 1, WEIGHT_GRID)
+    return low + (high - low) * F(weight, WEIGHT_GRID), gauges
+
+
 class FullPass:
     """Search state that decides every rescaling by the full predicate pass
-    over the candidate member list, the route the cached gauges replaced,
-    takes the insertion ``_feasible_ratio`` draws on Fraction gauges and
-    asserts that the full pass accepts it, and reads the box from the
-    members' Fractions.  It keeps no gauges, so a drop only counts."""
+    over the candidate member list, takes the insertion ``_feasible_ratio``
+    draws on scalar gauges of the Fraction centers and asserts that the
+    full pass accepts it, and reads the box from the members' Fractions.
+    It keeps no gauges, so a drop only counts."""
 
     def __init__(self, body, members):
         self.body = body
@@ -675,13 +754,10 @@ def test_search_against_full_pass(monkeypatch):
         Homothet(Vector((F(1, 3), F(5, 3))), F(5, 4))))
     cases += [(cross_polytope_4((1, 2, 3, 2)), None), (linf_ball(2), thirds),
               (linf_ball(1), None)]
-    routes = [type(arrangement._search_state(
-        body, list(warm.members) if warm else [Homothet(zero_vector(
-            body.dim), F(1))])).__name__ for body, warm in cases]
-    assert routes == ["_IntegerGauges"] * 4 + ["_GaugeCache"] * 3 \
-        + ["_IntegerGauges"] * 6
-    assert arrangement._search_state(linf_ball(2), list(thirds.members)).q \
-        == 12
+    routes = [_SearchState(body, list(warm.members) if warm else [
+        Homothet(zero_vector(body.dim), F(1))]).exact for body, warm in cases]
+    assert routes == [True] * 4 + [False] * 3 + [True] * 6
+    assert _SearchState(linf_ball(2), list(thirds.members)).q == 12
     monkeypatch.setattr(arrangement, "STAGNATION_LIMIT", 6)
     drops = 0
     for body, warm in cases:
@@ -703,6 +779,17 @@ def test_search_against_full_pass(monkeypatch):
 # ordered pair through center_in_interior and every unordered pair through
 # intersects, each pair taking gauges of its own.  The table scans must
 # return the same first pair.
+
+def intersects(body, h1, h2):
+    """Closed homothets of a symmetric body meet iff the gauge distance of
+    the centers is at most the ratio sum (touching counts)."""
+    return scalars.le(body.gauge(h1.center - h2.center), h1.ratio + h2.ratio)
+
+
+def center_in_interior(body, owner, point):
+    """Strict containment: boundary points are not interior."""
+    return scalars.lt(body.gauge(point - owner.center), owner.ratio)
+
 
 def loop_minkowski_violation(arr):
     for i, hi in enumerate(arr.members):

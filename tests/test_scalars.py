@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from minkarr import scalars
-from minkarr.scalars import (div, eq, format_scalar, ge, gt, is_exact, le, lt,
+from minkarr.scalars import (div, eq, format_scalar, gt, is_exact, le, lt,
                              parse_scalar, sign)
 
 
