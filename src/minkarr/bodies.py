@@ -14,8 +14,8 @@ in every dimension.  Three variants:
   closed under normal negation; with exact facets the gauge of an integer
   vector is one integer pass (see ``HPolytopeBody.int_gauge``);
 * ``VPolytopeBody`` -- convex hull of a vertex list closed under negation;
-  up to dimension 3 it answers through its facet form, beyond that through
-  the polar LP, whose maximiser is the supporting plane;
+  an ``HPolytopeBody`` whose facets are the vertices of the polar, found by
+  double description (``lp.polar_facets``) in every dimension;
 * ``BallBody`` -- the Euclidean unit ball (floating mode).
 
 All bodies are immutable after construction and safe to share between
@@ -110,44 +110,57 @@ def _canonical_facet(normal: Vector, offset: Scalar) -> Vector:
     return normal / offset
 
 
+def _symmetric_form(dim: int, vectors: Sequence[Vector], kind: str,
+                    degenerate: str):
+    """Check that the vectors (facet normals or vertices) are closed under
+    negation and span R^dim, and return their integer form ``int_rows``
+    (None when one is a float).  Exact rows look up each negated row in a
+    set and take the fraction-free rank; float rows compare within the run
+    tolerance."""
+    if dim < 1:
+        raise BodyError("dimension must be positive")
+    if not vectors:
+        raise BodyError("a polytope needs %s" % kind)
+    if any(v.dim != dim for v in vectors):
+        raise BodyError("%s dimension mismatch" % kind)
+    form = scalars.int_rows([v.coords for v in vectors])
+    if form:
+        rows = set(form[0])
+        closed = all(tuple(-x for x in r) in rows for r in rows)
+    else:
+        closed = all(any(-v == w for w in vectors) for v in vectors)
+    if not closed:
+        raise BodyError("%s are not closed under negation; body would not "
+                        "be o-symmetric" % kind)
+    if matrix_rank(form[0] if form else [v.coords for v in vectors]) < dim:
+        raise BodyError("%s do not span the space; body would %s"
+                        % (kind, degenerate))
+    return form
+
+
 class HPolytopeBody(SymmetricBody):
     """Bounded symmetric polytope given by facets a.x <= offset.
 
     Facets are normalized to offset 1 on construction, so ``facets`` is just
     the list of canonical normals.  The representation is assumed
     irredundant: every facet touches the body.  Constructors in this package
-    (cube, cross-polytope, hull-derived conversions) guarantee that.
+    (cube, cross-polytope, the polar of a vertex list) guarantee that.
     """
 
     def __init__(self, dim: int, facets: Sequence[Tuple[Vector, Scalar]]):
-        if dim < 1:
-            raise BodyError("dimension must be positive")
-        self.dim = dim
         normals: List[Vector] = []
         for normal, offset in facets:
-            if normal.dim != dim:
-                raise BodyError("facet normal dimension mismatch")
             if normal.is_zero():
                 raise BodyError("zero facet normal")
             normals.append(_canonical_facet(normal, offset))
+        self.dim = dim
         self.facets: Tuple[Vector, ...] = tuple(normals)
-        self._validate()
         # exact facets as integer rows over one common denominator
-        form = scalars.int_rows([a.coords for a in self.facets])
+        form = _symmetric_form(dim, self.facets, "facet normals",
+                               "be unbounded")
         self._rows = form and tuple(form[0])
         self._den = form and form[1]
         self.exact = form is not None
-
-    def _validate(self) -> None:
-        if not self.facets:
-            raise BodyError("a polytope needs at least one facet pair")
-        for a in self.facets:
-            if not any((-a) == b for b in self.facets):
-                raise BodyError("facet list is not closed under negation; "
-                                "body would not be o-symmetric")
-        if matrix_rank([f.coords for f in self.facets]) < self.dim:
-            raise BodyError("facet normals do not span the space; "
-                            "body would be unbounded")
 
     def int_gauge(self, p: Sequence[int]) -> Tuple[int, int]:
         """max(0, max_k rows_k.p) over D, the rows' common denominator."""
@@ -202,74 +215,19 @@ class HPolytopeBody(SymmetricBody):
         return "HPolytopeBody(dim=%d, facets=%d)" % (self.dim, len(self.facets))
 
 
-class VPolytopeBody(SymmetricBody):
+class VPolytopeBody(HPolytopeBody):
     """Symmetric polytope given as the hull of a vertex list.
 
-    The gauge is a small linear program over the polar body, whose maximiser
-    supports the body; in dimension <= 3 a facet form from the exact hull is
-    used instead (the two routes agree, see the test suite).
+    Its facets are the vertices of the polar, which ``lp.polar_facets``
+    enumerates in every dimension, so the gauge, ``int_gauge`` and the frame
+    are those of the facet form; ``vertices`` keeps the list as given.
     """
 
     def __init__(self, dim: int, vertices: Sequence[Vector]):
-        if dim < 1:
-            raise BodyError("dimension must be positive")
-        self.dim = dim
-        for v in vertices:
-            if v.dim != dim:
-                raise BodyError("vertex dimension mismatch")
         self.vertices: Tuple[Vector, ...] = tuple(vertices)
-        self._validate()
-        self.exact = scalars.is_exact(*(c for v in self.vertices for c in v))
-        self._hform = self.as_hpolytope() if dim <= 3 else None
-
-    def _validate(self) -> None:
-        if not self.vertices:
-            raise BodyError("a polytope needs vertices")
-        for v in self.vertices:
-            if not any((-v) == w for w in self.vertices):
-                raise BodyError("vertex list is not closed under negation; "
-                                "body would not be o-symmetric")
-        if matrix_rank([v.coords for v in self.vertices]) < self.dim:
-            raise BodyError("vertices do not span the space; "
-                            "body would have empty interior")
-
-    def as_hpolytope(self) -> HPolytopeBody:
-        """Facet form of the same body; only available for dim <= 3."""
-        if self.dim > 3:
-            raise NotImplementedError("facet enumeration is out of scope "
-                                      "beyond dimension 3")
-        from .polytopes import hull
-        return HPolytopeBody(self.dim, hull(list(self.vertices)).facets)
-
-    def _polar_lp(self, x: Vector) -> Tuple[Scalar, List[Scalar]]:
-        """max x.a s.t. a.v <= 1: the gauge of x and a maximiser a."""
-        self._check_dim(x)
-        return lp.simplex_max(list(x.coords),
-                              [v.coords for v in self.vertices],
-                              [1] * len(self.vertices))
-
-    def gauge_lp(self, x: Vector) -> Scalar:
-        """Gauge via the polar-body linear program."""
-        return self._polar_lp(x)[0]
-
-    def gauge(self, x: Vector) -> Scalar:
-        if self._hform is not None:
-            return self._hform.gauge(x)
-        return self.gauge_lp(x)
-
-    def int_gauge(self, p: Sequence[int]) -> Tuple[int, int]:
-        """The facet form's up to dimension 3, else the polar LP's value."""
-        if self._hform is not None:
-            return self._hform.int_gauge(p)
-        g = self.gauge_lp(Vector(p))
-        return g.numerator, g.denominator
-
-    def boundary_frame(self, u: Vector) -> Tuple[Vector, Vector]:
-        """The facet form's frame up to dimension 3, else the polar LP's."""
-        if self._hform is not None:
-            return self._hform.boundary_frame(u)
-        g, a = self._polar_lp(u)
-        return _to_boundary(u, g), Vector(a)
+        _symmetric_form(dim, self.vertices, "vertices", "have empty interior")
+        super().__init__(dim, lp.polar_facets(
+            [v.coords for v in self.vertices]))
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "type": "vpoly",

@@ -74,11 +74,10 @@ def _random_centers(rng: random.Random, n: int, dim: int,
 def _float_gauge(body: SymmetricBody):
     """Cheap float gauge closure used only to pre-screen random centers; it
     reads the body's facets, in any dimension."""
-    hform = getattr(body, "_hform", None) or body
-    if not hasattr(hform, "facets"):
+    if not hasattr(body, "facets"):
         raise ValueError("the generator needs a body with a facet form, "
                          "not %r" % body)
-    normals = [a.as_floats() for a in hform.facets]
+    normals = [a.as_floats() for a in body.facets]
 
     def gauge(d):
         return max(sum(map(mul, a, d)) for a in normals)

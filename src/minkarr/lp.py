@@ -1,87 +1,88 @@
-"""A tiny dense simplex solver for the small exact LPs this package needs.
+"""The polar system of a V-polytope: its facets, enumerated exactly in every
+dimension by double description.
 
-Solves  maximize c.x  subject to  A x <= b  with x free and b >= 0, so the
-origin is always a feasible start.  Free variables are split into positive
-parts and Bland's rule is used throughout, which guarantees termination and
-keeps every pivot exact when the data are rational.
+The facets a.z <= 1 of P = conv(V), V closed under negation and spanning,
+are the vertices of the polar {a : v.a <= 1 for every v in V}.  The
+double-description method (Motzkin, Raiffa, Thompson and Thrall 1953;
+Fukuda and Prodon 1996) finds them.  It starts from the parallelotope
+|b_i.a| <= 1 on the first d independent rows b_i of V, whose 2^d vertices
+are B^-1 s for s in {+-1}^d, and adds the other rows' constraints one at a
+time.  Each step keeps the vertices on the satisfied side and cuts every
+pair (p, n) across the new plane that is adjacent: no third vertex is tight
+on every constraint both are tight on (the combinatorial test), so each new
+vertex is tight on that common set and on the new row.
+
+Exact rows run on integers: V is scaled once to integer rows R over one
+denominator q, and each vertex of the polar of R is a homogeneous pair
+(N, D), a = N/D with D > 0, reduced by its gcd.  Float rows take the same
+loop with the run tolerance deciding each side (``scalars.sign``, as the
+hull does), each vertex kept at D = 1.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import itertools
+import math
+import operator
 from typing import List, Sequence, Tuple
 
 from . import scalars
-from .scalars import Scalar, div
+from .linalg import Vector, _rref
+from .scalars import Scalar
 
 
-class UnboundedLP(RuntimeError):
-    """The objective is unbounded over the feasible region."""
-
-
-def simplex_max(obj: Sequence[Scalar],
-                rows: Sequence[Sequence[Scalar]],
-                rhs: Sequence[Scalar]) -> Tuple[Scalar, List[Scalar]]:
-    """Maximize obj.x subject to rows[i].x <= rhs[i]; requires rhs >= 0.
-
-    Returns (optimal value, optimizer).  Raises UnboundedLP when the problem
-    is unbounded and ValueError when some rhs entry is negative.
-    """
-    m = len(rows)
-    n = len(obj)
-    for b in rhs:
-        if scalars.lt(b, 0):
-            raise ValueError("simplex_max needs nonnegative right-hand sides")
-
-    def wrap(v):
-        return Fraction(v) if isinstance(v, int) else v
-
-    # columns: n "plus" parts, n "minus" parts, m slacks
-    width = 2 * n + m
-    tab: List[List[Scalar]] = []
-    for i in range(m):
-        row = [wrap(v) for v in rows[i]]
-        line = row + [-v for v in row] + [Fraction(0)] * m + [wrap(rhs[i])]
-        line[2 * n + i] = Fraction(1)
-        tab.append(line)
-    cost = ([wrap(v) for v in obj] + [-wrap(v) for v in obj]
-            + [Fraction(0)] * m + [Fraction(0)])
-    basis = [2 * n + i for i in range(m)]
-
-    while True:
-        enter = None
-        for j in range(width):
-            if scalars.gt(cost[j], 0):
-                enter = j
-                break
-        if enter is None:
-            break
-        leave = None
-        best = None
-        for i in range(m):
-            a = tab[i][enter]
-            if scalars.gt(a, 0):
-                ratio = div(tab[i][width], a)
-                if (best is None or scalars.lt(ratio, best)
-                        or (scalars.eq(ratio, best) and basis[i] < basis[leave])):
-                    best = ratio
-                    leave = i
-        if leave is None:
-            raise UnboundedLP("unbounded objective direction at column %d" % enter)
-        pivot = tab[leave][enter]
-        tab[leave] = [div(v, pivot) for v in tab[leave]]
-        for i in range(m):
-            if i != leave and not scalars.eq(tab[i][enter], 0):
-                f = tab[i][enter]
-                tab[i] = [v - f * w for v, w in zip(tab[i], tab[leave])]
-        f = cost[enter]
-        cost = [v - f * w for v, w in zip(cost, tab[leave])]
-        basis[leave] = enter
-
-    x = [Fraction(0)] * (2 * n)
-    for i, bv in enumerate(basis):
-        if bv < 2 * n:
-            x[bv] = tab[i][width]
-    solution = [x[k] - x[n + k] for k in range(n)]
-    # the cost row's rhs accumulates -(objective value) across pivots
-    return -cost[width], solution
+def polar_facets(points: Sequence[Sequence[Scalar]]
+                 ) -> List[Tuple[Vector, Scalar]]:
+    """Facets (normal, offset), normal.z <= offset, of the polytope spanned
+    by the points: the vertices of its polar, one per facet.  The points
+    must be closed under negation and span their space."""
+    form = scalars.int_rows(points)
+    rows, q = form or (points, 1)
+    n, d = len(rows), len(rows[0])
+    if form:
+        def reduced(top, den):
+            g = math.gcd(den, *top)
+            return tuple(x // g for x in top), den // g
+    else:
+        def reduced(top, den):
+            return tuple(x / den for x in top), 1.0
+    # one elimination of [R^T | I] picks the basis rows (its pivots) and
+    # leaves (B^-1)^T in the identity's columns
+    table = [[row[i] for row in rows] + [int(k == i) for k in range(d)]
+             for i in range(d)]
+    basis = _rref(table, n)
+    inverse = [line[n:] for line in table]
+    inverse, scale = scalars.int_rows(inverse) if form else (inverse, 1.0)
+    # each distinct constraint row owns one bit of the tight-set masks
+    bits = {}
+    for k, b in enumerate(basis):
+        bits[tuple(rows[b])] = 1 << 2 * k
+        bits[tuple(-x for x in rows[b])] = 1 << 2 * k + 1
+    verts = []          # (N, D, mask of the constraints tight there)
+    for signs in itertools.product((1, -1), repeat=d):
+        top = [sum(map(operator.mul, signs, col)) for col in zip(*inverse)]
+        tight = sum(1 << 2 * k + (s < 0) for k, s in enumerate(signs))
+        verts.append(reduced(top, scale) + (tight,))
+    for row in map(tuple, rows):
+        if row in bits:
+            continue
+        bit = bits[row] = 1 << len(bits)
+        slack = [den - sum(map(operator.mul, row, top))
+                 for top, den, _ in verts]
+        side = list(map(scalars.sign, slack))
+        plus = [(v, s) for v, s, c in zip(verts, slack, side) if c > 0]
+        minus = [(v, s) for v, s, c in zip(verts, slack, side) if c < 0]
+        cut = []
+        for (p, sp), (m, sm) in itertools.product(plus, minus):
+            common = p[2] & m[2]
+            if common.bit_count() < d - 1 or any(
+                    v[2] & common == common for v in verts
+                    if v is not p and v is not m):
+                continue
+            top = [sp * a - sm * b for a, b in zip(m[0], p[0])]
+            cut.append(reduced(top, sp * m[1] - sm * p[1])
+                       + (common | bit,))
+        verts = [(top, den, tight | bit if c == 0 else tight)
+                 for (top, den, tight), c in zip(verts, side) if c >= 0]
+        verts += cut
+    return [(Vector(top), scalars.div(den, q)) for top, den, _ in verts]

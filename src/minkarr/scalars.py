@@ -9,6 +9,7 @@ participates in floating-mode comparison as soon as one operand is a float.
 from __future__ import annotations
 
 import math
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from typing import Union
@@ -100,19 +101,24 @@ def div(a: Scalar, b: Scalar) -> Scalar:
 
 
 def check_float_range(values, float_route: bool = False) -> None:
-    """Exact values that a float route reads must have a float: a
-    ValueError names the first that has none.  The values are on a float
-    route when ``float_route`` says so or when a float is among them."""
+    """Exact values that a float route reads must have a float, and so must
+    their reciprocals (the lift divides by a ratio): a ValueError names the
+    first value beyond the float range or nonzero below its least normal
+    magnitude.  The values are on a float route when ``float_route`` says
+    so or when a float is among them."""
     if not (float_route or float in map(type, values)):
         return
     for v in values:
-        if type(v) in _EXACT:
+        if type(v) in _EXACT and v:
             try:
-                float(v)
+                where = "below" if abs(float(v)) < sys.float_info.min \
+                    else ""
             except OverflowError:
+                where = "beyond"
+            if where:
                 value = Decimal(v.numerator) / v.denominator
-                raise ValueError("scalar %s is beyond the float range"
-                                 % format(value, ".6e")) from None
+                raise ValueError("scalar %s is %s the float range"
+                                 % (format(value, ".6e"), where))
 
 
 def int_form(values):

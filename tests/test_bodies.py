@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +10,10 @@ from minkarr.bodies import (BallBody, BodyError, HPolytopeBody,
                             VPolytopeBody, body_from_json, body_to_json,
                             l1_ball, linf_ball)
 from minkarr.instances import random_symmetric_hexagon
-from minkarr.linalg import Vector
+from minkarr.linalg import Vector, affine_rank
+from minkarr.polytopes import hull
+
+from lp_oracle import gauge_lp, polar_lp
 
 SQUARE = linf_ball(2)
 DIAMOND = l1_ball(2)
@@ -106,7 +109,7 @@ def test_vpolytope_gauge_routes_agree():
     for trial in range(15):
         hexa = random_symmetric_hexagon(rng)
         x = Vector((F(rng.randint(-12, 12), 5), F(rng.randint(-12, 12), 5)))
-        assert hexa.gauge(x) == hexa.gauge_lp(x)
+        assert hexa.gauge(x) == gauge_lp(hexa, x)
 
 
 def test_vpolytope_gauge_known_value():
@@ -163,19 +166,124 @@ def cross_vpoly(dim):
                                     for i in range(dim) for s in (1, -1)))
 
 
-def test_polar_lp_frames_beyond_3d_without_facet_enumeration():
+def cube_vpoly(dim):
+    """The cube [-1, 1]^d as its 2^d vertices."""
+    return VPolytopeBody(dim, tuple(map(Vector, product((1, -1), repeat=dim))))
+
+
+def cell24():
+    """The 24-cell: the 24 permutations of (+-1, +-1, 0, 0)."""
+    return VPolytopeBody(4, tuple(map(Vector, sorted(
+        {p for a, b in product((1, -1), repeat=2)
+         for p in permutations((a, b, 0, 0))}))))
+
+
+def seeded_vpoly(rng, dim):
+    """Random integer points and their negations, plus non-extreme points
+    (the origin, a midpoint, a point halfway to a vertex) and repeats."""
+    while True:
+        pts = [Vector(rng.randint(-3, 3) for _ in range(dim))
+               for _ in range(dim + 2)]
+        pts += [pts[0] * F(1, 2), (pts[1] + pts[2]) * F(1, 2),
+                Vector([0] * dim), pts[3]]
+        try:
+            return VPolytopeBody(dim, tuple(pts) + tuple(-p for p in pts))
+        except BodyError:
+            continue
+
+
+def is_facet(body, a):
+    """a.v <= 1 on every vertex, with equality on an affine (d-1)-flat."""
+    return all(a.dot(v) <= 1 for v in body.vertices) and affine_rank(
+        [v for v in body.vertices if a.dot(v) == 1]) == body.dim - 1
+
+
+def test_vpoly_frames_beyond_3d_are_facets():
+    # the facet form answers the gauge and the frame in any dimension, and
+    # every frame's plane is a facet of the body: the least active one
+    rng = random.Random(22)
     cross4 = cross_vpoly(4)
-    # the polar LP answers the gauge and the frame in any dimension
     assert cross4.gauge(Vector((1, 1, 0, 0))) == 2
-    with pytest.raises(NotImplementedError):
-        cross4.as_hpolytope()
     r_vec, normal = cross4.boundary_frame(Vector((2, 0, 0, 0)))
     assert r_vec == Vector((1, 0, 0, 0))
-    assert normal.dot(r_vec) == 1
-    assert all(normal.dot(v) <= 1 for v in cross4.vertices)
+    assert normal == Vector((1, -1, -1, -1))
+    for body in (cross4, cross_vpoly(5), cube_vpoly(4), cube_vpoly(5),
+                 cell24(), seeded_vpoly(rng, 4), seeded_vpoly(rng, 5)):
+        assert all(is_facet(body, a) for a in body.facets)
+        for _ in range(10):
+            u = Vector(rng.randint(-5, 5) for _ in range(body.dim))
+            if u.is_zero():
+                continue
+            r_vec, normal = body.boundary_frame(u)
+            assert normal.dot(r_vec) == 1 and is_facet(body, normal)
+            assert normal == min((a for a in body.facets
+                                  if a.dot(r_vec) == 1),
+                                 key=lambda a: a.coords)
     for body in (cross4, SQUARE):
         with pytest.raises(ValueError):
             body.boundary_frame(Vector((0,) * body.dim))
+
+
+def test_polar_facets_are_the_hull_facets_up_to_3d():
+    # the double description and the hull give one facet set, offset 1
+    rng = random.Random(23)
+    bodies = [random_symmetric_hexagon(rng) for _ in range(40)]
+    while len(bodies) < 60:
+        pts = [Vector(F(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+                      for _ in range(3)) for _ in range(rng.randint(3, 7))]
+        if affine_rank(pts + [-p for p in pts]) == 3:
+            bodies.append(VPolytopeBody(3, tuple(pts) + tuple(-p for p in pts)))
+    for body in bodies:
+        want = {tuple(F(c) / F(offset) for c in normal)
+                for normal, offset in hull(list(body.vertices)).facets}
+        assert {a.coords for a in body.facets} == want
+        assert len(body.facets) == len(want)
+
+
+@pytest.mark.parametrize("dim", [4, 5])
+def test_facet_gauges_and_frames_against_the_polar_lp(dim):
+    # on seeded integer points the facet form's gauge is the LP's value and
+    # its frame's plane is an LP maximiser
+    rng = random.Random(dim)
+    bodies = [cross_vpoly(dim), seeded_vpoly(rng, dim), seeded_vpoly(rng, dim)]
+    if dim == 4:
+        bodies += [cube_vpoly(4), cell24()]
+    for body in bodies:
+        for _ in range(6):
+            x = Vector(rng.randint(-7, 7) for _ in range(dim))
+            value, _ = polar_lp(body.vertices, x)
+            assert body.gauge(x) == value
+            assert F(*body.int_gauge(list(x))) == value
+            if value:
+                r_vec, normal = body.boundary_frame(x)
+                assert r_vec * value == x
+                assert normal.dot(x) == value
+                assert all(normal.dot(v) <= 1 for v in body.vertices)
+
+
+def test_float_vertex_hexagon_agrees_with_its_exact_twin():
+    # thirds of the vertices and of the edge midpoints: the float midpoints
+    # sit off their edges by a rounding, which the tolerance absorbs
+    rng = random.Random(24)
+    for _ in range(30):
+        ring = hull(list(random_symmetric_hexagon(rng).vertices)).vertices
+        pts = [v * F(1, 3) for v in ring] + [
+            (v + w) * F(1, 6) for v, w in zip(ring, ring[1:] + ring[:1])]
+        hexa = VPolytopeBody(2, pts)
+        twin = VPolytopeBody(2, tuple(Vector(map(float, v)) for v in pts))
+        assert not twin.exact
+        assert len(twin.facets) == len(hexa.facets)
+        assert all(any(a == b for b in hexa.facets) for a in twin.facets)
+        for _ in range(10):
+            x = Vector((F(rng.randint(-12, 12), 5), F(rng.randint(-12, 12), 5)))
+            if x.is_zero():
+                continue
+            xf = Vector(map(float, x))
+            assert twin.gauge(xf) == pytest.approx(float(hexa.gauge(x)))
+            r_vec, normal = twin.boundary_frame(xf)
+            want = hexa.boundary_frame(x)
+            assert r_vec.as_floats() == pytest.approx(want[0].as_floats())
+            assert normal.dot(r_vec) == pytest.approx(1.0)
 
 
 def test_frame_contract_on_every_body():
@@ -188,7 +296,8 @@ def test_frame_contract_on_every_body():
     cases += [(l1_ball(d), cross_vpoly(d).vertices) for d in range(1, 5)]
     cases += [(hexa, hexa.vertices) for hexa in
               (random_symmetric_hexagon(rng) for _ in range(6))]
-    cases += [(cross, cross.vertices) for cross in map(cross_vpoly, (4, 5))]
+    cases += [(body, body.vertices) for body in
+              (cross_vpoly(4), cross_vpoly(5), cube_vpoly(4), cell24())]
     checked = 0
     for body, vertices in cases:
         directions = [Vector(F(rng.randint(-9, 9), rng.randint(1, 4))

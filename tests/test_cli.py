@@ -221,13 +221,13 @@ def test_eps_above_the_limit_is_an_input_error(eps, cube_file, capsys):
 
 
 SQUARE_JSON = body_to_json(linf_ball(2))
+BALL_JSON = {"dim": 2, "type": "ball"}
 BEYOND_FLOATS = [{"center": [0, 0], "ratio": 1},
                  {"center": [1, 0], "ratio": "1e999"}]
 
 
 @pytest.mark.parametrize("argv,payload", [
-    (["verify"], {"body": {"dim": 2, "type": "ball"},
-                  "homothets": BEYOND_FLOATS}),
+    (["verify"], {"body": BALL_JSON, "homothets": BEYOND_FLOATS}),
     (["--mode", "float", "verify"], {"body": SQUARE_JSON,
                                      "homothets": BEYOND_FLOATS}),
     (["kdist", "spectrum"], {"dim": 2,
@@ -243,6 +243,35 @@ def test_exact_scalar_beyond_floats_on_a_float_route(argv, payload, tmp_path,
         "range\n"
 
 
+BELOW_FLOATS = [{"center": [0, 0], "ratio": 1},
+                {"center": [1, 0], "ratio": "1e-999"}]
+
+
+@pytest.mark.parametrize("argv,payload,shown", [
+    (["verify"], {"body": BALL_JSON, "homothets": BELOW_FLOATS},
+     "1.000000e-999"),
+    (["lift", "--pair", "0", "1"], {"body": BALL_JSON,
+                                    "homothets": BELOW_FLOATS},
+     "1.000000e-999"),
+    (["--mode", "float", "verify"], {"body": SQUARE_JSON,
+                                     "homothets": BELOW_FLOATS},
+     "1.000000e-999"),
+    # a subnormal float exists, but not its reciprocal, which the lift takes
+    (["verify"], {"body": BALL_JSON, "homothets": [
+        {"center": [0, 0], "ratio": 1}, {"center": [1, 0], "ratio": "1e-310"}]},
+     "1.000000e-310"),
+], ids=["ball", "ball-lift", "float-mode", "subnormal"])
+def test_exact_scalar_below_floats_on_a_float_route(argv, payload, shown,
+                                                    tmp_path, capsys):
+    # the first three once ended in an internal OverflowError (the ball) and
+    # in a misleading "homothety ratios must be positive" (float mode)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert err == "input error: scalar %s is below the float range\n" % shown
+
+
 def test_exact_scalar_beyond_floats_stays_exact(tmp_path, capsys):
     big = 10 ** 400
     path = tmp_path / "big.json"
@@ -252,6 +281,10 @@ def test_exact_scalar_beyond_floats_stays_exact(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 0
     assert "lifted-packing-certificate: PASS  3 <= 27" in out
+    path.write_text(json.dumps({"body": SQUARE_JSON,
+                                "homothets": BELOW_FLOATS}))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0 and "verdict: PASS" in out
 
 
 @pytest.mark.parametrize("command,flag", [
@@ -484,9 +517,9 @@ def test_kdist_chain_target_zero_is_an_input_error(tmp_path, capsys):
     assert out == ""
 
 
-def test_lift_on_a_4d_vpoly_takes_the_lp_frame(tmp_path, capsys):
-    # the 4-D cross-polytope as a vertex list: beyond dimension 3 the gauge
-    # is the polar LP, and its maximiser is the supporting plane
+def test_lift_on_a_4d_vpoly_takes_a_facet_frame(tmp_path, capsys):
+    # the 4-D cross-polytope as a vertex list: its facets are the vertices
+    # of the polar, and the frame's plane is the least active facet
     vertices = [[s if k == i else 0 for k in range(4)]
                 for i in range(4) for s in (1, -1)]
     path = tmp_path / "cross4.json"

@@ -7,9 +7,10 @@ The outputs in tests/golden/ were written by the command line itself; the
 three seeded inputs are ``random_minkowski_arrangement(full_lift=True)``
 families, one per corpus body kind, and ``cross4`` and ``disc`` are
 hand-picked pairwise intersecting Minkowski arrangements with rational
-centers on the 4-D cross-polytope given by its vertices (polar LP frames)
-and on the Euclidean disc (float frames).  Rewrite a golden file only for a
-deliberate certificate or dump format change, and say so.
+centers on the 4-D cross-polytope given by its vertices (facet frames,
+the facets found as the vertices of its polar) and on the Euclidean disc
+(float frames).  Rewrite a golden file only for a deliberate certificate,
+dump format or frame rule change, and say so.
 """
 
 import json
@@ -26,7 +27,7 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 INPUTS = ["cube2", "minkowski1", "minkowski2", "minkowski3"]
 # the square (integer normals, minkowski1), the diamond (minkowski2), a
 # hexagon (minkowski3), the cube family, the 4-D cross-polytope as a
-# V-polytope (polar LP frames) and discs with rational centers (float frames)
+# V-polytope (facet frames) and discs with rational centers (float frames)
 LIFTS = [("cube2", 0, 4), ("minkowski1", 0, 2), ("minkowski2", 1, 4),
          ("minkowski3", 1, 3), ("cross4", 2, 5), ("disc", 1, 2)]
 

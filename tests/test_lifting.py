@@ -62,10 +62,10 @@ def test_frame_ball():
 
 
 @pytest.mark.parametrize("dim", [4, 5])
-def test_lp_frames_lift_the_vpoly_cross_polytope(dim):
+def test_facet_frames_lift_the_vpoly_cross_polytope(dim):
     # origin plus the 2d vertices, ratio 1: beyond dimension 3 the vpoly
-    # frame is the polar LP's maximiser, and every pair's slab holds every
-    # lifted point with the ratio the facet form of l1_ball gives
+    # frame is a facet of its polar's vertices, and every pair's slab holds
+    # every lifted point with the ratio the facet form of l1_ball gives
     vertices = [Vector([s if k == i else 0 for k in range(dim)])
                 for i in range(dim) for s in (1, -1)]
     members = tuple(Homothet(v, 1) for v in [Vector([0] * dim)] + vertices)

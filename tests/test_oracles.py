@@ -31,10 +31,12 @@ from minkarr.lifting import (DegenerateWedgeError, LiftedConfig,
                              verify_ratio_identity, verify_slab)
 from minkarr.linalg import (Vector, _rref, affine_coordinates, affine_rank,
                             cross3, matrix_rank, zero_vector)
-from minkarr import arrangement, lp, scalars
+from minkarr import arrangement, scalars
 from minkarr.bodies import SymmetricBody
 from minkarr.packing import family_from_arrangement, lifted_packing_pipeline
 from minkarr.polytopes import ConvexPolytope, _dedupe, hull, volume
+
+from lp_oracle import gauge_lp, simplex_max
 
 
 # ------------------------------------- formulas the program does not call --
@@ -486,7 +488,7 @@ def open_hpoly_nonempty(normals, offs, hint_points) -> bool:
     lp_rows = [list(a.coords) + [1] for a in normals]
     lp_rhs = [s - t0 for s in slacks]
     obj = [0] * n + [1]
-    value, _ = lp.simplex_max(obj, lp_rows, lp_rhs)
+    value, _ = simplex_max(obj, lp_rows, lp_rhs)
     return scalars.gt(t0 + value, 0)
 
 
@@ -597,7 +599,7 @@ def test_integer_gauge_kernel_against_facet_loop():
     bodies = [linf_ball(2), l1_ball(2), linf_ball(3), l1_ball(3)]
     for _ in range(6):
         hexa = random_symmetric_hexagon(rng)
-        bodies.append(hexa._hform)
+        bodies.append(hexa)
     assert any(body._den > 1 for body in bodies), "no non-integer facets"
     for body in bodies:
         d = body.dim
@@ -712,7 +714,7 @@ def full_pass_search(body, dim, config, warm_start=None):
 
 def cross_polytope_4(radii=(1, 1, 1, 1)):
     """The 4-D cross-polytope with vertices +-radii[i]*e_i, given by its
-    vertices: its gauge is the polar LP."""
+    vertices: its facets are the vertices of the polar."""
     return VPolytopeBody(4, [Vector(s * r if k == i else 0 for k in range(4))
                              for i, r in enumerate(radii) for s in (1, -1)])
 
@@ -762,9 +764,7 @@ def test_search_against_full_pass(monkeypatch):
     drops = 0
     for body, warm in cases:
         for seed in range(3):
-            # the 4-D body takes one polar LP per gauge
-            cfg = SearchConfig(seed=seed, iterations=20 if body.dim == 4
-                               else 60)
+            cfg = SearchConfig(seed=seed, iterations=60)
             got = search_arrangement(body, body.dim, cfg, warm_start=warm)
             want, dropped = full_pass_search(body, body.dim, cfg,
                                              warm_start=warm)
@@ -812,8 +812,8 @@ def loop_intersection_violation(arr):
 def predicate_families():
     """Seeded pairwise intersecting families, some of them Minkowski
     arrangements, on the square, the diamond, random hexagons, the disc in
-    floats and the 4-D cross-polytope given by its vertices (whose gauge is
-    the polar LP)."""
+    floats and the 4-D cross-polytope given by its vertices (whose
+    diameter is taken by the polar LP oracle)."""
     rng = random.Random(1729)
     families = [random_intersecting_arrangement(rng, body=corpus_body(rng, t))
                 for t in range(30)]
@@ -830,7 +830,8 @@ def predicate_families():
     for _ in range(4):
         centers = [Vector(F(rng.randint(-3, 3), 2) for _ in range(4))
                    for _ in range(4)]
-        diameter = max(cross.gauge_lp(p - q) for p in centers for q in centers)
+        diameter = max(gauge_lp(cross, p - q)
+                       for p in centers for q in centers)
         families.append(Arrangement(cross, tuple(
             Homothet(c, diameter * F(rng.randint(4, 8), 8)) for c in centers)))
     return families
@@ -939,8 +940,7 @@ def two_call_frame(arr, i, j):
     assert scalars.eq(body.gauge(r_vec), 1)
     if isinstance(body, BallBody):
         return ProjectionFrame(i, j, r_vec, Vector(map(float, r_vec)))
-    facets = getattr(body, "_hform", body).facets
-    f_normal = min((a for a in facets if scalars.eq(a.dot(r_vec), 1)),
+    f_normal = min((a for a in body.facets if scalars.eq(a.dot(r_vec), 1)),
                    key=lambda a: a.coords)
     return ProjectionFrame(i, j, r_vec, f_normal)
 
@@ -1276,7 +1276,7 @@ def test_frames_and_distances_from_integer_differences():
     """Exact centers on an exact body: the frame of P_j - P_i equals the
     frame of v_j - v_i, r and a in values and types, and the distance table
     equals the Fraction centers' table; on the square, the diamond,
-    hexagons and the 4-D cross-polytope as a V-polytope (polar LP)."""
+    hexagons and the 4-D cross-polytope as a V-polytope."""
     bodies = set()
     for arr in predicate_families():
         if not arr.body.exact:
