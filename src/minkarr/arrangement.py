@@ -64,18 +64,8 @@ class Arrangement:
 
     @cached_property
     def distances(self) -> List[List[Scalar]]:
-        """The centers' ``distance_table``, computed on first use and kept.
-
-        Exact centers on an exact body take it from the integer rows: the
-        gauge is a norm, so gauge(v_j - v_i) = gauge(P_j - P_i)/q, one
-        ``int_gauge`` and one Fraction per pair (int 0 for a zero gauge).
-        """
-        if not (self.form and self.body.exact):
-            return distance_table(self.body, [h.center for h in self.members])
-        rows, q = self.form
-        return [[Fraction(t, e) if t else 0 for t, e in row]
-                for row in int_distance_table(self.body,
-                                              [r[:-1] for r in rows], q)]
+        """The centers' ``distance_table``, computed on first use and kept."""
+        return distance_table(self.body, [h.center for h in self.members])
 
 
 def find_minkowski_violation(arr: Arrangement) -> Optional[Tuple[int, int]]:
@@ -219,6 +209,13 @@ def _feasible(body: SymmetricBody, members: Sequence[Homothet]) -> bool:
     arr = Arrangement(body, tuple(members))
     return (find_minkowski_violation(arr) is None
             and find_intersection_violation(arr) is None)
+
+
+def check_warm_start(body: SymmetricBody, warm_start: Arrangement) -> None:
+    """Raise ValueError unless the warm start's members, read on ``body``,
+    are a pairwise intersecting Minkowski arrangement."""
+    if not _feasible(body, warm_start.members):
+        raise ValueError("warm start is not a valid arrangement")
 
 
 def _grid_fraction(rng: random.Random, lo: float, hi: float,
@@ -394,10 +391,10 @@ def _search(body: SymmetricBody, dim: int, cfg: SearchConfig,
     if body.dim != dim:
         raise ValueError("body dimension does not match the search dimension")
     rng = random.Random(cfg.seed)
-    members = list(warm_start.members) if warm_start is not None \
-        else [Homothet(zero_vector(dim), Fraction(1))]
-    if not _feasible(body, members):
-        raise ValueError("warm start is not a valid arrangement")
+    members = [Homothet(zero_vector(dim), Fraction(1))]
+    if warm_start is not None:
+        check_warm_start(body, warm_start)
+        members = list(warm_start.members)
     state = make_state(body, members)
     best = list(members)
     stagnation = 0

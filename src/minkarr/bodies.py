@@ -3,8 +3,9 @@
 A body is the unit ball of the norm it induces: the gauge of x is the least
 lambda >= 0 with x in lambda*K, a norm; ``distance_table`` takes it once
 per pair of points for the predicates, the search, the generators and the
-chains, and ``int_distance_table`` takes the integer gauge ``int_gauge``
-once per pair of integer points of an exact body.  The shadow and the lift
+chains.  On exact points of an exact body that is ``int_distance_table``,
+one integer gauge ``int_gauge`` per pair of integer rows; ``gauge`` is the
+route of float points and float bodies.  The shadow and the lift
 read the boundary frame toward u != 0: the gauge-1 point r = u/gauge(u) and
 a supporting plane a.z = 1 of K at r, which every body answers in one pass,
 in every dimension.  Three variants:
@@ -15,7 +16,8 @@ in every dimension.  Three variants:
   vector is one integer pass (see ``HPolytopeBody.int_gauge``);
 * ``VPolytopeBody`` -- convex hull of a vertex list closed under negation;
   an ``HPolytopeBody`` whose facets are the vertices of the polar, found by
-  double description (``lp.polar_facets``) in every dimension;
+  double description (``lp.polar_facets``) in every dimension from the
+  integer form the one validation of the vertices built;
 * ``BallBody`` -- the Euclidean unit ball (floating mode).
 
 All bodies are immutable after construction and safe to share between
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
@@ -75,7 +78,15 @@ class SymmetricBody:
 def distance_table(body: SymmetricBody,
                    points: Sequence[Vector]) -> List[List[Scalar]]:
     """D[i][j] = D[j][i] = gauge(p_j - p_i) for i < j, 0 on the diagonal:
-    one gauge per unordered pair, as gauge(-x) = gauge(x)."""
+    one gauge per unordered pair, as gauge(-x) = gauge(x).  Exact points
+    P/q of an exact body take ``int_distance_table``, one ``int_gauge`` of
+    P_j - P_i per pair; any other takes ``gauge`` of p_j - p_i."""
+    for p in points:
+        body._check_dim(p)
+    form = points and body.exact and scalars.int_rows(
+        [p.coords for p in points])
+    if form:
+        return fraction_table(int_distance_table(body, *form))
     table: List[List[Scalar]] = [[0] * len(points) for _ in points]
     for i, p in enumerate(points):
         for j in range(i + 1, len(points)):
@@ -85,16 +96,21 @@ def distance_table(body: SymmetricBody,
 
 def int_distance_table(body: SymmetricBody, rows: Sequence[Sequence[int]],
                        q: int) -> List[List[Tuple[int, int]]]:
-    """``distance_table`` of the points rows[k]/q of an exact body as
-    integer pairs: D[i][j] = D[j][i] = (t, e) with gauge = t/e, one
-    ``int_gauge`` of the integer difference P_j - P_i per unordered pair,
-    (0, 1) on the diagonal."""
+    """The distances of the points rows[k]/q of an exact body as integer
+    pairs: D[i][j] = D[j][i] = (t, e) with gauge = t/e, one ``int_gauge``
+    of the integer difference P_j - P_i per unordered pair, (0, 1) on the
+    diagonal."""
     table = [[(0, 1)] * len(rows) for _ in rows]
     for i, p in enumerate(rows):
         for j in range(i + 1, len(rows)):
             top, den = body.int_gauge(list(map(operator.sub, rows[j], p)))
             table[i][j] = table[j][i] = (top, den * q)
     return table
+
+
+def fraction_table(table) -> List[List[Scalar]]:
+    """The gauges t/e of an ``int_distance_table``, int 0 for t = 0."""
+    return [[Fraction(t, e) if t else 0 for t, e in row] for row in table]
 
 
 def _to_boundary(u: Vector, g: Scalar) -> Vector:
@@ -153,11 +169,16 @@ class HPolytopeBody(SymmetricBody):
             if normal.is_zero():
                 raise BodyError("zero facet normal")
             normals.append(_canonical_facet(normal, offset))
+        self._set_facets(dim, normals, _symmetric_form(
+            dim, normals, "facet normals", "be unbounded"))
+
+    def _set_facets(self, dim: int, normals: Sequence[Vector],
+                    form) -> None:
+        """Keep the canonical normals and their ``int_rows`` form, integer
+        rows over one common denominator (None when a normal is a float),
+        which ``int_gauge`` and the exact frames read."""
         self.dim = dim
         self.facets: Tuple[Vector, ...] = tuple(normals)
-        # exact facets as integer rows over one common denominator
-        form = _symmetric_form(dim, self.facets, "facet normals",
-                               "be unbounded")
         self._rows = form and tuple(form[0])
         self._den = form and form[1]
         self.exact = form is not None
@@ -168,18 +189,9 @@ class HPolytopeBody(SymmetricBody):
                    0), self._den
 
     def gauge(self, x: Vector) -> Scalar:
-        """max(0, max_a a.x) over the canonical facets.
-
-        With exact facets and an exact x = p/q this is ``int_gauge(p)``
-        divided by q: the same Fraction the loop below returns (int 0 when
-        no facet is positive).  Any float facet or coordinate takes the loop
-        unchanged.
-        """
+        """max(0, max_a a.x) over the canonical facets, int 0 when no facet
+        is positive (exact point tables take ``int_gauge``)."""
         self._check_dim(x)
-        form = self._rows and scalars.int_form(x.coords)
-        if form:
-            top, den = self.int_gauge(form[0])
-            return Fraction(top, den * form[1]) if top else 0
         best: Scalar = 0
         for a in self.facets:
             v = a.dot(x)
@@ -225,9 +237,10 @@ class VPolytopeBody(HPolytopeBody):
 
     def __init__(self, dim: int, vertices: Sequence[Vector]):
         self.vertices: Tuple[Vector, ...] = tuple(vertices)
-        _symmetric_form(dim, self.vertices, "vertices", "have empty interior")
-        super().__init__(dim, lp.polar_facets(
-            [v.coords for v in self.vertices]))
+        form = _symmetric_form(dim, self.vertices, "vertices",
+                               "have empty interior")
+        self._set_facets(dim, *lp.polar_facets(
+            *(form or ([v.coords for v in self.vertices], None))))
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "type": "vpoly",
@@ -247,8 +260,15 @@ class BallBody(SymmetricBody):
         self.dim = dim
 
     def gauge(self, x: Vector) -> float:
+        """sqrt of the float squared norm, or hypot where it is no float."""
         self._check_dim(x)
-        return math.sqrt(float(x.norm_sq()))
+        try:
+            square = float(x.norm_sq())
+        except OverflowError:   # an exact square beyond the float range
+            square = math.inf
+        if sys.float_info.min <= square < math.inf:
+            return math.sqrt(square)
+        return math.hypot(*map(float, x.coords))
 
     def boundary_frame(self, u: Vector) -> Tuple[Vector, Vector]:
         """r = u/|u|, whose supporting plane is r.z = 1 (in floats)."""
@@ -287,7 +307,7 @@ def body_from_json(obj: dict) -> SymmetricBody:
     """Load a body from its JSON form; symmetry is validated and load fails
     loudly on any violation."""
     try:
-        dim = int(obj["dim"])
+        dim = scalars.parse_dim(obj["dim"])
         kind = obj["type"]
     except (KeyError, TypeError) as exc:
         raise BodyError("body JSON needs 'dim' and 'type'") from exc

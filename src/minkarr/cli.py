@@ -26,7 +26,8 @@ import sys
 from . import scalars
 from .arrangement import (Arrangement, Homothet, SearchConfig,
                           arrangement_from_json, arrangement_size_bound,
-                          arrangement_to_json, find_intersection_violation,
+                          arrangement_to_json, check_warm_start,
+                          find_intersection_violation,
                           find_minkowski_violation, search_arrangement)
 from .bodies import BallBody, body_from_json, l1_ball, linf_ball
 from .diagram import render_projection_plane
@@ -186,6 +187,7 @@ def cmd_search(args) -> int:
             warm = arrangement_from_json(_load_json(args.init))
             # the search draws its centers in a float box around the members
             scalars.check_float_range(_scalars(warm.members), True)
+            check_warm_start(body, warm)
     _banner(args)
     arr = search_arrangement(body, body.dim, cfg, warm_start=warm)
     bound = arrangement_size_bound(body.dim)

@@ -12,21 +12,23 @@ rejection loop over full predicate checks is needed:
   that keeps all pairwise sums feasible, preserving both properties.
 
 All coordinates are small-denominator rationals, which keeps the downstream
-exact arithmetic fast.
+exact arithmetic fast.  The Minkowski generator needs an exact body: each
+draw of centers takes one ``int_distance_table``, whose distances share one
+denominator, so feasibility is decided on its integer tops, and the table
+of the draw kept is the family's ``Arrangement.distances``.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from operator import mul, sub
 from typing import List, Optional
 
 from . import scalars
 from .arrangement import (Arrangement, Homothet, find_intersection_violation,
                           find_minkowski_violation)
-from .bodies import (SymmetricBody, VPolytopeBody, distance_table, l1_ball,
-                     linf_ball)
+from .bodies import (SymmetricBody, VPolytopeBody, distance_table,
+                     fraction_table, int_distance_table, l1_ball, linf_ball)
 from .lifting import lift
 from .linalg import Vector, affine_rank
 
@@ -71,19 +73,6 @@ def _random_centers(rng: random.Random, n: int, dim: int,
     return centers
 
 
-def _float_gauge(body: SymmetricBody):
-    """Cheap float gauge closure used only to pre-screen random centers; it
-    reads the body's facets, in any dimension."""
-    if not hasattr(body, "facets"):
-        raise ValueError("the generator needs a body with a facet form, "
-                         "not %r" % body)
-    normals = [a.as_floats() for a in body.facets]
-
-    def gauge(d):
-        return max(sum(map(mul, a, d)) for a in normals)
-    return gauge
-
-
 def _rational_between(rng: random.Random, lo: Fraction, hi: Fraction,
                       steps: int = 8) -> Fraction:
     return lo + (hi - lo) * Fraction(rng.randint(0, steps), steps)
@@ -123,7 +112,7 @@ def random_minkowski_arrangement(rng: random.Random,
 
     With ``full_lift`` the ratios are re-drawn until the lifted image spans
     dimension d + 1 affinely (needed by the full-dimensional packing runs),
-    which takes at least d + 2 members.  The body needs a facet form.  On a
+    which takes at least d + 2 members.  The body must be exact.  On a
     line n <= 3, as v_n - v_1 <= lam_1 + lam_n <= v_2 - v_1 + v_n - v_{n-1}.
     """
     body = body or corpus_body(rng, rng.randrange(3))
@@ -133,7 +122,9 @@ def random_minkowski_arrangement(rng: random.Random,
     n = n or max(rng.randint(4, 6), n_floor)
     if body.dim == 1:
         n = min(n, 3)
-    fgauge = _float_gauge(body)
+    if not body.exact:
+        raise ValueError("the generator needs a facet form with exact "
+                         "facets, not %r" % body)
     span = 4
     attempts = floor_attempts = 0
     while True:
@@ -151,26 +142,21 @@ def random_minkowski_arrangement(rng: random.Random,
         if floor_attempts > FLOOR_ATTEMPTS:
             raise NoArrangementFound("no family of %d members found" % n)
         centers = _random_centers(rng, n, body.dim, span=span)
-        # float pre-screen: the ratio polytope is nonempty iff every pair
-        # distance is at most the sum of the two nearest-neighbor distances
-        fpts = [c.as_floats() for c in centers]
-        fg = [[fgauge(list(map(sub, fpts[i], fpts[j])))
-               if i != j else 0.0 for j in range(n)] for i in range(n)]
-        fcaps = [min(fg[i][j] for j in range(n) if j != i) for i in range(n)]
-        if any(fcaps[i] + fcaps[j] < fg[i][j] - 1e-7
+        # the ratio polytope is nonempty iff every pair distance is at most
+        # the sum of the two nearest-neighbor distances: decided on the
+        # integer table, whose distances t/e share one denominator e
+        itable = int_distance_table(body, *scalars.int_rows(
+            [c.coords for c in centers]))
+        near = [min(row[:i] + row[i + 1:]) for i, row in enumerate(itable)]
+        if any(near[i][0] + near[j][0] < itable[i][j][0]
                for i in range(n) for j in range(i + 1, n)):
             continue
-        table = distance_table(body, centers)
-        g = [list(map(Fraction, row)) for row in table]
-        caps = [min(g[i][j] for j in range(n) if j != i) for i in range(n)]
-        feasible = all(caps[i] + caps[j] >= g[i][j]
-                       for i in range(n) for j in range(i + 1, n))
-        if not feasible:
-            continue
+        table = fraction_table(itable)
+        caps = [Fraction(t, e) for t, e in near]
         for _attempt in range(8):
             lams: List[Fraction] = list(caps)
             for i in range(n):
-                low = max(g[i][j] - lams[j] for j in range(n) if j != i)
+                low = max(table[i][j] - lams[j] for j in range(n) if j != i)
                 low = max(low, min(caps[i], Fraction(1, 16)))
                 lams[i] = _rational_between(rng, low, caps[i])
             arr = _with_distances(body, centers, lams, table)

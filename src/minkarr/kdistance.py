@@ -255,7 +255,7 @@ def pointset_to_json(pts: PointSet) -> dict:
 
 def pointset_from_json(obj: dict) -> PointSet:
     try:
-        dim = int(obj["dim"])
+        dim = scalars.parse_dim(obj["dim"])
         points = tuple(Vector(parse_scalar(c) for c in p)
                        for p in obj["points"])
     except (KeyError, TypeError) as exc:

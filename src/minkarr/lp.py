@@ -12,9 +12,10 @@ pair (p, n) across the new plane that is adjacent: no third vertex is tight
 on every constraint both are tight on (the combinatorial test), so each new
 vertex is tight on that common set and on the new row.
 
-Exact rows run on integers: V is scaled once to integer rows R over one
-denominator q, and each vertex of the polar of R is a homogeneous pair
-(N, D), a = N/D with D > 0, reduced by its gcd.  Float rows take the same
+Exact rows run on integers: V comes as integer rows R over one
+denominator q, the form the body's validation built, and each vertex of
+the polar of R is a homogeneous pair (N, D), N/D with D > 0, reduced by
+its gcd; the facet normal is a = q*N/D.  Float rows take the same
 loop with the run tolerance deciding each side (``scalars.sign``, as the
 hull does), each vertex kept at D = 1.
 """
@@ -24,22 +25,22 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import List, Sequence, Tuple
+from fractions import Fraction
+from typing import Optional, Sequence
 
 from . import scalars
 from .linalg import Vector, _rref
 from .scalars import Scalar
 
 
-def polar_facets(points: Sequence[Sequence[Scalar]]
-                 ) -> List[Tuple[Vector, Scalar]]:
-    """Facets (normal, offset), normal.z <= offset, of the polytope spanned
-    by the points: the vertices of its polar, one per facet.  The points
-    must be closed under negation and span their space."""
-    form = scalars.int_rows(points)
-    rows, q = form or (points, 1)
+def polar_facets(rows: Sequence[Sequence[Scalar]], q: Optional[int]):
+    """The canonical normals a, a.z <= 1, of the facets of the polytope
+    spanned by the points (closed under negation, spanning), one per vertex
+    of its polar, and their ``int_rows`` form.  Exact points come in their
+    ``int_rows`` form rows/q; float points come as rows with q None and
+    give float normals and no integer form."""
     n, d = len(rows), len(rows[0])
-    if form:
+    if q is not None:
         def reduced(top, den):
             g = math.gcd(den, *top)
             return tuple(x // g for x in top), den // g
@@ -52,7 +53,8 @@ def polar_facets(points: Sequence[Sequence[Scalar]]
              for i in range(d)]
     basis = _rref(table, n)
     inverse = [line[n:] for line in table]
-    inverse, scale = scalars.int_rows(inverse) if form else (inverse, 1.0)
+    inverse, scale = (scalars.int_rows(inverse) if q is not None
+                      else (inverse, 1.0))
     # each distinct constraint row owns one bit of the tight-set masks
     bits = {}
     for k, b in enumerate(basis):
@@ -85,4 +87,10 @@ def polar_facets(points: Sequence[Sequence[Scalar]]
         verts = [(top, den, tight | bit if c == 0 else tight)
                  for (top, den, tight), c in zip(verts, side) if c >= 0]
         verts += cut
-    return [(Vector(top), scalars.div(den, q)) for top, den, _ in verts]
+    if q is None:
+        return [Vector(top) for top, _, _ in verts], None
+    # a = q*N/D, whose least denominator is D/gcd(D, q) as N/D is reduced
+    lcd = math.lcm(*(den // math.gcd(den, q) for _, den, _ in verts))
+    facets = [tuple(x * (q * lcd // den) for x in top)
+              for top, den, _ in verts]
+    return [Vector(Fraction(x, lcd) for x in a) for a in facets], (facets, lcd)

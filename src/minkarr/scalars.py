@@ -146,13 +146,16 @@ def parse_scalar(value) -> Scalar:
     """Parse a JSON-level number.
 
     ints stay ints, floats stay floats, strings are exact rationals and may be
-    given as "p/q" or as a decimal literal like "0.25".
+    given as "p/q" or as a decimal literal like "0.25".  The literals NaN and
+    Infinity, which ``json`` reads as floats, are not numbers of the input.
     """
     if isinstance(value, bool):
         raise TypeError("booleans are not scalars")
     if isinstance(value, int):
         return value
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError("scalar %r is not finite" % (value,))
         return value
     if isinstance(value, str):
         try:
@@ -160,6 +163,13 @@ def parse_scalar(value) -> Scalar:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError("cannot parse scalar %r" % (value,)) from exc
     raise TypeError("cannot parse scalar of type %s" % type(value).__name__)
+
+
+def parse_dim(value) -> int:
+    """A JSON dimension: an integer, not a float, a string or a boolean."""
+    if type(value) is not int:
+        raise ValueError("'dim' must be an integer, got %r" % (value,))
+    return value
 
 
 def format_scalar(value: Scalar):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 from itertools import permutations, product
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minkarr import bodies
 from minkarr.bodies import (BallBody, BodyError, HPolytopeBody,
                             VPolytopeBody, body_from_json, body_to_json,
                             l1_ball, linf_ball)
@@ -28,6 +30,18 @@ def test_gauge_known_values():
     assert SQUARE.gauge(Vector((0, 0))) == 0
     assert DIAMOND.gauge(Vector((1, 1))) == 2
     assert BALL.gauge(Vector((3, 4))) == pytest.approx(5.0)
+
+
+def test_ball_gauge_beyond_float_squares():
+    # squares beyond the float range or below its normals take hypot
+    assert BALL.gauge(Vector((10 ** 200, 0))) == 1e200
+    assert BALL.gauge(Vector((1e200, -1e200))) == math.hypot(1e200, 1e200)
+    assert BALL.gauge(Vector((F(1, 10 ** 200), 0))) == 1e-200
+    assert BALL.gauge(Vector((3e-200, 4e-200))) == math.hypot(3e-200, 4e-200)
+    # within the range the float square root stays, which the float
+    # frames of the golden dumps were written with
+    for x in (Vector((F(3, 7), F(5, 11))), Vector((0.1, 0.7)), Vector((1, 2))):
+        assert BALL.gauge(x) == math.sqrt(float(x.norm_sq()))
 
 
 def test_boundary_point_known_values():
@@ -222,6 +236,30 @@ def test_vpoly_frames_beyond_3d_are_facets():
     for body in (cross4, SQUARE):
         with pytest.raises(ValueError):
             body.boundary_frame(Vector((0,) * body.dim))
+
+
+def test_vpoly_validates_its_vertex_list_once(monkeypatch):
+    # the polar's normals are closed under negation and span by
+    # construction, so only the vertex list is checked, and the normals'
+    # integer rows come from the polar without a second int_rows
+    calls = []
+    check = bodies._symmetric_form
+    monkeypatch.setattr(bodies, "_symmetric_form",
+                        lambda *args: calls.append(args[2]) or check(*args))
+    rng = random.Random(29)
+    hexagons = [random_symmetric_hexagon(rng).vertices for _ in range(20)]
+    cross4 = [Vector(s * (i == k) for i in range(4))
+              for k in range(4) for s in (1, -1)]
+    for dim, vertices in [(2, vs) for vs in hexagons] + [(4, cross4)] + [
+            (2, [Vector(float(c) / 3 for c in v) for v in hexagons[0]])]:
+        calls.clear()
+        body = VPolytopeBody(dim, vertices)
+        assert calls == ["vertices"]
+        form = check(dim, body.facets, "facets", "")
+        if form:
+            assert (body._rows, body._den) == (tuple(form[0]), form[1])
+        else:
+            assert body._rows is None and not body.exact
 
 
 def test_polar_facets_are_the_hull_facets_up_to_3d():

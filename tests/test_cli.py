@@ -585,3 +585,100 @@ def test_malformed_body_entries_are_input_errors(body, command, tmp_path,
     assert err.startswith("input error: malformed "), err
     assert err.count("\n") == 1 and "internal error" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv,payload,shown", [
+    (["verify"], {"body": SQUARE_JSON, "homothets": [
+        {"center": [0, 0], "ratio": math.nan}, {"center": [1, 0], "ratio": 1}]},
+     "nan"),
+    (["lift", "--pair", "0", "1"], {"body": SQUARE_JSON, "homothets": [
+        {"center": [0, 0], "ratio": math.nan}, {"center": [1, 0], "ratio": 1}]},
+     "nan"),
+    (["verify"], {"body": SQUARE_JSON, "homothets": [
+        {"center": [0, 0], "ratio": 1}, {"center": [math.inf, 0], "ratio": 1}]},
+     "inf"),
+    (["kdist", "spectrum"], {"dim": 2,
+                             "points": [[0, 0], [1, 0], [math.nan, 0]]},
+     "nan"),
+    (["kdist", "spectrum"], {"dim": 2,
+                             "points": [[0, 0], [1, 0], [-math.inf, 0]]},
+     "-inf"),
+], ids=["verify-nan", "lift-nan", "verify-inf", "spectrum-nan",
+        "spectrum-inf"])
+def test_non_finite_json_numbers_are_input_errors(argv, payload, shown,
+                                                  tmp_path, capsys):
+    # json reads the literals NaN and Infinity; they once gave a FAIL of
+    # pairwise-intersecting, a width ratio nan, and distances 0 and inf
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert err == "input error: scalar %s is not finite\n" % shown
+
+
+@pytest.mark.parametrize("dim", [2.5, "2", True])
+@pytest.mark.parametrize("command", ["verify", "spectrum"])
+def test_dim_must_be_a_json_integer(dim, command, tmp_path, capsys):
+    # int(dim) once read 2.5 and "2" as 2 and true as 1, and verify passed
+    line = [[0] * (1 if dim is True else 2)]
+    unit = {"dim": dim, "type": "ball"}
+    payload = {"verify": {"body": unit, "homothets": [
+        {"center": line[0], "ratio": 1}]},
+        "spectrum": {"dim": dim, "points": line + [[1] + line[0][1:]]}}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload[command]))
+    argv = {"verify": ["verify"], "spectrum": ["kdist", "spectrum"]}[command]
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert err == "input error: 'dim' must be an integer, got %r\n" % dim
+
+
+@pytest.mark.parametrize("warm,message", [
+    ({"body": body_to_json(linf_ball(3)),
+      "homothets": [{"center": [0, 0, 0], "ratio": 1}]},
+     "homothet center dimension mismatch"),
+    ({"body": SQUARE_JSON, "homothets": [{"center": [0, 0], "ratio": 1},
+                                         {"center": [5, 0], "ratio": 1}]},
+     "warm start is not a valid arrangement"),
+], ids=["3d-warm-start", "non-intersecting"])
+def test_warm_start_is_checked_while_reading_input(warm, message,
+                                                   square_body_file,
+                                                   tmp_path, capsys):
+    # both once printed the banner and then an internal error
+    path = tmp_path / "warm.json"
+    path.write_text(json.dumps(warm))
+    code, out, err = run(capsys, "search", square_body_file, "--iters", "5",
+                         "--init", str(path))
+    assert code == 2 and out == ""
+    assert err == "input error: %s\n" % message
+
+
+@pytest.mark.parametrize("far", [10 ** 200, 1e200], ids=["exact", "float"])
+def test_ball_gauge_beyond_float_squares(far, tmp_path, capsys):
+    # the square of 10**200 has no float (internal OverflowError) and that
+    # of 1e200 is inf (a distance inf, and a false FAIL of a touching pair)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"body": BALL_JSON, "homothets": [
+        {"center": [0, 0], "ratio": 1}, {"center": [far, 0], "ratio": far}]}))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 0 and err == ""
+    assert "pairwise-intersecting: PASS" in out and "verdict: PASS" in out
+    code, out, err = run(capsys, "lift", str(path), "--pair", "0", "1")
+    assert code == 0 and "slab containment: PASS" in out
+    path.write_text(json.dumps({"dim": 2, "points": [[0, 0], [far, 0]]}))
+    code, out, err = run(capsys, "kdist", "spectrum", str(path),
+                         "--norm", "l2")
+    assert code == 0 and out == "distances: 1\n  1e+200  x1\n"
+
+
+def test_points_of_another_dimension_than_the_body(square_body_file,
+                                                   tmp_path, capsys):
+    # the integer table reads the rows without a gauge of its own, so the
+    # table checks the dimension itself
+    path = tmp_path / "pts.json"
+    path.write_text(json.dumps({"dim": 3, "points": [[0, 0, 0], [1, 0, 0]]}))
+    code, out, err = run(capsys, "kdist", "spectrum", str(path),
+                         "--body", square_body_file)
+    assert code == 2 and out == ""
+    assert err == "input error: dimension mismatch: body is 2-dimensional, " \
+        "vector is 3-dimensional\n"

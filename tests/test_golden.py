@@ -1,7 +1,8 @@
 """Golden bytes: exact-mode ``verify --certificate`` payloads, ``lift
---dump`` output, one ``lift --svg`` diagram for committed inputs and two
-``search --out`` arrangements (the square's and the disc's), compared byte
-for byte.
+--dump`` output, one ``lift --svg`` diagram for committed inputs, two
+``search --out`` arrangements (the square's and the disc's) and two ``kdist
+chain --out`` chains of the grid {0..3}^2 (under the sum norm and the
+``minkowski3`` hexagon), compared byte for byte.
 
 The outputs in tests/golden/ were written by the command line itself; the
 three seeded inputs are ``random_minkowski_arrangement(full_lift=True)``
@@ -93,3 +94,25 @@ def test_seeded_inputs_regenerate(seed):
                                        full_lift=True)
     with open(golden("minkowski%d.json" % seed), encoding="utf-8") as fh:
         assert arrangement_to_json(arr) == json.load(fh)
+
+
+@pytest.mark.parametrize("name,flags", [
+    ("l1", ["--k", "6", "--norm", "l1"]),
+    ("minkowski3", ["--k", "20", "--body", "{hexagon}"]),
+], ids=["l1", "hexagon"])
+def test_kdist_chain_bytes(name, flags, tmp_path, capsys):
+    # the command CI's console-script step runs: exact distances of the grid
+    # points under the sum norm and the minkowski3 hexagon as the body
+    grid = tmp_path / "grid.json"
+    hexagon = tmp_path / "hexagon.json"
+    with open(golden("minkowski3.json"), encoding="utf-8") as fh:
+        hexagon.write_text(json.dumps(json.load(fh)["body"]))
+    out = tmp_path / "chain.json"
+    assert main(["kdist", "grid", "--d", "2", "--k", "3",
+                 "--out", str(grid)]) == 0
+    code = main(["kdist", "chain", str(grid), "--target", "6", "--out",
+                 str(out)] + [f.format(hexagon=hexagon) for f in flags])
+    capsys.readouterr()
+    assert code == 0
+    assert out.read_bytes() == read_bytes(
+        golden("grid23.%s.chain.json" % name))

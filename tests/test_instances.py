@@ -8,6 +8,7 @@ from minkarr import (BallBody, arrangement_to_json, l1_ball, lift,
 from minkarr.arrangement import (find_intersection_violation,
                                  find_minkowski_violation)
 from minkarr.bodies import HPolytopeBody, body_from_json
+from minkarr import instances
 from minkarr.instances import (FLOOR_ATTEMPTS, NoArrangementFound,
                                corpus_body, random_intersecting_arrangement,
                                random_minkowski_arrangement)
@@ -95,24 +96,28 @@ def test_generator_caps_n_at_three_on_a_line():
 
 
 def test_generators_take_one_gauge_per_center_pair(monkeypatch):
-    # each draw's distance table serves both its ratios and the predicate
-    # checks of the family it returns (hexagons answer through their facet
-    # form, so every corpus gauge is an HPolytopeBody.gauge call)
-    calls = []
-    gauge = HPolytopeBody.gauge
-    monkeypatch.setattr(HPolytopeBody, "gauge",
-                        lambda body, x: calls.append(x) or gauge(body, x))
+    # every draw of centers takes one integer gauge per pair, and the table
+    # of the draw kept serves both its ratios and the predicate checks of
+    # the family returned, which take no gauge of their own
+    calls, draws = [], []
+    int_gauge, centers = HPolytopeBody.int_gauge, instances._random_centers
+    monkeypatch.setattr(HPolytopeBody, "int_gauge",
+                        lambda body, p: calls.append(p)
+                        or int_gauge(body, p))
+    monkeypatch.setattr(HPolytopeBody, "gauge", None)
+    monkeypatch.setattr(instances, "_random_centers",
+                        lambda *args, **kw: draws.append(centers(*args, **kw))
+                        or draws[-1])
     rng = random.Random(1)
-    pairs = 0
     for t in range(30):
-        arr = random_minkowski_arrangement(rng, body=corpus_body(rng, t),
-                                           full_lift=True)
-        pairs += len(arr) * (len(arr) - 1) // 2
-    assert len(calls) == pairs == 277
+        random_minkowski_arrangement(rng, body=corpus_body(rng, t),
+                                     full_lift=True)
+    assert len(calls) == sum(len(c) * (len(c) - 1) // 2 for c in draws)
+    assert len(draws) > 30
     calls.clear()
-    pairs = 0
+    draws.clear()
     for t in range(10):
         arr = random_intersecting_arrangement(rng, body=corpus_body(rng, t))
         assert find_intersection_violation(arr) is None
-        pairs += len(arr) * (len(arr) - 1) // 2
-    assert len(calls) == pairs
+    assert len(calls) == sum(len(c) * (len(c) - 1) // 2 for c in draws)
+    assert len(draws) == 10
