@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -203,6 +204,9 @@ RATIO_STEPS = (Fraction(3, 4), Fraction(5, 6), Fraction(6, 5), Fraction(4, 3))
 MIN_RATIO = Fraction(1, 8)
 CENTER_GRID = 4
 WEIGHT_GRID = 8
+# the largest magnitude of a box bound, so that bound*CENTER_GRID is a float
+# and ``_grid_fraction`` can round it
+BOX_LIMIT = sys.float_info.max / CENTER_GRID
 
 
 def _feasible(body: SymmetricBody, members: Sequence[Homothet]) -> bool:
@@ -236,20 +240,26 @@ class _SearchState:
     with lam = a/b, and every decision is a cross-multiplied comparison of
     these.  Exact members of an exact body take the exact route: the
     centers are integer rows P/q over q = lcm(4, start denominators), so
-    every grid center k/4 is the row k*q/4, a distance is an ``int_gauge``
-    pair and a ratio a pair of integers; a Fraction is built only for a
-    drawn ratio, an accepted rescaling and the center of an accepted
-    member.  Any other body, or float members, take the scalar route: the
+    every grid center k/4 is the row k*q/4, and ``proj`` keeps each
+    member's ``int_projections``.  A candidate center takes one projection,
+    and its distance to member j is (max |pc - proj_j|, den*q): one
+    subtraction per facet pair, no difference vector and no dot product.
+    A ratio is a pair of integers, and a Fraction is built only for a drawn
+    ratio, an accepted rescaling and the center of an accepted member.  Any
+    other body, or float members, take the scalar route: ``proj`` and the
     rows are the center coordinates with q = 1, a distance is
-    (gauge(c - v), 1) and a ratio (lam, 1).
+    (gauge(c - v), 1) and a ratio (lam, 1), and a move that reads a
+    distance or makes a ratio beyond the float range is infeasible.
 
     The routes differ in three places, each decided by ``exact``, which the
-    constructor sets from the input: the gauge a candidate center's
-    distances take, the rounding of a drawn ratio (a float keeps
+    constructor sets from the input: how a candidate center's distances are
+    taken (``_distances``), the rounding of a drawn ratio (a float keeps
     low + (high - low)*k/8), and how a rescaling step applies.  An
     insertion compares with the plain operators on both routes, a
     rescaling with ``scalars.lt``/``le``, which are the plain comparisons
-    on exact values.
+    on exact values.  The float box the centers are drawn in is kept, and
+    taken again after an accepted insertion, an accepted rescaling and a
+    drop.
     """
 
     def __init__(self, body: SymmetricBody, members: List[Homothet]):
@@ -263,7 +273,8 @@ class _SearchState:
             self.rows = [[c * (self.q // q) for c in row[:-1]] for row in rows]
             self.lam = [(row[-1], q) for row in rows]
             self.g = int_distance_table(body, self.rows, self.q)
-            self._pair_gauge = body.int_gauge
+            self.proj = [body.int_projections(row)[0] for row in self.rows]
+            self._distances = self._int_distances
             self._lt, self._le = operator.lt, operator.le
         else:
             self.q = 1
@@ -272,18 +283,40 @@ class _SearchState:
             self.lam = [(h.ratio, 1) for h in members]
             self.g = [[(t, 1) for t in row] for row in distance_table(
                 body, [h.center for h in members])]
-            self._pair_gauge = lambda p: (body.gauge(Vector(p)), 1)
+            self.proj = list(self.rows)
+            self._distances = self._gauges
             self._lt, self._le = scalars.lt, scalars.le
+        self.body = body
+        self._set_box()
 
-    def box(self) -> Tuple[List[float], List[float]]:
-        """The centers' float bounding box padded by twice the largest
-        ratio; int/int true division is correctly rounded, as is
-        float(Fraction)."""
-        pad = 2 * float(max(a / b for a, b in self.lam))
+    def _set_box(self) -> None:
+        """Keep as ``box`` the centers' float bounding box padded by twice
+        the largest ratio: int/int true division is correctly rounded, as
+        is float(Fraction); an exact ratio beyond the float range pads by
+        infinity, and every bound is clamped to +-``BOX_LIMIT``."""
+        try:
+            pad = 2 * float(max(a / b for a, b in self.lam))
+        except OverflowError:
+            pad = math.inf
         q = self.q
         cols = list(zip(*self.rows))
-        return ([min(c) / q - pad for c in cols],
-                [max(c) / q + pad for c in cols])
+        self.box = ([max(min(c) / q - pad, -BOX_LIMIT) for c in cols],
+                    [min(max(c) / q + pad, BOX_LIMIT) for c in cols])
+
+    def _int_distances(self, center: List[int]):
+        """The center's projections, and its distance (t, e) to each member
+        from their projections, lazily."""
+        pc, den = self.body.int_projections(center)
+        e = den * self.q
+        sub = operator.sub
+        return pc, ((max(map(abs, map(sub, pc, p))), e) for p in self.proj)
+
+    def _gauges(self, center: List[Scalar]):
+        """The center itself, and its distance (gauge(c - v), 1) to each
+        member, lazily."""
+        gauge = self.body.gauge
+        return center, ((gauge(Vector([c - v for c, v in zip(center, p)])), 1)
+                        for p in self.proj)
 
     def insert(self, grid: Sequence[int],
                rng: random.Random) -> Optional[Homothet]:
@@ -298,13 +331,11 @@ class _SearchState:
         low + (high - low)*k/8 for a drawn weight k in 0..8.
         """
         center = [k * self.unit for k in grid]
-        pair_gauge, q = self._pair_gauge, self.q
+        key, distances = self._distances(center)
         ln, ld = MIN_RATIO.numerator, MIN_RATIO.denominator
         hn, hd = None, 1
         col = []
-        for row, (a, b) in zip(self.rows, self.lam):
-            t, e = pair_gauge([c - v for c, v in zip(center, row)])
-            e *= q
+        for (t, e), (a, b) in zip(distances, self.lam):
             if t * b < a * e:
                 return None
             col.append((t, e))
@@ -323,11 +354,15 @@ class _SearchState:
         else:
             low = div(ln, ld)
             ratio = low + (div(hn, hd) - low) * Fraction(weight, WEIGHT_GRID)
+            if not all(map(math.isfinite, [ratio] + [t for t, _ in col])):
+                return None
             self.lam.append((ratio, 1))
         for grow, g in zip(self.g, col):
             grow.append(g)
         self.g.append(col + [(0, 1)])
         self.rows.append(center)
+        self.proj.append(key)
+        self._set_box()
         return Homothet(Vector([Fraction(k, CENTER_GRID) for k in grid]), ratio)
 
     def rescale(self, idx: int, step: Fraction) -> Optional[Scalar]:
@@ -339,6 +374,8 @@ class _SearchState:
             a, b = a * step.numerator, b * step.denominator
         else:
             a *= step
+            if not math.isfinite(a):
+                return None
         lt, le = self._lt, self._le
         for j, ((t, e), (c, f)) in enumerate(zip(self.g[idx], self.lam)):
             if j != idx and (lt(t * b, a * e) or lt(t * f, c * e)
@@ -348,12 +385,14 @@ class _SearchState:
         if self.exact:
             a, b = ratio.numerator, ratio.denominator
         self.lam[idx] = (a, b)
+        self._set_box()
         return ratio
 
     def drop(self, k: int) -> None:
-        del self.g[k], self.rows[k], self.lam[k]
+        del self.g[k], self.rows[k], self.proj[k], self.lam[k]
         for grow in self.g:
             del grow[k]
+        self._set_box()
 
 
 def search_arrangement(body: SymmetricBody, dim: int,
@@ -384,7 +423,7 @@ def search_arrangement(body: SymmetricBody, dim: int,
 def _search(body: SymmetricBody, dim: int, cfg: SearchConfig,
             warm_start: Optional[Arrangement], make_state) -> Arrangement:
     """The move loop.  ``make_state(body, members)`` gives the state that
-    decides every move on the loop's list ``members``: ``box()`` the float
+    decides every move on the loop's list ``members``: ``box`` the float
     box the centers are drawn in, ``insert(grid, rng)`` the member at the
     center grid/4 or None, ``rescale(idx, step)`` member idx's new ratio or
     None, and ``drop(k)``."""
@@ -400,7 +439,7 @@ def _search(body: SymmetricBody, dim: int, cfg: SearchConfig,
     stagnation = 0
 
     for _ in range(cfg.iterations):
-        lo, hi = state.box()
+        lo, hi = state.box
         for _attempt in range(INSERT_ATTEMPTS):
             member = state.insert([_grid_fraction(rng, lo[i], hi[i])
                                    for i in range(dim)], rng)

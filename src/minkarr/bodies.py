@@ -3,17 +3,20 @@
 A body is the unit ball of the norm it induces: the gauge of x is the least
 lambda >= 0 with x in lambda*K, a norm; ``distance_table`` takes it once
 per pair of points for the predicates, the search, the generators and the
-chains.  On exact points of an exact body that is ``int_distance_table``,
-one integer gauge ``int_gauge`` per pair of integer rows; ``gauge`` is the
-route of float points and float bodies.  The shadow and the lift
-read the boundary frame toward u != 0: the gauge-1 point r = u/gauge(u) and
-a supporting plane a.z = 1 of K at r, which every body answers in one pass,
-in every dimension.  Three variants:
+chains.  On exact points of an exact body that is ``int_distance_table``:
+one ``int_projections`` per integer row, the dots h.p over one row h of
+each +- facet pair, and per pair of points the largest absolute difference
+of two projections, as the gauge of an o-symmetric polytope is
+max_h |h.x|; ``gauge`` is the route of float points and float bodies.  The
+shadow and the lift read the boundary frame toward u != 0: the gauge-1
+point r = u/gauge(u) and a supporting plane a.z = 1 of K at r, which every
+body answers in one pass, in every dimension.  Three variants:
 
 * ``HPolytopeBody`` -- intersection of halfspaces a.x <= 1 (facets are stored
   in offset-1 canonical form), central symmetry means the facet list is
   closed under normal negation; with exact facets the gauge of an integer
-  vector is one integer pass (see ``HPolytopeBody.int_gauge``);
+  vector is read from its integer projections (see
+  ``HPolytopeBody.int_projections``);
 * ``VPolytopeBody`` -- convex hull of a vertex list closed under negation;
   an ``HPolytopeBody`` whose facets are the vertices of the polar, found by
   double description (``lp.polar_facets``) in every dimension from the
@@ -47,7 +50,9 @@ class SymmetricBody:
     ``exact`` says that both are exact on exact vectors (no float facet or
     vertex), so they scale with the vector exactly: gauge(q*u) = q*gauge(u)
     and the frame of q*u is the frame of u for q > 0.  An exact body also
-    answers ``int_gauge``.
+    answers ``int_projections``, and since those are linear in the vector,
+    gauge(p - p') is the largest absolute difference of the projections of
+    p and p'.
     """
 
     dim: int
@@ -56,9 +61,9 @@ class SymmetricBody:
     def gauge(self, x: Vector) -> Scalar:
         raise NotImplementedError
 
-    def int_gauge(self, p: Sequence[int]) -> Tuple[int, int]:
-        """(top, den) with gauge(p) = top/den, den > 0, for an integer
-        vector p; exact bodies only."""
+    def int_projections(self, p: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
+        """(proj, den) for an integer vector p, with den > 0 and gauge(p) =
+        max(map(abs, proj))/den; exact bodies only."""
         raise NotImplementedError
 
     def boundary_frame(self, u: Vector) -> Tuple[Vector, Vector]:
@@ -79,8 +84,8 @@ def distance_table(body: SymmetricBody,
                    points: Sequence[Vector]) -> List[List[Scalar]]:
     """D[i][j] = D[j][i] = gauge(p_j - p_i) for i < j, 0 on the diagonal:
     one gauge per unordered pair, as gauge(-x) = gauge(x).  Exact points
-    P/q of an exact body take ``int_distance_table``, one ``int_gauge`` of
-    P_j - P_i per pair; any other takes ``gauge`` of p_j - p_i."""
+    P/q of an exact body take ``int_distance_table``, one
+    ``int_projections`` per point; any other takes ``gauge`` of p_j - p_i."""
     for p in points:
         body._check_dim(p)
     form = points and body.exact and scalars.int_rows(
@@ -97,13 +102,14 @@ def distance_table(body: SymmetricBody,
 def int_distance_table(body: SymmetricBody, rows: Sequence[Sequence[int]],
                        q: int) -> List[List[Tuple[int, int]]]:
     """The distances of the points rows[k]/q of an exact body as integer
-    pairs: D[i][j] = D[j][i] = (t, e) with gauge = t/e, one ``int_gauge``
-    of the integer difference P_j - P_i per unordered pair, (0, 1) on the
-    diagonal."""
+    pairs: D[i][j] = D[j][i] = (t, e) with gauge = t/e, (0, 1) on the
+    diagonal.  Each point takes one ``int_projections``, and a pair's t is
+    the largest absolute difference of its two projections."""
+    projections = [body.int_projections(p) for p in rows]
     table = [[(0, 1)] * len(rows) for _ in rows]
-    for i, p in enumerate(rows):
+    for i, (p, den) in enumerate(projections):
         for j in range(i + 1, len(rows)):
-            top, den = body.int_gauge(list(map(operator.sub, rows[j], p)))
+            top = max(map(abs, map(operator.sub, projections[j][0], p)))
             table[i][j] = table[j][i] = (top, den * q)
     return table
 
@@ -176,21 +182,27 @@ class HPolytopeBody(SymmetricBody):
                     form) -> None:
         """Keep the canonical normals and their ``int_rows`` form, integer
         rows over one common denominator (None when a normal is a float),
-        which ``int_gauge`` and the exact frames read."""
+        which the exact frames read, and one row of each +- pair of them
+        (the greater of the two, duplicates removed), which
+        ``int_projections`` reads."""
         self.dim = dim
         self.facets: Tuple[Vector, ...] = tuple(normals)
         self._rows = form and tuple(form[0])
         self._den = form and form[1]
+        self._half_rows = form and tuple(dict.fromkeys(
+            max(row, tuple(-x for x in row)) for row in form[0]))
         self.exact = form is not None
 
-    def int_gauge(self, p: Sequence[int]) -> Tuple[int, int]:
-        """max(0, max_k rows_k.p) over D, the rows' common denominator."""
-        return max(max(sum(map(operator.mul, row, p)) for row in self._rows),
-                   0), self._den
+    def int_projections(self, p: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
+        """The dots h.p over the half rows h, over D, the rows' common
+        denominator: the rows are closed under negation, so max_k rows_k.p
+        = max_h |h.p| (at least 0)."""
+        return tuple([sum(map(operator.mul, h, p))
+                      for h in self._half_rows]), self._den
 
     def gauge(self, x: Vector) -> Scalar:
         """max(0, max_a a.x) over the canonical facets, int 0 when no facet
-        is positive (exact point tables take ``int_gauge``)."""
+        is positive (exact point tables take ``int_projections``)."""
         self._check_dim(x)
         best: Scalar = 0
         for a in self.facets:
@@ -231,8 +243,8 @@ class VPolytopeBody(HPolytopeBody):
     """Symmetric polytope given as the hull of a vertex list.
 
     Its facets are the vertices of the polar, which ``lp.polar_facets``
-    enumerates in every dimension, so the gauge, ``int_gauge`` and the frame
-    are those of the facet form; ``vertices`` keeps the list as given.
+    enumerates in every dimension, so the gauge, ``int_projections`` and the
+    frame are those of the facet form; ``vertices`` keeps the list as given.
     """
 
     def __init__(self, dim: int, vertices: Sequence[Vector]):

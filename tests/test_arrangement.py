@@ -12,7 +12,7 @@ from minkarr import (Arrangement, ChainPropertyError, Homothet, SearchConfig,
                      find_minkowski_violation, linf_ball, l1_ball,
                      partition_classes, search_arrangement)
 from minkarr import arrangement
-from minkarr.arrangement import _SearchState
+from minkarr.arrangement import BOX_LIMIT, _SearchState
 from minkarr.bodies import BallBody, HPolytopeBody
 from minkarr.packing import lifted_packing_pipeline
 from minkarr.linalg import Vector
@@ -280,8 +280,9 @@ def test_member_check_new_member_both_directions():
 
 def test_gauge_matrix_drop_and_append_match_recompute():
     def same(a, b):
-        assert (a.g, a.q) == (b.g, b.q)
+        assert (a.g, a.q, a.box) == (b.g, b.q, b.box)
         assert list(map(list, a.rows)) == list(map(list, b.rows))
+        assert list(map(list, a.proj)) == list(map(list, b.proj))
         assert [F(r) / s for r, s in a.lam] == [F(r) / s for r, s in b.lam]
     # member 3 keeps its relations with TRIO on both bodies; (1/4, 0) lies
     # inside member 0
@@ -309,9 +310,28 @@ def test_box_is_the_float_box_of_the_members():
     # routes, as the full pass reads it
     members = [H((0, 0), F(1, 3)), H((F(1, 3), F(2, 3)), F(2, 7))]
     for body in (SkewGauge(), SQUARE):
-        got = _SearchState(body, list(members)).box()
-        assert got == FullPass(body, list(members)).box()
+        got = _SearchState(body, list(members)).box
+        assert got == FullPass(body, list(members)).box
         assert all(type(x) is float for x in got[0] + got[1])
+    # the box kept is taken again after each move that changes the members
+    for current in (list(members), floated(members)):
+        state = _SearchState(SQUARE, list(current))
+
+        def check():
+            got = state.box
+            assert got == FullPass(SQUARE, list(current)).box
+            assert got == _SearchState(SQUARE, list(current)).box
+        check()
+        member = state.insert((3, 3), random.Random(0))  # center (3/4, 3/4)
+        current.append(member)
+        check()
+        ratio = state.rescale(0, F(3, 2))  # now the largest ratio
+        assert ratio > member.ratio
+        current[0] = Homothet(current[0].center, ratio)
+        check()
+        state.drop(0)
+        del current[0]
+        check()
 
 
 def test_scalar_route_takes_the_tolerance_only_when_rescaling():
@@ -329,51 +349,94 @@ def test_scalar_route_takes_the_tolerance_only_when_rescaling():
     assert inside.insert((4, 0), random.Random(0)) is None
 
 
-def test_one_gauge_per_pair_of_centers(monkeypatch):
-    calls, int_calls = [], []
-    gauge, int_gauge = HPolytopeBody.gauge, HPolytopeBody.int_gauge
+def test_scalar_route_refuses_moves_beyond_the_float_range():
+    # an insertion whose distance overflows, and a rescaling whose ratio
+    # does, are infeasible; the same moves within the range are taken
+    strip = HPolytopeBody(2, [(Vector((1e308, 0.0)), 1),
+                              (Vector((-1e308, 0.0)), 1),
+                              (Vector((0.0, 1.0)), 1),
+                              (Vector((0.0, -1.0)), 1)])
+    state = _SearchState(strip, [Homothet(Vector((0.0, 0.0)), 1.0)])
+    assert not state.exact
+    assert strip.gauge(Vector((F(2), 0))) == math.inf
+    assert state.insert((8, 0), random.Random(0)) is None
+    assert state.insert((0, 8), random.Random(0)) is not None
+    big = _SearchState(SQUARE, [Homothet(Vector((0.0, 0.0)), 1.5e308)])
+    assert big.rescale(0, F(4, 3)) is None
+    assert big.rescale(0, F(3, 4)) == 1.5e308 * F(3, 4)
+    assert big.box == ([-BOX_LIMIT] * 2, [BOX_LIMIT] * 2)
+
+
+def test_one_projection_per_center(monkeypatch):
+    calls, projections = [], []
+    gauge, project = HPolytopeBody.gauge, HPolytopeBody.int_projections
     monkeypatch.setattr(HPolytopeBody, "gauge",
                         lambda body, x: calls.append(x) or gauge(body, x))
-    monkeypatch.setattr(HPolytopeBody, "int_gauge",
-                        lambda body, p: int_calls.append(p)
-                        or int_gauge(body, p))
-    # both predicates read one table, one integer gauge per pair of the 9
+    monkeypatch.setattr(HPolytopeBody, "int_projections",
+                        lambda body, p: projections.append(p)
+                        or project(body, p))
+    # both predicates read one table, one projection for each of the 9
     # centers
     assert lifted_packing_pipeline(cube_arrangement(2)).verdict
-    assert len(int_calls) == 36 and not calls
-    # a move takes one gauge per member it is checked against on the exact
-    # route, and on the scalar route, and a rescaling none
-    for members, counted in ((TRIO, int_calls), (floated(TRIO), calls)):
+    assert len(projections) == 9 and not calls
+    # an insertion attempt on the exact route projects its center once,
+    # whatever the member count, accepted or not; the scalar route takes
+    # one gauge per member it is checked against; a rescaling takes neither
+    for members in (TRIO[:1], TRIO[:2], TRIO):
         state = _SearchState(SQUARE, list(members))
-        calls.clear()
-        int_calls.clear()
+        projections.clear()
+        assert state.insert((1, 0), random.Random(0)) is None  # (1/4, 0)
+        assert len(projections) == 1
         assert state.insert((6, 6), random.Random(0))  # center (3/2, 3/2)
-        assert len(counted) == len(TRIO) and len(calls + int_calls) == 3
+        assert len(projections) == 2
         assert state.rescale(0, F(6, 5)) == members[0].ratio * F(6, 5)
-        assert len(calls + int_calls) == 3
+        assert len(projections) == 2 and not calls
+    state = _SearchState(SQUARE, floated(TRIO))
+    calls.clear()
+    projections.clear()
+    assert state.insert((6, 6), random.Random(0))
+    assert len(calls) == len(TRIO) and not projections
+    assert state.rescale(0, F(6, 5)) == 1.0 * F(6, 5)
+    assert len(calls) == len(TRIO) and not projections
 
 
 def test_exact_search_takes_the_integer_route(monkeypatch):
-    counts = {"gauge": 0, "sub": 0, "int_gauge": 0}
+    counts = {"gauge": 0, "sub": 0, "int_projections": 0, "insert": 0,
+              "rescale": 0}
 
     def counted(name, fn):
         def wrapper(*args):
             counts[name] += 1
             return fn(*args)
         return wrapper
+
+    def projecting(name, fn, taken):
+        # each call of fn takes `taken` projections
+        def wrapper(*args):
+            before = counts["int_projections"]
+            result = counted(name, fn)(*args)
+            assert counts["int_projections"] == before + taken
+            return result
+        return wrapper
     monkeypatch.setattr(HPolytopeBody, "gauge",
                         counted("gauge", HPolytopeBody.gauge))
-    monkeypatch.setattr(HPolytopeBody, "int_gauge",
-                        counted("int_gauge", HPolytopeBody.int_gauge))
+    monkeypatch.setattr(HPolytopeBody, "int_projections",
+                        counted("int_projections",
+                                HPolytopeBody.int_projections))
     monkeypatch.setattr(Vector, "__sub__", counted("sub", Vector.__sub__))
+    monkeypatch.setattr(_SearchState, "insert",
+                        projecting("insert", _SearchState.insert, 1))
+    monkeypatch.setattr(_SearchState, "rescale",
+                        projecting("rescale", _SearchState.rescale, 0))
     for warm in (None, cube_arrangement(2)):
         arr = search_arrangement(SQUARE, 2, SearchConfig(seed=3,
                                                          iterations=60),
                                  warm_start=warm)
         assert len(arr) > 1
-    # the start table, every move and the final check read int_gauge only
+    # the start table, every move and the final check read projections only
     assert counts["gauge"] == 0 and counts["sub"] == 0
-    assert counts["int_gauge"] > 0
+    assert counts["insert"] > 0 and counts["rescale"] > 0
+    assert counts["int_projections"] > counts["insert"]
 
 
 def test_arrangement_json_roundtrip():

@@ -16,6 +16,7 @@ from minkarr.linalg import Vector, affine_rank
 from minkarr.polytopes import hull
 
 from lp_oracle import gauge_lp, polar_lp
+from test_oracles import int_gauge
 
 SQUARE = linf_ball(2)
 DIAMOND = l1_ball(2)
@@ -291,12 +292,55 @@ def test_facet_gauges_and_frames_against_the_polar_lp(dim):
             x = Vector(rng.randint(-7, 7) for _ in range(dim))
             value, _ = polar_lp(body.vertices, x)
             assert body.gauge(x) == value
-            assert F(*body.int_gauge(list(x))) == value
+            assert F(*int_gauge(body, list(x))) == value
+            proj, den = body.int_projections(list(x))
+            assert F(max(map(abs, proj)), den) == value
             if value:
                 r_vec, normal = body.boundary_frame(x)
                 assert r_vec * value == x
                 assert normal.dot(x) == value
                 assert all(normal.dot(v) <= 1 for v in body.vertices)
+
+
+def test_projection_gauge_is_the_all_rows_gauge():
+    # one projection per +- facet pair: the largest absolute projection is
+    # the all-rows integer gauge, and the largest absolute difference of
+    # two projections is the gauge of the difference, which the distance
+    # tables read
+    def diff(p, r):
+        return [x - y for x, y in zip(p, r)]
+    rng = random.Random(24)
+    big = 3 ** 50   # above 2^64
+    e1, e2 = Vector((1, 0)), Vector((0, 1))
+    twice = HPolytopeBody(2, [(e1, 1), (e1, 1), (e1 * 2, 2), (-e1, 1),
+                              (e2, F(1, 3)), (-e2, F(1, 3)), (e2 * 3, 1)])
+    wide = HPolytopeBody(2, [(Vector((big, 1)), 1), (Vector((-big, -1)), 1),
+                             (Vector((1, -big)), 7), (Vector((-1, big)), 7)])
+    shapes = [twice, wide, cell24(), random_symmetric_hexagon(rng)]
+    shapes += [seeded_vpoly(rng, dim) for dim in range(2, 6)]
+    for dim in range(1, 6):
+        shapes += [linf_ball(dim), l1_ball(dim), cross_vpoly(dim)]
+    assert len(twice._half_rows) == 2 and len(cell24()._half_rows) == 12
+    for body in shapes:
+        assert body.exact
+        assert len(body._half_rows) * 2 == len(set(body._rows))
+        for scale in (9, 2 ** 70):
+            points = [[0] * body.dim] + [
+                [rng.randint(-scale, scale) for _ in range(body.dim)]
+                for _ in range(12)]
+            projections = [body.int_projections(p) for p in points]
+            for p, (proj, den) in zip(points, projections):
+                assert all(type(x) is int for x in proj + (den,))
+                assert (max(map(abs, proj)), den) == int_gauge(body, p)
+            for (p, (a, _)), (r, (b, _)) in product(
+                    zip(points, projections), repeat=2):
+                top = max(map(abs, diff(a, b)))
+                assert top == int_gauge(body, diff(p, r))[0]
+            table = bodies.int_distance_table(body, points, 5)
+            assert table == [[(int_gauge(body, diff(r, p))[0], body._den * 5)
+                              if i != j else (0, 1)
+                              for j, r in enumerate(points)]
+                             for i, p in enumerate(points)]
 
 
 def test_float_vertex_hexagon_agrees_with_its_exact_twin():

