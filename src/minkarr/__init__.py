@@ -32,7 +32,6 @@ from .packing import (PackingCertificate, SlabFamily, certificate_to_json,
                       family_from_arrangement, lifted_packing_pipeline,
                       slab_packing_check)
 from .polytopes import ConvexPolytope, hull, volume
-from .scalars import (Scalar, format_scalar, parse_scalar, set_tolerance,
-                      tolerance)
+from .scalars import Scalar, format_scalar, parse_scalar
 
 __version__ = "0.1.0"

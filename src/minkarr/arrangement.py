@@ -142,8 +142,8 @@ def partition_classes(lambdas: Sequence[Scalar], dim: int) -> List[PartitionLabe
     (0, 1] are taken as normalized and labeled as given.  Exact ratios are
     labeled exactly: x = lam/top lies in (mu^e, mu^(e-1)] exactly when
     2^(-e) < x^(d-1) <= 2^(-(e-1)), an integer comparison.  Float ratios are
-    labeled with base-mu logarithms; values within the run tolerance of an
-    interval endpoint snap to the endpoint (intervals are right-closed).
+    labeled with base-mu logarithms; values within ``scalars.TOLERANCE`` of
+    an interval endpoint snap to the endpoint (intervals are right-closed).
     """
     if dim < 2:
         raise ValueError("the partition needs dimension >= 2")
@@ -169,7 +169,7 @@ def partition_classes(lambdas: Sequence[Scalar], dim: int) -> List[PartitionLabe
             x = float(div(lam, top))
             t = math.log(x) / log_mu if x != 1.0 else 0.0
             nearest = round(t)
-            if abs(t - nearest) <= scalars.tolerance():
+            if abs(t - nearest) <= scalars.TOLERANCE:
                 t = float(nearest)
             exponent = max(math.floor(t) + 1, 1)
         labels.append(PartitionLabel(l=(exponent - 1) % dim + 1,

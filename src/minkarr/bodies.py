@@ -137,8 +137,8 @@ def _symmetric_form(dim: int, vectors: Sequence[Vector], kind: str,
     """Check that the vectors (facet normals or vertices) are closed under
     negation and span R^dim, and return their integer form ``int_rows``
     (None when one is a float).  Exact rows look up each negated row in a
-    set and take the fraction-free rank; float rows compare within the run
-    tolerance."""
+    set and take the fraction-free rank; float rows compare within
+    ``scalars.TOLERANCE``."""
     if dim < 1:
         raise BodyError("dimension must be positive")
     if not vectors:
@@ -216,7 +216,7 @@ class HPolytopeBody(SymmetricBody):
         (a vertex tie breaks the same way every run).  Exact facets
         and u = p/q take one integer pass: r is p*D/top and the active facets
         are the rows whose dot with p is top.  A float computes the gauge once
-        and takes the facets with a.r == 1 within the run's tolerance."""
+        and takes the facets with a.r == 1 within ``scalars.TOLERANCE``."""
         self._check_dim(u)
         form = self._rows and scalars.int_form(u.coords)
         if form and any(form[0]):

@@ -9,7 +9,8 @@ Exit codes are a stable contract: 0 all checks pass, 1 a check failed, 2 the
 input could not be parsed or was otherwise invalid, an unwritable output
 path included.  Subcommands raise ``InputError`` for those, and ``main``
 prints it as one ``input error: <message>`` line; unusable input is found
-before the report starts, so it leaves stdout empty.  Any other exception
+before the report starts, so it leaves stdout empty.  A closed stdout is an
+unwritable output too, with one ``input error:`` line.  Any other exception
 raised by a subcommand is a bug, not a failed check: it also exits 2, with
 one ``internal error: <Type>: <message>`` line on stderr and no traceback.
 Every report prints the seed and scalar mode it ran under.
@@ -21,6 +22,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 
 from . import scalars
@@ -94,7 +96,7 @@ def _load_arrangement(args) -> Arrangement:
 
 def _banner(args) -> None:
     print("seed: %d" % args.seed)
-    print("mode: %s  eps: %g" % (args.mode, args.eps))
+    print("mode: %s  eps: %g" % (args.mode, scalars.TOLERANCE))
 
 
 def cmd_verify(args) -> int:
@@ -262,9 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "Minkowski arrangements of symmetric convex homothets.")
     parser.add_argument("--mode", choices=("exact", "float"), default="exact",
                         help="keep rational scalars exact or coerce to floats")
-    parser.add_argument("--eps", type=float, default=scalars.DEFAULT_TOLERANCE,
-                        help="absolute tolerance for floating comparisons, "
-                             "at most %s" % scalars.MAX_TOLERANCE)
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for all randomized components")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -317,14 +316,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        with _reading_input():  # the one place the run tolerance is set
-            scalars.set_tolerance(args.eps)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
     except InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)
+        return 2
+    except BrokenPipeError as exc:
+        # the reader of stdout is gone, an unwritable output; the rest of
+        # the output goes to devnull, so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("input error: cannot write to stdout: %s" % exc,
+              file=sys.stderr)
         return 2
     except Exception as exc:  # a bug, not a failed check: exit 2
         print("internal error: %s: %s" % (type(exc).__name__, exc),

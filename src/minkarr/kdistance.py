@@ -106,7 +106,7 @@ def _spectrum(table) -> DistanceSpectrum:
 def _cluster(sorted_values: List[float]) -> Tuple[Tuple[float, int], ...]:
     entries = []  # [anchor, count]: a value within tolerance joins the last
     for v in sorted_values:
-        if entries and not v - entries[-1][0] > scalars.tolerance():
+        if entries and not v - entries[-1][0] > scalars.TOLERANCE:
             entries[-1][1] += 1
         else:
             entries.append([v, 1])

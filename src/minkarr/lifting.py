@@ -359,7 +359,7 @@ def verify_slab(lifted: LiftedConfig, slab: SlabPair) -> Tuple[bool, Optional[in
     """
     (m, k_1, k_2, _, _), forms, exact = _on_one_scale(slab, lifted)
     margin = 0 if exact else \
-        scalars.tolerance() * math.sqrt(float(_dot(m, m)))
+        scalars.TOLERANCE * math.sqrt(float(_dot(m, m)))
     lo, hi = min(k_1, k_2) - margin, max(k_1, k_2) + margin
     offender = next((k for k, (y, w) in enumerate(forms)
                      if not lo * w <= _dot(m, y) <= hi * w), None)

@@ -74,9 +74,6 @@ class Vector:
     def __repr__(self) -> str:
         return "Vector(%s)" % (", ".join(repr(c) for c in self.coords))
 
-    def as_floats(self) -> tuple:
-        return tuple(float(c) for c in self.coords)
-
     def extended(self, *extra: Scalar) -> "Vector":
         return Vector(self.coords + tuple(extra))
 

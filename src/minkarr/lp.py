@@ -16,7 +16,7 @@ Exact rows run on integers: V comes as integer rows R over one
 denominator q, the form the body's validation built, and each vertex of
 the polar of R is a homogeneous pair (N, D), N/D with D > 0, reduced by
 its gcd; the facet normal is a = q*N/D.  Float rows take the same
-loop with the run tolerance deciding each side (``scalars.sign``, as the
+loop with ``scalars.TOLERANCE`` deciding each side (``scalars.sign``, as the
 hull does), each vertex kept at D = 1.
 """
 

@@ -40,9 +40,9 @@ from . import scalars
 from .arrangement import (Arrangement, arrangement_size_bound,
                           find_intersection_violation,
                           find_minkowski_violation)
-from .lifting import (DegenerateWedgeError, LiftedConfig, SlabPair,
-                      build_frame, lift, shadow, slab_pair, verify_slab,
-                      width_gaps)
+from .lifting import (DegenerateWedgeError, LiftedConfig,
+                      ShadowIntersectionError, SlabPair, build_frame, lift,
+                      shadow, slab_pair, verify_slab, width_gaps)
 from .linalg import Vector, affine_coordinates, affine_rank
 from .polytopes import hull, volume
 from .scalars import Scalar, div, format_scalar
@@ -217,7 +217,9 @@ def lifted_packing_pipeline(arr: Arrangement) -> PackingCertificate:
     and runs the packing check with lam = 2, whose slab_ratio stage tests
     every pair's width ratio against 2 and whose cardinality stage concludes
     n <= 3^(d+1) (n <= 3^m at affine dimension m < d + 1).  A pair whose
-    inner slab planes coincide fails at the ``lifting`` stage.
+    inner slab planes coincide fails at the ``lifting`` stage, and so does a
+    shadow with no common point (float input that passed the predicates
+    within the tolerance), at the pair of its witness.
     """
     if arr.dim > 2:
         raise ValueError("the pipeline is implemented for dimension <= 2")
@@ -242,6 +244,8 @@ def lifted_packing_pipeline(arr: Arrangement) -> PackingCertificate:
         family = family_from_arrangement(arr)
     except DegenerateWedgeError as exc:
         return pre._fail("lifting", str(exc))
+    except ShadowIntersectionError as exc:
+        return pre._fail("lifting", str(exc), exc.witness)
     cert = slab_packing_check(family, 2)
     cert.stages = pre.stages + cert.stages
     return cert

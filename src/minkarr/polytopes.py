@@ -5,7 +5,7 @@ once to integer points over one positive common denominator q; a positive
 scale changes no sign, so the rank test, the orientation and plane sign tests
 and the volume all run on integers, and every stored facet (normal, offset)
 and vertex is still the rational one.  Float input takes the same loops with
-the run tolerance in place of zero.  The hull is of a full-dimensional set:
+``scalars.TOLERANCE`` in place of zero.  The hull is of a full-dimensional set:
 a set spanning a proper affine subspace is a ``ValueError``; callers decide
 the affine dimension first with ``linalg.affine_rank``.
 
@@ -63,7 +63,7 @@ def hull(points: Sequence[Vector]) -> ConvexPolytope:
         raise ValueError("exact hulls are implemented for dimension <= 3")
     rows = [p.coords for p in pts]
     scaled = scalars.int_rows(rows)
-    rows, tol = (rows, scalars.tolerance()) if scaled is None \
+    rows, tol = (rows, scalars.TOLERANCE) if scaled is None \
         else (scaled[0], 0)
     rank = affine_rank(rows)
     if rank < dim:
@@ -198,7 +198,7 @@ def _float_volume(poly: ConvexPolytope) -> Scalar:
     for v in poly.vertices[1:]:
         center = center + v
     center = center / len(poly.vertices)
-    tol = scalars.tolerance()
+    tol = scalars.TOLERANCE
     total: Scalar = 0
     for (normal, offset), face in zip(poly.facets, poly.incidence,
                                          strict=True):

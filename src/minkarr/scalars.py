@@ -1,7 +1,7 @@
 """Scalar arithmetic in two modes.
 
 Exact mode uses `int` / `fractions.Fraction` values and all comparisons are
-exact.  Floating mode uses binary64 with a single absolute tolerance per run;
+exact.  Floating mode uses binary64 with one absolute tolerance, ``TOLERANCE``;
 two floats are "equal" when they differ by at most that tolerance.  A value
 participates in floating-mode comparison as soon as one operand is a float.
 """
@@ -16,30 +16,8 @@ from typing import Union
 
 Scalar = Union[int, Fraction, float]
 
-DEFAULT_TOLERANCE = 1e-9
-# every golden arrangement passes float verify at this tolerance; at 0.2
-# two of them get false FAILs, and at 0.5 a shadow loses its common point
-MAX_TOLERANCE = 1e-3
-
-_tolerance = DEFAULT_TOLERANCE
-
-
-def set_tolerance(eps: float) -> None:
-    """Set the run-wide absolute tolerance used for float comparisons, in
-    (0, ``MAX_TOLERANCE``]."""
-    global _tolerance
-    if not math.isfinite(eps):
-        raise ValueError("tolerance must be finite, got %r" % (eps,))
-    if not eps > 0:
-        raise ValueError("tolerance must be positive, got %r" % (eps,))
-    if eps > MAX_TOLERANCE:
-        raise ValueError("tolerance must be at most %g, got %r"
-                         % (MAX_TOLERANCE, eps))
-    _tolerance = float(eps)
-
-
-def tolerance() -> float:
-    return _tolerance
+# the one absolute tolerance of every float comparison
+TOLERANCE = 1e-9
 
 
 _EXACT = frozenset((int, Fraction))    # by type: a bool is not exact
@@ -53,20 +31,20 @@ def is_exact(*values: Scalar) -> bool:
 def eq(a: Scalar, b: Scalar) -> bool:
     if type(a) in _EXACT and type(b) in _EXACT:
         return a == b
-    return abs(a - b) <= _tolerance
+    return abs(a - b) <= TOLERANCE
 
 
 def le(a: Scalar, b: Scalar) -> bool:
     if type(a) in _EXACT and type(b) in _EXACT:
         return a <= b
-    return a <= b + _tolerance
+    return a <= b + TOLERANCE
 
 
 def lt(a: Scalar, b: Scalar) -> bool:
     """Strict comparison; in floating mode strict means 'less by a margin'."""
     if type(a) in _EXACT and type(b) in _EXACT:
         return a < b
-    return a < b - _tolerance
+    return a < b - TOLERANCE
 
 
 def gt(a: Scalar, b: Scalar) -> bool:
@@ -75,7 +53,7 @@ def gt(a: Scalar, b: Scalar) -> bool:
 
 def sign(a: Scalar) -> int:
     if type(a) not in _EXACT:
-        if abs(a) <= _tolerance:
+        if abs(a) <= TOLERANCE:
             return 0
         return 1 if a > 0 else -1
     if a > 0:
@@ -85,12 +63,12 @@ def sign(a: Scalar) -> int:
     return 0
 
 
-def eq_rel(a: Scalar, b: Scalar, rel: float = 1e-9) -> bool:
+def eq_rel(a: Scalar, b: Scalar) -> bool:
     """Relative comparison used for ratios of floating values."""
     if type(a) in _EXACT and type(b) in _EXACT:
         return a == b
     scale = max(1.0, abs(float(a)), abs(float(b)))
-    return abs(a - b) <= rel * scale
+    return abs(a - b) <= TOLERANCE * scale
 
 
 def div(a: Scalar, b: Scalar) -> Scalar:

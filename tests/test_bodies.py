@@ -16,7 +16,7 @@ from minkarr.linalg import Vector, affine_rank
 from minkarr.polytopes import hull
 
 from lp_oracle import gauge_lp, polar_lp
-from test_oracles import int_gauge
+from test_oracles import as_floats, int_gauge
 
 SQUARE = linf_ball(2)
 DIAMOND = l1_ball(2)
@@ -50,7 +50,7 @@ def test_boundary_point_known_values():
     assert DIAMOND.boundary_frame(Vector((1, 1)))[0] == \
         Vector((F(1, 2), F(1, 2)))
     b = BALL.boundary_frame(Vector((3, 4)))[0]
-    assert b.as_floats() == pytest.approx((0.6, 0.8))
+    assert as_floats(b) == pytest.approx((0.6, 0.8))
     for body in (SQUARE, DIAMOND, BALL):
         with pytest.raises(ValueError):
             body.boundary_frame(Vector((0, 0)))
@@ -69,7 +69,7 @@ def test_supporting_hyperplane_facet_and_vertex():
         assert r_vec == Vector((1, 1))
         assert normal == Vector((0, 1))
     _, normal = BALL.boundary_frame(Vector((0.6, 0.8)))
-    assert normal.as_floats() == pytest.approx((0.6, 0.8))
+    assert as_floats(normal) == pytest.approx((0.6, 0.8))
     # a direction off the boundary is scaled onto it first
     assert SQUARE.boundary_frame(Vector((2, 0))) == \
         SQUARE.boundary_frame(Vector((1, 0)))
@@ -364,7 +364,7 @@ def test_float_vertex_hexagon_agrees_with_its_exact_twin():
             assert twin.gauge(xf) == pytest.approx(float(hexa.gauge(x)))
             r_vec, normal = twin.boundary_frame(xf)
             want = hexa.boundary_frame(x)
-            assert r_vec.as_floats() == pytest.approx(want[0].as_floats())
+            assert as_floats(r_vec) == pytest.approx(as_floats(want[0]))
             assert normal.dot(r_vec) == pytest.approx(1.0)
 
 

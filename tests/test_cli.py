@@ -1,17 +1,23 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from minkarr import (Homothet, Arrangement, arrangement_to_json,
-                     body_to_json, cube_arrangement, grid_set, linf_ball,
-                     pointset_to_json)
+                     body_to_json, cube_arrangement, format_scalar, grid_set,
+                     l1_ball, linf_ball, pointset_to_json)
 from minkarr import cli, kdistance, packing, scalars
 from minkarr.cli import main
 from minkarr.linalg import Vector
 from minkarr.packing import lifted_packing_pipeline
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -145,19 +151,38 @@ def disc_hexagon(centre_ratio):
 
 def test_float_verify_near_degenerate_sweep(tmp_path, capsys):
     # a centre ratio of 1 - delta makes the lifted centre nearly coplanar
-    # with a facet of the lifted hull; 6.43e-9 is a disc hexagon that once
-    # crashed the hull volume with an IndexError
+    # with a facet of the lifted hull: 46 log-spaced delta in [1e-12, 1e-3],
+    # 18 seeded ones, and 6.43e-9, a disc hexagon that once crashed the hull
+    # volume with an IndexError.  The linf cube, its image on the l1 ball
+    # under (x, y) -> ((x + y)/2, (x - y)/2) and the disc hexagon all PASS
+    # in float mode, and the two polytopes in exact mode too.
     rng = random.Random(11)
-    deltas = [10 ** (-12 + (k + rng.random()) / 2) for k in range(18)]
+    deltas = [10 ** (-12 + 9 * k / 45) for k in range(46)]
+    deltas += [10 ** (-12 + (k + rng.random()) / 2) for k in range(18)]
+    cube = cube_arrangement(2)
+    l1 = Arrangement(l1_ball(2), tuple(
+        Homothet(Vector((Fraction(x + y, 2), Fraction(x - y, 2))), h.ratio)
+        for h in cube.members for x, y in [h.center.coords]))
+    centre = next(k for k, h in enumerate(cube.members)
+                  if h.center.is_zero())
     path = tmp_path / "near.json"
-    for delta in deltas + [1e-12, 1e-3, 6.43e-9]:
-        cube = arrangement_to_json(cube_arrangement(2))
-        cube["homothets"][4]["ratio"] = 1 - delta
-        for obj in (cube, disc_hexagon(1 - delta)):
+    runs = 0
+    for delta in deltas + [6.43e-9]:
+        # the float 1 - delta as an exact rational, read alike by both modes
+        ratio = format_scalar(Fraction(1 - delta))
+        cases = []
+        for arr in (cube, l1):
+            obj = arrangement_to_json(arr)
+            obj["homothets"][centre]["ratio"] = ratio
+            cases += [(obj, "exact"), (obj, "float")]
+        cases.append((disc_hexagon(1 - delta), "float"))
+        for obj, mode in cases:
             path.write_text(json.dumps(obj))
-            code, out, err = run(capsys, "--mode", "float", "verify",
-                                 str(path))
-            assert (code, "verdict: PASS" in out) == (0, True), (delta, err)
+            code, out, err = run(capsys, "--mode", mode, "verify", str(path))
+            assert (code, err) == (0, ""), (delta, mode, out)
+            assert "verdict: PASS" in out.splitlines()
+            runs += 1
+    assert runs == 5 * 65
 
 
 def test_verify_internal_error_exit_2(cube_file, capsys, monkeypatch):
@@ -178,15 +203,10 @@ def square_body_file(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--eps", "0", "kdist", "grid", "--d", "2", "--k", "2"],
     ["kdist", "grid", "--d", "0", "--k", "2"],
     ["kdist", "grid", "--d", "2", "--k", "-1"],
-    ["--eps", "0", "verify", "{cube}"],
-    ["--eps", "0", "lift", "{cube}", "--pair", "0", "1"],
-    ["--eps", "0", "search", "{square}", "--iters", "5"],
     ["search", "{square}", "--iters", "-5"],
-], ids=["eps-zero", "d-zero", "k-negative", "eps-zero-verify",
-        "eps-zero-lift", "eps-zero-search", "iters-negative"])
+], ids=["d-zero", "k-negative", "iters-negative"])
 def test_kdist_bad_flags_exit_2_as_input_errors(argv, cube_file,
                                                 square_body_file, capsys):
     argv = [a.format(cube=cube_file, square=square_body_file) for a in argv]
@@ -197,28 +217,30 @@ def test_kdist_bad_flags_exit_2_as_input_errors(argv, cube_file,
     assert out == ""
 
 
-@pytest.mark.parametrize("eps", ["inf", "-inf", "nan"])
-def test_non_finite_eps_is_its_own_input_error(eps, cube_file, capsys):
-    # inf once passed as a tolerance, and every float comparison then held
-    code, out, err = run(capsys, "--mode", "float", "--eps=" + eps,
-                         "verify", cube_file)
-    assert code == 2 and out == ""
-    assert err == "input error: tolerance must be finite, got %s\n" % eps
-    assert scalars.tolerance() == scalars.DEFAULT_TOLERANCE
-
-
-@pytest.mark.parametrize("eps", ["0.5", "1e300"])
-def test_eps_above_the_limit_is_an_input_error(eps, cube_file, capsys):
-    # 0.5 once lost a shadow's common point (internal error), and 1e300
-    # failed a ratio stage; every golden arrangement passes at the limit
-    code, out, err = run(capsys, "--mode", "float", "--eps", eps,
-                         "verify", cube_file)
-    assert code == 2 and out == ""
-    assert err == "input error: tolerance must be at most 0.001, got %r\n" \
-        % float(eps)
-    code, out, _ = run(capsys, "--mode", "float", "--eps", "1e-3",
-                       "verify", cube_file)
-    assert code == 0 and "verdict: PASS" in out
+@pytest.mark.parametrize("argv", [
+    ["--eps", "0", "kdist", "grid", "--d", "2", "--k", "2"],
+    ["--eps", "0", "verify", "{cube}"],
+    ["--eps", "0", "lift", "{cube}", "--pair", "0", "1"],
+    ["--eps", "0", "search", "{square}", "--iters", "5"],
+    ["--mode", "float", "--eps=inf", "verify", "{cube}"],
+    ["--mode", "float", "--eps=-inf", "verify", "{cube}"],
+    ["--mode", "float", "--eps=nan", "verify", "{cube}"],
+    ["--mode", "float", "--eps", "0.5", "verify", "{cube}"],
+    ["--mode", "float", "--eps", "1e300", "verify", "{cube}"],
+    ["--eps", "1e-6", "verify", "{cube}"],
+], ids=["eps-zero", "eps-zero-verify", "eps-zero-lift", "eps-zero-search",
+        "inf", "-inf", "nan", "0.5", "1e300", "1e-6"])
+def test_eps_is_no_flag(argv, cube_file, square_body_file, capsys):
+    # the float tolerance is the constant scalars.TOLERANCE: any --eps, the
+    # values once rejected as input errors included, is a usage error
+    argv = [a.format(cube=cube_file, square=square_body_file) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(cli.build_parser().format_usage())
+    assert "--eps" not in cli.build_parser().format_help()
 
 
 SQUARE_JSON = body_to_json(linf_ball(2))
@@ -305,6 +327,29 @@ def test_unwritable_output_exit_2_as_input_error(command, flag, cube_file,
     assert "internal error" not in err
 
 
+@pytest.mark.parametrize("unbuffered", [True, False],
+                         ids=["unbuffered", "buffered"])
+def test_closed_stdout_exit_2_as_output_error(unbuffered, cube_file):
+    # unbuffered, the first print meets the closed pipe; buffered, the
+    # flush at exit once did, and the interpreter exited 120
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "minkarr", "verify", cube_file],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+            timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == ("input error: cannot write to stdout: "
+                           "[Errno 32] Broken pipe\n")
+
+
 def test_lift_svg_and_dump(cube_file, capsys, tmp_path):
     svg = tmp_path / "pair.svg"
     dump = tmp_path / "pair.json"
@@ -339,7 +384,7 @@ def test_lift_construction_failure_exit_1(tmp_path, capsys, centers,
     path.write_text(json.dumps(arrangement_to_json(arr)))
     code, out, err = run(capsys, "lift", str(path), "--pair", "0", "1")
     assert code == 1
-    assert out == "seed: 0\nmode: exact  eps: %g\n" % scalars.DEFAULT_TOLERANCE
+    assert out == "seed: 0\nmode: exact  eps: %g\n" % scalars.TOLERANCE
     assert err == "construction failed: %s\n" % message
 
 
@@ -399,6 +444,30 @@ def test_search_on_a_huge_facet_normal(big, iters, tmp_path, capsys):
     homothets = json.loads(out_file.read_text())["homothets"]
     assert len(homothets) > 1
     assert all(math.isfinite(float(Fraction(h["ratio"]))) for h in homothets)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_searched_strip_fails_its_lifting_stage(mode, tmp_path, capsys):
+    # the strip's search output passes both predicates within the
+    # tolerance, but a shadow of it has no common point: a failed lifting
+    # stage at the witness pair, not an internal error
+    body_file = tmp_path / "strip.json"
+    body_file.write_text(json.dumps({"dim": 2, "type": "hpoly", "facets": [
+        {"normal": [1e20, 0]}, {"normal": [-1e20, 0]},
+        {"normal": [0, 1]}, {"normal": [0, -1]}]}))
+    out_file = tmp_path / "out.json"
+    code, _, _ = run(capsys, "search", str(body_file), "--iters", "20",
+                     "--out", str(out_file))
+    assert code == 0
+    cert_file = tmp_path / "cert.json"
+    code, out, err = run(capsys, "--mode", mode, "verify", str(out_file),
+                         "--certificate", str(cert_file))
+    assert (code, err) == (1, "")
+    assert "lifted-packing-certificate: FAIL stage lifting at pair (2, 0)" \
+        in out.splitlines()
+    cert = json.loads(cert_file.read_text())["certificate"]
+    assert (cert["failed_stage"], cert["offending_pair"]) == ("lifting",
+                                                              [2, 0])
 
 
 def test_search_internal_error_exit_2(tmp_path, capsys, monkeypatch):
@@ -560,20 +629,18 @@ def test_lift_on_a_4d_vpoly_takes_a_facet_frame(tmp_path, capsys):
 
 
 def test_float_mode_flag(cube_file, capsys):
-    code, out, _ = run(capsys, "--mode", "float", "--eps", "1e-7",
-                       "verify", cube_file)
+    code, out, _ = run(capsys, "--mode", "float", "verify", cube_file)
     assert code == 0
     assert "mode: float" in out
-    assert "eps: 1e-07" in out
+    assert "eps: 1e-09" in out
 
 
 def test_parser_state_does_not_leak_between_calls(cube_file, capsys):
     # one parser serves every in-process call; each call's flags and
     # defaults are its own
     assert cli.build_parser() is cli.build_parser()
-    code, out, _ = run(capsys, "--mode", "float", "--eps", "1e-6",
-                       "verify", cube_file)
-    assert code == 0 and "mode: float  eps: 1e-06" in out
+    code, out, _ = run(capsys, "--mode", "float", "verify", cube_file)
+    assert code == 0 and "mode: float  eps: 1e-09" in out
     code, out, _ = run(capsys, "verify", cube_file)
     assert code == 0 and "mode: exact  eps: 1e-09" in out
     with pytest.raises(SystemExit) as exc:

@@ -17,7 +17,7 @@ from minkarr.instances import (corpus_body, random_intersecting_arrangement,
                                random_minkowski_arrangement)
 from minkarr.linalg import Vector
 
-from test_oracles import cross_ratio, trapezoid_combine
+from test_oracles import as_floats, cross_ratio, trapezoid_combine
 
 SQUARE = linf_ball(2)
 
@@ -57,8 +57,8 @@ def test_frame_ball():
     arr = arr_of(BallBody(2), Homothet(Vector((0.0, 0.0)), 1.0),
                  Homothet(Vector((3.0, 4.0)), 1.0))
     fr = build_frame(arr, 0, 1)
-    assert fr.r_vec.as_floats() == pytest.approx((0.6, 0.8))
-    assert fr.f_normal.as_floats() == pytest.approx((0.6, 0.8))
+    assert as_floats(fr.r_vec) == pytest.approx((0.6, 0.8))
+    assert as_floats(fr.f_normal) == pytest.approx((0.6, 0.8))
 
 
 @pytest.mark.parametrize("dim", [4, 5])

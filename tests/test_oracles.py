@@ -40,6 +40,11 @@ from minkarr.polytopes import ConvexPolytope, _dedupe, hull, volume
 from lp_oracle import gauge_lp, simplex_max
 
 
+def as_floats(v: Vector) -> tuple:
+    """The coordinates of v as floats, for approximate comparisons."""
+    return tuple(float(c) for c in v.coords)
+
+
 # ------------------------------------- formulas the program does not call --
 # The argument's cross-ratio and trapezoid rule and the chain bound in
 # floats: the tests check the construction against them.
@@ -288,16 +293,16 @@ def order_facet(verts, normal):
         center = center + v
     center = center / len(verts)
 
-    fc = center.as_floats()
-    fn = normal.as_floats()
-    ref = verts[0].as_floats()
+    fc = as_floats(center)
+    fn = as_floats(normal)
+    ref = as_floats(verts[0])
     e1 = tuple(r - c for r, c in zip(ref, fc))
     e2 = (fn[1] * e1[2] - fn[2] * e1[1],
           fn[2] * e1[0] - fn[0] * e1[2],
           fn[0] * e1[1] - fn[1] * e1[0])
 
     def angle(p):
-        d = tuple(a - c for a, c in zip(p.as_floats(), fc))
+        d = tuple(a - c for a, c in zip(as_floats(p), fc))
         return math.atan2(sum(a * b for a, b in zip(d, e2)),
                           sum(a * b for a, b in zip(d, e1)))
 
@@ -1029,7 +1034,7 @@ def fraction_slab_offender(points, normal, c_1, c_2):
     if scalars.is_exact(lo, hi, *values):
         margin = 0
     else:
-        margin = scalars.tolerance() * math.sqrt(float(normal.norm_sq()))
+        margin = scalars.TOLERANCE * math.sqrt(float(normal.norm_sq()))
     for k, val in enumerate(values):
         if val < lo - margin or val > hi + margin:
             return k

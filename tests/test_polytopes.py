@@ -6,7 +6,7 @@ import pytest
 from minkarr import Arrangement, Homothet, l1_ball, lift
 from minkarr.linalg import Vector, affine_coordinates, affine_rank
 from minkarr.polytopes import ConvexPolytope, hull, volume
-from test_oracles import contains, interiors_disjoint, shrink
+from test_oracles import as_floats, contains, interiors_disjoint, shrink
 
 
 def V(*coords):
@@ -96,8 +96,8 @@ def overlap_probe(p1: ConvexPolytope, p2: ConvexPolytope,
     rng = random.Random(seed)
     lo = [min(float(v[i]) for v in p1.vertices) for i in range(p1.dim)]
     hi = [max(float(v[i]) for v in p1.vertices) for i in range(p1.dim)]
-    f1 = [(a.as_floats(), float(c)) for a, c in p1.facets]
-    f2 = [(a.as_floats(), float(c)) for a, c in p2.facets]
+    f1 = [(as_floats(a), float(c)) for a, c in p1.facets]
+    f2 = [(as_floats(a), float(c)) for a, c in p2.facets]
     hits = 0
     for _ in range(samples):
         pt = [rng.uniform(lo[i], hi[i]) for i in range(p1.dim)]

@@ -1,7 +1,7 @@
 """The runtime stays pure stdlib: every module of the package imports only
 standard-library modules and the package itself.  And it holds only code
-the program uses: every top-level function and class has a caller in
-src/ or bench/."""
+the program uses: every top-level function and class, and every method of
+its classes but the dunders, has a caller in src/ or bench/."""
 
 import ast
 import sys
@@ -60,17 +60,35 @@ def referenced_names(tree, definitions):
     return names
 
 
+def is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def src_definitions(tree):
+    """The module's top-level functions and classes, and the methods and
+    properties of its classes that are not dunders."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (m for m in node.body
+                        if isinstance(m, ast.FunctionDef)
+                        and not is_dunder(m.name))
+
+
 def test_every_src_function_has_a_caller():
-    """Every top-level function and class of the package is referenced in
-    src/ or bench/ outside its own definition; a re-export in __init__ is
-    not a reference.  Code only the tests call belongs in tests/."""
+    """Every top-level function and class of the package, and every method
+    and property of its classes but the dunders, is referenced in src/ or
+    bench/ outside its own definition; a re-export in __init__ is not a
+    reference.  Code only the tests call belongs in tests/."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))
              + sorted((ROOT / "bench").glob("*.py"))}
     definitions = {node for path, tree in trees.items()
-                   if path.parent == PACKAGE for node in tree.body
-                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+                   if path.parent == PACKAGE
+                   for node in src_definitions(tree)}
     assert len(definitions) > 100
+    assert "boundary_frame" in {node.name for node in definitions}
     used = set().union(*(referenced_names(tree, definitions)
                          for tree in trees.values()))
     orphans = sorted(node.name for node in definitions

@@ -53,18 +53,13 @@ def test_is_exact_by_type():
 
 
 def test_float_comparisons_use_tolerance():
-    scalars.set_tolerance(1e-6)
-    assert eq(1.0, 1.0 + 1e-9)
-    assert le(1.0 + 1e-9, 1.0)
-    assert not lt(1.0, 1.0 + 1e-9)   # strict needs a real margin
-    assert gt(1.0 + 1e-3, 1.0)
-    assert sign(1e-9) == 0
-    assert sign(-1e-3) == -1
-
-
-def test_tolerance_must_be_positive():
-    with pytest.raises(ValueError):
-        scalars.set_tolerance(0)
+    assert scalars.TOLERANCE == 1e-9
+    assert eq(1.0, 1.0 + 1e-12)
+    assert le(1.0 + 1e-12, 1.0)
+    assert not lt(1.0, 1.0 + 1e-12)   # strict needs a real margin
+    assert gt(1.0 + 1e-6, 1.0)
+    assert sign(1e-12) == 0
+    assert sign(-1e-6) == -1
 
 
 def test_div_stays_exact_for_ints():
