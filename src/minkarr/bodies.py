@@ -71,6 +71,11 @@ class SymmetricBody:
         a.z = 1 supporting the body at r: a.r = 1 and a.z <= 1 on the body."""
         raise NotImplementedError
 
+    def as_float(self) -> "SymmetricBody":
+        """The body with every stored scalar a float, for the float route;
+        the ball has none and is itself."""
+        return self
+
     def _check_dim(self, x: Vector) -> None:
         if x.dim != self.dim:
             raise ValueError("dimension mismatch: body is %d-dimensional, "
@@ -200,13 +205,24 @@ class HPolytopeBody(SymmetricBody):
         return tuple([sum(map(operator.mul, h, p))
                       for h in self._half_rows]), self._den
 
+    def as_float(self) -> "HPolytopeBody":
+        """An ``HPolytopeBody`` on the canonical normals with each coordinate
+        a float, not validated again: float(-x) == -float(x), so the normals
+        stay closed under negation.  A ValueError names a coordinate beyond
+        the float range or nonzero below it (``scalars.check_float_range``)."""
+        scalars.check_float_range([c for a in self.facets for c in a], True)
+        body = HPolytopeBody.__new__(HPolytopeBody)
+        body._set_facets(self.dim, [Vector(map(float, a))
+                                    for a in self.facets], None)
+        return body
+
     def gauge(self, x: Vector) -> Scalar:
         """max(0, max_a a.x) over the canonical facets, int 0 when no facet
         is positive (exact point tables take ``int_projections``)."""
         self._check_dim(x)
         best: Scalar = 0
         for a in self.facets:
-            v = a.dot(x)
+            v = sum(map(operator.mul, a.coords, x.coords))
             if scalars.gt(v, best):
                 best = v
         return best if scalars.gt(best, 0) else 0
@@ -226,8 +242,9 @@ class HPolytopeBody(SymmetricBody):
                        key=lambda a: a.coords)
             return Vector(Fraction(c * self._den, top) for c in form[0]), best
         r_vec = _to_boundary(u, self.gauge(u))
-        best = min((a for a in self.facets if scalars.eq(a.dot(r_vec), 1)),
-                   key=lambda a: a.coords)
+        best = min((a for a in self.facets if scalars.eq(
+            sum(map(operator.mul, a.coords, r_vec.coords)), 1)),
+            key=lambda a: a.coords)
         return r_vec, best
 
     def to_json(self) -> dict:

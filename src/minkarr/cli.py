@@ -81,14 +81,14 @@ def _scalars(members):
 
 
 def _load_arrangement(args) -> Arrangement:
-    """The arrangement file of ``verify`` and ``lift``, its scalars coerced
-    to floats under ``--mode float``."""
+    """The arrangement file of ``verify`` and ``lift``, its scalars, the
+    body's facets included, coerced to floats under ``--mode float``."""
     with _reading_input():
         arr = arrangement_from_json(_load_json(args.arrangement))
         scalars.check_float_range(_scalars(arr.members), args.mode == "float"
                                   or not arr.body.exact)
         if args.mode == "float":
-            arr = Arrangement(arr.body, tuple(
+            arr = Arrangement(arr.body.as_float(), tuple(
                 Homothet(Vector(float(c) for c in h.center), float(h.ratio))
                 for h in arr.members))
     return arr

@@ -165,9 +165,10 @@ def shadow(arr: Arrangement, frame: ProjectionFrame) -> ShadowData:
         alphas = [t_k - t[i] for t_k in t]
         lams, den = [row[-1] * f for row in rows], f * q
     else:
-        a, vi = frame.f_normal, arr.members[i].center
-        denom = a.dot(frame.r_vec)
-        alphas = [div(a.dot(h.center - vi), denom) for h in arr.members]
+        a, vi = frame.f_normal.coords, arr.members[i].center.coords
+        denom = _dot(a, frame.r_vec.coords)
+        alphas = [div(_dot(a, map(operator.sub, h.center.coords, vi)), denom)
+                  for h in arr.members]
         lams, den = [h.ratio for h in arr.members], 1
     lows = [al - lam for al, lam in zip(alphas, lams)]
     highs = [al + lam for al, lam in zip(alphas, lams)]
@@ -355,7 +356,9 @@ def verify_slab(lifted: LiftedConfig, slab: SlabPair) -> Tuple[bool, Optional[in
     Returns (ok, index of the first point outside or None).  Exact
     containment in rational mode, on the integer forms; in floating mode the
     ends are widened by the tolerance times the Euclidean length of the
-    normal.
+    normal, summed in floats (under ``--mode float`` the body's facets are
+    floats, so its last bits may differ, by about 1e-16 relative, from a sum
+    whose first d terms are exact).
     """
     (m, k_1, k_2, _, _), forms, exact = _on_one_scale(slab, lifted)
     margin = 0 if exact else \

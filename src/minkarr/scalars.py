@@ -19,6 +19,9 @@ Scalar = Union[int, Fraction, float]
 # the one absolute tolerance of every float comparison
 TOLERANCE = 1e-9
 
+# the largest "dim" an input file may give
+MAX_DIM = 1024
+
 
 _EXACT = frozenset((int, Fraction))    # by type: a bool is not exact
 
@@ -144,9 +147,13 @@ def parse_scalar(value) -> Scalar:
 
 
 def parse_dim(value) -> int:
-    """A JSON dimension: an integer, not a float, a string or a boolean."""
+    """A JSON dimension: an integer, not a float, a string or a boolean, of
+    at most ``MAX_DIM``, so that no vector or table is sized from it
+    before it is refused."""
     if type(value) is not int:
         raise ValueError("'dim' must be an integer, got %r" % (value,))
+    if value > MAX_DIM:
+        raise ValueError("'dim' must be at most %d" % MAX_DIM)
     return value
 
 

@@ -394,3 +394,27 @@ def test_frame_contract_on_every_body():
             assert body.boundary_frame(u) == frame
             checked += 1
     assert checked > 200
+
+
+def test_as_float_is_the_mixed_route_on_float_facets():
+    # Fraction op float is float(Fraction) op float, so the float body's
+    # gauges and frames on float vectors are those of the exact body, bit
+    # for bit; the ball has no facets and is itself
+    assert BALL.as_float() is BALL
+    rng = random.Random(26)
+    bodies_ = [SQUARE, DIAMOND, cross_vpoly(4), cell24()] + [
+        random_symmetric_hexagon(rng) for _ in range(4)]
+    for body in bodies_:
+        twin = body.as_float()
+        assert type(twin) is HPolytopeBody and not twin.exact
+        assert [a.coords for a in twin.facets] == [
+            tuple(map(float, a)) for a in body.facets]
+        assert twin.as_float().facets == twin.facets
+        for _ in range(20):
+            x = Vector(rng.uniform(-3, 3) for _ in range(body.dim))
+            assert twin.gauge(x) == body.gauge(x)
+            r_vec, normal = twin.boundary_frame(x)
+            want = body.boundary_frame(x)
+            assert r_vec.coords == want[0].coords
+            assert normal.coords == tuple(map(float, want[1]))
+

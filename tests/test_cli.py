@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -9,15 +10,17 @@ from pathlib import Path
 
 import pytest
 
-from minkarr import (Homothet, Arrangement, arrangement_to_json,
-                     body_to_json, cube_arrangement, format_scalar, grid_set,
+from minkarr import (Homothet, Arrangement, arrangement_from_json,
+                     arrangement_to_json, body_to_json, cube_arrangement, format_scalar, grid_set,
                      l1_ball, linf_ball, pointset_to_json)
 from minkarr import cli, kdistance, packing, scalars
+from minkarr.bodies import HPolytopeBody
 from minkarr.cli import main
 from minkarr.linalg import Vector
 from minkarr.packing import lifted_packing_pipeline
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture
@@ -247,6 +250,14 @@ SQUARE_JSON = body_to_json(linf_ball(2))
 BALL_JSON = {"dim": 2, "type": "ball"}
 BEYOND_FLOATS = [{"center": [0, 0], "ratio": 1},
                  {"center": [1, 0], "ratio": "1e999"}]
+UNIT_PAIR = [{"center": [0, 0], "ratio": 1}, {"center": [0, 1], "ratio": 1}]
+
+
+def strip_json(x):
+    """The strip |a*x| <= 1, |y| <= 1 with a = x, as an hpoly body."""
+    return {"dim": 2, "type": "hpoly", "facets": [
+        {"normal": [x, 0]}, {"normal": ["-" + x, 0]},
+        {"normal": [0, 1]}, {"normal": [0, -1]}]}
 
 
 @pytest.mark.parametrize("argv,payload", [
@@ -255,7 +266,12 @@ BEYOND_FLOATS = [{"center": [0, 0], "ratio": 1},
                                      "homothets": BEYOND_FLOATS}),
     (["kdist", "spectrum"], {"dim": 2,
                              "points": [[0, 0], [1.5, 0], ["1e999", 1]]}),
-], ids=["ball", "float-mode", "float-point"])
+    (["--mode", "float", "verify"], {"body": strip_json("1e999"),
+                                     "homothets": UNIT_PAIR}),
+    (["--mode", "float", "lift", "--pair", "0", "1"],
+     {"body": strip_json("1e999"), "homothets": UNIT_PAIR}),
+], ids=["ball", "float-mode", "float-point", "float-facet",
+        "float-facet-lift"])
 def test_exact_scalar_beyond_floats_on_a_float_route(argv, payload, tmp_path,
                                                      capsys):
     path = tmp_path / "input.json"
@@ -283,7 +299,15 @@ BELOW_FLOATS = [{"center": [0, 0], "ratio": 1},
     (["verify"], {"body": BALL_JSON, "homothets": [
         {"center": [0, 0], "ratio": 1}, {"center": [1, 0], "ratio": "1e-310"}]},
      "1.000000e-310"),
-], ids=["ball", "ball-lift", "float-mode", "subnormal"])
+    # the facet's float would be 0, a zero normal
+    (["--mode", "float", "verify"], {"body": strip_json("1e-999"),
+                                     "homothets": UNIT_PAIR},
+     "1.000000e-999"),
+    (["--mode", "float", "lift", "--pair", "0", "1"],
+     {"body": strip_json("1e-999"), "homothets": UNIT_PAIR},
+     "1.000000e-999"),
+], ids=["ball", "ball-lift", "float-mode", "subnormal", "float-facet",
+        "float-facet-lift"])
 def test_exact_scalar_below_floats_on_a_float_route(argv, payload, shown,
                                                     tmp_path, capsys):
     # the first three once ended in an internal OverflowError (the ball) and
@@ -293,6 +317,58 @@ def test_exact_scalar_below_floats_on_a_float_route(argv, payload, shown,
     code, out, err = run(capsys, *argv, str(path))
     assert code == 2 and out == ""
     assert err == "input error: scalar %s is below the float range\n" % shown
+
+
+def test_float_mode_loads_float_facets(monkeypatch):
+    # --mode float reads the body's facets as floats, the canonical normals
+    # each passed through float(); exact mode keeps the loaded body itself
+    loaded = []
+
+    def load(obj):
+        loaded.append(arrangement_from_json(obj))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "arrangement_from_json", load)
+    path = str(GOLDEN / "minkowski3.json")
+    exact = cli._load_arrangement(argparse.Namespace(arrangement=path,
+                                                     mode="exact"))
+    assert exact.body is loaded[-1].body and exact.body.exact
+    arr = cli._load_arrangement(argparse.Namespace(arrangement=path,
+                                                   mode="float"))
+    assert type(arr.body) is HPolytopeBody and not arr.body.exact
+    assert all(type(c) is float for a in arr.body.facets for c in a)
+    assert [a.coords for a in arr.body.facets] == [
+        tuple(map(float, a)) for a in loaded[-1].body.facets]
+
+
+def test_float_mode_lift_dump_has_float_normals(tmp_path, capsys):
+    # the frame normal and the slab normal are read from the float facets
+    dumps = {}
+    for mode in ("exact", "float"):
+        dump = tmp_path / ("%s.json" % mode)
+        code, _, _ = run(capsys, "--mode", mode, "lift",
+                         str(GOLDEN / "minkowski3.json"), "--pair", "1", "3",
+                         "--dump", str(dump))
+        assert code == 0
+        dumps[mode] = json.loads(dump.read_text())
+    assert dumps["exact"]["frame"]["f_normal"] == [0, "-4/7"]
+    assert dumps["exact"]["slab"]["normal"][:2] == [0, "-4/7"]
+    assert dumps["float"]["frame"]["f_normal"] == [0.0, -0.5714285714285714]
+    assert dumps["float"]["slab"]["normal"][:2] == [0.0, -0.5714285714285714]
+
+
+@pytest.mark.parametrize("dim", [10 ** 400, 2 ** 60], ids=["1e400", "2^60"])
+@pytest.mark.parametrize("command", ["search", "spectrum"])
+def test_dim_above_the_cap_is_an_input_error(dim, command, tmp_path, capsys):
+    # 10**400 once ended in an internal OverflowError, and 2**60 allocated
+    # until memory ran out; both are now refused as they are parsed
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"dim": dim, "type": "ball"} if command ==
+                               "search" else {"dim": dim, "points": []}))
+    argv = {"search": ["search"], "spectrum": ["kdist", "spectrum"]}[command]
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert err == "input error: 'dim' must be at most %d\n" % scalars.MAX_DIM
 
 
 def test_exact_scalar_beyond_floats_stays_exact(tmp_path, capsys):

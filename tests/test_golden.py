@@ -1,4 +1,4 @@
-"""Golden bytes: exact-mode ``verify --certificate`` payloads, ``lift
+"""Golden bytes: ``verify --certificate`` payloads in both modes, ``lift
 --dump`` output, one ``lift --svg`` diagram for committed inputs, two
 ``search --out`` arrangements (the square's and the disc's) and two ``kdist
 chain --out`` chains of the grid {0..3}^2 (under the sum norm and the
@@ -26,6 +26,9 @@ from minkarr.instances import corpus_body, random_minkowski_arrangement
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 INPUTS = ["cube2", "minkowski1", "minkowski2", "minkowski3"]
+# the square, the diamond and the hexagon, whose facets have denominators,
+# under --mode float
+FLOAT_INPUTS = ["minkowski1", "minkowski2", "minkowski3"]
 # the square (integer normals, minkowski1), the diamond (minkowski2), a
 # hexagon (minkowski3), the cube family, the 4-D cross-polytope as a
 # V-polytope (facet frames) and discs with rational centers (float frames)
@@ -42,13 +45,17 @@ def read_bytes(path):
         return fh.read()
 
 
-@pytest.mark.parametrize("name", INPUTS)
-def test_verify_certificate_bytes(name, tmp_path, capsys):
+@pytest.mark.parametrize("name,mode", [
+    pytest.param(name, "exact", id=name) for name in INPUTS] + [
+    pytest.param(name, "float", id=name + "-float") for name in FLOAT_INPUTS])
+def test_verify_certificate_bytes(name, mode, tmp_path, capsys):
     out = tmp_path / "cert.json"
-    code = main(["verify", golden(name + ".json"), "--certificate", str(out)])
+    code = main(["--mode", mode, "verify", golden(name + ".json"),
+                 "--certificate", str(out)])
     capsys.readouterr()
     assert code == 0
-    assert out.read_bytes() == read_bytes(golden(name + ".cert.json"))
+    suffix = ".cert.json" if mode == "exact" else ".float.cert.json"
+    assert out.read_bytes() == read_bytes(golden(name + suffix))
 
 
 @pytest.mark.parametrize("name,i,j", LIFTS)
