@@ -23,7 +23,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import scalars
 from .bodies import (SymmetricBody, body_from_json, body_to_json,
-                     distance_table, int_distance_table, linf_ball)
+                     distance_table, fraction_table, int_distance_table,
+                     linf_ball, projection_distances)
 from .kdistance import chain_violation
 from .linalg import Vector, zero_vector
 from .scalars import Scalar, div, format_scalar, parse_scalar
@@ -64,8 +65,22 @@ class Arrangement:
         return self.body.dim
 
     @cached_property
+    def projections(self) -> Optional[List[Tuple[Tuple[int, ...], int]]]:
+        """Each center's ``int_projections`` (proj, den), rows[k] read over
+        the form's q, when the centers and ratios are exact and so is the
+        body; None otherwise.  It is the arrangement's one projection pass:
+        the distances, the frames and the shadows read it."""
+        if self.form is None or not self.body.exact:
+            return None
+        return [self.body.int_projections(row[:-1]) for row in self.form[0]]
+
+    @cached_property
     def distances(self) -> List[List[Scalar]]:
-        """The centers' ``distance_table``, computed on first use and kept."""
+        """The centers' ``distance_table``, computed on first use and kept;
+        from the ``projections`` when there are any."""
+        if self.projections is not None:
+            return fraction_table(projection_distances(self.projections,
+                                                       self.form[1]))
         return distance_table(self.body, [h.center for h in self.members])
 
 

@@ -4,13 +4,17 @@ A body is the unit ball of the norm it induces: the gauge of x is the least
 lambda >= 0 with x in lambda*K, a norm; ``distance_table`` takes it once
 per pair of points for the predicates, the search, the generators and the
 chains.  On exact points of an exact body that is ``int_distance_table``:
-one ``int_projections`` per integer row, the dots h.p over one row h of
-each +- facet pair, and per pair of points the largest absolute difference
-of two projections, as the gauge of an o-symmetric polytope is
-max_h |h.x|; ``gauge`` is the route of float points and float bodies.  The
-shadow and the lift read the boundary frame toward u != 0: the gauge-1
-point r = u/gauge(u) and a supporting plane a.z = 1 of K at r, which every
-body answers in one pass, in every dimension.  Three variants:
+one ``int_projections`` per integer row, the dots h.p over the body's
+``half_rows`` (one row h of each +- facet pair), and per pair of points the
+largest absolute difference of two projections, as the gauge of an
+o-symmetric polytope is max_h |h.x|; ``gauge`` is the route of float points
+and float bodies.  The same projections give an exact arrangement its
+frames and shadows (``Arrangement.projections``, read by ``lifting``): the
+facet of the pair (i, j) is the half row h with the largest |h.(P_j - P_i)|,
+signed s, ties to the lexicographically least facet s*h.  Every other frame
+is the body's ``boundary_frame`` toward u != 0: the gauge-1 point
+r = u/gauge(u) and a supporting plane a.z = 1 of K at r, in one pass and in
+every dimension.  Three variants:
 
 * ``HPolytopeBody`` -- intersection of halfspaces a.x <= 1 (facets are stored
   in offset-1 canonical form), central symmetry means the facet list is
@@ -50,9 +54,9 @@ class SymmetricBody:
     ``exact`` says that both are exact on exact vectors (no float facet or
     vertex), so they scale with the vector exactly: gauge(q*u) = q*gauge(u)
     and the frame of q*u is the frame of u for q > 0.  An exact body also
-    answers ``int_projections``, and since those are linear in the vector,
-    gauge(p - p') is the largest absolute difference of the projections of
-    p and p'.
+    answers ``int_projections`` over its ``half_rows``, and since those are
+    linear in the vector, gauge(p - p') is the largest absolute difference
+    of the projections of p and p'.
     """
 
     dim: int
@@ -108,12 +112,18 @@ def int_distance_table(body: SymmetricBody, rows: Sequence[Sequence[int]],
                        q: int) -> List[List[Tuple[int, int]]]:
     """The distances of the points rows[k]/q of an exact body as integer
     pairs: D[i][j] = D[j][i] = (t, e) with gauge = t/e, (0, 1) on the
-    diagonal.  Each point takes one ``int_projections``, and a pair's t is
-    the largest absolute difference of its two projections."""
-    projections = [body.int_projections(p) for p in rows]
-    table = [[(0, 1)] * len(rows) for _ in rows]
+    diagonal.  Each point takes one ``int_projections``."""
+    return projection_distances([body.int_projections(p) for p in rows], q)
+
+
+def projection_distances(projections: Sequence[Tuple[Tuple[int, ...], int]],
+                         q: int) -> List[List[Tuple[int, int]]]:
+    """The ``int_distance_table`` of points rows[k]/q from their
+    ``int_projections``: a pair's t is the largest absolute difference of
+    its two projections."""
+    table = [[(0, 1)] * len(projections) for _ in projections]
     for i, (p, den) in enumerate(projections):
-        for j in range(i + 1, len(rows)):
+        for j in range(i + 1, len(projections)):
             top = max(map(abs, map(operator.sub, projections[j][0], p)))
             table[i][j] = table[j][i] = (top, den * q)
     return table
@@ -185,16 +195,16 @@ class HPolytopeBody(SymmetricBody):
 
     def _set_facets(self, dim: int, normals: Sequence[Vector],
                     form) -> None:
-        """Keep the canonical normals and their ``int_rows`` form, integer
-        rows over one common denominator (None when a normal is a float),
-        which the exact frames read, and one row of each +- pair of them
+        """Keep the canonical normals and, from their ``int_rows`` form
+        (integer rows over one common denominator, None when a normal is a
+        float), the denominator and ``half_rows``: one row of each +- pair
         (the greater of the two, duplicates removed), which
-        ``int_projections`` reads."""
+        ``int_projections`` reads, so the facet a = s*h/D of the sign s and
+        the half row h is column h of the projections."""
         self.dim = dim
         self.facets: Tuple[Vector, ...] = tuple(normals)
-        self._rows = form and tuple(form[0])
         self._den = form and form[1]
-        self._half_rows = form and tuple(dict.fromkeys(
+        self.half_rows = form and tuple(dict.fromkeys(
             max(row, tuple(-x for x in row)) for row in form[0]))
         self.exact = form is not None
 
@@ -203,7 +213,7 @@ class HPolytopeBody(SymmetricBody):
         denominator: the rows are closed under negation, so max_k rows_k.p
         = max_h |h.p| (at least 0)."""
         return tuple([sum(map(operator.mul, h, p))
-                      for h in self._half_rows]), self._den
+                      for h in self.half_rows]), self._den
 
     def as_float(self) -> "HPolytopeBody":
         """An ``HPolytopeBody`` on the canonical normals with each coordinate
@@ -229,18 +239,12 @@ class HPolytopeBody(SymmetricBody):
 
     def boundary_frame(self, u: Vector) -> Tuple[Vector, Vector]:
         """r = u/gauge(u) and the lexicographically least facet active at r
-        (a vertex tie breaks the same way every run).  Exact facets
-        and u = p/q take one integer pass: r is p*D/top and the active facets
-        are the rows whose dot with p is top.  A float computes the gauge once
-        and takes the facets with a.r == 1 within ``scalars.TOLERANCE``."""
+        (a vertex tie breaks the same way every run): the gauge once, then
+        the facets with a.r == 1, exactly on exact values and within
+        ``scalars.TOLERANCE`` on floats.  This is the scalar route, of float
+        points and float facets; the frames of an exact arrangement on exact
+        facets are read from its projections (``lifting.build_frame``)."""
         self._check_dim(u)
-        form = self._rows and scalars.int_form(u.coords)
-        if form and any(form[0]):
-            dots = [sum(map(operator.mul, row, form[0])) for row in self._rows]
-            top = max(dots)
-            best = min((a for a, t in zip(self.facets, dots) if t == top),
-                       key=lambda a: a.coords)
-            return Vector(Fraction(c * self._den, top) for c in form[0]), best
         r_vec = _to_boundary(u, self.gauge(u))
         best = min((a for a in self.facets if scalars.eq(
             sum(map(operator.mul, a.coords, r_vec.coords)), 1)),

@@ -94,9 +94,11 @@ def _load_arrangement(args) -> Arrangement:
     return arr
 
 
-def _banner(args) -> None:
+def _banner(args, mode: str = "") -> None:
+    """The seed and the scalar mode: ``mode``, the route a command took
+    from its input, or else the ``--mode`` flag."""
     print("seed: %d" % args.seed)
-    print("mode: %s  eps: %g" % (args.mode, scalars.TOLERANCE))
+    print("mode: %s  eps: %g" % (mode or args.mode, scalars.TOLERANCE))
 
 
 def cmd_verify(args) -> int:
@@ -190,7 +192,9 @@ def cmd_search(args) -> int:
             # the search draws its centers in a float box around the members
             scalars.check_float_range(_scalars(warm.members), True)
             check_warm_start(body, warm)
-    _banner(args)
+    # the search takes its route from the input, not from --mode
+    _banner(args, "exact" if body.exact and (warm is None or warm.form)
+            else "float")
     arr = search_arrangement(body, body.dim, cfg, warm_start=warm)
     bound = arrangement_size_bound(body.dim)
     print("best size: %d (bound 3^(d+1) = %d)" % (len(arr), bound))

@@ -25,15 +25,28 @@ that N.y_i <= N.y_j.
 Exact input runs on integer forms, each derived once and handed on.  The
 arrangement's centers and ratios over one denominator, (v_k, lam_k) =
 (P_k, s_k)/q, give y_k = Y_k/w_k with Y_k = (P_k, q) and w_k = s_k > 0.  On
-an exact body the frame is that of the integer difference P_j - P_i, and it
-carries its normal as a = A/f.  Each pair-layer object stores one form and
-reads its public values from it: a shadow keeps every alpha_k -+ lam_k over
-one denominator (integers over f*q, or the computed values over 1 when a
-float is involved), a slab its plane (M, k_ij, k_ji, g_ij, g_ji), the normal
-and offsets over one positive integer denominator (as computed when a value
-is a float).  So y_k lies in the slab exactly when lo*w_k <= M.Y_k <= hi*w_k
-(lo <= hi the outer offsets), and the ratio identity is one integer
-equality.  The float route reads each point as (y_k, 1) and folds the
+an exact body every frame and every shadow is read from one n x m matrix,
+the arrangement's projections U_k[h] = h.P_k over the body's half rows h
+(one row of each +- facet pair, over one denominator D), the pass that
+also gives its distances.  The frame of (i, j) takes the column h with the
+largest |U_j[h] - U_i[h]| = top and the sign s of that difference, ties
+going to the lexicographically least facet s*h: that is the least facet
+active at r, a = s*h/D = A/f with g = gcd(D, h), A = s*h/g and f = D/g,
+and r = (P_j - P_i)*D/top.  The shadow is column h: alpha_k =
+s*(U_k[h] - U_i[h])/g over f*q.  Its ends are the extremes of
+s*U_k[h]/g -+ s_k*f, less s*U_i[h]/g, and those extremes depend on (h, s)
+alone, so ``slab_pairs`` takes each once and reads every pair's common
+point from them.
+
+Each pair-layer object stores one form and reads its public values from it:
+a shadow keeps every alpha_k -+ lam_k over one denominator (integers over
+f*q, or the computed values over 1 when a float is involved), a slab its
+plane (M, k_ij, k_ji, g_ij, g_ji), the normal and offsets over one positive
+integer denominator (as computed when a value is a float).  So y_k lies in
+the slab exactly when lo*w_k <= M.Y_k <= hi*w_k (lo <= hi the outer
+offsets), and the ratio identity is one integer equality.  The float route,
+of the ball, float facets and float input, takes the body's
+``boundary_frame`` per pair, reads each point as (y_k, 1) and folds the
 tolerance into the ends.
 """
 
@@ -58,11 +71,16 @@ class ProjectionFrame:
     j: int
     r_vec: Vector          # gauge-1 point of K toward v_j - v_i
     f_normal: Vector       # supporting plane f_normal . z = 1 of K at r_vec
-    # (A, f) with f_normal = A/f, derived once; None for a float normal
-    a_form: Optional[tuple] = field(init=False, repr=False, compare=False)
+    # (A, f) with f_normal = A/f, derived when not given; None for a float
+    # normal
+    a_form: Optional[tuple] = field(default=None, repr=False, compare=False)
+    # (h, s): f_normal is s times half row h, column h of the arrangement's
+    # projections; None when the frame was not read from them
+    column: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "a_form", int_form(self.f_normal.coords))
+        if self.a_form is None:
+            object.__setattr__(self, "a_form", int_form(self.f_normal.coords))
 
 
 class ShadowData(NamedTuple):
@@ -131,21 +149,50 @@ class DegenerateWedgeError(ValueError):
     pair is flattened onto one plane), so no slab pair exists."""
 
 
+_DEGENERATE = "projected pair lies on one hyperplane; the inner planes coincide"
+
+
+def _facet_column(arr: Arrangement, i: int, j: int):
+    """(h, s, row, top) of the pair (i, j) of an arrangement with
+    projections U: the column h with the largest |U_j[h] - U_i[h]| = top,
+    the sign s of that difference and the facet's row s*h; ties go to the
+    lexicographically least row."""
+    projections = arr.projections
+    deltas = list(map(operator.sub, projections[j][0], projections[i][0]))
+    top = max(map(abs, deltas))
+    if not top:
+        raise ValueError("coincident centers: members %d and %d" % (i, j))
+    best = None
+    for h, delta in enumerate(deltas):
+        if delta == top or delta == -top:
+            s = 1 if delta > 0 else -1
+            row = tuple(s * x for x in arr.body.half_rows[h])
+            if best is None or row < best[2]:
+                best = (h, s, row)
+    return best + (top,)
+
+
 def build_frame(arr: Arrangement, i: int, j: int) -> ProjectionFrame:
     """Frame for the pair (i, j); the centers must differ.
 
-    Exact centers on an exact body take the frame of the integer difference
-    P_j - P_i = q*(v_j - v_i): r = u/gauge(u) and the active facet do not
-    change when u is scaled by q > 0.
+    Exact centers on an exact body read the arrangement's projections
+    (module docstring): the facet a = s*h/D of the column h and the sign
+    s that ``_facet_column`` picks, its form (s*h/g, D/g) for
+    g = gcd(D, h), and r = (P_j - P_i)*D/top.  Any other input takes the
+    body's ``boundary_frame`` of v_j - v_i.
     """
-    if arr.form and arr.body.exact:
-        rows, d = arr.form[0], arr.dim
-        diff = Vector(map(operator.sub, rows[j][:d], rows[i][:d]))
-    else:
+    if arr.projections is None:
         diff = arr.members[j].center - arr.members[i].center
-    if diff.is_zero():
-        raise ValueError("coincident centers: members %d and %d" % (i, j))
-    return ProjectionFrame(i, j, *arr.body.boundary_frame(diff))
+        if diff.is_zero():
+            raise ValueError("coincident centers: members %d and %d" % (i, j))
+        return ProjectionFrame(i, j, *arr.body.boundary_frame(diff))
+    h, s, row, top = _facet_column(arr, i, j)
+    den, rows, d = arr.projections[0][1], arr.form[0], arr.dim
+    g = math.gcd(den, *row)
+    r_vec = Vector(Fraction(c * den, top)
+                   for c in map(operator.sub, rows[j][:d], rows[i][:d]))
+    return ProjectionFrame(i, j, r_vec, Vector(Fraction(x, den) for x in row),
+                           ([x // g for x in row], den // g), (h, s))
 
 
 def shadow(arr: Arrangement, frame: ProjectionFrame) -> ShadowData:
@@ -155,13 +202,16 @@ def shadow(arr: Arrangement, frame: ProjectionFrame) -> ShadowData:
     because K lies between the supporting hyperplanes at r and -r and both
     endpoints are attained.  The common point is the midpoint of the interval
     intersection (the first largest low end and the first smallest high
-    end); shadow_with_x moves it to any other point of it.
+    end); shadow_with_x moves it to any other point of it.  A frame read
+    from the projections reads its column of them; any other computes
+    a.(v_k - v_i)/a.r.
     """
     i, j = frame.i, frame.j
-    if arr.form and frame.a_form:
-        # a = A/f and a.r = 1: alpha_k = (A.P_k - A.P_i)/(f*q)
-        (z, f), (rows, q) = frame.a_form, arr.form
-        t = [_dot(z, row) for row in rows]
+    if frame.column:
+        # a = A/f, A.P_k = s*U_k[h]/g: alpha_k = (A.P_k - A.P_i)/(f*q)
+        (h, s), f, (rows, q) = frame.column, frame.a_form[1], arr.form
+        g = arr.projections[0][1] // f
+        t = [s * p[h] // g for p, _ in arr.projections]
         alphas = [t_k - t[i] for t_k in t]
         lams, den = [row[-1] * f for row in rows], f * q
     else:
@@ -313,32 +363,76 @@ def slab_pair(arr: Arrangement, frame: ProjectionFrame,
     denominator vanishes, and then no slab pair exists.
     """
     a, i, j = frame.f_normal, frame.i, frame.j
-    exact = arr.form and frame.a_form and scalars.is_exact(sd.x_coord)
-    if exact:
-        # (a, x) = (A, X)/f over the lcm f of their denominators:
-        # M = (A*q, -A.P_i - X*q) is N over den = f*q
-        (coef, f_a), (rows, q) = frame.a_form, arr.form
-        x, e = sd.x_coord.numerator, sd.x_coord.denominator
-        f = math.lcm(f_a, e)
-        z = [v * (f // f_a) for v in coef]
-        m = [v * q for v in z]
-        m.append(-_dot(z, rows[i]) - x * (f // e) * q)
-        den = f * q
-        (y_i, w_i), (y_j, w_j) = ((rows[k][:-1] + (q,), rows[k][-1])
-                                  for k in (i, j))
-    else:
-        m = a.extended(-a.dot(arr.members[i].center) - sd.x_coord).coords
-        den = 1
-        (y_i, w_i), (y_j, w_j) = ((_lift_point(h.center, h.ratio).coords, 1)
-                                  for h in (arr.members[i], arr.members[j]))
-    s = w_i * w_j                                  # g_i, g_j over den*s
-    gi, gj = _dot(m, y_i) * w_j, _dot(m, y_j) * w_i
+    if arr.form and frame.a_form and scalars.is_exact(sd.x_coord):
+        rows, coef = arr.form[0], frame.a_form[0]
+        return _int_slab(arr, i, j, frame.a_form, _dot(coef, rows[i]),
+                         _dot(coef, rows[j]), sd.x_coord)
+    m = a.extended(-a.dot(arr.members[i].center) - sd.x_coord).coords
+    gi, gj = (_dot(m, _lift_point(h.center, h.ratio).coords)
+              for h in (arr.members[i], arr.members[j]))
     if scalars.eq(gi, gj):
-        raise DegenerateWedgeError("projected pair lies on one hyperplane; "
-                                   "the inner planes coincide")
-    sg, k = -1 if scalars.gt(gi, gj) else 1, den * s
-    plane = [sg * v * s for v in m], -sg * k, sg * k, sg * gi, sg * gj
-    return SlabPair._over(i, j, plane, k if exact else None)
+        raise DegenerateWedgeError(_DEGENERATE)
+    sg = -1 if scalars.gt(gi, gj) else 1
+    return SlabPair._over(i, j, ([sg * v for v in m], -sg, sg, sg * gi,
+                                 sg * gj), None)
+
+
+def _int_slab(arr: Arrangement, i: int, j: int, a_form: tuple, c_i: int,
+              c_j: int, x: Fraction) -> SlabPair:
+    """The slab of (i, j) over its integer denominator, for a = A/f with
+    c_k = A.P_k and the common point x = X/e.  Over t = F/f and u = X*q*F/e,
+    F = lcm(f, e), the normal N times F*q is M = (t*q*A, -t*c_i - u), so
+    M.Y_i = -u*q and M.Y_j = q*(t*(c_j - c_i) - u)."""
+    (coef, f), (rows, q) = a_form, arr.form
+    big = math.lcm(f, x.denominator)
+    t, u = big // f, x.numerator * (big // x.denominator) * q
+    m = [c * t * q for c in coef]
+    m.append(-c_i * t - u)
+    w_i, w_j = rows[i][-1], rows[j][-1]
+    w = w_i * w_j                                  # g_i, g_j over F*q*w
+    gi, gj = -u * q * w_j, q * (t * (c_j - c_i) - u) * w_i
+    if gi == gj:
+        raise DegenerateWedgeError(_DEGENERATE)
+    sg, k = -1 if gi > gj else 1, big * q * w
+    plane = [sg * v * w for v in m], -sg * k, sg * k, sg * gi, sg * gj
+    return SlabPair._over(i, j, plane, k)
+
+
+def slab_pairs(arr: Arrangement) -> Tuple[SlabPair, ...]:
+    """The slab of every pair i < j, in order, as ``slab_pair`` builds it
+    at the shadow midpoint, raising what the pair's frame, shadow or slab
+    raises.  With projections no frame or shadow is built: a pair reads
+    its column (h, s), and the column's extremes, max_k(s*U_k[h]/g -
+    s_k*f) and min_k(s*U_k[h]/g + s_k*f) with their first indices, are
+    taken once per (h, s), so a pair's common point takes O(1)."""
+    n = len(arr.members)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    slabs = []
+    if arr.projections is None:
+        for i, j in pairs:
+            frame = build_frame(arr, i, j)
+            slabs.append(slab_pair(arr, frame, shadow(arr, frame)))
+        return tuple(slabs)
+    (rows, q), den = arr.form, arr.projections[0][1]
+    columns = {}
+    for i, j in pairs:
+        h, s, row, _ = _facet_column(arr, i, j)
+        column = columns.get((h, s))
+        if column is None:
+            g = math.gcd(den, *row)
+            f = den // g
+            t = [s * p[h] // g for p, _ in arr.projections]
+            lows = [t_k - r[-1] * f for t_k, r in zip(t, rows)]
+            highs = [t_k + r[-1] * f for t_k, r in zip(t, rows)]
+            lo, hi = max(lows), min(highs)
+            column = columns[h, s] = (([x // g for x in row], f), t, lo,
+                                      lows.index(lo), hi, highs.index(hi))
+        a_form, t, lo, lo_idx, hi, hi_idx = column
+        if lo > hi:
+            raise ShadowIntersectionError((lo_idx, hi_idx))
+        x = Fraction(lo + hi - 2 * t[i], 2 * a_form[1] * q)
+        slabs.append(_int_slab(arr, i, j, a_form, t[i], t[j], x))
+    return tuple(slabs)
 
 
 def _on_one_scale(slab: SlabPair, lifted: LiftedConfig):

@@ -41,8 +41,8 @@ from .arrangement import (Arrangement, arrangement_size_bound,
                           find_intersection_violation,
                           find_minkowski_violation)
 from .lifting import (DegenerateWedgeError, LiftedConfig,
-                      ShadowIntersectionError, SlabPair, build_frame, lift,
-                      shadow, slab_pair, verify_slab, width_gaps)
+                      ShadowIntersectionError, SlabPair, lift, slab_pairs,
+                      verify_slab, width_gaps)
 from .linalg import Vector, affine_coordinates, affine_rank
 from .polytopes import hull, volume
 from .scalars import Scalar, div, format_scalar
@@ -196,17 +196,15 @@ def slab_packing_check(family: SlabFamily, lam: Scalar) -> PackingCertificate:
 def family_from_arrangement(arr: Arrangement) -> SlabFamily:
     """Lift the arrangement and build every pair's slab from its shadow.
 
-    No check runs here: the width ratios and slab containment are stages of
+    An exact family on an exact body goes from each pair's column (h, s)
+    of the arrangement's projections and its common point x straight to
+    the slab's integer plane, with no frame or shadow per pair
+    (``slab_pairs``); any other builds each pair's frame and shadow.  No
+    check runs here: the width ratios and slab containment are stages of
     slab_packing_check.
     """
     lifted = lift(arr)
-    pairs = []
-    n = len(arr.members)
-    for i in range(n):
-        for j in range(i + 1, n):
-            frame = build_frame(arr, i, j)
-            pairs.append(slab_pair(arr, frame, shadow(arr, frame)))
-    return SlabFamily(lifted.points, tuple(pairs), lifted.forms)
+    return SlabFamily(lifted.points, slab_pairs(arr), lifted.forms)
 
 
 def lifted_packing_pipeline(arr: Arrangement) -> PackingCertificate:

@@ -16,7 +16,7 @@ from minkarr.linalg import Vector, affine_rank
 from minkarr.polytopes import hull
 
 from lp_oracle import gauge_lp, polar_lp
-from test_oracles import as_floats, int_gauge
+from test_oracles import as_floats, facet_rows, int_gauge
 
 SQUARE = linf_ball(2)
 DIAMOND = l1_ball(2)
@@ -258,9 +258,11 @@ def test_vpoly_validates_its_vertex_list_once(monkeypatch):
         assert calls == ["vertices"]
         form = check(dim, body.facets, "facets", "")
         if form:
-            assert (body._rows, body._den) == (tuple(form[0]), form[1])
+            assert body._den == form[1]
+            assert {r for h in body.half_rows
+                    for r in (h, tuple(-x for x in h))} == set(form[0])
         else:
-            assert body._rows is None and not body.exact
+            assert body.half_rows is None and not body.exact
 
 
 def test_polar_facets_are_the_hull_facets_up_to_3d():
@@ -320,10 +322,10 @@ def test_projection_gauge_is_the_all_rows_gauge():
     shapes += [seeded_vpoly(rng, dim) for dim in range(2, 6)]
     for dim in range(1, 6):
         shapes += [linf_ball(dim), l1_ball(dim), cross_vpoly(dim)]
-    assert len(twice._half_rows) == 2 and len(cell24()._half_rows) == 12
+    assert len(twice.half_rows) == 2 and len(cell24().half_rows) == 12
     for body in shapes:
         assert body.exact
-        assert len(body._half_rows) * 2 == len(set(body._rows))
+        assert len(body.half_rows) * 2 == len(set(facet_rows(body)[0]))
         for scale in (9, 2 ** 70):
             points = [[0] * body.dim] + [
                 [rng.randint(-scale, scale) for _ in range(body.dim)]

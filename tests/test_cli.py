@@ -546,6 +546,37 @@ def test_searched_strip_fails_its_lifting_stage(mode, tmp_path, capsys):
                                                               [2, 0])
 
 
+@pytest.mark.parametrize("flag,body,warm,route", [
+    ("float", {"dim": 2, "type": "hpoly", "facets": [
+        {"normal": ["1/3", 0]}, {"normal": ["-1/3", 0]},
+        {"normal": [0, 1]}, {"normal": [0, -1]}]}, None, "exact"),
+    ("exact", {"dim": 2, "type": "ball"}, None, "float"),
+    ("exact", {"dim": 2, "type": "hpoly", "facets": [
+        {"normal": [1, 0]}, {"normal": [-1, 0]},
+        {"normal": [0, 1]}, {"normal": [0, -1]}]},
+     [{"center": [0.0, 0.0], "ratio": 1}], "float"),
+], ids=["exact-body-under-float", "ball-under-exact", "float-warm-start"])
+def test_search_banner_names_the_route_it_ran(flag, body, warm, route,
+                                              tmp_path, capsys):
+    # search takes its route from the input whatever --mode says: exact on
+    # an exact body with exact members, float otherwise
+    body_file = tmp_path / "body.json"
+    body_file.write_text(json.dumps(body))
+    out_file = tmp_path / "out.json"
+    init = []
+    if warm:
+        warm_file = tmp_path / "warm.json"
+        warm_file.write_text(json.dumps({"body": body, "homothets": warm}))
+        init = ["--init", str(warm_file)]
+    code, out, err = run(capsys, "--mode", flag, "--seed", "9", "search",
+                         str(body_file), "--iters", "10", "--out",
+                         str(out_file), *init)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == ["seed: 9", "mode: %s  eps: 1e-09" % route]
+    ratios = [h["ratio"] for h in json.loads(out_file.read_text())["homothets"]]
+    assert len(ratios) > 1 and all((type(r) is float) == (route == "float") for r in ratios[1:])
+
+
 def test_search_internal_error_exit_2(tmp_path, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise AssertionError("search produced an invalid arrangement")

@@ -31,9 +31,12 @@ INPUTS = ["cube2", "minkowski1", "minkowski2", "minkowski3"]
 FLOAT_INPUTS = ["minkowski1", "minkowski2", "minkowski3"]
 # the square (integer normals, minkowski1), the diamond (minkowski2), a
 # hexagon (minkowski3), the cube family, the 4-D cross-polytope as a
-# V-polytope (facet frames) and discs with rational centers (float frames)
-LIFTS = [("cube2", 0, 4), ("minkowski1", 0, 2), ("minkowski2", 1, 4),
-         ("minkowski3", 1, 3), ("cross4", 2, 5), ("disc", 1, 2)]
+# V-polytope (facet frames) and discs with rational centers (float frames);
+# cube2 (4, 0) and cross4 (5, 2) are reversed pairs, whose frames take the
+# other sign and, on a vertex tie, another facet
+LIFTS = [("cube2", 0, 4), ("cube2", 4, 0), ("minkowski1", 0, 2),
+         ("minkowski2", 1, 4), ("minkowski3", 1, 3), ("cross4", 2, 5),
+         ("cross4", 5, 2), ("disc", 1, 2)]
 
 
 def golden(name):

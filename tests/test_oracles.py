@@ -5,7 +5,9 @@ import collections
 import dataclasses
 import functools
 import itertools
+import json
 import math
+import os
 import operator
 import random
 from fractions import Fraction as F
@@ -29,7 +31,7 @@ from minkarr.kdistance import ChainResult, _chain_bound
 from minkarr.lifting import (DegenerateWedgeError, LiftedConfig,
                              ProjectionFrame, ShadowData,
                              ShadowIntersectionError, SlabPair, lift,
-                             verify_ratio_identity, verify_slab)
+                             slab_pairs, verify_ratio_identity, verify_slab)
 from minkarr.linalg import (Vector, _rref, affine_coordinates, affine_rank,
                             cross3, matrix_rank, zero_vector)
 from minkarr import arrangement, scalars
@@ -623,12 +625,18 @@ def test_integer_gauge_kernel_against_facet_loop():
     assert type(linf_ball(2).gauge(zero_vector(2))) is int
 
 
+def facet_rows(body):
+    """The integer rows of an exact polytope body's facets over their
+    common denominator D: (rows, D)."""
+    return scalars.int_rows([a.coords for a in body.facets])
+
+
 def int_gauge(body, p):
     """The all-rows integer gauge of an exact polytope body: (top, D) with
     top = max(0, max_k rows_k.p) over every facet row, gauge(p) = top/D.
     The package reads the half rows' projections instead."""
-    return max(max(sum(map(operator.mul, row, p)) for row in body._rows),
-               0), body._den
+    rows, den = facet_rows(body)
+    return max(max(sum(map(operator.mul, row, p)) for row in rows), 0), den
 
 
 def test_int_gauge_is_the_gauge():
@@ -1206,12 +1214,18 @@ FRACTION_HEXAGON = {"dim": 2, "type": "hpoly", "facets": [
                                                 "offset": 1}]}
 
 
-def test_integer_routes_on_criterion_4_corpus():
+@functools.cache
+def criterion_4_corpus():
+    """The 100 seeded planar families of criterion 4, built once."""
     rng = random.Random(77001)
+    return tuple(random_minkowski_arrangement(rng, body=corpus_body(rng, t),
+                                              full_lift=True)
+                 for t in range(100))
+
+
+def test_integer_routes_on_criterion_4_corpus():
     compared = 0
-    for t in range(100):
-        arr = random_minkowski_arrangement(rng, body=corpus_body(rng, t),
-                                           full_lift=True)
+    for arr in criterion_4_corpus():
         assert arr.form is not None
         compared += check_both_routes(arr)
     assert compared > 2000
@@ -1306,6 +1320,176 @@ def test_frames_and_distances_from_integer_differences():
         bodies.add((type(arr.body).__name__, arr.dim, arr.form[1] > 1))
     assert {("HPolytopeBody", 2, True), ("VPolytopeBody", 2, True),
             ("VPolytopeBody", 4, True)} <= bodies
+
+
+# ----------------------- the per-pair integer route the projections replaced --
+# Before one projection matrix per arrangement fed the pair layer, each frame
+# took one integer pass over every facet row (the integer branch of
+# HPolytopeBody.boundary_frame), each shadow one dot product per member, and
+# each slab the dots of its plane with the two lifted points.
+
+def rows_frame(body, p):
+    """(r, a) toward the integer vector p != 0 from every facet row of an
+    exact polytope body: r = p*D/top for top the largest dot of a row with
+    p, and the lexicographically least facet whose row attains it."""
+    rows, den = facet_rows(body)
+    dots = [sum(map(operator.mul, row, p)) for row in rows]
+    top = max(dots)
+    best = min((a for a, t in zip(body.facets, dots) if t == top),
+               key=lambda a: a.coords)
+    return Vector(F(c * den, top) for c in p), best
+
+
+def per_pair_frame(arr, i, j):
+    """The frame of the integer difference P_j - P_i; its normal's form
+    comes from ``int_form`` of the normal."""
+    rows, d = arr.form[0], arr.dim
+    diff = tuple(map(operator.sub, rows[j][:d], rows[i][:d]))
+    if not any(diff):
+        raise ValueError("coincident centers: members %d and %d" % (i, j))
+    return ProjectionFrame(i, j, *rows_frame(arr.body, diff))
+
+
+def per_pair_shadow(arr, frame):
+    """a = A/f: alpha_k = (A.P_k - A.P_i)/(f*q), one dot per member."""
+    i, j = frame.i, frame.j
+    (z, f), (rows, q) = frame.a_form, arr.form
+    t = [sum(map(operator.mul, z, row)) for row in rows]
+    alphas = [t_k - t[i] for t_k in t]
+    lams, den = [row[-1] * f for row in rows], f * q
+    lows = [al - lam for al, lam in zip(alphas, lams)]
+    highs = [al + lam for al, lam in zip(alphas, lams)]
+    lo_idx, hi_idx = lows.index(max(lows)), highs.index(min(highs))
+    if lows[lo_idx] > highs[hi_idx]:
+        raise ShadowIntersectionError((lo_idx, hi_idx))
+    return ShadowData(i, j, (alphas, lows, highs, den, lo_idx, hi_idx),
+                      F(lows[lo_idx] + highs[hi_idx], 2 * den))
+
+
+def per_pair_slab(arr, frame, sd):
+    """(plane, den): over F = lcm(f, e) for a = A/f and x = X/e, the
+    normal M = (A*q, -A.P_i - X*q)*F/f... over F*q, its dots with
+    Y_i = (P_i, q) and Y_j, and the orientation N.y_i <= N.y_j."""
+    (coef, f_a), (rows, q) = frame.a_form, arr.form
+    x, e = sd.x_coord.numerator, sd.x_coord.denominator
+    f = math.lcm(f_a, e)
+    z = [v * (f // f_a) for v in coef]
+    m = [v * q for v in z]
+    m.append(-sum(map(operator.mul, z, rows[frame.i])) - x * (f // e) * q)
+    (y_i, w_i), (y_j, w_j) = ((rows[k][:-1] + (q,), rows[k][-1])
+                              for k in (frame.i, frame.j))
+    s = w_i * w_j
+    gi = sum(map(operator.mul, m, y_i)) * w_j
+    gj = sum(map(operator.mul, m, y_j)) * w_i
+    if gi == gj:
+        raise DegenerateWedgeError("projected pair lies on one hyperplane; "
+                                   "the inner planes coincide")
+    sg, k = -1 if gi > gj else 1, f * q * s
+    return ([sg * v * s for v in m], -sg * k, sg * k, sg * gi, sg * gj), k
+
+
+Raised = collections.namedtuple("Raised", "type message witness")
+
+
+def outcome(route, *args):
+    """What route(*args) returns, or the ``Raised`` type, message and
+    witness of the ValueError it raises."""
+    try:
+        return route(*args)
+    except ValueError as exc:
+        return Raised(type(exc), str(exc), getattr(exc, "witness", None))
+
+
+def per_pair_family(arr):
+    """The slabs (i, j, plane, den) of every pair i < j by the per-pair
+    route, or what the first pair that raises raised."""
+    slabs = []
+    for i, j in itertools.combinations(range(len(arr)), 2):
+        frame = outcome(per_pair_frame, arr, i, j)
+        sd = frame if isinstance(frame, Raised) else \
+            outcome(per_pair_shadow, arr, frame)
+        slab = sd if isinstance(sd, Raised) else \
+            outcome(per_pair_slab, arr, frame, sd)
+        if isinstance(slab, Raised):
+            return slab
+        slabs.append((i, j) + slab)
+    return slabs
+
+
+def check_projection_kernel(arr, anchors=None):
+    """Every ordered pair's frame (r_vec, f_normal, a_form), shadow form
+    and x_coord and slab plane and den from the arrangement's projections
+    against the per-pair route, raised errors included, and the family's
+    slabs; returns the number of frames compared.  Given ``anchors``, the
+    ordered pairs are those holding an anchor, in both orders."""
+    assert arr.projections is not None
+    compared = 0
+    pairs = itertools.permutations(range(len(arr)), 2)
+    if anchors is not None:
+        pairs = {(a, k)[::o] for a in anchors for k in range(len(arr))
+                 for o in (1, -1) if k != a}
+    for i, j in sorted(pairs):
+        want = outcome(per_pair_frame, arr, i, j)
+        got = outcome(build_frame, arr, i, j)
+        if isinstance(want, Raised):
+            assert got == want
+            continue
+        same(got, want)
+        assert got.a_form == want.a_form and got.column is not None
+        compared += 1
+        want_sd = outcome(per_pair_shadow, arr, want)
+        got_sd = outcome(shadow, arr, got)
+        if isinstance(want_sd, Raised):
+            assert got_sd == want_sd
+            continue
+        assert got_sd.form == want_sd.form
+        same(got_sd.x_coord, want_sd.x_coord)
+        slab = outcome(slab_pair, arr, got, got_sd)
+        if isinstance(slab, SlabPair):
+            slab = slab.plane, slab.den
+        same(slab, outcome(per_pair_slab, arr, want, want_sd))
+    family = outcome(slab_pairs, arr)
+    if not isinstance(family, Raised):
+        family = [(p.i, p.j, p.plane, p.den) for p in family]
+    same(family, per_pair_family(arr))
+    return compared
+
+
+def test_projection_kernel_against_the_per_pair_route():
+    """The criterion-4 corpus, the cube families of dimension 1 to 4
+    (vertex ties; the 81 cubes of dimension 4 take the ordered pairs
+    holding a corner or the center, and every pair of the family), the 4-D
+    cross-polytope golden (a tie), seeded d = 3 and d = 4 families on the
+    cube and the cross-polytope, families whose shrunk ratios leave
+    shadows empty, and coincident centers."""
+    compared = check_projection_kernel(cube_arrangement(4), (0, 40, 80))
+    families = list(criterion_4_corpus())
+    families += [cube_arrangement(d) for d in range(1, 4)]
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          "golden", "cross4.json")
+    with open(golden, encoding="utf-8") as fh:
+        families.append(arrangement_from_json(json.load(fh)))
+    rng = random.Random(2727)
+    for d in (3, 4):
+        for body in (linf_ball(d), l1_ball(d)):
+            families += [random_minkowski_arrangement(rng, body=body)
+                         for _ in range(4)]
+    empty = 0
+    for t in range(30):
+        body = corpus_body(rng, t)
+        arr = random_intersecting_arrangement(rng, body=body)
+        arr = Arrangement(body, tuple(
+            Homothet(h.center, h.ratio * F(rng.randint(1, 4), 8))
+            for h in arr.members))
+        families.append(arr)
+        empty += isinstance(per_pair_family(arr), Raised)
+    twice = Arrangement(linf_ball(2), tuple(
+        Homothet(Vector(c), 1) for c in ((0, 0), (1, F(1, 2)), (0, 0))))
+    families.append(twice)
+    assert per_pair_family(twice)[:2] == (
+        ValueError, "coincident centers: members 0 and 2")
+    compared += sum(map(check_projection_kernel, families))
+    assert compared > 4000 and empty > 5
 
 
 def test_disc_with_rational_centers_keeps_its_float_frames():
