@@ -218,22 +218,27 @@ def cmd_grid(args) -> int:
 
 
 def _body_and_points(args):
-    """The point set of ``spectrum`` and ``chain``, read first, and the body
-    of ``--body``, else the unit ball of ``--norm`` in its dimension."""
+    """The point set of ``spectrum`` and ``chain``, read first, the body of
+    ``--body``, else the unit ball of ``--norm`` in its dimension, and the
+    route their distances take: ``exact`` when the body and every point are
+    exact, ``float`` otherwise, whatever ``--mode`` says."""
     pts = pointset_from_json(_load_json(args.points))
     if args.body:
         body = body_from_json(_load_json(args.body))
     else:
         body = {"linf": linf_ball, "l1": l1_ball, "l2": BallBody}[args.norm](
             pts.dim)
-    scalars.check_float_range([x for p in pts.points for x in p],
-                              not body.exact)
-    return body, pts
+    values = [x for p in pts.points for x in p]
+    scalars.check_float_range(values, not body.exact)
+    return body, pts, ("exact" if body.exact and scalars.is_exact(*values)
+                       else "float")
 
 
 def cmd_spectrum(args) -> int:
     with _reading_input():
-        spec = spectrum(*_body_and_points(args))
+        body, pts, route = _body_and_points(args)
+        spec = spectrum(body, pts)
+    _banner(args, route)
     print("distances: %d" % len(spec))
     for dist, mult in spec.entries:
         print("  %s  x%d" % (format_scalar(dist), mult))
@@ -242,10 +247,11 @@ def cmd_spectrum(args) -> int:
 
 def cmd_chain(args) -> int:
     with _reading_input():
-        body, pts = _body_and_points(args)
+        body, pts, route = _body_and_points(args)
         target = guaranteed_length(len(pts), args.k) \
             if args.target is None else args.target
         chain = greedy_chain(body, pts, args.k, target)
+    _banner(args, route)
     payload = chain_to_json(body, chain)  # the one replay of the chain
     print("chain length %d of target %d (guaranteed: %s)"
           % (len(chain), target, chain.guaranteed))

@@ -87,14 +87,6 @@ def zero_vector(dim: int) -> Vector:
     return Vector([0] * dim)
 
 
-def cross3(a: Vector, b: Vector) -> Vector:
-    if a.dim != 3 or b.dim != 3:
-        raise ValueError("cross3 needs 3-dimensional vectors")
-    return Vector((a[1] * b[2] - a[2] * b[1],
-                   a[2] * b[0] - a[0] * b[2],
-                   a[0] * b[1] - a[1] * b[0]))
-
-
 def _rref(rows: List[List[Scalar]], ncols: int):
     """In-place reduced row echelon form; returns the pivot column list.
 

@@ -1,13 +1,13 @@
 """Exact convex hulls and volumes in dimension <= 3.
 
 Hulls are computed with exact orientation predicates.  Exact input is scaled
-once to integer points over one positive common denominator q; a positive
-scale changes no sign, so the rank test, the orientation and plane sign tests
-and the volume all run on integers, and every stored facet (normal, offset)
-and vertex is still the rational one.  Float input takes the same loops with
-``scalars.TOLERANCE`` in place of zero.  The hull is of a full-dimensional set:
-a set spanning a proper affine subspace is a ``ValueError``; callers decide
-the affine dimension first with ``linalg.affine_rank``.
+once to integer points P = q*p over one positive common denominator q; a
+positive scale changes no sign, so the repeat, rank, orientation and plane
+sign tests, the stored facet planes and the volume all run on integers.
+Float input takes the same loops with ``scalars.TOLERANCE`` in place of
+zero.  The hull is of a full-dimensional set: a set spanning a proper affine
+subspace is a ``ValueError``; callers decide the affine dimension first with
+``linalg.affine_rank``.
 
 Each incidence is decided once: a 3D facet is the set of points its plane's
 sign test puts on the plane, and the volume reads the facet's vertices from
@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from . import scalars
-from .linalg import Vector, affine_rank, cross3
+from .linalg import Vector, affine_rank
 from .scalars import Scalar, div
 
 
@@ -38,33 +38,36 @@ class ConvexPolytope:
                                                    repr=False)
 
 
-def _dedupe(points: Sequence[Vector]) -> List[Vector]:
-    out: List[Vector] = []
-    for p in points:
-        if not any(p == q for q in out):
-            out.append(p)
-    return out
-
-
 def hull(points: Sequence[Vector]) -> ConvexPolytope:
     """Convex hull of full-dimensional points, exact in rational mode.
 
     Raises ValueError when the points' affine hull has dimension r < d; the
     guard is ``affine_rank`` of the integer rows the sign tests run on (of
-    the points themselves for float input).  A 3D facet keeps the outward
-    (normal, offset) of the first point triple that finds it; the vertices
-    are the points on at least three facets, in input order.
+    the points themselves for float input).  Points equal on those rows by
+    ``scalars.eq``, the test of ``Vector.__eq__``, count once, the first
+    kept.  A facet stores the outward integer normal of its sign test:
+    (W_1 - V_1, V_0 - W_0) for a 2D edge from v to w, the cross product of
+    the first triple that finds a 3D facet; its offset is normal.P/q over a
+    point P on it, so the plane is the rational one times q (2D) or q^2
+    (3D).  Float planes come from the same operations in the same order.
+    A 3D hull's vertices are the points on at least three facets, in input
+    order.
     """
-    pts = _dedupe(points)
-    if not pts:
+    if not points:
         raise ValueError("hull of an empty point set")
-    dim = pts[0].dim
+    dim = points[0].dim
     if dim > 3:
         raise ValueError("exact hulls are implemented for dimension <= 3")
-    rows = [p.coords for p in pts]
+    rows = [p.coords for p in points]
     scaled = scalars.int_rows(rows)
-    rows, tol = (rows, scalars.TOLERANCE) if scaled is None \
-        else (scaled[0], 0)
+    rows, q, tol = (rows, None, scalars.TOLERANCE) if scaled is None \
+        else (*scaled, 0)
+    keep: List[int] = []
+    for m, row in enumerate(rows):
+        if not any(all(map(scalars.eq, row, rows[t])) for t in keep):
+            keep.append(m)
+    pts = [points[m] for m in keep]
+    rows = [rows[m] for m in keep]
     rank = affine_rank(rows)
     if rank < dim:
         raise ValueError("hull needs points spanning dimension %d, not an "
@@ -72,8 +75,16 @@ def hull(points: Sequence[Vector]) -> ConvexPolytope:
     if dim == 1:
         return _hull_1d(pts)
     if dim == 2:
-        return _hull_2d(pts, rows, tol)
-    return _hull_3d(pts, rows, tol)
+        return _hull_2d(pts, rows, q, tol)
+    return _hull_3d(pts, rows, q, tol)
+
+
+def _plane(normal, row, q):
+    """(normal, offset) of the plane through ``row``: over integer rows the
+    offset is normal.row/q, over float rows the float sum ``Vector.dot``
+    takes."""
+    offset = sum(a * x for a, x in zip(normal, row))
+    return Vector(normal), offset if q is None else Fraction(offset, q)
 
 
 def _hull_1d(pts: List[Vector]) -> ConvexPolytope:
@@ -103,18 +114,17 @@ def _monotone_chain(rows: Sequence[Sequence[Scalar]], tol) -> List[int]:
     return chains[0] + chains[1]
 
 
-def _hull_2d(pts: List[Vector], rows, tol) -> ConvexPolytope:
-    verts = [pts[m] for m in _monotone_chain(rows, tol)]
+def _hull_2d(pts: List[Vector], rows, q, tol) -> ConvexPolytope:
+    ring = _monotone_chain(rows, tol)
     facets = []
-    for i, v in enumerate(verts):
-        w = verts[(i + 1) % len(verts)]
-        e = w - v
-        normal = Vector((e[1], -e[0]))  # outward for a CCW boundary
-        facets.append((normal, normal.dot(v)))
-    return ConvexPolytope(2, tuple(verts), tuple(facets))
+    for s, t in zip(ring, ring[1:] + ring[:1]):
+        v, w = rows[s], rows[t]
+        # outward for a CCW boundary
+        facets.append(_plane((w[1] - v[1], -(w[0] - v[0])), v, q))
+    return ConvexPolytope(2, tuple(pts[m] for m in ring), tuple(facets))
 
 
-def _hull_3d(pts: List[Vector], rows, tol) -> ConvexPolytope:
+def _hull_3d(pts: List[Vector], rows, q, tol) -> ConvexPolytope:
     planes = {}
     for i, j, k in itertools.combinations(range(len(pts)), 3):
         (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = rows[i], rows[j], rows[k]
@@ -130,8 +140,7 @@ def _hull_3d(pts: List[Vector], rows, tol) -> ConvexPolytope:
             continue
         key = tuple(m for m, s in enumerate(vals) if -tol <= s <= tol)
         if key not in planes:
-            normal = cross3(pts[j] - pts[i], pts[k] - pts[i])
-            offset = normal.dot(pts[i])
+            normal, offset = _plane((a, b, c), rows[i], q)
             planes[key] = (-normal, -offset) if above else (normal, offset)
     hits = Counter(m for key in planes for m in key)
     index = {m: t for t, m in enumerate(m for m in range(len(pts))
@@ -150,9 +159,11 @@ def volume(poly: ConvexPolytope) -> Scalar:
     P over q with M their sum and nv their count, a pyramid is
     |S.(nv*P_0 - M)| / (6*nv*q^3), where S is the sum of P_t x P_{t+1} around
     the facet (in the order of the planar hull of its vertices projected along
-    the normal's largest axis) and P_0 any vertex of F; the sum is divided
-    once.  Float vertices take the facet areas from that planar hull and sum
-    (c - a.m) * area / (3*|a_k|), k that axis, so no square root is taken.
+    the integer normal's largest axis; a triangle in its incidence order, as
+    either orientation gives the same absolute value) and P_0 any vertex of
+    F; the sum is divided once.  Float vertices take the facet areas from
+    that planar hull and sum (c - a.m) * area / (3*|a_k|), k that axis, so
+    no square root is taken.
     """
     if poly.dim == 1:
         return poly.vertices[1][0] - poly.vertices[0][0]
@@ -168,9 +179,11 @@ def volume(poly: ConvexPolytope) -> Scalar:
     mx, my, mz = (sum(col) for col in zip(*rows))
     total = 0
     for (normal, _), face in zip(poly.facets, poly.incidence, strict=True):
-        k = max(range(3), key=lambda i: abs(normal[i]))
-        ring = [rows[face[t]] for t in _monotone_chain(
-            [rows[m][:k] + rows[m][k + 1:] for m in face], 0)]
+        ring = [rows[m] for m in face]
+        if len(ring) > 3:
+            k = max(range(3), key=lambda i: abs(normal[i]))
+            ring = [ring[t] for t in _monotone_chain(
+                [r[:k] + r[k + 1:] for r in ring], 0)]
         sx = sy = sz = 0
         for (x1, y1, z1), (x2, y2, z2) in zip(ring, ring[1:] + ring[:1]):
             sx += y1 * z2 - z1 * y2

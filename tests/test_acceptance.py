@@ -21,14 +21,14 @@ from minkarr import (UNDEFINED, body_to_json,
                      ratio, shadow, shadow_with_x, slab_pair, verify_chain,
                      verify_ratio_identity, verify_slab)
 from minkarr.cli import main as cli_main
-from minkarr.instances import (corpus_body, random_intersecting_arrangement,
-                               random_minkowski_arrangement)
+from minkarr.instances import corpus_body, random_intersecting_arrangement
 from minkarr.kdistance import _chain_bound_floor_at
 from minkarr.lifting import SlabPair
 from minkarr.linalg import Vector
 from minkarr.packing import SlabFamily, slab_packing_check
 
-from test_oracles import chain_cardinality_bound, cross_ratio, trapezoid_combine
+from test_oracles import (chain_cardinality_bound, criterion_4_corpus,
+                          cross_ratio, trapezoid_combine)
 
 
 def _report(num, text):
@@ -144,10 +144,7 @@ def test_criterion_3_slab_containment_corpus(identity_corpus):
 # ----------------------------------------------------------------- 4 --
 
 def test_criterion_4_packing_pipeline_corpus():
-    rng = random.Random(77001)
-    for t in range(100):
-        arr = random_minkowski_arrangement(rng, body=corpus_body(rng, t),
-                                           full_lift=True)
+    for t, arr in enumerate(criterion_4_corpus()):
         cert = lifted_packing_pipeline(arr)
         assert cert.verdict, (t, cert.failed_stage)
         assert cert.n <= 27

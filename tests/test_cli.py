@@ -623,14 +623,14 @@ SQUARE2 = {"dim": 2, "type": "hpoly",
                       for n in ([1, 0], [-1, 0], [0, 1], [0, -1])]}
 
 
-@pytest.mark.parametrize("flags,k,spectrum_out,chain_out,chain_blob", [
-    (["--norm", "l1"], "6",
+@pytest.mark.parametrize("flags,k,route,spectrum_out,chain_out,chain_blob", [
+    (["--norm", "l1"], "6", "exact",
      "distances: 6\n  1  x24\n  2  x34\n  3  x32\n  4  x20\n  5  x8\n"
      "  6  x2\n",
      "chain length 2 of target 2 (guaranteed: True)\nlambdas: [3]\n",
      {"indices": [0, 3], "lambdas": [3],
       "points": [[0, 0], [0, 3]], "target": 2}),
-    (["--norm", "l2"], "9",
+    (["--norm", "l2"], "9", "float",
      "distances: 9\n  1.0  x24\n  1.4142135623730951  x18\n  2.0  x16\n"
      "  2.23606797749979  x24\n  2.8284271247461903  x8\n  3.0  x8\n"
      "  3.1622776601683795  x12\n  3.605551275463989  x8\n"
@@ -638,28 +638,55 @@ SQUARE2 = {"dim": 2, "type": "hpoly",
      "chain length 2 of target 2 (guaranteed: True)\nlambdas: [1.0]\n",
      {"indices": [0, 1], "lambdas": [1.0],
       "points": [[0, 0], [0, 1]], "target": 2}),
-    (["--body", "{square2}"], "3",
+    (["--body", "{square2}"], "3", "exact",
      "distances: 3\n  1/2  x42\n  1  x48\n  3/2  x30\n",
      "chain length 3 of target 3 (guaranteed: True)\n"
      "lambdas: ['3/2', '3/2']\n",
      {"indices": [0, 3, 12], "lambdas": ["3/2", "3/2"],
       "points": [[0, 0], [0, 3], [3, 0]], "target": 3}),
 ], ids=["norm-l1", "norm-l2", "body-file"])
-def test_kdist_body_choice(flags, k, spectrum_out, chain_out, chain_blob,
-                           grid_file, tmp_path, capsys):
+def test_kdist_body_choice(flags, k, route, spectrum_out, chain_out,
+                           chain_blob, grid_file, tmp_path, capsys):
     square2 = tmp_path / "square2.json"
     square2.write_text(json.dumps(SQUARE2))
     flags = [f.format(square2=square2) for f in flags]
+    banner = "seed: 0\nmode: %s  eps: 1e-09\n" % route
     assert run(capsys, "kdist", "spectrum", grid_file, *flags) == (
-        0, spectrum_out, "")
+        0, banner + spectrum_out, "")
     chain_file = tmp_path / "chain.json"
     assert run(capsys, "kdist", "chain", grid_file, "--k", k,
                "--out", str(chain_file), *flags) == (
-        0, chain_out + "chain verification: PASS\nchain written to %s\n"
-        % chain_file, "")
+        0, banner + chain_out
+        + "chain verification: PASS\nchain written to %s\n" % chain_file, "")
     blob = dict(chain_blob, guaranteed=True, verified=True)
     assert chain_file.read_text() == json.dumps(blob, sort_keys=True,
                                                 indent=2) + "\n"
+
+
+@pytest.mark.parametrize("mode,norm,points,route,spectrum_out", [
+    ("float", "linf", [[0, 0], ["1/3", 0], [1, 1]], "exact",
+     ["distances: 2", "  1/3  x1", "  1  x2"]),
+    ("exact", "linf", [[0, 0], [0.5, 0], [1, 1]], "float",
+     ["distances: 2", "  0.5  x1", "  1.0  x2"]),
+    ("exact", "l2", [[0, 0], ["1/3", 0], [1, 1]], "float",
+     ["distances: 3", "  0.3333333333333333  x1",
+      "  1.2018504251546631  x1", "  1.4142135623730951  x1"]),
+], ids=["exact-under-float", "float-point", "ball"])
+def test_kdist_banner_names_the_route(mode, norm, points, route,
+                                      spectrum_out, tmp_path, capsys):
+    # spectrum and chain take their route from the input whatever --mode
+    # says: exact on an exact body with exact points, float otherwise
+    path = tmp_path / "pts.json"
+    path.write_text(json.dumps({"dim": 2, "points": points}))
+    banner = ["seed: 4", "mode: %s  eps: 1e-09" % route]
+    code, out, err = run(capsys, "--mode", mode, "--seed", "4", "kdist",
+                         "spectrum", str(path), "--norm", norm)
+    assert (code, out.splitlines(), err) == (0, banner + spectrum_out, "")
+    code, out, err = run(capsys, "--mode", mode, "--seed", "4", "kdist",
+                         "chain", str(path), "--k", "3", "--norm", norm)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == banner
+    assert out.splitlines()[-1] == "chain verification: PASS"
 
 
 def test_kdist_chain_out_takes_one_table_of_the_chain_points(
@@ -865,7 +892,9 @@ def test_ball_gauge_beyond_float_squares(far, tmp_path, capsys):
     path.write_text(json.dumps({"dim": 2, "points": [[0, 0], [far, 0]]}))
     code, out, err = run(capsys, "kdist", "spectrum", str(path),
                          "--norm", "l2")
-    assert code == 0 and out == "distances: 1\n  1e+200  x1\n"
+    # the ball's distances are floats, exact points or not
+    assert code == 0 and out == "seed: 0\nmode: float  eps: 1e-09\n" \
+        "distances: 1\n  1e+200  x1\n"
 
 
 def test_points_of_another_dimension_than_the_body(square_body_file,

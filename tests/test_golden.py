@@ -10,8 +10,10 @@ families, one per corpus body kind, and ``cross4`` and ``disc`` are
 hand-picked pairwise intersecting Minkowski arrangements with rational
 centers on the 4-D cross-polytope given by its vertices (facet frames,
 the facets found as the vertices of its polar) and on the Euclidean disc
-(float frames).  Rewrite a golden file only for a deliberate certificate,
-dump format or frame rule change, and say so.
+(float frames); ``pyramid`` is hand-picked so that its lift is a square
+pyramid, whose hull has a facet of four vertices.  Rewrite a golden file
+only for a deliberate certificate, dump format or frame rule change, and
+say so.
 """
 
 import json
@@ -25,10 +27,12 @@ from minkarr.cli import main
 from minkarr.instances import corpus_body, random_minkowski_arrangement
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
-INPUTS = ["cube2", "minkowski1", "minkowski2", "minkowski3"]
+# pyramid: unit squares at (+-1, +-1) and a half square at the origin,
+# whose lift is a square pyramid (a hull facet of four vertices)
+INPUTS = ["cube2", "minkowski1", "minkowski2", "minkowski3", "pyramid"]
 # the square, the diamond and the hexagon, whose facets have denominators,
-# under --mode float
-FLOAT_INPUTS = ["minkowski1", "minkowski2", "minkowski3"]
+# and the pyramid, under --mode float
+FLOAT_INPUTS = ["minkowski1", "minkowski2", "minkowski3", "pyramid"]
 # the square (integer normals, minkowski1), the diamond (minkowski2), a
 # hexagon (minkowski3), the cube family, the 4-D cross-polytope as a
 # V-polytope (facet frames) and discs with rational centers (float frames);

@@ -33,11 +33,11 @@ from minkarr.lifting import (DegenerateWedgeError, LiftedConfig,
                              ShadowIntersectionError, SlabPair, lift,
                              slab_pairs, verify_ratio_identity, verify_slab)
 from minkarr.linalg import (Vector, _rref, affine_coordinates, affine_rank,
-                            cross3, matrix_rank, zero_vector)
+                            matrix_rank, zero_vector)
 from minkarr import arrangement, scalars
 from minkarr.bodies import SymmetricBody
 from minkarr.packing import family_from_arrangement, lifted_packing_pipeline
-from minkarr.polytopes import ConvexPolytope, _dedupe, hull, volume
+from minkarr.polytopes import ConvexPolytope, hull, volume
 
 from lp_oracle import gauge_lp, simplex_max
 
@@ -45,6 +45,22 @@ from lp_oracle import gauge_lp, simplex_max
 def as_floats(v: Vector) -> tuple:
     """The coordinates of v as floats, for approximate comparisons."""
     return tuple(float(c) for c in v.coords)
+
+
+def cross3(a: Vector, b: Vector) -> Vector:
+    """The cross product of two vectors of R^3, in their scalars."""
+    return Vector((a[1] * b[2] - a[2] * b[1],
+                   a[2] * b[0] - a[0] * b[2],
+                   a[0] * b[1] - a[1] * b[0]))
+
+
+def dedupe(points):
+    """The points without repeats (``Vector.__eq__``), the first one kept."""
+    out = []
+    for p in points:
+        if not any(p == q for q in out):
+            out.append(p)
+    return out
 
 
 # ------------------------------------- formulas the program does not call --
@@ -1513,11 +1529,8 @@ def test_disc_with_rational_centers_keeps_its_float_frames():
 
 
 def test_shadow_with_x_takes_the_intersection_ends():
-    rng = random.Random(77001)
     step = F(1, 10 ** 12)
-    for t in range(20):
-        arr = random_minkowski_arrangement(rng, body=corpus_body(rng, t),
-                                           full_lift=True)
+    for arr in criterion_4_corpus()[:20]:
         for i, j in itertools.permutations(range(len(arr)), 2):
             sd0 = shadow(arr, build_frame(arr, i, j))
             assert on_integers(sd0)
@@ -1756,7 +1769,7 @@ def test_hull_volume_and_coordinates_against_oracles():
                 if dim < 3:
                     assert volume(h) > 0
                     continue
-                oracle = canonical_hull_3d(_dedupe(pts))
+                oracle = canonical_hull_3d(dedupe(pts))
                 assert h.vertices == oracle.vertices
                 assert same_planes(h.facets, oracle.facets)
                 assert volume(h) == origin_fan_volume(oracle) \
@@ -1800,7 +1813,7 @@ def fraction_hull(points):
     ``affine_coordinates`` decides; a 3D facet is the set of points its
     plane's sign test puts on it, with the plane of the first triple that
     finds it, and a vertex is on three facets."""
-    pts = _dedupe(points)
+    pts = dedupe(points)
     dim = pts[0].dim
     if len(affine_coordinates(pts)[1]) < dim:
         raise ValueError("the points span a proper affine subspace")
@@ -1855,11 +1868,29 @@ def fraction_volume(poly):
     return scalars.div(total, 3)
 
 
+def integer_planes(poly, points):
+    """The Fraction route's facets as the integer route stores them: on
+    exact points, each plane times q (2D) or q^2 (3D), q the common
+    denominator of the points, an integral entry as an int and the offset a
+    Fraction; the plane itself on the line and on float points."""
+    form = scalars.int_rows([p.coords for p in points])
+    if form is None or poly.dim == 1:
+        return poly.facets
+    scale = form[1] ** (poly.dim - 1)
+
+    def exact(x):
+        x = F(x * scale)
+        return x.numerator if x.denominator == 1 else x
+    return tuple((Vector(map(exact, normal)), F(offset * scale))
+                 for normal, offset in poly.facets)
+
+
 def assert_same_hull(pts):
     """Both routes on pts: ``affine_rank`` is the rank of
     ``affine_coordinates``; below full dimension both hulls raise, and
-    otherwise they give the same vertices, facet planes and volume, in value
-    and in type (returns the hull, or None)."""
+    otherwise they give the same vertices and volume, in value and in type,
+    and the same facets, exactly those of ``integer_planes`` (returns the
+    hull, or None)."""
     rank = len(affine_coordinates(pts)[1])
     assert affine_rank(pts) == rank
     if rank < pts[0].dim:
@@ -1869,7 +1900,7 @@ def assert_same_hull(pts):
         return None
     got, want = hull(pts), fraction_hull(pts)
     same(got.vertices, want.vertices)
-    same(got.facets, want.facets)
+    same(got.facets, integer_planes(want, pts))
     same(volume(got), fraction_volume(want))
     return got
 
@@ -1948,10 +1979,62 @@ def test_integer_hull_and_volume_against_fraction_route():
 def test_integer_hull_on_criterion_4_lifts():
     """The lifted points of the criterion-4 corpus, exact and as floats;
     the float route keeps the tolerance sign tests bit for bit."""
-    rng = random.Random(77001)
-    for t in range(100):
-        arr = random_minkowski_arrangement(rng, body=corpus_body(rng, t),
-                                           full_lift=True)
+    for arr in criterion_4_corpus():
         pts = lift(arr).points
         assert isinstance(assert_same_hull(pts), ConvexPolytope)
         assert_same_hull([Vector(float(c) for c in p) for p in pts])
+
+
+def test_hull_drops_repeats_by_the_vector_test():
+    """A point given as ints and again as equal Fractions counts once, the
+    first one kept with its type; float points within the tolerance of one
+    another count once, as ``Vector.__eq__`` says."""
+    square = [Vector(c) for c in ((0, 0), (2, 0), (2, 2), (0, 2))]
+    cube = [Vector((x, y, z)) for x in (0, 2) for y in (0, 2) for z in (0, 2)]
+    for pts in (square, cube):
+        again = [Vector(map(F, p)) for p in pts]
+        for first, second in ((pts, again), (again, pts)):
+            for given in (first + second,
+                          [p for pair in zip(first, second) for p in pair]):
+                h = assert_same_hull(given)
+                assert len(h.vertices) == len(pts)
+                assert {type(c) for v in h.vertices for c in v} \
+                    == {type(first[0][0])}
+        floats = [Vector(map(float, p)) for p in pts]
+        near = [p + Vector([0.4 * scalars.TOLERANCE] * p.dim)
+                for p in floats]
+        h = assert_same_hull(floats + near)
+        assert len(h.vertices) == len(pts)
+        assert all(any(v is p for p in floats) for v in h.vertices)
+        assert volume(h) == volume(hull(floats))
+        # beyond the tolerance the copies are points of their own
+        apart = [p + Vector([4 * scalars.TOLERANCE] * p.dim) for p in floats]
+        assert len(dedupe(floats + apart)) == 2 * len(pts)
+        assert_same_hull(floats + apart)
+
+
+def test_hull_faces_of_four_or_more_vertices():
+    """Faces of four and more vertices beside triangles: the square pyramid
+    of tests/golden/pyramid.json lifted, a triangular prism, a hexagonal
+    pyramid and a cube cut at one corner, exact, as floats and shifted by
+    fractions, with points inside their faces."""
+    pyramid = [(x, y, 1) for x in (-1, 1) for y in (-1, 1)] + [(0, 0, 2)]
+    prism = [(0, 0, z) for z in (0, 3)] + [(4, 0, z) for z in (0, 3)] + \
+        [(0, 4, z) for z in (0, 3)]
+    hexagon = [(2, 0), (1, 2), (-1, 2), (-2, 0), (-1, -2), (1, -2)]
+    hexpyramid = [(x, y, 0) for x, y in hexagon] + [(0, 0, 3)]
+    corner = [(x, y, z) for x in (0, 2) for y in (0, 2) for z in (0, 2)
+              if (x, y, z) != (2, 2, 2)] + [(1, 2, 2), (2, 1, 2), (2, 2, 1)]
+    shift = Vector((F(1, 3), F(-2, 7), F(5, 2)))
+    cases = ((pyramid, F(4, 3), (5, 5)), (prism, 24, (6, 5)),
+             (hexpyramid, 12, (7, 7)), (corner, F(47, 6), (10, 7)))
+    for coords, vol, (nv, nf) in cases:
+        pts = [Vector(c) for c in coords]
+        for given in (pts, [p + shift for p in pts],
+                      [Vector(map(float, p)) for p in pts]):
+            h = assert_same_hull(given + [(given[0] + given[1]) / 2])
+            assert (len(h.vertices), len(h.facets)) == (nv, nf)
+            sizes = sorted(map(len, h.incidence))
+            assert sizes[0] == 3 and sizes[-1] >= 4
+            assert volume(h) == vol if scalars.is_exact(*given[0]) \
+                else abs(volume(h) - vol) < 1e-12
