@@ -6,7 +6,9 @@ every two members meet.  Closed bodies are used throughout, so touching
 counts as intersecting while a center sitting exactly on a boundary does not
 violate the arrangement condition.  Both conditions read one distance per
 pair, the centers' ``distance_table`` D: max(lam_i, lam_j) <= D[i][j] <=
-lam_i + lam_j.
+lam_i + lam_j.  On exact centers and ratios of an exact body the distances
+are integer pairs t/e and the ratios s_k/q, and each comparison is one
+cross-multiplied integer comparison.
 """
 
 from __future__ import annotations
@@ -75,30 +77,57 @@ class Arrangement:
         return [self.body.int_projections(row[:-1]) for row in self.form[0]]
 
     @cached_property
+    def int_distances(self) -> Optional[List[List[Tuple[int, int]]]]:
+        """The centers' distances as integer pairs (t, e), D = t/e, from
+        the ``projections``; None when there are none.  The predicates
+        read it."""
+        if self.projections is None:
+            return None
+        return projection_distances(self.projections, self.form[1])
+
+    @cached_property
     def distances(self) -> List[List[Scalar]]:
         """The centers' ``distance_table``, computed on first use and kept;
-        from the ``projections`` when there are any."""
-        if self.projections is not None:
-            return fraction_table(projection_distances(self.projections,
-                                                       self.form[1]))
+        from the ``int_distances`` when there are any."""
+        if self.int_distances is not None:
+            return fraction_table(self.int_distances)
         return distance_table(self.body, [h.center for h in self.members])
+
+
+def _relations(arr: Arrangement):
+    """What both predicates compare, in the cross-multiplied form of
+    ``_SearchState``: the distances as pairs (t, e), D = t/e, the ratios
+    as numerators s_k over one denominator q, and the comparisons lt and
+    le.  An arrangement with ``int_distances`` gives those, the form's
+    ratio column and the plain operators; any other its ``distances`` as
+    (D, 1), its ratios over q = 1 and ``scalars.lt``/``le``."""
+    table = arr.int_distances
+    if table is not None:
+        rows, q = arr.form
+        return table, [row[-1] for row in rows], q, operator.lt, operator.le
+    return ([[(g, 1) for g in row] for row in arr.distances],
+            [h.ratio for h in arr.members], 1, scalars.lt, scalars.le)
 
 
 def find_minkowski_violation(arr: Arrangement) -> Optional[Tuple[int, int]]:
     """First (owner, center) index pair violating the arrangement condition,
-    center j interior to member i: D[i][j] < lam_i."""
-    for i, (hi, row) in enumerate(zip(arr.members, arr.distances)):
-        for j, g in enumerate(row):
-            if i != j and scalars.lt(g, hi.ratio):
+    center j interior to member i: D[i][j] < lam_i, or t*q < s_i*e."""
+    table, s, q, lt, _ = _relations(arr)
+    for i, row in enumerate(table):
+        for j, (t, e) in enumerate(row):
+            if i != j and lt(t * q, s[i] * e):
                 return (i, j)
     return None
 
 
 def find_intersection_violation(arr: Arrangement) -> Optional[Tuple[int, int]]:
-    """First pair i < j of members that do not meet: D[i][j] > lam_i + lam_j."""
-    for i, (hi, row) in enumerate(zip(arr.members, arr.distances)):
+    """First pair i < j of members that do not meet: D[i][j] > lam_i +
+    lam_j, or t*q > (s_i + s_j)*e."""
+    table, s, q, _, le = _relations(arr)
+    for i, row in enumerate(table):
         for j in range(i + 1, len(row)):
-            if not scalars.le(row[j], hi.ratio + arr.members[j].ratio):
+            t, e = row[j]
+            if not le(t * q, (s[i] + s[j]) * e):
                 return (i, j)
     return None
 

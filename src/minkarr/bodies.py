@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from . import lp, scalars
-from .linalg import Vector, matrix_rank
+from .linalg import Vector, _int_rank, matrix_rank
 from .scalars import Scalar, parse_scalar, format_scalar
 
 
@@ -152,8 +152,8 @@ def _symmetric_form(dim: int, vectors: Sequence[Vector], kind: str,
     """Check that the vectors (facet normals or vertices) are closed under
     negation and span R^dim, and return their integer form ``int_rows``
     (None when one is a float).  Exact rows look up each negated row in a
-    set and take the fraction-free rank; float rows compare within
-    ``scalars.TOLERANCE``."""
+    set and take the fraction-free rank of those integer rows; float rows
+    compare within ``scalars.TOLERANCE``."""
     if dim < 1:
         raise BodyError("dimension must be positive")
     if not vectors:
@@ -169,7 +169,9 @@ def _symmetric_form(dim: int, vectors: Sequence[Vector], kind: str,
     if not closed:
         raise BodyError("%s are not closed under negation; body would not "
                         "be o-symmetric" % kind)
-    if matrix_rank(form[0] if form else [v.coords for v in vectors]) < dim:
+    rank = _int_rank(list(form[0]), dim) if form \
+        else matrix_rank([v.coords for v in vectors])
+    if rank < dim:
         raise BodyError("%s do not span the space; body would %s"
                         % (kind, degenerate))
     return form

@@ -22,6 +22,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import os
 import sys
 
@@ -40,6 +41,10 @@ from .lifting import build_frame, pair_diagnostics, shadow
 from .linalg import Vector
 from .packing import certificate_to_json, lifted_packing_pipeline
 from .scalars import format_scalar
+
+
+_quote = json.encoder.encode_basestring_ascii
+_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 class InputError(Exception):
@@ -73,7 +78,45 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _dump_json(path: str, obj) -> None:
-    _write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    """Write obj as ``json.dumps(obj, sort_keys=True, indent=2)`` and a
+    newline, the same bytes, by ``_encode``."""
+    out = []
+    _encode(obj, "\n", out)
+    out.append("\n")
+    _write_text(path, "".join(out))
+
+
+def _encode(obj, newline: str, out: list) -> None:
+    """Append the indent-2, sorted-key JSON text of obj to out, each line
+    break written as ``newline``, a newline and the indent of obj.  Strings
+    go through ``encode_basestring_ascii``, ints and finite floats through
+    ``int.__repr__`` and ``float.__repr__``, as in ``json``'s encoder, and
+    every other leaf through ``json.dumps``.  Keys must be strings, as in
+    every payload written here."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append(_CONSTANTS[obj])
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float) and math.isfinite(obj):
+        out.append(float.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        inner, sep = newline + "  ", "["
+        for x in obj:
+            out.append(sep + inner)
+            _encode(x, inner, out)
+            sep = ","
+        out.append(newline + "]" if obj else "[]")
+    elif isinstance(obj, dict):
+        inner, sep = newline + "  ", "{"
+        for key, x in sorted(obj.items()):
+            out.append(sep + inner + _quote(key) + ": ")
+            _encode(x, inner, out)
+            sep = ","
+        out.append(newline + "}" if obj else "{}")
+    else:
+        out.append(json.dumps(obj))
 
 
 def _scalars(members):
@@ -210,6 +253,7 @@ def cmd_search(args) -> int:
 def cmd_grid(args) -> int:
     with _reading_input():
         pts = grid_set(args.d, args.k)
+    _banner(args, "exact")
     print("grid {0..%d}^%d: %d points" % (args.k, args.d, len(pts)))
     if args.out:
         _dump_json(args.out, pointset_to_json(pts))

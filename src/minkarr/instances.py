@@ -15,7 +15,8 @@ All coordinates are small-denominator rationals, which keeps the downstream
 exact arithmetic fast.  The Minkowski generator needs an exact body: each
 draw of centers takes one ``int_distance_table``, whose distances share one
 denominator, so feasibility is decided on its integer tops, and the table
-of the draw kept is the family's ``Arrangement.distances``.
+of the draw kept is the family's ``Arrangement.int_distances``, which its
+predicates read, and, as Fractions, its ``Arrangement.distances``.
 """
 
 from __future__ import annotations
@@ -86,11 +87,12 @@ def random_intersecting_arrangement(rng: random.Random,
     body = body or corpus_body(rng, rng.randrange(3))
     n = n or rng.randint(3, 5)
     centers = _random_centers(rng, n, body.dim)
-    table = distance_table(body, centers)
+    itable = _int_table(body, centers)
+    table = fraction_table(itable) if itable else distance_table(body, centers)
     diameter = max(Fraction(table[i][j])
                    for i in range(n) for j in range(i + 1, n))
     lams = [_rational_between(rng, diameter / 2, diameter) for _ in range(n)]
-    arr = _with_distances(body, centers, lams, table)
+    arr = _with_distances(body, centers, lams, table, itable)
     if find_intersection_violation(arr) is not None:
         raise AssertionError("generator produced a non-intersecting family")
     return arr
@@ -145,8 +147,7 @@ def random_minkowski_arrangement(rng: random.Random,
         # the ratio polytope is nonempty iff every pair distance is at most
         # the sum of the two nearest-neighbor distances: decided on the
         # integer table, whose distances t/e share one denominator e
-        itable = int_distance_table(body, *scalars.int_rows(
-            [c.coords for c in centers]))
+        itable = _int_table(body, centers)
         near = [min(row[:i] + row[i + 1:]) for i, row in enumerate(itable)]
         if any(near[i][0] + near[j][0] < itable[i][j][0]
                for i in range(n) for j in range(i + 1, n)):
@@ -159,7 +160,7 @@ def random_minkowski_arrangement(rng: random.Random,
                 low = max(table[i][j] - lams[j] for j in range(n) if j != i)
                 low = max(low, min(caps[i], Fraction(1, 16)))
                 lams[i] = _rational_between(rng, low, caps[i])
-            arr = _with_distances(body, centers, lams, table)
+            arr = _with_distances(body, centers, lams, table, itable)
             if full_lift and not _spans_lifted_space(arr):
                 continue
             if find_minkowski_violation(arr) is not None \
@@ -168,13 +169,23 @@ def random_minkowski_arrangement(rng: random.Random,
             return arr
 
 
+def _int_table(body: SymmetricBody, centers: List[Vector]):
+    """The centers' ``int_distance_table`` on an exact body, else None."""
+    if not body.exact:
+        return None
+    return int_distance_table(body, *scalars.int_rows(
+        [c.coords for c in centers]))
+
+
 def _with_distances(body: SymmetricBody, centers: List[Vector],
-                    lams: List[Fraction], table) -> Arrangement:
-    """The family with its centers' distance table already taken: the
-    table is stored where the ``Arrangement.distances`` cached_property
-    keeps its value, so the predicates take no gauge of their own."""
+                    lams: List[Fraction], table, itable) -> Arrangement:
+    """The family with its centers' distance tables already taken: the
+    Fraction table and the integer one (None off an exact body) are stored
+    where the ``Arrangement.distances`` and ``int_distances``
+    cached_properties keep their values, so the predicates take no gauge
+    or projection of their own.  Any (t, e) with D = t/e serves them."""
     arr = Arrangement(body, tuple(map(Homothet, centers, lams)))
-    vars(arr)["distances"] = table
+    vars(arr).update(distances=table, int_distances=itable)
     return arr
 
 

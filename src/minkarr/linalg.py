@@ -2,8 +2,9 @@
 dimension of a point set, and coordinates of points inside their affine hull.
 
 Everything here is dimension-generic and works on exact scalars; the rank
-of exact rows is fraction-free integer elimination, and floating inputs
-degrade gracefully to tolerance-based pivoting.
+of exact rows is fraction-free integer elimination (``_int_eliminate``,
+which also inverts the integer basis of ``lp.polar_facets``), and floating
+inputs degrade gracefully to tolerance-based pivoting.
 """
 
 from __future__ import annotations
@@ -134,26 +135,40 @@ def matrix_rank(rows: Sequence[Sequence[Scalar]]) -> int:
 
 def _int_rank(m: List[List[int]], ncols: int) -> int:
     """Rank of integer rows by Bareiss elimination; reorders and rewrites m."""
-    rank, prev = 0, 1
+    return len(_int_eliminate(m, ncols)[0])
+
+
+def _int_eliminate(m: List[List[int]], ncols: int, jordan: bool = False):
+    """Fraction-free elimination of the integer rows m over their first
+    ncols columns, in place, by the step of ``matrix_rank``; returns
+    (pivots, p), the pivot columns and the last pivot (1 when none).  With
+    ``jordan`` every other row takes each step, not only the rows below,
+    and the rows end as p times their reduced row echelon form: p*I in the
+    pivot columns, and p times the inverse of the pivot block in the
+    columns of an appended identity."""
+    pivots, prev = [], 1
     for c in range(ncols):
+        rank = len(pivots)
         pivot_row = next((r for r in range(rank, len(m)) if m[r][c]), None)
         if pivot_row is None:
             continue
         m[rank], m[pivot_row] = m[pivot_row], m[rank]
         top = m[rank]
         p = top[c]
-        for r in range(rank + 1, len(m)):
-            f = m[r][c]
-            m[r] = [(p * x - f * y) // prev for x, y in zip(m[r], top)]
-        prev, rank = p, rank + 1
-        if rank == len(m):
+        for r in range(0 if jordan else rank + 1, len(m)):
+            if r != rank:
+                f = m[r][c]
+                m[r] = [(p * x - f * y) // prev for x, y in zip(m[r], top)]
+        pivots.append(c)
+        prev = p
+        if rank + 1 == len(m):
             break
-    return rank
+    return pivots, prev
 
 
 def affine_rank(points: Sequence[Sequence[Scalar]]) -> int:
     """Dimension of the affine hull of the points (coordinate rows or
-    Vectors); the one place an affine dimension is decided.
+    Vectors).
 
     Exact points are scaled once to integers over one denominator, and the
     rank is the fraction-free rank of their differences to the first point.

@@ -15,7 +15,9 @@ vertex is tight on that common set and on the new row.
 Exact rows run on integers: V comes as integer rows R over one
 denominator q, the form the body's validation built, and each vertex of
 the polar of R is a homogeneous pair (N, D), N/D with D > 0, reduced by
-its gcd; the facet normal is a = q*N/D.  Float rows take the same
+its gcd; the facet normal is a = q*N/D.  The basis is inverted by
+fraction-free Gauss-Jordan (``linalg._int_eliminate``), so the start
+vertices come from integers too.  Float rows take the same
 loop with ``scalars.TOLERANCE`` deciding each side (``scalars.sign``, as the
 hull does), each vertex kept at D = 1.
 """
@@ -29,7 +31,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import scalars
-from .linalg import Vector, _rref
+from .linalg import Vector, _int_eliminate, _rref
 from .scalars import Scalar
 
 
@@ -48,13 +50,18 @@ def polar_facets(rows: Sequence[Sequence[Scalar]], q: Optional[int]):
         def reduced(top, den):
             return tuple(x / den for x in top), 1.0
     # one elimination of [R^T | I] picks the basis rows (its pivots) and
-    # leaves (B^-1)^T in the identity's columns
+    # leaves a multiple c*(B^-1)^T in the identity's columns: on integer
+    # rows a fraction-free one with c its last pivot, made positive, and
+    # any c > 0 gives the same reduced vertices
     table = [[row[i] for row in rows] + [int(k == i) for k in range(d)]
              for i in range(d)]
-    basis = _rref(table, n)
+    if q is None:
+        basis, scale = _rref(table, n), 1.0
+    else:
+        basis, scale = _int_eliminate(table, n, jordan=True)
     inverse = [line[n:] for line in table]
-    inverse, scale = (scalars.int_rows(inverse) if q is not None
-                      else (inverse, 1.0))
+    if scale < 0:
+        inverse, scale = [[-x for x in line] for line in inverse], -scale
     # each distinct constraint row owns one bit of the tight-set masks
     bits = {}
     for k, b in enumerate(basis):

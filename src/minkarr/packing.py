@@ -15,7 +15,8 @@ construction and runs the packing check at lam = 2, whose bound (1+2)^(d+1)
 is the 3^(d+1) conclusion.
 
 A point set spanning a proper affine subspace is not an error: its affine
-dimension m comes from ``linalg.affine_rank``, and the checker drops to exact
+dimension m is the rank of the points' homogeneous integer rows less one
+(``linalg.affine_rank`` on float points), and the checker drops to exact
 coordinates inside the affine hull and certifies the stronger
 lower-dimensional bound (certificates record this as the induction branch).
 
@@ -43,7 +44,7 @@ from .arrangement import (Arrangement, arrangement_size_bound,
 from .lifting import (DegenerateWedgeError, LiftedConfig,
                       ShadowIntersectionError, SlabPair, lift, slab_pairs,
                       verify_slab, width_gaps)
-from .linalg import Vector, affine_coordinates, affine_rank
+from .linalg import Vector, _int_rank, affine_coordinates, affine_rank
 from .polytopes import hull, volume
 from .scalars import Scalar, div, format_scalar
 
@@ -163,8 +164,13 @@ def slab_packing_check(family: SlabFamily, lam: Scalar) -> PackingCertificate:
     cert._ok("slab_containment")
 
     # the affine dimension decides whether to reduce to exact coordinates
-    # inside the affine hull
-    adim = cert.affine_dim = affine_rank(family.points)
+    # inside the affine hull: on integer forms it is the rank of the
+    # homogeneous rows (Y_k, w_k), less one
+    if lifted.forms:
+        adim = _int_rank([[*y, w] for y, w in lifted.forms], ambient + 1) - 1
+    else:
+        adim = affine_rank(family.points)
+    cert.affine_dim = adim
     cert.induction_branch = adim < ambient
     cert.bound = (1 + lam) ** ambient
     cert.bound_effective = (1 + lam) ** adim

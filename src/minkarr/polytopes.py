@@ -6,8 +6,7 @@ positive scale changes no sign, so the repeat, rank, orientation and plane
 sign tests, the stored facet planes and the volume all run on integers.
 Float input takes the same loops with ``scalars.TOLERANCE`` in place of
 zero.  The hull is of a full-dimensional set: a set spanning a proper affine
-subspace is a ``ValueError``; callers decide the affine dimension first with
-``linalg.affine_rank``.
+subspace is a ``ValueError``; callers decide the affine dimension first.
 
 Each incidence is decided once: a 3D facet is the set of points its plane's
 sign test puts on the plane, and the volume reads the facet's vertices from

@@ -129,6 +129,9 @@ def parse_scalar(value) -> Scalar:
     ints stay ints, floats stay floats, strings are exact rationals and may be
     given as "p/q" or as a decimal literal like "0.25".  The literals NaN and
     Infinity, which ``json`` reads as floats, are not numbers of the input.
+    A "p/q" or "-p/q" of decimal digits is Fraction(int(p), int(q)); every
+    other string is read by ``Fraction(str)``, whose grammar and errors
+    those are too.
     """
     if isinstance(value, bool):
         raise TypeError("booleans are not scalars")
@@ -139,7 +142,10 @@ def parse_scalar(value) -> Scalar:
             raise ValueError("scalar %r is not finite" % (value,))
         return value
     if isinstance(value, str):
+        p, slash, q = value.partition("/")
         try:
+            if slash and q.isdecimal() and p.removeprefix("-").isdecimal():
+                return Fraction(int(p), int(q))
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError("cannot parse scalar %r" % (value,)) from exc

@@ -9,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minkarr import (Homothet, Arrangement, arrangement_from_json,
                      arrangement_to_json, body_to_json, cube_arrangement, format_scalar, grid_set,
@@ -16,6 +18,8 @@ from minkarr import (Homothet, Arrangement, arrangement_from_json,
 from minkarr import cli, kdistance, packing, scalars
 from minkarr.bodies import HPolytopeBody
 from minkarr.cli import main
+from minkarr.instances import (corpus_body, random_intersecting_arrangement,
+                               random_minkowski_arrangement)
 from minkarr.linalg import Vector
 from minkarr.packing import lifted_packing_pipeline
 
@@ -595,7 +599,10 @@ def test_kdist_grid_spectrum_chain(tmp_path, capsys):
     code, out, _ = run(capsys, "kdist", "grid", "--d", "2", "--k", "3",
                        "--out", str(pts_file))
     assert code == 0
-    assert "16 points" in out
+    # the grid reads no input and is exact: the banner says so
+    assert out == ("seed: 0\nmode: exact  eps: 1e-09\n"
+                   "grid {0..3}^2: 16 points\n"
+                   "point set written to %s\n" % pts_file)
 
     code, out, _ = run(capsys, "kdist", "spectrum", str(pts_file))
     assert code == 0
@@ -908,3 +915,81 @@ def test_points_of_another_dimension_than_the_body(square_body_file,
     assert code == 2 and out == ""
     assert err == "input error: dimension mismatch: body is 2-dimensional, " \
         "vector is 3-dimensional\n"
+
+
+def json_bytes(obj) -> bytes:
+    """What ``cli._dump_json`` must write: json's own indent-2, sorted-key
+    text and a newline."""
+    return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
+
+
+def dumped(obj, path) -> bytes:
+    cli._dump_json(str(path), obj)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.json")))
+def test_dump_json_bytes_on_every_golden(name, tmp_path):
+    with open(GOLDEN / name, encoding="utf-8") as fh:
+        obj = json.load(fh)
+    assert dumped(obj, tmp_path / name) == json_bytes(obj)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_dump_json_bytes_on_corpus_certificates(mode, tmp_path, capsys,
+                                                monkeypatch):
+    # seeded Minkowski families (certified) and intersecting ones (most fail
+    # a predicate, with no certificate) over the corpus bodies
+    payloads = []
+    dump = cli._dump_json
+    monkeypatch.setattr(cli, "_dump_json",
+                        lambda path, obj: payloads.append(obj)
+                        or dump(path, obj))
+    rng = random.Random(2929)
+    path, cert = tmp_path / "arr.json", tmp_path / "cert.json"
+    verdicts = set()
+    for t in range(36):
+        body = corpus_body(rng, t)
+        arr = random_minkowski_arrangement(rng, body=body, full_lift=True) \
+            if t % 2 else random_intersecting_arrangement(rng, body=body)
+        path.write_text(json.dumps(arrangement_to_json(arr)))
+        code = main(["--mode", mode, "verify", str(path),
+                     "--certificate", str(cert)])
+        verdicts.add((code, payloads[-1]["certificate"] is None))
+        assert cert.read_bytes() == json_bytes(payloads[-1])
+    capsys.readouterr()
+    assert len(payloads) == 36 and {(0, False), (1, True)} <= verdicts
+
+
+json_leaves = st.one_of(
+    st.text(),
+    st.sampled_from(["", "\x00\x1f\x7f\"\\/", "caf\u00e9 \u2028",
+                     "\ud800", "\U0001f600", "\t\n"]),
+    st.floats(),
+    st.sampled_from([-0.0, 1e-320, 1e300, math.nan, math.inf, -math.inf]),
+    st.integers(),
+    st.integers(min_value=-10 ** 400, max_value=10 ** 400),
+    st.booleans(),
+    st.none())
+json_values = st.recursive(json_leaves, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=24)
+
+
+@given(obj=json_values)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_dump_json_bytes_on_json_values(obj, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "value.json"
+    assert dumped(obj, path) == json_bytes(obj)
+
+
+@pytest.mark.parametrize("obj", [[object()], {"a": {1, 2}}],
+                         ids=["object", "set"])
+def test_dump_json_raises_what_json_raises(obj, tmp_path):
+    with pytest.raises(TypeError) as want:
+        json_bytes(obj)
+    with pytest.raises(TypeError) as got:
+        dumped(obj, tmp_path / "bad.json")
+    assert str(got.value) == str(want.value)

@@ -1,8 +1,9 @@
 """Golden bytes: ``verify --certificate`` payloads in both modes, ``lift
 --dump`` output, one ``lift --svg`` diagram for committed inputs, two
-``search --out`` arrangements (the square's and the disc's) and two ``kdist
-chain --out`` chains of the grid {0..3}^2 (under the sum norm and the
-``minkowski3`` hexagon), compared byte for byte.
+``search --out`` arrangements (the square's and the disc's), the ``kdist
+grid --out`` point set {0..3}^2 and two ``kdist chain --out`` chains of that
+grid (under the sum norm and the ``minkowski3`` hexagon), compared byte for
+byte.
 
 The outputs in tests/golden/ were written by the command line itself; the
 three seeded inputs are ``random_minkowski_arrangement(full_lift=True)``
@@ -108,6 +109,15 @@ def test_seeded_inputs_regenerate(seed):
                                        full_lift=True)
     with open(golden("minkowski%d.json" % seed), encoding="utf-8") as fh:
         assert arrangement_to_json(arr) == json.load(fh)
+
+
+def test_kdist_grid_out_bytes(tmp_path, capsys):
+    # the command CI's console-script step runs: the point set {0..3}^2
+    out = tmp_path / "grid.json"
+    code = main(["kdist", "grid", "--d", "2", "--k", "3", "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert out.read_bytes() == read_bytes(golden("grid23.json"))
 
 
 @pytest.mark.parametrize("name,flags", [

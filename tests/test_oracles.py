@@ -34,7 +34,7 @@ from minkarr.lifting import (DegenerateWedgeError, LiftedConfig,
                              slab_pairs, verify_ratio_identity, verify_slab)
 from minkarr.linalg import (Vector, _rref, affine_coordinates, affine_rank,
                             matrix_rank, zero_vector)
-from minkarr import arrangement, scalars
+from minkarr import arrangement, lp, scalars
 from minkarr.bodies import SymmetricBody
 from minkarr.packing import family_from_arrangement, lifted_packing_pipeline
 from minkarr.polytopes import ConvexPolytope, hull, volume
@@ -756,6 +756,62 @@ def cross_polytope_4(radii=(1, 1, 1, 1)):
     vertices: its facets are the vertices of the polar."""
     return VPolytopeBody(4, [Vector(s * r if k == i else 0 for k in range(4))
                              for i, r in enumerate(radii) for s in (1, -1)])
+
+
+def fraction_basis_inverse(table, n, jordan):
+    """The polar basis inverse by the Fraction route ``lp.polar_facets``
+    took before its integer Gauss-Jordan: ``_rref`` of [R^T | I], then the
+    inverse scaled back to integer rows by ``int_rows``; it writes those
+    rows into the table's identity columns and returns (basis, scale), as
+    ``linalg._int_eliminate`` does."""
+    assert jordan
+    basis = _rref(table, n)
+    inverse, scale = scalars.int_rows([line[n:] for line in table])
+    table[:] = [line[:n] + list(row) for line, row in zip(table, inverse)]
+    return basis, scale
+
+
+def symmetric_vertex_sets(rng, dim, count):
+    """Seeded spanning vertex sets closed under negation: random rational
+    points with their negations, half of them interleaved (so that the
+    first columns of R^T are dependent and the basis skips some), and
+    repeats and non-extreme points among them."""
+    sets = []
+    while len(sets) < count:
+        pts = [Vector(F(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+                      for _ in range(dim)) for _ in range(dim + 2)]
+        pts += [pts[0] * F(1, 2), pts[1]]
+        if affine_rank(pts + [-p for p in pts]) < dim:
+            continue
+        if len(sets) % 2:
+            sets.append([v for p in pts for v in (p, -p)])
+        else:
+            sets.append(pts + [-p for p in pts])
+    return sets
+
+
+def test_polar_basis_inverse_against_the_fraction_route(monkeypatch):
+    """The facets of the integer Gauss-Jordan and of the Fraction route:
+    the same normals, in order and by type, and the same (rows, lcd), on
+    seeded hexagons, the 4-D cross-polytope and seeded d = 3 and d = 4
+    symmetric vertex sets."""
+    rng = random.Random(2929)
+    cases = [list(random_symmetric_hexagon(rng).vertices) for _ in range(30)]
+    cases.append(list(cross_polytope_4().vertices))
+    cases.append(list(cross_polytope_4((1, F(2, 3), 3, F(1, 5))).vertices))
+    cases += symmetric_vertex_sets(rng, 3, 12)
+    cases += symmetric_vertex_sets(rng, 4, 6)
+    seen = collections.Counter()
+    for vertices in cases:
+        form = scalars.int_rows([v.coords for v in vertices])
+        got = lp.polar_facets(*form)
+        with monkeypatch.context() as m:
+            m.setattr(lp, "_int_eliminate", fraction_basis_inverse)
+            want = lp.polar_facets(*form)
+        assert typed(got[0]) == typed(want[0])
+        assert got[1] == want[1]
+        seen[len(vertices[0])] += 1
+    assert seen == {2: 30, 3: 12, 4: 8}
 
 
 class SkewGauge(SymmetricBody):

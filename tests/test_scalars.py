@@ -27,6 +27,37 @@ def test_parse_rejects_garbage():
         parse_scalar(True)
 
 
+def fraction_route(text):
+    """parse_scalar of a string as ``Fraction(str)`` reads it, the one route
+    before "p/q" strings of decimal digits were read by ``int``."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError("cannot parse scalar %r" % (text,)) from exc
+
+
+@pytest.mark.parametrize("text", [
+    "3/4", "-3/4", "+3/4", " 1/2 ", "1_0/3", "\u0663/\u0664", "0/5", "6/4",
+    "-0/7", "12345678901234567890/3", "0.25"])
+def test_parse_fast_path_gives_the_fraction_route_value(text):
+    got, want = parse_scalar(text), fraction_route(text)
+    assert got == want and type(got) is type(want) is Fraction
+    assert (got.numerator, got.denominator) \
+        == (want.numerator, want.denominator)
+
+
+@pytest.mark.parametrize("text", [
+    "1/0", "-1/0", "1/-2", "--1/2", "/2", "1/", "-/2", "1/2/", "2/3/4",
+    "1 /2", "\u00b2/3"])
+def test_parse_fast_path_gives_the_fraction_route_error(text):
+    with pytest.raises(Exception) as want:
+        fraction_route(text)
+    with pytest.raises(Exception) as got:
+        parse_scalar(text)
+    assert type(got.value) is type(want.value) is ValueError
+    assert str(got.value) == str(want.value)
+
+
 def test_exact_comparisons_are_exact():
     a = Fraction(1, 3)
     b = Fraction(1, 3) + Fraction(1, 10 ** 30)
