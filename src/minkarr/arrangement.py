@@ -25,8 +25,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import scalars
 from .bodies import (SymmetricBody, body_from_json, body_to_json,
-                     distance_table, fraction_table, int_distance_table,
-                     linf_ball, projection_distances)
+                     distance_table, fraction_table, linf_ball,
+                     projection_distances)
 from .kdistance import chain_violation
 from .linalg import Vector, zero_vector
 from .scalars import Scalar, div, format_scalar, parse_scalar
@@ -93,26 +93,29 @@ class Arrangement:
             return fraction_table(self.int_distances)
         return distance_table(self.body, [h.center for h in self.members])
 
-
-def _relations(arr: Arrangement):
-    """What both predicates compare, in the cross-multiplied form of
-    ``_SearchState``: the distances as pairs (t, e), D = t/e, the ratios
-    as numerators s_k over one denominator q, and the comparisons lt and
-    le.  An arrangement with ``int_distances`` gives those, the form's
-    ratio column and the plain operators; any other its ``distances`` as
-    (D, 1), its ratios over q = 1 and ``scalars.lt``/``le``."""
-    table = arr.int_distances
-    if table is not None:
-        rows, q = arr.form
-        return table, [row[-1] for row in rows], q, operator.lt, operator.le
-    return ([[(g, 1) for g in row] for row in arr.distances],
-            [h.ratio for h in arr.members], 1, scalars.lt, scalars.le)
+    @cached_property
+    def relations(self):
+        """What both predicates compare, in the cross-multiplied form of
+        ``_SearchState``, computed on first use and kept, so that the two
+        predicates share it: the distances as pairs (t, e), D = t/e, the
+        ratios as numerators s_k over one denominator q, and the
+        comparisons lt and le.  An arrangement with ``int_distances`` gives
+        those, the form's ratio column and the plain operators; any other
+        its ``distances`` as (D, 1), its ratios over q = 1 and
+        ``scalars.lt``/``le``."""
+        table = self.int_distances
+        if table is not None:
+            rows, q = self.form
+            return (table, [row[-1] for row in rows], q, operator.lt,
+                    operator.le)
+        return ([[(g, 1) for g in row] for row in self.distances],
+                [h.ratio for h in self.members], 1, scalars.lt, scalars.le)
 
 
 def find_minkowski_violation(arr: Arrangement) -> Optional[Tuple[int, int]]:
     """First (owner, center) index pair violating the arrangement condition,
     center j interior to member i: D[i][j] < lam_i, or t*q < s_i*e."""
-    table, s, q, lt, _ = _relations(arr)
+    table, s, q, lt, _ = arr.relations
     for i, row in enumerate(table):
         for j, (t, e) in enumerate(row):
             if i != j and lt(t * q, s[i] * e):
@@ -123,7 +126,7 @@ def find_minkowski_violation(arr: Arrangement) -> Optional[Tuple[int, int]]:
 def find_intersection_violation(arr: Arrangement) -> Optional[Tuple[int, int]]:
     """First pair i < j of members that do not meet: D[i][j] > lam_i +
     lam_j, or t*q > (s_i + s_j)*e."""
-    table, s, q, _, le = _relations(arr)
+    table, s, q, _, le = arr.relations
     for i, row in enumerate(table):
         for j in range(i + 1, len(row)):
             t, e = row[j]
@@ -249,7 +252,7 @@ MIN_RATIO = Fraction(1, 8)
 CENTER_GRID = 4
 WEIGHT_GRID = 8
 # the largest magnitude of a box bound, so that bound*CENTER_GRID is a float
-# and ``_grid_fraction`` can round it
+# and ``_draw_range`` can round it
 BOX_LIMIT = sys.float_info.max / CENTER_GRID
 
 
@@ -266,44 +269,64 @@ def check_warm_start(body: SymmetricBody, warm_start: Arrangement) -> None:
         raise ValueError("warm start is not a valid arrangement")
 
 
+def _draw_range(lo: float, hi: float,
+                denom: int = CENTER_GRID) -> Tuple[int, int, int]:
+    """The numerators k of the grid points k/denom in [lo, hi] as a draw
+    range (lo_n, n, n.bit_length()): k = lo_n + r for r in 0..n-1, and
+    n = 1 (the first grid point above lo) when no grid point is in it."""
+    lo_n = math.ceil(lo * denom)
+    n = max(math.floor(hi * denom) - lo_n, 0) + 1
+    return lo_n, n, n.bit_length()
+
+
 def _grid_fraction(rng: random.Random, lo: float, hi: float,
                    denom: int = CENTER_GRID) -> int:
     """The numerator k of a grid point k/denom drawn in [lo, hi] (the first
-    grid point above lo when no grid point is in it)."""
-    lo_n = math.ceil(lo * denom)
-    hi_n = math.floor(hi * denom)
-    if hi_n < lo_n:
-        hi_n = lo_n
-    return rng.randint(lo_n, hi_n)
+    grid point above lo when no grid point is in it): lo_n + r for r =
+    ``rng.getrandbits(k)`` of the ``_draw_range``, redrawn while r >= n.
+    These are the draws ``rng.randint`` makes for the same range (through
+    ``_randbelow_with_getrandbits``, which draws k bits even for n = 1),
+    so the stream is the same."""
+    lo_n, n, k = _draw_range(lo, hi, denom)
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return lo_n + r
 
 
 class _SearchState:
     """The distances and ratios that decide every search move.
 
     A distance is a pair (t, e) with D = t/e and a ratio a pair (a, b)
-    with lam = a/b, and every decision is a cross-multiplied comparison of
-    these.  Exact members of an exact body take the exact route: the
-    centers are integer rows P/q over q = lcm(4, start denominators), so
-    every grid center k/4 is the row k*q/4, and ``proj`` keeps each
-    member's ``int_projections``.  A candidate center takes one projection,
-    and its distance to member j is (max |pc - proj_j|, den*q): one
+    with lam = a/b, and every decision is a comparison of these.  Exact
+    members of an exact body take the exact route: the centers are
+    integer rows P/q over q = lcm(4, start denominators), so every grid
+    center k/4 is the row k*q/4, and ``proj`` keeps each member's
+    ``int_projections``.  Every distance is then over the one e = den*q,
+    and each member keeps its caps ``ceils`` = ceil(a*e/b) and ``floors``
+    = floor(a*e/b).  A candidate center takes one projection, and its
+    distance to member j is t_j = max |pc - proj_j| over e: one
     subtraction per facet pair, no difference vector and no dot product.
-    A ratio is a pair of integers, and a Fraction is built only for a drawn
-    ratio, an accepted rescaling and the center of an accepted member.  Any
-    other body, or float members, take the scalar route: ``proj`` and the
-    rows are the center coordinates with q = 1, a distance is
-    (gauge(c - v), 1) and a ratio (lam, 1), and a move that reads a
-    distance or makes a ratio beyond the float range is infeasible.
+    With tmin the least t_j, the center is refused when tmin < ``least``
+    = ceil(e*``MIN_RATIO``), when t_j < ceils_j (it is interior to member
+    j, t*b < a*e) or when t_j - tmin > floors_j (the lower bound t_j/e -
+    lam_j exceeds tmin/e): integer comparisons only.  A ratio is a pair of
+    integers, and a Fraction is built only for a drawn ratio, an accepted
+    rescaling and the center of an accepted member.  Any other body, or
+    float members, take the scalar route: ``proj`` and the rows are the
+    center coordinates with q = 1, a distance is (gauge(c - v), 1) and a
+    ratio (lam, 1), an insertion cross-multiplies member by member, and a
+    move that reads a distance or makes a ratio beyond the float range is
+    infeasible.
 
     The routes differ in three places, each decided by ``exact``, which the
-    constructor sets from the input: how a candidate center's distances are
-    taken (``_distances``), the rounding of a drawn ratio (a float keeps
-    low + (high - low)*k/8), and how a rescaling step applies.  An
-    insertion compares with the plain operators on both routes, a
-    rescaling with ``scalars.lt``/``le``, which are the plain comparisons
+    constructor sets from the input: how a candidate center is checked and
+    its ratio drawn (``_insertion``; a float ratio keeps low + (high -
+    low)*k/8), the caps, and how a rescaling step applies.  A rescaling
+    compares with ``scalars.lt``/``le``, which are the plain comparisons
     on exact values.  The float box the centers are drawn in is kept, and
-    taken again after an accepted insertion, an accepted rescaling and a
-    drop.
+    taken again, as a new object, after an accepted insertion, an accepted
+    rescaling and a drop.
     """
 
     def __init__(self, body: SymmetricBody, members: List[Homothet]):
@@ -316,9 +339,15 @@ class _SearchState:
             self.unit = self.q // CENTER_GRID
             self.rows = [[c * (self.q // q) for c in row[:-1]] for row in rows]
             self.lam = [(row[-1], q) for row in rows]
-            self.g = int_distance_table(body, self.rows, self.q)
-            self.proj = [body.int_projections(row)[0] for row in self.rows]
-            self._distances = self._int_distances
+            projections = [body.int_projections(row) for row in self.rows]
+            self.g = projection_distances(projections, self.q)
+            self.proj = [p for p, _ in projections]
+            self.e = projections[0][1] * self.q
+            self.least = math.ceil(MIN_RATIO * self.e)
+            caps = [self._caps(a, b) for a, b in self.lam]
+            self.ceils = [c for c, _ in caps]
+            self.floors = [f for _, f in caps]
+            self._insertion = self._exact_insertion
             self._lt, self._le = operator.lt, operator.le
         else:
             self.q = 1
@@ -328,7 +357,7 @@ class _SearchState:
             self.g = [[(t, 1) for t in row] for row in distance_table(
                 body, [h.center for h in members])]
             self.proj = list(self.rows)
-            self._distances = self._gauges
+            self._insertion = self._scalar_insertion
             self._lt, self._le = scalars.lt, scalars.le
         self.body = body
         self._set_box()
@@ -347,39 +376,43 @@ class _SearchState:
         self.box = ([max(min(c) / q - pad, -BOX_LIMIT) for c in cols],
                     [min(max(c) / q + pad, BOX_LIMIT) for c in cols])
 
-    def _int_distances(self, center: List[int]):
-        """The center's projections, and its distance (t, e) to each member
-        from their projections, lazily."""
-        pc, den = self.body.int_projections(center)
-        e = den * self.q
+    def _caps(self, a: int, b: int) -> Tuple[int, int]:
+        """(ceil(a*e/b), floor(a*e/b)) for the exact ratio a/b."""
+        ae = a * self.e
+        return -(-ae // b), ae // b
+
+    def _exact_insertion(self, center: List[int], rng: random.Random):
+        """(ratio, projections, distances) of the member at the integer
+        center, or None: the caps refuse a center, and the bounds low and
+        high = tmin/e of ``insert`` are cross-multiplied only for one they
+        pass."""
+        pc, _ = self.body.int_projections(center)
         sub = operator.sub
-        return pc, ((max(map(abs, map(sub, pc, p))), e) for p in self.proj)
+        ts = [max(map(abs, map(sub, pc, p))) for p in self.proj]
+        tmin = min(ts)
+        if (tmin < self.least or max(map(sub, ts, self.floors)) > tmin
+                or min(map(sub, ts, self.ceils)) < 0):
+            return None
+        e = self.e
+        ln, ld = MIN_RATIO.numerator, MIN_RATIO.denominator
+        for t, (a, b) in zip(ts, self.lam):
+            n, d = t * b - a * e, e * b
+            if n * ld > ln * d:
+                ln, ld = n, d
+        weight = _grid_fraction(rng, 0, 1, WEIGHT_GRID)
+        ratio = Fraction(ln * e * (WEIGHT_GRID - weight) + tmin * ld * weight,
+                         ld * e * WEIGHT_GRID)
+        return ratio, pc, [(t, e) for t in ts]
 
-    def _gauges(self, center: List[Scalar]):
-        """The center itself, and its distance (gauge(c - v), 1) to each
-        member, lazily."""
+    def _scalar_insertion(self, center: List[Scalar], rng: random.Random):
+        """(ratio, center, distances) of the member at the center, or None,
+        each member's relations cross-multiplied in turn."""
         gauge = self.body.gauge
-        return center, ((gauge(Vector([c - v for c, v in zip(center, p)])), 1)
-                        for p in self.proj)
-
-    def insert(self, grid: Sequence[int],
-               rng: random.Random) -> Optional[Homothet]:
-        """The member at the center grid/4, or None when it admits no ratio.
-
-        With D_j = t/e and lam_j = a/b, the center is interior to member j
-        when t*b < a*e; the ratio is at least low, the running max of
-        ``MIN_RATIO`` and (t*b - a*e)/(e*b), for intersection, and at most
-        high, the least t/e, for keeping every v_j outside its interior.
-        These are every comparison the predicates make on the pairs holding
-        the new member, so they decide the insertion.  The ratio is
-        low + (high - low)*k/8 for a drawn weight k in 0..8.
-        """
-        center = [k * self.unit for k in grid]
-        key, distances = self._distances(center)
         ln, ld = MIN_RATIO.numerator, MIN_RATIO.denominator
         hn, hd = None, 1
         col = []
-        for (t, e), (a, b) in zip(distances, self.lam):
+        for p, (a, b) in zip(self.proj, self.lam):
+            t, e = gauge(Vector([c - v for c, v in zip(center, p)])), 1
             if t * b < a * e:
                 return None
             col.append((t, e))
@@ -391,15 +424,37 @@ class _SearchState:
         if ln * hd > hn * ld:
             return None
         weight = _grid_fraction(rng, 0, 1, WEIGHT_GRID)
+        low = div(ln, ld)
+        ratio = low + (div(hn, hd) - low) * Fraction(weight, WEIGHT_GRID)
+        if not all(map(math.isfinite, [ratio] + [t for t, _ in col])):
+            return None
+        return ratio, center, col
+
+    def insert(self, grid: Sequence[int],
+               rng: random.Random) -> Optional[Homothet]:
+        """The member at the center grid/4, or None when it admits no ratio.
+
+        With D_j = t/e and lam_j = a/b, the center is interior to member j
+        when t*b < a*e; the ratio is at least low, the max of ``MIN_RATIO``
+        and every (t*b - a*e)/(e*b), for intersection, and at most high,
+        the least t/e, for keeping every v_j outside its interior.  These
+        are every comparison the predicates make on the pairs holding the
+        new member, so they decide the insertion.  The ratio is low +
+        (high - low)*k/8 for a drawn weight k in 0..8, drawn only for a
+        center that admits a ratio.
+        """
+        center = [k * self.unit for k in grid]
+        found = self._insertion(center, rng)
+        if found is None:
+            return None
+        ratio, key, col = found
         if self.exact:
-            ratio = Fraction(ln * hd * (WEIGHT_GRID - weight) + hn * ld * weight,
-                             ld * hd * WEIGHT_GRID)
-            self.lam.append((ratio.numerator, ratio.denominator))
+            a, b = ratio.numerator, ratio.denominator
+            self.lam.append((a, b))
+            ceil, floor = self._caps(a, b)
+            self.ceils.append(ceil)
+            self.floors.append(floor)
         else:
-            low = div(ln, ld)
-            ratio = low + (div(hn, hd) - low) * Fraction(weight, WEIGHT_GRID)
-            if not all(map(math.isfinite, [ratio] + [t for t, _ in col])):
-                return None
             self.lam.append((ratio, 1))
         for grow, g in zip(self.g, col):
             grow.append(g)
@@ -428,12 +483,15 @@ class _SearchState:
         ratio = div(a, b)
         if self.exact:
             a, b = ratio.numerator, ratio.denominator
+            self.ceils[idx], self.floors[idx] = self._caps(a, b)
         self.lam[idx] = (a, b)
         self._set_box()
         return ratio
 
     def drop(self, k: int) -> None:
         del self.g[k], self.rows[k], self.proj[k], self.lam[k]
+        if self.exact:
+            del self.ceils[k], self.floors[k]
         for grow in self.g:
             del grow[k]
         self._set_box()
@@ -455,10 +513,11 @@ def search_arrangement(body: SymmetricBody, dim: int,
 
     A move is checked in O(n) against the distances ``_SearchState`` keeps
     between the current members, on integers for exact members of an exact
-    body.  The accepted state always satisfies both predicates, so checking
-    the moved member's relations makes the same decisions as a full pass
-    over the candidate.  The warm start and the result are checked by the
-    full predicates.
+    body, where an insertion compares the candidate's distances with each
+    member's integer caps.  The accepted state always satisfies both
+    predicates, so checking the moved member's relations makes the same
+    decisions as a full pass over the candidate.  The warm start and the
+    result are checked by the full predicates.
     """
     return _search(body, dim, config or SearchConfig(), warm_start,
                    _SearchState)
@@ -470,7 +529,10 @@ def _search(body: SymmetricBody, dim: int, cfg: SearchConfig,
     decides every move on the loop's list ``members``: ``box`` the float
     box the centers are drawn in, ``insert(grid, rng)`` the member at the
     center grid/4 or None, ``rescale(idx, step)`` member idx's new ratio or
-    None, and ``drop(k)``."""
+    None, and ``drop(k)``.  The loop turns the box into one integer
+    ``_draw_range`` (lo_n, n, k) per axis, again only when ``box`` is a new
+    object, and draws each grid coordinate as ``_grid_fraction`` does:
+    lo_n + r for r = getrandbits(k), redrawn while r >= n."""
     if body.dim != dim:
         raise ValueError("body dimension does not match the search dimension")
     rng = random.Random(cfg.seed)
@@ -481,12 +543,21 @@ def _search(body: SymmetricBody, dim: int, cfg: SearchConfig,
     state = make_state(body, members)
     best = list(members)
     stagnation = 0
+    getrandbits = rng.getrandbits
+    box = None
 
     for _ in range(cfg.iterations):
-        lo, hi = state.box
+        if state.box is not box:
+            box = state.box
+            ranges = [_draw_range(lo, hi) for lo, hi in zip(*box)]
         for _attempt in range(INSERT_ATTEMPTS):
-            member = state.insert([_grid_fraction(rng, lo[i], hi[i])
-                                   for i in range(dim)], rng)
+            grid = []  # the draws of ``_grid_fraction``, inline
+            for lo_n, n, k in ranges:
+                r = getrandbits(k)
+                while r >= n:
+                    r = getrandbits(k)
+                grid.append(lo_n + r)
+            member = state.insert(grid, rng)
             if member is not None:
                 members.append(member)
                 stagnation = 0

@@ -12,7 +12,9 @@ from minkarr import (Arrangement, ChainPropertyError, Homothet, SearchConfig,
                      find_minkowski_violation, linf_ball, l1_ball,
                      partition_classes, search_arrangement)
 from minkarr import arrangement
-from minkarr.arrangement import BOX_LIMIT, _SearchState
+from minkarr.arrangement import (BOX_LIMIT, INSERT_ATTEMPTS, RATIO_STEPS,
+                                 _SearchState, _draw_range, _grid_fraction,
+                                 _search)
 from minkarr.bodies import BallBody, HPolytopeBody
 from minkarr.packing import lifted_packing_pipeline
 from minkarr.linalg import Vector
@@ -284,6 +286,8 @@ def test_gauge_matrix_drop_and_append_match_recompute():
         assert list(map(list, a.rows)) == list(map(list, b.rows))
         assert list(map(list, a.proj)) == list(map(list, b.proj))
         assert [F(r) / s for r, s in a.lam] == [F(r) / s for r, s in b.lam]
+        if a.exact:
+            assert (a.e, a.ceils, a.floors) == (b.e, b.ceils, b.floors)
     # member 3 keeps its relations with TRIO on both bodies; (1/4, 0) lies
     # inside member 0
     members = TRIO + [H((1, 1), 1)]
@@ -303,6 +307,101 @@ def test_gauge_matrix_drop_and_append_match_recompute():
         assert member.center == members[3].center
         assert grown.rescale(3, 1 / member.ratio) == 1
         same(grown, state(members))
+
+
+def test_draws_are_the_randint_stream():
+    # _grid_fraction's draws are what randint returns on the same
+    # generator, which is left in the same state: integer bounds on the
+    # grid 1 with n = 1, n at 2^k - 1, 2^k and 2^k + 1, widths up to 2^60
+    # and negative bounds
+    sweep = random.Random(3030)
+    widths = [1] + [2 ** k + c for k in range(1, 61) for c in (-1, 0, 1)]
+    widths += [sweep.randrange(1, 2 ** 60) for _ in range(40)]
+    for n in widths:
+        lo_n = sweep.randrange(-2 ** 62, 2 ** 62)
+        assert _draw_range(lo_n, lo_n + n - 1, 1) == (lo_n, n, n.bit_length())
+        seed = sweep.getrandbits(64)
+        got, want = random.Random(seed), random.Random(seed)
+        for _ in range(6):
+            assert (_grid_fraction(got, lo_n, lo_n + n - 1, 1)
+                    == want.randint(lo_n, lo_n + n - 1)), n
+        assert got.getstate() == want.getstate(), n
+    # float bounds on and off the grid, empty ranges (no grid point in
+    # [lo, hi], or hi < lo) and the weights' grid 1/8
+    bounds = [(0.0, 0.0), (0.1, 0.2), (0.3, 0.1), (-0.9, -0.6), (-0.6, -0.9),
+              (-2.5, 3.25), (0, 1), (-1e15, 1e15)]
+    bounds += [tuple(sorted(sweep.uniform(-50, 50) for _ in range(2)))
+               for _ in range(200)]
+    cases = [(lo, hi, denom) for lo, hi in bounds for denom in (4, 8)]
+    # the search box's widest bounds, on the centers' grid
+    cases.append((-BOX_LIMIT, BOX_LIMIT, 4))
+    for lo, hi, denom in cases:
+        lo_n = math.ceil(lo * denom)
+        hi_n = max(math.floor(hi * denom), lo_n)
+        assert _draw_range(lo, hi, denom)[:2] == (lo_n, hi_n - lo_n + 1)
+        seed = sweep.getrandbits(64)
+        got, want = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            assert (_grid_fraction(got, lo, hi, denom)
+                    == want.randint(lo_n, hi_n)), (lo, hi)
+        assert got.getstate() == want.getstate()
+
+
+class Refusing:
+    """Search state double on a fixed box that refuses every move and
+    keeps the grids it was offered."""
+
+    def __init__(self, box):
+        self.box, self.grids = box, []
+
+    def insert(self, grid, rng):
+        self.grids.append(grid)
+
+    def rescale(self, idx, step):
+        return None
+
+
+def test_search_draws_are_the_randint_stream():
+    # the loop's inline center draws, replayed with randint: every move
+    # refused, so each iteration draws INSERT_ATTEMPTS centers and then
+    # the rescaled member (of one) and its step, and nothing else
+    boxes = [([-2.0, -2.0], [2.0, 2.0]), ([-0.3, 0.1], [0.2, 0.1]),
+             ([-7.25, 1e9], [3.5, 1e9 + 2 ** 30]), ([0.6, -1.0], [0.4, -2.0])]
+    for seed, box in enumerate(boxes):
+        state = Refusing(box)
+        _search(SQUARE, 2, SearchConfig(seed=seed, iterations=40), None,
+                lambda body, members: state)
+        replay = random.Random(seed)
+        want = []
+        for _ in range(40):
+            want += [[replay.randint(math.ceil(lo * 4),
+                                     max(math.floor(hi * 4),
+                                         math.ceil(lo * 4)))
+                      for lo, hi in zip(*box)]
+                     for _ in range(INSERT_ATTEMPTS)]
+            replay.randrange(1)
+            replay.randrange(len(RATIO_STEPS))
+        assert state.grids == want, box
+
+
+def test_search_reads_draw_ranges_once_per_box(monkeypatch):
+    # the loop takes the draw ranges (one per axis) again only when the
+    # state's box is a new object, which it is only after a move that
+    # changed the members, so far fewer than once per iteration
+    # (the weight draw takes a range of its own, on the grid 1/8)
+    calls, draw_range = [], arrangement._draw_range
+    monkeypatch.setattr(arrangement, "_draw_range",
+                        lambda *a: (len(a) == 2 and calls.append(a))
+                        or draw_range(*a))
+    boxes = []
+    set_box = _SearchState._set_box
+
+    def counted(self):
+        set_box(self)
+        boxes.append(self.box)
+    monkeypatch.setattr(_SearchState, "_set_box", counted)
+    search_arrangement(SQUARE, 2, SearchConfig(seed=4, iterations=80))
+    assert 0 < len(calls) <= 2 * len(boxes) < 2 * 80
 
 
 def test_box_is_the_float_box_of_the_members():

@@ -1,9 +1,9 @@
 """Golden bytes: ``verify --certificate`` payloads in both modes, ``lift
---dump`` output, one ``lift --svg`` diagram for committed inputs, two
-``search --out`` arrangements (the square's and the disc's), the ``kdist
-grid --out`` point set {0..3}^2 and two ``kdist chain --out`` chains of that
-grid (under the sum norm and the ``minkowski3`` hexagon), compared byte for
-byte.
+--dump`` output, one ``lift --svg`` diagram for committed inputs, three
+``search --out`` arrangements (the square's, the disc's and the 3-D
+cross-polytope's), the ``kdist grid --out`` point set {0..3}^2 and two
+``kdist chain --out`` chains of that grid (under the sum norm and the
+``minkowski3`` hexagon), compared byte for byte.
 
 The outputs in tests/golden/ were written by the command line itself; the
 three seeded inputs are ``random_minkowski_arrangement(full_lift=True)``
@@ -17,6 +17,7 @@ only for a deliberate certificate, dump format or frame rule change, and
 say so.
 """
 
+import itertools
 import json
 import os
 import random
@@ -86,16 +87,23 @@ def test_lift_svg_bytes(tmp_path, capsys):
     assert out.read_bytes() == read_bytes(golden("cube2.lift04.svg"))
 
 
-@pytest.mark.parametrize("name,body", [("square", linf_ball(2)),
-                                       ("disc", BallBody(2))],
-                         ids=["square", "disc"])
-def test_search_out_bytes(name, body, tmp_path, capsys):
-    # the command CI's console-script step runs: the square's search decides
-    # its moves on integers, the disc's on floats with float ratios
+# the 3-D cross-polytope as CI's console-script step writes it
+L1_3 = {"dim": 3, "type": "hpoly", "facets": [
+    {"normal": list(signs)} for signs in itertools.product((1, -1), repeat=3)]}
+
+
+@pytest.mark.parametrize("name,body,iters", [
+    ("square", body_to_json(linf_ball(2)), 120),
+    ("disc", body_to_json(BallBody(2)), 120),
+    ("l1_3", L1_3, 200)], ids=["square", "disc", "l1_3"])
+def test_search_out_bytes(name, body, iters, tmp_path, capsys):
+    # the command CI's console-script step runs: the square's and the 3-D
+    # cross-polytope's searches decide their moves on integers, the disc's
+    # on floats with float ratios
     path = tmp_path / "body.json"
-    path.write_text(json.dumps(body_to_json(body)))
+    path.write_text(json.dumps(body))
     out = tmp_path / "search.json"
-    code = main(["--seed", "9", "search", str(path), "--iters", "120",
+    code = main(["--seed", "9", "search", str(path), "--iters", str(iters),
                  "--out", str(out)])
     capsys.readouterr()
     assert code == 0

@@ -836,6 +836,94 @@ def float_facet_body():
         {"normal": [-0.1, -1.0], "offset": 1.0}]})
 
 
+def thirds_warm_start():
+    """Centers over 3 and non-unit ratios on the square, so the search's
+    integer rows are over q = 12."""
+    return Arrangement(linf_ball(2), (
+        Homothet(Vector((0, 0)), F(3, 2)),
+        Homothet(Vector((F(5, 3), F(1, 3))), F(5, 4)),
+        Homothet(Vector((F(1, 3), F(5, 3))), F(5, 4))))
+
+
+def loop_insertion(state, grid, rng):
+    """The ratio of the member at the center grid/4 on the exact route,
+    or None, by the member-by-member loop the search took before its caps:
+    the center's distance (t, e) to each member (a, b) from one projection,
+    refused when t*b < a*e, the running max low of ``MIN_RATIO`` and
+    (t*b - a*e)/(e*b), high the least t/e, refused when low > high, and
+    the weight drawn only after every member passed.  It reads the state
+    and changes nothing in it."""
+    pc, den = state.body.int_projections([k * state.unit for k in grid])
+    e = den * state.q
+    ln, ld = MIN_RATIO.numerator, MIN_RATIO.denominator
+    hn, hd = None, 1
+    for p, (a, b) in zip(state.proj, state.lam):
+        t = max(abs(x - y) for x, y in zip(pc, p))
+        if t * b < a * e:
+            return None
+        n, d = t * b - a * e, e * b
+        if n * ld > ln * d:
+            ln, ld = n, d
+        if hn is None or t * hd < hn * e:
+            hn, hd = t, e
+    if ln * hd > hn * ld:
+        return None
+    weight = _grid_fraction(rng, 0, 1, WEIGHT_GRID)
+    return F(ln * hd * (WEIGHT_GRID - weight) + hn * ld * weight,
+             ld * hd * WEIGHT_GRID)
+
+
+def test_cap_insertion_against_the_loop():
+    """The search state's insertion on its caps and ``loop_insertion`` from
+    the same seeded states, rescaled and dropped between insertions: the
+    same accept or refusal, the same ratio by value and type, and the same
+    rng state after; the caps kept are those of the ratios."""
+    rng = random.Random(3131)
+    cases = [(linf_ball(2), None), (l1_ball(2), None),
+             (random_symmetric_hexagon(rng), None),
+             (cross_polytope_4((1, 2, 3, 2)), None),
+             (linf_ball(2), thirds_warm_start())]
+    seen = collections.Counter()
+    for body, warm in cases:
+        members = list(warm.members) if warm else [
+            Homothet(zero_vector(body.dim), F(1))]
+        state = _SearchState(body, list(members))
+        assert state.exact
+        for _ in range(300):
+            lo, hi = state.box
+            grid = [_grid_fraction(rng, l, h) for l, h in zip(lo, hi)]
+            seed = rng.getrandbits(32)
+            want_rng, got_rng = random.Random(seed), random.Random(seed)
+            want = loop_insertion(state, grid, want_rng)
+            got = state.insert(grid, got_rng)
+            assert got_rng.getstate() == want_rng.getstate()
+            if want is None:
+                assert got is None
+                seen["refused"] += 1
+            else:
+                assert got.ratio == want and type(got.ratio) is F
+                members.append(got)
+                seen["taken"] += 1
+            if rng.random() < 0.3:
+                idx = rng.randrange(len(members))
+                step = rng.choice(arrangement.RATIO_STEPS)
+                ratio = state.rescale(idx, step)
+                if ratio is not None:
+                    members[idx] = Homothet(members[idx].center, ratio)
+                    seen["rescaled"] += 1
+            if len(members) > 1 and rng.random() < 0.1:
+                k = rng.randrange(len(members))
+                del members[k]
+                state.drop(k)
+                seen["dropped"] += 1
+            lam = [F(a, b) for a, b in state.lam]
+            assert lam == [h.ratio for h in members]
+            assert state.ceils == [math.ceil(x * state.e) for x in lam]
+            assert state.floors == [math.floor(x * state.e) for x in lam]
+        assert _feasible(body, members)
+    assert min(seen.values()) > 20, seen
+
+
 def test_search_against_full_pass(monkeypatch):
     rng = random.Random(77)
     float_body = float_facet_body()
@@ -844,11 +932,7 @@ def test_search_against_full_pass(monkeypatch):
              (linf_ball(2), cube_arrangement(2)), (BallBody(2), None),
              (float_body, None), (SkewGauge(), None)]
     cases += [(random_symmetric_hexagon(rng), None) for _ in range(3)]
-    # centers over 3 and non-unit ratios, so the integer rows are over 12
-    thirds = Arrangement(linf_ball(2), (
-        Homothet(Vector((0, 0)), F(3, 2)),
-        Homothet(Vector((F(5, 3), F(1, 3))), F(5, 4)),
-        Homothet(Vector((F(1, 3), F(5, 3))), F(5, 4))))
+    thirds = thirds_warm_start()
     cases += [(cross_polytope_4((1, 2, 3, 2)), None), (linf_ball(2), thirds),
               (linf_ball(1), None)]
     routes = [_SearchState(body, list(warm.members) if warm else [
