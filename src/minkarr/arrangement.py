@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import product, repeat
 from typing import List, Optional, Sequence, Tuple
 
 from . import scalars
@@ -298,32 +298,27 @@ class _SearchState:
     """The distances and ratios that decide every search move.
 
     A distance is a pair (t, e) with D = t/e and a ratio a pair (a, b)
-    with lam = a/b, and every decision is a comparison of these.  Exact
-    members of an exact body take the exact route: the centers are
-    integer rows P/q over q = lcm(4, start denominators), so every grid
-    center k/4 is the row k*q/4, and ``proj`` keeps each member's
-    ``int_projections``.  Every distance is then over the one e = den*q,
-    and each member keeps its caps ``ceils`` = ceil(a*e/b) and ``floors``
-    = floor(a*e/b).  A candidate center takes one projection, and its
-    distance to member j is t_j = max |pc - proj_j| over e: one
-    subtraction per facet pair, no difference vector and no dot product.
-    With tmin the least t_j, the center is refused when tmin < ``least``
-    = ceil(e*``MIN_RATIO``), when t_j < ceils_j (it is interior to member
-    j, t*b < a*e) or when t_j - tmin > floors_j (the lower bound t_j/e -
-    lam_j exceeds tmin/e): integer comparisons only.  A ratio is a pair of
-    integers, and a Fraction is built only for a drawn ratio, an accepted
-    rescaling and the center of an accepted member.  Any other body, or
-    float members, take the scalar route: ``proj`` and the rows are the
-    center coordinates with q = 1, a distance is (gauge(c - v), 1) and a
-    ratio (lam, 1), an insertion cross-multiplies member by member, and a
-    move that reads a distance or makes a ratio beyond the float range is
-    infeasible.
+    with lam = a/b.  Exact members of an exact body take the exact route:
+    the centers are integer rows P/q over q = lcm(4, start denominators),
+    so every grid center k/4 is the row k*q/4, ``proj`` keeps each
+    member's ``int_projections``, every distance is over the one e =
+    den*q, and each member keeps its caps ``ceils`` = ceil(a*e/b) and
+    ``floors`` = floor(a*e/b).  Any other body, or float members, take the
+    scalar route: the rows and ``proj`` are the center coordinates with
+    q = e = 1, a distance is (gauge(c - v), 1), and a ratio (lam, 1) is
+    its own ceiling and floor.
 
-    The routes differ in three places, each decided by ``exact``, which the
-    constructor sets from the input: how a candidate center is checked and
-    its ratio drawn (``_insertion``; a float ratio keeps low + (high -
-    low)*k/8), the caps, and how a rescaling step applies.  A rescaling
-    compares with ``scalars.lt``/``le``, which are the plain comparisons
+    ``insert`` decides a candidate center on the caps on both routes: with
+    tmin the least t_j, it is refused when tmin < ``least``
+    (ceil(e*``MIN_RATIO``), or ``MIN_RATIO``), when t_j < ceils_j (it is
+    interior to member j) or when t_j - floors_j > tmin (the lower bound
+    t_j/e - lam_j exceeds tmin/e).  The routes differ in two places, set
+    by ``exact``: where the distances come from (one projection of the
+    center, then subtractions only; or one gauge per member, up to the
+    first member whose ceiling refuses the center) and how a drawn ratio
+    is built (one Fraction; or low + (high - low)*k/8 in the scalars,
+    infeasible beyond the float range, as is such a rescaling).  A
+    rescaling compares with ``scalars.lt``/``le``, the plain comparisons
     on exact values.  The float box the centers are drawn in is kept, and
     taken again, as a new object, after an accepted insertion, an accepted
     rescaling and a drop.
@@ -338,27 +333,23 @@ class _SearchState:
             self.q = math.lcm(CENTER_GRID, q)
             self.unit = self.q // CENTER_GRID
             self.rows = [[c * (self.q // q) for c in row[:-1]] for row in rows]
-            self.lam = [(row[-1], q) for row in rows]
             projections = [body.int_projections(row) for row in self.rows]
             self.g = projection_distances(projections, self.q)
             self.proj = [p for p, _ in projections]
             self.e = projections[0][1] * self.q
             self.least = math.ceil(MIN_RATIO * self.e)
-            caps = [self._caps(a, b) for a, b in self.lam]
-            self.ceils = [c for c, _ in caps]
-            self.floors = [f for _, f in caps]
-            self._insertion = self._exact_insertion
             self._lt, self._le = operator.lt, operator.le
         else:
-            self.q = 1
+            self.q = self.e = 1
             self.unit = Fraction(1, CENTER_GRID)
             self.rows = [h.center.coords for h in members]
-            self.lam = [(h.ratio, 1) for h in members]
             self.g = [[(t, 1) for t in row] for row in distance_table(
                 body, [h.center for h in members])]
             self.proj = list(self.rows)
-            self._insertion = self._scalar_insertion
+            self.least = MIN_RATIO
             self._lt, self._le = scalars.lt, scalars.le
+        self.lam, self.ceils, self.floors = map(list, zip(
+            *(self._keep(h.ratio) for h in members)))
         self.body = body
         self._set_box()
 
@@ -376,59 +367,27 @@ class _SearchState:
         self.box = ([max(min(c) / q - pad, -BOX_LIMIT) for c in cols],
                     [min(max(c) / q + pad, BOX_LIMIT) for c in cols])
 
-    def _caps(self, a: int, b: int) -> Tuple[int, int]:
-        """(ceil(a*e/b), floor(a*e/b)) for the exact ratio a/b."""
+    def _keep(self, ratio: Scalar) -> tuple:
+        """(lam, ceil, floor) kept for a member's ratio: on the exact route
+        (a, b) with ceil(a*e/b) and floor(a*e/b), on the scalar route
+        (ratio, 1) with the ratio as both caps."""
+        if not self.exact:
+            return (ratio, 1), ratio, ratio
+        a, b = ratio.numerator, ratio.denominator
         ae = a * self.e
-        return -(-ae // b), ae // b
+        return (a, b), -(-ae // b), ae // b
 
-    def _exact_insertion(self, center: List[int], rng: random.Random):
-        """(ratio, projections, distances) of the member at the integer
-        center, or None: the caps refuse a center, and the bounds low and
-        high = tmin/e of ``insert`` are cross-multiplied only for one they
-        pass."""
-        pc, _ = self.body.int_projections(center)
-        sub = operator.sub
-        ts = [max(map(abs, map(sub, pc, p))) for p in self.proj]
-        tmin = min(ts)
-        if (tmin < self.least or max(map(sub, ts, self.floors)) > tmin
-                or min(map(sub, ts, self.ceils)) < 0):
-            return None
-        e = self.e
-        ln, ld = MIN_RATIO.numerator, MIN_RATIO.denominator
-        for t, (a, b) in zip(ts, self.lam):
-            n, d = t * b - a * e, e * b
-            if n * ld > ln * d:
-                ln, ld = n, d
-        weight = _grid_fraction(rng, 0, 1, WEIGHT_GRID)
-        ratio = Fraction(ln * e * (WEIGHT_GRID - weight) + tmin * ld * weight,
-                         ld * e * WEIGHT_GRID)
-        return ratio, pc, [(t, e) for t in ts]
-
-    def _scalar_insertion(self, center: List[Scalar], rng: random.Random):
-        """(ratio, center, distances) of the member at the center, or None,
-        each member's relations cross-multiplied in turn."""
+    def _gauges(self, center: List[Scalar]) -> List[Scalar]:
+        """The center's distances t_j on the scalar route: one gauge per
+        member, in order, up to the first that is below the member's
+        ceiling, which refuses the center."""
         gauge = self.body.gauge
-        ln, ld = MIN_RATIO.numerator, MIN_RATIO.denominator
-        hn, hd = None, 1
-        col = []
-        for p, (a, b) in zip(self.proj, self.lam):
-            t, e = gauge(Vector([c - v for c, v in zip(center, p)])), 1
-            if t * b < a * e:
-                return None
-            col.append((t, e))
-            n, d = t * b - a * e, e * b
-            if n * ld > ln * d:
-                ln, ld = n, d
-            if hn is None or t * hd < hn * e:
-                hn, hd = t, e
-        if ln * hd > hn * ld:
-            return None
-        weight = _grid_fraction(rng, 0, 1, WEIGHT_GRID)
-        low = div(ln, ld)
-        ratio = low + (div(hn, hd) - low) * Fraction(weight, WEIGHT_GRID)
-        if not all(map(math.isfinite, [ratio] + [t for t, _ in col])):
-            return None
-        return ratio, center, col
+        ts = []
+        for p, ceil in zip(self.proj, self.ceils):
+            ts.append(gauge(Vector([c - v for c, v in zip(center, p)])))
+            if ts[-1] < ceil:
+                break
+        return ts
 
     def insert(self, grid: Sequence[int],
                rng: random.Random) -> Optional[Homothet]:
@@ -439,28 +398,49 @@ class _SearchState:
         and every (t*b - a*e)/(e*b), for intersection, and at most high,
         the least t/e, for keeping every v_j outside its interior.  These
         are every comparison the predicates make on the pairs holding the
-        new member, so they decide the insertion.  The ratio is low +
-        (high - low)*k/8 for a drawn weight k in 0..8, drawn only for a
-        center that admits a ratio.
+        new member, so they decide the insertion; the caps refuse a center,
+        and low is cross-multiplied only for one they pass.  The ratio is
+        low + (high - low)*k/8 for a drawn weight k in 0..8, drawn only for
+        a center that admits a ratio.
         """
         center = [k * self.unit for k in grid]
-        found = self._insertion(center, rng)
-        if found is None:
-            return None
-        ratio, key, col = found
-        if self.exact:
-            a, b = ratio.numerator, ratio.denominator
-            self.lam.append((a, b))
-            ceil, floor = self._caps(a, b)
-            self.ceils.append(ceil)
-            self.floors.append(floor)
+        sub = operator.sub
+        if self.exact:  # one projection, every distance from it
+            key, _ = self.body.int_projections(center)
+            ts = [max(map(abs, map(sub, key, p))) for p in self.proj]
         else:
-            self.lam.append((ratio, 1))
+            key, ts = center, self._gauges(center)
+        tmin = min(ts)
+        if (tmin < self.least
+                or any(map(operator.gt, map(sub, ts, self.floors),
+                           repeat(tmin)))
+                or any(map(operator.lt, ts, self.ceils))):
+            return None
+        e = self.e
+        ln, ld = MIN_RATIO.numerator, MIN_RATIO.denominator
+        for t, (a, b) in zip(ts, self.lam):
+            n, d = t * b - a * e, e * b
+            if n * ld > ln * d:
+                ln, ld = n, d
+        weight = _grid_fraction(rng, 0, 1, WEIGHT_GRID)
+        if self.exact:
+            ratio = Fraction(ln * e * (WEIGHT_GRID - weight)
+                             + tmin * ld * weight, ld * e * WEIGHT_GRID)
+        else:
+            low = div(ln, ld)
+            ratio = low + (tmin - low) * Fraction(weight, WEIGHT_GRID)
+            if not all(map(math.isfinite, [ratio] + ts)):
+                return None
+        col = [(t, e) for t in ts]
         for grow, g in zip(self.g, col):
             grow.append(g)
         self.g.append(col + [(0, 1)])
         self.rows.append(center)
         self.proj.append(key)
+        lam, ceil, floor = self._keep(ratio)
+        self.lam.append(lam)
+        self.ceils.append(ceil)
+        self.floors.append(floor)
         self._set_box()
         return Homothet(Vector([Fraction(k, CENTER_GRID) for k in grid]), ratio)
 
@@ -481,17 +461,13 @@ class _SearchState:
                              or not le(t * b * f, (a * f + c * b) * e)):
                 return None
         ratio = div(a, b)
-        if self.exact:
-            a, b = ratio.numerator, ratio.denominator
-            self.ceils[idx], self.floors[idx] = self._caps(a, b)
-        self.lam[idx] = (a, b)
+        self.lam[idx], self.ceils[idx], self.floors[idx] = self._keep(ratio)
         self._set_box()
         return ratio
 
     def drop(self, k: int) -> None:
-        del self.g[k], self.rows[k], self.proj[k], self.lam[k]
-        if self.exact:
-            del self.ceils[k], self.floors[k]
+        del (self.g[k], self.rows[k], self.proj[k], self.lam[k],
+             self.ceils[k], self.floors[k])
         for grow in self.g:
             del grow[k]
         self._set_box()
@@ -513,8 +489,8 @@ def search_arrangement(body: SymmetricBody, dim: int,
 
     A move is checked in O(n) against the distances ``_SearchState`` keeps
     between the current members, on integers for exact members of an exact
-    body, where an insertion compares the candidate's distances with each
-    member's integer caps.  The accepted state always satisfies both
+    body; an insertion compares the candidate's distances with each
+    member's caps on both routes.  The accepted state always satisfies both
     predicates, so checking the moved member's relations makes the same
     decisions as a full pass over the candidate.  The warm start and the
     result are checked by the full predicates.

@@ -286,8 +286,7 @@ def test_gauge_matrix_drop_and_append_match_recompute():
         assert list(map(list, a.rows)) == list(map(list, b.rows))
         assert list(map(list, a.proj)) == list(map(list, b.proj))
         assert [F(r) / s for r, s in a.lam] == [F(r) / s for r, s in b.lam]
-        if a.exact:
-            assert (a.e, a.ceils, a.floors) == (b.e, b.ceils, b.floors)
+        assert (a.e, a.ceils, a.floors) == (b.e, b.ceils, b.floors)
     # member 3 keeps its relations with TRIO on both bodies; (1/4, 0) lies
     # inside member 0
     members = TRIO + [H((1, 1), 1)]
@@ -480,7 +479,8 @@ def test_one_projection_per_center(monkeypatch):
     assert len(projections) == 9 and not calls
     # an insertion attempt on the exact route projects its center once,
     # whatever the member count, accepted or not; the scalar route takes
-    # one gauge per member it is checked against; a rescaling takes neither
+    # one gauge per member it is checked against, up to the first member
+    # that holds the center in its interior; a rescaling takes neither
     for members in (TRIO[:1], TRIO[:2], TRIO):
         state = _SearchState(SQUARE, list(members))
         projections.clear()
@@ -493,6 +493,9 @@ def test_one_projection_per_center(monkeypatch):
     state = _SearchState(SQUARE, floated(TRIO))
     calls.clear()
     projections.clear()
+    assert state.insert((1, 0), random.Random(0)) is None  # inside member 0
+    assert len(calls) == 1
+    calls.clear()
     assert state.insert((6, 6), random.Random(0))
     assert len(calls) == len(TRIO) and not projections
     assert state.rescale(0, F(6, 5)) == 1.0 * F(6, 5)

@@ -1,7 +1,7 @@
 """Golden bytes: ``verify --certificate`` payloads in both modes, ``lift
---dump`` output, one ``lift --svg`` diagram for committed inputs, three
-``search --out`` arrangements (the square's, the disc's and the 3-D
-cross-polytope's), the ``kdist grid --out`` point set {0..3}^2 and two
+--dump`` output, one ``lift --svg`` diagram for committed inputs, four
+``search --out`` arrangements (the square's, the disc's, the 3-D
+cross-polytope's and a parallelogram's with float facets), the ``kdist grid --out`` point set {0..3}^2 and two
 ``kdist chain --out`` chains of that grid (under the sum norm and the
 ``minkowski3`` hexagon), compared byte for byte.
 
@@ -92,14 +92,22 @@ L1_3 = {"dim": 3, "type": "hpoly", "facets": [
     {"normal": list(signs)} for signs in itertools.product((1, -1), repeat=3)]}
 
 
+# a parallelogram given by float facet normals
+FLOAT_FACETS = {"dim": 2, "type": "hpoly", "facets": [
+    {"normal": [1.0, 0.5]}, {"normal": [-1.0, -0.5]},
+    {"normal": [0.25, 1.0]}, {"normal": [-0.25, -1.0]}]}
+
+
 @pytest.mark.parametrize("name,body,iters", [
     ("square", body_to_json(linf_ball(2)), 120),
     ("disc", body_to_json(BallBody(2)), 120),
-    ("l1_3", L1_3, 200)], ids=["square", "disc", "l1_3"])
+    ("l1_3", L1_3, 200),
+    ("float_facets", FLOAT_FACETS, 120)],
+    ids=["square", "disc", "l1_3", "float_facets"])
 def test_search_out_bytes(name, body, iters, tmp_path, capsys):
     # the command CI's console-script step runs: the square's and the 3-D
     # cross-polytope's searches decide their moves on integers, the disc's
-    # on floats with float ratios
+    # and the float-facet parallelogram's on floats
     path = tmp_path / "body.json"
     path.write_text(json.dumps(body))
     out = tmp_path / "search.json"

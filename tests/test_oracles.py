@@ -873,35 +873,65 @@ def loop_insertion(state, grid, rng):
              ld * hd * WEIGHT_GRID)
 
 
-def test_cap_insertion_against_the_loop():
-    """The search state's insertion on its caps and ``loop_insertion`` from
-    the same seeded states, rescaled and dropped between insertions: the
-    same accept or refusal, the same ratio by value and type, and the same
-    rng state after; the caps kept are those of the ratios."""
-    rng = random.Random(3131)
-    cases = [(linf_ball(2), None), (l1_ball(2), None),
-             (random_symmetric_hexagon(rng), None),
-             (cross_polytope_4((1, 2, 3, 2)), None),
-             (linf_ball(2), thirds_warm_start())]
+def scalar_loop_insertion(state, grid, rng):
+    """The ratio of the member at the center grid/4 on the scalar route,
+    or None, by the member-by-member loop the search took before it kept
+    caps on that route: the center's gauge distance (t, 1) to each member
+    (lam, 1), refused at the first member with t*1 < lam*1, the running
+    max low of ``MIN_RATIO`` and (t - lam)/1, high the least t, refused
+    when low > high, the weight drawn only after every member passed, and
+    the ratio low + (high - low)*k/8 in the scalars, refused when it or a
+    distance is beyond the float range.  It reads the state and changes
+    nothing in it."""
+    center = [k * state.unit for k in grid]
+    ln, ld = MIN_RATIO.numerator, MIN_RATIO.denominator
+    hn, hd = None, 1
+    ts = []
+    for p, (a, b) in zip(state.proj, state.lam):
+        t, e = state.body.gauge(Vector([c - v for c, v in zip(center, p)])), 1
+        if t * b < a * e:
+            return None
+        ts.append(t)
+        n, d = t * b - a * e, e * b
+        if n * ld > ln * d:
+            ln, ld = n, d
+        if hn is None or t * hd < hn * e:
+            hn, hd = t, e
+    if ln * hd > hn * ld:
+        return None
+    weight = _grid_fraction(rng, 0, 1, WEIGHT_GRID)
+    low = scalars.div(ln, ld)
+    ratio = low + (scalars.div(hn, hd) - low) * F(weight, WEIGHT_GRID)
+    if not all(map(math.isfinite, [ratio] + ts)):
+        return None
+    return ratio
+
+
+def insertions_against(oracle, cases, rng, exact):
+    """The search state's insertion on its caps and the oracle from the
+    same seeded states on the exact or the scalar route, rescaled and
+    dropped between insertions: the same accept or refusal, the same ratio
+    by value and type, and the same rng state after; the caps kept are
+    those of the ratios.  Returns the count of each move."""
     seen = collections.Counter()
     for body, warm in cases:
         members = list(warm.members) if warm else [
             Homothet(zero_vector(body.dim), F(1))]
         state = _SearchState(body, list(members))
-        assert state.exact
+        assert state.exact is exact
         for _ in range(300):
             lo, hi = state.box
             grid = [_grid_fraction(rng, l, h) for l, h in zip(lo, hi)]
             seed = rng.getrandbits(32)
             want_rng, got_rng = random.Random(seed), random.Random(seed)
-            want = loop_insertion(state, grid, want_rng)
+            want = oracle(state, grid, want_rng)
             got = state.insert(grid, got_rng)
             assert got_rng.getstate() == want_rng.getstate()
             if want is None:
                 assert got is None
                 seen["refused"] += 1
             else:
-                assert got.ratio == want and type(got.ratio) is F
+                assert got.ratio == want and type(got.ratio) is type(want)
                 members.append(got)
                 seen["taken"] += 1
             if rng.random() < 0.3:
@@ -916,12 +946,69 @@ def test_cap_insertion_against_the_loop():
                 del members[k]
                 state.drop(k)
                 seen["dropped"] += 1
-            lam = [F(a, b) for a, b in state.lam]
-            assert lam == [h.ratio for h in members]
-            assert state.ceils == [math.ceil(x * state.e) for x in lam]
-            assert state.floors == [math.floor(x * state.e) for x in lam]
+            ratios = [h.ratio for h in members]
+            if state.exact:
+                lam = [F(a, b) for a, b in state.lam]
+                assert lam == ratios
+                assert state.ceils == [math.ceil(x * state.e) for x in lam]
+                assert state.floors == [math.floor(x * state.e) for x in lam]
+            else:
+                assert state.lam == [(x, 1) for x in ratios]
+                assert list(map(type, state.ceils)) == list(map(type, ratios))
+                assert state.ceils == state.floors == ratios
         assert _feasible(body, members)
+    return seen
+
+
+def test_cap_insertion_against_the_loop():
+    """The exact route against ``loop_insertion``."""
+    rng = random.Random(3131)
+    cases = [(linf_ball(2), None), (l1_ball(2), None),
+             (random_symmetric_hexagon(rng), None),
+             (cross_polytope_4((1, 2, 3, 2)), None),
+             (linf_ball(2), thirds_warm_start())]
+    seen = insertions_against(loop_insertion, cases, rng, True)
     assert min(seen.values()) > 20, seen
+
+
+def test_scalar_cap_insertion_against_the_loop():
+    """The scalar route against ``scalar_loop_insertion``: the disc, float
+    facets, the square's facets as floats, a float warm start on the square
+    and a mixed one (exact centers, float ratios)."""
+    rng = random.Random(3132)
+    floats = Arrangement(linf_ball(2), tuple(
+        Homothet(Vector(float(c) for c in h.center), float(h.ratio))
+        for h in cube_arrangement(2).members))
+    # exact centers on an exact body: Fraction distances, float ratios
+    mixed = Arrangement(linf_ball(2), tuple(
+        Homothet(h.center, float(h.ratio))
+        for h in thirds_warm_start().members))
+    cases = [(BallBody(2), None), (float_facet_body(), None),
+             (linf_ball(2).as_float(), None), (linf_ball(2), floats),
+             (linf_ball(2), mixed)]
+    seen = insertions_against(scalar_loop_insertion, cases, rng, False)
+    assert min(seen.values()) > 20, seen
+
+
+def test_mixed_state_compares_the_ceiling_directly():
+    """A float ratio just above 5/12 on the exact center (1/3, 0): the
+    center (3/4, 0), at distance exactly 5/12, is interior to it, so both
+    the state and the loop refuse it, with no weight drawn.  The float
+    difference 5/12 - ratio rounds to 0.0, so a test of t - ceil < 0 would
+    take the center."""
+    lam = float(F(5, 12))
+    assert lam > F(5, 12) and F(5, 12) - lam == 0.0
+    state = _SearchState(linf_ball(2), [Homothet(Vector((F(1, 3), F(0))),
+                                                 lam)])
+    assert not state.exact and state.ceils == [lam]
+    assert linf_ball(2).gauge(Vector((F(3, 4) - F(1, 3), F(0)))) == F(5, 12)
+    for insert in (state.insert, functools.partial(scalar_loop_insertion,
+                                                   state)):
+        rng = random.Random(0)
+        before = rng.getstate()
+        assert insert((3, 0), rng) is None
+        assert rng.getstate() == before
+    assert len(state.lam) == 1
 
 
 def test_search_against_full_pass(monkeypatch):
