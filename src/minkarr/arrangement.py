@@ -8,7 +8,9 @@ violate the arrangement condition.  Both conditions read one distance per
 pair, the centers' ``distance_table`` D: max(lam_i, lam_j) <= D[i][j] <=
 lam_i + lam_j.  On exact centers and ratios of an exact body the distances
 are integer pairs t/e and the ratios s_k/q, and each comparison is one
-cross-multiplied integer comparison.
+cross-multiplied integer comparison.  Any other polytope arrangement reads
+them from its ``facet_projections``, and only the ball takes one gauge per
+pair.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from itertools import product, repeat
 from typing import List, Optional, Sequence, Tuple
 
 from . import scalars
-from .bodies import (SymmetricBody, body_from_json, body_to_json,
-                     distance_table, fraction_table, linf_ball,
-                     projection_distances)
+from .bodies import (HPolytopeBody, SymmetricBody, body_from_json,
+                     body_to_json, distance_table, facet_distances,
+                     fraction_table, linf_ball, projection_distances)
 from .kdistance import chain_violation
 from .linalg import Vector, zero_vector
 from .scalars import Scalar, div, format_scalar, parse_scalar
@@ -86,11 +88,39 @@ class Arrangement:
         return projection_distances(self.projections, self.form[1])
 
     @cached_property
+    def facet_projections(self) -> Optional[tuple]:
+        """The float route's projection matrix of a polytope body without
+        ``projections`` (float facets, or a float among the members), in
+        the scalars the facets and centers hold; None for any other body.
+        It is (facets, base, U): the canonical facets a in lexicographic
+        order, base[a] = a.v_0, and each member's row U_k[a] = a.(v_k - v_0).
+        Anchored at a center, its rounding scales with the spread of the
+        centers, not with their distance from the origin.  The anchor v_0
+        is the first exact center, if any, so that on an exact body the
+        exact centers keep exact rows; else the first center.  The
+        distances, the frames, the shadows and the slabs read it."""
+        if self.projections is not None or \
+                not isinstance(self.body, HPolytopeBody):
+            return None
+        facets = sorted(a.coords for a in self.body.facets)
+        v0 = next((h.center.coords for h in self.members
+                   if scalars.is_exact(*h.center.coords)),
+                  self.members[0].center.coords)
+        rows = []
+        for h in self.members:
+            d = tuple(map(operator.sub, h.center.coords, v0))
+            rows.append(tuple([sum(map(operator.mul, a, d)) for a in facets]))
+        return facets, [sum(map(operator.mul, a, v0)) for a in facets], rows
+
+    @cached_property
     def distances(self) -> List[List[Scalar]]:
-        """The centers' ``distance_table``, computed on first use and kept;
-        from the ``int_distances`` when there are any."""
+        """The centers' ``distance_table``, computed on first use and kept:
+        from the ``int_distances`` or the ``facet_projections`` when there
+        are any, else one gauge per pair."""
         if self.int_distances is not None:
             return fraction_table(self.int_distances)
+        if self.facet_projections is not None:
+            return facet_distances(self.facet_projections[2])
         return distance_table(self.body, [h.center for h in self.members])
 
     @cached_property

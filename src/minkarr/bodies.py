@@ -1,4 +1,4 @@
-"""Origin-symmetric convex bodies: the gauge and the boundary frame.
+"""Origin-symmetric convex bodies: the gauge and the ball's boundary frame.
 
 A body is the unit ball of the norm it induces: the gauge of x is the least
 lambda >= 0 with x in lambda*K, a norm; ``distance_table`` takes it once
@@ -11,10 +11,13 @@ o-symmetric polytope is max_h |h.x|; ``gauge`` is the route of float points
 and float bodies.  The same projections give an exact arrangement its
 frames and shadows (``Arrangement.projections``, read by ``lifting``): the
 facet of the pair (i, j) is the half row h with the largest |h.(P_j - P_i)|,
-signed s, ties to the lexicographically least facet s*h.  Every other frame
-is the body's ``boundary_frame`` toward u != 0: the gauge-1 point
-r = u/gauge(u) and a supporting plane a.z = 1 of K at r, in one pass and in
-every dimension.  Three variants:
+signed s, ties to the lexicographically least facet s*h.  Any other
+polytope arrangement (float facets, or a float among the members) reads
+its frames from one matrix of facet projections a.(p_k - p_0)
+(``Arrangement.facet_projections``) and its distances from the same rows
+(``facet_distances``).  Only the ball has a ``boundary_frame`` toward
+u != 0: the gauge-1 point r = u/|u| and its supporting plane r.z = 1.
+Three variants:
 
 * ``HPolytopeBody`` -- intersection of halfspaces a.x <= 1 (facets are stored
   in offset-1 canonical form), central symmetry means the facet list is
@@ -49,11 +52,11 @@ class BodyError(ValueError):
 
 
 class SymmetricBody:
-    """Common interface: ``gauge`` and ``boundary_frame``.
+    """Common interface: ``gauge``.
 
-    ``exact`` says that both are exact on exact vectors (no float facet or
-    vertex), so they scale with the vector exactly: gauge(q*u) = q*gauge(u)
-    and the frame of q*u is the frame of u for q > 0.  An exact body also
+    ``exact`` says that it is exact on exact vectors (no float facet or
+    vertex), so it scales with the vector exactly: gauge(q*u) = q*gauge(u)
+    for q > 0.  An exact body also
     answers ``int_projections`` over its ``half_rows``, and since those are
     linear in the vector, gauge(p - p') is the largest absolute difference
     of the projections of p and p'.
@@ -68,11 +71,6 @@ class SymmetricBody:
     def int_projections(self, p: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
         """(proj, den) for an integer vector p, with den > 0 and gauge(p) =
         max(map(abs, proj))/den; exact bodies only."""
-        raise NotImplementedError
-
-    def boundary_frame(self, u: Vector) -> Tuple[Vector, Vector]:
-        """(r, a): r = u/gauge(u) on the boundary toward u != 0 and a plane
-        a.z = 1 supporting the body at r: a.r = 1 and a.z <= 1 on the body."""
         raise NotImplementedError
 
     def as_float(self) -> "SymmetricBody":
@@ -129,16 +127,20 @@ def projection_distances(projections: Sequence[Tuple[Tuple[int, ...], int]],
     return table
 
 
+def facet_distances(rows: Sequence[Sequence[Scalar]]) -> List[List[Scalar]]:
+    """The ``distance_table`` of points from their rows U_k[a] = a.(p_k - p_0)
+    over every canonical facet a of a polytope body: gauge(p_j - p_i) =
+    max_a a.(p_j - p_i), the largest difference of two rows, for i < j."""
+    table: List[List[Scalar]] = [[0] * len(rows) for _ in rows]
+    for i, u in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            table[i][j] = table[j][i] = max(map(operator.sub, rows[j], u))
+    return table
+
+
 def fraction_table(table) -> List[List[Scalar]]:
     """The gauges t/e of an ``int_distance_table``, int 0 for t = 0."""
     return [[Fraction(t, e) if t else 0 for t, e in row] for row in table]
-
-
-def _to_boundary(u: Vector, g: Scalar) -> Vector:
-    """u scaled by its gauge g to gauge 1."""
-    if scalars.eq(g, 0):
-        raise ValueError("a boundary frame needs a nonzero direction")
-    return u / g
 
 
 def _canonical_facet(normal: Vector, offset: Scalar) -> Vector:
@@ -239,20 +241,6 @@ class HPolytopeBody(SymmetricBody):
                 best = v
         return best if scalars.gt(best, 0) else 0
 
-    def boundary_frame(self, u: Vector) -> Tuple[Vector, Vector]:
-        """r = u/gauge(u) and the lexicographically least facet active at r
-        (a vertex tie breaks the same way every run): the gauge once, then
-        the facets with a.r == 1, exactly on exact values and within
-        ``scalars.TOLERANCE`` on floats.  This is the scalar route, of float
-        points and float facets; the frames of an exact arrangement on exact
-        facets are read from its projections (``lifting.build_frame``)."""
-        self._check_dim(u)
-        r_vec = _to_boundary(u, self.gauge(u))
-        best = min((a for a in self.facets if scalars.eq(
-            sum(map(operator.mul, a.coords, r_vec.coords)), 1)),
-            key=lambda a: a.coords)
-        return r_vec, best
-
     def to_json(self) -> dict:
         return {"dim": self.dim, "type": "hpoly",
                 "facets": [{"normal": [format_scalar(c) for c in a.coords],
@@ -306,8 +294,12 @@ class BallBody(SymmetricBody):
         return math.hypot(*map(float, x.coords))
 
     def boundary_frame(self, u: Vector) -> Tuple[Vector, Vector]:
-        """r = u/|u|, whose supporting plane is r.z = 1 (in floats)."""
-        r_vec = _to_boundary(u, self.gauge(u))
+        """(r, a) toward u != 0: r = u/|u| on the boundary and its
+        supporting plane a.z = 1, a = r in floats."""
+        g = self.gauge(u)
+        if scalars.eq(g, 0):
+            raise ValueError("a boundary frame needs a nonzero direction")
+        r_vec = u / g
         return r_vec, Vector(float(c) for c in r_vec.coords)
 
     def to_json(self) -> dict:

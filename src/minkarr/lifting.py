@@ -44,9 +44,20 @@ f*q, or the computed values over 1 when a float is involved), a slab its
 plane (M, k_ij, k_ji, g_ij, g_ji), the normal and offsets over one positive
 integer denominator (as computed when a value is a float).  So y_k lies in
 the slab exactly when lo*w_k <= M.Y_k <= hi*w_k (lo <= hi the outer
-offsets), and the ratio identity is one integer equality.  The float route,
-of the ball, float facets and float input, takes the body's
-``boundary_frame`` per pair, reads each point as (y_k, 1) and folds the
+offsets), and the ratio identity is one integer equality.
+
+Every other polytope arrangement (float facets, or a float among the
+members) reads the same quantities from its ``facet_projections``, one
+matrix U_k[a] = a.(v_k - v_0) over the canonical facets a, anchored at a
+center v_0 (the first exact one, if any).  The frame of (i, j) is the
+lexicographically least facet whose difference U_j[a] - U_i[a] equals the
+largest one, top, or on floats lies within ``scalars.TOLERANCE``,
+relative, of it, with r = (v_j - v_i)/top.  The shadow is column a,
+alpha_k = U_k[a] - U_i[a], its ends checked per pair, relative to v_i: a
+column's extremes shared across pairs, relative to v_0, round otherwise on
+floats and can miss an empty shadow.  The slab normal is
+(a, -(a.v_0 + U_i[a] + x)).  Only the ball takes its ``boundary_frame``
+per pair.  Both float routes read each point as (y_k, 1) and fold the
 tolerance into the ends.
 """
 
@@ -75,7 +86,8 @@ class ProjectionFrame:
     # normal
     a_form: Optional[tuple] = field(default=None, repr=False, compare=False)
     # (h, s): f_normal is s times half row h, column h of the arrangement's
-    # projections; None when the frame was not read from them
+    # projections, or (a, 1): f_normal is facet a, column a of its
+    # facet_projections; None when the frame was not read from either
     column: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -172,20 +184,42 @@ def _facet_column(arr: Arrangement, i: int, j: int):
     return best + (top,)
 
 
+def _float_facet(arr: Arrangement, i: int, j: int):
+    """(a, top) of the pair (i, j) of an arrangement with
+    ``facet_projections`` U: top the largest U_j[a] - U_i[a], and a the
+    first facet, in their lexicographic order, whose difference is top, or
+    on floats within ``scalars.TOLERANCE``, relative, of top: the least
+    facet active at r = (v_j - v_i)/top."""
+    rows = arr.facet_projections[2]
+    deltas = list(map(operator.sub, rows[j], rows[i]))
+    top = max(deltas)
+    if not scalars.gt(top, 0):
+        raise ValueError("coincident centers: members %d and %d" % (i, j))
+    cut = top if scalars.is_exact(top) else top - scalars.TOLERANCE * top
+    return next(a for a, delta in enumerate(deltas) if delta >= cut), top
+
+
 def build_frame(arr: Arrangement, i: int, j: int) -> ProjectionFrame:
     """Frame for the pair (i, j); the centers must differ.
 
     Exact centers on an exact body read the arrangement's projections
     (module docstring): the facet a = s*h/D of the column h and the sign
     s that ``_facet_column`` picks, its form (s*h/g, D/g) for
-    g = gcd(D, h), and r = (P_j - P_i)*D/top.  Any other input takes the
-    body's ``boundary_frame`` of v_j - v_i.
+    g = gcd(D, h), and r = (P_j - P_i)*D/top.  Any other polytope
+    arrangement reads its ``facet_projections``: the facet a that
+    ``_float_facet`` picks and r = (v_j - v_i)/top.  The ball takes its
+    ``boundary_frame`` of v_j - v_i.
     """
     if arr.projections is None:
         diff = arr.members[j].center - arr.members[i].center
         if diff.is_zero():
             raise ValueError("coincident centers: members %d and %d" % (i, j))
-        return ProjectionFrame(i, j, *arr.body.boundary_frame(diff))
+        if arr.facet_projections is None:
+            return ProjectionFrame(i, j, *arr.body.boundary_frame(diff))
+        a, top = _float_facet(arr, i, j)
+        return ProjectionFrame(i, j, diff / top,
+                               Vector(arr.facet_projections[0][a]),
+                               column=(a, 1))
     h, s, row, top = _facet_column(arr, i, j)
     den, rows, d = arr.projections[0][1], arr.form[0], arr.dim
     g = math.gcd(den, *row)
@@ -203,31 +237,53 @@ def shadow(arr: Arrangement, frame: ProjectionFrame) -> ShadowData:
     endpoints are attained.  The common point is the midpoint of the interval
     intersection (the first largest low end and the first smallest high
     end); shadow_with_x moves it to any other point of it.  A frame read
-    from the projections reads its column of them; any other computes
-    a.(v_k - v_i)/a.r.
+    from the projections, or the facet projections, reads its column of
+    them; any other (the ball's) computes a.(v_k - v_i)/a.r.
     """
     i, j = frame.i, frame.j
-    if frame.column:
+    if frame.column and arr.projections is not None:
         # a = A/f, A.P_k = s*U_k[h]/g: alpha_k = (A.P_k - A.P_i)/(f*q)
         (h, s), f, (rows, q) = frame.column, frame.a_form[1], arr.form
         g = arr.projections[0][1] // f
         t = [s * p[h] // g for p, _ in arr.projections]
         alphas = [t_k - t[i] for t_k in t]
         lams, den = [row[-1] * f for row in rows], f * q
+    elif frame.column:
+        alphas = _facet_alphas(arr, i, j, frame.column[0])
+        lams, den = [h.ratio for h in arr.members], 1
     else:
         a, vi = frame.f_normal.coords, arr.members[i].center.coords
         denom = _dot(a, frame.r_vec.coords)
         alphas = [div(_dot(a, map(operator.sub, h.center.coords, vi)), denom)
                   for h in arr.members]
         lams, den = [h.ratio for h in arr.members], 1
+    lows, highs, lo_idx, hi_idx = _ends(alphas, lams)
+    form = alphas, lows, highs, den, lo_idx, hi_idx
+    return ShadowData(i, j, form,
+                      div(lows[lo_idx] + highs[hi_idx], 2 * den))
+
+
+def _ends(alphas, lams):
+    """(lows, highs, lo_idx, hi_idx): the intervals alpha_k -+ lam_k and
+    the first largest low end and first smallest high end, which raise a
+    ``ShadowIntersectionError`` when they do not meet."""
     lows = [al - lam for al, lam in zip(alphas, lams)]
     highs = [al + lam for al, lam in zip(alphas, lams)]
     lo_idx, hi_idx = lows.index(max(lows)), highs.index(min(highs))
-    lo, hi = lows[lo_idx], highs[hi_idx]
-    if scalars.gt(lo, hi):
+    if scalars.gt(lows[lo_idx], highs[hi_idx]):
         raise ShadowIntersectionError((lo_idx, hi_idx))
-    form = alphas, lows, highs, den, lo_idx, hi_idx
-    return ShadowData(i, j, form, div(lo + hi, 2 * den))
+    return lows, highs, lo_idx, hi_idx
+
+
+def _facet_alphas(arr: Arrangement, i: int, j: int, a: int) -> list:
+    """alpha_k = U_k[a] - U_i[a] of the pair (i, j) on column a of the
+    facet projections: floats when a.r is a float, as a.(v_k - v_i)/a.r
+    would be (with U_i a float they are already)."""
+    t = [u[a] for u in arr.facet_projections[2]]
+    alphas = [t_k - t[i] for t_k in t]
+    if scalars.is_exact(t[i]) and not scalars.is_exact(t[j]):
+        return list(map(float, alphas))
+    return alphas
 
 
 def shadow_with_x(sd: ShadowData, x_coord: Scalar) -> ShadowData:
@@ -360,16 +416,30 @@ def slab_pair(arr: Arrangement, frame: ProjectionFrame,
     N.y_k = (alpha_k - x)/lam_k for every member k, so the slab contains
     y_k exactly when x lies in shadow interval k.  The inner planes pass
     through y_i and y_j; they coincide exactly when the width ratio's
-    denominator vanishes, and then no slab pair exists.
+    denominator vanishes, and then no slab pair exists.  A frame read from
+    the facet projections takes a.v_i as a.v_0 + U_i[a].
     """
     a, i, j = frame.f_normal, frame.i, frame.j
     if arr.form and frame.a_form and scalars.is_exact(sd.x_coord):
         rows, coef = arr.form[0], frame.a_form[0]
         return _int_slab(arr, i, j, frame.a_form, _dot(coef, rows[i]),
                          _dot(coef, rows[j]), sd.x_coord)
-    m = a.extended(-a.dot(arr.members[i].center) - sd.x_coord).coords
-    gi, gj = (_dot(m, _lift_point(h.center, h.ratio).coords)
-              for h in (arr.members[i], arr.members[j]))
+    if frame.column and arr.facet_projections is not None:
+        _, base, rows = arr.facet_projections
+        c_i = base[frame.column[0]] + rows[i][frame.column[0]]
+    else:
+        c_i = a.dot(arr.members[i].center)
+    y_i, y_j = (_lift_point(h.center, h.ratio).coords
+                for h in (arr.members[i], arr.members[j]))
+    return _float_slab(i, j, a.coords, c_i, sd.x_coord, y_i, y_j)
+
+
+def _float_slab(i: int, j: int, a: tuple, c_i: Scalar, x: Scalar,
+                y_i: tuple, y_j: tuple) -> SlabPair:
+    """The slab of (i, j) on the float route: the normal (a, -c_i - x) for
+    c_i = a.v_i, its dots with the lifted points y_i and y_j, oriented."""
+    m = a + (-c_i - x,)
+    gi, gj = _dot(m, y_i), _dot(m, y_j)
     if scalars.eq(gi, gj):
         raise DegenerateWedgeError(_DEGENERATE)
     sg = -1 if scalars.gt(gi, gj) else 1
@@ -404,10 +474,26 @@ def slab_pairs(arr: Arrangement) -> Tuple[SlabPair, ...]:
     raises.  With projections no frame or shadow is built: a pair reads
     its column (h, s), and the column's extremes, max_k(s*U_k[h]/g -
     s_k*f) and min_k(s*U_k[h]/g + s_k*f) with their first indices, are
-    taken once per (h, s), so a pair's common point takes O(1)."""
+    taken once per (h, s), so a pair's common point takes O(1).  With
+    facet projections no frame or shadow is built either: a pair reads its
+    facet a, the column's intervals U_k[a] - U_i[a] -+ lam_k, checked per
+    pair in O(n) subtractions, and its slab, from lifted points taken once
+    per arrangement.  Only the ball builds each pair's frame and shadow."""
     n = len(arr.members)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     slabs = []
+    if arr.facet_projections is not None:
+        facets, base, rows = arr.facet_projections
+        lams = [h.ratio for h in arr.members]
+        ys = [_lift_point(h.center, h.ratio).coords for h in arr.members]
+        for i, j in pairs:
+            a = _float_facet(arr, i, j)[0]
+            lows, highs, lo_idx, hi_idx = _ends(
+                _facet_alphas(arr, i, j, a), lams)
+            x = div(lows[lo_idx] + highs[hi_idx], 2)
+            slabs.append(_float_slab(i, j, facets[a], base[a] + rows[i][a],
+                                     x, ys[i], ys[j]))
+        return tuple(slabs)
     if arr.projections is None:
         for i, j in pairs:
             frame = build_frame(arr, i, j)

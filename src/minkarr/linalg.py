@@ -75,9 +75,6 @@ class Vector:
     def __repr__(self) -> str:
         return "Vector(%s)" % (", ".join(repr(c) for c in self.coords))
 
-    def extended(self, *extra: Scalar) -> "Vector":
-        return Vector(self.coords + tuple(extra))
-
     def _check(self, other: "Vector") -> None:
         if len(self.coords) != len(other.coords):
             raise ValueError("dimension mismatch: %d vs %d"

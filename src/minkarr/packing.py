@@ -181,6 +181,9 @@ def slab_packing_check(family: SlabFamily, lam: Scalar) -> PackingCertificate:
         return cert
     body_hull = hull(affine_coordinates(family.points)[0]
                      if cert.induction_branch else family.points)
+    if len(body_hull.vertices) <= adim:     # a float hull that lost facets
+        return cert._fail("hull", "%d hull vertices cannot span affine "
+                          "dimension %d" % (len(body_hull.vertices), adim))
     cert._ok("hull", "affine dimension %d, %d hull vertices"
              % (adim, len(body_hull.vertices)))
 

@@ -124,20 +124,26 @@ def _hull_2d(pts: List[Vector], rows, q, tol) -> ConvexPolytope:
 
 
 def _hull_3d(pts: List[Vector], rows, q, tol) -> ConvexPolytope:
+    """A float plane's sign test allows tol times max(1, the largest
+    |normal entry| times the largest |coordinate|), the scale of its
+    rounding."""
+    reach = tol and max(abs(x) for row in rows for x in row)
     planes = {}
     for i, j, k in itertools.combinations(range(len(pts)), 3):
         (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = rows[i], rows[j], rows[k]
         ux, uy, uz = x1 - x0, y1 - y0, z1 - z0
         vx, vy, vz = x2 - x0, y2 - y0, z2 - z0
         a, b, c = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
-        if max(abs(a), abs(b), abs(c)) <= tol:
+        size = max(abs(a), abs(b), abs(c))
+        if size <= tol:
             continue
         off = a * x0 + b * y0 + c * z0
         vals = [a * x + b * y + c * z - off for x, y, z in rows]
-        above = max(vals) > tol
-        if above and min(vals) < -tol:
+        eps = tol * max(1, size * reach)
+        above = max(vals) > eps
+        if above and min(vals) < -eps:
             continue
-        key = tuple(m for m, s in enumerate(vals) if -tol <= s <= tol)
+        key = tuple(m for m, s in enumerate(vals) if -eps <= s <= eps)
         if key not in planes:
             normal, offset = _plane((a, b, c), rows[i], q)
             planes[key] = (-normal, -offset) if above else (normal, offset)

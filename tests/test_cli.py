@@ -23,6 +23,8 @@ from minkarr.instances import (corpus_body, random_intersecting_arrangement,
 from minkarr.linalg import Vector
 from minkarr.packing import lifted_packing_pipeline
 
+from test_oracles import criterion_4_corpus
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -190,6 +192,64 @@ def test_float_verify_near_degenerate_sweep(tmp_path, capsys):
             assert "verdict: PASS" in out.splitlines()
             runs += 1
     assert runs == 5 * 65
+
+
+# the unit square with four members near (1000, 1000), in floats, so that
+# --mode exact takes the float route too; its lifted coordinates near 10^4
+# once made the float hull reject every plane, and volume crash on no vertex
+TRANSLATED_SQUARE = {"body": {"dim": 2, "type": "hpoly", "facets": [
+    {"normal": [1.0, 0.0], "offset": 1}, {"normal": [-1.0, 0.0], "offset": 1},
+    {"normal": [0.0, 1.0], "offset": 1}, {"normal": [0.0, -1.0], "offset": 1}]},
+    "homothets": [
+        {"center": [1000.8333333333334, 998.3333333333334], "ratio": 0.5},
+        {"center": [1000.8333333333334, 998.8333333333334], "ratio": 0.0625},
+        {"center": [1001.3333333333334, 999.3333333333334], "ratio": 0.5},
+        {"center": [998.3333333333334, 998.8333333333334], "ratio": 2.5}]}
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_translated_square_passes(mode, tmp_path, capsys):
+    path = tmp_path / "translated.json"
+    path.write_text(json.dumps(TRANSLATED_SQUARE))
+    code, out, err = run(capsys, "--mode", mode, "verify", str(path))
+    assert (code, err) == (0, ""), out
+    assert "verdict: PASS" in out.splitlines()
+
+
+def translated_corpus(shift):
+    """The criterion-4 corpus with every center moved by (shift, shift), as
+    float JSON values."""
+    for arr in criterion_4_corpus():
+        obj = arrangement_to_json(arr)
+        for h, member in zip(obj["homothets"], arr.members):
+            h["center"] = [float(c + shift) for c in member.center]
+            h["ratio"] = float(member.ratio)
+        yield obj
+
+
+def test_translated_corpus_passes_in_float_mode(tmp_path, capsys):
+    path = tmp_path / "translated.json"
+    for obj in translated_corpus(1000 + Fraction(1, 3)):
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "--mode", "float", "verify", str(path))
+        assert (code, err) == (0, ""), out
+        assert "verdict: PASS" in out.splitlines()
+
+
+def test_far_translated_corpus_exits_0_or_1(tmp_path, capsys):
+    # near 10^5 the float hull may lose facets: a failed hull stage or a
+    # PASS, never an internal error
+    path = tmp_path / "translated.json"
+    codes = set()
+    for obj in translated_corpus(10 ** 5 + Fraction(1, 7)):
+        path.write_text(json.dumps(obj))
+        for mode in ("exact", "float"):
+            code, out, err = run(capsys, "--mode", mode, "verify", str(path))
+            assert code in (0, 1) and err == "", (mode, out, err)
+            assert not any(line.startswith("internal error:")
+                           for line in (out + err).splitlines())
+            codes.add(code)
+    assert 0 in codes
 
 
 def test_verify_internal_error_exit_2(cube_file, capsys, monkeypatch):

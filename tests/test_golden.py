@@ -1,5 +1,5 @@
 """Golden bytes: ``verify --certificate`` payloads in both modes, ``lift
---dump`` output, one ``lift --svg`` diagram for committed inputs, four
+--dump`` output in both modes, one ``lift --svg`` diagram for committed inputs, four
 ``search --out`` arrangements (the square's, the disc's, the 3-D
 cross-polytope's and a parallelogram's with float facets), the ``kdist grid --out`` point set {0..3}^2 and two
 ``kdist chain --out`` chains of that grid (under the sum norm and the
@@ -43,6 +43,9 @@ FLOAT_INPUTS = ["minkowski1", "minkowski2", "minkowski3", "pyramid"]
 LIFTS = [("cube2", 0, 4), ("cube2", 4, 0), ("minkowski1", 0, 2),
          ("minkowski2", 1, 4), ("minkowski3", 1, 3), ("cross4", 2, 5),
          ("cross4", 5, 2), ("disc", 1, 2)]
+# the square and the hexagon under --mode float, whose frames, shadows and
+# slabs read the float facet projections
+FLOAT_LIFTS = [("minkowski1", 0, 2), ("minkowski3", 1, 3)]
 
 
 def golden(name):
@@ -67,15 +70,25 @@ def test_verify_certificate_bytes(name, mode, tmp_path, capsys):
     assert out.read_bytes() == read_bytes(golden(name + suffix))
 
 
-@pytest.mark.parametrize("name,i,j", LIFTS)
-def test_lift_dump_bytes(name, i, j, tmp_path, capsys):
+def check_lift_dump(name, i, j, mode, tmp_path, capsys):
     out = tmp_path / "dump.json"
-    code = main(["lift", golden(name + ".json"), "--pair", str(i), str(j),
-                 "--dump", str(out)])
+    code = main(["--mode", mode, "lift", golden(name + ".json"), "--pair",
+                 str(i), str(j), "--dump", str(out)])
     capsys.readouterr()
     assert code == 0
+    infix = "" if mode == "exact" else ".float"
     assert out.read_bytes() == read_bytes(
-        golden("%s.lift%d%d.json" % (name, i, j)))
+        golden("%s%s.lift%d%d.json" % (name, infix, i, j)))
+
+
+@pytest.mark.parametrize("name,i,j", LIFTS)
+def test_lift_dump_bytes(name, i, j, tmp_path, capsys):
+    check_lift_dump(name, i, j, "exact", tmp_path, capsys)
+
+
+@pytest.mark.parametrize("name,i,j", FLOAT_LIFTS)
+def test_float_lift_dump_bytes(name, i, j, tmp_path, capsys):
+    check_lift_dump(name, i, j, "float", tmp_path, capsys)
 
 
 def test_lift_svg_bytes(tmp_path, capsys):

@@ -34,8 +34,8 @@ from minkarr.lifting import (DegenerateWedgeError, LiftedConfig,
                              slab_pairs, verify_ratio_identity, verify_slab)
 from minkarr.linalg import (Vector, _rref, affine_coordinates, affine_rank,
                             matrix_rank, zero_vector)
-from minkarr import arrangement, lp, scalars
-from minkarr.bodies import SymmetricBody
+from minkarr import arrangement, lp, packing, scalars
+from minkarr.bodies import HPolytopeBody, SymmetricBody
 from minkarr.packing import family_from_arrangement, lifted_packing_pipeline
 from minkarr.polytopes import ConvexPolytope, hull, volume
 
@@ -45,6 +45,11 @@ from lp_oracle import gauge_lp, simplex_max
 def as_floats(v: Vector) -> tuple:
     """The coordinates of v as floats, for approximate comparisons."""
     return tuple(float(c) for c in v.coords)
+
+
+def extended(v: Vector, *extra) -> Vector:
+    """v with the extra coordinates appended."""
+    return Vector(v.coords + extra)
 
 
 def cross3(a: Vector, b: Vector) -> Vector:
@@ -230,8 +235,8 @@ def nullspace_slab(arr, frame, sd):
     """
     d = arr.dim
     vi = arr.members[frame.i].center
-    x_emb = (vi + frame.r_vec * sd.x_coord).extended(0, 1)
-    rows = [w.extended(0, 0).coords
+    x_emb = extended(vi + frame.r_vec * sd.x_coord, 0, 1)
+    rows = [extended(w, 0, 0).coords
             for w in hyperplane_directions(frame.f_normal)]
 
     def plane(line_dir):
@@ -243,8 +248,8 @@ def nullspace_slab(arr, frame, sd):
         return Vector(n_full.coords[:d] + (n_full.coords[d + 1],)), \
             -n_full.coords[d]
 
-    normal, off_i = plane((-frame.r_vec).extended(1, 0))
-    normal_j, off_j = plane(frame.r_vec.extended(1, 0))
+    normal, off_i = plane(extended(-frame.r_vec, 1, 0))
+    normal_j, off_j = plane(extended(frame.r_vec, 1, 0))
     scale = next(v / u for u, v in zip(normal.coords, normal_j.coords)
                  if u != 0)
     assert normal_j == normal * scale, "wedge planes are not parallel"
@@ -1191,7 +1196,7 @@ def test_chain_routes_against_pair_loops():
 def homogeneous_lift(center, lam):
     """y = (v/lam, 1/lam): embed as (v, lam, 1), divide by the coordinate
     the central projection normalizes, drop the constant slot."""
-    homogeneous = center.extended(lam, 1)
+    homogeneous = extended(center, lam, 1)
     projected = homogeneous / homogeneous[center.dim]
     return Vector(projected.coords[:center.dim] + (projected.coords[-1],))
 
@@ -1257,7 +1262,7 @@ def fraction_ratio(lam_i, lam_j, u_i, u_j):
 def fraction_slab_pair(arr, frame, sd):
     a, c = frame.f_normal, 1
     vi = arr.members[frame.i].center
-    normal = a.extended(-a.dot(vi) - sd.x_coord * c)
+    normal = extended(a, -a.dot(vi) - sd.x_coord * c)
     c_k_ij, c_k_ji = -c, c
     y_i = homogeneous_lift(vi, arr.members[frame.i].ratio)
     y_j = homogeneous_lift(arr.members[frame.j].center,
@@ -1344,6 +1349,24 @@ def same(got, want):
     assert typed(got) == typed(want)
 
 
+def near(got, want):
+    """``same``, but a float value only up to 1e-13 relative, a few dozen
+    ulps: the same types everywhere, the same value of every other type."""
+    def leaves(value):   # a leaf of ``typed`` is (type name, value)
+        if len(value) == 2 and isinstance(value[0], str):
+            yield value
+        else:
+            for v in value:
+                yield from leaves(v)
+    got, want = list(leaves(typed(got))), list(leaves(typed(want)))
+    assert [a[0] for a in got] == [b[0] for b in want]
+    for a, b in zip(got, want):
+        if a[0] == "float":
+            assert math.isclose(a[1], b[1], rel_tol=1e-13), (a, b)
+        else:
+            assert a == b
+
+
 def check_both_routes(arr, xs_per_pair=()):
     """Every pair of arr against the Fraction route (lift, frame, shadow,
     shadow_with_x, ratio, slab_pair, containment and the ratio identity), at
@@ -1353,6 +1376,10 @@ def check_both_routes(arr, xs_per_pair=()):
     lifted = lift(arr)
     same(lifted.points, [homogeneous_lift(h.center, h.ratio)
                          for h in arr.members])
+    # the facet projections round a.(v_k - v_0) - a.(v_i - v_0), not
+    # a.(v_k - v_i): their floats match the Fraction route's up to the
+    # last bits, on the same facet and with the same types
+    match = same if arr.facet_projections is None else near
     compared = 0
     n = len(arr)
     for i in range(n):
@@ -1360,11 +1387,13 @@ def check_both_routes(arr, xs_per_pair=()):
             if i == j:
                 continue
             frame = build_frame(arr, i, j)
-            same(frame, two_call_frame(arr, i, j))
+            want = two_call_frame(arr, i, j)
+            assert frame.f_normal.coords == want.f_normal.coords
+            match(frame, want)
             sd0 = shadow(arr, frame)
             # exact input takes the integer route
             assert on_integers(sd0) == bool(arr.form and frame.a_form)
-            same(sd0, loop_shadow(arr, frame))
+            match(sd0, loop_shadow(arr, frame))
             for t in (None,) + tuple(xs_per_pair):
                 x = sd0.x_coord if t is None else \
                     sd0.inter_lo + (sd0.inter_hi - sd0.inter_lo) * t
@@ -1385,7 +1414,7 @@ def check_both_routes(arr, xs_per_pair=()):
                     assert all_ints((*slab.plane[0], *slab.plane[1:]))
                 else:
                     assert slab.den is None
-                same(slab, want)
+                match(slab, want)
                 args = (slab.normal, slab.c_k_ij, slab.c_k_ji)
                 same(slab_offender(lifted.points, *args),
                      fraction_slab_offender(lifted.points, *args))
@@ -1398,6 +1427,8 @@ def check_both_routes(arr, xs_per_pair=()):
                     same(verify_ratio_identity(slab, y_i, y_j, expected),
                          fraction_ratio_identity(slab, y_i, y_j, expected))
                 compared += 1
+    if arr.facet_projections is not None:
+        check_pair_loop(arr)
     return compared
 
 
@@ -1559,7 +1590,7 @@ def test_frames_and_distances_from_integer_differences():
         for i, j in itertools.permutations(range(len(arr)), 2):
             if centers[i] != centers[j]:
                 same(build_frame(arr, i, j), ProjectionFrame(
-                    i, j, *arr.body.boundary_frame(centers[j] - centers[i])))
+                    i, j, *boundary_frame(arr.body, centers[j] - centers[i])))
         bodies.add((type(arr.body).__name__, arr.dim, arr.form[1] > 1))
     assert {("HPolytopeBody", 2, True), ("VPolytopeBody", 2, True),
             ("VPolytopeBody", 4, True)} <= bodies
@@ -1755,6 +1786,149 @@ def test_disc_with_rational_centers_keeps_its_float_frames():
     assert moved > 0
 
 
+# ------------------------- the per-pair float route the facet matrix replaced --
+# Before every polytope arrangement without integer projections read one
+# matrix of facet projections, each frame took HPolytopeBody.boundary_frame
+# of v_j - v_i (one gauge, then the facets active at r within the
+# tolerance), each shadow one dot product per member over a.r, each slab
+# the dot a.v_i, and the predicates one gauge per pair.
+
+def boundary_frame(body, u):
+    """(r, a) toward u != 0: r = u/gauge(u) and, on a polytope body, the
+    lexicographically least facet with a.r == 1 (``scalars.eq``: exactly on
+    exact values, within the tolerance on floats); the ball's own frame."""
+    if not isinstance(body, HPolytopeBody):
+        return body.boundary_frame(u)
+    body._check_dim(u)
+    g = body.gauge(u)
+    if scalars.eq(g, 0):
+        raise ValueError("a boundary frame needs a nonzero direction")
+    r_vec = u / g
+    return r_vec, min((a for a in body.facets
+                       if scalars.eq(a.dot(r_vec), 1)),
+                      key=lambda a: a.coords)
+
+
+def per_pair_float_family(arr):
+    """The slab of every pair i < j by the per-pair float route: the frame
+    of ``boundary_frame``, the shadow of ``loop_shadow`` and the slab of
+    ``fraction_slab_pair``, raising what the first pair raises."""
+    centers = [h.center for h in arr.members]
+    slabs = []
+    for i, j in itertools.combinations(range(len(arr)), 2):
+        diff = centers[j] - centers[i]
+        if diff.is_zero():
+            raise ValueError("coincident centers: members %d and %d" % (i, j))
+        frame = ProjectionFrame(i, j, *boundary_frame(arr.body, diff))
+        slab = fraction_slab_pair(arr, frame, loop_shadow(arr, frame))
+        slabs.append(SlabPair(i, j, *slab[2:]))
+    return tuple(slabs)
+
+
+def per_pair_float_certificate(arr, monkeypatch):
+    """The pipeline's certificate of arr with one gauge per pair for the
+    predicates and the family of the per-pair float route."""
+    oracle = Arrangement(arr.body, arr.members)
+    vars(oracle)["distances"] = distance_table(
+        arr.body, [h.center for h in arr.members])
+    with monkeypatch.context() as patch:
+        patch.setattr(packing, "slab_pairs", per_pair_float_family)
+        return lifted_packing_pipeline(oracle)
+
+
+def check_pair_loop(arr):
+    """``slab_pairs`` on the facet projections builds, bit for bit, the
+    slabs that ``build_frame``, ``shadow`` and ``slab_pair`` (the route of
+    ``lift``) build, or raises what the first pair raises."""
+    def frame_shadow_slab(arr):
+        slabs = []
+        for i, j in itertools.combinations(range(len(arr)), 2):
+            frame = build_frame(arr, i, j)
+            slab = slab_pair(arr, frame, shadow(arr, frame))
+            slabs.append((slab.i, slab.j, slab.plane, slab.den))
+        return slabs
+    family = outcome(slab_pairs, arr)
+    if not isinstance(family, Raised):
+        family = [(p.i, p.j, p.plane, p.den) for p in family]
+    same(family, outcome(frame_shadow_slab, arr))
+
+
+def check_float_kernel(arr, monkeypatch, strict=True):
+    """Every ordered pair's facet against ``boundary_frame``'s, and the
+    certificate against the per-pair float route's: the same verdict and,
+    when strict, the same failed stage, offending pair and pairs, the
+    ratios within 1e-9 relative.  Returns the verdict and the failed
+    stage."""
+    assert arr.facet_projections is not None
+    centers = [h.center for h in arr.members]
+    for i, j in itertools.permutations(range(len(arr)), 2):
+        want = outcome(boundary_frame, arr.body, centers[j] - centers[i])
+        got = outcome(build_frame, arr, i, j)
+        if isinstance(want, Raised):
+            assert isinstance(got, Raised)
+            continue
+        assert got.f_normal.coords == want[1].coords, (i, j)
+    check_pair_loop(arr)
+    got = lifted_packing_pipeline(arr)
+    want = per_pair_float_certificate(arr, monkeypatch)
+    assert got.verdict == want.verdict
+    if strict:
+        assert (got.failed_stage, got.offending_pair) == \
+            (want.failed_stage, want.offending_pair)
+        assert [p[:2] for p in got.pair_ratios] == \
+            [p[:2] for p in want.pair_ratios]
+        for (_, _, a), (_, _, b) in zip(got.pair_ratios, want.pair_ratios):
+            assert math.isclose(a, b, rel_tol=1e-9), (a, b)
+    return got.verdict, got.failed_stage
+
+
+def float_copy(arr, shift=0):
+    """arr as ``--mode float`` reads it after the exact translation of
+    every center by (shift, ..., shift): floats throughout."""
+    return Arrangement(arr.body.as_float(), tuple(
+        Homothet(Vector(float(c + shift) for c in h.center), float(h.ratio))
+        for h in arr.members))
+
+
+@functools.cache
+def float_facet_families():
+    """Seeded full-lift families on ``float_facet_body``: drawn on its
+    exact twin, the Fractions of its float facets."""
+    body = float_facet_body()
+    twin = HPolytopeBody(2, [(Vector(map(F, a)), 1) for a in body.facets])
+    rng = random.Random(3232)
+    return tuple(random_minkowski_arrangement(rng, body=twin, full_lift=True)
+                 for _ in range(20))
+
+
+def test_float_kernel_against_the_per_pair_route(monkeypatch):
+    """The float criterion-4 corpus and seeded families on the float-facet
+    parallelogram, as drawn and translated by 1000 + 1/3 and 10^7 + 1/3:
+    each pair's facet and the verdict agree with the per-pair route.
+    Near 10^7 a lifted point v_k/lam_k keeps about nine digits after the
+    point, so the slab's offsets, which cancel a.v_i against x, carry a
+    rounding near 1e-9 on either route: there only the verdicts are
+    compared, and the float predicates must agree with the exact ones,
+    which the facet matrix keeps only because it is anchored at the first
+    center."""
+    families = criterion_4_corpus() + float_facet_families()
+    outcomes = collections.Counter()
+    for shift in (0, 1000 + F(1, 3), 10 ** 7 + F(1, 3)):
+        for arr in families:
+            copy = float_copy(arr, shift)
+            outcomes[shift, check_float_kernel(
+                copy, monkeypatch, strict=shift < 10 ** 7)[0]] += 1
+            if shift > 1000:
+                assert (find_minkowski_violation(copy),
+                        find_intersection_violation(copy)) == \
+                    (find_minkowski_violation(arr),
+                     find_intersection_violation(arr))
+    # the corpus and the parallelogram's families pass as drawn and at a
+    # translation by 1000 + 1/3
+    assert outcomes[0, True] == len(families)
+    assert outcomes[1000 + F(1, 3), True] == len(families)
+
+
 def test_shadow_with_x_takes_the_intersection_ends():
     step = F(1, 10 ** 12)
     for arr in criterion_4_corpus()[:20]:
@@ -1839,7 +2013,7 @@ def test_integer_checks_on_arbitrary_normals():
                 slab = SlabPair(i, j, normal, lo, hi, values[i], values[j])
                 rho = abs((hi - lo) / (values[j] - values[i]))
                 for expected in (rho, -rho, rho + F(1, 7)):
-                    args = (slab, pts[i].extended(1), pts[j].extended(1),
+                    args = (slab, extended(pts[i], 1), extended(pts[j], 1),
                             expected)
                     same(verify_ratio_identity(*args),
                          fraction_ratio_identity(*args))
