@@ -35,8 +35,15 @@ active at r, a = s*h/D = A/f with g = gcd(D, h), A = s*h/g and f = D/g,
 and r = (P_j - P_i)*D/top.  The shadow is column h: alpha_k =
 s*(U_k[h] - U_i[h])/g over f*q.  Its ends are the extremes of
 s*U_k[h]/g -+ s_k*f, less s*U_i[h]/g, and those extremes depend on (h, s)
-alone, so ``slab_pairs`` takes each once and reads every pair's common
-point from them.
+alone.  So the common point of every pair on column h is one point, the
+midpoint of the column's extremes, and every such pair has one slab: with
+t_k = A.P_k for A = h/g and the extremes lo = max_k(t_k - s_k*f) and
+hi = min_k(t_k + s_k*f), the normal N = (a, -a.v_i - x) is
+(A/f, -(lo + hi)/(2*f*q)) whatever i is, and the column (h, -s) gives -N.
+``slab_pairs`` builds that slab once per half row, M = (2*q*A, -(lo + hi))
+and |M.Y_k| <= K*w_k with K = 2*f*q, reduced by their gcd; only the inner
+planes differ between the pairs, and the packing check reads those from
+the points.
 
 Each pair-layer object stores one form and reads its public values from it:
 a shadow keeps every alpha_k -+ lam_k over one denominator (integers over
@@ -44,7 +51,8 @@ f*q, or the computed values over 1 when a float is involved), a slab its
 plane (M, k_ij, k_ji, g_ij, g_ji), the normal and offsets over one positive
 integer denominator (as computed when a value is a float).  So y_k lies in
 the slab exactly when lo*w_k <= M.Y_k <= hi*w_k (lo <= hi the outer
-offsets), and the ratio identity is one integer equality.
+offsets), and the ratio identity is one integer equality.  A family's
+``Slab`` keeps only the normal and the outer offsets, on that scale.
 
 Every other polytope arrangement (float facets, or a float among the
 members) reads the same quantities from its ``facet_projections``, one
@@ -57,8 +65,8 @@ alpha_k = U_k[a] - U_i[a], its ends checked per pair, relative to v_i: a
 column's extremes shared across pairs, relative to v_0, round otherwise on
 floats and can miss an empty shadow.  The slab normal is
 (a, -(a.v_0 + U_i[a] + x)).  Only the ball takes its ``boundary_frame``
-per pair.  Both float routes read each point as (y_k, 1) and fold the
-tolerance into the ends.
+per pair.  Both float routes keep one slab per pair, read each point as
+(y_k, 1) and fold the tolerance into the ends.
 """
 
 from __future__ import annotations
@@ -353,6 +361,19 @@ def lift(arr: Arrangement) -> LiftedConfig:
                               for y, w in forms), forms)
 
 
+class Slab(NamedTuple):
+    """The slab lo <= N.y <= hi of a family, shared by every pair that
+    indexes it.  On the integer route (``exact``) the normal M and the
+    offsets are integers on the scale of the lifted points' forms, so
+    y_k = Y_k/w_k lies in it exactly when lo*w_k <= M.Y_k <= hi*w_k;
+    otherwise they are the computed values, each point is read as
+    (y_k, 1) and the ends are widened by the tolerance."""
+    normal: tuple
+    lo: Scalar
+    hi: Scalar
+    exact: bool
+
+
 class SlabPair:
     """Parallel-plane data of one pair in the lifted space (dim d+1).
 
@@ -397,6 +418,16 @@ class SlabPair:
                 *(k // den if k % den == 0 else Fraction(k, den)
                   for k in (k_ij, k_ji)),
                 Fraction(g_ij, den), Fraction(g_ji, den))
+
+    def outer(self, on_forms: bool) -> "Slab":
+        """The slab between the pair's outer planes: its integer plane when
+        it has one and the lifted points have forms (``on_forms``), else
+        its values."""
+        exact = on_forms and self.den is not None
+        m, lo, hi = (self.plane if exact else self.values)[:3]
+        if lo > hi:
+            lo, hi = hi, lo
+        return Slab(tuple(m), lo, hi, exact)
 
     normal = property(lambda self: Vector(self.values[0]))
     # outer planes from the wedge planes at i and at j
@@ -468,57 +499,101 @@ def _int_slab(arr: Arrangement, i: int, j: int, a_form: tuple, c_i: int,
     return SlabPair._over(i, j, plane, k)
 
 
-def slab_pairs(arr: Arrangement) -> Tuple[SlabPair, ...]:
-    """The slab of every pair i < j, in order, as ``slab_pair`` builds it
-    at the shadow midpoint, raising what the pair's frame, shadow or slab
-    raises.  With projections no frame or shadow is built: a pair reads
-    its column (h, s), and the column's extremes, max_k(s*U_k[h]/g -
-    s_k*f) and min_k(s*U_k[h]/g + s_k*f) with their first indices, are
-    taken once per (h, s), so a pair's common point takes O(1).  With
-    facet projections no frame or shadow is built either: a pair reads its
-    facet a, the column's intervals U_k[a] - U_i[a] -+ lam_k, checked per
-    pair in O(n) subtractions, and its slab, from lifted points taken once
-    per arrangement.  Only the ball builds each pair's frame and shadow."""
+def slab_pairs(arr: Arrangement) -> Tuple[Tuple[Slab, ...], tuple]:
+    """The arrangement's slab family (slabs, pairs): every pair i < j, in
+    order, as (i, j, index of its slab), raising what the first pair's
+    frame, shadow or slab raises.
+
+    With projections the pairs share their slabs, at most one per half row
+    h (module docstring), and no frame or shadow is built: a pair reads its
+    column (h, s); the column's extremes lo and hi of t_k -+ s_k*f, with
+    their first indices, and its slab (M, -K, K) are taken once per h.  A
+    column whose extremes do not meet raises, at its first pair, the
+    witness in that pair's orientation s (-s swaps the two ends).  A pair
+    whose inner planes coincide, M.Y_i*w_j == M.Y_j*w_i, that is
+    (2*t_i - lo - hi)*w_j == (2*t_j - lo - hi)*w_i, raises a degenerate
+    wedge.  Any other arrangement keeps one slab per pair, the outer planes
+    of its ``SlabPair``.  With facet projections no frame or shadow is
+    built either: a pair reads its facet a, the column's intervals
+    U_k[a] - U_i[a] -+ lam_k, checked per pair in O(n) subtractions, and
+    its slab, from lifted points taken once per arrangement.  Only the
+    ball builds each pair's frame and shadow."""
     n = len(arr.members)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    slabs = []
-    if arr.facet_projections is not None:
-        facets, base, rows = arr.facet_projections
-        lams = [h.ratio for h in arr.members]
-        ys = [_lift_point(h.center, h.ratio).coords for h in arr.members]
-        for i, j in pairs:
-            a = _float_facet(arr, i, j)[0]
-            lows, highs, lo_idx, hi_idx = _ends(
-                _facet_alphas(arr, i, j, a), lams)
-            x = div(lows[lo_idx] + highs[hi_idx], 2)
-            slabs.append(_float_slab(i, j, facets[a], base[a] + rows[i][a],
-                                     x, ys[i], ys[j]))
-        return tuple(slabs)
     if arr.projections is None:
-        for i, j in pairs:
-            frame = build_frame(arr, i, j)
-            slabs.append(slab_pair(arr, frame, shadow(arr, frame)))
-        return tuple(slabs)
+        per_pair = _pair_slabs(arr, pairs)
+        return (tuple(p.outer(arr.form is not None) for p in per_pair),
+                tuple((p.i, p.j, k) for k, p in enumerate(per_pair)))
     (rows, q), den = arr.form, arr.projections[0][1]
-    columns = {}
+    half_rows, columns, slabs, index = arr.body.half_rows, {}, [], []
     for i, j in pairs:
-        h, s, row, _ = _facet_column(arr, i, j)
-        column = columns.get((h, s))
+        h, s, _, _ = _facet_column(arr, i, j)
+        column = columns.get(h)
         if column is None:
-            g = math.gcd(den, *row)
+            g = math.gcd(den, *half_rows[h])
             f = den // g
-            t = [s * p[h] // g for p, _ in arr.projections]
+            t = [p[h] // g for p, _ in arr.projections]
             lows = [t_k - r[-1] * f for t_k, r in zip(t, rows)]
             highs = [t_k + r[-1] * f for t_k, r in zip(t, rows)]
             lo, hi = max(lows), min(highs)
-            column = columns[h, s] = (([x // g for x in row], f), t, lo,
-                                      lows.index(lo), hi, highs.index(hi))
-        a_form, t, lo, lo_idx, hi, hi_idx = column
-        if lo > hi:
-            raise ShadowIntersectionError((lo_idx, hi_idx))
-        x = Fraction(lo + hi - 2 * t[i], 2 * a_form[1] * q)
-        slabs.append(_int_slab(arr, i, j, a_form, t[i], t[j], x))
-    return tuple(slabs)
+            if lo > hi:
+                witness = lows.index(lo), highs.index(hi)
+                raise ShadowIntersectionError(witness if s > 0
+                                              else witness[::-1])
+            m = [2 * q * (x // g) for x in half_rows[h]] + [-(lo + hi)]
+            bound = 2 * f * q
+            c = math.gcd(bound, *m)
+            column = columns[h] = len(slabs), t, lo + hi
+            slabs.append(Slab(tuple(v // c for v in m), -bound // c,
+                              bound // c, True))
+        k, t, mid = column
+        if (2 * t[i] - mid) * rows[j][-1] == (2 * t[j] - mid) * rows[i][-1]:
+            raise DegenerateWedgeError(_DEGENERATE)
+        index.append((i, j, k))
+    return tuple(slabs), tuple(index)
+
+
+def _pair_slabs(arr: Arrangement, pairs: list) -> list:
+    """The ``SlabPair`` of every pair of an arrangement without projections:
+    from its facet projections, or from each pair's frame and shadow."""
+    if arr.facet_projections is None:
+        slabs = []
+        for i, j in pairs:
+            frame = build_frame(arr, i, j)
+            slabs.append(slab_pair(arr, frame, shadow(arr, frame)))
+        return slabs
+    facets, base, rows = arr.facet_projections
+    lams = [h.ratio for h in arr.members]
+    ys = [_lift_point(h.center, h.ratio).coords for h in arr.members]
+    slabs = []
+    for i, j in pairs:
+        a = _float_facet(arr, i, j)[0]
+        lows, highs, lo_idx, hi_idx = _ends(_facet_alphas(arr, i, j, a), lams)
+        x = div(lows[lo_idx] + highs[hi_idx], 2)
+        slabs.append(_float_slab(i, j, facets[a], base[a] + rows[i][a], x,
+                                 ys[i], ys[j]))
+    return slabs
+
+
+def slab_rows(slab: Slab, points: tuple, forms) -> list:
+    """(M.Y_k, w_k) of every lifted point k, in order, from its integer
+    form (Y_k, w_k) when the slab is exact, else (N.y_k, 1)."""
+    m = slab.normal
+    if slab.exact:
+        return [(_dot(m, y), w) for y, w in forms]
+    return [(_dot(m, y.coords), 1) for y in points]
+
+
+def first_escape(slab: Slab, rows: list) -> Optional[int]:
+    """The first point k outside the slab, given its ``slab_rows``, or
+    None: lo*w_k <= M.Y_k <= hi*w_k fails, exactly on the integer route;
+    on the float route the ends are widened by the tolerance times the
+    Euclidean length of the normal, as ``verify_slab`` widens a pair's."""
+    margin = 0 if slab.exact else \
+        scalars.TOLERANCE * math.sqrt(float(_dot(slab.normal, slab.normal)))
+    lo, hi = slab.lo - margin, slab.hi + margin
+    return next((k for k, (r, w) in enumerate(rows)
+                 if not lo * w <= r <= hi * w), None)
 
 
 def _on_one_scale(slab: SlabPair, lifted: LiftedConfig):
@@ -531,14 +606,17 @@ def _on_one_scale(slab: SlabPair, lifted: LiftedConfig):
 
 
 def verify_slab(lifted: LiftedConfig, slab: SlabPair) -> Tuple[bool, Optional[int]]:
-    """Check that every lifted point lies between the two outer planes.
+    """Check that every lifted point lies between the pair's two outer
+    planes, the check ``lift`` reports for one pair.
 
     Returns (ok, index of the first point outside or None).  Exact
     containment in rational mode, on the integer forms; in floating mode the
     ends are widened by the tolerance times the Euclidean length of the
     normal, summed in floats (under ``--mode float`` the body's facets are
     floats, so its last bits may differ, by about 1e-16 relative, from a sum
-    whose first d terms are exact).
+    whose first d terms are exact).  One pass takes each N.y_k as it goes:
+    a family's check (``first_escape``) reuses each slab's row for the
+    ratios instead.
     """
     (m, k_1, k_2, _, _), forms, exact = _on_one_scale(slab, lifted)
     margin = 0 if exact else \
@@ -547,14 +625,6 @@ def verify_slab(lifted: LiftedConfig, slab: SlabPair) -> Tuple[bool, Optional[in
     offender = next((k for k, (y, w) in enumerate(forms)
                      if not lo * w <= _dot(m, y) <= hi * w), None)
     return offender is None, offender
-
-
-def width_gaps(slab: SlabPair, lifted: LiftedConfig) -> Tuple[Scalar, Scalar]:
-    """(k_ij - k_ji, N.y_i - N.y_j) with N.y read from the lifted points;
-    their quotient is the signed width ratio (integers for exact input)."""
-    (m, k_ij, k_ji, _, _), forms, _ = _on_one_scale(slab, lifted)
-    (y_i, w_i), (y_j, w_j) = forms[slab.i], forms[slab.j]
-    return (k_ij - k_ji) * w_i * w_j, _dot(m, y_i) * w_j - _dot(m, y_j) * w_i
 
 
 def verify_ratio_identity(slab: SlabPair, y_i: Vector, y_j: Vector,

@@ -26,10 +26,21 @@ a pair's normal N onto
 [N.y + (lo - N.y)/(1+lam), N.y + (hi - N.y)/(1+lam)], so the copies toward
 y_a and y_b meet at most in a plane N.z = t exactly when the width ratio
 |hi - lo| / |N.y_b - N.y_a| is at most lam.  The slab_ratio stage tests that
-once per pair, reading N.y from the points, never from the family's inner
-offsets; the slab_containment stage checks that every point lies in every
-slab and that every pair has one.  Every copy's volume is vol(P)/(1+lam)^m
-by construction, so the hull volume is the only one computed.
+once per pair, reading N.y from the points, never from a construction's
+inner offsets; the slab_containment stage checks that every point lies in
+every slab and that every pair has one.  Every copy's volume is
+vol(P)/(1+lam)^m by construction, so the hull volume is the only one
+computed.
+
+A family is a set of distinct slabs and, for each pair, the index of its
+slab.  On an exact body the construction gives every pair on one column of
+the projections the same slab (``lifting.slab_pairs``), so an exact family
+has at most m slabs for the body's m half rows; every other family keeps
+one slab per pair.  The check takes one row of values M.Y_k per distinct
+slab from the lifted points' forms, decides containment once per slab and
+reads each pair's ratio from two entries of its slab's row.  It reads the
+construction's shared slabs rather than one plane per pair, so the
+per-pair loop it replaced stays in ``tests/test_oracles.py`` as the oracle.
 """
 
 from __future__ import annotations
@@ -42,8 +53,8 @@ from .arrangement import (Arrangement, arrangement_size_bound,
                           find_intersection_violation,
                           find_minkowski_violation)
 from .lifting import (DegenerateWedgeError, LiftedConfig,
-                      ShadowIntersectionError, SlabPair, lift, slab_pairs,
-                      verify_slab, width_gaps)
+                      ShadowIntersectionError, Slab, first_escape, lift,
+                      slab_pairs, slab_rows)
 from .linalg import Vector, _int_rank, affine_coordinates, affine_rank
 from .polytopes import hull, volume
 from .scalars import Scalar, div, format_scalar
@@ -51,19 +62,31 @@ from .scalars import Scalar, div, format_scalar
 
 @dataclass(frozen=True)
 class SlabFamily:
-    """Points plus slab planes for pairs of them; the packing check reads a
-    pair's normal and outer offsets and takes N.y from the points.  ``forms``
-    are the points' integer forms as ``LiftedConfig`` keeps them, handed on
-    by the lift; a family built without them derives its own."""
+    """Points, their slabs and, for pairs of them, (i, j, index of the
+    pair's slab); the packing check reads a slab's normal and outer offsets
+    and takes N.y from the points.  ``forms`` are the points' integer forms
+    as ``LiftedConfig`` keeps them, handed on by the lift; a family built
+    without them derives its own.  An exact slab is read on them."""
     points: Tuple[Vector, ...]
-    pairs: Tuple[SlabPair, ...]
+    slabs: Tuple[Slab, ...]
+    pairs: Tuple[Tuple[int, int, int], ...]
     forms: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        n = len(self.points)
-        for p in self.pairs:
-            if not (0 <= p.i < n and 0 <= p.j < n and p.i != p.j):
+        n, seen = len(self.points), set()
+        for i, j, k in self.pairs:
+            if not (0 <= i < n and 0 <= j < n and i != j
+                    and 0 <= k < len(self.slabs)):
                 raise ValueError("pair indices out of range")
+            pair = (i, j) if i < j else (j, i)
+            if pair in seen:
+                raise ValueError("pair (%d, %d) is listed twice" % pair)
+            seen.add(pair)
+        if self.forms is None:
+            object.__setattr__(self, "forms",
+                               LiftedConfig(self.points).forms)
+        if self.forms is None and any(s.exact for s in self.slabs):
+            raise ValueError("an exact slab needs exact points")
 
 
 @dataclass
@@ -119,7 +142,12 @@ def slab_packing_check(family: SlabFamily, lam: Scalar) -> PackingCertificate:
     (n <= (1+lam)^m).  The certificate stops at the first failing stage and
     records the offending pair.  The width ratio is the one per-pair test: a
     ratio at most lam says that the pair's slab planes separate its two
-    copies (module docstring).
+    copies (module docstring).  It is |hi - lo|*w_i*w_j / |row_i*w_j -
+    row_j*w_i| from the row M.Y_k of the pair's slab, taken once per
+    distinct slab, as is containment: a failing slab is reported at the
+    first pair, in pair order, that indexes it, with the first point that
+    escapes it.  The family reads the construction's shared slabs; the
+    per-pair loop is the oracle in ``tests/test_oracles.py``.
     """
     n = len(family.points)
     ambient = family.points[0].dim if n else 0
@@ -127,47 +155,49 @@ def slab_packing_check(family: SlabFamily, lam: Scalar) -> PackingCertificate:
     if scalars.lt(lam, 1):
         raise ValueError("the packing hypothesis needs lam >= 1")
 
-    # stage: width ratios (the per-pair hypothesis and separation witness);
-    # the points' integer forms serve both pair stages
-    lifted = LiftedConfig(family.points, family.forms)
-    for p in family.pairs:
-        gap_outer, gap_inner = width_gaps(p, lifted)
+    # stage: width ratios (the per-pair hypothesis and separation witness),
+    # each from two entries of its slab's row of values M.Y_k
+    rows = [slab_rows(slab, family.points, family.forms)
+            for slab in family.slabs]
+    for i, j, k in family.pairs:
+        slab, (r_i, w_i), (r_j, w_j) = family.slabs[k], rows[k][i], rows[k][j]
+        gap_outer = (slab.hi - slab.lo) * w_i * w_j
+        gap_inner = r_i * w_j - r_j * w_i
         if scalars.sign(gap_outer) == 0:
-            return cert._fail("slab_ratio",
-                              "outer planes of pair (%d, %d) coincide"
-                              % (p.i, p.j), (p.i, p.j))
+            return cert._fail("slab_ratio", "outer planes of pair (%d, %d) "
+                              "coincide" % (i, j), (i, j))
         if scalars.sign(gap_inner) == 0:
-            return cert._fail("slab_ratio",
-                              "inner planes of pair (%d, %d) coincide"
-                              % (p.i, p.j), (p.i, p.j))
-        rho = abs(div(gap_outer, gap_inner))
-        cert.pair_ratios.append((p.i, p.j, rho))
+            return cert._fail("slab_ratio", "inner planes of pair (%d, %d) "
+                              "coincide" % (i, j), (i, j))
+        rho = div(abs(gap_outer), abs(gap_inner))
+        cert.pair_ratios.append((i, j, rho))
         if not scalars.le(rho, lam):
             return cert._fail("slab_ratio",
                               "pair (%d, %d) has width ratio %s > %s"
-                              % (p.i, p.j, rho, lam), (p.i, p.j))
+                              % (i, j, rho, lam), (i, j))
     cert._ok("slab_ratio", "%d pairs within ratio %s" % (len(family.pairs), lam))
 
-    # stage: every point inside every outer slab, and every pair with a slab
-    for p in family.pairs:
-        ok, k = verify_slab(lifted, p)
-        if not ok:
+    # stage: every point inside every slab, decided once per slab and
+    # reported at the first pair of a failing slab, and every pair with one
+    escapes = list(map(first_escape, family.slabs, rows))
+    for i, j, k in family.pairs:
+        if escapes[k] is not None:
             return cert._fail("slab_containment",
                               "point %d escapes the slab of pair (%d, %d)"
-                              % (k, p.i, p.j), (p.i, p.j))
-    slabbed = {(min(p.i, p.j), max(p.i, p.j)) for p in family.pairs}
-    for a in range(n):
-        for b in range(a + 1, n):
-            if (a, b) not in slabbed:
-                return cert._fail("slab_containment",
-                                  "pair (%d, %d) has no slab" % (a, b), (a, b))
+                              % (escapes[k], i, j), (i, j))
+    if len(family.pairs) < n * (n - 1) // 2:
+        slabbed = {(min(i, j), max(i, j)) for i, j, _ in family.pairs}
+        a, b = next((a, b) for a in range(n) for b in range(a + 1, n)
+                    if (a, b) not in slabbed)
+        return cert._fail("slab_containment",
+                          "pair (%d, %d) has no slab" % (a, b), (a, b))
     cert._ok("slab_containment")
 
     # the affine dimension decides whether to reduce to exact coordinates
     # inside the affine hull: on integer forms it is the rank of the
     # homogeneous rows (Y_k, w_k), less one
-    if lifted.forms:
-        adim = _int_rank([[*y, w] for y, w in lifted.forms], ambient + 1) - 1
+    if family.forms:
+        adim = _int_rank([[*y, w] for y, w in family.forms], ambient + 1) - 1
     else:
         adim = affine_rank(family.points)
     cert.affine_dim = adim
@@ -203,17 +233,16 @@ def slab_packing_check(family: SlabFamily, lam: Scalar) -> PackingCertificate:
 
 
 def family_from_arrangement(arr: Arrangement) -> SlabFamily:
-    """Lift the arrangement and build every pair's slab from its shadow.
+    """Lift the arrangement and build its slab family (``slab_pairs``).
 
-    An exact family on an exact body goes from each pair's column (h, s)
-    of the arrangement's projections and its common point x straight to
-    the slab's integer plane, with no frame or shadow per pair
-    (``slab_pairs``); any other builds each pair's frame and shadow.  No
-    check runs here: the width ratios and slab containment are stages of
+    An exact family on an exact body shares one integer slab among the
+    pairs on each column h of the arrangement's projections, with no
+    frame or shadow per pair; any other keeps one slab per pair.  No check
+    runs here: the width ratios and slab containment are stages of
     slab_packing_check.
     """
     lifted = lift(arr)
-    return SlabFamily(lifted.points, slab_pairs(arr), lifted.forms)
+    return SlabFamily(lifted.points, *slab_pairs(arr), lifted.forms)
 
 
 def lifted_packing_pipeline(arr: Arrangement) -> PackingCertificate:

@@ -25,10 +25,11 @@ from minkarr.instances import corpus_body, random_intersecting_arrangement
 from minkarr.kdistance import _chain_bound_floor_at
 from minkarr.lifting import SlabPair
 from minkarr.linalg import Vector
-from minkarr.packing import SlabFamily, slab_packing_check
+from minkarr.packing import slab_packing_check
 
 from test_oracles import (chain_cardinality_bound, criterion_4_corpus,
-                          cross_ratio, trapezoid_combine)
+                          cross_ratio, per_pair_slab_family,
+                          trapezoid_combine)
 
 
 def _report(num, text):
@@ -169,7 +170,7 @@ def _width_family(points):
             pairs.append(SlabPair(i, j, normal, min(values), max(values),
                                   normal.dot(points[i]),
                                   normal.dot(points[j])))
-    return SlabFamily(tuple(points), tuple(pairs))
+    return per_pair_slab_family(points, pairs)
 
 
 def test_criterion_5_antipodal_packing():

@@ -6,13 +6,15 @@ cross-polytope's and a parallelogram's with float facets), the ``kdist grid --ou
 ``minkowski3`` hexagon), compared byte for byte.
 
 The outputs in tests/golden/ were written by the command line itself; the
-three seeded inputs are ``random_minkowski_arrangement(full_lift=True)``
-families, one per corpus body kind, and ``cross4`` and ``disc`` are
-hand-picked pairwise intersecting Minkowski arrangements with rational
-centers on the 4-D cross-polytope given by its vertices (facet frames,
-the facets found as the vertices of its polar) and on the Euclidean disc
-(float frames); ``pyramid`` is hand-picked so that its lift is a square
-pyramid, whose hull has a facet of four vertices.  Rewrite a golden file
+seeded inputs ``minkowski1``-``3`` are
+``random_minkowski_arrangement(full_lift=True)`` families, one per corpus
+body kind, and so is ``segment`` on the interval [-1, 1], three intervals
+whose pairs share one slab; ``cross4`` and ``disc`` are hand-picked
+pairwise intersecting Minkowski arrangements with rational centers on the
+4-D cross-polytope given by its vertices (facet frames, the facets found
+as the vertices of its polar) and on the Euclidean disc (float frames);
+``pyramid`` is hand-picked so that its lift is a square pyramid, whose
+hull has a facet of four vertices.  Rewrite a golden file
 only for a deliberate certificate, dump format or frame rule change, and
 say so.
 """
@@ -31,10 +33,14 @@ from minkarr.instances import corpus_body, random_minkowski_arrangement
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 # pyramid: unit squares at (+-1, +-1) and a half square at the origin,
 # whose lift is a square pyramid (a hull facet of four vertices)
-INPUTS = ["cube2", "minkowski1", "minkowski2", "minkowski3", "pyramid"]
+# segment: three intervals on the line, the most that fit, whose pairs all
+# share one slab
+INPUTS = ["cube2", "minkowski1", "minkowski2", "minkowski3", "pyramid",
+          "segment"]
 # the square, the diamond and the hexagon, whose facets have denominators,
-# and the pyramid, under --mode float
-FLOAT_INPUTS = ["minkowski1", "minkowski2", "minkowski3", "pyramid"]
+# the pyramid and the segment, under --mode float
+FLOAT_INPUTS = ["minkowski1", "minkowski2", "minkowski3", "pyramid",
+                "segment"]
 # the square (integer normals, minkowski1), the diamond (minkowski2), a
 # hexagon (minkowski3), the cube family, the 4-D cross-polytope as a
 # V-polytope (facet frames) and discs with rational centers (float frames);
@@ -137,6 +143,14 @@ def test_seeded_inputs_regenerate(seed):
     arr = random_minkowski_arrangement(rng, body=corpus_body(rng, seed - 1),
                                        full_lift=True)
     with open(golden("minkowski%d.json" % seed), encoding="utf-8") as fh:
+        assert arrangement_to_json(arr) == json.load(fh)
+
+
+def test_segment_input_regenerates():
+    arr = random_minkowski_arrangement(random.Random("golden/segment"),
+                                       body=linf_ball(1), full_lift=True)
+    assert len(arr) == 3
+    with open(golden("segment.json"), encoding="utf-8") as fh:
         assert arrangement_to_json(arr) == json.load(fh)
 
 

@@ -30,13 +30,16 @@ from minkarr.instances import (corpus_body, random_intersecting_arrangement,
 from minkarr.kdistance import ChainResult, _chain_bound
 from minkarr.lifting import (DegenerateWedgeError, LiftedConfig,
                              ProjectionFrame, ShadowData,
-                             ShadowIntersectionError, SlabPair, lift,
-                             slab_pairs, verify_ratio_identity, verify_slab)
+                             ShadowIntersectionError, SlabPair, _dot,
+                             _on_one_scale, lift, slab_pairs,
+                             verify_ratio_identity, verify_slab)
 from minkarr.linalg import (Vector, _rref, affine_coordinates, affine_rank,
                             matrix_rank, zero_vector)
 from minkarr import arrangement, lp, packing, scalars
 from minkarr.bodies import HPolytopeBody, SymmetricBody
-from minkarr.packing import family_from_arrangement, lifted_packing_pipeline
+from minkarr.packing import (SlabFamily, certificate_to_json,
+                             family_from_arrangement,
+                             lifted_packing_pipeline, slab_packing_check)
 from minkarr.polytopes import ConvexPolytope, hull, volume
 
 from lp_oracle import gauge_lp, simplex_max
@@ -603,12 +606,13 @@ def test_slab_witness_against_lp_and_copy_volumes():
         for c in copies:
             assert volume(c) == hull_volume / 27
         accepted = 0
-        for p in family.pairs:
-            gap = p.normal.dot(family.points[p.j]) \
-                - p.normal.dot(family.points[p.i])
-            if abs(p.c_k_ij - p.c_k_ji) <= 2 * abs(gap):
+        for i, j, k in family.pairs:
+            slab = family.slabs[k]
+            normal = Vector(slab.normal)
+            gap = normal.dot(family.points[j]) - normal.dot(family.points[i])
+            if slab.hi - slab.lo <= 2 * abs(gap):
                 accepted += 1
-                assert interiors_disjoint(copies[p.i], copies[p.j])
+                assert interiors_disjoint(copies[i], copies[j])
         n = len(family.points)
         assert accepted == n * (n - 1) // 2
         cert = lifted_packing_pipeline(arr)
@@ -1722,11 +1726,26 @@ def check_projection_kernel(arr, anchors=None):
         if isinstance(slab, SlabPair):
             slab = slab.plane, slab.den
         same(slab, outcome(per_pair_slab, arr, want, want_sd))
-    family = outcome(slab_pairs, arr)
-    if not isinstance(family, Raised):
-        family = [(p.i, p.j, p.plane, p.den) for p in family]
-    same(family, per_pair_family(arr))
+    family, want = outcome(slab_pairs, arr), per_pair_family(arr)
+    if isinstance(want, Raised):
+        same(family, want)
+        return compared
+    slabs, pairs = family
+    assert len(slabs) <= len(arr.body.half_rows)
+    assert [p[:2] for p in pairs] == [p[:2] for p in want]
+    for (_, _, k), (_, _, plane, _) in zip(pairs, want):
+        check_same_slab(slabs[k], plane)
     return compared
+
+
+def check_same_slab(slab, plane):
+    """The shared slab (M, lo, hi) is the per-pair plane (m, k_ij, k_ji,
+    ...) times a nonzero scale c: M = c*m and {lo, hi} = {c*k_ij, c*k_ji}."""
+    m, k_ij, k_ji = plane[:3]
+    assert slab.exact and math.gcd(*slab.normal, slab.hi) == 1
+    c = next(F(a, b) for a, b in zip(slab.normal, m) if b)
+    assert c and list(slab.normal) == [c * v for v in m]
+    assert [slab.lo, slab.hi] == sorted((c * k_ij, c * k_ji))
 
 
 def test_projection_kernel_against_the_per_pair_route():
@@ -1735,7 +1754,7 @@ def test_projection_kernel_against_the_per_pair_route():
     holding a corner or the center, and every pair of the family), the 4-D
     cross-polytope golden (a tie), seeded d = 3 and d = 4 families on the
     cube and the cross-polytope, families whose shrunk ratios leave
-    shadows empty, and coincident centers."""
+    shadows empty, coincident centers and a degenerate wedge."""
     compared = check_projection_kernel(cube_arrangement(4), (0, 40, 80))
     families = list(criterion_4_corpus())
     families += [cube_arrangement(d) for d in range(1, 4)]
@@ -1762,8 +1781,168 @@ def test_projection_kernel_against_the_per_pair_route():
     families.append(twice)
     assert per_pair_family(twice)[:2] == (
         ValueError, "coincident centers: members 0 and 2")
+    # the common point -1/2 of [-1, 1], [-2, 4] and [-3/2, 0] is where the
+    # width ratio of the pair (0, 1) has a zero denominator
+    flat = Arrangement(linf_ball(1), tuple(
+        Homothet(Vector((c,)), r) for c, r in ((0, 1), (1, 3),
+                                               (F(-3, 4), F(3, 4)))))
+    families.append(flat)
+    assert per_pair_family(flat)[0] is DegenerateWedgeError
     compared += sum(map(check_projection_kernel, families))
     assert compared > 4000 and empty > 5
+
+
+# ------------------------------------------------ the per-pair stage loop --
+# Before an exact family shared one slab among the pairs of a column, the
+# packing check ran width_gaps and verify_slab on every pair's SlabPair.
+
+def per_pair_slab_family(points, slab_pairs, forms=None):
+    """The family of one slab per pair, each ``SlabPair`` by its outer
+    planes, as the float routes and hand-built families keep it."""
+    forms = LiftedConfig(tuple(points), forms).forms
+    return SlabFamily(tuple(points),
+                      tuple(p.outer(forms is not None) for p in slab_pairs),
+                      tuple((p.i, p.j, k) for k, p in enumerate(slab_pairs)),
+                      forms)
+
+
+def width_gaps(slab, lifted):
+    """(k_ij - k_ji, N.y_i - N.y_j) with N.y read from the lifted points;
+    their quotient is the signed width ratio (integers for exact input)."""
+    (m, k_ij, k_ji, _, _), forms, _ = _on_one_scale(slab, lifted)
+    (y_i, w_i), (y_j, w_j) = forms[slab.i], forms[slab.j]
+    return (k_ij - k_ji) * w_i * w_j, _dot(m, y_i) * w_j - _dot(m, y_j) * w_i
+
+
+def per_pair_loop_check(points, slab_pairs, lam, forms=None):
+    """``slab_packing_check``'s certificate with its two pair stages run by
+    the per-pair loop: ``width_gaps`` and ``verify_slab`` on every
+    ``SlabPair`` in order, then a slab for every pair.  The later stages
+    read only the points, so they are the program's own."""
+    lifted = LiftedConfig(tuple(points), forms)
+    n = len(points)
+    cert = packing.PackingCertificate(lam=lam, n=n,
+                                      ambient_dim=points[0].dim)
+    for p in slab_pairs:
+        gap_outer, gap_inner = width_gaps(p, lifted)
+        for gap, which in ((gap_outer, "outer"), (gap_inner, "inner")):
+            if scalars.sign(gap) == 0:
+                return cert._fail("slab_ratio", "%s planes of pair (%d, %d) "
+                                  "coincide" % (which, p.i, p.j), (p.i, p.j))
+        rho = abs(scalars.div(gap_outer, gap_inner))
+        cert.pair_ratios.append((p.i, p.j, rho))
+        if not scalars.le(rho, lam):
+            return cert._fail("slab_ratio",
+                              "pair (%d, %d) has width ratio %s > %s"
+                              % (p.i, p.j, rho, lam), (p.i, p.j))
+    cert._ok("slab_ratio", "%d pairs within ratio %s" % (len(slab_pairs), lam))
+    for p in slab_pairs:
+        ok, k = verify_slab(lifted, p)
+        if not ok:
+            return cert._fail("slab_containment",
+                              "point %d escapes the slab of pair (%d, %d)"
+                              % (k, p.i, p.j), (p.i, p.j))
+    slabbed = {(min(p.i, p.j), max(p.i, p.j)) for p in slab_pairs}
+    for a, b in itertools.combinations(range(n), 2):
+        if (a, b) not in slabbed:
+            return cert._fail("slab_containment",
+                              "pair (%d, %d) has no slab" % (a, b), (a, b))
+    cert._ok("slab_containment")
+    tail = slab_packing_check(per_pair_slab_family(points, slab_pairs, forms),
+                              lam)
+    tail.stages[:2], tail.pair_ratios = cert.stages, cert.pair_ratios
+    return tail
+
+
+def lift_route_slabs(arr):
+    """Every pair's ``SlabPair`` by ``build_frame``, ``shadow`` and
+    ``slab_pair``, the route of ``lift``."""
+    slabs = []
+    for i, j in itertools.combinations(range(len(arr)), 2):
+        frame = build_frame(arr, i, j)
+        slabs.append(slab_pair(arr, frame, shadow(arr, frame)))
+    return slabs
+
+
+def expanded(family):
+    """One ``SlabPair`` per pair of the family, on its slab's planes (inner
+    offsets 0: the check never reads them)."""
+    return [SlabPair(i, j, Vector(family.slabs[k].normal), family.slabs[k].lo,
+                     family.slabs[k].hi, 0, 0) for i, j, k in family.pairs]
+
+
+def tampered(family):
+    """The family with, on each slab in turn: one normal entry + 1; an
+    outer offset moved inward by one unit, at each end; the outer offsets
+    made equal; and with one pair dropped."""
+    def with_slab(k, slab):
+        slabs = list(family.slabs)
+        slabs[k] = slab
+        return SlabFamily(family.points, tuple(slabs), family.pairs,
+                          family.forms)
+    for k, slab in enumerate(family.slabs):
+        for e in range(len(slab.normal)):
+            normal = list(slab.normal)
+            normal[e] += 1
+            yield with_slab(k, slab._replace(normal=tuple(normal)))
+        yield with_slab(k, slab._replace(lo=slab.lo + 1))
+        yield with_slab(k, slab._replace(hi=slab.hi - 1))
+        yield with_slab(k, slab._replace(lo=slab.hi))
+    for t in (0, len(family.pairs) // 2, len(family.pairs) - 1):
+        yield SlabFamily(family.points, family.slabs,
+                         family.pairs[:t] + family.pairs[t + 1:],
+                         family.forms)
+
+
+def golden_arrangements():
+    """The arrangement of every golden verify input."""
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          "golden")
+    for name in sorted(os.listdir(golden)):
+        with open(os.path.join(golden, name), encoding="utf-8") as fh:
+            obj = json.load(fh) if name.count(".") == 1 else {}
+        if "homothets" in obj:
+            yield arrangement_from_json(obj)
+
+
+def test_shared_slab_check_against_the_per_pair_loop():
+    """The check on the shared slabs gives the certificate of the per-pair
+    loop on every pair's own slab: on the criterion-4 corpus, the cube
+    families of dimension 1 to 3 and the golden inputs, in exact mode and
+    under --mode float; and on the exact families tampered, against the
+    loop on one copy of the tampered slab per pair.  (The 4-D golden input
+    has no exact hull, so the golden inputs are those of dimension <= 2.)"""
+    families = list(criterion_4_corpus())
+    families += [cube_arrangement(d) for d in (1, 2, 3)]
+    golden = list(golden_arrangements())
+    families += [a for a in golden if a.dim <= 2]
+    families += [float_copy(a) for a in golden if a.dim <= 2]
+    rejected, later = collections.Counter(), 0
+    for arr in families:
+        family = family_from_arrangement(arr)
+        want = per_pair_loop_check(family.points, lift_route_slabs(arr), 2,
+                                   family.forms)
+        got = slab_packing_check(family, 2)
+        assert certificate_to_json(got) == certificate_to_json(want)
+        if arr.form is None or not arr.body.exact:
+            continue
+        assert len(family.slabs) < len(family.pairs) or len(arr) <= 3
+        for bad in tampered(family):
+            got = slab_packing_check(bad, 2)
+            want = per_pair_loop_check(bad.points, expanded(bad), 2,
+                                       bad.forms)
+            assert certificate_to_json(got) == certificate_to_json(want)
+            detail = got.stages[-1].detail
+            rejected[got.failed_stage, detail.split()[0]] += 1
+            later += detail.startswith("point ") and \
+                not detail.startswith("point 0 ")
+    # every kind of tampering is caught: a ratio above 2 or coinciding
+    # outer planes, a point escaping a slab, a later one than point 0
+    # too, and a pair without one
+    assert {("slab_ratio", "pair"), ("slab_ratio", "outer"),
+            ("slab_containment", "point"),
+            ("slab_containment", "pair")} <= set(rejected)
+    assert later > 0
 
 
 def test_disc_with_rational_centers_keeps_its_float_frames():
@@ -1822,7 +2001,8 @@ def per_pair_float_family(arr):
         frame = ProjectionFrame(i, j, *boundary_frame(arr.body, diff))
         slab = fraction_slab_pair(arr, frame, loop_shadow(arr, frame))
         slabs.append(SlabPair(i, j, *slab[2:]))
-    return tuple(slabs)
+    family = per_pair_slab_family(lift(arr).points, slabs)
+    return family.slabs, family.pairs
 
 
 def per_pair_float_certificate(arr, monkeypatch):
@@ -1841,16 +2021,9 @@ def check_pair_loop(arr):
     slabs that ``build_frame``, ``shadow`` and ``slab_pair`` (the route of
     ``lift``) build, or raises what the first pair raises."""
     def frame_shadow_slab(arr):
-        slabs = []
-        for i, j in itertools.combinations(range(len(arr)), 2):
-            frame = build_frame(arr, i, j)
-            slab = slab_pair(arr, frame, shadow(arr, frame))
-            slabs.append((slab.i, slab.j, slab.plane, slab.den))
-        return slabs
-    family = outcome(slab_pairs, arr)
-    if not isinstance(family, Raised):
-        family = [(p.i, p.j, p.plane, p.den) for p in family]
-    same(family, outcome(frame_shadow_slab, arr))
+        family = per_pair_slab_family(lift(arr).points, lift_route_slabs(arr))
+        return family.slabs, family.pairs
+    same(outcome(slab_pairs, arr), outcome(frame_shadow_slab, arr))
 
 
 def check_float_kernel(arr, monkeypatch, strict=True):

@@ -1,18 +1,21 @@
 import json
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
 from minkarr import (Arrangement, Homothet, cube_arrangement, lifting,
-                     linf_ball)
+                     linf_ball, packing)
 from minkarr.instances import corpus_body, random_minkowski_arrangement
 from minkarr.lifting import SlabPair
 from minkarr.linalg import Vector
+from minkarr.polytopes import ConvexPolytope
 from minkarr.packing import (SlabFamily, certificate_to_json,
                              family_from_arrangement,
                              lifted_packing_pipeline, slab_packing_check)
-from test_oracles import slab_offender
+from test_oracles import (criterion_4_corpus, per_pair_slab_family,
+                          slab_offender)
 
 
 def V(*coords):
@@ -28,13 +31,14 @@ def width_slabs(points, i, j):
                     normal.dot(points[i]), normal.dot(points[j]))
 
 
-def antipodal_family(points):
-    pairs = []
+def antipodal_pairs(points):
     n = len(points)
-    for i in range(n):
-        for j in range(i + 1, n):
-            pairs.append(width_slabs(points, i, j))
-    return SlabFamily(tuple(points), tuple(pairs))
+    return [width_slabs(points, i, j) for i in range(n)
+            for j in range(i + 1, n)]
+
+
+def antipodal_family(points):
+    return per_pair_slab_family(points, antipodal_pairs(points))
 
 
 def test_square_vertices_certify_at_lam_1():
@@ -58,8 +62,8 @@ def test_five_points_cannot_certify_at_lam_1():
 def test_square_pair_without_slab_fails_slab_containment():
     pts = [V(0, 0), V(1, 0), V(0, 1), V(1, 1)]
     family = antipodal_family(pts)
-    partial = SlabFamily(family.points,
-                         tuple(p for p in family.pairs if (p.i, p.j) != (0, 3)))
+    partial = SlabFamily(family.points, family.slabs,
+                         tuple(p for p in family.pairs if p[:2] != (0, 3)))
     cert = slab_packing_check(partial, F(1))
     assert not cert.verdict
     assert cert.failed_stage == "slab_containment"
@@ -76,17 +80,16 @@ def test_slab_witness_reads_points_not_inner_offsets():
     # the offsets every ratio would be 1, but the centre's copy overlaps the
     # corners' copies, and the ratio read from the points says so
     pts = [V(0, 0), V(1, 0), V(0, 1), V(1, 1), V(F(1, 2), F(1, 2))]
-    forged = tuple(SlabPair(p.i, p.j, p.normal, p.c_k_ij, p.c_k_ji,
-                            p.c_k_ij, p.c_k_ji)
-                   for p in antipodal_family(pts).pairs)
-    cert = slab_packing_check(SlabFamily(tuple(pts), forged), F(1))
+    forged = [SlabPair(p.i, p.j, p.normal, p.c_k_ij, p.c_k_ji,
+                       p.c_k_ij, p.c_k_ji) for p in antipodal_pairs(pts)]
+    cert = slab_packing_check(per_pair_slab_family(pts, forged), F(1))
     assert not cert.verdict
     assert cert.failed_stage == "slab_ratio"
     assert cert.offending_pair == (0, 4)
 
 
 def test_single_point_certificate():
-    fam = SlabFamily((V(3, 4),), ())
+    fam = SlabFamily((V(3, 4),), (), ())
     cert = slab_packing_check(fam, F(2))
     assert cert.verdict
     assert cert.affine_dim == 0
@@ -96,7 +99,7 @@ def test_single_point_certificate():
 def test_coinciding_points_without_a_slab_fail():
     # no slab can separate two equal points, so the hypothesis fails before
     # the hull finds affine dimension 0
-    cert = slab_packing_check(SlabFamily((V(1, 2), V(1, 2)), ()), F(2))
+    cert = slab_packing_check(SlabFamily((V(1, 2), V(1, 2)), (), ()), F(2))
     assert not cert.verdict
     assert cert.failed_stage == "slab_containment"
     assert cert.offending_pair == (0, 1)
@@ -124,16 +127,16 @@ def test_plane_family_in_r4_takes_induction_branch():
 
 def test_ratio_stage_rejects_wide_slab():
     pts = [V(0, 0), V(1, 0)]
-    bad = SlabFamily(tuple(pts),
-                     (SlabPair(0, 1, V(1, 0), F(-5), F(5), F(0), F(1)),))
+    bad = per_pair_slab_family(
+        pts, (SlabPair(0, 1, V(1, 0), F(-5), F(5), F(0), F(1)),))
     cert = slab_packing_check(bad, F(1))
     assert not cert.verdict and cert.failed_stage == "slab_ratio"
 
 
 def test_containment_stage_rejects_escaping_point():
     pts = [V(0, 0), V(1, 0), V(5, 0)]
-    fam = SlabFamily(tuple(pts),
-                     (SlabPair(0, 1, V(1, 0), F(0), F(1), F(0), F(1)),))
+    fam = per_pair_slab_family(
+        pts, (SlabPair(0, 1, V(1, 0), F(0), F(1), F(0), F(1)),))
     cert = slab_packing_check(fam, F(1))
     assert not cert.verdict and cert.failed_stage == "slab_containment"
 
@@ -144,7 +147,7 @@ def test_ratio_stage_rejects_coinciding_planes():
                          "outer"),
                         (SlabPair(0, 1, V(0, 1), F(-1), F(1), F(0), F(0)),
                          "inner")):
-        cert = slab_packing_check(SlabFamily(pts, (slab,)), F(1))
+        cert = slab_packing_check(per_pair_slab_family(pts, (slab,)), F(1))
         assert not cert.verdict and cert.failed_stage == "slab_ratio"
         assert cert.offending_pair == (0, 1)
         assert cert.stages[-1].detail \
@@ -154,12 +157,12 @@ def test_ratio_stage_rejects_coinciding_planes():
 
 def test_lam_below_one_rejected():
     with pytest.raises(ValueError):
-        slab_packing_check(SlabFamily((V(0, 0),), ()), F(1, 2))
+        slab_packing_check(SlabFamily((V(0, 0),), (), ()), F(1, 2))
 
 
 def test_empty_family_raises():
     with pytest.raises(ValueError, match="empty"):
-        slab_packing_check(SlabFamily((), ()), F(2))
+        slab_packing_check(SlabFamily((), (), ()), F(2))
 
 
 def test_pipeline_cube():
@@ -236,12 +239,54 @@ def test_pipeline_seeded_families_on_the_line(full_lift):
 
 
 def test_family_from_arrangement_slabs_hold():
+    # the cube family's 36 pairs share the square's two slabs, each on the
+    # scale of the lifted forms: M.y_k lies in [lo, hi] for every point
     arr = cube_arrangement(2)
     family = family_from_arrangement(arr)
-    assert len(family.pairs) == 36
-    for p in family.pairs:
-        assert slab_offender(family.points, p.normal,
-                             p.c_k_ij, p.c_k_ji) is None
+    assert len(family.pairs) == 36 and len(family.slabs) == 2
+    for slab in family.slabs:
+        assert slab_offender(family.points, V(*slab.normal),
+                             slab.lo, slab.hi) is None
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_cube_family_has_one_slab_per_axis(d):
+    family = family_from_arrangement(cube_arrangement(d))
+    assert len(family.slabs) == d
+    assert len(family.pairs) == 3 ** d * (3 ** d - 1) // 2
+
+
+def test_no_family_has_more_slabs_than_half_rows():
+    for arr in criterion_4_corpus():
+        family = family_from_arrangement(arr)
+        assert len(family.slabs) <= len(arr.body.half_rows)
+
+
+def test_four_dimensional_cube_pair_stages_under_a_second(monkeypatch):
+    # the 81 cubes of dimension 4: 3,240 pairs on four slabs; the hull
+    # stage after the two pair stages is stubbed out (no exact hull above
+    # dimension 3), so the certificate stops there
+    t0 = time.process_time()
+    family = family_from_arrangement(cube_arrangement(4))
+    monkeypatch.setattr(packing, "hull",
+                        lambda points: ConvexPolytope(4, (), ()))
+    cert = slab_packing_check(family, 2)
+    elapsed = time.process_time() - t0
+    assert [(s.name, s.passed) for s in cert.stages] == [
+        ("slab_ratio", True), ("slab_containment", True), ("hull", False)]
+    assert len(cert.pair_ratios) == 3240
+    assert {r for _, _, r in cert.pair_ratios} == {1, 2}
+    assert elapsed < 1.0, "d = 4 family and pair stages took %.2fs" % elapsed
+
+
+def test_family_rejects_a_pair_listed_twice():
+    family = antipodal_family([V(0, 0), V(1, 0), V(0, 1), V(1, 1)])
+    assert slab_packing_check(family, F(1)).verdict
+    with pytest.raises(ValueError, match=r"pair \(0, 1\) is listed twice"):
+        SlabFamily(family.points, family.slabs,
+                   family.pairs + ((1, 0, 0),))
+    with pytest.raises(ValueError, match="out of range"):
+        SlabFamily(family.points, family.slabs, ((0, 1, 6),))
 
 
 def test_certificate_json():
@@ -273,6 +318,7 @@ def test_family_carries_the_lift_forms(monkeypatch):
     cert = slab_packing_check(family, 2)
     assert cert.verdict and calls == []
     # a family built without the forms derives one per point
-    rebuilt = slab_packing_check(SlabFamily(family.points, family.pairs), 2)
+    rebuilt = slab_packing_check(
+        SlabFamily(family.points, family.slabs, family.pairs), 2)
     assert len(calls) == len(family.points)
     assert certificate_to_json(rebuilt) == certificate_to_json(cert)
