@@ -309,19 +309,26 @@ def _draw_range(lo: float, hi: float,
     return lo_n, n, n.bit_length()
 
 
+def _below(getrandbits, n: int) -> int:
+    """r in 0..n-1 drawn as r = getrandbits(k), k = n.bit_length(), redrawn
+    while r >= n: the draws ``rng.randrange(n)`` makes on CPython 3.10-3.13
+    (through ``_randbelow_with_getrandbits``, which draws k bits even for
+    n = 1), so the stream is the same without depending on them."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def _grid_fraction(rng: random.Random, lo: float, hi: float,
                    denom: int = CENTER_GRID) -> int:
     """The numerator k of a grid point k/denom drawn in [lo, hi] (the first
-    grid point above lo when no grid point is in it): lo_n + r for r =
-    ``rng.getrandbits(k)`` of the ``_draw_range``, redrawn while r >= n.
-    These are the draws ``rng.randint`` makes for the same range (through
-    ``_randbelow_with_getrandbits``, which draws k bits even for n = 1),
-    so the stream is the same."""
-    lo_n, n, k = _draw_range(lo, hi, denom)
-    r = rng.getrandbits(k)
-    while r >= n:
-        r = rng.getrandbits(k)
-    return lo_n + r
+    grid point above lo when no grid point is in it): lo_n + ``_below(n)``
+    for the ``_draw_range`` (lo_n, n, k), the draws ``rng.randint`` makes
+    for the same range."""
+    lo_n, n, _ = _draw_range(lo, hi, denom)
+    return lo_n + _below(rng.getrandbits, n)
 
 
 class _SearchState:
@@ -538,7 +545,9 @@ def _search(body: SymmetricBody, dim: int, cfg: SearchConfig,
     None, and ``drop(k)``.  The loop turns the box into one integer
     ``_draw_range`` (lo_n, n, k) per axis, again only when ``box`` is a new
     object, and draws each grid coordinate as ``_grid_fraction`` does:
-    lo_n + r for r = getrandbits(k), redrawn while r >= n."""
+    lo_n + r for r = getrandbits(k), redrawn while r >= n.  The rescaled
+    member, its step and the dropped member are ``_below`` their counts, so
+    no draw goes through ``rng.randrange``."""
     if body.dim != dim:
         raise ValueError("body dimension does not match the search dimension")
     rng = random.Random(cfg.seed)
@@ -569,14 +578,14 @@ def _search(body: SymmetricBody, dim: int, cfg: SearchConfig,
                 stagnation = 0
                 break
         else:  # no insertion: rescale one member, and drop one when stuck
-            idx = rng.randrange(len(members))
+            idx = _below(getrandbits, len(members))
             ratio = state.rescale(
-                idx, RATIO_STEPS[rng.randrange(len(RATIO_STEPS))])
+                idx, RATIO_STEPS[_below(getrandbits, len(RATIO_STEPS))])
             if ratio is not None:
                 members[idx] = Homothet(members[idx].center, ratio)
             stagnation += 1
             if stagnation >= STAGNATION_LIMIT and len(members) > 1:
-                drop = rng.randrange(len(members))
+                drop = _below(getrandbits, len(members))
                 del members[drop]
                 state.drop(drop)
                 stagnation = 0

@@ -316,10 +316,21 @@ def ratio(lam_i: Scalar, lam_j: Scalar, u_i: Scalar, u_j: Scalar) -> Scalar:
     on the far side of both centers, the wedge is inverted, and the distance
     identity holds for the absolute value.  Whenever neither homothet center
     lies interior to the other (u_i, u_j >= 0), the denominator is positive.
+
+    Exact scalars a/b, c/d, e/f, g/h (lam_i, lam_j, u_i, u_j) give the one
+    Fraction 2ac*fh / (ag*df + ce*bh), decided on those integers.
     """
-    form = int_form((lam_i, lam_j, u_i, u_j))
-    if form:  # over one denominator, which cancels
-        lam_i, lam_j, u_i, u_j = form[0]
+    if scalars.is_exact(lam_i, lam_j, u_i, u_j):
+        a, b = lam_i.numerator, lam_i.denominator
+        c, d = lam_j.numerator, lam_j.denominator
+        e, f = u_i.numerator, u_i.denominator
+        g, h = u_j.numerator, u_j.denominator
+        if a <= 0 or c <= 0:
+            raise ValueError("ratios must be positive")
+        denom = a * g * d * f + c * e * b * h
+        if denom == 0:
+            return math.inf
+        return Fraction(2 * a * c * f * h, denom)
     if scalars.le(lam_i, 0) or scalars.le(lam_j, 0):
         raise ValueError("ratios must be positive")
     denom = lam_i * u_j + lam_j * u_i
@@ -635,21 +646,21 @@ def verify_ratio_identity(slab: SlabPair, y_i: Vector, y_j: Vector,
     (y_j - y_i)(k_ij - k_ji)/(g_ji - g_ij), so the distance ratio
     |s_i - s_j| / |y_i - y_j| is this offset ratio whenever y_i != y_j: one
     equality is the whole identity.  A signed expected value is checked
-    through its absolute value.  Exact in rational mode, relative 1e-9
-    otherwise.
+    through its absolute value, on an exact one |p|/q as the cross-multiplied
+    integer equality.  Exact in rational mode, relative 1e-9 otherwise.
     """
     if isinstance(expected, float) and not math.isfinite(expected):
         raise ValueError("expected ratio is not finite")
-    expected = abs(expected)
     exact = slab.den and scalars.is_exact(expected)
     _, k_ij, k_ji, g_ij, g_ji = slab.plane if exact else slab.values
     if scalars.sign(g_ij - g_ji) == 0:
         raise ValueError("inner planes coincide; the ratio is undefined")
     if exact:
         holds = abs(k_ij - k_ji) * expected.denominator \
-            == expected.numerator * abs(g_ij - g_ji)
+            == abs(expected.numerator) * abs(g_ij - g_ji)
     else:
-        holds = scalars.eq_rel(abs(div(k_ij - k_ji, g_ij - g_ji)), expected)
+        holds = scalars.eq_rel(abs(div(k_ij - k_ji, g_ij - g_ji)),
+                               abs(expected))
     if holds and y_i == y_j:
         raise ValueError("lifted points coincide")
     return holds

@@ -68,8 +68,12 @@ class Vector:
         return all(scalars.eq(a, 0) for a in self.coords)
 
     def __eq__(self, other) -> bool:
+        """Exact coordinates compare as tuples; a float among them makes
+        the comparison ``scalars.eq`` entry by entry, with the tolerance."""
         if not isinstance(other, Vector) or other.dim != self.dim:
             return NotImplemented
+        if scalars.is_exact(*self.coords, *other.coords):
+            return self.coords == other.coords
         return all(scalars.eq(a, b) for a, b in zip(self.coords, other.coords))
 
     def __repr__(self) -> str:

@@ -27,9 +27,9 @@ from minkarr.lifting import SlabPair
 from minkarr.linalg import Vector
 from minkarr.packing import slab_packing_check
 
-from test_oracles import (chain_cardinality_bound, criterion_4_corpus,
-                          cross_ratio, per_pair_slab_family,
-                          trapezoid_combine)
+from test_oracles import (chain_cardinality_bound, check_ratio,
+                          criterion_4_corpus, cross_ratio,
+                          per_pair_slab_family, trapezoid_combine)
 
 
 def _report(num, text):
@@ -109,15 +109,18 @@ def identity_corpus():
     containment are checked at every common point of identity_cases."""
     identity_failures = []
     slab_failures = []
+    ratio_args = []
     pairs_checked = 0
     for t, (arr, cases) in enumerate(identity_cases(N_IDENTITY_INSTANCES)):
         lifted = lift(arr)
         for i, j, frame, sd0, xs in cases:
             pairs_checked += 1
+            lams = arr.members[i].ratio, arr.members[j].ratio
+            ratio_args.append((*lams, sd0.u_i, sd0.u_j))
             for x in xs:
                 sd = shadow_with_x(sd0, x)
-                rho = ratio(arr.members[i].ratio, arr.members[j].ratio,
-                            sd.u_i, sd.u_j)
+                ratio_args.append((*lams, sd.u_i, sd.u_j))
+                rho = ratio(*lams, sd.u_i, sd.u_j)
                 slab = slab_pair(arr, frame, sd)
                 if not verify_ratio_identity(slab, lifted.points[i],
                                              lifted.points[j], rho):
@@ -126,7 +129,7 @@ def identity_corpus():
                 if not ok:
                     slab_failures.append((t, i, j, offender))
     return {"identity": identity_failures, "slab": slab_failures,
-            "pairs": pairs_checked}
+            "pairs": pairs_checked, "ratio_args": ratio_args}
 
 
 def test_criterion_2_ratio_identity_corpus(identity_corpus):
@@ -140,6 +143,15 @@ def test_criterion_3_slab_containment_corpus(identity_corpus):
     assert identity_corpus["slab"] == []
     _report(3, "slab containment holds for all %d pairs at every common "
                "point, zero failures" % identity_corpus["pairs"])
+
+
+def test_ratio_against_the_int_form_route_on_the_identity_corpus(
+        identity_corpus):
+    # every ratio the corpus takes: at each pair's midpoint (the doubly
+    # extreme ones included) and at each of its common points (inverted
+    # wedges included)
+    values = [check_ratio(args) for args in identity_corpus["ratio_args"]]
+    assert math.inf in values and min(values) < 0
 
 
 # ----------------------------------------------------------------- 4 --

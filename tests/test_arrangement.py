@@ -13,8 +13,8 @@ from minkarr import (Arrangement, ChainPropertyError, Homothet, SearchConfig,
                      partition_classes, search_arrangement)
 from minkarr import arrangement
 from minkarr.arrangement import (BOX_LIMIT, INSERT_ATTEMPTS, RATIO_STEPS,
-                                 _SearchState, _draw_range, _grid_fraction,
-                                 _search)
+                                 STAGNATION_LIMIT, _SearchState, _draw_range,
+                                 _grid_fraction, _search)
 from minkarr.bodies import BallBody, HPolytopeBody
 from minkarr.packing import lifted_packing_pipeline
 from minkarr.linalg import Vector
@@ -381,6 +381,64 @@ def test_search_draws_are_the_randint_stream():
             replay.randrange(1)
             replay.randrange(len(RATIO_STEPS))
         assert state.grids == want, box
+
+
+class Growing(Refusing):
+    """``Refusing``, but accepting the first ``grow`` insertions offered,
+    each the next member of the square's cube family around the start
+    member, so that the search's members stay a valid arrangement; keeps
+    the rescalings and drops asked of it."""
+
+    def __init__(self, box, grow):
+        super().__init__(box)
+        self.cube = [h for h in cube_arrangement(2).members
+                     if any(h.center.coords)][:grow]
+        self.rescaled, self.dropped = [], []
+
+    def insert(self, grid, rng):
+        self.grids.append(grid)
+        return self.cube.pop(0) if self.cube else None
+
+    def rescale(self, idx, step):
+        self.rescaled.append((idx, step))
+
+    def drop(self, k):
+        self.dropped.append(k)
+
+
+def test_search_member_draws_are_the_randrange_stream():
+    # the rescaled member, its step and the dropped member, replayed with
+    # randrange: the state grows to 1 + grow members, then every move is
+    # refused, so a member is dropped each STAGNATION_LIMIT iterations
+    # until one is left (member counts 1..9: every draw width up to four
+    # bits, redraws included)
+    box = ([-2.0, -2.0], [2.0, 2.0])
+    for seed, grow in enumerate((8, 5, 2)):
+        iters = grow + STAGNATION_LIMIT * (grow + 2)
+        state = Growing(box, grow)
+        _search(SQUARE, 2, SearchConfig(seed=seed, iterations=iters), None,
+                lambda body, members: state)
+        replay = random.Random(seed)
+        grids, rescaled, dropped = [], [], []
+        n, stagnation, left = 1, 0, grow
+        for _ in range(iters):
+            for _attempt in range(INSERT_ATTEMPTS):
+                grids.append([replay.randint(-8, 8) for _axis in range(2)])
+                if left:
+                    left, n, stagnation = left - 1, n + 1, 0
+                    break
+            else:
+                idx = replay.randrange(n)
+                rescaled.append((idx,
+                                 RATIO_STEPS[replay.randrange(
+                                     len(RATIO_STEPS))]))
+                stagnation += 1
+                if stagnation >= STAGNATION_LIMIT and n > 1:
+                    dropped.append(replay.randrange(n))
+                    n, stagnation = n - 1, 0
+        assert len(dropped) == grow
+        assert (state.grids, state.rescaled, state.dropped) \
+            == (grids, rescaled, dropped), seed
 
 
 def test_search_reads_draw_ranges_once_per_box(monkeypatch):

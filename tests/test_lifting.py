@@ -268,6 +268,47 @@ def test_verify_slab_flags_outlier():
     assert not ok and offender == 2
 
 
+def test_ratio_identity_negative_exact_expected():
+    # the inverted wedge (member 1 covers member 0's center, x = -1): the
+    # signed ratio is negative and the identity holds for its absolute
+    # value, given with either sign, exact or as a float
+    arr = arr_of(linf_ball(1), H((0,), 1), H((1,), 3))
+    fr = build_frame(arr, 0, 1)
+    sd = shadow_with_x(shadow(arr, fr), F(-1))
+    rho = ratio(F(1), F(3), sd.u_i, sd.u_j)
+    assert type(rho) is F and rho < 0
+    sp = slab_pair(arr, fr, sd)
+    y_i, y_j = lift(arr).points
+    for expected in (rho, -rho, float(rho), -float(rho)):
+        assert verify_ratio_identity(sp, y_i, y_j, expected) is True
+    for expected in (2 * rho, rho - 1, -rho / 2, rho + F(1, 10 ** 30)):
+        assert verify_ratio_identity(sp, y_i, y_j, expected) is False
+
+
+@pytest.mark.parametrize("route", ["exact", "float", "mixed"])
+def test_ratio_identity_coincident_lifted_points(route):
+    # a slab whose identity holds, handed one lifted point twice: exact
+    # points coincide only when equal, floats within the tolerance
+    arr = arr_of(SQUARE, H((0, 0), 1), H((1, 0), 2))
+    fr = build_frame(arr, 0, 1)
+    sd = shadow(arr, fr)
+    sp = slab_pair(arr, fr, sd)
+    rho = ratio(F(1), F(2), sd.u_i, sd.u_j)
+    y = lift(arr).points[0]
+    y_float = Vector(as_floats(y))
+    y_i, y_j, expected = {"exact": (y, y, rho),
+                          "float": (y_float, y_float, float(rho)),
+                          "mixed": (y, y_float, rho)}[route]
+    with pytest.raises(ValueError, match="lifted points coincide"):
+        verify_ratio_identity(sp, y_i, y_j, expected)
+    moved = Vector(y_j.coords[:-1] + (y_j[-1] + F(1, 10 ** 12),))
+    if route == "exact":
+        assert verify_ratio_identity(sp, y_i, moved, expected) is True
+    else:
+        with pytest.raises(ValueError, match="lifted points coincide"):
+            verify_ratio_identity(sp, y_i, moved, expected)
+
+
 def test_ratio_identity_random_rational_instances():
     rng = random.Random(23)
     for t in range(60):

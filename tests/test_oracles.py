@@ -1263,6 +1263,81 @@ def fraction_ratio(lam_i, lam_j, u_i, u_j):
     return F(num) / F(denom) if scalars.is_exact(num, denom) else num / denom
 
 
+def int_form_ratio(lam_i, lam_j, u_i, u_j):
+    """The width ratio on the four scalars over one denominator (their
+    ``int_form``, when none is a float), which cancels, then in the
+    scalars: an independent route to ``lifting.ratio``, which reads the
+    numerators and denominators instead."""
+    form = scalars.int_form((lam_i, lam_j, u_i, u_j))
+    if form:
+        lam_i, lam_j, u_i, u_j = form[0]
+    if scalars.le(lam_i, 0) or scalars.le(lam_j, 0):
+        raise ValueError("ratios must be positive")
+    denom = lam_i * u_j + lam_j * u_i
+    if scalars.sign(denom) == 0:
+        return math.inf
+    return scalars.div(2 * lam_i * lam_j, denom)
+
+
+def check_ratio(args):
+    """``lifting.ratio`` against ``int_form_ratio`` on the same four
+    scalars: the same value of the same type, a float to the bit, or the
+    same ValueError.  Returns the value, or None on the error."""
+    try:
+        want = int_form_ratio(*args)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=str(err)):
+            ratio(*args)
+        return None
+    got = ratio(*args)
+    same(got, want)
+    if isinstance(want, float):
+        assert got.hex() == want.hex(), args
+    return got
+
+
+def test_ratio_against_the_int_form_route():
+    # the inverted wedge: member 1 covers member 0's center, and at x = -1
+    # the denominator is negative, so is the ratio
+    arr = Arrangement(linf_ball(1), (Homothet(Vector((F(0),)), F(1)),
+                                     Homothet(Vector((F(1),)), F(3))))
+    sd = shadow_with_x(shadow(arr, build_frame(arr, 0, 1)), F(-1))
+    inverted = (F(1), F(3), sd.u_i, sd.u_j)
+    assert ratio(*inverted) < 0
+    cases = [
+        inverted,
+        # the doubly-extreme point: the denominator vanishes
+        (F(1), F(3), F(-1, 2), F(3, 2)), (F(1), F(1), F(-1), F(1)),
+        (1, 1, 0, 0), (1.0, 1, -1, 1), (1, 1, F(1, 3), -1 / 3),
+        # lam <= 0, exact and float; a float within the tolerance of 0
+        (F(0), F(1), F(1), F(1)), (F(1), F(-1, 3), F(1), F(1)), (-2, 1, 1, 1),
+        (0.0, 1, 1, 1), (1, -0.5, 1, 1), (1e-12, 1, 1, 1),
+        (F(1, 10 ** 12), 1, 1, 1),
+        # int arguments
+        (1, 1, 1, 1), (3, 3, 0, 3), (1, 2, 5, -3), (2, 7, -1, 4),
+        # a float among the four
+        (0.5, F(1, 3), F(2, 7), 1), (F(1, 3), F(2, 3), 0.1, F(1, 7)),
+        (F(5, 3), 2, F(-1, 9), 0.7), (0.3, 0.7, 0.11, 0.13),
+    ]
+    rng = random.Random(3434)
+
+    def scalar(positive):
+        kind = rng.randrange(8)
+        if kind == 0:
+            return rng.uniform(0 if positive else -3, 3)
+        if kind == 1:
+            return rng.randint(0 if positive else -9, 9)
+        num = rng.randint(-99, 99)
+        return F(abs(num) if positive else num, rng.randint(1, 60))
+
+    for _ in range(3000):
+        positive = rng.random() < 0.9
+        cases.append((scalar(positive), scalar(positive), scalar(False),
+                      scalar(False)))
+    for args in cases:
+        check_ratio(args)
+
+
 def fraction_slab_pair(arr, frame, sd):
     a, c = frame.f_normal, 1
     vi = arr.members[frame.i].center
