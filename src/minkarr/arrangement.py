@@ -6,11 +6,12 @@ every two members meet.  Closed bodies are used throughout, so touching
 counts as intersecting while a center sitting exactly on a boundary does not
 violate the arrangement condition.  Both conditions read one distance per
 pair, the centers' ``distance_table`` D: max(lam_i, lam_j) <= D[i][j] <=
-lam_i + lam_j.  On exact centers and ratios of an exact body the distances
-are integer pairs t/e and the ratios s_k/q, and each comparison is one
-cross-multiplied integer comparison.  Any other polytope arrangement reads
-them from its ``facet_projections``, and only the ball takes one gauge per
-pair.
+lam_i + lam_j.  Every polytope arrangement reads them from its one
+projection matrix, ``projections``, over the body's half rows: on exact
+centers and ratios of an exact body the distances are integer pairs t/e and
+the ratios s_k/q, and each comparison is one cross-multiplied integer
+comparison; any other takes them in its own scalars.  Only the ball takes
+one gauge per pair.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import scalars
 from .bodies import (HPolytopeBody, SymmetricBody, body_from_json,
-                     body_to_json, distance_table, facet_distances,
-                     fraction_table, linf_ball, projection_distances)
+                     body_to_json, distance_table, fraction_table, linf_ball,
+                     projection_distances)
 from .kdistance import chain_violation
 from .linalg import Vector, zero_vector
 from .scalars import Scalar, div, format_scalar, parse_scalar
@@ -68,60 +69,63 @@ class Arrangement:
     def dim(self) -> int:
         return self.body.dim
 
+    @property
+    def exact(self) -> bool:
+        """Whether the centers, the ratios and the body are exact: the
+        route of the integer projections."""
+        return self.form is not None and self.body.exact
+
     @cached_property
-    def projections(self) -> Optional[List[Tuple[Tuple[int, ...], int]]]:
-        """Each center's ``int_projections`` (proj, den), rows[k] read over
-        the form's q, when the centers and ratios are exact and so is the
-        body; None otherwise.  It is the arrangement's one projection pass:
-        the distances, the frames and the shadows read it."""
-        if self.form is None or not self.body.exact:
+    def anchor(self) -> Vector:
+        """The center the projections of an inexact arrangement are
+        anchored at: the first exact one, if any, so that on an exact body
+        the exact centers keep exact rows; else the first center."""
+        return next((h.center for h in self.members
+                     if scalars.is_exact(*h.center.coords)),
+                    self.members[0].center)
+
+    @cached_property
+    def projections(self) -> Optional[List[Tuple[tuple, int]]]:
+        """The arrangement's one projection matrix, a row (U_k, den) per
+        member over the body's half rows h, when the body is a polytope;
+        None for any other.  An ``exact`` arrangement takes each center's
+        ``int_projections``, U_k[h] = h.P_k over den = D, rows[k] read over
+        the form's q.  Any other has U_k[h] = a_h.(v_k - v_0) over den = 1
+        in the scalars the facets and centers hold, a_h = h/D the canonical
+        facet of half row h and v_0 the ``anchor``: its rounding scales with
+        the spread of the centers, not with their distance from the origin.
+        The distances, the frames, the shadows and the slabs read it."""
+        body = self.body
+        if self.exact:
+            return [body.int_projections(row[:-1]) for row in self.form[0]]
+        if not isinstance(body, HPolytopeBody):
             return None
-        return [self.body.int_projections(row[:-1]) for row in self.form[0]]
+        facets = [a.coords for a, _ in body.half_facets]
+        v0 = self.anchor.coords
+        return [(tuple([scalars.dot(a, d) for a in facets]), 1)
+                for d in (tuple(map(operator.sub, h.center.coords, v0))
+                          for h in self.members)]
 
     @cached_property
     def int_distances(self) -> Optional[List[List[Tuple[int, int]]]]:
         """The centers' distances as integer pairs (t, e), D = t/e, from
-        the ``projections``; None when there are none.  The predicates
-        read it."""
-        if self.projections is None:
+        the ``projections`` of an ``exact`` arrangement; None for any
+        other.  The predicates read it."""
+        if not self.exact:
             return None
         return projection_distances(self.projections, self.form[1])
 
     @cached_property
-    def facet_projections(self) -> Optional[tuple]:
-        """The float route's projection matrix of a polytope body without
-        ``projections`` (float facets, or a float among the members), in
-        the scalars the facets and centers hold; None for any other body.
-        It is (facets, base, U): the canonical facets a in lexicographic
-        order, base[a] = a.v_0, and each member's row U_k[a] = a.(v_k - v_0).
-        Anchored at a center, its rounding scales with the spread of the
-        centers, not with their distance from the origin.  The anchor v_0
-        is the first exact center, if any, so that on an exact body the
-        exact centers keep exact rows; else the first center.  The
-        distances, the frames, the shadows and the slabs read it."""
-        if self.projections is not None or \
-                not isinstance(self.body, HPolytopeBody):
-            return None
-        facets = sorted(a.coords for a in self.body.facets)
-        v0 = next((h.center.coords for h in self.members
-                   if scalars.is_exact(*h.center.coords)),
-                  self.members[0].center.coords)
-        rows = []
-        for h in self.members:
-            d = tuple(map(operator.sub, h.center.coords, v0))
-            rows.append(tuple([sum(map(operator.mul, a, d)) for a in facets]))
-        return facets, [sum(map(operator.mul, a, v0)) for a in facets], rows
-
-    @cached_property
     def distances(self) -> List[List[Scalar]]:
         """The centers' ``distance_table``, computed on first use and kept:
-        from the ``int_distances`` or the ``facet_projections`` when there
-        are any, else one gauge per pair."""
-        if self.int_distances is not None:
+        from the ``projections`` when there are any (the ``int_distances``
+        as Fractions when exact), else one gauge per pair."""
+        if self.projections is None:
+            return distance_table(self.body, [h.center for h in self.members])
+        if self.exact:
             return fraction_table(self.int_distances)
-        if self.facet_projections is not None:
-            return facet_distances(self.facet_projections[2])
-        return distance_table(self.body, [h.center for h in self.members])
+        return [[t for t, _ in row]
+                for row in projection_distances(self.projections, 1)]
 
     @cached_property
     def relations(self):

@@ -11,11 +11,13 @@ o-symmetric polytope is max_h |h.x|; ``gauge`` is the route of float points
 and float bodies.  The same projections give an exact arrangement its
 frames and shadows (``Arrangement.projections``, read by ``lifting``): the
 facet of the pair (i, j) is the half row h with the largest |h.(P_j - P_i)|,
-signed s, ties to the lexicographically least facet s*h.  Any other
-polytope arrangement (float facets, or a float among the members) reads
-its frames from one matrix of facet projections a.(p_k - p_0)
-(``Arrangement.facet_projections``) and its distances from the same rows
-(``facet_distances``).  Only the ball has a ``boundary_frame`` toward
+signed s, ties to the lexicographically least facet s*h.  Every other
+polytope arrangement (float facets, or a float among the members) fills
+the same half-row columns with a_h.(p_k - p_0), a_h the canonical facet of
+half row h, and takes its frames and distances from them.  So a float body
+keeps its facets closed under exact negation: the second facet of a pair
+that is closed only within ``scalars.TOLERANCE`` is stored as the exact
+negation of the first.  Only the ball has a ``boundary_frame`` toward
 u != 0: the gauge-1 point r = u/|u| and its supporting plane r.z = 1.
 Three variants:
 
@@ -114,11 +116,12 @@ def int_distance_table(body: SymmetricBody, rows: Sequence[Sequence[int]],
     return projection_distances([body.int_projections(p) for p in rows], q)
 
 
-def projection_distances(projections: Sequence[Tuple[Tuple[int, ...], int]],
-                         q: int) -> List[List[Tuple[int, int]]]:
+def projection_distances(projections: Sequence[Tuple[tuple, int]],
+                         q: int) -> List[List[Tuple[Scalar, int]]]:
     """The ``int_distance_table`` of points rows[k]/q from their
-    ``int_projections``: a pair's t is the largest absolute difference of
-    its two projections."""
+    ``int_projections``, or any projections (proj, den) over half rows:
+    a pair's t is the largest absolute difference of its two projections,
+    over den*q."""
     table = [[(0, 1)] * len(projections) for _ in projections]
     for i, (p, den) in enumerate(projections):
         for j in range(i + 1, len(projections)):
@@ -127,20 +130,26 @@ def projection_distances(projections: Sequence[Tuple[Tuple[int, ...], int]],
     return table
 
 
-def facet_distances(rows: Sequence[Sequence[Scalar]]) -> List[List[Scalar]]:
-    """The ``distance_table`` of points from their rows U_k[a] = a.(p_k - p_0)
-    over every canonical facet a of a polytope body: gauge(p_j - p_i) =
-    max_a a.(p_j - p_i), the largest difference of two rows, for i < j."""
-    table: List[List[Scalar]] = [[0] * len(rows) for _ in rows]
-    for i, u in enumerate(rows):
-        for j in range(i + 1, len(rows)):
-            table[i][j] = table[j][i] = max(map(operator.sub, rows[j], u))
-    return table
-
-
 def fraction_table(table) -> List[List[Scalar]]:
     """The gauges t/e of an ``int_distance_table``, int 0 for t = 0."""
     return [[Fraction(t, e) if t else 0 for t, e in row] for row in table]
+
+
+def _negated(row: tuple) -> tuple:
+    return tuple([-x for x in row])
+
+
+def _snap_negations(normals: Sequence[Vector]) -> List[Vector]:
+    """The float normals, each one whose exact negation is missing replaced
+    by the exact negation of the first kept normal within the tolerance of
+    its negation, if any: a pair closed only within the tolerance keeps its
+    first normal and stores the second as -first."""
+    rows, kept = {a.coords for a in normals}, []
+    for a in normals:
+        if _negated(a.coords) not in rows:
+            a = next((-b for b in kept if -b == a), a)
+        kept.append(a)
+    return kept
 
 
 def _canonical_facet(normal: Vector, offset: Scalar) -> Vector:
@@ -199,17 +208,28 @@ class HPolytopeBody(SymmetricBody):
 
     def _set_facets(self, dim: int, normals: Sequence[Vector],
                     form) -> None:
-        """Keep the canonical normals and, from their ``int_rows`` form
-        (integer rows over one common denominator, None when a normal is a
-        float), the denominator and ``half_rows``: one row of each +- pair
-        (the greater of the two, duplicates removed), which
+        """Keep the canonical normals, float ones ``_snap_negations``, and,
+        from their ``int_rows`` form (integer rows over one common
+        denominator, None when a normal is a float) or their float
+        coordinates, the denominator D and ``half_rows``: one row of each +-
+        pair (the greater of the two, duplicates removed), which
         ``int_projections`` reads, so the facet a = s*h/D of the sign s and
-        the half row h is column h of the projections."""
+        the half row h is column h of the projections.  ``half_facets``
+        holds each half row's two stored facets (h/D, -h/D), or the
+        negation of one when a float facet within the tolerance of another
+        leaves the other alone in its pair."""
+        if form is None:
+            normals = _snap_negations(normals)
         self.dim = dim
         self.facets: Tuple[Vector, ...] = tuple(normals)
         self._den = form and form[1]
-        self.half_rows = form and tuple(dict.fromkeys(
-            max(row, tuple(-x for x in row)) for row in form[0]))
+        rows = form[0] if form else [a.coords for a in normals]
+        self.half_rows = tuple(dict.fromkeys(
+            max(row, _negated(row)) for row in rows))
+        stored = dict(zip(rows, normals))
+        pairs = [(stored.get(h), stored.get(_negated(h)))
+                 for h in self.half_rows]
+        self.half_facets = tuple((a or -b, b or -a) for a, b in pairs)
         self.exact = form is not None
 
     def int_projections(self, p: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
@@ -222,8 +242,9 @@ class HPolytopeBody(SymmetricBody):
     def as_float(self) -> "HPolytopeBody":
         """An ``HPolytopeBody`` on the canonical normals with each coordinate
         a float, not validated again: float(-x) == -float(x), so the normals
-        stay closed under negation.  A ValueError names a coordinate beyond
-        the float range or nonzero below it (``scalars.check_float_range``)."""
+        stay closed under exact negation and none is snapped.  A ValueError
+        names a coordinate beyond the float range or nonzero below it
+        (``scalars.check_float_range``)."""
         scalars.check_float_range([c for a in self.facets for c in a], True)
         body = HPolytopeBody.__new__(HPolytopeBody)
         body._set_facets(self.dim, [Vector(map(float, a))
@@ -236,7 +257,7 @@ class HPolytopeBody(SymmetricBody):
         self._check_dim(x)
         best: Scalar = 0
         for a in self.facets:
-            v = sum(map(operator.mul, a.coords, x.coords))
+            v = scalars.dot(a.coords, x.coords)
             if scalars.gt(v, best):
                 best = v
         return best if scalars.gt(best, 0) else 0

@@ -67,9 +67,11 @@ def _random_centers(rng: random.Random, n: int, dim: int,
         raise ValueError("no %d distinct centers in a box of span %d"
                          % (n, span))
     centers: List[Vector] = []
+    seen = set()
     while len(centers) < n:
         c = Vector([Fraction(rng.randint(-span, span), 2) for _ in range(dim)])
-        if not any(c == other for other in centers):
+        if c.coords not in seen:
+            seen.add(c.coords)
             centers.append(c)
     return centers
 

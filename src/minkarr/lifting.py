@@ -55,18 +55,21 @@ offsets), and the ratio identity is one integer equality.  A family's
 ``Slab`` keeps only the normal and the outer offsets, on that scale.
 
 Every other polytope arrangement (float facets, or a float among the
-members) reads the same quantities from its ``facet_projections``, one
-matrix U_k[a] = a.(v_k - v_0) over the canonical facets a, anchored at a
-center v_0 (the first exact one, if any).  The frame of (i, j) is the
-lexicographically least facet whose difference U_j[a] - U_i[a] equals the
-largest one, top, or on floats lies within ``scalars.TOLERANCE``,
-relative, of it, with r = (v_j - v_i)/top.  The shadow is column a,
-alpha_k = U_k[a] - U_i[a], its ends checked per pair, relative to v_i: a
-column's extremes shared across pairs, relative to v_0, round otherwise on
-floats and can miss an empty shadow.  The slab normal is
-(a, -(a.v_0 + U_i[a] + x)).  Only the ball takes its ``boundary_frame``
-per pair.  Both float routes keep one slab per pair, read each point as
-(y_k, 1) and fold the tolerance into the ends.
+members) fills the same columns with U_k[h] = a_h.(v_k - v_0) in its own
+scalars, a_h the canonical facet of half row h and v_0 the arrangement's
+anchor, and reads the same quantities from them.  One picker,
+``_facet_column``, takes every pair's column, on floats with every
+|U_j[h] - U_i[h]| within ``scalars.TOLERANCE``, relative, of top as a tie;
+negation and |.| are exact on floats, so that is the least facet within
+the tolerance of the largest a.(v_j - v_i), with r = (v_j - v_i)/top.  The
+shadow is column h, alpha_k = s*U_k[h] - s*U_i[h], its ends checked per
+pair, relative to v_i: a column's extremes shared across pairs, relative
+to v_0, round otherwise on floats and can miss an empty shadow.  The slab
+normal is (a, -(a.v_0 + s*U_i[h] + x)).  Only the ball takes its
+``boundary_frame`` per pair.  Both inexact routes keep one slab per pair,
+read each point as (y_k, 1) and fold the tolerance into the ends; a sum
+that can see a float is ``scalars.dot``, added left to right, so float
+values do not depend on the interpreter.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ from typing import NamedTuple, Optional, Tuple
 from . import scalars
 from .arrangement import Arrangement
 from .linalg import Vector
-from .scalars import Scalar, div, format_scalar as fmt, int_form
+from .scalars import Scalar, div, dot, format_scalar as fmt, int_form
 
 
 @dataclass(frozen=True)
@@ -94,8 +97,7 @@ class ProjectionFrame:
     # normal
     a_form: Optional[tuple] = field(default=None, repr=False, compare=False)
     # (h, s): f_normal is s times half row h, column h of the arrangement's
-    # projections, or (a, 1): f_normal is facet a, column a of its
-    # facet_projections; None when the frame was not read from either
+    # projections; None when the frame was not read from them
     column: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -173,68 +175,52 @@ _DEGENERATE = "projected pair lies on one hyperplane; the inner planes coincide"
 
 
 def _facet_column(arr: Arrangement, i: int, j: int):
-    """(h, s, row, top) of the pair (i, j) of an arrangement with
-    projections U: the column h with the largest |U_j[h] - U_i[h]| = top,
-    the sign s of that difference and the facet's row s*h; ties go to the
-    lexicographically least row."""
+    """(h, s, top) of the pair (i, j) of an arrangement with projections U:
+    top the largest |U_j[h] - U_i[h]|, the column h of that difference and
+    its sign s; ties go to the lexicographically least facet row s*h, and
+    on floats every difference within ``scalars.TOLERANCE``, relative, of
+    top is a tie."""
     projections = arr.projections
     deltas = list(map(operator.sub, projections[j][0], projections[i][0]))
     top = max(map(abs, deltas))
-    if not top:
+    inexact = isinstance(top, float)
+    if top <= (scalars.TOLERANCE if inexact else 0):
         raise ValueError("coincident centers: members %d and %d" % (i, j))
+    cut = top - scalars.TOLERANCE * top if inexact else top
     best = None
     for h, delta in enumerate(deltas):
-        if delta == top or delta == -top:
+        if abs(delta) >= cut:
             s = 1 if delta > 0 else -1
             row = tuple(s * x for x in arr.body.half_rows[h])
             if best is None or row < best[2]:
                 best = (h, s, row)
-    return best + (top,)
-
-
-def _float_facet(arr: Arrangement, i: int, j: int):
-    """(a, top) of the pair (i, j) of an arrangement with
-    ``facet_projections`` U: top the largest U_j[a] - U_i[a], and a the
-    first facet, in their lexicographic order, whose difference is top, or
-    on floats within ``scalars.TOLERANCE``, relative, of top: the least
-    facet active at r = (v_j - v_i)/top."""
-    rows = arr.facet_projections[2]
-    deltas = list(map(operator.sub, rows[j], rows[i]))
-    top = max(deltas)
-    if not scalars.gt(top, 0):
-        raise ValueError("coincident centers: members %d and %d" % (i, j))
-    cut = top if scalars.is_exact(top) else top - scalars.TOLERANCE * top
-    return next(a for a, delta in enumerate(deltas) if delta >= cut), top
+    return best[0], best[1], top
 
 
 def build_frame(arr: Arrangement, i: int, j: int) -> ProjectionFrame:
     """Frame for the pair (i, j); the centers must differ.
 
-    Exact centers on an exact body read the arrangement's projections
-    (module docstring): the facet a = s*h/D of the column h and the sign
-    s that ``_facet_column`` picks, its form (s*h/g, D/g) for
-    g = gcd(D, h), and r = (P_j - P_i)*D/top.  Any other polytope
-    arrangement reads its ``facet_projections``: the facet a that
-    ``_float_facet`` picks and r = (v_j - v_i)/top.  The ball takes its
-    ``boundary_frame`` of v_j - v_i.
+    A polytope arrangement reads its projections (module docstring): the
+    facet a is the stored facet s*h/D of the column h and the sign s that
+    ``_facet_column`` picks, and r = (P_j - P_i)*D/top when the arrangement
+    is exact, else (v_j - v_i)/top.  The ball takes its ``boundary_frame``
+    of v_j - v_i.
     """
     if arr.projections is None:
         diff = arr.members[j].center - arr.members[i].center
         if diff.is_zero():
             raise ValueError("coincident centers: members %d and %d" % (i, j))
-        if arr.facet_projections is None:
-            return ProjectionFrame(i, j, *arr.body.boundary_frame(diff))
-        a, top = _float_facet(arr, i, j)
-        return ProjectionFrame(i, j, diff / top,
-                               Vector(arr.facet_projections[0][a]),
-                               column=(a, 1))
-    h, s, row, top = _facet_column(arr, i, j)
-    den, rows, d = arr.projections[0][1], arr.form[0], arr.dim
-    g = math.gcd(den, *row)
-    r_vec = Vector(Fraction(c * den, top)
-                   for c in map(operator.sub, rows[j][:d], rows[i][:d]))
-    return ProjectionFrame(i, j, r_vec, Vector(Fraction(x, den) for x in row),
-                           ([x // g for x in row], den // g), (h, s))
+        return ProjectionFrame(i, j, *arr.body.boundary_frame(diff))
+    h, s, top = _facet_column(arr, i, j)
+    if arr.exact:
+        den, rows, d = arr.projections[0][1], arr.form[0], arr.dim
+        r = [Fraction(c * den, top)
+             for c in map(operator.sub, rows[j][:d], rows[i][:d])]
+    else:
+        r = [div(c, top) for c in map(operator.sub, arr.members[j].center,
+                                      arr.members[i].center)]
+    return ProjectionFrame(i, j, Vector(r), arr.body.half_facets[h][s < 0],
+                           column=(h, s))
 
 
 def shadow(arr: Arrangement, frame: ProjectionFrame) -> ShadowData:
@@ -245,53 +231,39 @@ def shadow(arr: Arrangement, frame: ProjectionFrame) -> ShadowData:
     endpoints are attained.  The common point is the midpoint of the interval
     intersection (the first largest low end and the first smallest high
     end); shadow_with_x moves it to any other point of it.  A frame read
-    from the projections, or the facet projections, reads its column of
-    them; any other (the ball's) computes a.(v_k - v_i)/a.r.
+    from the projections reads its column of them; any other (the ball's)
+    computes a.(v_k - v_i)/a.r.
     """
     i, j = frame.i, frame.j
-    if frame.column and arr.projections is not None:
+    if frame.column and arr.exact:
         # a = A/f, A.P_k = s*U_k[h]/g: alpha_k = (A.P_k - A.P_i)/(f*q)
         (h, s), f, (rows, q) = frame.column, frame.a_form[1], arr.form
         g = arr.projections[0][1] // f
         t = [s * p[h] // g for p, _ in arr.projections]
         alphas = [t_k - t[i] for t_k in t]
         lams, den = [row[-1] * f for row in rows], f * q
-    elif frame.column:
-        alphas = _facet_alphas(arr, i, j, frame.column[0])
-        lams, den = [h.ratio for h in arr.members], 1
     else:
-        a, vi = frame.f_normal.coords, arr.members[i].center.coords
-        denom = _dot(a, frame.r_vec.coords)
-        alphas = [div(_dot(a, map(operator.sub, h.center.coords, vi)), denom)
-                  for h in arr.members]
         lams, den = [h.ratio for h in arr.members], 1
-    lows, highs, lo_idx, hi_idx = _ends(alphas, lams)
-    form = alphas, lows, highs, den, lo_idx, hi_idx
-    return ShadowData(i, j, form,
-                      div(lows[lo_idx] + highs[hi_idx], 2 * den))
-
-
-def _ends(alphas, lams):
-    """(lows, highs, lo_idx, hi_idx): the intervals alpha_k -+ lam_k and
-    the first largest low end and first smallest high end, which raise a
-    ``ShadowIntersectionError`` when they do not meet."""
+        if frame.column:
+            h, s = frame.column
+            # -U as 0 - U, whose zero is +0.0 as a fold over -h gives it
+            t = [p[h] if s > 0 else 0 - p[h] for p, _ in arr.projections]
+            alphas = [t_k - t[i] for t_k in t]
+            if not scalars.is_exact(t[i], t[j]):   # a.r is a float
+                alphas = list(map(float, alphas))
+        else:
+            a, vi = frame.f_normal.coords, arr.members[i].center.coords
+            denom = dot(a, frame.r_vec.coords)
+            alphas = [div(dot(a, map(operator.sub, h.center.coords, vi)),
+                          denom) for h in arr.members]
     lows = [al - lam for al, lam in zip(alphas, lams)]
     highs = [al + lam for al, lam in zip(alphas, lams)]
     lo_idx, hi_idx = lows.index(max(lows)), highs.index(min(highs))
     if scalars.gt(lows[lo_idx], highs[hi_idx]):
         raise ShadowIntersectionError((lo_idx, hi_idx))
-    return lows, highs, lo_idx, hi_idx
-
-
-def _facet_alphas(arr: Arrangement, i: int, j: int, a: int) -> list:
-    """alpha_k = U_k[a] - U_i[a] of the pair (i, j) on column a of the
-    facet projections: floats when a.r is a float, as a.(v_k - v_i)/a.r
-    would be (with U_i a float they are already)."""
-    t = [u[a] for u in arr.facet_projections[2]]
-    alphas = [t_k - t[i] for t_k in t]
-    if scalars.is_exact(t[i]) and not scalars.is_exact(t[j]):
-        return list(map(float, alphas))
-    return alphas
+    form = alphas, lows, highs, den, lo_idx, hi_idx
+    return ShadowData(i, j, form,
+                      div(lows[lo_idx] + highs[hi_idx], 2 * den))
 
 
 def shadow_with_x(sd: ShadowData, x_coord: Scalar) -> ShadowData:
@@ -340,7 +312,8 @@ def ratio(lam_i: Scalar, lam_j: Scalar, u_i: Scalar, u_j: Scalar) -> Scalar:
 
 
 def _dot(a, b):
-    """Dot product over the shorter of a and b: A reads a row's center."""
+    """Dot product over the shorter of a and b (A reads a row's center), on
+    integers and Fractions; ``scalars.dot`` wherever a float can flow."""
     return sum(map(operator.mul, a, b))
 
 
@@ -357,15 +330,15 @@ class LiftedConfig:
                                None if None in forms else forms)
 
 
-def _lift_point(center: Vector, lam: Scalar) -> Vector:
-    return Vector([div(c, lam) for c in center.coords] + [div(1, lam)])
+def _lifted(h) -> list:
+    """The coordinates of the member's lifted point (v/lam, 1/lam)."""
+    return [div(c, h.ratio) for c in h.center.coords] + [div(1, h.ratio)]
 
 
 def lift(arr: Arrangement) -> LiftedConfig:
     """Central projection of the raised centers; exact for rational input."""
     if arr.form is None:
-        return LiftedConfig(tuple(_lift_point(h.center, h.ratio)
-                                  for h in arr.members))
+        return LiftedConfig(tuple(Vector(_lifted(h)) for h in arr.members))
     rows, q = arr.form
     forms = tuple((row[:-1] + (q,), row[-1]) for row in rows)
     return LiftedConfig(tuple(Vector(Fraction(c, w) for c in y)
@@ -459,29 +432,21 @@ def slab_pair(arr: Arrangement, frame: ProjectionFrame,
     y_k exactly when x lies in shadow interval k.  The inner planes pass
     through y_i and y_j; they coincide exactly when the width ratio's
     denominator vanishes, and then no slab pair exists.  A frame read from
-    the facet projections takes a.v_i as a.v_0 + U_i[a].
+    the projections of an inexact arrangement takes a.v_i as
+    a.v_0 + s*U_i[h].
     """
     a, i, j = frame.f_normal, frame.i, frame.j
     if arr.form and frame.a_form and scalars.is_exact(sd.x_coord):
         rows, coef = arr.form[0], frame.a_form[0]
         return _int_slab(arr, i, j, frame.a_form, _dot(coef, rows[i]),
                          _dot(coef, rows[j]), sd.x_coord)
-    if frame.column and arr.facet_projections is not None:
-        _, base, rows = arr.facet_projections
-        c_i = base[frame.column[0]] + rows[i][frame.column[0]]
+    if frame.column and not arr.exact:
+        h, s = frame.column
+        c_i = dot(a.coords, arr.anchor.coords) + s * arr.projections[i][0][h]
     else:
         c_i = a.dot(arr.members[i].center)
-    y_i, y_j = (_lift_point(h.center, h.ratio).coords
-                for h in (arr.members[i], arr.members[j]))
-    return _float_slab(i, j, a.coords, c_i, sd.x_coord, y_i, y_j)
-
-
-def _float_slab(i: int, j: int, a: tuple, c_i: Scalar, x: Scalar,
-                y_i: tuple, y_j: tuple) -> SlabPair:
-    """The slab of (i, j) on the float route: the normal (a, -c_i - x) for
-    c_i = a.v_i, its dots with the lifted points y_i and y_j, oriented."""
-    m = a + (-c_i - x,)
-    gi, gj = _dot(m, y_i), _dot(m, y_j)
+    m = a.coords + (-c_i - sd.x_coord,)
+    gi, gj = (dot(m, _lifted(arr.members[k])) for k in (i, j))
     if scalars.eq(gi, gj):
         raise DegenerateWedgeError(_DEGENERATE)
     sg = -1 if scalars.gt(gi, gj) else 1
@@ -515,30 +480,29 @@ def slab_pairs(arr: Arrangement) -> Tuple[Tuple[Slab, ...], tuple]:
     order, as (i, j, index of its slab), raising what the first pair's
     frame, shadow or slab raises.
 
-    With projections the pairs share their slabs, at most one per half row
-    h (module docstring), and no frame or shadow is built: a pair reads its
-    column (h, s); the column's extremes lo and hi of t_k -+ s_k*f, with
+    With exact projections the pairs share their slabs, at most one per
+    half row h (module docstring), and no frame or shadow is built: a pair
+    reads its column (h, s); the column's extremes lo and hi of t_k -+ s_k*f, with
     their first indices, and its slab (M, -K, K) are taken once per h.  A
     column whose extremes do not meet raises, at its first pair, the
     witness in that pair's orientation s (-s swaps the two ends).  A pair
     whose inner planes coincide, M.Y_i*w_j == M.Y_j*w_i, that is
     (2*t_i - lo - hi)*w_j == (2*t_j - lo - hi)*w_i, raises a degenerate
     wedge.  Any other arrangement keeps one slab per pair, the outer planes
-    of its ``SlabPair``.  With facet projections no frame or shadow is
-    built either: a pair reads its facet a, the column's intervals
-    U_k[a] - U_i[a] -+ lam_k, checked per pair in O(n) subtractions, and
-    its slab, from lifted points taken once per arrangement.  Only the
-    ball builds each pair's frame and shadow."""
+    of the ``SlabPair`` its frame and shadow give."""
     n = len(arr.members)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if arr.projections is None:
-        per_pair = _pair_slabs(arr, pairs)
+    if not arr.exact:
+        per_pair = []
+        for i, j in pairs:
+            frame = build_frame(arr, i, j)
+            per_pair.append(slab_pair(arr, frame, shadow(arr, frame)))
         return (tuple(p.outer(arr.form is not None) for p in per_pair),
                 tuple((p.i, p.j, k) for k, p in enumerate(per_pair)))
     (rows, q), den = arr.form, arr.projections[0][1]
     half_rows, columns, slabs, index = arr.body.half_rows, {}, [], []
     for i, j in pairs:
-        h, s, _, _ = _facet_column(arr, i, j)
+        h, s, _ = _facet_column(arr, i, j)
         column = columns.get(h)
         if column is None:
             g = math.gcd(den, *half_rows[h])
@@ -564,77 +528,39 @@ def slab_pairs(arr: Arrangement) -> Tuple[Tuple[Slab, ...], tuple]:
     return tuple(slabs), tuple(index)
 
 
-def _pair_slabs(arr: Arrangement, pairs: list) -> list:
-    """The ``SlabPair`` of every pair of an arrangement without projections:
-    from its facet projections, or from each pair's frame and shadow."""
-    if arr.facet_projections is None:
-        slabs = []
-        for i, j in pairs:
-            frame = build_frame(arr, i, j)
-            slabs.append(slab_pair(arr, frame, shadow(arr, frame)))
-        return slabs
-    facets, base, rows = arr.facet_projections
-    lams = [h.ratio for h in arr.members]
-    ys = [_lift_point(h.center, h.ratio).coords for h in arr.members]
-    slabs = []
-    for i, j in pairs:
-        a = _float_facet(arr, i, j)[0]
-        lows, highs, lo_idx, hi_idx = _ends(_facet_alphas(arr, i, j, a), lams)
-        x = div(lows[lo_idx] + highs[hi_idx], 2)
-        slabs.append(_float_slab(i, j, facets[a], base[a] + rows[i][a], x,
-                                 ys[i], ys[j]))
-    return slabs
-
-
 def slab_rows(slab: Slab, points: tuple, forms) -> list:
     """(M.Y_k, w_k) of every lifted point k, in order, from its integer
     form (Y_k, w_k) when the slab is exact, else (N.y_k, 1)."""
     m = slab.normal
     if slab.exact:
         return [(_dot(m, y), w) for y, w in forms]
-    return [(_dot(m, y.coords), 1) for y in points]
+    return [(dot(m, y.coords), 1) for y in points]
 
 
 def first_escape(slab: Slab, rows: list) -> Optional[int]:
     """The first point k outside the slab, given its ``slab_rows``, or
     None: lo*w_k <= M.Y_k <= hi*w_k fails, exactly on the integer route;
     on the float route the ends are widened by the tolerance times the
-    Euclidean length of the normal, as ``verify_slab`` widens a pair's."""
+    Euclidean length of the normal."""
     margin = 0 if slab.exact else \
-        scalars.TOLERANCE * math.sqrt(float(_dot(slab.normal, slab.normal)))
+        scalars.TOLERANCE * math.sqrt(float(dot(slab.normal, slab.normal)))
     lo, hi = slab.lo - margin, slab.hi + margin
     return next((k for k, (r, w) in enumerate(rows)
                  if not lo * w <= r <= hi * w), None)
 
 
-def _on_one_scale(slab: SlabPair, lifted: LiftedConfig):
-    """(plane, forms, exact): the slab's plane and the lifted points' forms
-    (Y, w) on one scale.  They are the integer forms when both are exact,
-    else the slab's values with each point read as (y, 1)."""
-    if slab.den and lifted.forms:
-        return slab.plane, lifted.forms, True
-    return slab.values, [(y.coords, 1) for y in lifted.points], False
-
-
 def verify_slab(lifted: LiftedConfig, slab: SlabPair) -> Tuple[bool, Optional[int]]:
     """Check that every lifted point lies between the pair's two outer
-    planes, the check ``lift`` reports for one pair.
+    planes, the check ``lift`` reports for one pair: ``first_escape`` on
+    the pair's outer slab and its ``slab_rows``, so exact containment on the
+    integer forms in rational mode, and in floating mode the ends widened by
+    the tolerance times the Euclidean length of the normal.
 
-    Returns (ok, index of the first point outside or None).  Exact
-    containment in rational mode, on the integer forms; in floating mode the
-    ends are widened by the tolerance times the Euclidean length of the
-    normal, summed in floats (under ``--mode float`` the body's facets are
-    floats, so its last bits may differ, by about 1e-16 relative, from a sum
-    whose first d terms are exact).  One pass takes each N.y_k as it goes:
-    a family's check (``first_escape``) reuses each slab's row for the
-    ratios instead.
+    Returns (ok, index of the first point outside or None).
     """
-    (m, k_1, k_2, _, _), forms, exact = _on_one_scale(slab, lifted)
-    margin = 0 if exact else \
-        scalars.TOLERANCE * math.sqrt(float(_dot(m, m)))
-    lo, hi = min(k_1, k_2) - margin, max(k_1, k_2) + margin
-    offender = next((k for k, (y, w) in enumerate(forms)
-                     if not lo * w <= _dot(m, y) <= hi * w), None)
+    outer = slab.outer(lifted.forms is not None)
+    offender = first_escape(outer, slab_rows(outer, lifted.points,
+                                             lifted.forms))
     return offender is None, offender
 
 

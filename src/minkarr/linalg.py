@@ -59,10 +59,10 @@ class Vector:
 
     def dot(self, other: "Vector") -> Scalar:
         self._check(other)
-        return sum(a * b for a, b in zip(self.coords, other.coords))
+        return scalars.dot(self.coords, other.coords)
 
     def norm_sq(self) -> Scalar:
-        return sum(a * a for a in self.coords)
+        return scalars.dot(self.coords, self.coords)
 
     def is_zero(self) -> bool:
         return all(scalars.eq(a, 0) for a in self.coords)

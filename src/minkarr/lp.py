@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -69,14 +68,14 @@ def polar_facets(rows: Sequence[Sequence[Scalar]], q: Optional[int]):
         bits[tuple(-x for x in rows[b])] = 1 << 2 * k + 1
     verts = []          # (N, D, mask of the constraints tight there)
     for signs in itertools.product((1, -1), repeat=d):
-        top = [sum(map(operator.mul, signs, col)) for col in zip(*inverse)]
+        top = [scalars.dot(signs, col) for col in zip(*inverse)]
         tight = sum(1 << 2 * k + (s < 0) for k, s in enumerate(signs))
         verts.append(reduced(top, scale) + (tight,))
     for row in map(tuple, rows):
         if row in bits:
             continue
         bit = bits[row] = 1 << len(bits)
-        slack = [den - sum(map(operator.mul, row, top))
+        slack = [den - scalars.dot(row, top)
                  for top, den, _ in verts]
         side = list(map(scalars.sign, slack))
         plus = [(v, s) for v, s, c in zip(verts, slack, side) if c > 0]

@@ -82,7 +82,7 @@ def _plane(normal, row, q):
     """(normal, offset) of the plane through ``row``: over integer rows the
     offset is normal.row/q, over float rows the float sum ``Vector.dot``
     takes."""
-    offset = sum(a * x for a, x in zip(normal, row))
+    offset = scalars.dot(normal, row)
     return Vector(normal), offset if q is None else Fraction(offset, q)
 
 

@@ -8,7 +8,9 @@ participates in floating-mode comparison as soon as one operand is a float.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -79,6 +81,14 @@ def div(a: Scalar, b: Scalar) -> Scalar:
     if type(a) in _EXACT and type(b) in _EXACT:
         return Fraction(a, b)
     return a / b
+
+
+def dot(a, b) -> Scalar:
+    """The sum of the products of a and b, over the shorter of them, added
+    left to right from int 0: what ``sum`` computes on CPython 3.10 and
+    3.11, where 3.12 compensates a float sum's rounding, so that float
+    results are the same on every interpreter."""
+    return functools.reduce(operator.add, map(operator.mul, a, b), 0)
 
 
 def check_float_range(values, float_route: bool = False) -> None:

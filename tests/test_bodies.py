@@ -239,6 +239,20 @@ def test_vpoly_frames_beyond_3d_are_facets():
             boundary_frame(body, Vector((0,) * body.dim))
 
 
+def test_float_facet_alone_in_its_pair_takes_the_negation():
+    # a float facet within the tolerance of another, whose negation is
+    # given once, stays a facet as given (the closure holds within the
+    # tolerance); its half row pairs it with its exact negation
+    body = body_from_json({"dim": 2, "type": "hpoly", "facets": [
+        {"normal": [1.0, 0.0]}, {"normal": [1.0, 1e-12]},
+        {"normal": [-1.0, 0.0]}, {"normal": [0.0, 1.0]},
+        {"normal": [0.0, -1.0]}]})
+    assert [a.coords for a in body.facets][1] == (1.0, 1e-12)
+    assert [(a.coords, b.coords) for a, b in body.half_facets] == [
+        ((1.0, 0.0), (-1.0, 0.0)), ((1.0, 1e-12), (-1.0, -1e-12)),
+        ((0.0, 1.0), (0.0, -1.0))]
+
+
 def test_vpoly_validates_its_vertex_list_once(monkeypatch):
     # the polar's normals are closed under negation and span by
     # construction, so only the vertex list is checked, and the normals'
@@ -262,7 +276,11 @@ def test_vpoly_validates_its_vertex_list_once(monkeypatch):
             assert {r for h in body.half_rows
                     for r in (h, tuple(-x for x in h))} == set(form[0])
         else:
-            assert body.half_rows is None and not body.exact
+            # float half rows: the float facets, closed under exact negation
+            assert not body.exact and body._den is None
+            assert {r for h in body.half_rows
+                    for r in (h, tuple(-x for x in h))} == \
+                {a.coords for a in body.facets}
 
 
 def test_polar_facets_are_the_hull_facets_up_to_3d():

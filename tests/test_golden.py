@@ -9,7 +9,10 @@ The outputs in tests/golden/ were written by the command line itself; the
 seeded inputs ``minkowski1``-``3`` are
 ``random_minkowski_arrangement(full_lift=True)`` families, one per corpus
 body kind, and so is ``segment`` on the interval [-1, 1], three intervals
-whose pairs share one slab; ``cross4`` and ``disc`` are hand-picked
+whose pairs share one slab; ``octagon`` is one on a V-polytope given by
+float vertices, whose polar facets are closed under negation only within
+the tolerance, so the body stores one facet of such a pair as the exact
+negation of the other; ``cross4`` and ``disc`` are hand-picked
 pairwise intersecting Minkowski arrangements with rational centers on the
 4-D cross-polytope given by its vertices (facet frames, the facets found
 as the vertices of its polar) and on the Euclidean disc (float frames);
@@ -35,12 +38,13 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 # whose lift is a square pyramid (a hull facet of four vertices)
 # segment: three intervals on the line, the most that fit, whose pairs all
 # share one slab
+# octagon: five members on the float-vertex octagon
 INPUTS = ["cube2", "minkowski1", "minkowski2", "minkowski3", "pyramid",
-          "segment"]
+          "segment", "octagon"]
 # the square, the diamond and the hexagon, whose facets have denominators,
-# the pyramid and the segment, under --mode float
+# the pyramid, the segment and the octagon, under --mode float
 FLOAT_INPUTS = ["minkowski1", "minkowski2", "minkowski3", "pyramid",
-                "segment"]
+                "segment", "octagon"]
 # the square (integer normals, minkowski1), the diamond (minkowski2), a
 # hexagon (minkowski3), the cube family, the 4-D cross-polytope as a
 # V-polytope (facet frames) and discs with rational centers (float frames);
@@ -49,9 +53,10 @@ FLOAT_INPUTS = ["minkowski1", "minkowski2", "minkowski3", "pyramid",
 LIFTS = [("cube2", 0, 4), ("cube2", 4, 0), ("minkowski1", 0, 2),
          ("minkowski2", 1, 4), ("minkowski3", 1, 3), ("cross4", 2, 5),
          ("cross4", 5, 2), ("disc", 1, 2)]
-# the square and the hexagon under --mode float, whose frames, shadows and
-# slabs read the float facet projections
-FLOAT_LIFTS = [("minkowski1", 0, 2), ("minkowski3", 1, 3)]
+# the square, the hexagon and the octagon under --mode float, whose frames,
+# shadows and slabs read the float projections; the octagon's pair (0, 1)
+# takes a snapped facet
+FLOAT_LIFTS = [("minkowski1", 0, 2), ("minkowski3", 1, 3), ("octagon", 0, 1)]
 
 
 def golden(name):

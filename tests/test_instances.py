@@ -1,5 +1,6 @@
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +13,7 @@ from minkarr import instances
 from minkarr.instances import (FLOOR_ATTEMPTS, NoArrangementFound,
                                corpus_body, random_intersecting_arrangement,
                                random_minkowski_arrangement)
-from minkarr.linalg import matrix_rank
+from minkarr.linalg import Vector, matrix_rank
 
 # a thin random hexagon of the benchmark's verify_exact inputs (seed 13,
 # input 32); from rng seed 1 no full-lift family on it turns up, and the
@@ -73,6 +74,28 @@ def test_generator_rejects_more_centers_than_the_box_holds():
     with pytest.raises(ValueError, match="distinct centers"):
         random_minkowski_arrangement(random.Random(1), body=linf_ball(2),
                                      n=82)
+
+
+def scan_centers(rng, n, dim, span=4):
+    """The centers as drawn before a set of coordinate tuples kept them:
+    each kept unless ``Vector.__eq__`` finds it among those kept."""
+    centers = []
+    while len(centers) < n:
+        c = Vector([Fraction(rng.randint(-span, span), 2) for _ in range(dim)])
+        if not any(c == other for other in centers):
+            centers.append(c)
+    return centers
+
+
+def test_random_centers_against_the_equality_scan():
+    # the same centers and the same rng stream, repeats included (27
+    # points in the box of span 1 in d = 3)
+    for seed in range(40):
+        for dim, n, span in ((1, 5, 2), (2, 20, 2), (3, 20, 1), (2, 6, 4)):
+            got, want = random.Random(seed), random.Random(seed)
+            assert instances._random_centers(got, n, dim, span) == \
+                scan_centers(want, n, dim, span)
+            assert got.getstate() == want.getstate()
 
 
 def test_generator_caps_n_at_three_on_a_line():

@@ -31,7 +31,7 @@ from minkarr.kdistance import ChainResult, _chain_bound
 from minkarr.lifting import (DegenerateWedgeError, LiftedConfig,
                              ProjectionFrame, ShadowData,
                              ShadowIntersectionError, SlabPair, _dot,
-                             _on_one_scale, lift, slab_pairs,
+                             _facet_column, lift, slab_pairs,
                              verify_ratio_identity, verify_slab)
 from minkarr.linalg import (Vector, _rref, affine_coordinates, affine_rank,
                             matrix_rank, zero_vector)
@@ -1455,10 +1455,11 @@ def check_both_routes(arr, xs_per_pair=()):
     lifted = lift(arr)
     same(lifted.points, [homogeneous_lift(h.center, h.ratio)
                          for h in arr.members])
-    # the facet projections round a.(v_k - v_0) - a.(v_i - v_0), not
+    # inexact projections round a.(v_k - v_0) - a.(v_i - v_0), not
     # a.(v_k - v_i): their floats match the Fraction route's up to the
     # last bits, on the same facet and with the same types
-    match = same if arr.facet_projections is None else near
+    inexact = arr.projections is not None and not arr.exact
+    match = near if inexact else same
     compared = 0
     n = len(arr)
     for i in range(n):
@@ -1506,7 +1507,7 @@ def check_both_routes(arr, xs_per_pair=()):
                     same(verify_ratio_identity(slab, y_i, y_j, expected),
                          fraction_ratio_identity(slab, y_i, y_j, expected))
                 compared += 1
-    if arr.facet_projections is not None:
+    if inexact:
         check_pair_loop(arr)
     return compared
 
@@ -1881,10 +1882,19 @@ def per_pair_slab_family(points, slab_pairs, forms=None):
                       forms)
 
 
+def on_one_scale(slab, lifted):
+    """(plane, forms): the slab's plane and the lifted points' forms (Y, w)
+    on one scale, the integer forms when both are exact, else the slab's
+    values with each point read as (y, 1)."""
+    if slab.den and lifted.forms:
+        return slab.plane, lifted.forms
+    return slab.values, [(y.coords, 1) for y in lifted.points]
+
+
 def width_gaps(slab, lifted):
     """(k_ij - k_ji, N.y_i - N.y_j) with N.y read from the lifted points;
     their quotient is the signed width ratio (integers for exact input)."""
-    (m, k_ij, k_ji, _, _), forms, _ = _on_one_scale(slab, lifted)
+    (m, k_ij, k_ji, _, _), forms = on_one_scale(slab, lifted)
     (y_i, w_i), (y_j, w_j) = forms[slab.i], forms[slab.j]
     return (k_ij - k_ji) * w_i * w_j, _dot(m, y_i) * w_j - _dot(m, y_j) * w_i
 
@@ -2092,9 +2102,9 @@ def per_pair_float_certificate(arr, monkeypatch):
 
 
 def check_pair_loop(arr):
-    """``slab_pairs`` on the facet projections builds, bit for bit, the
-    slabs that ``build_frame``, ``shadow`` and ``slab_pair`` (the route of
-    ``lift``) build, or raises what the first pair raises."""
+    """``slab_pairs`` of an inexact polytope arrangement builds, bit for
+    bit, the slabs that ``build_frame``, ``shadow`` and ``slab_pair`` (the
+    route of ``lift``) build, or raises what the first pair raises."""
     def frame_shadow_slab(arr):
         family = per_pair_slab_family(lift(arr).points, lift_route_slabs(arr))
         return family.slabs, family.pairs
@@ -2107,7 +2117,7 @@ def check_float_kernel(arr, monkeypatch, strict=True):
     when strict, the same failed stage, offending pair and pairs, the
     ratios within 1e-9 relative.  Returns the verdict and the failed
     stage."""
-    assert arr.facet_projections is not None
+    assert arr.projections is not None and not arr.exact
     centers = [h.center for h in arr.members]
     for i, j in itertools.permutations(range(len(arr)), 2):
         want = outcome(boundary_frame, arr.body, centers[j] - centers[i])
@@ -2175,6 +2185,193 @@ def test_float_kernel_against_the_per_pair_route(monkeypatch):
     # translation by 1000 + 1/3
     assert outcomes[0, True] == len(families)
     assert outcomes[1000 + F(1, 3), True] == len(families)
+
+
+# --------------------------- the all-facets picker the half rows replaced --
+# Before every inexact polytope arrangement filled the half-row columns of
+# Arrangement.projections, it read a second matrix over all the canonical
+# facets, in their lexicographic order, with a picker of its own.
+
+def facet_matrix(arr):
+    """(facets, base, U): the canonical facets a in lexicographic order,
+    base[a] = a.v_0 and each member's row U_k[a] = a.(v_k - v_0), anchored
+    at the first exact center, if any, else the first."""
+    facets = sorted(a.coords for a in arr.body.facets)
+    v0 = next((h.center.coords for h in arr.members
+               if scalars.is_exact(*h.center.coords)),
+              arr.members[0].center.coords)
+    rows = [tuple(scalars.dot(a, tuple(map(operator.sub, h.center.coords,
+                                            v0))) for a in facets)
+            for h in arr.members]
+    return facets, [scalars.dot(a, v0) for a in facets], rows
+
+
+def all_facets_pick(matrix, i, j):
+    """(a, top) of the pair (i, j) on a ``facet_matrix``: top the largest
+    U_j[a] - U_i[a], and a the first facet whose difference is top, or on
+    floats within ``scalars.TOLERANCE``, relative, of top."""
+    facets, _, rows = matrix
+    deltas = list(map(operator.sub, rows[j], rows[i]))
+    top = max(deltas)
+    if not scalars.gt(top, 0):
+        raise ValueError("coincident centers: members %d and %d" % (i, j))
+    cut = top if scalars.is_exact(top) else top - scalars.TOLERANCE * top
+    return next(a for a, delta in zip(facets, deltas) if delta >= cut), top
+
+
+def bits(values):
+    """Each scalar as its type and repr: a float to the bit and to the sign
+    of a zero."""
+    return [(type(v).__name__, repr(v)) for v in values]
+
+
+def negation_closed(body):
+    rows = {a.coords for a in body.facets}
+    return all(tuple(-x for x in r) in rows for r in rows)
+
+
+# the vertices of the golden octagon, less their negations
+FLOAT_OCTAGON = [(-1.06, -1.59), (-0.42, -1.38), (-1.73, -0.39),
+                 (1.67, 1.2)]
+
+
+def float_vertex_body(rng, pairs, dim=2):
+    """A V-polytope on ``pairs`` seeded vertices with two decimals, at
+    distance 1 to 2 from the origin, and their exact negations."""
+    while True:
+        vs = []
+        for _ in range(pairs):
+            u = [rng.gauss(0, 1) for _ in range(dim)]
+            scale = rng.uniform(1, 2) / math.hypot(*u)
+            vs.append(Vector(round(c * scale, 2) for c in u))
+        try:
+            return VPolytopeBody(dim, vs + [-v for v in vs])
+        except ValueError:   # a vertex at the origin, or no interior
+            continue
+
+
+def polar_closed(body):
+    """Whether the polar's float facets, before the body stored them, were
+    closed under exact negation."""
+    normals, _ = lp.polar_facets([v.coords for v in body.vertices], None)
+    rows = {a.coords for a in normals}
+    return all(tuple(-x for x in r) in rows for r in rows)
+
+
+@functools.cache
+def float_vertex_families():
+    """Seeded families on seeded float-vertex V-polytopes, drawn on the
+    exact twin of each body (the Fractions of its float facets) and read
+    back on the body with float centers and ratios."""
+    rng = random.Random(3535)
+    families = []
+    for k in range(24):
+        body = float_vertex_body(rng, 3 + k % 2)
+        twin = HPolytopeBody(2, [(Vector(map(F, a)), 1) for a in body.facets])
+        arr = random_minkowski_arrangement(rng, body=twin, full_lift=True)
+        families.append(Arrangement(body, float_copy(arr).members))
+    return tuple(families)
+
+
+def near_degenerate_cubes():
+    """cube_arrangement(2) in floats with the centre ratio 1 - delta, whose
+    frames tie on the square's vertices within the tolerance."""
+    cube = float_copy(cube_arrangement(2))
+    return tuple(Arrangement(cube.body, cube.members[:4] + (Homothet(
+        cube.members[4].center, 1 - 10.0 ** -e),) + cube.members[5:])
+                 for e in range(3, 13))
+
+
+def test_half_row_picker_against_the_all_facets_picker():
+    """On the float corpus (criterion 4 and the parallelogram's families as
+    drawn and translated, float-vertex V-polytopes, near-degenerate cubes),
+    on exact centers of ``as_float`` criterion-4 bodies and with one float
+    center on an exact body, ``_facet_column`` over the half rows takes, bit
+    for bit, the facet and the top the all-facets picker takes, and
+    ``build_frame`` that stored facet: negation and |.| are exact."""
+    arrangements = [float_copy(arr, shift)
+                    for arr in criterion_4_corpus() + float_facet_families()
+                    for shift in (0, 1000 + F(1, 3), 10 ** 7 + F(1, 3))]
+    arrangements += float_vertex_families() + near_degenerate_cubes()
+    for arr in criterion_4_corpus()[:40]:
+        arrangements.append(Arrangement(arr.body.as_float(), arr.members))
+        one = float_copy(arr).members[1]
+        arrangements.append(Arrangement(arr.body, arr.members[:1] + (one,)
+                                        + arr.members[2:]))
+    compared = ties = 0
+    for arr in arrangements:
+        assert arr.projections is not None and not arr.exact
+        matrix = facet_matrix(arr)
+        for i, j in itertools.permutations(range(len(arr)), 2):
+            want = outcome(all_facets_pick, matrix, i, j)
+            got = outcome(_facet_column, arr, i, j)
+            if isinstance(want, Raised):
+                assert got == want
+                continue
+            h, s, top = got
+            facet = arr.body.half_facets[h][s < 0]
+            assert bits(facet.coords) == bits(want[0]), (i, j)
+            assert bits([top]) == bits([want[1]])
+            assert build_frame(arr, i, j).f_normal is facet
+            deltas = [b - a for a, b in zip(matrix[2][i], matrix[2][j])]
+            ties += sum(d >= top - scalars.TOLERANCE * top
+                        for d in deltas) > 1
+            compared += 1
+    assert compared > 9000 and ties > 100
+
+
+def test_float_bodies_are_closed_under_exact_negation():
+    """Every float polytope body stores facets closed under exact negation:
+    a JSON hpoly and a float-vertex V-polytope whose facets are closed only
+    within the tolerance store the second of such a pair as the exact
+    negation of the first; exactly closed facets, ``as_float`` ones among
+    them, are kept as given, the signs of their zeros too."""
+    near = body_from_json({"dim": 2, "type": "hpoly", "facets": [
+        {"normal": [1.0, 0.5]}, {"normal": [0.0, 1.0]},
+        {"normal": [-1.0, -0.5 - 1e-12]}, {"normal": [0.0, -1.0]}]})
+    assert [a.coords for a in near.facets] == [
+        (1.0, 0.5), (0.0, 1.0), (-1.0, -0.5), (0.0, -1.0)]
+    assert bits(near.facets[3].coords) == bits((0.0, -1.0))
+    assert negation_closed(near) and len(near.half_rows) == 2
+    rng = random.Random(35)
+    parallelogram = body_from_json({"dim": 2, "type": "hpoly", "facets": [
+        {"normal": [1.0, 0.5]}, {"normal": [-1.0, -0.5]},
+        {"normal": [0.25, 1.0]}, {"normal": [-0.25, -1.0]}]})
+    bodies_ = [near, float_facet_body(), parallelogram]
+    bodies_ += [float_vertex_body(rng, 3 + k % 2) for k in range(60)]
+    bodies_ += [float_vertex_body(rng, 4 + k % 2, 3) for k in range(20)]
+    bodies_ += [b.as_float() for b in (linf_ball(3), l1_ball(2),
+                                       cross_polytope_4((1, 2, 3, 2)),
+                                       corpus_body(rng, 2))]
+    for body in bodies_ + [arr.body for arr in float_vertex_families()]:
+        assert not body.exact and negation_closed(body)
+        assert {a.coords for a in body.facets} == {
+            r for h in body.half_rows for r in (h, tuple(-x for x in h))}
+        for h, (a, b) in zip(body.half_rows, body.half_facets):
+            assert a.coords == h and b.coords == tuple(-x for x in h)
+        # so the gauge is symmetric bit for bit, as distance_table assumes
+        for _ in range(5):
+            x = Vector(rng.uniform(-3, 3) for _ in range(body.dim))
+            assert body.gauge(x) == body.gauge(-x)
+    snapped = [b for b in bodies_[3:83] if not polar_closed(b)]
+    assert len(snapped) > 10 and any(b.dim == 3 for b in snapped)
+    octagon = VPolytopeBody(2, [Vector(v) for v in FLOAT_OCTAGON] + [
+        Vector((-x, -y)) for x, y in FLOAT_OCTAGON])
+    assert not polar_closed(octagon) and negation_closed(octagon)
+    # as_float keeps every facet's bytes
+    for body in (linf_ball(2), cross_polytope_4((1, 2, 3, 2))):
+        assert [bits(a.coords) for a in body.as_float().facets] == [
+            bits(tuple(map(float, a))) for a in body.facets]
+
+
+def test_float_kernel_on_float_vertex_polytopes(monkeypatch):
+    """Seeded families on float-vertex V-polytopes, snapped bodies among
+    them: each pair's facet and the certificate agree with the per-pair
+    float route, and every family passes."""
+    families = float_vertex_families()
+    assert sum(not polar_closed(arr.body) for arr in families) > 3
+    for arr in families:
+        assert check_float_kernel(arr, monkeypatch) == (True, None)
 
 
 def test_shadow_with_x_takes_the_intersection_ends():

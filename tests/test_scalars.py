@@ -104,3 +104,16 @@ def test_reduced_fractions_invariant():
     # Fraction keeps itself reduced; spot-check the normalization
     v = parse_scalar("6/8")
     assert v.numerator == 3 and v.denominator == 4
+
+
+def test_dot_adds_left_to_right_from_zero():
+    # a compensated sum (CPython 3.12's sum() of floats) gives 1.0 here; the
+    # left fold gives what 3.10 and 3.11 give, on every interpreter
+    assert scalars.dot((1e16, 1.0, -1e16), (1, 1, 1)) == 0.0
+    assert scalars.dot((0.1, 0.2, 0.3), (1.0, 1.0, 1.0)) == (0.1 + 0.2) + 0.3
+    # zero sums are +0.0, and exact values stay exact
+    assert str(scalars.dot((-0.0, 0.0), (1.0, -1.0))) == "0.0"
+    assert scalars.dot((Fraction(1, 3), 2), (3, Fraction(1, 4))) == \
+        Fraction(3, 2)
+    assert type(scalars.dot((2, 3), (4, 5))) is int
+    assert scalars.dot((1, 2, 3), (4, 5)) == 14
