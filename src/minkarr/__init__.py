@@ -22,11 +22,11 @@ from .kdistance import (UNDEFINED, ChainResult, DistanceSpectrum, PointSet,
                         find_chain_violation, greedy_chain, grid_set,
                         guaranteed_length, pointset_from_json,
                         pointset_to_json, spectrum, verify_chain)
-from .lifting import (DegenerateWedgeError, LiftedConfig, ProjectionFrame,
-                      ShadowData, ShadowIntersectionError, SlabPair,
-                      build_frame, lift, pair_diagnostics, ratio, shadow,
-                      shadow_with_x, slab_pair, verify_ratio_identity,
-                      verify_slab)
+from .lifting import (CoincidentCentersError, DegenerateWedgeError,
+                      LiftedConfig, ProjectionFrame, ShadowData,
+                      ShadowIntersectionError, SlabPair, build_frame, lift,
+                      pair_diagnostics, ratio, shadow, shadow_with_x,
+                      slab_pair, verify_ratio_identity, verify_slab)
 from .linalg import Vector, affine_rank
 from .packing import (PackingCertificate, SlabFamily, certificate_to_json,
                       family_from_arrangement, lifted_packing_pipeline,

@@ -65,11 +65,18 @@ the tolerance of the largest a.(v_j - v_i), with r = (v_j - v_i)/top.  The
 shadow is column h, alpha_k = s*U_k[h] - s*U_i[h], its ends checked per
 pair, relative to v_i: a column's extremes shared across pairs, relative
 to v_0, round otherwise on floats and can miss an empty shadow.  The slab
-normal is (a, -(a.v_0 + s*U_i[h] + x)).  Only the ball takes its
-``boundary_frame`` per pair.  Both inexact routes keep one slab per pair,
-read each point as (y_k, 1) and fold the tolerance into the ends; a sum
-that can see a float is ``scalars.dot``, added left to right, so float
-values do not depend on the interpreter.
+normal is (a, -(a.v_0 + s*U_i[h]) - x) for the stored facet a.  The family
+takes that slab from one float pair kernel, ``_column_slab``, with no
+frame, shadow or slab object: the column, the pair's own shadow ends, and
+the normal, with a.v_0 taken once per (h, s) and the orientation read on
+the family's lifted points, which an inexact arrangement keeps.  ``shadow``
+and ``slab_pair``, the route of ``lift`` for one pair, read the column
+through the kernel's helpers.  Only the ball takes its ``boundary_frame``
+per pair.  Both inexact routes keep one slab per pair, read each point as
+(y_k, 1) and fold the tolerance into the ends; a sum that can see a float
+is ``scalars.dot``, added left to right, so float values do not depend on
+the interpreter.  Centers that coincide (within the tolerance on floats)
+raise ``CoincidentCentersError``, carrying the pair.
 """
 
 from __future__ import annotations
@@ -166,6 +173,15 @@ class ShadowIntersectionError(ValueError):
                          "the family is not pairwise intersecting" % witness)
 
 
+class CoincidentCentersError(ValueError):
+    """Two members' centers coincide (within the tolerance on floats), so
+    the pair has no frame; carries the pair as its witness."""
+
+    def __init__(self, witness: Tuple[int, int]):
+        self.witness = witness
+        super().__init__("coincident centers: members %d and %d" % witness)
+
+
 class DegenerateWedgeError(ValueError):
     """The two wedge planes project to the same hyperplane (or the lifted
     pair is flattened onto one plane), so no slab pair exists."""
@@ -179,22 +195,19 @@ def _facet_column(arr: Arrangement, i: int, j: int):
     top the largest |U_j[h] - U_i[h]|, the column h of that difference and
     its sign s; ties go to the lexicographically least facet row s*h, and
     on floats every difference within ``scalars.TOLERANCE``, relative, of
-    top is a tie."""
+    top is a tie.  A top of 0 (at most the tolerance on floats) raises
+    ``CoincidentCentersError``."""
     projections = arr.projections
     deltas = list(map(operator.sub, projections[j][0], projections[i][0]))
     top = max(map(abs, deltas))
     inexact = isinstance(top, float)
     if top <= (scalars.TOLERANCE if inexact else 0):
-        raise ValueError("coincident centers: members %d and %d" % (i, j))
+        raise CoincidentCentersError((i, j))
     cut = top - scalars.TOLERANCE * top if inexact else top
-    best = None
-    for h, delta in enumerate(deltas):
-        if abs(delta) >= cut:
-            s = 1 if delta > 0 else -1
-            row = tuple(s * x for x in arr.body.half_rows[h])
-            if best is None or row < best[2]:
-                best = (h, s, row)
-    return best[0], best[1], top
+    ties = [h for h, delta in enumerate(deltas) if abs(delta) >= cut]
+    h = ties[0] if len(ties) == 1 else min(ties, key=lambda h: tuple(
+        (1 if deltas[h] > 0 else -1) * x for x in arr.body.half_rows[h]))
+    return h, (1 if deltas[h] > 0 else -1), top
 
 
 def build_frame(arr: Arrangement, i: int, j: int) -> ProjectionFrame:
@@ -204,12 +217,12 @@ def build_frame(arr: Arrangement, i: int, j: int) -> ProjectionFrame:
     facet a is the stored facet s*h/D of the column h and the sign s that
     ``_facet_column`` picks, and r = (P_j - P_i)*D/top when the arrangement
     is exact, else (v_j - v_i)/top.  The ball takes its ``boundary_frame``
-    of v_j - v_i.
+    of v_j - v_i.  Coinciding centers raise ``CoincidentCentersError``.
     """
     if arr.projections is None:
         diff = arr.members[j].center - arr.members[i].center
         if diff.is_zero():
-            raise ValueError("coincident centers: members %d and %d" % (i, j))
+            raise CoincidentCentersError((i, j))
         return ProjectionFrame(i, j, *arr.body.boundary_frame(diff))
     h, s, top = _facet_column(arr, i, j)
     if arr.exact:
@@ -231,8 +244,10 @@ def shadow(arr: Arrangement, frame: ProjectionFrame) -> ShadowData:
     endpoints are attained.  The common point is the midpoint of the interval
     intersection (the first largest low end and the first smallest high
     end); shadow_with_x moves it to any other point of it.  A frame read
-    from the projections reads its column of them; any other (the ball's)
-    computes a.(v_k - v_i)/a.r.
+    from the projections reads its column of them, an inexact column through
+    the helpers of the float pair kernel (``_column_t``, ``_column_alphas``);
+    any other frame (the ball's) computes a.(v_k - v_i)/a.r.  The ends are
+    ``_shadow_ends`` on every route.
     """
     i, j = frame.i, frame.j
     if frame.column and arr.exact:
@@ -245,25 +260,42 @@ def shadow(arr: Arrangement, frame: ProjectionFrame) -> ShadowData:
     else:
         lams, den = [h.ratio for h in arr.members], 1
         if frame.column:
-            h, s = frame.column
-            # -U as 0 - U, whose zero is +0.0 as a fold over -h gives it
-            t = [p[h] if s > 0 else 0 - p[h] for p, _ in arr.projections]
-            alphas = [t_k - t[i] for t_k in t]
-            if not scalars.is_exact(t[i], t[j]):   # a.r is a float
-                alphas = list(map(float, alphas))
+            alphas = _column_alphas(_column_t(arr, *frame.column), i, j)
         else:
             a, vi = frame.f_normal.coords, arr.members[i].center.coords
             denom = dot(a, frame.r_vec.coords)
             alphas = [div(dot(a, map(operator.sub, h.center.coords, vi)),
                           denom) for h in arr.members]
-    lows = [al - lam for al, lam in zip(alphas, lams)]
-    highs = [al + lam for al, lam in zip(alphas, lams)]
-    lo_idx, hi_idx = lows.index(max(lows)), highs.index(min(highs))
-    if scalars.gt(lows[lo_idx], highs[hi_idx]):
-        raise ShadowIntersectionError((lo_idx, hi_idx))
+    lows, highs, lo_idx, hi_idx = _shadow_ends(alphas, lams)
     form = alphas, lows, highs, den, lo_idx, hi_idx
     return ShadowData(i, j, form,
                       div(lows[lo_idx] + highs[hi_idx], 2 * den))
+
+
+def _column_t(arr: Arrangement, h: int, s: int) -> list:
+    """t_k = s*U_k[h] of the inexact column (h, s), -U as 0 - U, whose zero
+    is +0.0 as a fold over -h gives it."""
+    return [p[h] if s > 0 else 0 - p[h] for p, _ in arr.projections]
+
+
+def _column_alphas(t: list, i: int, j: int) -> list:
+    """alpha_k = t_k - t_i of the pair (i, j) on an inexact column, made
+    floats when t_i or t_j is one: a.r is a float then."""
+    t_i = t[i]
+    alphas = [t_k - t_i for t_k in t]
+    return alphas if scalars.is_exact(t_i, t[j]) else list(map(float, alphas))
+
+
+def _shadow_ends(alphas: list, lams: list) -> tuple:
+    """(lows, highs, lo_idx, hi_idx): the intervals alpha_k -+ lam_k and the
+    first indices of the largest low end and of the smallest high end,
+    raising ``ShadowIntersectionError`` when those do not meet."""
+    lows = list(map(operator.sub, alphas, lams))
+    highs = list(map(operator.add, alphas, lams))
+    lo_idx, hi_idx = lows.index(max(lows)), highs.index(min(highs))
+    if scalars.gt(lows[lo_idx], highs[hi_idx]):
+        raise ShadowIntersectionError((lo_idx, hi_idx))
+    return lows, highs, lo_idx, hi_idx
 
 
 def shadow_with_x(sd: ShadowData, x_coord: Scalar) -> ShadowData:
@@ -336,7 +368,19 @@ def _lifted(h) -> list:
 
 
 def lift(arr: Arrangement) -> LiftedConfig:
-    """Central projection of the raised centers; exact for rational input."""
+    """Central projection of the raised centers; exact for rational input.
+    An arrangement that is not ``exact`` keeps its lift, as it keeps its
+    projections: the float pair kernel of ``slab_pairs`` reads the points
+    the family lifted."""
+    if arr.exact:
+        return _lift(arr)
+    kept = vars(arr).get("lifted")
+    if kept is None:
+        kept = vars(arr)["lifted"] = _lift(arr)
+    return kept
+
+
+def _lift(arr: Arrangement) -> LiftedConfig:
     if arr.form is None:
         return LiftedConfig(tuple(Vector(_lifted(h)) for h in arr.members))
     rows, q = arr.form
@@ -433,34 +477,52 @@ def slab_pair(arr: Arrangement, frame: ProjectionFrame,
     through y_i and y_j; they coincide exactly when the width ratio's
     denominator vanishes, and then no slab pair exists.  A frame read from
     the projections of an inexact arrangement takes a.v_i as
-    a.v_0 + s*U_i[h].
+    a.v_0 + s*U_i[h], the normal and its orientation from the helpers of the
+    float pair kernel (``_column_normal``, ``_orientation``).
     """
-    a, i, j = frame.f_normal, frame.i, frame.j
-    if arr.form and frame.a_form and scalars.is_exact(sd.x_coord):
-        rows, coef = arr.form[0], frame.a_form[0]
-        return _int_slab(arr, i, j, frame.a_form, _dot(coef, rows[i]),
-                         _dot(coef, rows[j]), sd.x_coord)
+    i, j, x = frame.i, frame.j, sd.x_coord
+    if arr.form and frame.a_form and scalars.is_exact(x):
+        plane, den = _int_plane(arr, i, j, frame.a_form, x)
+        return SlabPair._over(i, j, plane, den)
+    a = frame.f_normal.coords
     if frame.column and not arr.exact:
-        h, s = frame.column
-        c_i = dot(a.coords, arr.anchor.coords) + s * arr.projections[i][0][h]
+        m = _column_normal(arr, *frame.column, a, dot(a, arr.anchor.coords),
+                           i, x)
     else:
-        c_i = a.dot(arr.members[i].center)
-    m = a.coords + (-c_i - sd.x_coord,)
-    gi, gj = (dot(m, _lifted(arr.members[k])) for k in (i, j))
-    if scalars.eq(gi, gj):
-        raise DegenerateWedgeError(_DEGENERATE)
-    sg = -1 if scalars.gt(gi, gj) else 1
+        m = a + (-frame.f_normal.dot(arr.members[i].center) - x,)
+    sg, gi, gj = _orientation(m, _lifted(arr.members[i]),
+                              _lifted(arr.members[j]))
     return SlabPair._over(i, j, ([sg * v for v in m], -sg, sg, sg * gi,
                                  sg * gj), None)
 
 
-def _int_slab(arr: Arrangement, i: int, j: int, a_form: tuple, c_i: int,
-              c_j: int, x: Fraction) -> SlabPair:
-    """The slab of (i, j) over its integer denominator, for a = A/f with
-    c_k = A.P_k and the common point x = X/e.  Over t = F/f and u = X*q*F/e,
-    F = lcm(f, e), the normal N times F*q is M = (t*q*A, -t*c_i - u), so
-    M.Y_i = -u*q and M.Y_j = q*(t*(c_j - c_i) - u)."""
+def _column_normal(arr: Arrangement, h: int, s: int, a: tuple, base: Scalar,
+                   i: int, x: Scalar) -> tuple:
+    """The slab normal (a, -(a.v_0 + s*U_i[h]) - x) of a pair (i, j) on the
+    inexact column (h, s): a.v_i from base = a.v_0 for the stored facet
+    a, and the common point x."""
+    return a + (-(base + s * arr.projections[i][0][h]) - x,)
+
+
+def _orientation(m: tuple, y_i, y_j) -> tuple:
+    """(sg, g_i, g_j): g_k = m.y_k and the sign sg with sg*g_i <= sg*g_j
+    within the tolerance, raising ``DegenerateWedgeError`` when g_i and g_j
+    are equal within it (the inner planes coincide)."""
+    gi, gj = dot(m, y_i), dot(m, y_j)
+    if scalars.eq(gi, gj):
+        raise DegenerateWedgeError(_DEGENERATE)
+    return (-1 if scalars.gt(gi, gj) else 1), gi, gj
+
+
+def _int_plane(arr: Arrangement, i: int, j: int, a_form: tuple,
+               x: Fraction) -> tuple:
+    """(plane, den): the plane (M, k_ij, k_ji, g_ij, g_ji) of (i, j) over
+    its positive integer den, for a = A/f with c_k = A.P_k and the common
+    point x = X/e.  Over t = F/f and u = X*q*F/e, F = lcm(f, e), the normal
+    N times F*q is M = (t*q*A, -t*c_i - u), so M.Y_i = -u*q and
+    M.Y_j = q*(t*(c_j - c_i) - u)."""
     (coef, f), (rows, q) = a_form, arr.form
+    c_i, c_j = _dot(coef, rows[i]), _dot(coef, rows[j])
     big = math.lcm(f, x.denominator)
     t, u = big // f, x.numerator * (big // x.denominator) * q
     m = [c * t * q for c in coef]
@@ -471,8 +533,7 @@ def _int_slab(arr: Arrangement, i: int, j: int, a_form: tuple, c_i: int,
     if gi == gj:
         raise DegenerateWedgeError(_DEGENERATE)
     sg, k = -1 if gi > gj else 1, big * q * w
-    plane = [sg * v * w for v in m], -sg * k, sg * k, sg * gi, sg * gj
-    return SlabPair._over(i, j, plane, k)
+    return ([sg * v * w for v in m], -sg * k, sg * k, sg * gi, sg * gj), k
 
 
 def slab_pairs(arr: Arrangement) -> Tuple[Tuple[Slab, ...], tuple]:
@@ -488,17 +549,24 @@ def slab_pairs(arr: Arrangement) -> Tuple[Tuple[Slab, ...], tuple]:
     witness in that pair's orientation s (-s swaps the two ends).  A pair
     whose inner planes coincide, M.Y_i*w_j == M.Y_j*w_i, that is
     (2*t_i - lo - hi)*w_j == (2*t_j - lo - hi)*w_i, raises a degenerate
-    wedge.  Any other arrangement keeps one slab per pair, the outer planes
+    wedge.  Any other polytope arrangement keeps one slab per pair from
+    ``_column_slab``, the float pair kernel, and the ball the outer planes
     of the ``SlabPair`` its frame and shadow give."""
     n = len(arr.members)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     if not arr.exact:
-        per_pair = []
-        for i, j in pairs:
-            frame = build_frame(arr, i, j)
-            per_pair.append(slab_pair(arr, frame, shadow(arr, frame)))
-        return (tuple(p.outer(arr.form is not None) for p in per_pair),
-                tuple((p.i, p.j, k) for k, p in enumerate(per_pair)))
+        one_each = tuple((i, j, k) for k, (i, j) in enumerate(pairs))
+        if arr.projections is None:
+            per_pair = []
+            for i, j in pairs:
+                frame = build_frame(arr, i, j)
+                per_pair.append(slab_pair(arr, frame, shadow(arr, frame)))
+            return (tuple(p.outer(arr.form is not None) for p in per_pair),
+                    one_each)
+        points = [y.coords for y in lift(arr).points]
+        lams, columns = [h.ratio for h in arr.members], {}
+        return tuple(_column_slab(arr, i, j, points, lams, columns)
+                     for i, j in pairs), one_each
     (rows, q), den = arr.form, arr.projections[0][1]
     half_rows, columns, slabs, index = arr.body.half_rows, {}, [], []
     for i, j in pairs:
@@ -526,6 +594,33 @@ def slab_pairs(arr: Arrangement) -> Tuple[Tuple[Slab, ...], tuple]:
             raise DegenerateWedgeError(_DEGENERATE)
         index.append((i, j, k))
     return tuple(slabs), tuple(index)
+
+
+def _column_slab(arr: Arrangement, i: int, j: int, points: list,
+                 lams: list, columns: dict) -> Slab:
+    """The float pair kernel: the slab of the pair (i, j) of an inexact
+    polytope arrangement, the outer planes of the ``SlabPair`` that
+    ``build_frame``, ``shadow`` and ``slab_pair`` give, with no object on
+    the way.  It reads the pair's column (h, s) (``_facet_column``), checks
+    its own shadow ends on it and builds the normal of the stored facet a;
+    ``columns`` keeps t, a, a.v_0 and the integer form of a (when the
+    points have forms) per (h, s), and ``points`` are the lifted points."""
+    h, s, _ = _facet_column(arr, i, j)
+    column = columns.get((h, s))
+    if column is None:
+        a = arr.body.half_facets[h][s < 0].coords
+        column = columns[h, s] = (_column_t(arr, h, s), a,
+                                  dot(a, arr.anchor.coords),
+                                  arr.form and int_form(a))
+    t, a, base, a_form = column
+    lows, highs, lo, hi = _shadow_ends(_column_alphas(t, i, j), lams)
+    x = div(lows[lo] + highs[hi], 2)
+    if a_form and scalars.is_exact(x):
+        plane, k = _int_plane(arr, i, j, a_form, x)
+        return Slab(tuple(plane[0]), -k, k, True)
+    m = _column_normal(arr, h, s, a, base, i, x)
+    sg = _orientation(m, points[i], points[j])[0]
+    return Slab(tuple([sg * v for v in m]), -1, 1, False)
 
 
 def slab_rows(slab: Slab, points: tuple, forms) -> list:

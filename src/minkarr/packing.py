@@ -52,9 +52,9 @@ from . import scalars
 from .arrangement import (Arrangement, arrangement_size_bound,
                           find_intersection_violation,
                           find_minkowski_violation)
-from .lifting import (DegenerateWedgeError, LiftedConfig,
-                      ShadowIntersectionError, Slab, first_escape, lift,
-                      slab_pairs, slab_rows)
+from .lifting import (CoincidentCentersError, DegenerateWedgeError,
+                      LiftedConfig, ShadowIntersectionError, Slab,
+                      first_escape, lift, slab_pairs, slab_rows)
 from .linalg import Vector, _int_rank, affine_coordinates, affine_rank
 from .polytopes import hull, volume
 from .scalars import Scalar, div, format_scalar
@@ -237,8 +237,10 @@ def family_from_arrangement(arr: Arrangement) -> SlabFamily:
 
     An exact family on an exact body shares one integer slab among the
     pairs on each column h of the arrangement's projections, with no
-    frame or shadow per pair; any other keeps one slab per pair.  No check
-    runs here: the width ratios and slab containment are stages of
+    frame or shadow per pair; any other keeps one slab per pair, on an
+    inexact polytope arrangement from the float pair kernel, which reads
+    the points lifted here (the arrangement keeps them).  No check runs
+    here: the width ratios and slab containment are stages of
     slab_packing_check.
     """
     lifted = lift(arr)
@@ -253,9 +255,10 @@ def lifted_packing_pipeline(arr: Arrangement) -> PackingCertificate:
     and runs the packing check with lam = 2, whose slab_ratio stage tests
     every pair's width ratio against 2 and whose cardinality stage concludes
     n <= 3^(d+1) (n <= 3^m at affine dimension m < d + 1).  A pair whose
-    inner slab planes coincide fails at the ``lifting`` stage, and so does a
-    shadow with no common point (float input that passed the predicates
-    within the tolerance), at the pair of its witness.
+    inner slab planes coincide fails at the ``lifting`` stage, and so do a
+    shadow with no common point and two centers that coincide within the
+    tolerance (float input that passed the predicates within it), at the
+    pair of its witness.
     """
     if arr.dim > 2:
         raise ValueError("the pipeline is implemented for dimension <= 2")
@@ -280,7 +283,7 @@ def lifted_packing_pipeline(arr: Arrangement) -> PackingCertificate:
         family = family_from_arrangement(arr)
     except DegenerateWedgeError as exc:
         return pre._fail("lifting", str(exc))
-    except ShadowIntersectionError as exc:
+    except (ShadowIntersectionError, CoincidentCentersError) as exc:
         return pre._fail("lifting", str(exc), exc.witness)
     cert = slab_packing_check(family, 2)
     cert.stages = pre.stages + cert.stages

@@ -610,6 +610,42 @@ def test_searched_strip_fails_its_lifting_stage(mode, tmp_path, capsys):
                                                               [2, 0])
 
 
+# two members 9e-10 apart, within the tolerance: both predicates pass
+NEAR_COINCIDENT = [{"center": [0.0, 0.0], "ratio": 1.5e-9},
+                   {"center": [9e-10, 0.0], "ratio": 1.5e-9}]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("body", [SQUARE_JSON, BALL_JSON],
+                         ids=["square", "ball"])
+def test_coincident_centers_fail_the_lifting_stage(body, mode, tmp_path,
+                                                   capsys):
+    # centers that the predicates pass within the tolerance and the frame
+    # then finds coincident: a failed lifting stage at the pair, not an
+    # internal error; lift reports the construction failure as before
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps({"body": body, "homothets": NEAR_COINCIDENT}))
+    cert_file = tmp_path / "cert.json"
+    code, out, err = run(capsys, "--mode", mode, "verify", str(path),
+                         "--certificate", str(cert_file))
+    assert (code, err) == (1, "")
+    assert "internal error:" not in out
+    assert out.splitlines()[2:] == [
+        "minkowski-arrangement: PASS", "pairwise-intersecting: PASS",
+        "lifted-packing-certificate: FAIL stage lifting at pair (0, 1)",
+        "certificate written to %s" % cert_file, "verdict: FAIL"]
+    cert = json.loads(cert_file.read_text())["certificate"]
+    assert (cert["failed_stage"], cert["offending_pair"]) == ("lifting",
+                                                              [0, 1])
+    assert cert["stages"][-1]["detail"] == \
+        "coincident centers: members 0 and 1"
+    code, out, err = run(capsys, "--mode", mode, "lift", str(path),
+                         "--pair", "0", "1")
+    assert code == 1
+    assert out == "seed: 0\nmode: %s  eps: %g\n" % (mode, scalars.TOLERANCE)
+    assert err == "construction failed: coincident centers: members 0 and 1\n"
+
+
 @pytest.mark.parametrize("flag,body,warm,route", [
     ("float", {"dim": 2, "type": "hpoly", "facets": [
         {"normal": ["1/3", 0]}, {"normal": ["-1/3", 0]},

@@ -28,8 +28,8 @@ from minkarr.instances import (corpus_body, random_intersecting_arrangement,
                                random_minkowski_arrangement,
                                random_symmetric_hexagon)
 from minkarr.kdistance import ChainResult, _chain_bound
-from minkarr.lifting import (DegenerateWedgeError, LiftedConfig,
-                             ProjectionFrame, ShadowData,
+from minkarr.lifting import (CoincidentCentersError, DegenerateWedgeError,
+                             LiftedConfig, ProjectionFrame, ShadowData,
                              ShadowIntersectionError, SlabPair, _dot,
                              _facet_column, lift, slab_pairs,
                              verify_ratio_identity, verify_slab)
@@ -1700,7 +1700,7 @@ def per_pair_frame(arr, i, j):
     rows, d = arr.form[0], arr.dim
     diff = tuple(map(operator.sub, rows[j][:d], rows[i][:d]))
     if not any(diff):
-        raise ValueError("coincident centers: members %d and %d" % (i, j))
+        raise CoincidentCentersError((i, j))
     return ProjectionFrame(i, j, *rows_frame(arr.body, diff))
 
 
@@ -1855,8 +1855,8 @@ def test_projection_kernel_against_the_per_pair_route():
     twice = Arrangement(linf_ball(2), tuple(
         Homothet(Vector(c), 1) for c in ((0, 0), (1, F(1, 2)), (0, 0))))
     families.append(twice)
-    assert per_pair_family(twice)[:2] == (
-        ValueError, "coincident centers: members 0 and 2")
+    assert per_pair_family(twice) == (
+        CoincidentCentersError, "coincident centers: members 0 and 2", (0, 2))
     # the common point -1/2 of [-1, 1], [-2, 4] and [-3/2, 0] is where the
     # width ratio of the pair (0, 1) has a zero denominator
     flat = Arrangement(linf_ball(1), tuple(
@@ -2082,7 +2082,7 @@ def per_pair_float_family(arr):
     for i, j in itertools.combinations(range(len(arr)), 2):
         diff = centers[j] - centers[i]
         if diff.is_zero():
-            raise ValueError("coincident centers: members %d and %d" % (i, j))
+            raise CoincidentCentersError((i, j))
         frame = ProjectionFrame(i, j, *boundary_frame(arr.body, diff))
         slab = fraction_slab_pair(arr, frame, loop_shadow(arr, frame))
         slabs.append(SlabPair(i, j, *slab[2:]))
@@ -2187,6 +2187,58 @@ def test_float_kernel_against_the_per_pair_route(monkeypatch):
     assert outcomes[1000 + F(1, 3), True] == len(families)
 
 
+def test_pair_loop_on_mixed_scalars_and_raising_families():
+    """The float pair kernel against the route of ``lift``, bit for bit
+    (``check_pair_loop``), on the mixed-scalar variants of the criterion-4
+    corpus: exact centers on its ``as_float`` bodies, one float center and
+    one float ratio on its exact bodies; on exact centers of a float body
+    with an exact facet, whose pairs on that facet take the integer slab of
+    ``slab_pair``; and on raising families: float copies whose ratios are
+    shrunk until a shadow is empty, and two centers 9e-10 apart, which the
+    predicates pass within the tolerance.  A raising family raises what its
+    first pair raises, with the same witness."""
+    families = []
+    for arr in criterion_4_corpus()[:40]:
+        floats = float_copy(arr).members
+        families.append(Arrangement(arr.body.as_float(), arr.members))
+        families.append(Arrangement(arr.body, arr.members[:1] + floats[1:2]
+                                    + arr.members[2:]))
+        third = Homothet(arr.members[2].center, float(arr.members[2].ratio))
+        families.append(Arrangement(arr.body, arr.members[:2] + (third,)
+                                    + arr.members[3:]))
+        for shrink in (0.9, 0.6):
+            families.append(Arrangement(arr.body.as_float(), tuple(
+                Homothet(h.center, h.ratio * shrink) for h in floats)))
+    facets = [[1, 0], [-1, 0], [0.5, 1.0], [-0.5, -1.0]]
+    mixed = body_from_json({"dim": 2, "type": "hpoly", "facets": [
+        {"normal": a} for a in facets]})
+    twin = HPolytopeBody(2, [(Vector(map(F, a)), 1) for a in facets])
+    rng = random.Random(3636)
+    families += [Arrangement(mixed, random_minkowski_arrangement(
+        rng, body=twin, full_lift=True).members) for _ in range(10)]
+    near = (Homothet(Vector((0.0, 0.0)), 1.5e-9),
+            Homothet(Vector((9e-10, 0.0)), 1.5e-9))
+    families += [Arrangement(body, near)
+                 for body in (linf_ball(2), float_facet_body())]
+    # the midpoint -3/4 of the shadow lies beyond both centers of the pair
+    # (0, 1): an inverted wedge, whose normal the kernel negates
+    families.append(Arrangement(linf_ball(1).as_float(), tuple(
+        Homothet(Vector((c,)), r) for c, r in ((0.0, 1.0), (1.0, 10.0),
+                                               (-1.5, 1.0)))))
+    raised, exact_slabs = collections.Counter(), 0
+    for arr in families:
+        assert arr.projections is not None and not arr.exact
+        check_pair_loop(arr)
+        got = outcome(slab_pairs, arr)
+        if isinstance(got, Raised):
+            raised[got.type] += 1
+        else:
+            exact_slabs += sum(slab.exact for slab in got[0])
+    assert raised[ShadowIntersectionError] > 40
+    assert raised[CoincidentCentersError] == 2
+    assert exact_slabs > 10
+
+
 # --------------------------- the all-facets picker the half rows replaced --
 # Before every inexact polytope arrangement filled the half-row columns of
 # Arrangement.projections, it read a second matrix over all the canonical
@@ -2214,7 +2266,7 @@ def all_facets_pick(matrix, i, j):
     deltas = list(map(operator.sub, rows[j], rows[i]))
     top = max(deltas)
     if not scalars.gt(top, 0):
-        raise ValueError("coincident centers: members %d and %d" % (i, j))
+        raise CoincidentCentersError((i, j))
     cut = top if scalars.is_exact(top) else top - scalars.TOLERANCE * top
     return next(a for a, delta in zip(facets, deltas) if delta >= cut), top
 
