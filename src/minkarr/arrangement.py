@@ -20,11 +20,10 @@ import math
 import operator
 import random
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product, repeat
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import scalars
 from .bodies import (HPolytopeBody, SymmetricBody, body_from_json,
@@ -35,32 +34,32 @@ from .linalg import Vector, zero_vector
 from .scalars import Scalar, div, format_scalar, parse_scalar
 
 
-@dataclass(frozen=True)
 class Homothet:
     """One positive homothet center + lam * K."""
-    center: Vector
-    ratio: Scalar
+    __slots__ = ("center", "ratio")
 
-    def __post_init__(self):
-        if scalars.le(self.ratio, 0):
+    def __init__(self, center: Vector, ratio: Scalar):
+        if scalars.le(ratio, 0):
             raise ValueError("homothety ratios must be positive")
+        self.center = center
+        self.ratio = ratio
 
 
-@dataclass(frozen=True)
 class Arrangement:
-    body: SymmetricBody
-    members: Tuple[Homothet, ...]
-    # (rows, q) with (v_k, lam_k) = rows[k]/q; None if any value is a float
-    form: Optional[tuple] = field(init=False, repr=False, compare=False)
+    """The family {v_i + lam_i K}; its cached properties, and the lift an
+    inexact arrangement keeps, live in the instance ``__dict__``."""
 
-    def __post_init__(self):
-        if not self.members:
+    def __init__(self, body: SymmetricBody, members: Tuple[Homothet, ...]):
+        if not members:
             raise ValueError("arrangements need at least one homothet")
-        for h in self.members:
-            if h.center.dim != self.body.dim:
+        for h in members:
+            if h.center.dim != body.dim:
                 raise ValueError("homothet center dimension mismatch")
-        object.__setattr__(self, "form", scalars.int_rows(
-            [h.center.coords + (h.ratio,) for h in self.members]))
+        self.body = body
+        self.members = members
+        # (rows, q) with (v_k, lam_k) = rows[k]/q; None if any value is a float
+        self.form = scalars.int_rows(
+            [h.center.coords + (h.ratio,) for h in members])
 
     def __len__(self) -> int:
         return len(self.members)
@@ -207,8 +206,7 @@ def chain_to_arrangement(points: Sequence[Vector], lambdas: Sequence[Scalar],
     return arr
 
 
-@dataclass(frozen=True)
-class PartitionLabel:
+class PartitionLabel(NamedTuple):
     """Class l in [d] and block k >= 1 of the geometric ratio partition."""
     l: int
     k: int
@@ -265,15 +263,15 @@ def arrangement_size_bound(dim: int) -> int:
     return 3 ** (dim + 1)
 
 
-@dataclass
 class SearchConfig:
-    seed: int = 0
-    iterations: int = 200
+    __slots__ = ("seed", "iterations")
 
-    def __post_init__(self):
-        if self.iterations < 0:
+    def __init__(self, seed: int = 0, iterations: int = 200):
+        if iterations < 0:
             raise ValueError("search iterations must be non-negative, got %d"
-                             % self.iterations)
+                             % iterations)
+        self.seed = seed
+        self.iterations = iterations
 
 
 # center draws per insertion, iterations without one before a drop, ratio

@@ -16,7 +16,6 @@ collected over nonzero distances only.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import product
@@ -48,31 +47,41 @@ class _Undefined:
 UNDEFINED = _Undefined()
 
 
-@dataclass(frozen=True)
-class PointSet:
-    dim: int
-    points: Tuple[Vector, ...]
+def _values(record) -> tuple:
+    """A record's field values in order: what its equality compares."""
+    return tuple(getattr(record, name) for name in record.__slots__)
 
-    def __post_init__(self):
-        for p in self.points:
-            if p.dim != self.dim:
+
+class PointSet:
+    __slots__ = ("dim", "points")
+
+    def __init__(self, dim: int, points: Tuple[Vector, ...]):
+        for p in points:
+            if p.dim != dim:
                 raise ValueError("point dimension mismatch")
         # with a float among them the points compare in floats
-        scalars.check_float_range([c for p in self.points for c in p])
-        n = len(self.points)
+        scalars.check_float_range([c for p in points for c in p])
+        n = len(points)
         for i in range(n):
             for j in range(i + 1, n):
-                if self.points[i] == self.points[j]:
+                if points[i] == points[j]:
                     raise ValueError("points %d and %d coincide" % (i, j))
+        self.dim = dim
+        self.points = points
+
+    def __eq__(self, other):
+        return type(other) is PointSet and _values(self) == _values(other)
 
     def __len__(self):
         return len(self.points)
 
 
-@dataclass(frozen=True)
 class DistanceSpectrum:
     """Distinct positive distances with multiplicities, increasing order."""
-    entries: Tuple[Tuple[Scalar, int], ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: Tuple[Tuple[Scalar, int], ...]):
+        self.entries = entries
 
     @property
     def distances(self) -> Tuple[Scalar, ...]:
@@ -170,13 +179,21 @@ def guaranteed_length(n: int, k: int) -> int:
     return t
 
 
-@dataclass(frozen=True)
 class ChainResult:
-    indices: Tuple[int, ...]
-    points: Tuple[Vector, ...]
-    lambdas: Tuple[Scalar, ...]
-    target: int
-    guaranteed: bool        # False when the pigeonhole precondition failed
+    __slots__ = ("indices", "points", "lambdas", "target", "guaranteed")
+
+    def __init__(self, indices: Tuple[int, ...], points: Tuple[Vector, ...],
+                 lambdas: Tuple[Scalar, ...], target: int,
+                 guaranteed: bool):
+        self.indices = indices
+        self.points = points
+        self.lambdas = lambdas
+        self.target = target
+        # False when the pigeonhole precondition failed
+        self.guaranteed = guaranteed
+
+    def __eq__(self, other):
+        return type(other) is ChainResult and _values(self) == _values(other)
 
     def __len__(self):
         return len(self.points)

@@ -83,7 +83,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple
 
@@ -93,23 +92,25 @@ from .linalg import Vector
 from .scalars import Scalar, div, dot, format_scalar as fmt, int_form
 
 
-@dataclass(frozen=True)
 class ProjectionFrame:
     """Direction data for one ordered pair (i, j)."""
-    i: int
-    j: int
-    r_vec: Vector          # gauge-1 point of K toward v_j - v_i
-    f_normal: Vector       # supporting plane f_normal . z = 1 of K at r_vec
-    # (A, f) with f_normal = A/f, derived when not given; None for a float
-    # normal
-    a_form: Optional[tuple] = field(default=None, repr=False, compare=False)
-    # (h, s): f_normal is s times half row h, column h of the arrangement's
-    # projections; None when the frame was not read from them
-    column: Optional[tuple] = field(default=None, repr=False, compare=False)
+    __slots__ = ("i", "j", "r_vec", "f_normal", "a_form", "column")
 
-    def __post_init__(self):
-        if self.a_form is None:
-            object.__setattr__(self, "a_form", int_form(self.f_normal.coords))
+    def __init__(self, i: int, j: int, r_vec: Vector, f_normal: Vector,
+                 a_form: Optional[tuple] = None,
+                 column: Optional[tuple] = None):
+        self.i = i
+        self.j = j
+        # the gauge-1 point of K toward v_j - v_i and the supporting plane
+        # f_normal . z = 1 of K there
+        self.r_vec = r_vec
+        self.f_normal = f_normal
+        # (A, f) with f_normal = A/f, derived when not given; None for a
+        # float normal
+        self.a_form = int_form(f_normal.coords) if a_form is None else a_form
+        # (h, s): f_normal is s times half row h, column h of the
+        # arrangement's projections; None when not read from them
+        self.column = column
 
 
 class ShadowData(NamedTuple):
@@ -349,17 +350,17 @@ def _dot(a, b):
     return sum(map(operator.mul, a, b))
 
 
-@dataclass(frozen=True)
 class LiftedConfig:
     """Points y_k = (v_k/lam_k, 1/lam_k) with forms (Y_k, w_k), or None."""
-    points: Tuple[Vector, ...]
-    forms: Optional[tuple] = field(default=None, repr=False, compare=False)
+    __slots__ = ("points", "forms")
 
-    def __post_init__(self):
-        if self.forms is None:
-            forms = tuple(int_form(y.coords) for y in self.points)
-            object.__setattr__(self, "forms",
-                               None if None in forms else forms)
+    def __init__(self, points: Tuple[Vector, ...],
+                 forms: Optional[tuple] = None):
+        if forms is None:
+            forms = tuple(int_form(y.coords) for y in points)
+            forms = None if None in forms else forms
+        self.points = points
+        self.forms = forms
 
 
 def _lifted(h) -> list:

@@ -45,8 +45,7 @@ per-pair loop it replaced stays in ``tests/test_oracles.py`` as the oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from . import scalars
 from .arrangement import (Arrangement, arrangement_size_bound,
@@ -60,58 +59,68 @@ from .polytopes import hull, volume
 from .scalars import Scalar, div, format_scalar
 
 
-@dataclass(frozen=True)
 class SlabFamily:
     """Points, their slabs and, for pairs of them, (i, j, index of the
     pair's slab); the packing check reads a slab's normal and outer offsets
     and takes N.y from the points.  ``forms`` are the points' integer forms
     as ``LiftedConfig`` keeps them, handed on by the lift; a family built
     without them derives its own.  An exact slab is read on them."""
-    points: Tuple[Vector, ...]
-    slabs: Tuple[Slab, ...]
-    pairs: Tuple[Tuple[int, int, int], ...]
-    forms: Optional[tuple] = field(default=None, repr=False, compare=False)
+    __slots__ = ("points", "slabs", "pairs", "forms")
 
-    def __post_init__(self):
-        n, seen = len(self.points), set()
-        for i, j, k in self.pairs:
+    def __init__(self, points: Tuple[Vector, ...], slabs: Tuple[Slab, ...],
+                 pairs: Tuple[Tuple[int, int, int], ...],
+                 forms: Optional[tuple] = None):
+        n, seen = len(points), set()
+        for i, j, k in pairs:
             if not (0 <= i < n and 0 <= j < n and i != j
-                    and 0 <= k < len(self.slabs)):
+                    and 0 <= k < len(slabs)):
                 raise ValueError("pair indices out of range")
             pair = (i, j) if i < j else (j, i)
             if pair in seen:
                 raise ValueError("pair (%d, %d) is listed twice" % pair)
             seen.add(pair)
-        if self.forms is None:
-            object.__setattr__(self, "forms",
-                               LiftedConfig(self.points).forms)
-        if self.forms is None and any(s.exact for s in self.slabs):
+        if forms is None:
+            forms = LiftedConfig(points).forms
+        if forms is None and any(s.exact for s in slabs):
             raise ValueError("an exact slab needs exact points")
+        self.points = points
+        self.slabs = slabs
+        self.pairs = pairs
+        self.forms = forms
 
 
-@dataclass
-class Stage:
+class Stage(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass
 class PackingCertificate:
     """Auditable evidence of one packing verification run."""
-    lam: Scalar
-    n: int
-    ambient_dim: int
-    affine_dim: Optional[int] = None
-    induction_branch: bool = False
-    bound: Optional[int] = None
-    bound_effective: Optional[int] = None
-    stages: List[Stage] = field(default_factory=list)
-    pair_ratios: List[Tuple[int, int, Scalar]] = field(default_factory=list)
-    hull_volume: Optional[Scalar] = None
-    volume_sum: Optional[Scalar] = None
-    offending_pair: Optional[Tuple[int, int]] = None
-    verdict: bool = False
+
+    def __init__(self, lam: Scalar, n: int, ambient_dim: int,
+                 affine_dim: Optional[int] = None,
+                 induction_branch: bool = False, bound: Optional[int] = None,
+                 bound_effective: Optional[int] = None,
+                 stages: Optional[List[Stage]] = None,
+                 pair_ratios: Optional[List[Tuple[int, int, Scalar]]] = None,
+                 hull_volume: Optional[Scalar] = None,
+                 volume_sum: Optional[Scalar] = None,
+                 offending_pair: Optional[Tuple[int, int]] = None,
+                 verdict: bool = False):
+        self.lam = lam
+        self.n = n
+        self.ambient_dim = ambient_dim
+        self.affine_dim = affine_dim
+        self.induction_branch = induction_branch
+        self.bound = bound
+        self.bound_effective = bound_effective
+        self.stages = [] if stages is None else stages
+        self.pair_ratios = [] if pair_ratios is None else pair_ratios
+        self.hull_volume = hull_volume
+        self.volume_sum = volume_sum
+        self.offending_pair = offending_pair
+        self.verdict = verdict
 
     @property
     def failed_stage(self) -> Optional[str]:

@@ -17,24 +17,21 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from . import scalars
 from .linalg import Vector, affine_rank
 from .scalars import Scalar, div
 
 
-@dataclass(frozen=True)
-class ConvexPolytope:
+class ConvexPolytope(NamedTuple):
     """Full-dimensional polytope as hull vertices plus facets a.x <= c; in
     dimension 3, incidence[f] lists the indices of the vertices on facet f."""
     dim: int
     vertices: Tuple[Vector, ...]
     facets: Tuple[Tuple[Vector, Scalar], ...]
-    incidence: Tuple[Tuple[int, ...], ...] = field(default=(), compare=False,
-                                                   repr=False)
+    incidence: Tuple[Tuple[int, ...], ...] = ()
 
 
 def hull(points: Sequence[Vector]) -> ConvexPolytope:

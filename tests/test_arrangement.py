@@ -148,6 +148,26 @@ def test_partition_rescales_when_needed():
     assert (labels[1].l, labels[1].k) == (2, 1)
 
 
+def test_record_constructors_reject_invalid_input():
+    for ratio in (F(0), F(-1), 0.0, -2.5):
+        with pytest.raises(ValueError,
+                           match="^homothety ratios must be positive$"):
+            Homothet(Vector([F(0), F(0)]), ratio)
+    with pytest.raises(ValueError,
+                       match="^arrangements need at least one homothet$"):
+        Arrangement(SQUARE, ())
+    for center in ((0,), (0, 0, 0)):
+        with pytest.raises(ValueError,
+                           match="^homothet center dimension mismatch$"):
+            Arrangement(SQUARE, (H((0, 0), 1), H(center, 1)))
+    with pytest.raises(ValueError, match="^search iterations must be "
+                                         "non-negative, got -5$"):
+        SearchConfig(seed=3, iterations=-5)
+    cfg = SearchConfig()
+    assert (cfg.seed, cfg.iterations) == (0, 200)
+    assert SearchConfig(iterations=0).iterations == 0
+
+
 def test_partition_requires_positive():
     with pytest.raises(ValueError):
         partition_classes([F(0)], 2)

@@ -227,8 +227,21 @@ def test_pointset_json_roundtrip():
     assert back == pts
     with pytest.raises(ValueError):
         pointset_from_json({"dim": 2})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^points 0 and 1 coincide$"):
         PointSet(2, (Vector((F(0), F(0))), Vector((F(0), F(0)))))
+
+
+def test_pointset_rejects_a_dimension_mismatch_then_coincident_points():
+    same = Vector((F(1), F(2)))
+    with pytest.raises(ValueError, match="^point dimension mismatch$"):
+        PointSet(2, (same, same, Vector((F(0),))))
+    with pytest.raises(ValueError, match="^point dimension mismatch$"):
+        PointSet(3, (Vector((F(0), F(0), F(0))), same))
+    with pytest.raises(ValueError, match="^points 1 and 3 coincide$"):
+        PointSet(2, (Vector((0, 0)), same, Vector((0.5, 0.5)), same))
+    # a float among the points compares them in floats
+    with pytest.raises(ValueError, match="^points 0 and 1 coincide$"):
+        PointSet(2, (Vector((0.5, 2)), Vector((F(1, 2), 2))))
 
 
 def test_chain_json_includes_verdict():

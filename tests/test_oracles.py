@@ -2,7 +2,6 @@
 derivation gets compared against it on random rational instances."""
 
 import collections
-import dataclasses
 import functools
 import itertools
 import json
@@ -27,7 +26,8 @@ from minkarr.arrangement import (MIN_RATIO, WEIGHT_GRID, _SearchState,
 from minkarr.instances import (corpus_body, random_intersecting_arrangement,
                                random_minkowski_arrangement,
                                random_symmetric_hexagon)
-from minkarr.kdistance import ChainResult, _chain_bound
+from minkarr.kdistance import (ChainResult, DistanceSpectrum, PointSet,
+                               _chain_bound)
 from minkarr.lifting import (CoincidentCentersError, DegenerateWedgeError,
                              LiftedConfig, ProjectionFrame, ShadowData,
                              ShadowIntersectionError, SlabPair, _dot,
@@ -480,7 +480,7 @@ def shrink(poly: ConvexPolytope, x: Vector, lam) -> ConvexPolytope:
     rho = scalars.div(1, 1 + lam)
     verts = tuple(x + (v - x) * rho for v in poly.vertices)
     facets = tuple((a, rho * c + (1 - rho) * a.dot(x)) for a, c in poly.facets)
-    copy = dataclasses.replace(poly, vertices=verts, facets=facets)
+    copy = poly._replace(vertices=verts, facets=facets)
     for v in copy.vertices:
         if not contains(poly, v):
             raise AssertionError("shrunken copy escaped the hull")
@@ -1395,22 +1395,45 @@ def fraction_ratio_identity(slab, y_i, y_j, expected):
                           expected * expected)
 
 
+# the fields ``typed`` reads of each record: not the integer forms and
+# indices kept beside the values (``form``, ``a_form``, ``column``,
+# ``forms``, ``incidence``), at whatever scale their route chose
+RECORD_FIELDS = {
+    Homothet: ("center", "ratio"),
+    Arrangement: ("body", "members"),
+    arrangement.PartitionLabel: ("l", "k"),
+    SearchConfig: ("seed", "iterations"),
+    PointSet: ("dim", "points"),
+    DistanceSpectrum: ("entries",),
+    ChainResult: ("indices", "points", "lambdas", "target", "guaranteed"),
+    ProjectionFrame: ("i", "j", "r_vec", "f_normal"),
+    LiftedConfig: ("points",),
+    SlabFamily: ("points", "slabs", "pairs"),
+    packing.Stage: ("name", "passed", "detail"),
+    packing.PackingCertificate: (
+        "lam", "n", "ambient_dim", "affine_dim", "induction_branch", "bound",
+        "bound_effective", "stages", "pair_ratios", "hull_volume",
+        "volume_sum", "offending_pair", "verdict"),
+    ConvexPolytope: ("dim", "vertices", "facets"),
+}
+
+
 def typed(value):
     """The value with the type of every scalar in it: Fraction(2) and 2
-    compare equal but are different certificate bytes.  A dataclass field
-    declared compare=False (an integer form kept beside the values, at
-    whatever scale its route chose) is skipped; a shadow or a slab is read
-    through its public values, the fields of ``Shadow`` or ``Slab``."""
+    compare equal but are different certificate bytes.  A record is read
+    through its ``RECORD_FIELDS``, before the tuple branch, so that a
+    NamedTuple record skips its integer forms too; a shadow or a slab is
+    read through its public values, the fields of ``Shadow`` or ``Slab``."""
     if isinstance(value, (ShadowData, SlabPair)):
         names = (Shadow if isinstance(value, ShadowData) else Slab)._fields
         return typed([getattr(value, name) for name in names])
     if isinstance(value, Vector):
         return typed(value.coords)
+    names = RECORD_FIELDS.get(type(value))
+    if names is not None:
+        return typed([getattr(value, name) for name in names])
     if isinstance(value, (tuple, list)):
         return tuple(typed(v) for v in value)
-    if dataclasses.is_dataclass(value):
-        return typed([getattr(value, f.name)
-                      for f in dataclasses.fields(value) if f.compare])
     return type(value).__name__, value
 
 

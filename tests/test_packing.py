@@ -289,6 +289,24 @@ def test_family_rejects_a_pair_listed_twice():
         SlabFamily(family.points, family.slabs, ((0, 1, 6),))
 
 
+def test_family_validates_pairs_then_slabs():
+    family = family_from_arrangement(cube_arrangement(2))
+    assert all(slab.exact for slab in family.slabs)
+    n = len(family.points)
+    for pairs in (((0, n, 0),), ((-1, 0, 0),), ((0, 0, 0),),
+                  ((0, 1, len(family.slabs)),), ((0, 1, -1),)):
+        with pytest.raises(ValueError, match="^pair indices out of range$"):
+            SlabFamily(family.points, family.slabs, pairs)
+    floats = tuple(Vector([float(c) for c in p]) for p in family.points)
+    with pytest.raises(ValueError, match="^an exact slab needs exact points$"):
+        SlabFamily(floats, family.slabs, family.pairs)
+    # the pairs are checked first: a pair listed twice, then an exact slab
+    with pytest.raises(ValueError, match=r"^pair \(0, 1\) is listed twice$"):
+        SlabFamily(floats, family.slabs, ((1, 0, 0), (0, 1, 0)))
+    with pytest.raises(ValueError, match="^pair indices out of range$"):
+        SlabFamily(floats, family.slabs, ((0, 1, 0), (0, n, 0)))
+
+
 def test_certificate_json():
     cert = lifted_packing_pipeline(cube_arrangement(2))
     blob = certificate_to_json(cert)
