@@ -39,12 +39,13 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 # segment: three intervals on the line, the most that fit, whose pairs all
 # share one slab
 # octagon: five members on the float-vertex octagon
+# disc: five discs with rational centers, whose slabs are the ball's
 INPUTS = ["cube2", "minkowski1", "minkowski2", "minkowski3", "pyramid",
-          "segment", "octagon"]
+          "segment", "octagon", "disc"]
 # the square, the diamond and the hexagon, whose facets have denominators,
-# the pyramid, the segment and the octagon, under --mode float
+# the pyramid, the segment, the octagon and the disc, under --mode float
 FLOAT_INPUTS = ["minkowski1", "minkowski2", "minkowski3", "pyramid",
-                "segment", "octagon"]
+                "segment", "octagon", "disc"]
 # the square (integer normals, minkowski1), the diamond (minkowski2), a
 # hexagon (minkowski3), the cube family, the 4-D cross-polytope as a
 # V-polytope (facet frames) and discs with rational centers (float frames);

@@ -2125,9 +2125,10 @@ def per_pair_float_certificate(arr, monkeypatch):
 
 
 def check_pair_loop(arr):
-    """``slab_pairs`` of an inexact polytope arrangement builds, bit for
-    bit, the slabs that ``build_frame``, ``shadow`` and ``slab_pair`` (the
-    route of ``lift``) build, or raises what the first pair raises."""
+    """``slab_pairs`` of an inexact arrangement, a ball's included, builds,
+    bit for bit, the slabs that ``build_frame``, ``shadow`` and
+    ``slab_pair`` (the route of ``lift``) build, or raises what the first
+    pair raises."""
     def frame_shadow_slab(arr):
         family = per_pair_slab_family(lift(arr).points, lift_route_slabs(arr))
         return family.slabs, family.pairs
@@ -2260,6 +2261,44 @@ def test_pair_loop_on_mixed_scalars_and_raising_families():
     assert raised[ShadowIntersectionError] > 40
     assert raised[CoincidentCentersError] == 2
     assert exact_slabs > 10
+
+
+def test_pair_loop_on_discs():
+    """The float pair kernel on the ball against the route of ``lift``, bit
+    for bit (``check_pair_loop``): seeded float disc hexagons, as drawn and
+    scaled by 2^-20, the rational-center disc of the goldens, two centers
+    9e-10 apart, which the predicates pass within the tolerance, and three
+    discs in a row whose shadow has no common point.  A raising family
+    raises what its first pair raises, with the same witness."""
+    rng = random.Random(3838)
+    families = []
+    for _ in range(12):
+        rho, turn = rng.uniform(0.5, 2), rng.uniform(0, math.pi)
+        rim = [(rho * math.cos(turn + math.pi * m / 3),
+                rho * math.sin(turn + math.pi * m / 3)) for m in range(6)]
+        for scale in (1, 2.0 ** -20):
+            families.append(Arrangement(BallBody(2), (
+                Homothet(Vector((0.0, 0.0)), rho * scale * 0.999),) + tuple(
+                Homothet(Vector((x * scale, y * scale)), rho * scale)
+                for x, y in rim)))
+    families += [arr for arr in golden_arrangements()
+                 if isinstance(arr.body, BallBody)]
+    families.append(Arrangement(BallBody(2), (
+        Homothet(Vector((0.0, 0.0)), 1.5e-9),
+        Homothet(Vector((9e-10, 0.0)), 1.5e-9))))
+    families.append(Arrangement(BallBody(2), tuple(
+        Homothet(Vector((c, 0.0)), 0.6) for c in (0.0, 1.0, 2.0))))
+    raised, passed = collections.Counter(), 0
+    for arr in families:
+        check_pair_loop(arr)
+        got = outcome(slab_pairs, arr)
+        if isinstance(got, Raised):
+            raised[got.type] += 1
+        else:
+            passed += 1
+    assert passed == len(families) - 2 and any(
+        arr.form is not None for arr in families[:-2])
+    assert raised == {CoincidentCentersError: 1, ShadowIntersectionError: 1}
 
 
 # --------------------------- the all-facets picker the half rows replaced --
