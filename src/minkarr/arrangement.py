@@ -26,7 +26,7 @@ from itertools import product, repeat
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import scalars
-from .bodies import (HPolytopeBody, SymmetricBody, body_from_json,
+from .bodies import (HPolytopeBody, SymmetricBody, _vector, body_from_json,
                      body_to_json, distance_table, fraction_table, linf_ball,
                      projection_distances)
 from .kdistance import chain_violation
@@ -46,8 +46,8 @@ class Homothet:
 
 
 class Arrangement:
-    """The family {v_i + lam_i K}; its cached properties, and the lift an
-    inexact arrangement keeps, live in the instance ``__dict__``."""
+    """The family {v_i + lam_i K}; its cached properties live in the
+    instance ``__dict__``."""
 
     def __init__(self, body: SymmetricBody, members: Tuple[Homothet, ...]):
         if not members:
@@ -613,7 +613,7 @@ def arrangement_to_json(arr: Arrangement) -> dict:
 def arrangement_from_json(obj: dict) -> Arrangement:
     try:
         body = body_from_json(obj["body"])
-        members = tuple(Homothet(Vector(parse_scalar(c) for c in h["center"]),
+        members = tuple(Homothet(_vector(h["center"]),
                                  parse_scalar(h["ratio"]))
                         for h in obj["homothets"])
     except (KeyError, TypeError) as exc:

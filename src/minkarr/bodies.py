@@ -375,6 +375,11 @@ def body_from_json(obj: dict) -> SymmetricBody:
 
 
 def _vector(coords) -> Vector:
+    """The one reader of a JSON coordinate list: a string or an object is
+    a ValueError, not a list of its characters or keys."""
+    if not isinstance(coords, list):
+        raise ValueError("coordinates must be a JSON list, not %s"
+                         % type(coords).__name__)
     return Vector(parse_scalar(c) for c in coords)
 
 

@@ -22,9 +22,9 @@ from itertools import product
 from typing import List, Optional, Tuple
 
 from . import scalars
-from .bodies import SymmetricBody, distance_table
+from .bodies import SymmetricBody, _vector, distance_table
 from .linalg import Vector
-from .scalars import Scalar, format_scalar, parse_scalar
+from .scalars import Scalar, format_scalar
 
 
 class _Undefined:
@@ -273,8 +273,7 @@ def pointset_to_json(pts: PointSet) -> dict:
 def pointset_from_json(obj: dict) -> PointSet:
     try:
         dim = scalars.parse_dim(obj["dim"])
-        points = tuple(Vector(parse_scalar(c) for c in p)
-                       for p in obj["points"])
+        points = tuple(map(_vector, obj["points"]))
     except (KeyError, TypeError) as exc:
         raise ValueError("point set JSON needs 'dim' and 'points'") from exc
     return PointSet(dim, points)

@@ -65,16 +65,18 @@ the tolerance of the largest a.(v_j - v_i), with r = (v_j - v_i)/top.  The
 shadow is column h, alpha_k = s*U_k[h] - s*U_i[h], its ends checked per
 pair, relative to v_i: a column's extremes shared across pairs, relative
 to v_0, round otherwise on floats and can miss an empty shadow.  The slab
-normal is (a, -(a.v_0 + s*U_i[h]) - x) for the stored facet a.  The family
-takes that slab from one float pair kernel, ``_column_slab``, with no
-frame, shadow or slab object: the column, the pair's own shadow ends, and
-the normal, with a.v_0 taken once per (h, s) and the orientation read on
-the family's lifted points, which an inexact arrangement keeps.  ``shadow``
-and ``slab_pair``, the route of ``lift`` for one pair, read the column
-through the kernel's helpers.  Only the ball takes its ``boundary_frame``
-per pair.  Both inexact routes keep one slab per pair, read each point as
-(y_k, 1) and fold the tolerance into the ends; a sum that can see a float
-is ``scalars.dot``, added left to right, so float values do not depend on
+normal is (a, -(a.v_0 + s*U_i[h]) - x) for the stored facet a.  The ball
+has no projections: its frame is its ``boundary_frame`` of v_j - v_i and
+its alphas a.(v_k - v_i)/a.r (``_frame_alphas``).  Every inexact family,
+the ball's included, takes its slabs from one float pair kernel,
+``_pair_slab``, with no shadow or slab object: the pair's column (a.v_0
+once per (h, s)) or ball frame and its own shadow ends.  Every float slab,
+the kernel's and ``slab_pair``'s, is built by ``_float_plane``: the normal
+(a, -a.v_i - x) oriented on the lifted y_i and y_j, which ``slab_pairs``
+reads from the lift its caller hands it, and a degenerate wedge raised.
+Both inexact routes keep one slab per pair, read each point as (y_k, 1)
+and fold the tolerance into the ends; a sum that can see a float is
+``scalars.dot``, added left to right, so float values do not depend on
 the interpreter.  Centers that coincide (within the tolerance on floats)
 raise ``CoincidentCentersError``, carrying the pair.
 """
@@ -97,7 +99,6 @@ class ProjectionFrame:
     __slots__ = ("i", "j", "r_vec", "f_normal", "a_form", "column")
 
     def __init__(self, i: int, j: int, r_vec: Vector, f_normal: Vector,
-                 a_form: Optional[tuple] = None,
                  column: Optional[tuple] = None):
         self.i = i
         self.j = j
@@ -105,9 +106,8 @@ class ProjectionFrame:
         # f_normal . z = 1 of K there
         self.r_vec = r_vec
         self.f_normal = f_normal
-        # (A, f) with f_normal = A/f, derived when not given; None for a
-        # float normal
-        self.a_form = int_form(f_normal.coords) if a_form is None else a_form
+        # (A, f) with f_normal = A/f; None for a float normal
+        self.a_form = int_form(f_normal.coords)
         # (h, s): f_normal is s times half row h, column h of the
         # arrangement's projections; None when not read from them
         self.column = column
@@ -247,8 +247,8 @@ def shadow(arr: Arrangement, frame: ProjectionFrame) -> ShadowData:
     end); shadow_with_x moves it to any other point of it.  A frame read
     from the projections reads its column of them, an inexact column through
     the helpers of the float pair kernel (``_column_t``, ``_column_alphas``);
-    any other frame (the ball's) computes a.(v_k - v_i)/a.r.  The ends are
-    ``_shadow_ends`` on every route.
+    any other frame (the ball's) takes ``_frame_alphas``, as the kernel
+    does.  The ends are ``_shadow_ends`` on every route.
     """
     i, j = frame.i, frame.j
     if frame.column and arr.exact:
@@ -260,13 +260,8 @@ def shadow(arr: Arrangement, frame: ProjectionFrame) -> ShadowData:
         lams, den = [row[-1] * f for row in rows], f * q
     else:
         lams, den = [h.ratio for h in arr.members], 1
-        if frame.column:
-            alphas = _column_alphas(_column_t(arr, *frame.column), i, j)
-        else:
-            a, vi = frame.f_normal.coords, arr.members[i].center.coords
-            denom = dot(a, frame.r_vec.coords)
-            alphas = [div(dot(a, map(operator.sub, h.center.coords, vi)),
-                          denom) for h in arr.members]
+        alphas = _column_alphas(_column_t(arr, *frame.column), i, j) \
+            if frame.column else _frame_alphas(arr, frame)
     lows, highs, lo_idx, hi_idx = _shadow_ends(alphas, lams)
     form = alphas, lows, highs, den, lo_idx, hi_idx
     return ShadowData(i, j, form,
@@ -285,6 +280,15 @@ def _column_alphas(t: list, i: int, j: int) -> list:
     t_i = t[i]
     alphas = [t_k - t_i for t_k in t]
     return alphas if scalars.is_exact(t_i, t[j]) else list(map(float, alphas))
+
+
+def _frame_alphas(arr: Arrangement, frame: ProjectionFrame) -> list:
+    """alpha_k = a.(v_k - v_i)/a.r of a frame not read from the
+    projections (the ball's)."""
+    a, vi = frame.f_normal.coords, arr.members[frame.i].center.coords
+    denom = dot(a, frame.r_vec.coords)
+    return [div(dot(a, map(operator.sub, h.center.coords, vi)), denom)
+            for h in arr.members]
 
 
 def _shadow_ends(alphas: list, lams: list) -> tuple:
@@ -369,19 +373,7 @@ def _lifted(h) -> list:
 
 
 def lift(arr: Arrangement) -> LiftedConfig:
-    """Central projection of the raised centers; exact for rational input.
-    An arrangement that is not ``exact`` keeps its lift, as it keeps its
-    projections: the float pair kernel of ``slab_pairs`` reads the points
-    the family lifted."""
-    if arr.exact:
-        return _lift(arr)
-    kept = vars(arr).get("lifted")
-    if kept is None:
-        kept = vars(arr)["lifted"] = _lift(arr)
-    return kept
-
-
-def _lift(arr: Arrangement) -> LiftedConfig:
+    """Central projection of the raised centers; exact for rational input."""
     if arr.form is None:
         return LiftedConfig(tuple(Vector(_lifted(h)) for h in arr.members))
     rows, q = arr.form
@@ -478,8 +470,8 @@ def slab_pair(arr: Arrangement, frame: ProjectionFrame,
     through y_i and y_j; they coincide exactly when the width ratio's
     denominator vanishes, and then no slab pair exists.  A frame read from
     the projections of an inexact arrangement takes a.v_i as
-    a.v_0 + s*U_i[h], the normal and its orientation from the helpers of the
-    float pair kernel (``_column_normal``, ``_orientation``).
+    a.v_0 + s*U_i[h].  Every slab with a float in it is built by
+    ``_float_plane``, the tail of the float pair kernel too.
     """
     i, j, x = frame.i, frame.j, sd.x_coord
     if arr.form and frame.a_form and scalars.is_exact(x):
@@ -487,32 +479,27 @@ def slab_pair(arr: Arrangement, frame: ProjectionFrame,
         return SlabPair._over(i, j, plane, den)
     a = frame.f_normal.coords
     if frame.column and not arr.exact:
-        m = _column_normal(arr, *frame.column, a, dot(a, arr.anchor.coords),
-                           i, x)
+        h, s = frame.column
+        a_vi = dot(a, arr.anchor.coords) + s * arr.projections[i][0][h]
     else:
-        m = a + (-frame.f_normal.dot(arr.members[i].center) - x,)
-    sg, gi, gj = _orientation(m, _lifted(arr.members[i]),
-                              _lifted(arr.members[j]))
-    return SlabPair._over(i, j, ([sg * v for v in m], -sg, sg, sg * gi,
-                                 sg * gj), None)
+        a_vi = dot(a, arr.members[i].center.coords)
+    return SlabPair._over(i, j, _float_plane(
+        a, a_vi, x, _lifted(arr.members[i]), _lifted(arr.members[j])), None)
 
 
-def _column_normal(arr: Arrangement, h: int, s: int, a: tuple, base: Scalar,
-                   i: int, x: Scalar) -> tuple:
-    """The slab normal (a, -(a.v_0 + s*U_i[h]) - x) of a pair (i, j) on the
-    inexact column (h, s): a.v_i from base = a.v_0 for the stored facet
-    a, and the common point x."""
-    return a + (-(base + s * arr.projections[i][0][h]) - x,)
-
-
-def _orientation(m: tuple, y_i, y_j) -> tuple:
-    """(sg, g_i, g_j): g_k = m.y_k and the sign sg with sg*g_i <= sg*g_j
-    within the tolerance, raising ``DegenerateWedgeError`` when g_i and g_j
-    are equal within it (the inner planes coincide)."""
+def _float_plane(a: tuple, a_vi: Scalar, x: Scalar, y_i, y_j) -> tuple:
+    """The plane (N, k_ij, k_ji, g_ij, g_ji) of a pair (i, j) from the
+    facet a, a.v_i and the common point x: N = (a, -a.v_i - x), negated
+    with the outer offsets when N.y_i > N.y_j beyond the tolerance, and
+    g_k = N.y_k.  N.y_i and N.y_j equal within the tolerance (the inner
+    planes coincide) raise ``DegenerateWedgeError``."""
+    m = a + (-a_vi - x,)
     gi, gj = dot(m, y_i), dot(m, y_j)
     if scalars.eq(gi, gj):
         raise DegenerateWedgeError(_DEGENERATE)
-    return (-1 if scalars.gt(gi, gj) else 1), gi, gj
+    if scalars.gt(gi, gj):
+        return tuple([-v for v in m]), 1, -1, -gi, -gj
+    return m, -1, 1, gi, gj
 
 
 def _int_plane(arr: Arrangement, i: int, j: int, a_form: tuple,
@@ -537,10 +524,11 @@ def _int_plane(arr: Arrangement, i: int, j: int, a_form: tuple,
     return ([sg * v * w for v in m], -sg * k, sg * k, sg * gi, sg * gj), k
 
 
-def slab_pairs(arr: Arrangement) -> Tuple[Tuple[Slab, ...], tuple]:
-    """The arrangement's slab family (slabs, pairs): every pair i < j, in
-    order, as (i, j, index of its slab), raising what the first pair's
-    frame, shadow or slab raises.
+def slab_pairs(arr: Arrangement,
+               lifted: LiftedConfig) -> Tuple[Tuple[Slab, ...], tuple]:
+    """The slab family (slabs, pairs) of the arrangement and its ``lift``:
+    every pair i < j, in order, as (i, j, index of its slab), raising what
+    the first pair's frame, shadow or slab raises.
 
     With exact projections the pairs share their slabs, at most one per
     half row h (module docstring), and no frame or shadow is built: a pair
@@ -550,24 +538,17 @@ def slab_pairs(arr: Arrangement) -> Tuple[Tuple[Slab, ...], tuple]:
     witness in that pair's orientation s (-s swaps the two ends).  A pair
     whose inner planes coincide, M.Y_i*w_j == M.Y_j*w_i, that is
     (2*t_i - lo - hi)*w_j == (2*t_j - lo - hi)*w_i, raises a degenerate
-    wedge.  Any other polytope arrangement keeps one slab per pair from
-    ``_column_slab``, the float pair kernel, and the ball the outer planes
-    of the ``SlabPair`` its frame and shadow give."""
+    wedge.  Any other arrangement, the ball's included, keeps one slab per
+    pair from ``_pair_slab``, the float pair kernel, oriented on the lifted
+    points."""
     n = len(arr.members)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     if not arr.exact:
-        one_each = tuple((i, j, k) for k, (i, j) in enumerate(pairs))
-        if arr.projections is None:
-            per_pair = []
-            for i, j in pairs:
-                frame = build_frame(arr, i, j)
-                per_pair.append(slab_pair(arr, frame, shadow(arr, frame)))
-            return (tuple(p.outer(arr.form is not None) for p in per_pair),
-                    one_each)
-        points = [y.coords for y in lift(arr).points]
+        points = [y.coords for y in lifted.points]
         lams, columns = [h.ratio for h in arr.members], {}
-        return tuple(_column_slab(arr, i, j, points, lams, columns)
-                     for i, j in pairs), one_each
+        return (tuple(_pair_slab(arr, i, j, points, lams, columns)
+                      for i, j in pairs),
+                tuple((i, j, k) for k, (i, j) in enumerate(pairs)))
     (rows, q), den = arr.form, arr.projections[0][1]
     half_rows, columns, slabs, index = arr.body.half_rows, {}, [], []
     for i, j in pairs:
@@ -597,31 +578,40 @@ def slab_pairs(arr: Arrangement) -> Tuple[Tuple[Slab, ...], tuple]:
     return tuple(slabs), tuple(index)
 
 
-def _column_slab(arr: Arrangement, i: int, j: int, points: list,
-                 lams: list, columns: dict) -> Slab:
+def _pair_slab(arr: Arrangement, i: int, j: int, points: list,
+               lams: list, columns: dict) -> Slab:
     """The float pair kernel: the slab of the pair (i, j) of an inexact
-    polytope arrangement, the outer planes of the ``SlabPair`` that
-    ``build_frame``, ``shadow`` and ``slab_pair`` give, with no object on
-    the way.  It reads the pair's column (h, s) (``_facet_column``), checks
-    its own shadow ends on it and builds the normal of the stored facet a;
-    ``columns`` keeps t, a, a.v_0 and the integer form of a (when the
-    points have forms) per (h, s), and ``points`` are the lifted points."""
-    h, s, _ = _facet_column(arr, i, j)
-    column = columns.get((h, s))
-    if column is None:
-        a = arr.body.half_facets[h][s < 0].coords
-        column = columns[h, s] = (_column_t(arr, h, s), a,
-                                  dot(a, arr.anchor.coords),
-                                  arr.form and int_form(a))
-    t, a, base, a_form = column
-    lows, highs, lo, hi = _shadow_ends(_column_alphas(t, i, j), lams)
+    arrangement, the outer planes of the ``SlabPair`` that ``build_frame``,
+    ``shadow`` and ``slab_pair`` give, with no shadow or slab object on the
+    way.  A polytope pair reads its column (h, s) (``_facet_column``), with
+    the stored facet a; ``columns`` keeps t, a, a.v_0 and the integer form
+    of a (when the points have forms) per (h, s).  A ball pair takes its
+    ``build_frame`` and ``_frame_alphas``.  Either checks its own shadow
+    ends and builds its slab in ``_float_plane`` on the lifted ``points``,
+    or, on an exact facet and an exact common point, in ``_int_plane``."""
+    if arr.projections is None:
+        frame = build_frame(arr, i, j)
+        a, a_form = frame.f_normal.coords, frame.a_form
+        alphas = _frame_alphas(arr, frame)
+        a_vi = dot(a, arr.members[i].center.coords)
+    else:
+        h, s, _ = _facet_column(arr, i, j)
+        column = columns.get((h, s))
+        if column is None:
+            a = arr.body.half_facets[h][s < 0].coords
+            column = columns[h, s] = (_column_t(arr, h, s), a,
+                                      dot(a, arr.anchor.coords),
+                                      arr.form and int_form(a))
+        t, a, base, a_form = column
+        alphas = _column_alphas(t, i, j)
+        a_vi = base + s * arr.projections[i][0][h]
+    lows, highs, lo, hi = _shadow_ends(alphas, lams)
     x = div(lows[lo] + highs[hi], 2)
     if a_form and scalars.is_exact(x):
         plane, k = _int_plane(arr, i, j, a_form, x)
         return Slab(tuple(plane[0]), -k, k, True)
-    m = _column_normal(arr, h, s, a, base, i, x)
-    sg = _orientation(m, points[i], points[j])[0]
-    return Slab(tuple([sg * v for v in m]), -1, 1, False)
+    return Slab(_float_plane(a, a_vi, x, points[i], points[j])[0], -1, 1,
+                False)
 
 
 def slab_rows(slab: Slab, points: tuple, forms) -> list:

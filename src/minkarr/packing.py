@@ -98,29 +98,20 @@ class Stage(NamedTuple):
 class PackingCertificate:
     """Auditable evidence of one packing verification run."""
 
-    def __init__(self, lam: Scalar, n: int, ambient_dim: int,
-                 affine_dim: Optional[int] = None,
-                 induction_branch: bool = False, bound: Optional[int] = None,
-                 bound_effective: Optional[int] = None,
-                 stages: Optional[List[Stage]] = None,
-                 pair_ratios: Optional[List[Tuple[int, int, Scalar]]] = None,
-                 hull_volume: Optional[Scalar] = None,
-                 volume_sum: Optional[Scalar] = None,
-                 offending_pair: Optional[Tuple[int, int]] = None,
-                 verdict: bool = False):
+    def __init__(self, lam: Scalar, n: int, ambient_dim: int):
         self.lam = lam
         self.n = n
         self.ambient_dim = ambient_dim
-        self.affine_dim = affine_dim
-        self.induction_branch = induction_branch
-        self.bound = bound
-        self.bound_effective = bound_effective
-        self.stages = [] if stages is None else stages
-        self.pair_ratios = [] if pair_ratios is None else pair_ratios
-        self.hull_volume = hull_volume
-        self.volume_sum = volume_sum
-        self.offending_pair = offending_pair
-        self.verdict = verdict
+        self.affine_dim: Optional[int] = None
+        self.induction_branch = False
+        self.bound: Optional[int] = None
+        self.bound_effective: Optional[int] = None
+        self.stages: List[Stage] = []
+        self.pair_ratios: List[Tuple[int, int, Scalar]] = []
+        self.hull_volume: Optional[Scalar] = None
+        self.volume_sum: Optional[Scalar] = None
+        self.offending_pair: Optional[Tuple[int, int]] = None
+        self.verdict = False
 
     @property
     def failed_stage(self) -> Optional[str]:
@@ -246,14 +237,13 @@ def family_from_arrangement(arr: Arrangement) -> SlabFamily:
 
     An exact family on an exact body shares one integer slab among the
     pairs on each column h of the arrangement's projections, with no
-    frame or shadow per pair; any other keeps one slab per pair, on an
-    inexact polytope arrangement from the float pair kernel, which reads
-    the points lifted here (the arrangement keeps them).  No check runs
+    frame or shadow per pair; any other keeps one slab per pair from the
+    float pair kernel, oriented on the points lifted here.  No check runs
     here: the width ratios and slab containment are stages of
     slab_packing_check.
     """
     lifted = lift(arr)
-    return SlabFamily(lifted.points, *slab_pairs(arr), lifted.forms)
+    return SlabFamily(lifted.points, *slab_pairs(arr, lifted), lifted.forms)
 
 
 def lifted_packing_pipeline(arr: Arrangement) -> PackingCertificate:

@@ -914,6 +914,31 @@ def test_malformed_body_entries_are_input_errors(body, command, tmp_path,
     assert out == ""
 
 
+@pytest.mark.parametrize("argv,payload,kind", [
+    (["verify"], {"body": BALL_JSON, "homothets": [
+        {"center": "10", "ratio": 1}, {"center": [1, 0], "ratio": 1}]}, "str"),
+    (["verify"], {"body": {"dim": 2, "type": "hpoly", "facets": [
+        {"normal": "10"}, {"normal": [-1, 0]}, {"normal": [0, 1]},
+        {"normal": [0, -1]}]}, "homothets": [{"center": [0, 0], "ratio": 1}]},
+     "str"),
+    (["verify"], {"body": {"dim": 2, "type": "vpoly", "vertices": [
+        {"1": 0, "0": 1}, [-1, 0], [0, 1], [0, -1]]},
+        "homothets": [{"center": [0, 0], "ratio": 1}]}, "dict"),
+    (["kdist", "spectrum"], {"dim": 1, "points": "012"}, "str"),
+], ids=["center", "facet-normal", "vertex", "point"])
+def test_coordinates_must_be_json_lists(argv, payload, kind, tmp_path,
+                                        capsys):
+    # a string was read as one coordinate per character and an object as
+    # its keys: verify passed "center": "10" and the spectrum of
+    # "points": "012" had two distances
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert err == "input error: coordinates must be a JSON list, not %s\n" \
+        % kind
+
+
 @pytest.mark.parametrize("argv,payload,shown", [
     (["verify"], {"body": SQUARE_JSON, "homothets": [
         {"center": [0, 0], "ratio": math.nan}, {"center": [1, 0], "ratio": 1}]},

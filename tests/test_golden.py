@@ -29,7 +29,8 @@ import random
 
 import pytest
 
-from minkarr import BallBody, arrangement_to_json, body_to_json, linf_ball
+from minkarr import (BallBody, arrangement_to_json, body_to_json, lifting,
+                     linf_ball)
 from minkarr.cli import main
 from minkarr.instances import corpus_body, random_minkowski_arrangement
 
@@ -73,6 +74,10 @@ def read_bytes(path):
     pytest.param(name, "exact", id=name) for name in INPUTS] + [
     pytest.param(name, "float", id=name + "-float") for name in FLOAT_INPUTS])
 def test_verify_certificate_bytes(name, mode, tmp_path, capsys):
+    check_certificate(name, mode, tmp_path, capsys)
+
+
+def check_certificate(name, mode, tmp_path, capsys):
     out = tmp_path / "cert.json"
     code = main(["--mode", mode, "verify", golden(name + ".json"),
                  "--certificate", str(out)])
@@ -80,6 +85,19 @@ def test_verify_certificate_bytes(name, mode, tmp_path, capsys):
     assert code == 0
     suffix = ".cert.json" if mode == "exact" else ".float.cert.json"
     assert out.read_bytes() == read_bytes(golden(name + suffix))
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_disc_certificate_without_shadow_or_slab_pair(mode, monkeypatch,
+                                                      tmp_path, capsys):
+    # the ball's family comes from the float pair kernel, which builds no
+    # shadow and no slab pair: the certificate keeps its bytes when both
+    # raise
+    def forbidden(*args):
+        raise AssertionError("a family built a shadow or a slab pair")
+    monkeypatch.setattr(lifting, "shadow", forbidden)
+    monkeypatch.setattr(lifting, "slab_pair", forbidden)
+    check_certificate("disc", mode, tmp_path, capsys)
 
 
 def check_lift_dump(name, i, j, mode, tmp_path, capsys):

@@ -1825,7 +1825,7 @@ def check_projection_kernel(arr, anchors=None):
         if isinstance(slab, SlabPair):
             slab = slab.plane, slab.den
         same(slab, outcome(per_pair_slab, arr, want, want_sd))
-    family, want = outcome(slab_pairs, arr), per_pair_family(arr)
+    family, want = outcome(slab_pairs, arr, lift(arr)), per_pair_family(arr)
     if isinstance(want, Raised):
         same(family, want)
         return compared
@@ -2096,10 +2096,11 @@ def boundary_frame(body, u):
                       key=lambda a: a.coords)
 
 
-def per_pair_float_family(arr):
-    """The slab of every pair i < j by the per-pair float route: the frame
-    of ``boundary_frame``, the shadow of ``loop_shadow`` and the slab of
-    ``fraction_slab_pair``, raising what the first pair raises."""
+def per_pair_float_family(arr, lifted):
+    """The slab of every pair i < j of arr and its lift by the per-pair
+    float route: the frame of ``boundary_frame``, the shadow of
+    ``loop_shadow`` and the slab of ``fraction_slab_pair``, raising what
+    the first pair raises."""
     centers = [h.center for h in arr.members]
     slabs = []
     for i, j in itertools.combinations(range(len(arr)), 2):
@@ -2109,7 +2110,7 @@ def per_pair_float_family(arr):
         frame = ProjectionFrame(i, j, *boundary_frame(arr.body, diff))
         slab = fraction_slab_pair(arr, frame, loop_shadow(arr, frame))
         slabs.append(SlabPair(i, j, *slab[2:]))
-    family = per_pair_slab_family(lift(arr).points, slabs)
+    family = per_pair_slab_family(lifted.points, slabs)
     return family.slabs, family.pairs
 
 
@@ -2132,7 +2133,7 @@ def check_pair_loop(arr):
     def frame_shadow_slab(arr):
         family = per_pair_slab_family(lift(arr).points, lift_route_slabs(arr))
         return family.slabs, family.pairs
-    same(outcome(slab_pairs, arr), outcome(frame_shadow_slab, arr))
+    same(outcome(slab_pairs, arr, lift(arr)), outcome(frame_shadow_slab, arr))
 
 
 def check_float_kernel(arr, monkeypatch, strict=True):
@@ -2253,7 +2254,7 @@ def test_pair_loop_on_mixed_scalars_and_raising_families():
     for arr in families:
         assert arr.projections is not None and not arr.exact
         check_pair_loop(arr)
-        got = outcome(slab_pairs, arr)
+        got = outcome(slab_pairs, arr, lift(arr))
         if isinstance(got, Raised):
             raised[got.type] += 1
         else:
@@ -2291,7 +2292,7 @@ def test_pair_loop_on_discs():
     raised, passed = collections.Counter(), 0
     for arr in families:
         check_pair_loop(arr)
-        got = outcome(slab_pairs, arr)
+        got = outcome(slab_pairs, arr, lift(arr))
         if isinstance(got, Raised):
             raised[got.type] += 1
         else:

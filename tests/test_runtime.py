@@ -49,8 +49,6 @@ def test_start_without_dataclasses():
 
 # top-level names kept without a caller in the program, each for a reason
 NO_CALLER_ALLOWED = {
-    # the classical tight 3^d family: criterion 1's instance, public API
-    "cube_arrangement",
     # ROADMAP item 8 bridges a chain to an arrangement and partitions its
     # ratios, and reports against the exact floor of the chain bound
     "chain_to_arrangement",
