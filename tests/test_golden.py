@@ -1,9 +1,12 @@
 """Golden bytes: ``verify --certificate`` payloads in both modes, ``lift
 --dump`` output in both modes, one ``lift --svg`` diagram for committed inputs, four
 ``search --out`` arrangements (the square's, the disc's, the 3-D
-cross-polytope's and a parallelogram's with float facets), the ``kdist grid --out`` point set {0..3}^2 and two
+cross-polytope's and a parallelogram's with float facets), the ``kdist grid --out`` point set {0..3}^2, two
 ``kdist chain --out`` chains of that grid (under the sum norm and the
-``minkowski3`` hexagon), compared byte for byte.
+``minkowski3`` hexagon) and four ``kdist spectrum`` reports (the grid's, on
+the exact route, and those of the float point set ``floatpts`` under the
+disc, the square and the float-facet parallelogram, on the gauge route),
+compared byte for byte.
 
 The outputs in tests/golden/ were written by the command line itself; the
 seeded inputs ``minkowski1``-``3`` are
@@ -207,3 +210,22 @@ def test_kdist_chain_bytes(name, flags, tmp_path, capsys):
     assert code == 0
     assert out.read_bytes() == read_bytes(
         golden("grid23.%s.chain.json" % name))
+
+
+@pytest.mark.parametrize("name,flags", [
+    ("grid23", []),
+    ("floatpts.l2", ["--norm", "l2"]),
+    ("floatpts.linf", ["--norm", "linf"]),
+    ("floatpts.float_facets", ["--body", "{float_facets}"]),
+], ids=["grid", "l2", "linf", "float_facets"])
+def test_kdist_spectrum_bytes(name, flags, tmp_path, capsys):
+    # the commands CI's console-script step runs: the grid's distances from
+    # integer projections, the float points' from one gauge per pair
+    body = tmp_path / "float_facets.json"
+    body.write_text(json.dumps(FLOAT_FACETS))
+    points = golden(name.split(".")[0] + ".json")
+    code = main(["kdist", "spectrum", points]
+                + [f.format(float_facets=body) for f in flags])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert out.encode() == read_bytes(golden(name + ".spectrum.txt"))
