@@ -5,13 +5,13 @@ another member's center in its interior, and it is pairwise intersecting when
 every two members meet.  Closed bodies are used throughout, so touching
 counts as intersecting while a center sitting exactly on a boundary does not
 violate the arrangement condition.  Both conditions read one distance per
-pair, the centers' ``distance_table`` D: max(lam_i, lam_j) <= D[i][j] <=
-lam_i + lam_j.  Every polytope arrangement reads them from its one
-projection matrix, ``projections``, over the body's half rows: on exact
-centers and ratios of an exact body the distances are integer pairs t/e and
-the ratios s_k/q, and each comparison is one cross-multiplied integer
-comparison; any other takes them in its own scalars.  Only the ball takes
-one gauge per pair.
+pair, D[i][j] = gauge(v_j - v_i) in the arrangement's own ``relations``:
+max(lam_i, lam_j) <= D[i][j] <= lam_i + lam_j.  Every polytope arrangement
+reads them from its one projection matrix, ``projections``, over the body's
+half rows: on exact centers and ratios of an exact body the distances are
+integer pairs t/e and the ratios s_k/q, and each comparison is one
+cross-multiplied integer comparison; any other takes them in its own
+scalars.  Only the ball takes one gauge per pair.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import scalars
 from .bodies import (HPolytopeBody, SymmetricBody, _vector, body_from_json,
-                     body_to_json, distance_table, fraction_table, linf_ball,
+                     body_to_json, distance_table, linf_ball,
                      projection_distances)
 from .kdistance import chain_violation
 from .linalg import Vector, zero_vector
@@ -106,43 +106,27 @@ class Arrangement:
                           for h in self.members)]
 
     @cached_property
-    def int_distances(self) -> Optional[List[List[Tuple[int, int]]]]:
-        """The centers' distances as integer pairs (t, e), D = t/e, from
-        the ``projections`` of an ``exact`` arrangement; None for any
-        other.  The predicates read it."""
-        if not self.exact:
-            return None
-        return projection_distances(self.projections, self.form[1])
-
-    @cached_property
-    def distances(self) -> List[List[Scalar]]:
-        """The centers' ``distance_table``, computed on first use and kept:
-        from the ``projections`` when there are any (the ``int_distances``
-        as Fractions when exact), else one gauge per pair."""
-        if self.projections is None:
-            return distance_table(self.body, [h.center for h in self.members])
-        if self.exact:
-            return fraction_table(self.int_distances)
-        return [[t for t, _ in row]
-                for row in projection_distances(self.projections, 1)]
-
-    @cached_property
     def relations(self):
-        """What both predicates compare, in the cross-multiplied form of
-        ``_SearchState``, computed on first use and kept, so that the two
-        predicates share it: the distances as pairs (t, e), D = t/e, the
-        ratios as numerators s_k over one denominator q, and the
-        comparisons lt and le.  An arrangement with ``int_distances`` gives
-        those, the form's ratio column and the plain operators; any other
-        its ``distances`` as (D, 1), its ratios over q = 1 and
-        ``scalars.lt``/``le``."""
-        table = self.int_distances
-        if table is not None:
+        """What both predicates compare, computed on first use and kept:
+        the arrangement's one distance table, pairs (t, e) with D = t/e,
+        the ratios as numerators s_k over one denominator q, and the
+        comparisons lt and le, the cross-multiplied form of
+        ``_SearchState``.  An ``exact`` arrangement takes the
+        ``projection_distances`` of its ``projections`` over the form's q,
+        its ratio column and the plain operators; any other those of its
+        ``projections`` over 1, or the ball one gauge per pair, its ratios
+        over q = 1 and ``scalars.lt``/``le``."""
+        if self.exact:
             rows, q = self.form
-            return (table, [row[-1] for row in rows], q, operator.lt,
-                    operator.le)
-        return ([[(g, 1) for g in row] for row in self.distances],
-                [h.ratio for h in self.members], 1, scalars.lt, scalars.le)
+            return (projection_distances(self.projections, q),
+                    [row[-1] for row in rows], q, operator.lt, operator.le)
+        if self.projections is None:
+            table = [[(g, 1) for g in row] for row in distance_table(
+                self.body, [h.center for h in self.members])]
+        else:
+            table = projection_distances(self.projections, 1)
+        return (table, [h.ratio for h in self.members], 1, scalars.lt,
+                scalars.le)
 
 
 def find_minkowski_violation(arr: Arrangement) -> Optional[Tuple[int, int]]:
@@ -199,10 +183,11 @@ def chain_to_arrangement(points: Sequence[Vector], lambdas: Sequence[Scalar],
     ratios = list(lambdas) + [lambdas[-1]]
     arr = Arrangement(body, tuple(Homothet(p, r)
                                   for p, r in zip(points, ratios)))
-    pair = chain_violation(arr.distances, lambdas)
+    table = [[div(t, e) for t, e in row] for row in arr.relations[0]]
+    pair = chain_violation(table, lambdas)
     if pair is not None:
         i, j = pair
-        raise ChainPropertyError(i, j, arr.distances[i][j], lambdas[i])
+        raise ChainPropertyError(i, j, table[i][j], lambdas[i])
     return arr
 
 

@@ -2,13 +2,13 @@
 
 A body is the unit ball of the norm it induces: the gauge of x is the least
 lambda >= 0 with x in lambda*K, a norm; ``distance_table`` takes it once
-per pair of points for the predicates, the search, the generators and the
-chains.  On exact points of an exact body that is ``int_distance_table``:
-one ``int_projections`` per integer row, the dots h.p over the body's
-``half_rows`` (one row h of each +- facet pair), and per pair of points the
-largest absolute difference of two projections, as the gauge of an
-o-symmetric polytope is max_h |h.x|; ``gauge`` is the route of float points
-and float bodies.  The same projections give an exact arrangement its
+per pair of points for the ball's predicates, the search, the generators
+and the chains.  On exact points of an exact body that is
+``projection_distances``: one ``int_projections`` per integer row, the dots
+h.p over the body's ``half_rows`` (one row h of each +- facet pair), and
+per pair of points the largest absolute difference of two projections, as
+the gauge of an o-symmetric polytope is max_h |h.x|; ``gauge`` is the route
+of float points and float bodies.  The same projections give an exact arrangement its
 frames and shadows (``Arrangement.projections``, read by ``lifting``): the
 facet of the pair (i, j) is the half row h with the largest |h.(P_j - P_i)|,
 signed s, ties to the lexicographically least facet s*h.  Every other
@@ -93,14 +93,16 @@ def distance_table(body: SymmetricBody,
                    points: Sequence[Vector]) -> List[List[Scalar]]:
     """D[i][j] = D[j][i] = gauge(p_j - p_i) for i < j, 0 on the diagonal:
     one gauge per unordered pair, as gauge(-x) = gauge(x).  Exact points
-    P/q of an exact body take ``int_distance_table``, one
+    rows[k]/q of an exact body take the ``projection_distances`` of one
     ``int_projections`` per point; any other takes ``gauge`` of p_j - p_i."""
     for p in points:
         body._check_dim(p)
     form = points and body.exact and scalars.int_rows(
         [p.coords for p in points])
     if form:
-        return fraction_table(int_distance_table(body, *form))
+        rows, q = form
+        return fraction_table(projection_distances(
+            [body.int_projections(p) for p in rows], q))
     table: List[List[Scalar]] = [[0] * len(points) for _ in points]
     for i, p in enumerate(points):
         for j in range(i + 1, len(points)):
@@ -108,20 +110,12 @@ def distance_table(body: SymmetricBody,
     return table
 
 
-def int_distance_table(body: SymmetricBody, rows: Sequence[Sequence[int]],
-                       q: int) -> List[List[Tuple[int, int]]]:
-    """The distances of the points rows[k]/q of an exact body as integer
-    pairs: D[i][j] = D[j][i] = (t, e) with gauge = t/e, (0, 1) on the
-    diagonal.  Each point takes one ``int_projections``."""
-    return projection_distances([body.int_projections(p) for p in rows], q)
-
-
 def projection_distances(projections: Sequence[Tuple[tuple, int]],
                          q: int) -> List[List[Tuple[Scalar, int]]]:
-    """The ``int_distance_table`` of points rows[k]/q from their
-    ``int_projections``, or any projections (proj, den) over half rows:
-    a pair's t is the largest absolute difference of its two projections,
-    over den*q."""
+    """The distances of points rows[k]/q as pairs D[i][j] = D[j][i] =
+    (t, e), D = t/e, (0, 1) on the diagonal, from their ``int_projections``
+    or any projections (proj, den) over half rows: a pair's t is the
+    largest absolute difference of its two projections, over e = den*q."""
     table = [[(0, 1)] * len(projections) for _ in projections]
     for i, (p, den) in enumerate(projections):
         for j in range(i + 1, len(projections)):
@@ -131,7 +125,7 @@ def projection_distances(projections: Sequence[Tuple[tuple, int]],
 
 
 def fraction_table(table) -> List[List[Scalar]]:
-    """The gauges t/e of an ``int_distance_table``, int 0 for t = 0."""
+    """The gauges t/e of a table of pairs (t, e), int 0 for t = 0."""
     return [[Fraction(t, e) if t else 0 for t, e in row] for row in table]
 
 

@@ -8,11 +8,12 @@ arrangements), ``kdist`` (spectra, grids, greedy chains).
 Exit codes are a stable contract: 0 all checks pass, 1 a check failed, 2 the
 input could not be parsed or was otherwise invalid, an unwritable output
 path included.  Subcommands raise ``InputError`` for those, and ``main``
-prints it as one ``input error: <message>`` line; unusable input is found
-before the report starts, so it leaves stdout empty.  A closed stdout is an
-unwritable output too, with one ``input error:`` line.  Any other exception
-raised by a subcommand is a bug, not a failed check: it also exits 2, with
-one ``internal error: <Type>: <message>`` line on stderr and no traceback.
+prints it as one ``input error: <message>`` line; unusable input is found,
+and every output file written, before the report starts, so either leaves
+stdout empty.  A closed stdout is an unwritable output too, with one
+``input error:`` line.  Any other exception raised by a subcommand is a
+bug, not a failed check: it also exits 2, with one ``internal error:
+<Type>: <message>`` line on stderr and no traceback.
 Every report prints the seed and scalar mode it ran under.
 """
 
@@ -137,21 +138,24 @@ def _load_arrangement(args) -> Arrangement:
     return arr
 
 
-def _banner(args, mode: str = "") -> None:
-    """The seed and the scalar mode: ``mode``, the route a command took
-    from its input, or else the ``--mode`` flag."""
+def _report(args, lines, mode: str = "") -> None:
+    """Print the report: the seed, the scalar mode (``mode``, the route a
+    command took from its input, or else the ``--mode`` flag) and the
+    lines.  A command writes its output files before it reports, so an
+    unwritable one leaves stdout empty."""
     print("seed: %d" % args.seed)
     print("mode: %s  eps: %g" % (mode or args.mode, scalars.TOLERANCE))
+    for line in lines:
+        print(line)
 
 
 def cmd_verify(args) -> int:
     arr = _load_arrangement(args)
-    _banner(args)
     # in dimension <= 2 the pipeline's first two stages are the two
     # predicates, so each runs once; one the pipeline did not reach runs here
     cert = lifted_packing_pipeline(arr) if arr.dim <= 2 else None
     passed = {s.name: s.passed for s in cert.stages} if cert else {}
-    checks = {}
+    checks, lines = {}, []
     for key, stage, label, find in (
             ("minkowski", "minkowski_property", "minkowski-arrangement",
              find_minkowski_violation),
@@ -162,32 +166,33 @@ def cmd_verify(args) -> int:
         else:
             violation = find(arr)
         checks[key] = violation is None
-        print("%s: %s" % (label, "PASS" if violation is None
-                          else "FAIL at pair (%d, %d)" % violation))
+        lines.append("%s: %s" % (label, "PASS" if violation is None
+                                 else "FAIL at pair (%d, %d)" % violation))
     failed = not all(checks.values())
 
     cert_json = None
     if cert is not None and not failed:
         cert_json = certificate_to_json(cert)
         if cert.verdict:
-            print("lifted-packing-certificate: PASS  %d <= %d"
-                  % (cert.n, cert.bound))
+            lines.append("lifted-packing-certificate: PASS  %d <= %d"
+                         % (cert.n, cert.bound))
         else:
             pair = cert.offending_pair
             where = " at pair (%d, %d)" % pair if pair else ""
-            print("lifted-packing-certificate: FAIL stage %s%s"
-                  % (cert.failed_stage, where))
+            lines.append("lifted-packing-certificate: FAIL stage %s%s"
+                         % (cert.failed_stage, where))
             failed = True
     elif cert is None:
-        print("lifted-packing-certificate: SKIP (needs dimension <= 2)")
+        lines.append("lifted-packing-certificate: SKIP (needs dimension <= 2)")
 
     if args.certificate:
         payload = {"checks": checks,
                    "seed": args.seed, "mode": args.mode,
                    "certificate": cert_json}
         _dump_json(args.certificate, payload)
-        print("certificate written to %s" % args.certificate)
-    print("verdict: %s" % ("FAIL" if failed else "PASS"))
+        lines.append("certificate written to %s" % args.certificate)
+    lines.append("verdict: %s" % ("FAIL" if failed else "PASS"))
+    _report(args, lines)
     return 1 if failed else 0
 
 
@@ -202,26 +207,27 @@ def cmd_lift(args) -> int:
         sd = shadow(arr, frame)
         diag = pair_diagnostics(arr, frame, sd)
     except ValueError as exc:
-        _banner(args)
+        _report(args, [])
         print("construction failed: %s" % exc, file=sys.stderr)
         return 1
-    _banner(args)
-    print("alphas: %s" % diag["alphas"])
-    print("intervals: %s" % diag["intervals"])
-    print("x: %s  u_i: %s  u_j: %s" % (diag["x"], diag["u_i"], diag["u_j"]))
-    print("width ratio: %s" % diag["ratio"])
-    print("slab offsets: k_ij=%s k_ji=%s g_ij=%s g_ji=%s"
-          % (diag["slab"]["c_k_ij"], diag["slab"]["c_k_ji"],
-             diag["slab"]["c_g_ij"], diag["slab"]["c_g_ji"]))
+    slab = diag["slab"]
     ok = diag["slab_contains_all"]
-    print("slab containment: %s" % ("PASS" if ok else
-                                    "FAIL at member %s" % diag["slab_offender"]))
+    lines = [
+        "alphas: %s" % diag["alphas"],
+        "intervals: %s" % diag["intervals"],
+        "x: %s  u_i: %s  u_j: %s" % (diag["x"], diag["u_i"], diag["u_j"]),
+        "width ratio: %s" % diag["ratio"],
+        "slab offsets: k_ij=%s k_ji=%s g_ij=%s g_ji=%s"
+        % (slab["c_k_ij"], slab["c_k_ji"], slab["c_g_ij"], slab["c_g_ji"]),
+        "slab containment: %s" % ("PASS" if ok else
+                                  "FAIL at member %s" % diag["slab_offender"])]
     if args.dump:
         _dump_json(args.dump, diag)
-        print("diagnostics written to %s" % args.dump)
+        lines.append("diagnostics written to %s" % args.dump)
     if args.svg:
         _write_text(args.svg, render_projection_plane(arr, frame, sd))
-        print("diagram written to %s" % args.svg)
+        lines.append("diagram written to %s" % args.svg)
+    _report(args, lines)
     return 0 if ok else 1
 
 
@@ -235,29 +241,29 @@ def cmd_search(args) -> int:
             # the search draws its centers in a float box around the members
             scalars.check_float_range(_scalars(warm.members), True)
             check_warm_start(body, warm)
-    # the search takes its route from the input, not from --mode
-    _banner(args, "exact" if body.exact and (warm is None or warm.form)
-            else "float")
     arr = search_arrangement(body, body.dim, cfg, warm_start=warm)
     bound = arrangement_size_bound(body.dim)
-    print("best size: %d (bound 3^(d+1) = %d)" % (len(arr), bound))
     # search_arrangement re-verifies its result with the full predicate
     # pass and raises when it fails
-    print("re-verified: PASS")
+    lines = ["best size: %d (bound 3^(d+1) = %d)" % (len(arr), bound),
+             "re-verified: PASS"]
     if args.out:
         _dump_json(args.out, arrangement_to_json(arr))
-        print("arrangement written to %s" % args.out)
+        lines.append("arrangement written to %s" % args.out)
+    # the search takes its route from the input, not from --mode
+    _report(args, lines, "exact" if body.exact
+            and (warm is None or warm.form) else "float")
     return 0
 
 
 def cmd_grid(args) -> int:
     with _reading_input():
         pts = grid_set(args.d, args.k)
-    _banner(args, "exact")
-    print("grid {0..%d}^%d: %d points" % (args.k, args.d, len(pts)))
+    lines = ["grid {0..%d}^%d: %d points" % (args.k, args.d, len(pts))]
     if args.out:
         _dump_json(args.out, pointset_to_json(pts))
-        print("point set written to %s" % args.out)
+        lines.append("point set written to %s" % args.out)
+    _report(args, lines, "exact")
     return 0
 
 
@@ -282,10 +288,9 @@ def cmd_spectrum(args) -> int:
     with _reading_input():
         body, pts, route = _body_and_points(args)
         spec = spectrum(body, pts)
-    _banner(args, route)
-    print("distances: %d" % len(spec))
-    for dist, mult in spec.entries:
-        print("  %s  x%d" % (format_scalar(dist), mult))
+    _report(args, ["distances: %d" % len(spec)]
+            + ["  %s  x%d" % (format_scalar(dist), mult)
+               for dist, mult in spec.entries], route)
     return 0
 
 
@@ -295,16 +300,16 @@ def cmd_chain(args) -> int:
         target = guaranteed_length(len(pts), args.k) \
             if args.target is None else args.target
         chain = greedy_chain(body, pts, args.k, target)
-    _banner(args, route)
     payload = chain_to_json(body, chain)  # the one replay of the chain
-    print("chain length %d of target %d (guaranteed: %s)"
-          % (len(chain), target, chain.guaranteed))
-    print("lambdas: %s" % payload["lambdas"])
-    print("chain verification: %s" % ("PASS" if payload["verified"]
-                                       else "FAIL"))
+    lines = ["chain length %d of target %d (guaranteed: %s)"
+             % (len(chain), target, chain.guaranteed),
+             "lambdas: %s" % payload["lambdas"],
+             "chain verification: %s" % ("PASS" if payload["verified"]
+                                         else "FAIL")]
     if args.out:
         _dump_json(args.out, payload)
-        print("chain written to %s" % args.out)
+        lines.append("chain written to %s" % args.out)
+    _report(args, lines, route)
     return 0 if payload["verified"] else 1
 
 

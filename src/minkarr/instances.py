@@ -13,10 +13,11 @@ rejection loop over full predicate checks is needed:
 
 All coordinates are small-denominator rationals, which keeps the downstream
 exact arithmetic fast.  The Minkowski generator needs an exact body: each
-draw of centers takes one ``int_distance_table``, whose distances share one
-denominator, so feasibility is decided on its integer tops, and the table
-of the draw kept is the family's ``Arrangement.int_distances``, which its
-predicates read, and, as Fractions, its ``Arrangement.distances``.
+draw of centers takes the ``projection_distances`` of one
+``int_projections`` per center, whose distances share one denominator, so
+feasibility is decided on their integer tops and the ratios are drawn from
+them.  The family returned computes its own ``Arrangement.relations``,
+which its predicates read.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from . import scalars
 from .arrangement import (Arrangement, Homothet, find_intersection_violation,
                           find_minkowski_violation)
 from .bodies import (SymmetricBody, VPolytopeBody, distance_table,
-                     fraction_table, int_distance_table, l1_ball, linf_ball)
+                     fraction_table, l1_ball, linf_ball,
+                     projection_distances)
 from .lifting import lift
 from .linalg import Vector, affine_rank
 
@@ -89,12 +91,11 @@ def random_intersecting_arrangement(rng: random.Random,
     body = body or corpus_body(rng, rng.randrange(3))
     n = n or rng.randint(3, 5)
     centers = _random_centers(rng, n, body.dim)
-    itable = _int_table(body, centers)
-    table = fraction_table(itable) if itable else distance_table(body, centers)
+    table = distance_table(body, centers)
     diameter = max(Fraction(table[i][j])
                    for i in range(n) for j in range(i + 1, n))
     lams = [_rational_between(rng, diameter / 2, diameter) for _ in range(n)]
-    arr = _with_distances(body, centers, lams, table, itable)
+    arr = Arrangement(body, tuple(map(Homothet, centers, lams)))
     if find_intersection_violation(arr) is not None:
         raise AssertionError("generator produced a non-intersecting family")
     return arr
@@ -149,7 +150,9 @@ def random_minkowski_arrangement(rng: random.Random,
         # the ratio polytope is nonempty iff every pair distance is at most
         # the sum of the two nearest-neighbor distances: decided on the
         # integer table, whose distances t/e share one denominator e
-        itable = _int_table(body, centers)
+        rows, q = scalars.int_rows([c.coords for c in centers])
+        itable = projection_distances(
+            [body.int_projections(p) for p in rows], q)
         near = [min(row[:i] + row[i + 1:]) for i, row in enumerate(itable)]
         if any(near[i][0] + near[j][0] < itable[i][j][0]
                for i in range(n) for j in range(i + 1, n)):
@@ -162,33 +165,13 @@ def random_minkowski_arrangement(rng: random.Random,
                 low = max(table[i][j] - lams[j] for j in range(n) if j != i)
                 low = max(low, min(caps[i], Fraction(1, 16)))
                 lams[i] = _rational_between(rng, low, caps[i])
-            arr = _with_distances(body, centers, lams, table, itable)
+            arr = Arrangement(body, tuple(map(Homothet, centers, lams)))
             if full_lift and not _spans_lifted_space(arr):
                 continue
             if find_minkowski_violation(arr) is not None \
                     or find_intersection_violation(arr) is not None:
                 raise AssertionError("generator violated its own invariants")
             return arr
-
-
-def _int_table(body: SymmetricBody, centers: List[Vector]):
-    """The centers' ``int_distance_table`` on an exact body, else None."""
-    if not body.exact:
-        return None
-    return int_distance_table(body, *scalars.int_rows(
-        [c.coords for c in centers]))
-
-
-def _with_distances(body: SymmetricBody, centers: List[Vector],
-                    lams: List[Fraction], table, itable) -> Arrangement:
-    """The family with its centers' distance tables already taken: the
-    Fraction table and the integer one (None off an exact body) are stored
-    where the ``Arrangement.distances`` and ``int_distances``
-    cached_properties keep their values, so the predicates take no gauge
-    or projection of their own.  Any (t, e) with D = t/e serves them."""
-    arr = Arrangement(body, tuple(map(Homothet, centers, lams)))
-    vars(arr).update(distances=table, int_distances=itable)
-    return arr
 
 
 def _spans_lifted_space(arr: Arrangement) -> bool:

@@ -356,7 +356,7 @@ def test_projection_gauge_is_the_all_rows_gauge():
                     zip(points, projections), repeat=2):
                 top = max(map(abs, diff(a, b)))
                 assert top == int_gauge(body, diff(p, r))[0]
-            table = bodies.int_distance_table(body, points, 5)
+            table = bodies.projection_distances(projections, 5)
             assert table == [[(int_gauge(body, diff(r, p))[0], body._den * 5)
                               if i != j else (0, 1)
                               for j, r in enumerate(points)]

@@ -453,17 +453,23 @@ def test_exact_scalar_beyond_floats_stays_exact(tmp_path, capsys):
 @pytest.mark.parametrize("command,flag", [
     ("search", "--out"), ("verify", "--certificate"),
     ("lift", "--dump"), ("lift", "--svg"),
+    ("grid", "--out"), ("chain", "--out"),
 ])
 def test_unwritable_output_exit_2_as_input_error(command, flag, cube_file,
-                                                 square_body_file, tmp_path,
-                                                 capsys):
+                                                 square_body_file, grid_file,
+                                                 tmp_path, capsys):
+    # every output file is written before the report, so stdout stays empty
     target = str(tmp_path / "missing" / "out")
     argv = {"search": ["search", square_body_file, "--iters", "5"],
             "verify": ["verify", cube_file],
-            "lift": ["lift", cube_file, "--pair", "0", "1"]}[command]
-    code, _, err = run(capsys, *argv, flag, target)
+            "lift": ["lift", cube_file, "--pair", "0", "1"],
+            "grid": ["kdist", "grid", "--d", "2", "--k", "3"],
+            "chain": ["kdist", "chain", grid_file, "--k", "3"]}[command]
+    code, out, err = run(capsys, *argv, flag, target)
     assert code == 2
+    assert out == ""
     assert err.startswith("input error: cannot write %s: " % target), err
+    assert err.count("\n") == 1
     assert "internal error" not in err
 
 
@@ -522,10 +528,14 @@ def test_lift_construction_failure_exit_1(tmp_path, capsys, centers,
                                           for c in centers))
     path = tmp_path / "pair.json"
     path.write_text(json.dumps(arrangement_to_json(arr)))
-    code, out, err = run(capsys, "lift", str(path), "--pair", "0", "1")
+    dump, svg = tmp_path / "pair.dump.json", tmp_path / "pair.svg"
+    code, out, err = run(capsys, "lift", str(path), "--pair", "0", "1",
+                         "--dump", str(dump), "--svg", str(svg))
     assert code == 1
     assert out == "seed: 0\nmode: exact  eps: %g\n" % scalars.TOLERANCE
     assert err == "construction failed: %s\n" % message
+    # a failed construction writes no output file
+    assert not dump.exists() and not svg.exists()
 
 
 def test_lift_ratio_matches_identity(cube_file, capsys, tmp_path):

@@ -1,12 +1,12 @@
 """Golden bytes: ``verify --certificate`` payloads in both modes, ``lift
---dump`` output in both modes, one ``lift --svg`` diagram for committed inputs, four
-``search --out`` arrangements (the square's, the disc's, the 3-D
-cross-polytope's and a parallelogram's with float facets), the ``kdist grid --out`` point set {0..3}^2, two
-``kdist chain --out`` chains of that grid (under the sum norm and the
-``minkowski3`` hexagon) and four ``kdist spectrum`` reports (the grid's, on
-the exact route, and those of the float point set ``floatpts`` under the
-disc, the square and the float-facet parallelogram, on the gauge route),
-compared byte for byte.
+--dump`` output in both modes, one ``lift --svg`` diagram for committed
+inputs, four ``search --out`` arrangements (the square's, the disc's, the
+3-D cross-polytope's and a parallelogram's with float facets), the ``kdist
+grid --out`` point set {0..3}^2, two ``kdist chain --out`` chains of that
+grid (under the sum norm and the ``minkowski3`` hexagon) and four ``kdist
+spectrum`` reports (the grid's, on the exact route, and those of the float
+point set ``floatpts`` under the disc, the square and the float-facet
+parallelogram, on the gauge route), compared byte for byte.
 
 The outputs in tests/golden/ were written by the command line itself; the
 seeded inputs ``minkowski1``-``3`` are

@@ -119,9 +119,9 @@ def test_generator_caps_n_at_three_on_a_line():
 
 
 def test_generators_take_one_projection_per_center(monkeypatch):
-    # every draw of centers takes one projection per center, and the table
-    # of the draw kept serves both its ratios and the predicate checks of
-    # the family returned, which take no gauge of their own
+    # every draw of centers takes one projection per center for its ratios,
+    # and the family returned takes one per member for its own relations,
+    # which its predicate checks read; neither takes a gauge
     calls, draws = [], []
     project, centers = HPolytopeBody.int_projections, instances._random_centers
     monkeypatch.setattr(HPolytopeBody, "int_projections",
@@ -132,15 +132,17 @@ def test_generators_take_one_projection_per_center(monkeypatch):
                         lambda *args, **kw: draws.append(centers(*args, **kw))
                         or draws[-1])
     rng = random.Random(1)
-    for t in range(30):
-        random_minkowski_arrangement(rng, body=corpus_body(rng, t),
-                                     full_lift=True)
-    assert len(calls) == sum(map(len, draws))
+    families = [random_minkowski_arrangement(rng, body=corpus_body(rng, t),
+                                             full_lift=True)
+                for t in range(30)]
+    assert len(calls) == sum(map(len, draws)) + sum(map(len, families))
     assert len(draws) > 30
     calls.clear()
     draws.clear()
-    for t in range(10):
-        arr = random_intersecting_arrangement(rng, body=corpus_body(rng, t))
-        assert find_intersection_violation(arr) is None
-    assert len(calls) == sum(map(len, draws))
+    families = [random_intersecting_arrangement(rng, body=corpus_body(rng, t))
+                for t in range(10)]
+    assert len(calls) == sum(map(len, draws)) + sum(map(len, families))
+    # the checks read the relations the generator's own check computed
+    assert all(find_intersection_violation(arr) is None for arr in families)
+    assert len(calls) == sum(map(len, draws)) + sum(map(len, families))
     assert len(draws) == 10

@@ -36,7 +36,7 @@ from minkarr.lifting import (CoincidentCentersError, DegenerateWedgeError,
 from minkarr.linalg import (Vector, _rref, affine_coordinates, affine_rank,
                             matrix_rank, zero_vector)
 from minkarr import arrangement, lp, packing, scalars
-from minkarr.bodies import HPolytopeBody, SymmetricBody
+from minkarr.bodies import HPolytopeBody, SymmetricBody, fraction_table
 from minkarr.packing import (SlabFamily, certificate_to_json,
                              family_from_arrangement,
                              lifted_packing_pipeline, slab_packing_check)
@@ -1689,7 +1689,8 @@ def test_frames_and_distances_from_integer_differences():
             continue
         assert arr.form is not None
         centers = [h.center for h in arr.members]
-        same(arr.distances, distance_table(arr.body, centers))
+        same(fraction_table(arr.relations[0]),
+             distance_table(arr.body, centers))
         for i, j in itertools.permutations(range(len(arr)), 2):
             if centers[i] != centers[j]:
                 same(build_frame(arr, i, j), ProjectionFrame(
@@ -2062,7 +2063,8 @@ def test_disc_with_rational_centers_keeps_its_float_frames():
                       + tuple(Homothet(Vector(c), 1) for c in rim))
     assert arr.form is not None and not arr.body.exact
     centers = [h.center for h in arr.members]
-    same(arr.distances, distance_table(arr.body, centers))
+    same([[t for t, _ in row] for row in arr.relations[0]],
+         distance_table(arr.body, centers))
     moved = 0
     for i, j in itertools.permutations(range(len(arr)), 2):
         frame = arr.body.boundary_frame(centers[j] - centers[i])
@@ -2118,8 +2120,10 @@ def per_pair_float_certificate(arr, monkeypatch):
     """The pipeline's certificate of arr with one gauge per pair for the
     predicates and the family of the per-pair float route."""
     oracle = Arrangement(arr.body, arr.members)
-    vars(oracle)["distances"] = distance_table(
-        arr.body, [h.center for h in arr.members])
+    table = distance_table(arr.body, [h.center for h in arr.members])
+    vars(oracle)["relations"] = ([[(g, 1) for g in row] for row in table],
+                                 [h.ratio for h in arr.members], 1,
+                                 scalars.lt, scalars.le)
     with monkeypatch.context() as patch:
         patch.setattr(packing, "slab_pairs", per_pair_float_family)
         return lifted_packing_pipeline(oracle)

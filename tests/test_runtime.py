@@ -108,3 +108,19 @@ def test_every_src_function_has_a_caller():
     orphans = sorted(node.name for node in definitions
                      if node.name not in used | NO_CALLER_ALLOWED)
     assert not orphans
+
+
+def test_no_module_writes_another_objects_dict():
+    """No module calls ``vars`` or reaches an object's ``__dict__``: an
+    object computes its cached values itself, and no other module writes
+    them in its place."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            where = "%s:%d" % (path.name, getattr(node, "lineno", 0))
+            assert not (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id == "vars"), where + " calls vars()"
+            assert not (isinstance(node, ast.Attribute)
+                        and node.attr == "__dict__"), \
+                where + " reaches __dict__"
